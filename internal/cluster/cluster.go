@@ -150,68 +150,34 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	if instances <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: incomplete config")
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
-	for _, ev := range cfg.Faults {
-		if !ev.Kind.Pool() {
-			return nil, fmt.Errorf("cluster: the rack sim models pool faults only, got %q", ev)
-		}
-		if ev.Target != simPlatform {
-			return nil, fmt.Errorf("cluster: fault script targets unknown pool %q (the rack's one pool is %q)",
-				ev.Target, simPlatform)
-		}
-	}
-	engine := sim.NewEngine()
-	rng := sim.NewRNG(seed)
 	// The rack is a one-pool MultiCore: dispatch and coalesce flow through
 	// the N-pool core so every served request's queue delay — arrival to
 	// dispatch — lands in the same wait digests the engine and the hybrid
 	// sim record.
-	mc, err := serve.NewMultiCore([]serve.PoolSpec{{
-		Name: simPlatform, Class: sched.ClassCPU,
-		Workers: instances, QueueDepth: cfg.QueueDepth, Policy: cfg.Policy,
-	}})
+	d, err := newDriver(rack{
+		pools: []serve.PoolSpec{{
+			Name: simPlatform, Class: sched.ClassCPU,
+			Workers: instances, QueueDepth: cfg.QueueDepth, Policy: cfg.Policy,
+		}},
+		order:          []int{0},
+		estimateWindow: cfg.EstimateWindow, estimateWarmup: cfg.EstimateWarmup,
+		elastic: cfg.Elastic, faults: cfg.Faults,
+		maxBatch: cfg.MaxBatch, formBatches: cfg.GlobalBatch,
+		batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
+		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
+	}, seed)
 	if err != nil {
 		return nil, err
 	}
-	mc.SetWaitTuning(cfg.EstimateWindow, cfg.EstimateWarmup)
-	core := mc.Pool(0)
-	// The elastic rack attaches the identical serve.Lifecycle the live
-	// engine drives with wall-clock timers — here its events are virtual.
-	var asc *scale.Autoscaler
-	if cfg.Elastic != nil {
-		initial := cfg.Elastic.Min
-		if cfg.Elastic.Mode == scale.ModeFixed {
-			initial = cfg.Elastic.Max
-		}
-		lc, err := serve.NewLifecycle(serve.LifecycleConfig{
-			Min: cfg.Elastic.Min, Max: cfg.Elastic.Max,
-			ColdStart: cfg.Elastic.ColdStart, IdleLinger: cfg.Elastic.IdleLinger,
-		}, initial, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := core.AttachLifecycle(lc, 0); err != nil {
-			return nil, err
-		}
-		if asc, err = scale.New(*cfg.Elastic, simPlatform); err != nil {
-			return nil, err
-		}
-	}
+	mc, former := d.mc, d.formers[0]
 	var obs *metrics.Observatory
 	if cfg.AdaptiveEstimates {
 		obs = metrics.NewObservatory(cfg.EstimateWindow, cfg.EstimateWarmup)
-	}
-	var former *serve.BatchFormer
-	if cfg.GlobalBatch && cfg.MaxBatch > 1 {
-		former = serve.NewBatchFormer(cfg.MaxBatch, cfg.BatchLinger, cfg.BatchSLO, sched.ClassCPU)
-		if obs != nil {
+		if former != nil {
 			former.SetEstimator(func(payload string, static time.Duration) time.Duration {
 				return obs.ServiceQuantile(payload, simPlatform, static, 0.95)
 			})
 		}
-		core.AttachFormer(former)
 	}
 	st := &Stats{
 		Queue:         metrics.Series{Name: "queued"},
@@ -222,56 +188,37 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	// Latency accumulator per sampling bucket.
 	var bucketSum time.Duration
 	var bucketN int
-
-	var pump func()
-	// simExec is one in-flight execution under the fault model: a pool-down
-	// cancels it — its completion event still fires but retires nothing —
-	// and requeues its tasks. Tracked only when a fault script is armed, so
-	// faultless runs stay bit-identical.
-	type simExec struct {
-		tasks           []sched.HybridTask
-		done, cancelled bool
-	}
-	var inflight []*simExec
-	faultsOn := len(cfg.Faults) > 0
-	// execute retires a gathered batch after one service time: the lead's
-	// sample prices the whole coalesced execution, as on the live engine.
-	execute := func(tasks []sched.HybridTask) {
-		var ex *simExec
-		if faultsOn {
-			ex = &simExec{tasks: tasks}
-			inflight = append(inflight, ex)
+	complete := func(t sched.HybridTask) {
+		lat := d.now() - t.Arrived
+		st.Completed++
+		if cfg.BatchSLO > 0 && lat <= cfg.BatchSLO {
+			st.WithinSLO++
 		}
-		service := cfg.Service(tasks[0].Payload, rng)
-		engine.After(service, func() {
-			if ex != nil {
-				if ex.cancelled {
-					return
-				}
-				ex.done = true
-			}
-			core.Complete(len(tasks))
-			st.Batches++
-			if asc != nil {
-				asc.ObserveService(tasks[0].Payload, service)
-			}
-			if obs != nil {
-				// The digest learns the true service time at completion —
-				// the same observe-on-complete the live engine does.
-				obs.Record(tasks[0].Payload, simPlatform, service)
-			}
-			for _, t := range tasks {
-				lat := engine.Now() - t.Arrived
-				st.Completed++
-				if cfg.BatchSLO > 0 && lat <= cfg.BatchSLO {
-					st.WithinSLO++
-				}
-				st.LatencySample.Add(lat)
-				bucketSum += lat
-				bucketN++
-			}
-			pump()
-		})
+		st.LatencySample.Add(lat)
+		bucketSum += lat
+		bucketN++
+	}
+	d.service = func(_ int, lead sched.HybridTask, _ []sched.HybridTask) time.Duration {
+		return cfg.Service(lead.Payload, d.rng)
+	}
+	d.settle = func(_ int, lead sched.HybridTask, rest []sched.HybridTask, service time.Duration) {
+		st.Batches++
+		if obs != nil {
+			// The digest learns the true service time at completion —
+			// the same observe-on-complete the live engine does.
+			obs.Record(lead.Payload, simPlatform, service)
+		}
+		complete(lead)
+		for _, t := range rest {
+			complete(t)
+		}
+	}
+	d.sample = func(at time.Duration) {
+		st.Queue.Add(at, float64(mc.QueueLen()))
+		if bucketN > 0 {
+			st.Latency.Add(at, float64(bucketSum.Milliseconds())/float64(bucketN))
+			bucketSum, bucketN = 0, 0
+		}
 	}
 
 	// window is one instance's open linger window: the batch it holds and
@@ -286,11 +233,10 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	}
 	var open []*window
 	fire := func(win *window) {
-		if win.fired {
-			return
+		if !win.fired {
+			win.fired = true
+			d.execute(0, win.batch[0], win.batch[1:])
 		}
-		win.fired = true
-		execute(win.batch)
 	}
 	// gatherInto pulls queued same-benchmark tasks into the window and
 	// fires it when full.
@@ -304,208 +250,67 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 			fire(win)
 		}
 	}
-
-	// lastWake dedups the former's wake events: scheduled events are never
-	// cancelled, so any instant already armed will fire and re-pump.
-	lastWake := time.Duration(-1)
-
-	// Elastic drive: fold virtual time into the lifecycle (warming slots
-	// come ready, expired lingers suspend), re-decide the autoscaler
-	// target, and arm a wake at the lifecycle's next self-transition —
-	// the virtual-clock analogue of the live engine's lifecycle timer.
-	// Decisions are rate-limited like the engine's (the digest quantile
-	// reads are not per-event work); a starved pool (backlog, no free
-	// capacity) bypasses the limit.
-	warmup := int64(cfg.EstimateWarmup)
-	if warmup <= 0 {
-		warmup = int64(metrics.DefaultWarmup)
-	}
-	const scaleInterval = 100 * time.Millisecond
-	lastLifeWake := time.Duration(-1)
-	lastDecide := time.Duration(-1)
-	advanceScale := func() {
-		if asc == nil {
-			return
-		}
-		now := engine.Now()
-		mc.AdvanceLifecycles(now)
-		starved := core.QueueLen() > 0 && core.Busy() >= core.Workers()
-		if starved || lastDecide < 0 || now-lastDecide >= scaleInterval {
-			lastDecide = now
-			var waitP95 time.Duration
-			if dg := mc.WaitDigest(0); dg != nil && dg.Count() >= warmup {
-				waitP95 = dg.Quantile(serve.WaitQuantile)
+	if former == nil && cfg.MaxBatch > 1 {
+		// Deadline-aware linger: the instance stays busy holding the batch
+		// open until it fills or the window closes.
+		d.hold = func(_ int, lead sched.HybridTask, rest []sched.HybridTask) bool {
+			now := d.now()
+			w := serve.NewBatchWindow(now, cfg.BatchLinger, cfg.MaxBatch, 1+len(rest))
+			if !w.Open(now) {
+				return false
 			}
-			desired := asc.Desired(now, core.Busy(), core.QueueLen(), waitP95)
-			if desired != core.Lifecycle().Desired() {
-				core.ScaleTo(desired, now)
-			}
-		}
-		if evt, ok := mc.NextLifecycleEvent(); ok && evt != lastLifeWake {
-			lastLifeWake = evt
-			engine.At(evt, func() {
-				if lastLifeWake == evt {
-					lastLifeWake = -1
-				}
-				pump()
-			})
-		}
-	}
-	pump = func() {
-		advanceScale()
-		for {
-			now := engine.Now()
-			if former != nil {
-				// Queue-level forming: dispatch only batches the former
-				// releases; otherwise arm an event at the earliest due
-				// instant — the virtual-clock analogue of the live
-				// engine's timed worker wait.
-				task, ok, wake, wakeOK := mc.DispatchFormed(0, now)
-				if !ok {
-					if wakeOK && wake != lastWake {
-						lastWake = wake
-						engine.At(wake, func() { pump() })
-					}
-					return
-				}
-				batch := append([]sched.HybridTask{task},
-					mc.Coalesce(0, now, cfg.MaxBatch-1, func(t sched.HybridTask) bool {
-						return t.Payload == task.Payload
-					})...)
-				execute(batch)
-				continue
-			}
-			task, ok := mc.Dispatch(0, now)
-			if !ok {
-				return
-			}
-			if cfg.MaxBatch <= 1 {
-				execute([]sched.HybridTask{task})
-				continue
-			}
-			batch := append([]sched.HybridTask{task},
-				mc.Coalesce(0, now, cfg.MaxBatch-1, func(t sched.HybridTask) bool {
-					return t.Payload == task.Payload
-				})...)
-			win := &window{
-				w:     serve.NewBatchWindow(now, cfg.BatchLinger, cfg.MaxBatch, len(batch)),
-				batch: batch,
-			}
-			if !win.w.Open(now) {
-				fire(win)
-				continue
-			}
-			// Deadline-aware linger: the instance stays busy holding the
-			// batch open until it fills or the window closes.
+			win := &window{w: w, batch: append([]sched.HybridTask{lead}, rest...)}
 			open = append(open, win)
-			engine.At(win.w.Deadline, func() {
+			d.at(w.Deadline, func() {
 				if !win.fired {
-					gatherInto(win, engine.Now())
+					gatherInto(win, d.now())
 					fire(win)
 				}
 			})
+			return true
+		}
+		// A brown-out cancels the open windows with the executions: their
+		// tasks go back to the queue and re-enter through a fresh window.
+		d.poolDown = func(int) {
+			for _, win := range open {
+				if !win.fired {
+					win.fired = true
+					mc.Requeue(0, win.batch)
+				}
+			}
+			open = open[:0]
 		}
 	}
 
-	// applyFault drives the scripted schedule. A pool-down browns the rack
-	// out mid-run: open linger windows and in-flight executions cancel, and
-	// their tasks return to the queue by arrival order (the at-most-once
-	// path — the submission ledger never moves, each task is still owed
-	// exactly one completion). A pool-up resumes dispatch over the
-	// preserved backlog; requeued work re-enters through the same former or
-	// window machinery it originally took.
-	applyFault := func(ev trace.FaultEvent) {
-		now := engine.Now()
-		if ev.Kind == trace.FaultPoolUp {
-			mc.RecoverPool(0, now)
-			pump()
+	d.arrive = func(i int) {
+		req := tr.Requests[i]
+		now := d.now()
+		task := sched.HybridTask{ID: req.ID, Arrived: now, Payload: req.Benchmark}
+		if cfg.StaticEstimate != nil {
+			// The rack's single simulated pool is CPU-class, so the
+			// CPU estimate is the one the former's slack pricing reads.
+			task.CPUService = cfg.StaticEstimate(req.Benchmark)
+		}
+		if !d.submit(0, task) || len(open) == 0 {
 			return
 		}
-		if !mc.Healthy(0) {
-			return
-		}
-		mc.FailPool(0, now)
+		// Offer the arrival to open windows before idle instances see it —
+		// the engine's lingering workers do the same.
+		kept := open[:0]
 		for _, win := range open {
-			if win.fired {
-				continue
+			if !win.fired && win.w.Open(now) {
+				gatherInto(win, now)
 			}
-			win.fired = true
-			mc.Requeue(0, win.batch)
-		}
-		open = open[:0]
-		for _, ex := range inflight {
-			if ex.done || ex.cancelled {
-				continue
-			}
-			ex.cancelled = true
-			mc.Requeue(0, ex.tasks)
-			if former != nil {
-				// Requeue leaves the former untouched; re-observe the tasks
-				// at submit weight so their groups re-form.
-				for _, t := range ex.tasks {
-					former.Observe(t, 1)
-				}
+			if !win.fired {
+				kept = append(kept, win)
 			}
 		}
-		// Every tracked execution is now done or cancelled (one pool).
-		inflight = inflight[:0]
-	}
-	for _, ev := range cfg.Faults {
-		ev := ev
-		engine.At(ev.At, func() { applyFault(ev) })
+		open = kept
 	}
 
-	for _, r := range tr.Requests {
-		req := r
-		engine.At(req.At, func() {
-			if asc != nil {
-				// The rate digests see offered load — dropped arrivals
-				// still describe the demand the pool should warm for.
-				asc.ObserveArrival(req.Benchmark, engine.Now())
-			}
-			task := sched.HybridTask{ID: req.ID, Arrived: engine.Now(), Payload: req.Benchmark}
-			if cfg.StaticEstimate != nil {
-				// The rack's single simulated pool is CPU-class, so the
-				// CPU estimate is the one the former's slack pricing reads.
-				task.CPUService = cfg.StaticEstimate(req.Benchmark)
-			}
-			admitted := mc.SubmitTo(0, task)
-			if admitted && former != nil {
-				former.Observe(task, 1)
-			}
-			if admitted && former == nil && len(open) > 0 {
-				// Offer the arrival to open windows before idle instances
-				// see it — the engine's lingering workers do the same.
-				now := engine.Now()
-				kept := open[:0]
-				for _, win := range open {
-					if !win.fired && win.w.Open(now) {
-						gatherInto(win, now)
-					}
-					if !win.fired {
-						kept = append(kept, win)
-					}
-				}
-				open = kept
-			}
-			pump()
-		})
+	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {
+		return nil, err
 	}
-
-	// Telemetry sampler across the trace (plus drain tail).
-	horizon := tr.Duration + 2*time.Minute
-	for t := time.Duration(0); t <= horizon; t += cfg.SampleEvery {
-		at := t
-		engine.At(at, func() {
-			st.Queue.Add(at, float64(core.QueueLen()))
-			if bucketN > 0 {
-				st.Latency.Add(at, float64(bucketSum.Milliseconds())/float64(bucketN))
-				bucketSum, bucketN = 0, 0
-			}
-		})
-	}
-
-	engine.Run()
 	st.Dropped = mc.Dropped()
 	if former != nil {
 		st.Formed = former.Formed()
@@ -515,25 +320,15 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		st.WaitP95 = dg.Quantile(0.95)
 		st.WaitP99 = dg.Quantile(0.99)
 	}
-	if lc := core.Lifecycle(); lc != nil {
-		// Close the idle integral at the common horizon so every mode's
-		// cost covers the same span, drain tail included.
-		core.AdvanceLifecycle(horizon)
-		st.ColdStarts = lc.ColdStarts()
-		st.Suspends = lc.Suspends()
-		st.IdleCost = lc.IdleCost()
-	}
+	st.ColdStarts, st.Suspends, st.IdleCost = d.coldStarts, d.suspends, d.idleCost
 	st.Faults = mc.Faults()
 	st.Requeued = mc.Requeued()
 	st.Stranded = mc.QueueLen()
-	if err := mc.Conservation(); err != nil {
-		return nil, err
-	}
 	if st.Completed+st.Dropped+st.Stranded != len(tr.Requests) {
 		return nil, fmt.Errorf("cluster: lost requests: %d completed + %d dropped + %d stranded != %d arrived",
 			st.Completed, st.Dropped, st.Stranded, len(tr.Requests))
 	}
-	if st.Stranded > 0 && !faultsOn {
+	if st.Stranded > 0 && len(cfg.Faults) == 0 {
 		return nil, fmt.Errorf("cluster: %d requests stranded without a fault script", st.Stranded)
 	}
 	return st, nil

@@ -1,9 +1,8 @@
 // hybrid.go replays traces against a heterogeneous pool (CPU + DSCS
 // instances) under a pluggable scheduling policy — the evaluation harness
-// for the paper's Section 5.3 scheduling future-work. The pool accounting
-// is serve.HybridCore (classic shared queue) or serve.MultiCore (split
-// per-pool backlogs, N CPU pools), the same scheduling cores the live
-// engine's pools are built on, driven here from the virtual clock.
+// for the paper's Section 5.3 scheduling future-work. The split layout
+// (per-pool backlogs, N CPU pools) is a topology on the shared driver; the
+// classic shared queue keeps its own small pump over serve.HybridCore.
 package cluster
 
 import (
@@ -168,23 +167,14 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 5 * time.Second
 	}
-	if cfg.CPUPools > 1 && !cfg.SplitQueues {
-		return nil, fmt.Errorf("cluster: CPUPools needs SplitQueues")
-	}
-	if cfg.AdaptiveBalance && !cfg.SplitQueues {
-		return nil, fmt.Errorf("cluster: AdaptiveBalance needs SplitQueues")
-	}
-	if cfg.Elastic != nil && !cfg.SplitQueues {
-		return nil, fmt.Errorf("cluster: Elastic needs SplitQueues")
-	}
 	if cfg.HedgeFactor != 0 && cfg.HedgeFactor < 1 {
 		return nil, fmt.Errorf("cluster: HedgeFactor %g must be 0 (off) or >= 1", cfg.HedgeFactor)
 	}
-	if (len(cfg.Faults) > 0 || cfg.HedgeFactor != 0) && !cfg.SplitQueues {
-		return nil, fmt.Errorf("cluster: Faults and HedgeFactor need SplitQueues")
-	}
 	if cfg.SplitQueues {
 		return runSplitHybrid(tr, cfg, seed)
+	}
+	if cfg.CPUPools > 1 || cfg.AdaptiveBalance || cfg.Elastic != nil || len(cfg.Faults) > 0 || cfg.HedgeFactor != 0 {
+		return nil, fmt.Errorf("cluster: CPUPools, AdaptiveBalance, Elastic, Faults and HedgeFactor need SplitQueues")
 	}
 	return runSharedHybrid(tr, cfg, seed)
 }
@@ -232,15 +222,10 @@ func (p *hybridPricing) price(slug string) (cpu, dscs time.Duration, accel int) 
 // service samples the actual execution time from the true model — the
 // scheduler's belief must not contaminate what really runs.
 func (p *hybridPricing) service(cfg HybridConfig, rng *sim.RNG, t sched.HybridTask, class sched.InstanceClass) time.Duration {
-	base := t.CPUService
+	base := t.Service(class)
 	if p.priced {
 		cpu, dscs, _ := cfg.Service(t.Payload)
-		base = cpu
-		if class == sched.ClassDSCS {
-			base = dscs
-		}
-	} else if class == sched.ClassDSCS {
-		base = t.DSCSService
+		base = sched.HybridTask{CPUService: cpu, DSCSService: dscs}.Service(class)
 	}
 	if cfg.Jitter <= 0 {
 		return base
@@ -312,7 +297,10 @@ func runSharedHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridSta
 			pump()
 		})
 	}
-	sampleHybridQueue(engine, tr, cfg, st, core.QueueLen)
+	for t := time.Duration(0); t <= tr.Duration+2*time.Minute; t += cfg.SampleEvery {
+		at := t
+		engine.At(at, func() { st.Queue.Add(at, float64(core.QueueLen())) })
+	}
 
 	engine.Run()
 	st.Dropped = core.Dropped()
@@ -322,40 +310,19 @@ func runSharedHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridSta
 	return st, finishHybrid(tr, st)
 }
 
-// splitExec is one in-flight execution in the split layout's fault/hedge
-// model: pool is the dispatch pool (the accounting owner throughout), done
-// marks a completion already credited (by the primary or a winning hedge),
-// cancelled marks a pool-down requeue, and hedged makes the duplicate
-// dispatch one-shot per execution.
-type splitExec struct {
-	task            sched.HybridTask
-	pool            int
-	done, cancelled bool
-	hedged          bool
-}
-
-// hedgeRun is one borrowed-worker duplicate execution: pool is the peer
-// lending the worker, finished marks its completion event fired, cancelled
-// marks the peer dying mid-hedge (the borrow is still returned at the event
-// — the lease runs out on schedule — but the result is discarded).
-type hedgeRun struct {
-	pool                int
-	finished, cancelled bool
-}
-
-// runSplitHybrid is the per-pool-backlog layout on serve.MultiCore: one
-// DSCS pool plus CPUPools same-class CPU pools, rebalanced by submit-time
-// spillover and drain-time stealing — keyed by the static depth thresholds
-// or, under AdaptiveBalance, by the adopted wait-p95 gap between pools.
+// runSplitHybrid is the per-pool-backlog topology: one DSCS pool plus
+// CPUPools same-class CPU pools, rebalanced by submit-time spillover and
+// drain-time stealing — keyed by the static depth thresholds or, under
+// AdaptiveBalance, by the adopted wait-p95 gap between pools.
 func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
-	engine := sim.NewEngine()
-	rng := sim.NewRNG(seed)
-
 	cpuPools := cfg.CPUPools
 	if cpuPools <= 0 {
 		cpuPools = 1
 	}
 	specs := make([]serve.PoolSpec, 0, cpuPools+1)
+	// Dispatch drains the DSCS backlog first (it serves faster), then the
+	// CPU pools in order — the same preference HybridCore.Dispatch applies.
+	order := []int{cpuPools}
 	for i := 0; i < cpuPools; i++ {
 		// CPU instances split as evenly as the count allows, remainder to
 		// the earliest pools.
@@ -371,77 +338,58 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 			Name: name, Class: sched.ClassCPU, Workers: workers,
 			QueueDepth: cfg.QueueDepth, Policy: cfg.Policy,
 		})
+		order = append(order, i)
 	}
 	dscsIdx := len(specs)
 	specs = append(specs, serve.PoolSpec{
 		Name: sched.ClassDSCS.String(), Class: sched.ClassDSCS,
 		Workers: cfg.DSCSInstances, QueueDepth: cfg.QueueDepth, Policy: cfg.Policy,
 	})
-	mc, err := serve.NewMultiCore(specs)
+	d, err := newDriver(rack{
+		pools: specs, order: order,
+		estimateWindow: cfg.EstimateWindow, estimateWarmup: cfg.EstimateWarmup,
+		elastic: cfg.Elastic, faults: cfg.Faults,
+		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
+	}, seed)
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range cfg.Faults {
-		if !ev.Kind.Pool() {
-			return nil, fmt.Errorf("cluster: the hybrid sim models pool faults only, got %q", ev)
-		}
-		if mc.Index(ev.Target) < 0 {
-			return nil, fmt.Errorf("cluster: fault script targets unknown pool %q", ev.Target)
-		}
-	}
-	mc.SetWaitTuning(cfg.EstimateWindow, cfg.EstimateWarmup)
+	mc := d.mc
 	st := newHybridStats(tr, cfg)
 	st.Served = make(map[string]int)
 	pricing := newHybridPricing(cfg)
 
-	// Elastic: every pool drives the same lifecycle state machine as the
-	// live engine, from this virtual clock. Pool capacity bounds come
-	// from the instance split; ascs[i] is nil for zero-instance pools
-	// (a CPU split finer than the instance count), which stay as built.
-	var ascs []*scale.Autoscaler
-	if cfg.Elastic != nil {
-		ascs = make([]*scale.Autoscaler, mc.Pools())
-		for i := 0; i < mc.Pools(); i++ {
-			pool := mc.Pool(i)
-			if pool.Workers() == 0 {
-				continue
+	d.service = func(pool int, lead sched.HybridTask, _ []sched.HybridTask) time.Duration {
+		return pricing.service(cfg, d.rng, lead, specs[pool].Class)
+	}
+	d.settle = func(pool int, lead sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
+		pricing.observe(lead.Payload, specs[pool].Class, elapsed)
+		st.Completed++
+		st.Served[specs[pool].Name]++
+		st.observeLatency(d.now()-lead.Arrived, cfg.SLO)
+	}
+	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(mc.QueueLen())) }
+	if cfg.HedgeFactor >= 1 {
+		// An execution's patience is HedgeFactor x the adopted service-p95
+		// for the benchmark on the serving class — the static belief until
+		// the estimate digests warm, exactly the pricing the live engine's
+		// execHedged applies.
+		d.patience = func(pool int, t sched.HybridTask) time.Duration {
+			class := specs[pool].Class
+			q := t.Service(class)
+			if pricing.obs != nil {
+				q = pricing.obs.ServiceQuantile(t.Payload, class.String(), q, 0.95)
 			}
-			ec := *cfg.Elastic
-			ec.Max = pool.Workers()
-			if ec.Min > ec.Max {
-				ec.Min = ec.Max
-			}
-			if err := ec.Validate(); err != nil {
-				return nil, err
-			}
-			initial := ec.Min
-			if ec.Mode == scale.ModeFixed {
-				initial = ec.Max
-			}
-			lc, err := serve.NewLifecycle(serve.LifecycleConfig{
-				Min: ec.Min, Max: ec.Max,
-				ColdStart: ec.ColdStart, IdleLinger: ec.IdleLinger,
-			}, initial, 0)
-			if err != nil {
-				return nil, err
-			}
-			if err := pool.AttachLifecycle(lc, 0); err != nil {
-				return nil, err
-			}
-			if ascs[i], err = scale.New(ec, mc.Spec(i).Name); err != nil {
-				return nil, err
-			}
+			return time.Duration(float64(q) * cfg.HedgeFactor)
 		}
 	}
-
-	onlyCPU := func(i int) bool { return i != dscsIdx }
 
 	// steal is the pull half of rebalancing: a pool with free instances
 	// and an empty backlog drains a peer's excess, capped at its free
 	// capacity. The static threshold picks the deepest peer beyond the
 	// depth count; adaptive balance picks the deepest peer whose adopted
 	// wait-p95 gap over the thief has latched (serve.MultiCore.StealDonor).
-	steal := func() int {
+	d.rebalance = func() int {
 		if !cfg.AdaptiveBalance && cfg.StealThreshold <= 0 {
 			return 0
 		}
@@ -455,22 +403,13 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 			if free == 0 || thief.QueueLen() > 0 || !thief.Healthy() {
 				continue
 			}
-			if cfg.AdaptiveBalance {
-				from, ok := mc.StealDonor(to, nil)
-				if !ok {
-					continue
-				}
-				if depth := mc.Pool(from).QueueLen(); depth < free {
-					free = depth
-				}
-				stole += len(mc.Steal(from, to, free))
-				continue
-			}
+			// from is the donor, excess what it may give.
 			from, excess := -1, 0
-			for i := 0; i < mc.Pools(); i++ {
-				if i == to {
-					continue
+			if cfg.AdaptiveBalance {
+				if donor, ok := mc.StealDonor(to, nil); ok {
+					from, excess = donor, mc.Pool(donor).QueueLen()
 				}
+			} else {
 				// The static threshold steals cross-class only, exactly
 				// like the live engine's static path: same-class
 				// rebalancing is what AdaptiveBalance adds, and a replay
@@ -480,16 +419,18 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 				// workers coming back for it, so any orphan justifies the
 				// pull (the live engine's static path applies the same
 				// bypass).
-				alive := mc.Healthy(i)
-				if alive && mc.Spec(i).Class == mc.Spec(to).Class {
-					continue
-				}
-				floor := cfg.StealThreshold
-				if !alive {
-					floor = 0
-				}
-				if over := mc.Pool(i).QueueLen() - floor; over > excess {
-					from, excess = i, over
+				for i := 0; i < mc.Pools(); i++ {
+					alive := mc.Healthy(i)
+					if i == to || (alive && specs[i].Class == specs[to].Class) {
+						continue
+					}
+					floor := cfg.StealThreshold
+					if !alive {
+						floor = 0
+					}
+					if over := mc.Pool(i).QueueLen() - floor; over > excess {
+						from, excess = i, over
+					}
 				}
 			}
 			if from < 0 {
@@ -503,358 +444,73 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		return stole
 	}
 
-	// dispatch drains the DSCS backlog first (it serves faster), then the
-	// CPU pools in order — the same preference HybridCore.Dispatch applies.
-	dispatch := func(now time.Duration) (sched.HybridTask, int, bool) {
-		if t, ok := mc.Dispatch(dscsIdx, now); ok {
-			return t, dscsIdx, true
-		}
-		for i := 0; i < dscsIdx; i++ {
-			if t, ok := mc.Dispatch(i, now); ok {
-				return t, i, true
-			}
-		}
-		return sched.HybridTask{}, 0, false
-	}
-
-	var pump func()
-	var tryHedge func(*splitExec)
-
-	// Tracked only when a fault script or hedging is armed, so the classic
-	// replays stay bit-identical: splitExec is one in-flight execution — a
-	// pool-down cancels it (its completion event retires nothing and its
-	// task requeues), a hedge duplicates it onto a peer and the first
-	// finish wins. hedgeRun is one borrowed-worker duplicate; the host
-	// pool dying cancels it too.
-	var (
-		inflight []*splitExec
-		hedges   []*hedgeRun
-	)
-	faultsOn := len(cfg.Faults) > 0
-	hedgeOn := cfg.HedgeFactor >= 1
-
-	// hedgeThreshold prices one execution's patience: HedgeFactor x the
-	// adopted service-p95 for the benchmark on the serving class — the
-	// static belief until the estimate digests warm, exactly the pricing
-	// the live engine's execHedged applies.
-	hedgeThreshold := func(t sched.HybridTask, class sched.InstanceClass) time.Duration {
-		static := t.CPUService
-		if class == sched.ClassDSCS {
-			static = t.DSCSService
-		}
-		q := static
-		if pricing.obs != nil {
-			q = pricing.obs.ServiceQuantile(t.Payload, class.String(), static, 0.95)
-		}
-		return time.Duration(float64(q) * cfg.HedgeFactor)
-	}
-
-	// Elastic drive, identical in shape to the Fig 13 sim's: fold virtual
-	// time into every lifecycle, re-decide each pool's autoscaler target,
-	// and arm a wake at the earliest lifecycle self-transition. Decisions
-	// are rate-limited as in the live engine (the digest quantile reads
-	// are not per-event work); any starved pool bypasses the limit.
-	warmup := int64(cfg.EstimateWarmup)
-	if warmup <= 0 {
-		warmup = int64(metrics.DefaultWarmup)
-	}
-	const scaleInterval = 100 * time.Millisecond
-	lastLifeWake := time.Duration(-1)
-	lastDecide := time.Duration(-1)
-	advanceScale := func() {
-		if ascs == nil {
-			return
-		}
-		now := engine.Now()
-		mc.AdvanceLifecycles(now)
-		starved := false
-		for i, a := range ascs {
-			p := mc.Pool(i)
-			if a != nil && p.QueueLen() > 0 && p.Busy() >= p.Workers() {
-				starved = true
-				break
-			}
-		}
-		if starved || lastDecide < 0 || now-lastDecide >= scaleInterval {
-			lastDecide = now
-			for i, a := range ascs {
-				if a == nil {
-					continue
-				}
-				p := mc.Pool(i)
-				var waitP95 time.Duration
-				if dg := mc.WaitDigest(i); dg != nil && dg.Count() >= warmup {
-					waitP95 = dg.Quantile(serve.WaitQuantile)
-				}
-				desired := a.Desired(now, p.Busy(), p.QueueLen(), waitP95)
-				if desired != p.Lifecycle().Desired() {
-					p.ScaleTo(desired, now)
-				}
-			}
-		}
-		if evt, ok := mc.NextLifecycleEvent(); ok && evt != lastLifeWake {
-			lastLifeWake = evt
-			engine.At(evt, func() {
-				if lastLifeWake == evt {
-					lastLifeWake = -1
-				}
-				pump()
-			})
-		}
-	}
-
-	pump = func() {
-		advanceScale()
-		for {
-			task, idx, ok := dispatch(engine.Now())
-			if !ok {
-				if steal() > 0 {
-					continue
-				}
-				return
-			}
-			class := mc.Spec(idx).Class
-			if class == sched.ClassDSCS {
-				st.OnDSCS++
-			}
-			pool := mc.Spec(idx).Name
-			arrived := task.Arrived
-			elapsed := pricing.service(cfg, rng, task, class)
-			var asc *scale.Autoscaler
-			if ascs != nil {
-				asc = ascs[idx]
-			}
-			var ex *splitExec
-			if faultsOn || hedgeOn {
-				ex = &splitExec{task: task, pool: idx}
-				inflight = append(inflight, ex)
-			}
-			if hedgeOn {
-				// The sim knows the true service time up front, so the
-				// hedge timer only arms when the primary will actually
-				// outlive its patience — the live engine's timer fires
-				// blind and finds the primary already done, same outcome.
-				if patience := hedgeThreshold(task, class); patience > 0 && patience < elapsed {
-					engine.After(patience, func() { tryHedge(ex) })
-				}
-			}
-			engine.After(elapsed, func() {
-				if ex != nil {
-					if ex.done || ex.cancelled {
-						return
-					}
-					ex.done = true
-				}
-				mc.Complete(idx, 1)
-				pricing.observe(task.Payload, class, elapsed)
-				if asc != nil {
-					asc.ObserveService(task.Payload, elapsed)
-				}
-				st.Completed++
-				st.Served[pool]++
-				st.observeLatency(engine.Now()-arrived, cfg.SLO)
-				pump()
-			})
-		}
-	}
-
-	// tryHedge launches the duplicate dispatch for one straggling
-	// execution: the first healthy peer pool (ascending index) with a free
-	// worker lends it outside the submission ledger (serve.PoolCore.Hedge)
-	// and races the primary. The dispatch pool stays the accounting owner
-	// — a winning hedge completes the primary's ledger and frees the
-	// primary's worker; the loser's event only returns the borrowed one.
-	// One hedge per execution.
-	tryHedge = func(ex *splitExec) {
-		if ex.done || ex.cancelled || ex.hedged {
-			return
-		}
-		ex.hedged = true
-		for j := 0; j < mc.Pools(); j++ {
-			if j == ex.pool || !mc.Healthy(j) || !mc.Pool(j).Hedge() {
-				continue
-			}
-			st.HedgesFired++
-			hr := &hedgeRun{pool: j}
-			if faultsOn {
-				hedges = append(hedges, hr)
-			}
-			hclass := mc.Spec(j).Class
-			hname := mc.Spec(j).Name
-			helapsed := pricing.service(cfg, rng, ex.task, hclass)
-			engine.After(helapsed, func() {
-				hr.finished = true
-				mc.Pool(hr.pool).HedgeDone()
-				if hr.cancelled || ex.done || ex.cancelled {
-					pump()
-					return
-				}
-				ex.done = true
-				st.HedgesWon++
-				mc.Complete(ex.pool, 1)
-				pricing.observe(ex.task.Payload, hclass, helapsed)
-				st.Completed++
-				st.Served[hname]++
-				st.observeLatency(engine.Now()-ex.task.Arrived, cfg.SLO)
-				pump()
-			})
-			return
-		}
-	}
-
-	// applyFault drives the scripted schedule. A pool-down cancels the
-	// pool's in-flight executions one by one — each Requeue frees exactly
-	// the one worker its dispatch occupied and returns its task by arrival
-	// order — and cancels hedges the dead pool was hosting. A pool-up
-	// resumes dispatch at the pre-fault capacity. Both re-pump: peers
-	// steal orphans the moment they exist, and a recovered pool drains its
-	// preserved backlog.
-	applyFault := func(ev trace.FaultEvent) {
-		now := engine.Now()
-		i := mc.Index(ev.Target)
-		if ev.Kind == trace.FaultPoolUp {
-			mc.RecoverPool(i, now)
-			pump()
-			return
-		}
-		if !mc.Healthy(i) {
-			return
-		}
-		mc.FailPool(i, now)
-		keptE := inflight[:0]
-		for _, ex := range inflight {
-			if ex.done || ex.cancelled {
-				continue
-			}
-			if ex.pool == i {
-				ex.cancelled = true
-				mc.Requeue(i, []sched.HybridTask{ex.task})
-				continue
-			}
-			keptE = append(keptE, ex)
-		}
-		inflight = keptE
-		keptH := hedges[:0]
-		for _, hr := range hedges {
-			if hr.finished || hr.cancelled {
-				continue
-			}
-			if hr.pool == i {
-				hr.cancelled = true
-				continue
-			}
-			keptH = append(keptH, hr)
-		}
-		hedges = keptH
-		pump()
-	}
-	for _, ev := range cfg.Faults {
-		ev := ev
-		engine.At(ev.At, func() { applyFault(ev) })
-	}
-
 	// spillTarget picks the CPU pool an over-threshold (or over-wait)
 	// arrival lands on: least-queued under the static threshold,
 	// least-wait under adaptive balance (serve.MultiCore.BalanceTarget).
 	// A dead accelerated tier reroutes arrivals to the least-queued
 	// healthy CPU pool whenever any balancing is armed — the same
 	// dead-pool reroute the live engine's enqueue applies.
-	spillTarget := func() (int, bool) {
-		if !mc.Healthy(dscsIdx) && (cfg.AdaptiveBalance || cfg.SpilloverThreshold > 0) {
-			best, depth, found := 0, 0, false
-			for i := 0; i < dscsIdx; i++ {
-				if !mc.Healthy(i) {
-					continue
-				}
-				if d := mc.Pool(i).QueueLen(); !found || d < depth {
-					best, depth, found = i, d, true
-				}
+	onlyCPU := func(i int) bool { return i != dscsIdx }
+	leastQueuedCPU := func(healthyOnly bool) (int, bool) {
+		best, depth, found := 0, 0, false
+		for i := 0; i < dscsIdx; i++ {
+			if healthyOnly && !mc.Healthy(i) {
+				continue
 			}
-			return best, found
+			if n := mc.Pool(i).QueueLen(); !found || n < depth {
+				best, depth, found = i, n, true
+			}
 		}
-		if cfg.AdaptiveBalance {
+		return best, found
+	}
+	spillTarget := func() (int, bool) {
+		switch {
+		case !mc.Healthy(dscsIdx) && (cfg.AdaptiveBalance || cfg.SpilloverThreshold > 0):
+			return leastQueuedCPU(true)
+		case cfg.AdaptiveBalance:
 			return mc.BalanceTarget(dscsIdx, onlyCPU)
-		}
-		if cfg.SpilloverThreshold <= 0 ||
-			mc.Pool(dscsIdx).QueueLen() < cfg.SpilloverThreshold {
+		case cfg.SpilloverThreshold <= 0 || mc.Pool(dscsIdx).QueueLen() < cfg.SpilloverThreshold:
 			return 0, false
 		}
-		best, depth := 0, 0
-		for i := 0; i < dscsIdx; i++ {
-			if d := mc.Pool(i).QueueLen(); i == 0 || d < depth {
-				best, depth = i, d
-			}
+		return leastQueuedCPU(false)
+	}
+
+	d.arrive = func(i int) {
+		req := tr.Requests[i]
+		cpu, dscs, accel := pricing.price(req.Benchmark)
+		task := sched.HybridTask{
+			ID: req.ID, Arrived: d.now(), Payload: req.Benchmark,
+			CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
 		}
-		return best, true
+		// Arrivals target the accelerated backlog; past the spillover
+		// trigger they land on a CPU backlog instead — the same
+		// submit-time reroute the live engine applies.
+		idx := dscsIdx
+		if to, ok := spillTarget(); ok {
+			idx = to
+		}
+		if d.submit(idx, task) && idx != dscsIdx {
+			st.Spilled++
+		}
 	}
 
-	for _, r := range tr.Requests {
-		req := r
-		engine.At(req.At, func() {
-			cpu, dscs, accel := pricing.price(req.Benchmark)
-			task := sched.HybridTask{
-				ID: req.ID, Arrived: engine.Now(), Payload: req.Benchmark,
-				CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
-			}
-			// Arrivals target the accelerated backlog; past the spillover
-			// trigger they land on a CPU backlog instead — the same
-			// submit-time reroute the live engine applies.
-			idx := dscsIdx
-			if to, ok := spillTarget(); ok {
-				idx = to
-			}
-			if ascs != nil && ascs[idx] != nil {
-				// Offered load on the pool the arrival targets, dropped
-				// arrivals included — the pre-warm floor prices demand,
-				// not admitted throughput.
-				ascs[idx].ObserveArrival(req.Benchmark, engine.Now())
-			}
-			if mc.SubmitTo(idx, task) && idx != dscsIdx {
-				st.Spilled++
-			}
-			pump()
-		})
+	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {
+		return nil, err
 	}
-	sampleHybridQueue(engine, tr, cfg, st, mc.QueueLen)
-
-	engine.Run()
+	st.OnDSCS = d.dispatched[dscsIdx]
 	st.Dropped = mc.Dropped()
 	st.Stolen = mc.Stolen()
 	st.Faults = mc.Faults()
 	st.Requeued = mc.Requeued()
+	st.HedgesWon = d.hedgesWon
 	st.Stranded = mc.QueueLen()
 	st.WaitP95 = make(map[string]time.Duration, mc.Pools())
 	for i := 0; i < mc.Pools(); i++ {
-		st.WaitP95[mc.Spec(i).Name] = mc.WaitQuantileOf(i, serve.WaitQuantile)
+		st.WaitP95[specs[i].Name] = mc.WaitQuantileOf(i, serve.WaitQuantile)
+		st.HedgesFired += mc.Pool(i).Hedges()
 	}
-	if ascs != nil {
-		// Close every pool's idle-cost integral at the common sampling
-		// horizon so the tallies compare across configurations.
-		mc.AdvanceLifecycles(tr.Duration + 2*time.Minute)
-		for i := 0; i < mc.Pools(); i++ {
-			if lc := mc.Pool(i).Lifecycle(); lc != nil {
-				st.ColdStarts += lc.ColdStarts()
-				st.Suspends += lc.Suspends()
-				st.IdleCost += lc.IdleCost()
-			}
-		}
-	}
-	if err := mc.Conservation(); err != nil {
-		return nil, err
-	}
+	st.ColdStarts, st.Suspends, st.IdleCost = d.coldStarts, d.suspends, d.idleCost
 	return st, finishHybrid(tr, st)
-}
-
-// sampleHybridQueue arms the queue-occupancy sampler across the trace
-// (plus drain tail).
-func sampleHybridQueue(engine *sim.Engine, tr *trace.Trace, cfg HybridConfig, st *HybridStats, queueLen func() int) {
-	horizon := tr.Duration + 2*time.Minute
-	for t := time.Duration(0); t <= horizon; t += cfg.SampleEvery {
-		at := t
-		engine.At(at, func() {
-			st.Queue.Add(at, float64(queueLen()))
-		})
-	}
 }
 
 // finishHybrid asserts the run lost nothing: every arrival completed, was

@@ -153,9 +153,6 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	if cfg.Drives <= 0 || cfg.WorkersPerDrive <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: incomplete workflow config")
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
 
 	// Pools: one per drive, plus the optional CPU tier.
 	specs := make([]serve.PoolSpec, 0, cfg.Drives+1)
@@ -173,49 +170,35 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			Policy: sched.DAGAwarePolicy{},
 		})
 	}
-	mc, err := serve.NewMultiCore(specs)
+	pools := len(specs)
+	order := make([]int, pools)
+	for i := range order {
+		order[i] = i
+	}
+	// Inter-stage batching is a queue-level former per pool, so parallel
+	// fan-out shards landing together release as one execution.
+	d, err := newDriver(rack{
+		pools: specs, order: order, faults: cfg.Faults,
+		maxBatch: cfg.MaxBatch, formBatches: true,
+		batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
+		sampleEvery: cfg.SampleEvery, horizon: wtr.Duration + 2*time.Minute,
+	}, seed)
 	if err != nil {
 		return nil, err
 	}
-	pools := mc.Pools()
-	poolOf := make(map[string]int, pools)
-	for i := 0; i < pools; i++ {
-		poolOf[specs[i].Name] = i
-	}
-	for _, ev := range cfg.Faults {
-		if _, ok := poolOf[ev.Target]; !ok || (!ev.Kind.Pool() && ev.Target == cpuPool) {
-			return nil, fmt.Errorf("cluster: workflow fault targets unknown %s %q",
-				map[bool]string{true: "pool", false: "drive"}[ev.Kind.Pool()], ev.Target)
-		}
-	}
-
+	mc := d.mc
 	store, err := workflowStore(cfg.Drives, seed+1)
 	if err != nil {
 		return nil, err
-	}
-	engine := sim.NewEngine()
-	rng := sim.NewRNG(seed)
-
-	// Inter-stage batching: a queue-level former per pool, so parallel
-	// fan-out shards landing together release as one execution.
-	formers := make([]*serve.BatchFormer, pools)
-	if cfg.MaxBatch > 1 {
-		for i := 0; i < pools; i++ {
-			formers[i] = serve.NewBatchFormer(cfg.MaxBatch, cfg.BatchLinger, cfg.BatchSLO, specs[i].Class)
-			mc.Pool(i).AttachFormer(formers[i])
-		}
 	}
 
 	// The two placement policies under comparison.
 	placer := &workflow.Placer{
 		Pools: pools,
 		Home: func(key string) int {
-			node, _, ok := store.DSCSReplicaHealthy(key)
-			if !ok {
-				return -1
-			}
-			if p, ok := poolOf[node.ID]; ok {
-				return p
+			// Drive nodes carry their pool's name.
+			if node, _, ok := store.DSCSReplicaHealthy(key); ok {
+				return mc.Index(node.ID)
 			}
 			return -1
 		},
@@ -250,11 +233,9 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		}
 	}
 
-	var pump func()
 	nextTaskID := 0
-	var submitStage func(ws *wfState, idx int)
-	submitStage = func(ws *wfState, idx int) {
-		now := engine.Now()
+	submitStage := func(ws *wfState, idx int) {
+		now := d.now()
 		stage := ws.run.Stage(idx)
 		ref := &wfStageRef{ws: ws, idx: idx, bench: workload.BySlug(stage.Benchmark)}
 		inputs := ws.run.InputKeys(idx)
@@ -283,20 +264,14 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		local := false
 		for _, key := range inputs {
 			obj, ok := store.Lookup(key)
-			home := -1
-			if ok {
-				if node, _, hOK := store.DSCSReplicaHealthy(key); hOK {
-					home = poolOf[node.ID]
-				}
-			}
-			if ok && home == pool {
+			if ok && placer.Home(key) == pool {
 				st.LocalBytes += obj.Size
 				if key == domKey {
 					local = true
 				}
 				continue
 			}
-			d, _, err := store.GetWithFailover(key, 0.5)
+			fetch, _, err := store.GetWithFailover(key, 0.5)
 			if err != nil {
 				// No healthy replica anywhere: the stage can never
 				// assemble its input, so it strands (and cascades).
@@ -305,7 +280,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 				noteSettled(ws)
 				return
 			}
-			ref.fetch += d
+			ref.fetch += fetch
 			if ok {
 				st.FabricBytes += obj.Size
 			}
@@ -322,173 +297,75 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			AccelFuncs: accel, Ref: ref,
 		}
 		nextTaskID++
-		if !mc.SubmitTo(pool, task) {
+		if !d.submit(pool, task) {
 			st.StagesDropped++
 			st.StagesStranded += ws.run.Drop(idx, now)
 			noteSettled(ws)
-			return
-		}
-		if formers[pool] != nil {
-			formers[pool].Observe(task, 1)
 		}
 	}
 
 	// unlock submits a newly unlocked stage, honoring its offset floor.
 	unlock := func(ws *wfState, idx int) {
 		at := ws.run.UnlockedAt(idx)
-		if at > engine.Now() {
-			engine.At(at, func() {
+		if at > d.now() {
+			d.at(at, func() {
 				submitStage(ws, idx)
-				pump()
+				d.pump()
 			})
 			return
 		}
 		submitStage(ws, idx)
 	}
 
-	// settleComplete retires one stage after its output object landed and
-	// feeds the unlock path.
-	settleComplete := func(ref *wfStageRef) {
-		now := engine.Now()
-		unlocked := ref.ws.run.Complete(ref.idx, now)
-		st.StagesCompleted++
-		for _, j := range unlocked {
-			unlock(ref.ws, j)
-		}
-		noteSettled(ref.ws)
-	}
-
-	// In-flight executions, tracked per pool for the fault model.
-	type wfExec struct {
-		tasks           []sched.HybridTask
-		done, cancelled bool
-	}
-	inflight := make([][]*wfExec, pools)
-	faultsOn := len(cfg.Faults) > 0
-
-	execute := func(pool int, tasks []sched.HybridTask) {
-		var ex *wfExec
-		if faultsOn {
-			ex = &wfExec{tasks: tasks}
-			inflight[pool] = append(inflight[pool], ex)
-		}
-		base := tasks[0].CPUService
-		if specs[pool].Class == sched.ClassDSCS {
-			base = tasks[0].DSCSService
-		}
+	d.service = func(pool int, lead sched.HybridTask, rest []sched.HybridTask) time.Duration {
+		service := lead.Service(specs[pool].Class)
 		if cfg.Jitter > 0 {
-			base = sim.LogNormal{Median: base, Sigma: cfg.Jitter}.Sample(rng)
+			service = sim.LogNormal{Median: service, Sigma: cfg.Jitter}.Sample(d.rng)
 		}
 		// The batch shares one execution (that is the point of batching);
 		// each member's remote-input fetches serialize on top of it.
-		service := base
-		for _, t := range tasks {
+		service += lead.Ref.(*wfStageRef).fetch
+		for _, t := range rest {
 			service += t.Ref.(*wfStageRef).fetch
 		}
-		engine.After(service, func() {
-			if ex != nil {
-				if ex.cancelled {
-					return
-				}
-				ex.done = true
+		return service
+	}
+	// written retires one stage: it writes its output object — the replica
+	// map now says where its dependents belong (the q=0.5 write draws no
+	// RNG) — and once that lands, completes the stage and feeds the unlock
+	// path. A refused write (an empty output) takes no time: PutAt reports
+	// zero latency with every error.
+	written := func(t sched.HybridTask) {
+		ref := t.Ref.(*wfStageRef)
+		putD, _, _ := store.PutAt(ref.ws.run.OutputKey(ref.idx),
+			ref.bench.IntermediateBytes, true, 0.5)
+		d.at(d.now()+putD, func() {
+			st.StagesCompleted++
+			for _, j := range ref.ws.run.Complete(ref.idx, d.now()) {
+				unlock(ref.ws, j)
 			}
-			mc.Complete(pool, len(tasks))
-			st.Batches++
-			for _, t := range tasks {
-				ref := t.Ref.(*wfStageRef)
-				// The completed stage writes its output object — the
-				// replica map now says where its dependents belong. The
-				// q=0.5 write draws no RNG.
-				putD, _, err := store.PutAt(ref.ws.run.OutputKey(ref.idx),
-					ref.bench.IntermediateBytes, true, 0.5)
-				if err != nil {
-					putD = 0
-				}
-				engine.After(putD, func() { settleComplete(ref); pump() })
-			}
-			pump()
+			noteSettled(ref.ws)
+			d.pump()
 		})
 	}
-
-	lastWake := make([]time.Duration, pools)
-	for i := range lastWake {
-		lastWake[i] = -1
-	}
-	pump = func() {
-		for i := 0; i < pools; i++ {
-			for {
-				now := engine.Now()
-				var task sched.HybridTask
-				var ok bool
-				if formers[i] != nil {
-					var wake time.Duration
-					var wakeOK bool
-					task, ok, wake, wakeOK = mc.DispatchFormed(i, now)
-					if !ok {
-						if wakeOK && wake != lastWake[i] {
-							lastWake[i] = wake
-							engine.At(wake, func() { pump() })
-						}
-						break
-					}
-				} else if task, ok = mc.Dispatch(i, now); !ok {
-					break
-				}
-				batch := []sched.HybridTask{task}
-				if cfg.MaxBatch > 1 {
-					batch = append(batch, mc.Coalesce(i, now, cfg.MaxBatch-1,
-						func(t sched.HybridTask) bool { return t.Payload == task.Payload })...)
-				}
-				execute(i, batch)
-			}
+	d.settle = func(_ int, lead sched.HybridTask, rest []sched.HybridTask, _ time.Duration) {
+		st.Batches++
+		written(lead)
+		for _, t := range rest {
+			written(t)
 		}
 	}
-
-	// applyFault mirrors the request sims: a pool kill cancels its open
-	// executions and requeues their tasks at-most-once (stage age and the
-	// submission ledger never move); a drive event reshapes the replica
-	// map under the locality placer's feet.
-	applyFault := func(ev trace.FaultEvent) {
-		now := engine.Now()
-		st.Faults++
-		if !ev.Kind.Pool() {
-			if ev.Kind == trace.FaultDriveDown {
-				if store.FailNode(ev.Target) == nil {
-					store.ReReplicate(ev.Target)
-				}
-			} else {
-				store.RecoverNode(ev.Target)
+	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(mc.QueueLen())) }
+	// A drive event reshapes the replica map under the locality placer's
+	// feet; pool events are the driver's, and the two are orthogonal.
+	d.driveFault = func(ev trace.FaultEvent) {
+		if ev.Kind == trace.FaultDriveDown {
+			if store.FailNode(ev.Target) == nil {
+				store.ReReplicate(ev.Target)
 			}
-			return
+		} else {
+			store.RecoverNode(ev.Target)
 		}
-		pool := poolOf[ev.Target]
-		if ev.Kind == trace.FaultPoolUp {
-			mc.RecoverPool(pool, now)
-			pump()
-			return
-		}
-		if !mc.Healthy(pool) {
-			return
-		}
-		mc.FailPool(pool, now)
-		for _, ex := range inflight[pool] {
-			if ex.done || ex.cancelled {
-				continue
-			}
-			ex.cancelled = true
-			mc.Requeue(pool, ex.tasks)
-			st.Requeued += len(ex.tasks)
-			if formers[pool] != nil {
-				for _, t := range ex.tasks {
-					formers[pool].Observe(t, 1)
-				}
-			}
-		}
-		inflight[pool] = inflight[pool][:0]
-	}
-	for _, ev := range cfg.Faults {
-		ev := ev
-		engine.At(ev.At, func() { applyFault(ev) })
 	}
 
 	// Admit the trace: each arrival seeds its root input objects (the
@@ -506,37 +383,34 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 					w.ID, st.ID, st.Benchmark)
 			}
 		}
-		ws := &wfState{run: run}
-		states = append(states, ws)
-		engine.At(w.At, func() {
-			for _, i := range ws.run.Spec().Roots() {
-				b := workload.BySlug(ws.run.Stage(i).Benchmark)
-				if _, _, err := store.PutAt(workflow.InputKey(ws.run.ID(), ws.run.Stage(i).ID),
-					b.InputBytes, true, 0.5); err != nil && admitErr == nil {
-					admitErr = err
-				}
+		states = append(states, &wfState{run: run})
+	}
+	d.arrive = func(i int) {
+		ws := states[i]
+		for _, i := range ws.run.Spec().Roots() {
+			b := workload.BySlug(ws.run.Stage(i).Benchmark)
+			if _, _, err := store.PutAt(workflow.InputKey(ws.run.ID(), ws.run.Stage(i).ID),
+				b.InputBytes, true, 0.5); err != nil && admitErr == nil {
+				admitErr = err
 			}
-			for _, i := range ws.run.Start(engine.Now()) {
-				unlock(ws, i)
-			}
-			pump()
-		})
+		}
+		for _, i := range ws.run.Start(d.now()) {
+			unlock(ws, i)
+		}
 	}
 
-	horizon := wtr.Duration + 2*time.Minute
-	for t := time.Duration(0); t <= horizon; t += cfg.SampleEvery {
-		at := t
-		engine.At(at, func() { st.Queue.Add(at, float64(mc.QueueLen())) })
-	}
-
-	engine.Run()
+	err = d.run(len(states), func(i int) time.Duration { return wtr.Workflows[i].At })
 	if admitErr != nil {
 		return nil, admitErr
 	}
+	if err != nil {
+		return nil, err
+	}
 
 	// Close out: whatever the horizon cut off strands, then the ledgers
-	// must balance — per workflow and across the pool set.
-	now := engine.Now()
+	// must balance — per workflow and across the pool set (the driver
+	// checked the latter).
+	now := d.now()
 	for _, ws := range states {
 		st.StagesStranded += ws.run.StrandRemaining(now)
 		noteSettled(ws)
@@ -551,12 +425,11 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		return nil, fmt.Errorf("cluster: workflow stage ledger leaks: %d completed + %d dropped + %d stranded != %d admitted",
 			st.StagesCompleted, st.StagesDropped, st.StagesStranded, st.Stages)
 	}
-	if err := mc.Conservation(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < pools; i++ {
-		if formers[i] != nil {
-			st.Formed += formers[i].Formed()
+	// Every scripted event fires before the clock drains.
+	st.Faults, st.Requeued = len(cfg.Faults), mc.Requeued()
+	for _, f := range d.formers {
+		if f != nil {
+			st.Formed += f.Formed()
 		}
 	}
 	st.MakespanP50 = st.MakespanSample.Percentile(0.50)
