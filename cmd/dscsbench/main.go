@@ -1,5 +1,4 @@
-// Command dscsbench regenerates the paper's tables and figures, and runs
-// the serve core's raw-speed harness.
+// Command dscsbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -7,57 +6,24 @@
 //	dscsbench -run fig9
 //	dscsbench -run all -seed 42
 //	dscsbench -run fig13 -series
-//	dscsbench -hotpath -pr 6 -out BENCH_6.json
-//	dscsbench -hotpath -compare BENCH_6.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"time"
 
 	"dscs"
-	"dscs/internal/bench"
 )
 
 func main() {
 	var (
-		runID    = flag.String("run", "", "experiment id to run (e.g. fig9), or 'all'")
-		list     = flag.Bool("list", false, "list available experiments")
-		seed     = flag.Uint64("seed", 42, "random seed for the environment")
-		series   = flag.Bool("series", false, "also print time series points")
-		hotpath  = flag.Bool("hotpath", false, "run the serve hot-path benchmark suite")
-		out      = flag.String("out", "", "with -hotpath: write the report to this BENCH_<n>.json")
-		compare  = flag.String("compare", "", "with -hotpath: diff against this committed BENCH_<n>.json and fail on regression")
-		pr       = flag.Int("pr", 0, "with -hotpath: PR number stamped into the report")
-		perStage = flag.Duration("perstage", 100*time.Millisecond, "with -hotpath: duration of each (stage, workers) measurement")
-		cpuProf  = flag.String("cpuprofile", "", "with -hotpath: write a CPU profile of the suite")
-		psRPS    = flag.Float64("preshard-rps", 0, "with -hotpath: record this pre-shard baseline submits/sec (measured at -preshard-commit)")
-		psCommit = flag.String("preshard-commit", "", "with -hotpath: commit the pre-shard baseline was measured at")
-		psNote   = flag.String("preshard-note", "", "with -hotpath: how the pre-shard baseline was measured")
+		runID  = flag.String("run", "", "experiment id to run (e.g. fig9), or 'all'")
+		list   = flag.Bool("list", false, "list available experiments")
+		seed   = flag.Uint64("seed", 42, "random seed for the environment")
+		series = flag.Bool("series", false, "also print time series points")
 	)
 	flag.Parse()
-
-	if *hotpath {
-		if *cpuProf != "" {
-			f, err := os.Create(*cpuProf)
-			if err != nil {
-				fail(err)
-			}
-			if err := pprof.StartCPUProfile(f); err != nil {
-				fail(err)
-			}
-			defer pprof.StopCPUProfile()
-		}
-		var ps *bench.PreShard
-		if *psRPS > 0 {
-			ps = &bench.PreShard{SubmitsPerSec: *psRPS, Commit: *psCommit, Note: *psNote}
-		}
-		runHotPath(*pr, *perStage, *out, *compare, ps)
-		return
-	}
 
 	if *list || *runID == "" {
 		fmt.Println("Available experiments:")
@@ -96,48 +62,6 @@ func main() {
 				}
 			}
 		}
-	}
-}
-
-// runHotPath runs the raw-speed suite, prints it, and optionally writes
-// the trajectory point (-out) or gates against a committed one (-compare).
-func runHotPath(pr int, perStage time.Duration, out, compare string, preShard *bench.PreShard) {
-	rep, err := bench.Run(bench.Options{PR: pr, PerStage: perStage, PreShard: preShard})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("serve hot path (%s %s/%s, GOMAXPROCS=%d, %s per stage)\n",
-		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.GOMAXPROCS, perStage)
-	for _, r := range rep.Results {
-		fmt.Printf("  %-22s w%-3d %12.1f ns/op %14.0f ops/s %8.2f allocs/op %10.1f B/op\n",
-			r.Name, r.Workers, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if rep.Speedup64 > 0 {
-		fmt.Printf("  sharded/blocking sustained submits/sec at 64 workers (same binary): %.2fx\n", rep.Speedup64)
-	}
-	if rep.Speedup64PreShard > 0 {
-		fmt.Printf("  sharded vs pre-shard baseline (%.0f submits/sec @ %s): %.2fx\n",
-			rep.PreShard.SubmitsPerSec, rep.PreShard.Commit, rep.Speedup64PreShard)
-	}
-	if out != "" {
-		if err := rep.Write(out); err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", out)
-	}
-	if compare != "" {
-		committed, err := bench.Load(compare)
-		if err != nil {
-			fail(err)
-		}
-		lines, err := bench.Compare(committed, rep, bench.DefaultTolerance)
-		for _, l := range lines {
-			fmt.Println(" ", l)
-		}
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("no submits/sec regression past %.0f%% vs %s\n", bench.DefaultTolerance*100, compare)
 	}
 }
 

@@ -406,8 +406,3 @@ func (DAGAwarePolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duratio
 	}
 	return q.removeAt(best), true
 }
-
-// The two-pool scheduler that used to live here (HybridScheduler) was
-// retired in favor of serve.HybridCore, which shares its pool-accounting
-// code with the live engine's single-class PoolCore. This package keeps the
-// queue, the tasks, and the policies.

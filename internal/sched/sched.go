@@ -1,7 +1,7 @@
-// sched.go implements the original serverless scheduler of Section 5.3 —
-// a centralized FCFS queue over a pool of run-to-completion instances —
-// and the Prometheus-style telemetry registry used for busy tracking,
-// fail-over decisions, and the at-scale measurements.
+// sched.go is the Prometheus-style telemetry registry used for busy
+// tracking, fail-over decisions, and the at-scale measurements. The
+// scheduler of Section 5.3 — a centralized FCFS queue over run-to-completion
+// instances — is FCFSPolicy over HybridQueue (hybrid.go).
 
 package sched
 
@@ -184,96 +184,4 @@ func (t *Telemetry) Render() string {
 		out += l + "\n"
 	}
 	return out
-}
-
-// Task is one queued unit of work.
-type Task struct {
-	ID      int
-	Arrived time.Duration
-	Payload string // benchmark slug
-}
-
-// FCFS is the paper's scheduling policy: first-come-first-serve over a
-// bounded queue; instances are marked busy until completion (no
-// preemption).
-type FCFS struct {
-	queue    []Task
-	depth    int
-	free     int // idle instance count
-	total    int
-	tel      *Telemetry
-	dropped  int
-	enqueued int
-}
-
-// NewFCFS returns a scheduler over n instances with the given queue bound.
-func NewFCFS(instances, queueDepth int, tel *Telemetry) (*FCFS, error) {
-	if instances <= 0 || queueDepth <= 0 {
-		return nil, fmt.Errorf("sched: non-positive pool or queue")
-	}
-	if tel == nil {
-		tel = NewTelemetry()
-	}
-	return &FCFS{depth: queueDepth, free: instances, total: instances, tel: tel}, nil
-}
-
-// Telemetry returns the scheduler's registry.
-func (s *FCFS) Telemetry() *Telemetry { return s.tel }
-
-// QueueLen reports the number of waiting tasks.
-func (s *FCFS) QueueLen() int { return len(s.queue) }
-
-// Busy reports the number of occupied instances.
-func (s *FCFS) Busy() int { return s.total - s.free }
-
-// Dropped reports tasks rejected on a full queue.
-func (s *FCFS) Dropped() int { return s.dropped }
-
-// Submit enqueues a task; it reports false (and drops) when the queue is
-// at its bound and no instance is free.
-func (s *FCFS) Submit(t Task) bool {
-	if s.free == 0 && len(s.queue) >= s.depth {
-		s.dropped++
-		s.tel.Inc("sched_dropped_total", 1)
-		return false
-	}
-	s.queue = append(s.queue, t)
-	s.enqueued++
-	s.tel.Inc("sched_submitted_total", 1)
-	s.tel.Set("sched_queue_depth", float64(len(s.queue)))
-	return true
-}
-
-// Dispatch hands the head task to a free instance, if both exist.
-func (s *FCFS) Dispatch() (Task, bool) {
-	if s.free == 0 || len(s.queue) == 0 {
-		return Task{}, false
-	}
-	t := s.queue[0]
-	s.queue = s.queue[1:]
-	s.free--
-	s.tel.Set("sched_queue_depth", float64(len(s.queue)))
-	s.tel.Set("sched_busy_instances", float64(s.total-s.free))
-	return t, true
-}
-
-// Complete releases an instance after run-to-completion.
-func (s *FCFS) Complete() {
-	if s.free < s.total {
-		s.free++
-	}
-	s.tel.Inc("sched_completed_total", 1)
-	s.tel.Set("sched_busy_instances", float64(s.total-s.free))
-}
-
-// Conservation checks the bookkeeping invariant: everything submitted is
-// either waiting, running, completed, or dropped.
-func (s *FCFS) Conservation() error {
-	completed := int(s.tel.Counter("sched_completed_total"))
-	accounted := len(s.queue) + s.Busy() + completed
-	if s.enqueued != accounted {
-		return fmt.Errorf("sched: conservation violated: enqueued %d != queued %d + busy %d + done %d",
-			s.enqueued, len(s.queue), s.Busy(), completed)
-	}
-	return nil
 }

@@ -3,105 +3,7 @@ package sched
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestFCFSOrdering(t *testing.T) {
-	s, err := NewFCFS(1, 100, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if !s.Submit(Task{ID: i}) {
-			t.Fatalf("submit %d failed", i)
-		}
-	}
-	// One instance: dispatch yields tasks in arrival order.
-	for i := 0; i < 5; i++ {
-		task, ok := s.Dispatch()
-		if !ok || task.ID != i {
-			t.Fatalf("dispatch %d: got %v ok=%v", i, task.ID, ok)
-		}
-		if _, again := s.Dispatch(); again {
-			t.Fatal("second dispatch must fail while instance busy")
-		}
-		s.Complete()
-	}
-}
-
-func TestQueueBound(t *testing.T) {
-	s, _ := NewFCFS(1, 3, nil)
-	s.Dispatch() // nothing to run yet
-	// Occupy the instance.
-	s.Submit(Task{ID: 0})
-	s.Dispatch()
-	// Fill the queue.
-	for i := 1; i <= 3; i++ {
-		if !s.Submit(Task{ID: i}) {
-			t.Fatalf("submit %d should fit", i)
-		}
-	}
-	if s.Submit(Task{ID: 4}) {
-		t.Fatal("queue over bound accepted")
-	}
-	if s.Dropped() != 1 {
-		t.Fatalf("dropped = %d", s.Dropped())
-	}
-	if err := s.Conservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBusyAccounting(t *testing.T) {
-	s, _ := NewFCFS(3, 10, nil)
-	for i := 0; i < 5; i++ {
-		s.Submit(Task{ID: i})
-	}
-	ran := 0
-	for {
-		if _, ok := s.Dispatch(); !ok {
-			break
-		}
-		ran++
-	}
-	if ran != 3 || s.Busy() != 3 || s.QueueLen() != 2 {
-		t.Fatalf("ran=%d busy=%d queued=%d", ran, s.Busy(), s.QueueLen())
-	}
-	s.Complete()
-	if s.Busy() != 2 {
-		t.Fatalf("busy after complete = %d", s.Busy())
-	}
-	if err := s.Conservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConservationProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		s, _ := NewFCFS(4, 8, nil)
-		id := 0
-		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				s.Submit(Task{ID: id})
-				id++
-			case 1:
-				s.Dispatch()
-			case 2:
-				if s.Busy() > 0 {
-					s.Complete()
-				}
-			}
-			if err := s.Conservation(); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTelemetry(t *testing.T) {
 	tel := NewTelemetry()
@@ -117,26 +19,5 @@ func TestTelemetry(t *testing.T) {
 	out := tel.Render()
 	if !strings.Contains(out, "requests_total 3") || !strings.Contains(out, "queue_depth 7") {
 		t.Errorf("render missing metrics:\n%s", out)
-	}
-}
-
-func TestSchedulerTelemetryWiring(t *testing.T) {
-	tel := NewTelemetry()
-	s, _ := NewFCFS(1, 2, tel)
-	s.Submit(Task{ID: 0})
-	s.Dispatch()
-	s.Complete()
-	if tel.Counter("sched_submitted_total") != 1 ||
-		tel.Counter("sched_completed_total") != 1 {
-		t.Error("telemetry counters not wired")
-	}
-}
-
-func TestNewFCFSValidation(t *testing.T) {
-	if _, err := NewFCFS(0, 10, nil); err == nil {
-		t.Error("zero instances should fail")
-	}
-	if _, err := NewFCFS(10, 0, nil); err == nil {
-		t.Error("zero queue depth should fail")
 	}
 }

@@ -458,47 +458,17 @@ func (c *PoolCore) Conservation() error {
 }
 
 // HybridCore is the two-class scheduling state machine of the paper's
-// Section 5.3 heterogeneous pool. It replaces the retired
-// sched.HybridScheduler, so the discrete-event hybrid simulation
-// (cluster.RunHybrid) and the live engine's single-class pools share the
-// same pool-accounting code. Like PoolCore it owns no goroutines and no
-// clock; callers inject now into Dispatch.
-//
-// It runs in one of two layouts. The classic layout (NewHybridCore) is one
-// bounded queue drained by a pluggable policy into a CPU-class and a
-// DSCS-class PoolCore — both classes see every queued task, so neither can
-// idle while work waits. The split layout (NewSplitHybridCore) gives each
-// class its own backlog, the shape of a real deployment where requests
-// target the accelerated tier: SubmitTo lands work on one class's queue,
-// Dispatch drains only a class's own backlog, and Steal is the pull-based
-// rebalancing that lets an idle class drain the other's backlog instead of
-// starving beside it.
+// Section 5.3 heterogeneous pool in its classic layout: one bounded queue
+// drained by a pluggable policy into a CPU-class and a DSCS-class PoolCore
+// — both classes see every queued task, so neither can idle while work
+// waits. Per-pool backlogs with spillover and stealing are MultiCore; one
+// queue drained by two classes is what a MultiCore cannot express, and is
+// why this type stays. Like PoolCore it owns no goroutines and no clock;
+// callers inject now into Dispatch.
 type HybridCore struct {
-	// queue is the shared admission queue in the classic layout; nil when
-	// split, where each class PoolCore owns its own queue.
-	queue *sched.HybridQueue
-	split bool
-	// multi backs the split layout: the two class pools are a two-member
-	// MultiCore (cpu = pool 0, dscs = pool 1), so the N-pool generalization
-	// and the classic hybrid pair share one implementation — including the
-	// queue-delay digests every dispatch records.
-	multi     *MultiCore
+	queue     *sched.HybridQueue
 	cpu, dscs *PoolCore
 	submitted int
-}
-
-// Split-layout pool indices within the backing MultiCore.
-const (
-	hybridCPUPool  = 0
-	hybridDSCSPool = 1
-)
-
-// poolIndex maps a class to its MultiCore index in the split layout.
-func poolIndex(class sched.InstanceClass) int {
-	if class == sched.ClassDSCS {
-		return hybridDSCSPool
-	}
-	return hybridCPUPool
 }
 
 // newPoolCoreOver builds a class pool over an externally owned queue. Zero
@@ -531,46 +501,10 @@ func NewHybridCore(cpuWorkers, dscsWorkers, queueDepth int, policy sched.Policy)
 	}, nil
 }
 
-// NewSplitHybridCore builds the heterogeneous pool with per-class
-// backlogs, each bounded at queueDepth. A nil policy defaults to FCFS. The
-// split layout is a two-member MultiCore underneath, so the hybrid pair
-// records queue-delay digests and supports wait-keyed rebalancing exactly
-// like an N-pool core.
-func NewSplitHybridCore(cpuWorkers, dscsWorkers, queueDepth int, policy sched.Policy) (*HybridCore, error) {
-	if cpuWorkers < 0 || dscsWorkers < 0 || cpuWorkers+dscsWorkers == 0 {
-		return nil, fmt.Errorf("serve: empty hybrid pool")
-	}
-	multi, err := NewMultiCore([]PoolSpec{
-		{Name: sched.ClassCPU.String(), Class: sched.ClassCPU, Workers: cpuWorkers, QueueDepth: queueDepth, Policy: policy},
-		{Name: sched.ClassDSCS.String(), Class: sched.ClassDSCS, Workers: dscsWorkers, QueueDepth: queueDepth, Policy: policy},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &HybridCore{
-		split: true,
-		multi: multi,
-		cpu:   multi.Pool(hybridCPUPool),
-		dscs:  multi.Pool(hybridDSCSPool),
-	}, nil
-}
-
-// Split reports whether the core runs per-class backlogs.
-func (h *HybridCore) Split() bool { return h.split }
-
-// Multi exposes the backing N-pool core of the split layout (wait digests,
-// adaptive-balance decisions); nil for the classic shared-queue layout.
-func (h *HybridCore) Multi() *MultiCore { return h.multi }
-
-// Submit admits a task; it reports false (drop) at the queue bound. On a
-// split core it lands on the DSCS backlog (the accelerated tier requests
-// target); use SubmitTo to route explicitly.
+// Submit admits a task; it reports false (drop) at the queue bound.
 //
 //dscslint:hotpath
 func (h *HybridCore) Submit(t sched.HybridTask) bool {
-	if h.split {
-		return h.SubmitTo(sched.ClassDSCS, t)
-	}
 	if !h.queue.Submit(t) {
 		return false
 	}
@@ -578,47 +512,12 @@ func (h *HybridCore) Submit(t sched.HybridTask) bool {
 	return true
 }
 
-// SubmitTo admits a task onto one class's backlog (split layout; on a
-// classic core the shared queue ignores the class). It reports false
-// (drop) at that backlog's bound.
-//
-//dscslint:hotpath
-func (h *HybridCore) SubmitTo(class sched.InstanceClass, t sched.HybridTask) bool {
-	if !h.split {
-		return h.Submit(t)
-	}
-	return h.multi.SubmitTo(poolIndex(class), t)
-}
-
-// Steal moves up to max of the from class's oldest queued tasks onto the
-// to class's backlog — the pull half of rebalancing on a split core. The
-// tasks keep their arrival instants, so the aging bound follows them. A
-// classic core has one shared queue and nothing to steal; it returns nil.
-//
-//dscslint:hotpath
-func (h *HybridCore) Steal(from, to sched.InstanceClass, max int) []sched.HybridTask {
-	if !h.split || from == to {
-		return nil
-	}
-	return h.multi.Steal(poolIndex(from), poolIndex(to), max)
-}
-
 // Dispatch assigns work to a free worker, preferring DSCS capacity (it
 // serves faster). It returns the task, the class it runs on, and whether
-// anything was dispatched. On a split core each dispatch records the
-// task's queue delay against the serving class's wait digest.
+// anything was dispatched.
 //
 //dscslint:hotpath
 func (h *HybridCore) Dispatch(now time.Duration) (sched.HybridTask, sched.InstanceClass, bool) {
-	if h.split {
-		if t, ok := h.multi.Dispatch(hybridDSCSPool, now); ok {
-			return t, sched.ClassDSCS, true
-		}
-		if t, ok := h.multi.Dispatch(hybridCPUPool, now); ok {
-			return t, sched.ClassCPU, true
-		}
-		return sched.HybridTask{}, sched.ClassCPU, false
-	}
 	if t, ok := h.dscs.Dispatch(now); ok {
 		return t, sched.ClassDSCS, true
 	}
@@ -641,29 +540,11 @@ func (h *HybridCore) Complete(class sched.InstanceClass, n int) {
 	h.Class(class).Complete(n)
 }
 
-// QueueLen reports queue occupancy (both backlogs on a split core).
-func (h *HybridCore) QueueLen() int {
-	if h.split {
-		return h.cpu.QueueLen() + h.dscs.QueueLen()
-	}
-	return h.queue.Len()
-}
+// QueueLen reports queue occupancy.
+func (h *HybridCore) QueueLen() int { return h.queue.Len() }
 
-// Dropped counts admission rejections (both backlogs on a split core).
-func (h *HybridCore) Dropped() int {
-	if h.split {
-		return h.cpu.Dropped() + h.dscs.Dropped()
-	}
-	return h.queue.Dropped()
-}
-
-// Stolen counts tasks rebalanced between the class backlogs.
-func (h *HybridCore) Stolen() int { return h.cpu.stolenIn + h.dscs.stolenIn }
-
-// Busy reports occupied workers per class.
-func (h *HybridCore) Busy() (cpu, dscs int) {
-	return h.cpu.Busy(), h.dscs.Busy()
-}
+// Dropped counts admission rejections.
+func (h *HybridCore) Dropped() int { return h.queue.Dropped() }
 
 // Completed reports retired tasks across both classes.
 func (h *HybridCore) Completed() int { return h.cpu.completed + h.dscs.completed }
@@ -672,9 +553,6 @@ func (h *HybridCore) Completed() int { return h.cpu.completed + h.dscs.completed
 // admitted task is queued, executing, or completed, and neither class saw
 // a completion without a matching dispatch.
 func (h *HybridCore) Conservation() error {
-	if h.split {
-		return h.multi.Conservation()
-	}
 	for _, c := range []*PoolCore{h.cpu, h.dscs} {
 		if err := c.Conservation(); err != nil {
 			return fmt.Errorf("%s class: %w", c.class, err)

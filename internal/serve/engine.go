@@ -149,12 +149,6 @@ type Options struct {
 	// Telemetry receives the engine's metrics; pass the gateway's
 	// registry to surface them on /metrics (default: a fresh registry).
 	Telemetry *sched.Telemetry
-	// IngressShards sizes each pool's sharded submit ingress: submissions
-	// stage on a per-P shard and drain into the pool core in batches, so
-	// submitters contend only on their shard (0 defaults to GOMAXPROCS;
-	// any negative value disables the ingress and admits directly under
-	// the pool lock — the pre-shard path, kept for A/B benchmarking).
-	IngressShards int
 	// Execute overrides how a worker runs one coalesced batch. The bench
 	// harness injects a no-op here to measure the scheduling hot path
 	// without the simulated execution cost. Nil runs Runner.Invoke.
@@ -275,9 +269,10 @@ type pool struct {
 	core   *PoolCore
 	closed bool
 
-	// ingress is the sharded staging front of the submit path (nil when
-	// Options.IngressShards is negative); scratch is the drain buffer,
-	// reused under p.mu.
+	// ingress is the sharded staging front of the submit path: submissions
+	// stage on a per-P shard (GOMAXPROCS of them) and drain into the pool
+	// core in batches, so submitters contend only on their shard. scratch
+	// is the drain buffer, reused under p.mu.
 	ingress *ingress
 	scratch []ingressEntry
 	// parked counts workers blocked in cond.Wait. Submitters that fail the
@@ -613,9 +608,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 				return nil, err
 			}
 		}
-		if shards := ingressShards(opt.IngressShards); shards > 0 {
-			p.ingress = newIngress(shards, opt.QueueDepth)
-		}
+		p.ingress = newIngress(runtime.GOMAXPROCS(0), opt.QueueDepth)
 		p.gDepth = e.tel.GaugeHandle("serve_queue_depth{platform=" + name + "}")
 		p.gBatchOcc = e.tel.GaugeHandle("serve_batch_occupancy{platform=" + name + "}")
 		delay := "{platform=" + name + ",class=" + class.String() + "}"
@@ -777,18 +770,6 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// ingressShards resolves the Options.IngressShards spelling: 0 defaults to
-// GOMAXPROCS, negative disables the sharded ingress.
-func ingressShards(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // classFor maps a platform to its scheduling class: the in-storage DSA pool
 // is the scarce accelerated capacity the policies steer work toward.
 func classFor(c platform.Compute) sched.InstanceClass {
@@ -843,9 +824,7 @@ func (e *Engine) Dropped() int {
 		p.mu.Lock()
 		total += p.core.Dropped()
 		p.mu.Unlock()
-		if p.ingress != nil {
-			total += p.ingress.droppedCount()
-		}
+		total += p.ingress.droppedCount()
 	}
 	return total
 }
@@ -906,14 +885,12 @@ func (e *Engine) spillTarget() *pool {
 	return best
 }
 
-// syncDepth refreshes a pool's queue-depth gauge and, with the sharded
-// ingress, the queued mirror its admission bound reads. Callers hold p.mu;
-// every core mutation routes through here so the two views cannot drift.
+// syncDepth refreshes a pool's queue-depth gauge and the queued mirror the
+// ingress admission bound reads. Callers hold p.mu; every core mutation
+// routes through here so the two views cannot drift.
 func (e *Engine) syncDepth(p *pool) {
 	n := p.core.QueueLen()
-	if p.ingress != nil {
-		p.ingress.syncQueued(n)
-	}
+	p.ingress.syncQueued(n)
 	p.gDepth.Set(float64(n))
 }
 
@@ -1026,18 +1003,10 @@ func (e *Engine) lifecycleTick(p *pool) {
 	}
 }
 
-// poolDepth reads a pool's total backlog — staged plus queued with the
-// sharded ingress (two atomic loads, no lock), or the locked core length on
-// the direct path. The spill and steal scans use it so rebalancing
+// poolDepth reads a pool's total backlog — staged plus queued — in two
+// atomic loads, no lock. The spill and steal scans use it so rebalancing
 // decisions never serialize on the pool mutexes they are routing around.
-func (e *Engine) poolDepth(p *pool) int {
-	if p.ingress != nil {
-		return p.ingress.pending()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.core.QueueLen()
-}
+func (e *Engine) poolDepth(p *pool) int { return p.ingress.pending() }
 
 // deliver resolves one admitted request: hands the outcome to the blocked
 // submitter, or — fire-and-forget — recycles the request directly. The
@@ -1060,7 +1029,7 @@ func (e *Engine) deliver(r *request, out outcome) {
 //
 //dscslint:hotpath
 func (e *Engine) drainLocked(p *pool) {
-	if p.ingress == nil || p.ingress.staged.Load() == 0 {
+	if p.ingress.staged.Load() == 0 {
 		return
 	}
 	entries := p.ingress.drainInto(p.scratch)
@@ -1088,22 +1057,21 @@ func (e *Engine) drainLocked(p *pool) {
 // ErrQueueFull without counting a drop against its queue — the request is
 // not lost, it falls back to the original pool.
 //
-// With the sharded ingress the task stages on the caller's shard and the
-// pool lock is only tried, never waited on: an uncontended admit drains
-// synchronously (sequential callers observe exactly the direct path's
-// behavior), a contended one leaves the entry for whoever holds the lock —
-// the submit path's whole win is that waiting submitters queue on their
-// shard, not on the pool mutex.
+// The task stages on the caller's shard and the pool lock is only tried,
+// never waited on: an uncontended admit drains synchronously (sequential
+// callers observe exactly the direct path's behavior), a contended one
+// leaves the entry for whoever holds the lock — the submit path's whole win
+// is that waiting submitters queue on their shard, not on the pool mutex.
 func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFull bool) error {
-	if p.ingress == nil || bounceIfFull {
+	if bounceIfFull {
 		// Spill attempts take the locked path: the bounce contract needs a
 		// synchronous answer from the real queue (a late ingress reject
 		// would lose the fallback to the original pool), and spills are off
 		// the common path by construction.
-		return e.admitDirect(p, task, req, bounceIfFull)
+		return e.admitDirect(p, task, req)
 	}
 	if err := p.ingress.offer(metrics.ShardIndex(len(p.ingress.shards)),
-		ingressEntry{task: task, req: req}, bounceIfFull); err != nil {
+		ingressEntry{task: task, req: req}, false); err != nil {
 		return err
 	}
 	// Only reach for the pool lock when a worker is parked and needs the
@@ -1133,16 +1101,17 @@ func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFul
 	return nil
 }
 
-// admitDirect is the pre-shard admit: everything under the pool lock.
-// Earlier-staged ingress entries drain first so admission order holds.
-func (e *Engine) admitDirect(p *pool, task sched.HybridTask, req *request, bounceIfFull bool) error {
+// admitDirect is the spill attempt's admit, under the pool lock: a full
+// queue bounces the task without counting a drop. Earlier-staged ingress
+// entries drain first so admission order holds.
+func (e *Engine) admitDirect(p *pool, task sched.HybridTask, req *request) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
 	}
 	e.drainLocked(p)
-	if bounceIfFull && p.core.QueueFull() {
+	if p.core.QueueFull() {
 		return ErrQueueFull
 	}
 	if !p.core.Submit(task) {
@@ -1509,7 +1478,7 @@ func (e *Engine) waitDigestOf(p *pool) *metrics.Digest {
 func (e *Engine) pricedWait(p *pool) time.Duration {
 	p.mu.Lock()
 	healthy := p.core.Healthy()
-	staged := p.ingress != nil && p.ingress.staged.Load() > 0
+	staged := p.ingress.staged.Load() > 0
 	idle := healthy && !staged && p.core.QueueLen() == 0 && p.core.Busy() < p.core.Workers()
 	p.mu.Unlock()
 	if idle {
@@ -1778,7 +1747,7 @@ func (e *Engine) worker(p *pool) {
 			// load sees its entry — the Dekker pairing that makes the
 			// lock-free offer path wakeup-safe.
 			p.parked.Add(1)
-			if p.ingress != nil && p.ingress.staged.Load() > 0 {
+			if p.ingress.staged.Load() > 0 {
 				p.parked.Add(-1)
 				continue
 			}
@@ -1952,15 +1921,12 @@ func (e *Engine) Close() {
 				lc.Freeze(e.now())
 				p.core.AdvanceLifecycle(e.now())
 			}
-			var flushed []ingressEntry
-			if p.ingress != nil {
-				// Closing the shards (under p.mu, which every drain also
-				// holds) leaves no window for a staged entry to strand:
-				// offers racing this section either landed in the flush or
-				// fail with ErrClosed at their shard.
-				flushed = p.ingress.close(p.scratch)
-				p.scratch = flushed[:0:0]
-			}
+			// Closing the shards (under p.mu, which every drain also
+			// holds) leaves no window for a staged entry to strand: offers
+			// racing this section either landed in the flush or fail with
+			// ErrClosed at their shard.
+			flushed := p.ingress.close(p.scratch)
+			p.scratch = flushed[:0:0]
 			p.cond.Broadcast()
 			p.mu.Unlock()
 			for i := range flushed {

@@ -269,53 +269,3 @@ func TestPoolCoreStealFrom(t *testing.T) {
 		t.Fatal("self-steal must be a no-op")
 	}
 }
-
-func TestSplitHybridCoreStealRebalances(t *testing.T) {
-	h, err := NewSplitHybridCore(2, 1, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Split() {
-		t.Fatal("split core must report split")
-	}
-	// Arrivals land on the DSCS backlog; the CPU side idles beside them.
-	for i := 0; i < 5; i++ {
-		if !h.Submit(arrival(i, time.Duration(i)*time.Millisecond, "a", 10)) {
-			t.Fatalf("submit %d rejected", i)
-		}
-	}
-	if cpuQ := h.Class(sched.ClassCPU).QueueLen(); cpuQ != 0 {
-		t.Fatalf("CPU backlog = %d before steal, want 0", cpuQ)
-	}
-	// One DSCS worker dispatches; two CPU workers can only steal.
-	if _, class, ok := h.Dispatch(0); !ok || class != sched.ClassDSCS {
-		t.Fatalf("first dispatch class=%v ok=%v", class, ok)
-	}
-	if _, _, ok := h.Dispatch(0); ok {
-		t.Fatal("CPU must not dispatch from an empty backlog")
-	}
-	moved := h.Steal(sched.ClassDSCS, sched.ClassCPU, 2)
-	if len(moved) != 2 || moved[0].ID != 1 {
-		t.Fatalf("steal moved %+v, want tasks 1,2", moved)
-	}
-	if h.Stolen() != 2 {
-		t.Fatalf("Stolen() = %d, want 2", h.Stolen())
-	}
-	for i := 0; i < 2; i++ {
-		if _, class, ok := h.Dispatch(0); !ok || class != sched.ClassCPU {
-			t.Fatalf("stolen work must dispatch on CPU (class=%v ok=%v)", class, ok)
-		}
-	}
-	h.Complete(sched.ClassDSCS, 1)
-	h.Complete(sched.ClassCPU, 1)
-	h.Complete(sched.ClassCPU, 1)
-	if err := h.Conservation(); err != nil {
-		t.Fatal(err)
-	}
-	// The classic shared-queue core has nothing to steal.
-	classic, _ := NewHybridCore(1, 1, 8, nil)
-	classic.Submit(arrival(9, 0, "a", 10))
-	if got := classic.Steal(sched.ClassDSCS, sched.ClassCPU, 4); got != nil {
-		t.Fatal("classic core steal must be a no-op")
-	}
-}

@@ -1,6 +1,6 @@
-// multicore.go generalizes HybridCore's split two-pool layout to N pools
-// and closes the load-balancing loop on *queue delay*: every pool owns its
-// backlog and workers (a PoolCore), and the core records each task's wait
+// multicore.go is the N-pool core with per-pool backlogs. It closes the
+// load-balancing loop on *queue delay*: every pool owns its backlog and
+// workers (a PoolCore), and the core records each task's wait
 // time — arrival to dispatch — into a per-pool digest keyed {platform,
 // class} (metrics.Observatory). Those wait digests are what the adaptive
 // spillover/steal machinery consumes: instead of static queue-depth counts,
@@ -45,9 +45,8 @@ type PoolSpec struct {
 
 // MultiCore is the N-pool scheduling state machine: per-pool backlogs and
 // workers with submit-time spillover and drain-time stealing between any
-// pair of pools — the generalization of the two-class HybridCore that lets
-// multiple same-class pools (several CPU platforms, say) rebalance with the
-// same wait-keyed logic. Not safe for concurrent use on its own; callers
+// pair of pools, so multiple same-class pools (several CPU platforms, say)
+// rebalance with the same wait-keyed logic as a CPU/DSCS pair. Not safe for concurrent use on its own; callers
 // serialize access (the simulations are single-threaded).
 type MultiCore struct {
 	pools []*PoolCore
@@ -127,7 +126,7 @@ func (m *MultiCore) SetWaitTuning(window, warmup int) {
 // Pools reports the pool count.
 func (m *MultiCore) Pools() int { return len(m.pools) }
 
-// Pool exposes one member pool (diagnostics, coexisting HybridCore views).
+// Pool exposes one member pool.
 func (m *MultiCore) Pool(i int) *PoolCore { return m.pools[i] }
 
 // Spec returns one pool's descriptor.

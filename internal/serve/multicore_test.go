@@ -55,6 +55,52 @@ func TestMultiCoreValidation(t *testing.T) {
 	}
 }
 
+// TestMultiCoreStealRebalancesIdlePool is the two-pool hybrid shape: every
+// arrival lands on the DSCS backlog, its one worker dispatches first, and
+// the idle CPU pool can only get work by stealing — oldest first.
+func TestMultiCoreStealRebalancesIdlePool(t *testing.T) {
+	const cpu, dscs = 0, 1
+	mc, err := NewMultiCore([]PoolSpec{
+		{Name: "cpu", Class: sched.ClassCPU, Workers: 2, QueueDepth: 8},
+		{Name: "dscs", Class: sched.ClassDSCS, Workers: 1, QueueDepth: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if !mc.SubmitTo(dscs, multiTask(i, time.Duration(i)*time.Millisecond)) {
+			t.Fatalf("submit %d rejected", i)
+		}
+	}
+	if task, ok := mc.Dispatch(dscs, 0); !ok || task.ID != 0 {
+		t.Fatalf("DSCS dispatch = %+v ok=%v, want task 0", task, ok)
+	}
+	if _, ok := mc.Dispatch(dscs, 0); ok {
+		t.Fatal("the one DSCS worker is busy")
+	}
+	if _, ok := mc.Dispatch(cpu, 0); ok {
+		t.Fatal("CPU must not dispatch from an empty backlog")
+	}
+	moved := mc.Steal(dscs, cpu, 2)
+	if len(moved) != 2 || moved[0].ID != 1 || moved[1].ID != 2 {
+		t.Fatalf("steal moved %+v, want tasks 1,2", moved)
+	}
+	for want := 1; want <= 2; want++ {
+		if task, ok := mc.Dispatch(cpu, 0); !ok || task.ID != want {
+			t.Fatalf("CPU dispatch = %+v ok=%v, want stolen task %d", task, ok, want)
+		}
+	}
+	mc.Complete(dscs, 1)
+	mc.Complete(cpu, 1)
+	mc.Complete(cpu, 1)
+	if mc.Stolen() != 2 {
+		t.Fatalf("Stolen() = %d, want 2", mc.Stolen())
+	}
+	if err := mc.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMultiCoreWaitChargedToServingPool pins the wait-digest contract: a
 // task's arrival instant survives a steal, and its queue delay — arrival to
 // dispatch — is charged to the pool that actually served it, not the pool

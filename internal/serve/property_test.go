@@ -356,103 +356,6 @@ func TestAdaptiveFormerPropertyHarness(t *testing.T) {
 	checkSequences(t, 3000, 5, run)
 }
 
-// TestHybridStealPropertyHarness model-checks the split two-class core
-// with rebalancing steals mixed into the schedule: conservation across the
-// class pair, per-class worker bounds, no duplicated dispatch even when
-// tasks migrate between backlogs, and the starvation bound on whichever
-// backlog served the dispatch.
-func TestHybridStealPropertyHarness(t *testing.T) {
-	classes := []sched.InstanceClass{sched.ClassCPU, sched.ClassDSCS}
-	run := func(ops []propOp) error {
-		h, err := NewSplitHybridCore(2, 2, 8, sched.CriticalityPolicy{})
-		if err != nil {
-			return err
-		}
-		now := time.Duration(0)
-		nextID := 0
-		dispatched := map[int]bool{}
-		execs := map[sched.InstanceClass][]int{}
-		for _, op := range ops {
-			now += time.Duration(1+op.b%8) * time.Millisecond
-			switch op.kind {
-			case 0: // submit, biased toward the DSCS backlog
-				class := sched.ClassDSCS
-				if op.a%4 == 0 {
-					class = sched.ClassCPU
-				}
-				h.SubmitTo(class, propTask(nextID, now, op.a))
-				nextID++
-			case 1: // dispatch (DSCS preferred, like the sim pump)
-				dscsHead, hadDSCS := h.Class(sched.ClassDSCS).queue.Head()
-				cpuHead, hadCPU := h.Class(sched.ClassCPU).queue.Head()
-				got, class, ok := h.Dispatch(now)
-				if !ok {
-					break
-				}
-				if dispatched[got.ID] {
-					return fmt.Errorf("task %d dispatched twice", got.ID)
-				}
-				dispatched[got.ID] = true
-				head, hadHead := cpuHead, hadCPU
-				if class == sched.ClassDSCS {
-					head, hadHead = dscsHead, hadDSCS
-				}
-				if err := agedPassedOver(head, hadHead, got, class, now); err != nil {
-					return err
-				}
-				execs[class] = append(execs[class], 1)
-			case 2: // coalesce onto the class's latest execution
-				class := classes[op.b%2]
-				if len(execs[class]) == 0 {
-					break
-				}
-				payload := string(rune('a' + op.a%3))
-				taken := h.Class(class).Coalesce(1+op.a%4, func(x sched.HybridTask) bool { return x.Payload == payload })
-				for _, tk := range taken {
-					if dispatched[tk.ID] {
-						return fmt.Errorf("task %d coalesced after dispatch", tk.ID)
-					}
-					dispatched[tk.ID] = true
-				}
-				execs[class][len(execs[class])-1] += len(taken)
-			case 3: // complete a random execution of a random class
-				class := classes[op.b%2]
-				if len(execs[class]) == 0 {
-					break
-				}
-				i := op.a % len(execs[class])
-				h.Complete(class, execs[class][i])
-				execs[class] = append(execs[class][:i], execs[class][i+1:]...)
-			case 4: // advance
-				now += time.Duration(op.a%2000) * time.Millisecond
-			case 5: // steal in a random direction
-				from := classes[op.b%2]
-				to := classes[(op.b+1)%2]
-				moved := h.Steal(from, to, 1+op.a%4)
-				for _, tk := range moved {
-					if dispatched[tk.ID] {
-						return fmt.Errorf("task %d stolen after dispatch", tk.ID)
-					}
-				}
-			}
-			if err := h.Conservation(); err != nil {
-				return err
-			}
-			for _, class := range classes {
-				pc := h.Class(class)
-				if pc.Busy() < 0 || pc.Busy() > pc.Workers() {
-					return fmt.Errorf("%s busy %d outside [0, %d]", class, pc.Busy(), pc.Workers())
-				}
-				if pc.Running() < 0 {
-					return fmt.Errorf("%s running negative", class)
-				}
-			}
-		}
-		return nil
-	}
-	checkSequences(t, 4000, 6, run)
-}
-
 // TestShrinkerFindsMinimalTrace pins the harness's own machinery: a
 // planted violation must shrink to the ops that matter, so a real failure
 // dumps a short recipe instead of a 100-op haystack.

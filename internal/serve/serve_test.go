@@ -152,7 +152,7 @@ func TestCollectBatchCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A detached pool the engine's workers never see.
-	p := &pool{name: "test", runner: runners["DSCS-Serverless"], core: core}
+	p := &pool{name: "test", runner: runners["DSCS-Serverless"], core: core, ingress: newIngress(1, 64)}
 
 	chatbot := workload.BySlug("chatbot")
 	moderation := workload.BySlug("moderation")
