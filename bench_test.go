@@ -410,7 +410,7 @@ func BenchmarkExtFailover(b *testing.B) {
 // parallel load: a global mutex serializing every Runner.Invoke (the
 // pre-serve-engine behavior) versus the worker-pool engine with admission
 // control and batching. The ns/op gap is the concurrency speedup the
-// serving core buys; BENCH_*.json tracks it across PRs. The pool arm
+// serving core buys. The pool arm
 // submits fire-and-forget (SubmitAsync) and drains with Quiesce, so it
 // measures the engine's sustained throughput; even on a single-core
 // runner same-benchmark coalescing lets it beat the mutex, and with

@@ -6,8 +6,8 @@
 // regression. PR 6 bought a 6.7× submit-rate win by pre-resolving
 // counter handles at pool construction and pooling request/batch
 // allocations; a single fmt.Sprintf label in a dispatch loop silently
-// undoes it, and nothing but this analyzer notices (the benchmark gate
-// catches only a 20% cliff, long after the discipline eroded).
+// undoes it, and nothing but this analyzer notices (a throughput bound
+// catches only a cliff, long after the discipline eroded).
 //
 // Roots are explicit: annotate a function with //dscslint:hotpath in its
 // doc comment (or trailing its declaration line). Reachability is the

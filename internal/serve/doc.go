@@ -5,9 +5,11 @@
 //
 // The package splits along the clock boundary:
 //
-//   - The state machines (PoolCore, HybridCore, MultiCore) own no
+//   - The state machines (PoolCore; MultiCore, N pools with their own
+//     backlogs; HybridCore, the classic one-queue-two-classes pool) own no
 //     goroutines and no clocks. Callers inject `now` into every dispatch —
-//     wall time on the live engine, virtual time in internal/cluster — and
+//     wall time on the live engine, virtual time in internal/cluster's one
+//     sim driver — and
 //     drive admission (Submit), policy-ordered dispatch (Dispatch /
 //     DispatchFormed), request coalescing (Coalesce), rebalancing
 //     (StealFrom / Steal), and retirement (Complete) as plain calls.
@@ -34,9 +36,9 @@
 // serve_queue_delay_{p50,p95,p99} gauges), and work moves once the donor
 // pool's adopted wait-p95 has diverged above the target's past the
 // metrics adoption hysteresis (Digest.Adopt's bands over one
-// metrics.Latch per pool pair). MultiCore generalizes the
-// two-class HybridCore to N pools so multiple same-class platforms
-// rebalance with the same logic.
+// metrics.Latch per pool pair). MultiCore applies it between any pair of
+// its N pools, so multiple same-class platforms rebalance with the same
+// logic as a CPU/DSCS pair.
 //
 // Scheduling decisions are priced by per-benchmark service estimates:
 // static graph-derived priors by default, blended toward live latency

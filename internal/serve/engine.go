@@ -149,9 +149,9 @@ type Options struct {
 	// Telemetry receives the engine's metrics; pass the gateway's
 	// registry to surface them on /metrics (default: a fresh registry).
 	Telemetry *sched.Telemetry
-	// Execute overrides how a worker runs one coalesced batch. The bench
-	// harness injects a no-op here to measure the scheduling hot path
-	// without the simulated execution cost. Nil runs Runner.Invoke.
+	// Execute overrides how a worker runs one coalesced batch. The
+	// benchmark's traced run injects a no-op here to measure the scheduling
+	// hot path without the simulated execution cost. Nil runs Runner.Invoke.
 	Execute func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error)
 	// HedgeFactor arms hedged dispatch when >= 1: an execution that has run
 	// longer than HedgeFactor x the adopted service-p95 for its benchmark on
