@@ -31,7 +31,7 @@ func TestRackComboGolden(t *testing.T) {
 		return evs
 	}
 	type golden struct {
-		completed, dropped, stranded, withinSLO, requeued, coldStarts, moved int
+		completed, dropped, stranded, withinSLO, requeued, coldStarts, other int
 		mean                                                                 time.Duration
 	}
 

@@ -67,7 +67,7 @@ type driver struct {
 	rng     *sim.RNG
 	mc      *serve.MultiCore
 	formers []*serve.BatchFormer // nil entries: pool dispatches unformed
-	ascs    []*scale.Autoscaler  // nil unless elastic; nil entries: unstaffed pool
+	ascs    []*scale.Autoscaler  // nil entries: fixed capacity (no elastic, or an unstaffed pool)
 
 	// arrive routes arrival i (d.submit); the driver pumps after it.
 	arrive func(i int)
@@ -125,6 +125,7 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 	d := &driver{
 		rack: r, engine: sim.NewEngine(), rng: sim.NewRNG(seed), mc: mc,
 		formers:      make([]*serve.BatchFormer, len(r.pools)),
+		ascs:         make([]*scale.Autoscaler, len(r.pools)),
 		lastWake:     make([]time.Duration, len(r.pools)),
 		dispatched:   make([]int, len(r.pools)),
 		lastLifeWake: -1, lastDecide: -1,
@@ -153,7 +154,6 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 // attachLifecycles arms the serve.Lifecycle the live engine drives with
 // wall-clock timers — here its events are virtual.
 func (d *driver) attachLifecycles(base scale.Config) error {
-	d.ascs = make([]*scale.Autoscaler, d.mc.Pools())
 	for i := range d.ascs {
 		pool := d.mc.Pool(i)
 		if pool.Workers() == 0 {
@@ -197,8 +197,8 @@ func (d *driver) at(t time.Duration, fn func()) { d.engine.At(t, fn) }
 // load (dropped arrivals still describe the demand to warm for); the
 // former observes what was admitted.
 func (d *driver) submit(pool int, t sched.HybridTask) bool {
-	if d.ascs != nil && d.ascs[pool] != nil {
-		d.ascs[pool].ObserveArrival(t.Payload, d.engine.Now())
+	if a := d.ascs[pool]; a != nil {
+		a.ObserveArrival(t.Payload, d.engine.Now())
 	}
 	if !d.mc.SubmitTo(pool, t) {
 		return false
@@ -253,7 +253,7 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 // self-transition — the live engine's lifecycle timer on the virtual
 // clock. A starved pool (backlog, no free capacity) bypasses the rate limit.
 func (d *driver) advanceScale() {
-	if d.ascs == nil {
+	if d.elastic == nil {
 		return
 	}
 	now := d.engine.Now()
@@ -361,8 +361,8 @@ func (d *driver) execute(pool int, lead sched.HybridTask, rest []sched.HybridTas
 			ex.done = true
 		}
 		d.mc.Complete(pool, 1+len(rest))
-		if d.ascs != nil && d.ascs[pool] != nil {
-			d.ascs[pool].ObserveService(lead.Payload, service)
+		if a := d.ascs[pool]; a != nil {
+			a.ObserveService(lead.Payload, service)
 		}
 		d.settle(pool, lead, rest, service)
 		d.pump()
