@@ -16,7 +16,8 @@
 // (sched's queue ops and policies, metrics' digest ingestion) annotate
 // their own entry points. A cold sub-path inside a hot function (error
 // construction, a once-per-series miss) carries a line-scoped
-// //dscslint:allow hotpathcheck <reason>.
+// //dscslint:allow hotpathcheck <reason>; a call on such a line is a cold
+// edge, so its callee does not become hot through it.
 package hotpathcheck
 
 import (
@@ -72,6 +73,9 @@ func run(pass *analysis.Pass) {
 			}
 			callee := pass.Callee(call)
 			if callee == nil {
+				return
+			}
+			if pass.Dirs != nil && pass.Dirs.Allowed(pass.Analyzer.Name, pass.Fset.Position(call.Pos())) {
 				return
 			}
 			target, ok := funcs[types.Object(callee)]

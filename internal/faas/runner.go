@@ -132,11 +132,12 @@ func (o Options) batch() int {
 // Runner executes applications for one platform over one storage setup.
 //
 // Invoke is safe for concurrent use: the runner's only mutable state is the
-// deployed-input ledger behind its own lock; the object store and drives
-// serialize themselves and sample network jitter from per-operation RNG
-// streams split off the seed generator (sim.RNG.Split), so concurrent
-// invocations never share a generator; and DSA compilation results are
-// memoized with singleflight semantics in the platform layer. Do not mutate
+// deployed-input ledger and the plan table, both behind its own lock; the
+// object store and drives serialize themselves and sample network jitter
+// from per-operation RNG streams split off the seed generator
+// (sim.RNG.Split), so concurrent invocations never share a generator; and
+// DSA compilation results are memoized with singleflight semantics in the
+// platform layer. InvokeScattered keeps the same rules. Do not mutate
 // the exported model fields (Stack, Energy, Cold, Egress) while invocations
 // are in flight.
 type Runner struct {
@@ -147,10 +148,12 @@ type Runner struct {
 	Cold     ColdStartModel
 	Egress   network.Fabric
 
-	// putMu guards put, the only runner-local mutable state.
-	putMu sync.Mutex
+	// mu guards put and plans, the only runner-local mutable state.
+	mu sync.Mutex
 	// put tracks deployed input objects: key -> size, to avoid re-puts.
 	put map[string]units.Bytes
+	// plans holds one resolved deployment per slug (plan.go).
+	plans map[string]*plan
 }
 
 // NewRunner assembles a runner with default stack/energy/cold models.
@@ -163,6 +166,7 @@ func NewRunner(store *objstore.Store, p platform.Compute) *Runner {
 		Cold:     DefaultColdStart(),
 		Egress:   network.Egress(),
 		put:      make(map[string]units.Bytes),
+		plans:    make(map[string]*plan),
 	}
 }
 
@@ -174,60 +178,47 @@ func (r *Runner) weightDType() tensor.DType {
 	return tensor.Float32
 }
 
-// stageKey names a per-stage object. Sizes scale with the request batch,
-// so batched invocations get their own keys: concurrent invocations of one
-// benchmark at different batch sizes must not re-place each other's
-// objects mid-flight (a same-size re-put overwrites in place, which is
-// race-benign; a different-size one would re-place the object under a
-// concurrent reader). Batch 1 keeps the bare key.
-func stageKey(slug, stage string, batch int) string {
-	if batch <= 1 {
-		return slug + "/" + stage
-	}
-	return fmt.Sprintf("%s/%s@b%d", slug, stage, batch)
-}
-
 // ensureInput places the request payload in the object store (request
 // arrival precedes invocation and is not part of end-to-end latency).
 // Concurrent misses on the same key race benignly: PutAt overwrites in
 // place for an existing key of the same size.
-func (r *Runner) ensureInput(b *workload.Benchmark, size units.Bytes, batch int) (string, error) {
-	key := stageKey(b.Slug, "input", batch)
-	r.putMu.Lock()
+func (r *Runner) ensureInput(key string, size units.Bytes) error {
+	r.mu.Lock()
 	have := r.put[key] == size
-	r.putMu.Unlock()
+	r.mu.Unlock()
 	if have {
-		return key, nil
+		return nil
 	}
 	if _, _, err := r.Store.PutAt(key, size, true, 0.5); err != nil {
-		return "", err
+		return err
 	}
-	r.putMu.Lock()
+	r.mu.Lock()
 	r.put[key] = size
-	r.putMu.Unlock()
-	return key, nil
+	r.mu.Unlock()
+	return nil
 }
 
 // Invoke runs one end-to-end application invocation.
+//
+//dscslint:hotpath
 func (r *Runner) Invoke(b *workload.Benchmark, opt Options) (Result, error) {
-	app, err := AppFor(b)
+	p, err := r.planFor(b)
 	if err != nil {
 		return Result{}, err
 	}
 	batch := opt.batch()
-	inBytes := b.InputBytes * units.Bytes(batch)
-	inputKey, err := r.ensureInput(b, inBytes, batch)
-	if err != nil {
+	inputKey := p.stageKey(stageInput, batch)
+	if err := r.ensureInput(inputKey, b.InputBytes*units.Bytes(batch)); err != nil {
 		return Result{}, err
 	}
 
 	switch r.Platform.Class() {
 	case platform.InStorageDSA:
-		return r.invokeDSCS(b, app, opt, inputKey)
+		return r.invokeDSCS(p, opt, inputKey)
 	case platform.NearStorage:
-		return r.invokeNearStorage(b, opt, inputKey)
+		return r.invokeNearStorage(p, opt, inputKey)
 	default:
-		return r.invokeTraditional(b, opt, inputKey)
+		return r.invokeTraditional(p, opt, inputKey)
 	}
 }
 
@@ -309,7 +300,9 @@ func (r *Runner) coldStart(res *Result, b *workload.Benchmark, onDrive *csd.Driv
 	if r.weightDType() == tensor.Int8 {
 		prepBase, modelBase = 22*units.MB, 30*units.MB
 	}
+	//dscslint:allow hotpathcheck a cold start is the requested slow path, not a warm request
 	prepImg := Image{Name: b.Slug + "-prep", Base: prepBase}
+	//dscslint:allow hotpathcheck a cold start is the requested slow path, not a warm request
 	modelImg := ImageFor(b.Slug+"-model", b.Model, r.weightDType(), modelBase)
 	cold := r.Cold.Pull(prepImg) + r.Cold.Pull(modelImg)
 	if onDrive != nil {
@@ -339,12 +332,13 @@ func (r *Runner) notify(res *Result, b *workload.Benchmark, q float64) {
 }
 
 // invokeTraditional is the remote-storage path (CPU, GPU, FPGA).
-func (r *Runner) invokeTraditional(b *workload.Benchmark, opt Options, inputKey string) (Result, error) {
+func (r *Runner) invokeTraditional(p *plan, opt Options, inputKey string) (Result, error) {
 	var res Result
+	b := p.bench
 	batch := opt.batch()
 	q := opt.Quantile
-	interKey := stageKey(b.Slug, "intermediate", batch)
-	outKey := stageKey(b.Slug, "output", batch)
+	interKey := p.stageKey(stageIntermediate, batch)
+	outKey := p.stageKey(stageOutput, batch)
 	interBytes := b.IntermediateBytes * units.Bytes(batch)
 	outBytes := b.OutputBytes * units.Bytes(batch)
 
@@ -415,19 +409,20 @@ func (r *Runner) localIO(res *Result, node *objstore.Node, offset int64, bytes u
 
 // invokeNearStorage is the conventional in-storage path (NS-ARM,
 // NS-Mobile-GPU, NS-FPGA): f1/f2 run on the storage node holding the data.
-func (r *Runner) invokeNearStorage(b *workload.Benchmark, opt Options, inputKey string) (Result, error) {
+func (r *Runner) invokeNearStorage(p *plan, opt Options, inputKey string) (Result, error) {
 	var res Result
+	b := p.bench
 	batch := opt.batch()
 	q := opt.Quantile
 	interBytes := b.IntermediateBytes * units.Bytes(batch)
 	outBytes := b.OutputBytes * units.Bytes(batch)
-	outKey := stageKey(b.Slug, "output", batch)
+	outKey := p.stageKey(stageOutput, batch)
 
 	node, offset, ok := r.Store.DSCSReplicaHealthy(inputKey)
 	if !ok {
 		// Chunked across drives, no capable node, or the drive is down:
 		// fall back to conventional execution (5.2).
-		return r.invokeTraditional(b, opt, inputKey)
+		return r.invokeTraditional(p, opt, inputKey)
 	}
 
 	if opt.Cold {
@@ -482,17 +477,18 @@ const (
 // invokeDSCS is the paper's path: f1/f2 execute on the DSCS-Drive's DSA,
 // chained intermediates never leave the device (Section 5.3), and only f3
 // touches the network.
-func (r *Runner) invokeDSCS(b *workload.Benchmark, app *Application, opt Options, inputKey string) (Result, error) {
+func (r *Runner) invokeDSCS(p *plan, opt Options, inputKey string) (Result, error) {
 	var res Result
+	b := p.bench
 	batch := opt.batch()
 	q := opt.Quantile
-	outKey := stageKey(b.Slug, "output", batch)
+	outKey := p.stageKey(stageOutput, batch)
 	inBytes := b.InputBytes * units.Bytes(batch)
 	outBytes := b.OutputBytes * units.Bytes(batch)
 
 	node, offset, ok := r.Store.DSCSReplicaHealthy(inputKey)
 	if !ok || node.CSD == nil {
-		return r.invokeTraditional(b, opt, inputKey)
+		return r.invokeTraditional(p, opt, inputKey)
 	}
 	drive := node.CSD
 
@@ -502,7 +498,7 @@ func (r *Runner) invokeDSCS(b *workload.Benchmark, app *Application, opt Options
 
 	// Framework overhead: every chained function is still scheduled and
 	// routed by the serverless stack, on the storage node.
-	accelFuncs := len(app.AcceleratedPrefix()) + opt.ExtraAccelFuncs
+	accelFuncs := p.accelFuncs + opt.ExtraAccelFuncs
 	for i := 0; i < accelFuncs; i++ {
 		r.stackCost(&res, true)
 	}
@@ -561,6 +557,8 @@ func chainGraphs(b *workload.Benchmark, extras int) []*model.Graph {
 // input — Invoke then falls back to conventional execution and occupies no
 // drive. The serving engine uses this to acquire the right physical drive
 // for the run-to-completion window.
+//
+//dscslint:hotpath
 func (r *Runner) DriveFor(b *workload.Benchmark, batch int) (*csd.Drive, bool) {
 	if r.Platform.Class() != platform.InStorageDSA {
 		return nil, false
@@ -568,8 +566,12 @@ func (r *Runner) DriveFor(b *workload.Benchmark, batch int) (*csd.Drive, bool) {
 	if batch < 1 {
 		batch = 1
 	}
-	inputKey, err := r.ensureInput(b, b.InputBytes*units.Bytes(batch), batch)
+	p, err := r.planFor(b)
 	if err != nil {
+		return nil, false
+	}
+	inputKey := p.stageKey(stageInput, batch)
+	if err := r.ensureInput(inputKey, b.InputBytes*units.Bytes(batch)); err != nil {
 		return nil, false
 	}
 	node, _, ok := r.Store.DSCSReplicaHealthy(inputKey)

@@ -31,41 +31,50 @@ func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) 
 		return Result{}, fmt.Errorf("faas: cannot scatter batch %d across %d partitions", batch, parts)
 	}
 
+	p, err := r.planFor(b)
+	if err != nil {
+		return Result{}, err
+	}
 	var res Result
 	q := opt.Quantile
 
 	// Partition the request: each partition is its own object, placed by
-	// the store's DSCS-aware rule (arrival is out of band, not charged).
+	// the store's DSCS-aware rule (arrival is out of band, not charged) and
+	// keyed by the partition's batch, which sizes it, so scatters of
+	// different shapes never re-place each other's partitions. Partitions
+	// are grouped by the drive holding them, drives kept in first-placement
+	// order so the float sums below repeat run to run.
 	partBatch := (batch + parts - 1) / parts
 	partIn := b.InputBytes * units.Bytes(partBatch)
 	partOut := b.OutputBytes * units.Bytes(partBatch)
-	type partition struct {
-		node   *objstore.Node
-		offset int64
+	type driveParts struct {
+		node    *objstore.Node
+		offsets []int64
 	}
-	perNode := make(map[*objstore.Node][]partition)
+	var drives []driveParts
+	inputKey := p.stageKey(stageInput, partBatch)
 	for i := 0; i < parts; i++ {
-		key := fmt.Sprintf("%s/input.part%d", b.Slug, i)
-		if r.put[key] != partIn {
-			if _, _, err := r.Store.PutAt(key, partIn, true, 0.5); err != nil {
-				return res, err
-			}
-			r.put[key] = partIn
+		key := fmt.Sprintf("%s.part%d", inputKey, i)
+		if err := r.ensureInput(key, partIn); err != nil {
+			return res, err
 		}
 		node, offset, ok := r.Store.DSCSReplicaHealthy(key)
 		if !ok || node.CSD == nil {
 			return Result{}, fmt.Errorf("faas: partition %d has no healthy DSCS replica", i)
 		}
-		perNode[node] = append(perNode[node], partition{node: node, offset: offset})
+		d := 0
+		for d < len(drives) && drives[d].node != node {
+			d++
+		}
+		if d == len(drives) {
+			drives = append(drives, driveParts{node: node})
+		}
+		drives[d].offsets = append(drives[d].offsets, offset)
 	}
 
 	// Framework overhead: the chain is scheduled once, plus a per-partition
 	// coordination cost at the scheduler.
-	app, err := AppFor(b)
-	if err != nil {
-		return res, err
-	}
-	for range app.AcceleratedPrefix() {
+	for i := 0; i < p.accelFuncs; i++ {
 		r.stackCost(&res, true)
 	}
 	coord := time.Duration(parts) * time.Millisecond
@@ -87,17 +96,17 @@ func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) 
 	// Each drive serializes its partitions; drives run in parallel, so the
 	// device phase is the slowest drive's sum.
 	var slowest time.Duration
-	for node, partsOnNode := range perNode {
-		var nodeTotal time.Duration
-		for _, p := range partsOnNode {
-			exec := node.CSD.RunStaged(partCompute, partComputeEnergy, p.offset, partIn, partOut)
-			nodeTotal += exec.Total()
+	for _, d := range drives {
+		var driveTotal time.Duration
+		for _, offset := range d.offsets {
+			exec := d.node.CSD.RunStaged(partCompute, partComputeEnergy, offset, partIn, partOut)
+			driveTotal += exec.Total()
 			res.Energy += exec.Energy
 			res.ComputeEnergy += partComputeEnergy
 			res.Breakdown.Driver += exec.Driver
 		}
-		if nodeTotal > slowest {
-			slowest = nodeTotal
+		if driveTotal > slowest {
+			slowest = driveTotal
 		}
 	}
 	// Attribute the parallel phase: compute vs staging split proportional
@@ -107,8 +116,9 @@ func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) 
 		res.Breakdown.Compute = 0
 	}
 
-	// Gather: publish the combined output, then f3 as usual.
-	outKey := b.Slug + "/output"
+	// Gather: publish the combined output under the batch's own key, as
+	// Invoke does, then f3 as usual.
+	outKey := p.stageKey(stageOutput, batch)
 	totalOut := b.OutputBytes * units.Bytes(batch)
 	if _, _, err := r.Store.PutAt(outKey, totalOut, true, 0.5); err != nil {
 		return res, err

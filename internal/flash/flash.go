@@ -98,6 +98,12 @@ type Array struct {
 	invalidated int64
 	// programs counts page writes per die for wear accounting.
 	programs []int64
+
+	// perDie and perChannel are Read/Write's per-operation page tallies,
+	// kept on the array so an operation allocates nothing. Sharing them is
+	// sound only because the array is not concurrent: every caller reaches
+	// it under ssd.Drive.mu.
+	perDie, perChannel []int64
 }
 
 // NewArray returns an array with an empty FTL.
@@ -106,10 +112,12 @@ func NewArray(geo Geometry) (*Array, error) {
 		return nil, err
 	}
 	return &Array{
-		geo:      geo,
-		l2p:      make(map[int64]PPA),
-		cursor:   make([]int64, geo.totalDies()),
-		programs: make([]int64, geo.totalDies()),
+		geo:        geo,
+		l2p:        make(map[int64]PPA),
+		cursor:     make([]int64, geo.totalDies()),
+		programs:   make([]int64, geo.totalDies()),
+		perDie:     make([]int64, geo.totalDies()),
+		perChannel: make([]int64, geo.Channels),
 	}, nil
 }
 
@@ -157,11 +165,14 @@ func (a *Array) allocate() (PPA, int) {
 
 // Write programs the logical pages backing [lpnStart, lpnStart+pages) and
 // returns the operation latency. Overwrites remap and invalidate.
+//
+//dscslint:hotpath
 func (a *Array) Write(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perDie := make([]int64, a.geo.totalDies())
+	perDie := a.perDie
+	clear(perDie)
 	for i := int64(0); i < pages; i++ {
 		lpn := lpnStart + i
 		if _, ok := a.l2p[lpn]; ok {
@@ -185,12 +196,15 @@ func (a *Array) WriteBytes(offset int64, n units.Bytes) (time.Duration, units.En
 // Read returns the latency of reading the logical pages
 // [lpnStart, lpnStart+pages). Unmapped pages read as zero-fill from the
 // controller without touching the array.
+//
+//dscslint:hotpath
 func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perChannel := make([]int64, a.geo.Channels)
-	perDie := make([]int64, a.geo.totalDies())
+	perChannel, perDie := a.perChannel, a.perDie
+	clear(perChannel)
+	clear(perDie)
 	var mapped int64
 	for i := int64(0); i < pages; i++ {
 		ppa, ok := a.l2p[lpnStart+i]

@@ -16,6 +16,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,6 +41,12 @@ type Deployment struct {
 	Benchmark *workload.Benchmark
 	YAML      string
 	At        time.Time
+
+	// Resolved from App when the deployment lands, so a request reads them
+	// instead of walking the chain: the accelerated-prefix length and the
+	// default platform pool it selects.
+	accelerated int
+	route       string
 }
 
 // Gateway serves the API. Safe for concurrent use: the deployment registry
@@ -52,6 +59,10 @@ type Gateway struct {
 	// route maps an application to its default platform pool.
 	defaultAccel, defaultPlain string
 	tel                        *sched.Telemetry
+	// invocations and its per-platform split, resolved once per runner so
+	// a request builds no label. Read-only after construction.
+	invocations           sched.CounterHandle
+	invocationsByPlatform map[string]sched.CounterHandle
 }
 
 // New builds a gateway over the given runners with default serving-engine
@@ -87,12 +98,18 @@ func NewWithOptions(runners map[string]*faas.Runner, accelRunner, plainRunner st
 	if err != nil {
 		return nil, err
 	}
+	byPlatform := make(map[string]sched.CounterHandle, len(runners))
+	for name := range runners {
+		byPlatform[name] = tel.CounterHandle("gateway_invocations_total{platform=" + name + "}")
+	}
 	return &Gateway{
-		apps:         make(map[string]*Deployment),
-		engine:       engine,
-		defaultAccel: accelRunner,
-		defaultPlain: plainRunner,
-		tel:          tel,
+		apps:                  make(map[string]*Deployment),
+		engine:                engine,
+		defaultAccel:          accelRunner,
+		defaultPlain:          plainRunner,
+		tel:                   tel,
+		invocations:           tel.CounterHandle("gateway_invocations_total"),
+		invocationsByPlatform: byPlatform,
 	}, nil
 }
 
@@ -151,9 +168,12 @@ func (g *Gateway) deploy(w http.ResponseWriter, r *http.Request) {
 			http.StatusUnprocessableEntity)
 		return
 	}
+	d := &Deployment{App: app, Benchmark: bench, YAML: string(body), At: time.Now()}
+	d.accelerated = len(app.AcceleratedPrefix())
+	d.route = g.routeFor(d.accelerated)
 	g.mu.Lock()
 	_, redeploy := g.apps[app.Name]
-	g.apps[app.Name] = &Deployment{App: app, Benchmark: bench, YAML: string(body), At: time.Now()}
+	g.apps[app.Name] = d
 	g.mu.Unlock()
 	if redeploy {
 		// A redeploy may change the chain: the engine's memoized pricing
@@ -167,7 +187,7 @@ func (g *Gateway) deploy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]interface{}{
 		"deployed":    app.Name,
 		"functions":   len(app.Chain),
-		"accelerated": len(app.AcceleratedPrefix()),
+		"accelerated": d.accelerated,
 	})
 }
 
@@ -187,9 +207,9 @@ func (g *Gateway) list(w http.ResponseWriter) {
 		entries = append(entries, listEntry{
 			Name:        d.App.Name,
 			Functions:   len(d.App.Chain),
-			Accelerated: len(d.App.AcceleratedPrefix()),
+			Accelerated: d.accelerated,
 			Model:       d.Benchmark.Model.Name,
-			Runner:      g.routeFor(d),
+			Runner:      d.route,
 		})
 	}
 	g.mu.RUnlock()
@@ -197,9 +217,10 @@ func (g *Gateway) list(w http.ResponseWriter) {
 	writeJSON(w, entries)
 }
 
-// routeFor picks the default runner for a deployment.
-func (g *Gateway) routeFor(d *Deployment) string {
-	if len(d.App.AcceleratedPrefix()) > 0 {
+// routeFor picks the default runner for a deployment whose chain opens
+// with the given number of accelerated functions.
+func (g *Gateway) routeFor(accelerated int) string {
+	if accelerated > 0 {
 		return g.defaultAccel
 	}
 	return g.defaultPlain
@@ -231,6 +252,61 @@ type invokeResponse struct {
 	BatchSize     int     `json:"batch_size"`
 }
 
+// maxInvokeBody bounds the invocation body; anything longer is refused.
+const maxInvokeBody = 1 << 16
+
+// invokeScratch is everything one invoke call would otherwise allocate: the
+// body buffer and its bounded reader, the decoded request, the response and
+// the buffer it is encoded into. The encoder is bound to out with its indent
+// set once, so its indent buffer is reused too and the response leaves in a
+// single Write.
+type invokeScratch struct {
+	limit io.LimitedReader
+	body  bytes.Buffer
+	req   invokeRequest
+	resp  invokeResponse
+	out   bytes.Buffer
+	enc   *json.Encoder
+}
+
+var invokeScratchPool = sync.Pool{New: func() any {
+	s := new(invokeScratch)
+	s.enc = json.NewEncoder(&s.out)
+	s.enc.SetIndent("", "  ")
+	return s
+}}
+
+// readBody reads r's body into the scratch and decodes it into s.req (an
+// empty body leaves the defaults). It fails closed: a read error or
+// malformed JSON is 400, a body past maxInvokeBody 413. The caller's
+// reader is not retained.
+func (s *invokeScratch) readBody(r *http.Request) (status int, err error) {
+	s.req = invokeRequest{}
+	if r.Body == nil {
+		return http.StatusOK, nil
+	}
+	s.body.Reset()
+	s.limit = io.LimitedReader{R: r.Body, N: maxInvokeBody + 1}
+	n, err := s.body.ReadFrom(&s.limit)
+	s.limit.R = nil
+	switch {
+	case err != nil:
+		//dscslint:allow hotpathcheck cold branch: the client's body could not be read
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	case n > maxInvokeBody:
+		//dscslint:allow hotpathcheck cold branch: oversize body
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxInvokeBody)
+	case n == 0:
+		return http.StatusOK, nil
+	}
+	if err := json.Unmarshal(s.body.Bytes(), &s.req); err != nil {
+		//dscslint:allow hotpathcheck cold branch: malformed body
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+	return http.StatusOK, nil
+}
+
+//dscslint:hotpath
 func (g *Gateway) invoke(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -242,32 +318,32 @@ func (g *Gateway) invoke(w http.ResponseWriter, r *http.Request) {
 	g.mu.RUnlock()
 	if !ok {
 		g.tel.Inc("gateway_not_found_total", 1)
+		//dscslint:allow hotpathcheck cold branch: unknown application
 		http.Error(w, fmt.Sprintf("application %q not deployed", name), http.StatusNotFound)
 		return
 	}
 
-	var req invokeRequest
-	if r.Body != nil {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-		if err == nil && len(body) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
+	s := invokeScratchPool.Get().(*invokeScratch)
+	defer invokeScratchPool.Put(s)
+	if status, err := s.readBody(r); err != nil {
+		http.Error(w, err.Error(), status)
+		return
 	}
 
-	platformName := g.routeFor(d)
-	if p := r.URL.Query().Get("platform"); p != "" {
-		if !g.engine.Has(p) {
-			http.Error(w, fmt.Sprintf("unknown platform %q", p), http.StatusBadRequest)
-			return
+	platformName := d.route
+	if r.URL.RawQuery != "" {
+		if p := r.URL.Query().Get("platform"); p != "" {
+			if !g.engine.Has(p) {
+				//dscslint:allow hotpathcheck cold branch: unknown platform
+				http.Error(w, fmt.Sprintf("unknown platform %q", p), http.StatusBadRequest)
+				return
+			}
+			platformName = p
 		}
-		platformName = p
 	}
 
 	inv, err := g.engine.Submit(platformName, d.Benchmark, faas.Options{
-		Batch: req.Batch, Cold: req.Cold, Quantile: req.Quantile,
+		Batch: s.req.Batch, Cold: s.req.Cold, Quantile: s.req.Quantile,
 	})
 	switch {
 	case errors.Is(err, serve.ErrQueueFull):
@@ -279,13 +355,13 @@ func (g *Gateway) invoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	g.tel.Inc("gateway_invocations_total", 1)
-	g.tel.Inc("gateway_invocations_total{platform="+platformName+"}", 1)
+	g.invocations.Inc(1)
+	g.invocationsByPlatform[platformName].Inc(1)
 
 	ms := func(dur time.Duration) float64 { return float64(dur) / float64(time.Millisecond) }
 	res := inv.Result
 	bd := res.Breakdown
-	writeJSON(w, invokeResponse{
+	s.resp = invokeResponse{
 		Application:   name,
 		Platform:      platformName,
 		TotalMS:       ms(res.Total()),
@@ -300,7 +376,15 @@ func (g *Gateway) invoke(w http.ResponseWriter, r *http.Request) {
 		QueuedMS:      ms(inv.Queued),
 		BatchRequests: inv.BatchRequests,
 		BatchSize:     inv.BatchSize,
-	})
+	}
+	s.out.Reset()
+	if err := s.enc.Encode(&s.resp); err != nil {
+		g.tel.Inc("gateway_errors_total", 1)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(s.out.Bytes()) // a client that hung up has nobody to report to
 }
 
 // workflowStageJSON is one stage row of a workflow response.

@@ -1,6 +1,9 @@
 package objstore
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -8,6 +11,7 @@ import (
 	"dscs/internal/sim"
 	"dscs/internal/ssd"
 	"dscs/internal/units"
+	"dscs/internal/workload"
 )
 
 func testStore(t *testing.T, plain, dscsN int) *Store {
@@ -211,5 +215,32 @@ func TestDelete(t *testing.T) {
 	s.Delete("gone")
 	if _, ok := s.Lookup("gone"); ok {
 		t.Fatal("deleted object still visible")
+	}
+}
+
+// fprintfHashKey is hashKey as it was first spelled: hash/fnv fed by
+// fmt.Fprintf. Placement hangs off these values, so the inline version must
+// reproduce them bit for bit.
+func fprintfHashKey(key string, salt int) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s#%d", key, salt)
+	return h.Sum64()
+}
+
+func TestHashKeyMatchesFprintfSpelling(t *testing.T) {
+	keys := []string{"", "#", "wf/7/resize", "clinical/input.part3", "chatbot/output@b16", "naïve/ключ"}
+	for _, b := range workload.Suite() {
+		for _, stage := range []string{"input", "intermediate", "output"} {
+			key := b.Slug + "/" + stage
+			keys = append(keys, key, key+"@b8", key+"dscs-1", key+"ssd-0")
+		}
+	}
+	salts := []int{0, 1, 2, 9, 10, 63, 1 << 20, -1, -10, math.MaxInt64, math.MinInt64}
+	for _, key := range keys {
+		for _, salt := range salts {
+			if got, want := hashKey(key, salt), fprintfHashKey(key, salt); got != want {
+				t.Errorf("hashKey(%q, %d) = %#x, the Fprintf spelling gives %#x", key, salt, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"dscs/internal/units"
@@ -35,9 +36,25 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// TestBySlug pins the slug table against the constructors: BySlug builds
+// only the named benchmark, and what it builds must equal the Suite entry
+// field for field (graphs included).
 func TestBySlug(t *testing.T) {
-	if b := BySlug("ppe-detection"); b == nil || b.Name != "PPE Detection" {
-		t.Errorf("BySlug(ppe-detection) = %+v", b)
+	suite := Suite()
+	if len(suite) != len(constructors) {
+		t.Fatalf("suite has %d entries, table %d", len(suite), len(constructors))
+	}
+	for i, want := range suite {
+		if constructors[i].slug != want.Slug {
+			t.Errorf("table slug %q builds benchmark %q", constructors[i].slug, want.Slug)
+		}
+		got := BySlug(want.Slug)
+		if got == nil {
+			t.Fatalf("BySlug(%q) = nil", want.Slug)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("BySlug(%q) differs from its Suite entry:\n got %+v\nwant %+v", want.Slug, got, want)
+		}
 	}
 	if BySlug("nope") != nil {
 		t.Error("unknown slug should return nil")
