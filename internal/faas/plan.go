@@ -32,22 +32,37 @@ type plan struct {
 	// accelFuncs is the length of the deployment's accelerated prefix: the
 	// functions the DSCS path schedules on the drive.
 	accelFuncs int
-	// keys are the batch-1 stage keys.
-	keys [len(stageNames)]string
+	// keys are the stage keys for batches 1…plannedBatches, keys[batch-1].
+	keys [plannedBatches][len(stageNames)]string
 }
+
+// plannedBatches is how many batch sizes a plan holds keys for: the serving
+// engine coalesces up to serve.DefaultMaxBatch = 8, so every key it asks for
+// by default is in the table. A larger caller-chosen batch formats its keys
+// per invocation, which keeps the table's size fixed.
+const plannedBatches = 8
 
 // stageKey names a per-stage object. Sizes scale with the request batch,
 // so batched invocations get their own keys: concurrent invocations of one
 // benchmark at different batch sizes must not re-place each other's
 // objects mid-flight (a same-size re-put overwrites in place, which is
 // race-benign; a different-size one would re-place the object under a
-// concurrent reader). Batch 1 keeps the bare key, which the plan holds.
+// concurrent reader). Batch 1 keeps the bare key.
 func (p *plan) stageKey(s stage, batch int) string {
-	if batch <= 1 {
-		return p.keys[s]
+	if batch <= plannedBatches {
+		return p.keys[max(batch, 1)-1][s]
 	}
-	//dscslint:allow hotpathcheck one key per batched invocation, amortised over its members; caching them would make the table grow with caller-chosen batch sizes
-	return fmt.Sprintf("%s/%s@b%d", p.bench.Slug, stageNames[s], batch)
+	//dscslint:allow hotpathcheck only a batch past plannedBatches formats its key, amortised over that batch's members; the table stays fixed-size whatever batch sizes callers choose
+	return formatStageKey(p.bench.Slug, s, batch)
+}
+
+// formatStageKey spells a stage key. Placement hashes these strings, so the
+// spelling must not move.
+func formatStageKey(slug string, s stage, batch int) string {
+	if batch <= 1 {
+		return slug + "/" + stageNames[s]
+	}
+	return fmt.Sprintf("%s/%s@b%d", slug, stageNames[s], batch)
 }
 
 // planFor returns b's plan, deriving it on the first call for this object.
@@ -65,9 +80,11 @@ func (r *Runner) planFor(b *workload.Benchmark) (*plan, error) {
 		return nil, err
 	}
 	p = &plan{bench: b, accelFuncs: len(app.AcceleratedPrefix())}
-	for s, name := range stageNames {
-		//dscslint:allow hotpathcheck the miss runs once per deployed benchmark object
-		p.keys[s] = b.Slug + "/" + name
+	for i := range p.keys {
+		for s := range p.keys[i] {
+			//dscslint:allow hotpathcheck the miss runs once per deployed benchmark object
+			p.keys[i][s] = formatStageKey(b.Slug, stage(s), i+1)
+		}
 	}
 	r.mu.Lock()
 	r.plans[b.Slug] = p

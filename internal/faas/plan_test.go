@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -13,7 +14,8 @@ var raceDetector bool
 
 // TestWarmInvokeAllocations pins the warm request path: once a benchmark's
 // plan is resolved and its objects placed, an invocation derives nothing and
-// allocates nothing, on the DSCS path and on the CPU baseline's alike.
+// allocates nothing, on the DSCS path and on the CPU baseline's alike, at
+// batch 1 and at the batch sizes the plan holds keys for.
 func TestWarmInvokeAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates")
@@ -38,6 +40,20 @@ func TestWarmInvokeAllocations(t *testing.T) {
 		})
 		if got != 0 {
 			t.Errorf("%s: warm Invoke allocates %v times, want 0", tc.name, got)
+		}
+		for _, batch := range []int{2, plannedBatches} {
+			batched := Options{Quantile: 0.5, Batch: batch}
+			if _, err := r.Invoke(b, batched); err != nil {
+				t.Fatalf("%s batch %d: %v", tc.name, batch, err)
+			}
+			got := testing.AllocsPerRun(50, func() {
+				if _, err := r.Invoke(b, batched); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Errorf("%s: warm Invoke at batch %d allocates %v times, want 0", tc.name, batch, got)
+			}
 		}
 		if tc.p.Class() != platform.InStorageDSA {
 			continue
@@ -95,8 +111,10 @@ func TestPlanFollowsBenchmarkObject(t *testing.T) {
 	}
 }
 
-// TestPlanKeysMatchStageFormat pins the plan's keys to the format every
-// stored object has used: "<slug>/<stage>", "@b<batch>" appended past 1.
+// TestPlanKeysMatchStageFormat pins the plan's keys, tabled (batches
+// 1…plannedBatches) and formatted (beyond), to the spelling every stored
+// object has used: "<slug>/<stage>", "@b<batch>" appended past 1. Placement
+// hashes these strings, so a byte of difference moves objects.
 func TestPlanKeysMatchStageFormat(t *testing.T) {
 	r := NewRunner(testStore(t), platform.DSCS())
 	b := workload.Clinical()
@@ -104,20 +122,17 @@ func TestPlanKeysMatchStageFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		s     stage
-		batch int
-		want  string
-	}{
-		{stageInput, 0, "clinical/input"},
-		{stageInput, 1, "clinical/input"},
-		{stageIntermediate, 1, "clinical/intermediate"},
-		{stageOutput, 1, "clinical/output"},
-		{stageInput, 4, "clinical/input@b4"},
-		{stageOutput, 16, "clinical/output@b16"},
-	} {
-		if got := p.stageKey(tc.s, tc.batch); got != tc.want {
-			t.Errorf("stageKey(%d, %d) = %q, want %q", tc.s, tc.batch, got, tc.want)
+	for s, name := range stageNames {
+		for _, batch := range []int{-1, 0, 1} {
+			if got, want := p.stageKey(stage(s), batch), "clinical/"+name; got != want {
+				t.Errorf("stageKey(%s, %d) = %q, want %q", name, batch, got, want)
+			}
+		}
+		for _, batch := range []int{2, 3, 4, 5, 6, 7, plannedBatches, plannedBatches + 1, 16, 100} {
+			want := fmt.Sprintf("%s/%s@b%d", "clinical", name, batch)
+			if got := p.stageKey(stage(s), batch); got != want {
+				t.Errorf("stageKey(%s, %d) = %q, want %q", name, batch, got, want)
+			}
 		}
 	}
 	if p.accelFuncs != 2 {

@@ -3,6 +3,27 @@
 // that stripes logical pages across the array for parallelism, and a
 // latency model that accounts for die-level overlap and channel bus
 // serialization — the substrate the DSCS-Drive's P2P path reads from.
+//
+// # Representation
+//
+// The FTL allocates append-only on the least-written die, lowest index
+// winning ties. Write is the only allocator, so that rule is exactly
+// round-robin from die 0: allocation g (counting from zero over the array's
+// life) lands on die g % dies, as that die's page number g / dies. The array
+// therefore keeps one counter, next, instead of a write position and a wear
+// count per die, and the logical-to-physical table stores only each page's
+// allocation number — in dense segments of 2,048 logical pages, 1 + g per
+// cell with 0 for unmapped, behind a map from segment index with a memo of
+// the last segment touched. A physical address (PPA) is arithmetic on g; a
+// write of n pages occupies its deepest die ceil(n / dies) times wherever
+// the rotation stands; wear per die follows from next alone. Host cost is
+// one map lookup per 2,048 pages and a slice walk, not a hash per 16 KiB
+// page.
+//
+// All of this rests on the round-robin invariant. A second source of
+// allocations that does not take the next number in order — garbage
+// collection that relocates pages to a die of its choosing, a per-die
+// allocator — would break it, and with it every closed form above.
 package flash
 
 import (
@@ -84,26 +105,42 @@ type PPA struct {
 	Channel, Die, Plane, Block, Page int
 }
 
-// Array is the flash array with its FTL state. Not safe for concurrent use;
-// the drive serializes access as real controllers do per queue pair.
+// The logical-to-physical table is cut into segments of segPages
+// consecutive logical pages.
+const (
+	segShift = 11
+	segPages = 1 << segShift
+)
+
+// segment maps segPages logical pages: a cell holds 1 + the page's
+// allocation number, 0 while the page is unmapped.
+type segment [segPages]int64
+
+// Array is the flash array with its FTL state. It is not safe for concurrent
+// use — operations share the segment memo and the perDie tally — and nothing
+// hands it out: every caller reaches it through an ssd.Drive, under that
+// drive's lock, as real controllers serialize per queue pair.
 type Array struct {
-	geo Geometry
+	geo  Geometry
+	dies int64
 
-	// FTL: logical page number -> physical page address.
-	l2p map[int64]PPA
-	// next physical page cursor per die (simple append-only allocation;
-	// steady-state GC cost is folded into ProgramLatency).
-	cursor []int64
-	// invalidated counts pages made stale by overwrites.
-	invalidated int64
-	// programs counts page writes per die for wear accounting.
-	programs []int64
+	// FTL: logical page number >> segShift -> that segment of the table.
+	segs map[int64]*segment
+	// last memoises the segment lastIdx names; nil before the first write.
+	last    *segment
+	lastIdx int64
 
-	// perDie and perChannel are Read/Write's per-operation page tallies,
-	// kept on the array so an operation allocates nothing. Sharing them is
-	// sound only because the array is not concurrent: every caller reaches
-	// it under ssd.Drive.mu.
-	perDie, perChannel []int64
+	// next is the number of pages ever allocated, and the next allocation's
+	// number (append-only allocation; steady-state GC cost is folded into
+	// ProgramLatency). See the package comment for what derives from it.
+	next int64
+	// mapped counts live logical pages, invalidated pages made stale by
+	// overwrites.
+	mapped, invalidated int64
+
+	// perDie is Read's per-operation page tally, kept on the array so an
+	// operation allocates nothing.
+	perDie []int64
 }
 
 // NewArray returns an array with an empty FTL.
@@ -112,12 +149,10 @@ func NewArray(geo Geometry) (*Array, error) {
 		return nil, err
 	}
 	return &Array{
-		geo:        geo,
-		l2p:        make(map[int64]PPA),
-		cursor:     make([]int64, geo.totalDies()),
-		programs:   make([]int64, geo.totalDies()),
-		perDie:     make([]int64, geo.totalDies()),
-		perChannel: make([]int64, geo.Channels),
+		geo:    geo,
+		dies:   int64(geo.totalDies()),
+		segs:   make(map[int64]*segment),
+		perDie: make([]int64, geo.totalDies()),
 	}, nil
 }
 
@@ -132,62 +167,81 @@ func (a *Array) pagesFor(n units.Bytes) int64 {
 	return int64((n + a.geo.PageSize - 1) / a.geo.PageSize)
 }
 
-// dieIndex flattens a channel/die pair.
-func (a *Array) dieIndex(channel, die int) int {
-	return channel*a.geo.DiesPerChannel + die
-}
-
-// allocate assigns the next physical page on the least-written die,
-// striping load across the whole array (dynamic wear leveling).
-func (a *Array) allocate() (PPA, int) {
-	best := 0
-	for i := 1; i < len(a.cursor); i++ {
-		if a.cursor[i] < a.cursor[best] {
-			best = i
-		}
+// segmentAt returns the segment with index idx, nil if no page of it was
+// ever written.
+func (a *Array) segmentAt(idx int64) *segment {
+	if a.last != nil && a.lastIdx == idx {
+		return a.last
 	}
-	seq := a.cursor[best]
-	a.cursor[best]++
-	a.programs[best]++
-	pagesPerPlane := int64(a.geo.PagesPerBlock) * int64(a.geo.BlocksPerPlane)
-	plane := int(seq/int64(a.geo.PagesPerBlock)) % a.geo.PlanesPerDie
-	within := seq % (pagesPerPlane * int64(a.geo.PlanesPerDie))
-	block := int(within/int64(a.geo.PagesPerBlock)) % a.geo.BlocksPerPlane
-	page := int(seq % int64(a.geo.PagesPerBlock))
-	return PPA{
-		Channel: best / a.geo.DiesPerChannel,
-		Die:     best % a.geo.DiesPerChannel,
-		Plane:   plane,
-		Block:   block,
-		Page:    page,
-	}, best
+	seg := a.segs[idx]
+	if seg != nil {
+		a.last, a.lastIdx = seg, idx
+	}
+	return seg
 }
 
-// Write programs the logical pages backing [lpnStart, lpnStart+pages) and
-// returns the operation latency. Overwrites remap and invalidate.
+// ppa returns the physical address behind a logical page: allocation g is
+// page g / dies of die g % dies, planes interleaved block by block.
+func (a *Array) ppa(lpn int64) (PPA, bool) {
+	seg := a.segmentAt(lpn >> segShift)
+	if seg == nil || seg[lpn&(segPages-1)] == 0 {
+		return PPA{}, false
+	}
+	g := seg[lpn&(segPages-1)] - 1 // the cell holds 1 + g
+	die, seq := int(g%a.dies), g/a.dies
+	pagesPerPlane := int64(a.geo.PagesPerBlock) * int64(a.geo.BlocksPerPlane)
+	within := seq % (pagesPerPlane * int64(a.geo.PlanesPerDie))
+	return PPA{
+		Channel: die / a.geo.DiesPerChannel,
+		Die:     die % a.geo.DiesPerChannel,
+		Plane:   int(seq/int64(a.geo.PagesPerBlock)) % a.geo.PlanesPerDie,
+		Block:   int(within/int64(a.geo.PagesPerBlock)) % a.geo.BlocksPerPlane,
+		Page:    int(seq % int64(a.geo.PagesPerBlock)),
+	}, true
+}
+
+// Write stores the logical pages [lpnStart, lpnStart+pages), one page
+// program each, and returns the operation latency. Overwrites remap and
+// invalidate.
 //
 //dscslint:hotpath
 func (a *Array) Write(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perDie := a.perDie
-	clear(perDie)
-	for i := int64(0); i < pages; i++ {
-		lpn := lpnStart + i
-		if _, ok := a.l2p[lpn]; ok {
-			a.invalidated++
+	for lpn, end := lpnStart, lpnStart+pages; lpn < end; {
+		idx := lpn >> segShift
+		seg := a.segmentAt(idx)
+		if seg == nil {
+			// Once per 2,048 never-written logical pages; overwrites and
+			// reads allocate nothing.
+			seg = new(segment)
+			a.segs[idx] = seg
+			a.last, a.lastIdx = seg, idx
 		}
-		ppa, die := a.allocate()
-		a.l2p[lpn] = ppa
-		perDie[die]++
+		lo := lpn & (segPages - 1)
+		n := min(segPages-lo, end-lpn)
+		cells := seg[lo : lo+n]
+		for i, cell := range cells {
+			if cell != 0 {
+				a.invalidated++
+			} else {
+				a.mapped++
+			}
+			a.next++
+			cells[i] = a.next
+		}
+		lpn += n
 	}
-	lat := a.opLatency(perDie, a.geo.ProgramLatency)
+	// Per-die serialization dominates a program (tPROG far exceeds bus
+	// time), and round-robin puts ceil(pages/dies) of them on the deepest
+	// die whichever die the rotation starts from.
+	lat := time.Duration((pages+a.dies-1)/a.dies) * a.geo.ProgramLatency
 	energy := units.Energy(float64(pages)*float64(a.geo.PageSize)) * a.geo.WriteEnergyPerByte
 	return lat, energy
 }
 
-// WriteBytes programs n bytes at a logical byte offset.
+// WriteBytes writes n bytes at a logical byte offset.
 func (a *Array) WriteBytes(offset int64, n units.Bytes) (time.Duration, units.Energy) {
 	start := offset / int64(a.geo.PageSize)
 	return a.Write(start, a.pagesFor(n))
@@ -202,24 +256,27 @@ func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perChannel, perDie := a.perChannel, a.perDie
-	clear(perChannel)
+	perDie := a.perDie
 	clear(perDie)
 	var mapped int64
-	for i := int64(0); i < pages; i++ {
-		ppa, ok := a.l2p[lpnStart+i]
-		if !ok {
-			continue
+	for lpn, end := lpnStart, lpnStart+pages; lpn < end; {
+		lo := lpn & (segPages - 1)
+		n := min(segPages-lo, end-lpn)
+		if seg := a.segmentAt(lpn >> segShift); seg != nil {
+			for _, cell := range seg[lo : lo+n] {
+				if cell != 0 {
+					mapped++
+					perDie[(cell-1)%a.dies]++
+				}
+			}
 		}
-		mapped++
-		perChannel[ppa.Channel]++
-		perDie[a.dieIndex(ppa.Channel, ppa.Die)]++
+		lpn += n
 	}
 	if mapped == 0 {
 		// Zero-fill read: controller-only, a page transfer worth of work.
 		return a.geo.pageXfer(), 0
 	}
-	lat := a.readLatency(perChannel, perDie)
+	lat := a.readLatency(perDie)
 	energy := units.Energy(float64(mapped)*float64(a.geo.PageSize)) * a.geo.ReadEnergyPerByte
 	return lat, energy
 }
@@ -234,44 +291,29 @@ func (a *Array) ReadBytes(offset int64, n units.Bytes) (time.Duration, units.Ene
 // per channel, dies sense pages in parallel waves of tR while the shared
 // bus streams finished pages; the channel finishes at
 // max(sense pipeline, bus serialization) + the first page's sense.
-func (a *Array) readLatency(perChannel, perDie []int64) time.Duration {
+func (a *Array) readLatency(perDie []int64) time.Duration {
 	var worst time.Duration
 	for ch := 0; ch < a.geo.Channels; ch++ {
-		pages := perChannel[ch]
+		// The channel's dies are adjacent in perDie; the deepest die
+		// queue bounds the sensing pipeline.
+		var pages, deepest int64
+		for _, q := range perDie[ch*a.geo.DiesPerChannel:][:a.geo.DiesPerChannel] {
+			pages += q
+			deepest = max(deepest, q)
+		}
 		if pages == 0 {
 			continue
 		}
-		// Deepest die queue on this channel bounds the sensing pipeline.
-		var deepest int64
-		for d := 0; d < a.geo.DiesPerChannel; d++ {
-			if q := perDie[a.dieIndex(ch, d)]; q > deepest {
-				deepest = q
-			}
-		}
 		sense := time.Duration(deepest) * a.geo.ReadLatency
 		bus := time.Duration(pages) * a.geo.pageXfer()
-		total := a.geo.ReadLatency + maxDur(sense-a.geo.ReadLatency, bus)
-		if total > worst {
-			worst = total
-		}
+		total := a.geo.ReadLatency + max(sense-a.geo.ReadLatency, bus)
+		worst = max(worst, total)
 	}
 	return worst
 }
 
-// opLatency is the program/erase analogue: per-die serialization dominates
-// because program time far exceeds bus time.
-func (a *Array) opLatency(perDie []int64, per time.Duration) time.Duration {
-	var deepest int64
-	for _, q := range perDie {
-		if q > deepest {
-			deepest = q
-		}
-	}
-	return time.Duration(deepest) * per
-}
-
 // MappedPages reports how many logical pages are live.
-func (a *Array) MappedPages() int64 { return int64(len(a.l2p)) }
+func (a *Array) MappedPages() int64 { return a.mapped }
 
 // InvalidatedPages reports pages made stale by overwrites.
 func (a *Array) InvalidatedPages() int64 { return a.invalidated }
@@ -279,15 +321,7 @@ func (a *Array) InvalidatedPages() int64 { return a.invalidated }
 // WearSpread returns max/min die program counts (1.0 is perfectly even);
 // returns 1 when nothing has been written.
 func (a *Array) WearSpread() float64 {
-	minW, maxW := int64(-1), int64(0)
-	for _, w := range a.programs {
-		if minW < 0 || w < minW {
-			minW = w
-		}
-		if w > maxW {
-			maxW = w
-		}
-	}
+	minW, maxW := a.next/a.dies, (a.next+a.dies-1)/a.dies
 	if maxW == 0 {
 		return 1
 	}
@@ -308,11 +342,4 @@ func (g Geometry) SustainedReadBW() units.Bandwidth {
 		per = busRate
 	}
 	return units.Bandwidth(per * float64(g.Channels))
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

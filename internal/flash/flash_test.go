@@ -1,6 +1,8 @@
 package flash
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,7 +152,7 @@ func TestMappingUniquenessProperty(t *testing.T) {
 	a.Write(0, 2000)
 	seen := make(map[PPA]bool)
 	for lpn := int64(0); lpn < 2000; lpn++ {
-		ppa, ok := a.l2p[lpn]
+		ppa, ok := a.ppa(lpn)
 		if !ok {
 			t.Fatalf("lpn %d unmapped", lpn)
 		}
@@ -176,5 +178,475 @@ func TestPagesForProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refArray is the per-page FTL this package used before the segment table:
+// a map from logical page to a stored PPA, a cursor and a wear count per
+// die, and a least-written-die scan on every allocation. It is kept
+// verbatim (type and receiver renamed) as the reference the differential
+// and fuzz tests hold Array to.
+type refArray struct {
+	geo Geometry
+
+	l2p         map[int64]PPA
+	cursor      []int64
+	invalidated int64
+	programs    []int64
+
+	perDie, perChannel []int64
+}
+
+func newRefArray(geo Geometry) *refArray {
+	return &refArray{
+		geo:        geo,
+		l2p:        make(map[int64]PPA),
+		cursor:     make([]int64, geo.totalDies()),
+		programs:   make([]int64, geo.totalDies()),
+		perDie:     make([]int64, geo.totalDies()),
+		perChannel: make([]int64, geo.Channels),
+	}
+}
+
+func (a *refArray) pagesFor(n units.Bytes) int64 {
+	if n <= 0 {
+		return 0
+	}
+	return int64((n + a.geo.PageSize - 1) / a.geo.PageSize)
+}
+
+func (a *refArray) dieIndex(channel, die int) int {
+	return channel*a.geo.DiesPerChannel + die
+}
+
+func (a *refArray) allocate() (PPA, int) {
+	best := 0
+	for i := 1; i < len(a.cursor); i++ {
+		if a.cursor[i] < a.cursor[best] {
+			best = i
+		}
+	}
+	seq := a.cursor[best]
+	a.cursor[best]++
+	a.programs[best]++
+	pagesPerPlane := int64(a.geo.PagesPerBlock) * int64(a.geo.BlocksPerPlane)
+	plane := int(seq/int64(a.geo.PagesPerBlock)) % a.geo.PlanesPerDie
+	within := seq % (pagesPerPlane * int64(a.geo.PlanesPerDie))
+	block := int(within/int64(a.geo.PagesPerBlock)) % a.geo.BlocksPerPlane
+	page := int(seq % int64(a.geo.PagesPerBlock))
+	return PPA{
+		Channel: best / a.geo.DiesPerChannel,
+		Die:     best % a.geo.DiesPerChannel,
+		Plane:   plane,
+		Block:   block,
+		Page:    page,
+	}, best
+}
+
+func (a *refArray) Write(lpnStart, pages int64) (time.Duration, units.Energy) {
+	if pages <= 0 {
+		return 0, 0
+	}
+	perDie := a.perDie
+	clear(perDie)
+	for i := int64(0); i < pages; i++ {
+		lpn := lpnStart + i
+		if _, ok := a.l2p[lpn]; ok {
+			a.invalidated++
+		}
+		ppa, die := a.allocate()
+		a.l2p[lpn] = ppa
+		perDie[die]++
+	}
+	lat := a.opLatency(perDie, a.geo.ProgramLatency)
+	energy := units.Energy(float64(pages)*float64(a.geo.PageSize)) * a.geo.WriteEnergyPerByte
+	return lat, energy
+}
+
+func (a *refArray) WriteBytes(offset int64, n units.Bytes) (time.Duration, units.Energy) {
+	start := offset / int64(a.geo.PageSize)
+	return a.Write(start, a.pagesFor(n))
+}
+
+func (a *refArray) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
+	if pages <= 0 {
+		return 0, 0
+	}
+	perChannel, perDie := a.perChannel, a.perDie
+	clear(perChannel)
+	clear(perDie)
+	var mapped int64
+	for i := int64(0); i < pages; i++ {
+		ppa, ok := a.l2p[lpnStart+i]
+		if !ok {
+			continue
+		}
+		mapped++
+		perChannel[ppa.Channel]++
+		perDie[a.dieIndex(ppa.Channel, ppa.Die)]++
+	}
+	if mapped == 0 {
+		return a.geo.pageXfer(), 0
+	}
+	lat := a.readLatency(perChannel, perDie)
+	energy := units.Energy(float64(mapped)*float64(a.geo.PageSize)) * a.geo.ReadEnergyPerByte
+	return lat, energy
+}
+
+func (a *refArray) ReadBytes(offset int64, n units.Bytes) (time.Duration, units.Energy) {
+	start := offset / int64(a.geo.PageSize)
+	return a.Read(start, a.pagesFor(n))
+}
+
+func (a *refArray) readLatency(perChannel, perDie []int64) time.Duration {
+	var worst time.Duration
+	for ch := 0; ch < a.geo.Channels; ch++ {
+		pages := perChannel[ch]
+		if pages == 0 {
+			continue
+		}
+		var deepest int64
+		for d := 0; d < a.geo.DiesPerChannel; d++ {
+			if q := perDie[a.dieIndex(ch, d)]; q > deepest {
+				deepest = q
+			}
+		}
+		sense := time.Duration(deepest) * a.geo.ReadLatency
+		bus := time.Duration(pages) * a.geo.pageXfer()
+		total := a.geo.ReadLatency + refMaxDur(sense-a.geo.ReadLatency, bus)
+		if total > worst {
+			worst = total
+		}
+	}
+	return worst
+}
+
+func (a *refArray) opLatency(perDie []int64, per time.Duration) time.Duration {
+	var deepest int64
+	for _, q := range perDie {
+		if q > deepest {
+			deepest = q
+		}
+	}
+	return time.Duration(deepest) * per
+}
+
+func (a *refArray) MappedPages() int64 { return int64(len(a.l2p)) }
+
+func (a *refArray) InvalidatedPages() int64 { return a.invalidated }
+
+func (a *refArray) WearSpread() float64 {
+	minW, maxW := int64(-1), int64(0)
+	for _, w := range a.programs {
+		if minW < 0 || w < minW {
+			minW = w
+		}
+		if w > maxW {
+			maxW = w
+		}
+	}
+	if maxW == 0 {
+		return 1
+	}
+	if minW == 0 {
+		minW = 1
+	}
+	return float64(maxW) / float64(minW)
+}
+
+func refMaxDur(a, b time.Duration) time.Duration {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// The offsets the layers above generate. The object store bump-allocates
+// replicas chunkSize apart, which is not a multiple of the 16 KiB page;
+// faas keeps intermediates and staged weights at the two region offsets.
+const (
+	chunkSize           = int64(32 * units.MB)
+	scratchRegionOffset = int64(1) << 42
+	weightRegionOffset  = int64(1) << 43
+)
+
+// arrayOp is one byte-addressed read or write.
+type arrayOp struct {
+	write  bool
+	offset int64
+	n      units.Bytes
+}
+
+// differ drives an Array and the reference with the same operations.
+type differ struct {
+	got *Array
+	ref *refArray
+}
+
+func newDiffer(geo Geometry) (*differ, error) {
+	a, err := NewArray(geo)
+	if err != nil {
+		return nil, err
+	}
+	return &differ{got: a, ref: newRefArray(geo)}, nil
+}
+
+// step applies op to both and compares everything either can report.
+func (d *differ) step(op arrayOp) error {
+	var gotLat, refLat time.Duration
+	var gotE, refE units.Energy
+	if op.write {
+		gotLat, gotE = d.got.WriteBytes(op.offset, op.n)
+		refLat, refE = d.ref.WriteBytes(op.offset, op.n)
+	} else {
+		gotLat, gotE = d.got.ReadBytes(op.offset, op.n)
+		refLat, refE = d.ref.ReadBytes(op.offset, op.n)
+	}
+	if gotLat != refLat || gotE != refE {
+		return fmt.Errorf("%+v: latency %v energy %v, reference %v %v", op, gotLat, gotE, refLat, refE)
+	}
+	if g, r := d.got.MappedPages(), d.ref.MappedPages(); g != r {
+		return fmt.Errorf("%+v: %d mapped pages, reference %d", op, g, r)
+	}
+	if g, r := d.got.InvalidatedPages(), d.ref.InvalidatedPages(); g != r {
+		return fmt.Errorf("%+v: %d invalidated pages, reference %d", op, g, r)
+	}
+	if g, r := d.got.WearSpread(), d.ref.WearSpread(); g != r {
+		return fmt.Errorf("%+v: wear spread %v, reference %v", op, g, r)
+	}
+	return nil
+}
+
+// checkPPAs compares the reconstructed physical address of every page the
+// reference maps, and that nothing else is mapped.
+func (d *differ) checkPPAs() error {
+	for lpn, want := range d.ref.l2p {
+		if got, ok := d.got.ppa(lpn); !ok || got != want {
+			return fmt.Errorf("lpn %d: ppa %+v (mapped %v), reference %+v", lpn, got, ok, want)
+		}
+	}
+	var cells int64
+	for _, seg := range d.got.segs {
+		for _, cell := range seg {
+			if cell != 0 {
+				cells++
+			}
+		}
+	}
+	if cells != int64(len(d.ref.l2p)) {
+		return fmt.Errorf("%d mapped cells, reference maps %d pages", cells, len(d.ref.l2p))
+	}
+	return nil
+}
+
+// TestArrayMatchesReference replays seeded operation streams through the
+// segment-table FTL and the per-page reference: chunk-spaced objects
+// overwritten whole and in part, ranges straddling a segment boundary, the
+// scratch and weight regions, zero-length and never-written ranges. Every
+// operation's latency and energy and every counter must agree throughout.
+func TestArrayMatchesReference(t *testing.T) {
+	geo := SmartSSDClass()
+	ps := int64(geo.PageSize)
+	segBytes := int64(segPages) * ps
+	ops := 20000
+	if testing.Short() || raceDetector {
+		ops = 2000 // one goroutine: the race detector only slows the reference's map
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, err := newDiffer(geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ops; i++ {
+			var op arrayOp
+			op.write = rng.Intn(5) < 2
+			switch rng.Intn(8) {
+			case 0, 1, 2: // an object the store placed, whole or in part
+				op.offset = int64(rng.Intn(12)) * chunkSize
+				op.n = units.Bytes(rng.Int63n(20 << 20))
+				if rng.Intn(3) == 0 {
+					op.offset += rng.Int63n(4 << 20)
+				}
+			case 3: // straddling a segment boundary
+				op.offset = int64(1+rng.Intn(3))*segBytes - rng.Int63n(6*ps)
+				op.n = units.Bytes(rng.Int63n(12 * ps))
+			case 4:
+				op.offset = scratchRegionOffset
+				op.n = units.Bytes(rng.Int63n(40 << 20))
+			case 5:
+				op.offset = weightRegionOffset + rng.Int63n(3)*ps
+				op.n = units.Bytes(rng.Int63n(100 << 20))
+			case 6: // zero-length, or a range nothing ever wrote
+				if rng.Intn(2) == 0 {
+					op.offset = rng.Int63n(1 << 44)
+				} else {
+					op.write = false
+					op.offset = 1<<44 + rng.Int63n(1<<40)
+					op.n = units.Bytes(rng.Int63n(8 << 20))
+				}
+			case 7: // single pages and sub-page ranges
+				op.offset = int64(rng.Intn(12))*chunkSize + rng.Int63n(1<<20)
+				op.n = units.Bytes(rng.Int63n(3 * ps))
+			}
+			if err := d.step(op); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, i, err)
+			}
+		}
+		if err := d.checkPPAs(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestArrayMatchesReferenceOddGeometry repeats the comparison on a geometry
+// whose die count is not a power of two and does not divide the segment
+// size, where a wrong modulus or tie-break would show first.
+func TestArrayMatchesReferenceOddGeometry(t *testing.T) {
+	geo := SmartSSDClass()
+	geo.Channels, geo.DiesPerChannel, geo.PlanesPerDie = 3, 5, 3
+	geo.PagesPerBlock, geo.BlocksPerPlane = 7, 11 // small, so block and plane numbers wrap
+	ps := int64(geo.PageSize)
+	rng := rand.New(rand.NewSource(7))
+	d, err := newDiffer(geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		op := arrayOp{
+			write:  rng.Intn(2) == 0,
+			offset: rng.Int63n(3*int64(segPages)) * ps,
+			n:      units.Bytes(rng.Int63n(300 * ps)),
+		}
+		if err := d.step(op); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := d.checkPPAs(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzArrayOps decodes a byte stream into reads and writes — four bytes an
+// operation: kind and region, position within the region, and a 16-bit
+// length — and holds Array to the reference after every one.
+func FuzzArrayOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0xff, 0xff, 0, 0, 0xff, 0xff, 1, 1, 0, 1, 0, 0, 0xff, 0xff})
+	f.Add([]byte("write-read-overwrite-straddle-scratch-weights"))
+	seed := make([]byte, 128)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := runArrayOps(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// runArrayOps is the fuzz body.
+func runArrayOps(data []byte) error {
+	geo := SmartSSDClass()
+	ps := int64(geo.PageSize)
+	segBytes := int64(segPages) * ps
+	bases := [8]int64{
+		0, chunkSize, 2 * chunkSize, // store-placed objects
+		segBytes - 3*ps, 2*segBytes - ps - 1, // straddling a segment boundary
+		scratchRegionOffset, weightRegionOffset,
+		1 << 45, // never written: reads only
+	}
+	d, err := newDiffer(geo)
+	if err != nil {
+		return err
+	}
+	for i := 0; i+4 <= len(data); i += 4 {
+		region := int(data[i]>>1) % len(bases)
+		op := arrayOp{
+			write:  data[i]&1 == 1 && region != len(bases)-1,
+			offset: bases[region] + int64(data[i+1])*12345,
+			n:      units.Bytes(int64(data[i+2])|int64(data[i+3])<<8) * 331,
+		}
+		if err := d.step(op); err != nil {
+			return fmt.Errorf("op %d: %w", i/4, err)
+		}
+	}
+	return d.checkPPAs()
+}
+
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool
+
+// TestWarmArrayOpsAllocateNothing pins the host cost of an operation over
+// ranges already written: no allocation on read or overwrite.
+func TestWarmArrayOpsAllocateNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a := newArray(t)
+	offsets := []int64{0, chunkSize, scratchRegionOffset, weightRegionOffset}
+	for _, off := range offsets {
+		a.WriteBytes(off, 20*units.MB)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, off := range offsets {
+			a.ReadBytes(off, 20*units.MB)
+			a.WriteBytes(off, 20*units.MB)
+		}
+	}); got != 0 {
+		t.Errorf("warm read + overwrite allocates %v times, want 0", got)
+	}
+}
+
+// TestSegmentTableBounded pins the table's growth: overwriting an object
+// adds no segment, and placing a new object of up to 20 MB adds at most two.
+func TestSegmentTableBounded(t *testing.T) {
+	a := newArray(t)
+	for obj := int64(0); obj < 40; obj++ {
+		before := len(a.segs)
+		a.WriteBytes(obj*chunkSize, 20*units.MB)
+		if grew := len(a.segs) - before; grew > 2 {
+			t.Fatalf("object %d added %d segments, want at most 2", obj, grew)
+		}
+	}
+	before := len(a.segs)
+	for i := 0; i < 1000; i++ {
+		a.WriteBytes(3*chunkSize, 20*units.MB)
+	}
+	if len(a.segs) != before {
+		t.Errorf("1,000 overwrites took the table from %d to %d segments", before, len(a.segs))
+	}
+	if a.MappedPages() != 40*a.pagesFor(20*units.MB) {
+		t.Errorf("mapped pages = %d after overwrites, want %d", a.MappedPages(), 40*a.pagesFor(20*units.MB))
+	}
+}
+
+var benchLat time.Duration
+
+// BenchmarkArrayRead is the host cost of reading a placed 3 MB object.
+func BenchmarkArrayRead(b *testing.B) {
+	a, err := NewArray(SmartSSDClass())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.WriteBytes(chunkSize, 3*units.MB)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchLat, _ = a.ReadBytes(chunkSize, 3*units.MB)
+	}
+}
+
+// BenchmarkArrayOverwrite is the host cost of overwriting a placed 600 KB
+// object in place.
+func BenchmarkArrayOverwrite(b *testing.B) {
+	a, err := NewArray(SmartSSDClass())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.WriteBytes(chunkSize, 600*units.KB)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchLat, _ = a.WriteBytes(chunkSize, 600*units.KB)
 	}
 }

@@ -64,10 +64,13 @@ func (c Config) Validate() error {
 }
 
 // Drive is one SSD instance. It is safe for concurrent use: one lock
-// serializes command processing, as a real controller does per queue pair
-// (the flash array's FTL state is only reachable through it).
+// serializes command processing, as a real controller does per queue pair.
+// The flash array is not concurrency-safe and is never handed out: the
+// four read/write methods below, which hold mu, are the only way to it
+// (the CSD's P2P path goes through InternalRead/InternalWrite).
 type Drive struct {
-	cfg   Config
+	cfg Config
+	// array is touched only with mu held.
 	array *flash.Array
 
 	mu                  sync.Mutex
@@ -89,9 +92,6 @@ func New(cfg Config) (*Drive, error) {
 
 // Config returns the drive configuration.
 func (d *Drive) Config() Config { return d.cfg }
-
-// Array exposes the flash array (the CSD's P2P path reads it directly).
-func (d *Drive) Array() *flash.Array { return d.array }
 
 // pages returns the page count spanning n bytes.
 func (d *Drive) pages(n units.Bytes) int64 {
