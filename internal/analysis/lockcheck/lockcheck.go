@@ -62,7 +62,7 @@ const (
 
 // mutexOp classifies a call as a lock-shaped operation on an expression
 // of mutex type, returning the lock expression's source spelling as the
-// region key ("p.mu", "e.balanceMu", ...).
+// region key ("p.mu", "b.mu", ...).
 func (s *scanner) mutexOp(call *ast.CallExpr) (string, lockOp) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

@@ -116,8 +116,8 @@ func TestAdaptiveBalanceGolden(t *testing.T) {
 	}
 }
 
-// TestNWayAdaptiveBalance exercises the MultiCore generalization the
-// two-class HybridCore could not express: three same-class CPU pools
+// TestNWayAdaptiveBalance exercises what one queue drained by two classes
+// cannot express: three same-class CPU pools
 // beside the DSCS backlog, all rebalancing on the wait-p95 gap. Every CPU
 // pool must end up serving (spills pick the least-wait pool and idle pools
 // steal N-way), and the balanced run must dominate the no-balance baseline

@@ -1,5 +1,5 @@
-// driver.go is the one event pump behind Run, the split RunHybrid and
-// RunWorkflows. The three differ in topology — which pools exist, where an
+// driver.go is the one event pump behind Run, both RunHybrid layouts and
+// RunWorkflows. The four differ in topology — which pools exist, where an
 // arrival lands, what an execution costs and what its completion settles —
 // and keep only that. The clock, the seeded stream, the serve.MultiCore,
 // formers, lifecycles and autoscalers, the fault script with its
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"dscs/internal/metrics"
 	"dscs/internal/scale"
 	"dscs/internal/sched"
 	"dscs/internal/serve"
@@ -96,7 +95,6 @@ type driver struct {
 	// cancelled, so an instant already armed will fire and re-pump.
 	lastWake                 []time.Duration
 	lastLifeWake, lastDecide time.Duration
-	warmup                   int64
 
 	track    bool
 	inflight []*execution
@@ -129,10 +127,6 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 		lastWake:     make([]time.Duration, len(r.pools)),
 		dispatched:   make([]int, len(r.pools)),
 		lastLifeWake: -1, lastDecide: -1,
-		warmup: int64(r.estimateWarmup),
-	}
-	if d.warmup <= 0 {
-		d.warmup = int64(metrics.DefaultWarmup)
 	}
 	for i := range d.lastWake {
 		d.lastWake[i] = -1
@@ -273,10 +267,7 @@ func (d *driver) advanceScale() {
 				continue
 			}
 			p := d.mc.Pool(i)
-			var waitP95 time.Duration
-			if dg := d.mc.WaitDigest(i); dg != nil && dg.Count() >= d.warmup {
-				waitP95 = dg.Quantile(serve.WaitQuantile)
-			}
+			waitP95, _ := d.mc.WarmedWait(i)
 			if desired := a.Desired(now, p.Busy(), p.QueueLen(), waitP95); desired != p.Lifecycle().Desired() {
 				p.ScaleTo(desired, now)
 			}

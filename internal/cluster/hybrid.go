@@ -1,8 +1,8 @@
 // hybrid.go replays traces against a heterogeneous pool (CPU + DSCS
 // instances) under a pluggable scheduling policy — the evaluation harness
-// for the paper's Section 5.3 scheduling future-work. The split layout
-// (per-pool backlogs, N CPU pools) is a topology on the shared driver; the
-// classic shared queue keeps its own small pump over serve.HybridCore.
+// for the paper's Section 5.3 scheduling future-work. Both layouts — the
+// classic shared queue and the split per-pool backlogs with N CPU pools —
+// are topologies on the shared driver.
 package cluster
 
 import (
@@ -207,16 +207,19 @@ func newHybridPricing(cfg HybridConfig) *hybridPricing {
 	return p
 }
 
-// price evaluates the scheduler's belief for one arrival.
-func (p *hybridPricing) price(slug string) (cpu, dscs time.Duration, accel int) {
-	cpu, dscs, accel = p.estimate(slug)
+// task prices one arrival at now with the scheduler's belief.
+func (p *hybridPricing) task(req trace.Request, now time.Duration) sched.HybridTask {
+	cpu, dscs, accel := p.estimate(req.Benchmark)
 	if p.obs != nil {
 		// The policies' pricing blends the belief toward the observed
 		// per-class p50 — cold benchmarks keep the prior.
-		cpu = p.obs.Blend(slug, sched.ClassCPU.String(), cpu)
-		dscs = p.obs.Blend(slug, sched.ClassDSCS.String(), dscs)
+		cpu = p.obs.Blend(req.Benchmark, sched.ClassCPU.String(), cpu)
+		dscs = p.obs.Blend(req.Benchmark, sched.ClassDSCS.String(), dscs)
 	}
-	return cpu, dscs, accel
+	return sched.HybridTask{
+		ID: req.ID, Arrived: now, Payload: req.Benchmark,
+		CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
+	}
 }
 
 // service samples the actual execution time from the true model — the
@@ -252,61 +255,42 @@ func newHybridStats(tr *trace.Trace, cfg HybridConfig) *HybridStats {
 	}
 }
 
-// runSharedHybrid is the classic layout: one shared queue drained by both
-// classes (serve.HybridCore), no rebalancing to do.
+// runSharedHybrid is the classic layout: one queue, owned by the DSCS pool
+// and drained by the CPU pool too (serve.PoolSpec.Backlog), so neither
+// class idles while work waits and there is nothing to rebalance. The pump
+// fills DSCS workers first (they serve faster), then CPU.
 func runSharedHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
-	engine := sim.NewEngine()
-	rng := sim.NewRNG(seed)
-	core, err := serve.NewHybridCore(cfg.CPUInstances, cfg.DSCSInstances, cfg.QueueDepth, cfg.Policy)
+	const dscs, cpu = 0, 1
+	specs := []serve.PoolSpec{
+		{Name: sched.ClassDSCS.String(), Class: sched.ClassDSCS, Workers: cfg.DSCSInstances,
+			QueueDepth: cfg.QueueDepth, Policy: cfg.Policy},
+		{Name: sched.ClassCPU.String(), Class: sched.ClassCPU, Workers: cfg.CPUInstances,
+			Policy: cfg.Policy, Backlog: sched.ClassDSCS.String()},
+	}
+	d, err := newDriver(rack{
+		pools: specs, order: []int{dscs, cpu},
+		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
+	}, seed)
 	if err != nil {
 		return nil, err
 	}
 	st := newHybridStats(tr, cfg)
 	pricing := newHybridPricing(cfg)
-
-	var pump func()
-	pump = func() {
-		for {
-			task, class, ok := core.Dispatch(engine.Now())
-			if !ok {
-				return
-			}
-			if class == sched.ClassDSCS {
-				st.OnDSCS++
-			}
-			arrived := task.Arrived
-			elapsed := pricing.service(cfg, rng, task, class)
-			engine.After(elapsed, func() {
-				core.Complete(class, 1)
-				pricing.observe(task.Payload, class, elapsed)
-				st.Completed++
-				st.observeLatency(engine.Now()-arrived, cfg.SLO)
-				pump()
-			})
-		}
+	d.service = func(pool int, lead sched.HybridTask, _ []sched.HybridTask) time.Duration {
+		return pricing.service(cfg, d.rng, lead, specs[pool].Class)
 	}
-
-	for _, r := range tr.Requests {
-		req := r
-		engine.At(req.At, func() {
-			cpu, dscs, accel := pricing.price(req.Benchmark)
-			core.Submit(sched.HybridTask{
-				ID: req.ID, Arrived: engine.Now(), Payload: req.Benchmark,
-				CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
-			})
-			pump()
-		})
+	d.settle = func(pool int, lead sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
+		pricing.observe(lead.Payload, specs[pool].Class, elapsed)
+		st.Completed++
+		st.observeLatency(d.now()-lead.Arrived, cfg.SLO)
 	}
-	for t := time.Duration(0); t <= tr.Duration+2*time.Minute; t += cfg.SampleEvery {
-		at := t
-		engine.At(at, func() { st.Queue.Add(at, float64(core.QueueLen())) })
-	}
-
-	engine.Run()
-	st.Dropped = core.Dropped()
-	if err := core.Conservation(); err != nil {
+	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(d.mc.QueueLen())) }
+	d.arrive = func(i int) { d.submit(dscs, pricing.task(tr.Requests[i], d.now())) }
+	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {
 		return nil, err
 	}
+	st.OnDSCS = d.dispatched[dscs]
+	st.Dropped = d.mc.Dropped()
 	return st, finishHybrid(tr, st)
 }
 
@@ -321,7 +305,7 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	}
 	specs := make([]serve.PoolSpec, 0, cpuPools+1)
 	// Dispatch drains the DSCS backlog first (it serves faster), then the
-	// CPU pools in order — the same preference HybridCore.Dispatch applies.
+	// CPU pools in order — the shared-queue topology's preference too.
 	order := []int{cpuPools}
 	for i := 0; i < cpuPools; i++ {
 		// CPU instances split as evenly as the count allows, remainder to
@@ -476,12 +460,7 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	}
 
 	d.arrive = func(i int) {
-		req := tr.Requests[i]
-		cpu, dscs, accel := pricing.price(req.Benchmark)
-		task := sched.HybridTask{
-			ID: req.ID, Arrived: d.now(), Payload: req.Benchmark,
-			CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
-		}
+		task := pricing.task(tr.Requests[i], d.now())
 		// Arrivals target the accelerated backlog; past the spillover
 		// trigger they land on a CPU backlog instead — the same
 		// submit-time reroute the live engine applies.

@@ -93,7 +93,8 @@ func TestHybridValidation(t *testing.T) {
 	}
 }
 
-// TestHybridPoolCoreEquivalence pins the serve.HybridCore rewire to the
+// TestHybridPoolCoreEquivalence pins the shared-queue topology (two
+// serve.MultiCore pools over one backlog, on the shared driver) to the
 // pre-refactor behavior: the retired sched.HybridScheduler path (same
 // trace seed 21, run seed 5, 28 CPU + 6 DSCS pool, the post-aging-fix
 // policies) produced exactly these completed/dropped/OnDSCS counts and

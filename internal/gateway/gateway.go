@@ -151,13 +151,32 @@ func (g *Gateway) systemFunctions(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxAdminBody bounds a deploy YAML or workflow spec body; anything longer
+// is refused.
+const maxAdminBody = 1 << 20
+
+// readAdminBody reads a deploy or workflow body whole. Like invoke it fails
+// closed, writing the refusal itself: a read error is 400, a body past
+// maxAdminBody 413 — never a parse of whatever fit.
+func readAdminBody(w http.ResponseWriter, r *http.Request) (body string, ok bool) {
+	b, err := io.ReadAll(io.LimitReader(r.Body, maxAdminBody+1))
+	switch {
+	case err != nil:
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	case len(b) > maxAdminBody:
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxAdminBody), http.StatusRequestEntityTooLarge)
+	default:
+		return string(b), true
+	}
+	return "", false
+}
+
 func (g *Gateway) deploy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readAdminBody(w, r)
+	if !ok {
 		return
 	}
-	app, err := faas.ParseApplication(string(body))
+	app, err := faas.ParseApplication(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -168,7 +187,7 @@ func (g *Gateway) deploy(w http.ResponseWriter, r *http.Request) {
 			http.StatusUnprocessableEntity)
 		return
 	}
-	d := &Deployment{App: app, Benchmark: bench, YAML: string(body), At: time.Now()}
+	d := &Deployment{App: app, Benchmark: bench, YAML: body, At: time.Now()}
 	d.accelerated = len(app.AcceleratedPrefix())
 	d.route = g.routeFor(d.accelerated)
 	g.mu.Lock()
@@ -420,12 +439,11 @@ func (g *Gateway) systemWorkflows(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readAdminBody(w, r)
+	if !ok {
 		return
 	}
-	spec, err := trace.ParseWorkflowSpec(string(body))
+	spec, err := trace.ParseWorkflowSpec(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -105,6 +105,35 @@ func TestInvokeBodyFailsClosed(t *testing.T) {
 	}
 }
 
+// TestAdminBodiesFailClosed: the deploy YAML and the workflow spec are read
+// whole or refused — a body past the bound is 413 and a broken read 400,
+// never a parse of the prefix that fit.
+func TestAdminBodiesFailClosed(t *testing.T) {
+	g := testGateway(t)
+	h := g.Handler()
+	deployDirect(t, h, "asset-damage")
+	yaml := faas.DeploymentYAML(workload.BySlug("asset-damage"))
+	spec := "0s:a=asset-damage:"
+	for _, tc := range []struct {
+		name, path string
+		body       io.Reader
+		want       int
+	}{
+		{"deploy at the limit", "/system/functions", strings.NewReader(yaml + strings.Repeat("\n", maxAdminBody-len(yaml))), http.StatusAccepted},
+		{"deploy oversize", "/system/functions", strings.NewReader(yaml + strings.Repeat("\n", maxAdminBody-len(yaml)+1)), http.StatusRequestEntityTooLarge},
+		{"deploy read error", "/system/functions", &failingBody{}, http.StatusBadRequest},
+		{"workflow at the limit", "/system/workflows", strings.NewReader(spec + strings.Repeat("\n", maxAdminBody-len(spec))), http.StatusOK},
+		{"workflow oversize", "/system/workflows", strings.NewReader(spec + strings.Repeat("\n", maxAdminBody-len(spec)+1)), http.StatusRequestEntityTooLarge},
+		{"workflow read error", "/system/workflows", &failingBody{}, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status = %d, want %d (%s)", tc.name, rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
 // TestInvokeResponseBytes pins the response to what the handler has always
 // produced: json.Encoder with a two-space indent over the same struct,
 // trailing newline and encoding/json's float formatting included.

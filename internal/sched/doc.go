@@ -7,7 +7,7 @@
 // per-class service expectations and acceleratable-function count). Beyond
 // Submit, its surgical removal operations are what the serving core's
 // batching and rebalancing are built from: TakeWhere (coalesce matching
-// work anywhere in the queue), TakePrefix (drain the oldest backlog
+// work anywhere in the queue), TakePrefixInto (drain the oldest backlog
 // contiguously — the steal path), Head (inspect the oldest task), and
 // Restore (reinsert by arrival order, bypassing the bound — an admitted
 // task must never re-drop). Every operation preserves arrival order, so

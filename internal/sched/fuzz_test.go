@@ -133,9 +133,9 @@ func runQueueOps(data []byte) error {
 				delete(present, tk.ID)
 				removed = append(removed, tk)
 			}
-		case 4: // TakePrefix (the steal extraction)
+		case 4: // TakePrefixInto (the steal extraction)
 			head, hadHead := q.Head()
-			taken := q.TakePrefix(int(b/32)+1, nil)
+			taken := q.TakePrefixInto(nil, int(b/32)+1, nil)
 			if hadHead && len(taken) > 0 && taken[0].ID != head.ID {
 				return fmt.Errorf("takeprefix: first stolen task %d is not the head %d", taken[0].ID, head.ID)
 			}

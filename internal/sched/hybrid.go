@@ -249,18 +249,16 @@ func (q *HybridQueue) TakeWhereInto(dst []HybridTask, max int, match func(Hybrid
 	return taken
 }
 
-// TakePrefix removes and returns up to max tasks from the head of the
-// queue, stopping at the first task the predicate rejects. This is the
-// steal path's extraction: a rebalancing pull drains the oldest backlog
+// TakePrefixInto removes up to max tasks from the head of the queue,
+// stopping at the first task the predicate rejects, and appends them to
+// dst — the steal path hands a reused scratch buffer here so rebalancing
+// never allocates. A rebalancing pull drains the oldest backlog
 // contiguously, so the donor queue keeps its arrival order and the aging
 // bound stays measured against a genuine oldest task. A nil predicate
 // accepts everything.
 //
 //dscslint:hotpath
-func (q *HybridQueue) TakePrefix(max int, match func(HybridTask) bool) []HybridTask {
-	if max <= 0 {
-		return nil
-	}
+func (q *HybridQueue) TakePrefixInto(dst []HybridTask, max int, match func(HybridTask) bool) []HybridTask {
 	liveView := q.live()
 	n := 0
 	for n < max && n < len(liveView) {
@@ -270,13 +268,13 @@ func (q *HybridQueue) TakePrefix(max int, match func(HybridTask) bool) []HybridT
 		n++
 	}
 	if n == 0 {
-		return nil
+		return dst
 	}
-	taken := append([]HybridTask(nil), liveView[:n]...)
+	dst = append(dst, liveView[:n]...)
 	clear(q.tasks[q.head : q.head+n])
 	q.head += n
 	q.compact()
-	return taken
+	return dst
 }
 
 // Restore reinserts a task that was removed (a policy pick the caller

@@ -35,22 +35,23 @@ func TestTakePrefix(t *testing.T) {
 
 	// The predicate stops the prefix at the first rejection: task 3
 	// matches but sits behind the "b" task, so it must stay queued.
-	taken := q.TakePrefix(10, func(x HybridTask) bool { return x.Payload == "a" })
+	taken := q.TakePrefixInto(nil, 10, func(x HybridTask) bool { return x.Payload == "a" })
 	if len(taken) != 2 || taken[0].ID != 0 || taken[1].ID != 1 {
-		t.Fatalf("TakePrefix took %+v, want tasks 0,1", taken)
+		t.Fatalf("TakePrefixInto took %+v, want tasks 0,1", taken)
 	}
 	if h, _ := q.Head(); h.ID != 2 {
 		t.Fatalf("head after prefix = %d, want 2", h.ID)
 	}
 
-	// max caps the pull; a nil predicate accepts everything.
-	if taken := q.TakePrefix(1, nil); len(taken) != 1 || taken[0].ID != 2 {
-		t.Fatalf("capped TakePrefix took %+v, want task 2", taken)
+	// max caps the pull; a nil predicate accepts everything; the taken
+	// tasks append to the caller's buffer.
+	if taken = q.TakePrefixInto(taken, 1, nil); len(taken) != 3 || taken[2].ID != 2 {
+		t.Fatalf("capped TakePrefixInto gave %+v, want task 2 appended", taken)
 	}
 	if q.Len() != 1 {
 		t.Fatalf("queue kept %d, want 1", q.Len())
 	}
-	if taken := q.TakePrefix(0, nil); taken != nil {
+	if taken := q.TakePrefixInto(nil, 0, nil); taken != nil {
 		t.Fatalf("zero max must take nothing, got %+v", taken)
 	}
 }

@@ -34,18 +34,19 @@ type PoolCore struct {
 	// already free — a caller bug (double-complete) that would otherwise
 	// cancel out of the conservation sum and hide silently.
 	overCompleted int
-	// sharedQueue marks a core whose queue (and submission accounting) is
-	// owned by a HybridCore; its per-core Conservation skips the
-	// submission balance, which only holds across the class pair.
+	// sharedQueue marks a core whose queue more than one pool drains
+	// (PoolSpec.Backlog); its per-core Conservation skips the submission
+	// balance, which only holds across the sharers (MultiCore.Conservation).
 	sharedQueue bool
 	// former, when attached, gates DispatchFormed: the queue-level batch
 	// former that groups arrivals ahead of dispatch.
 	former *BatchFormer
 	// stolenIn/stolenOut count tasks moved by the rebalancing pull path.
 	stolenIn, stolenOut int
-	// scratch is the reused extraction buffer behind Coalesce and
-	// DispatchFormed's due-group pull, so the batching hot path never
-	// allocates. Serialized by whatever serializes the core.
+	// scratch is the reused extraction buffer behind Coalesce,
+	// DispatchFormed's due-group pull and StealFrom, so the batching and
+	// rebalancing hot paths never allocate. Serialized by whatever
+	// serializes the core.
 	scratch []sched.HybridTask
 	// lc, when attached, makes the pool's capacity elastic: total/free
 	// track the lifecycle's warm count instead of staying fixed at
@@ -339,7 +340,8 @@ func (c *PoolCore) DispatchFormed(now time.Duration) (t sched.HybridTask, ok boo
 // oldest-first invariant holds too. Submission accounting moves with the
 // tasks: the donor no longer counts them, the thief does, and a donor-side
 // batch former sheds them. The move is capped at the thief's queue room —
-// a rebalance must never turn into a drop. It returns the moved tasks.
+// a rebalance must never turn into a drop. It returns the moved tasks in
+// the thief's reused scratch, under Coalesce's validity contract.
 //
 //dscslint:hotpath
 func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
@@ -351,7 +353,8 @@ func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
 	if room := c.queue.Room(); max > room {
 		max = room
 	}
-	moved := donor.queue.TakePrefix(max, nil)
+	moved := donor.queue.TakePrefixInto(c.scratch[:0], max, nil)
+	c.scratch = moved
 	for _, t := range moved {
 		c.queue.Restore(t)
 		if donor.former != nil {
@@ -373,9 +376,9 @@ func (c *PoolCore) StolenOut() int { return c.stolenOut }
 // predicate and assigns them to the worker that just dispatched — the
 // request-batching step. It must follow a successful Dispatch. The
 // returned slice is the core's reused scratch: it stays valid until the
-// next Coalesce or DispatchFormed on this core, so callers consume it
-// before driving the core again (every call site does — they run under
-// the same lock that serializes the core).
+// next Coalesce, DispatchFormed or StealFrom on this core, so callers
+// consume it before driving the core again (every call site does — they
+// run under the same lock that serializes the core).
 //
 //dscslint:hotpath
 func (c *PoolCore) Coalesce(max int, match func(sched.HybridTask) bool) []sched.HybridTask {
@@ -447,121 +450,12 @@ func (c *PoolCore) Conservation() error {
 		return fmt.Errorf("serve: conservation violated: %d workers free of %d total", c.free, c.total)
 	}
 	if c.sharedQueue {
-		return nil // the submission balance is checked by the HybridCore
+		return nil // the submission balance is checked by the MultiCore
 	}
 	accounted := c.queue.Len() + c.running + c.completed
 	if c.submitted != accounted {
 		return fmt.Errorf("serve: conservation violated: %d submitted != %d queued + %d running + %d completed",
 			c.submitted, c.queue.Len(), c.running, c.completed)
-	}
-	return nil
-}
-
-// HybridCore is the two-class scheduling state machine of the paper's
-// Section 5.3 heterogeneous pool in its classic layout: one bounded queue
-// drained by a pluggable policy into a CPU-class and a DSCS-class PoolCore
-// — both classes see every queued task, so neither can idle while work
-// waits. Per-pool backlogs with spillover and stealing are MultiCore; one
-// queue drained by two classes is what a MultiCore cannot express, and is
-// why this type stays. Like PoolCore it owns no goroutines and no clock;
-// callers inject now into Dispatch.
-type HybridCore struct {
-	queue     *sched.HybridQueue
-	cpu, dscs *PoolCore
-	submitted int
-}
-
-// newPoolCoreOver builds a class pool over an externally owned queue. Zero
-// workers is allowed here (a hybrid pool may have one empty class); the
-// class simply never dispatches.
-func newPoolCoreOver(q *sched.HybridQueue, workers int, class sched.InstanceClass, policy sched.Policy) *PoolCore {
-	return &PoolCore{
-		queue: q, policy: policy, class: class,
-		free: workers, total: workers, sharedQueue: true,
-	}
-}
-
-// NewHybridCore builds the heterogeneous pool. A nil policy defaults to the
-// paper's deployed FCFS.
-func NewHybridCore(cpuWorkers, dscsWorkers, queueDepth int, policy sched.Policy) (*HybridCore, error) {
-	if cpuWorkers < 0 || dscsWorkers < 0 || cpuWorkers+dscsWorkers == 0 {
-		return nil, fmt.Errorf("serve: empty hybrid pool")
-	}
-	q, err := sched.NewHybridQueue(queueDepth)
-	if err != nil {
-		return nil, err
-	}
-	if policy == nil {
-		policy = sched.FCFSPolicy{}
-	}
-	return &HybridCore{
-		queue: q,
-		cpu:   newPoolCoreOver(q, cpuWorkers, sched.ClassCPU, policy),
-		dscs:  newPoolCoreOver(q, dscsWorkers, sched.ClassDSCS, policy),
-	}, nil
-}
-
-// Submit admits a task; it reports false (drop) at the queue bound.
-//
-//dscslint:hotpath
-func (h *HybridCore) Submit(t sched.HybridTask) bool {
-	if !h.queue.Submit(t) {
-		return false
-	}
-	h.submitted++
-	return true
-}
-
-// Dispatch assigns work to a free worker, preferring DSCS capacity (it
-// serves faster). It returns the task, the class it runs on, and whether
-// anything was dispatched.
-//
-//dscslint:hotpath
-func (h *HybridCore) Dispatch(now time.Duration) (sched.HybridTask, sched.InstanceClass, bool) {
-	if t, ok := h.dscs.Dispatch(now); ok {
-		return t, sched.ClassDSCS, true
-	}
-	if t, ok := h.cpu.Dispatch(now); ok {
-		return t, sched.ClassCPU, true
-	}
-	return sched.HybridTask{}, sched.ClassCPU, false
-}
-
-// Class exposes one class's pool (batch coalescing, diagnostics).
-func (h *HybridCore) Class(class sched.InstanceClass) *PoolCore {
-	if class == sched.ClassDSCS {
-		return h.dscs
-	}
-	return h.cpu
-}
-
-// Complete retires n tasks from the given class and frees their worker.
-func (h *HybridCore) Complete(class sched.InstanceClass, n int) {
-	h.Class(class).Complete(n)
-}
-
-// QueueLen reports queue occupancy.
-func (h *HybridCore) QueueLen() int { return h.queue.Len() }
-
-// Dropped counts admission rejections.
-func (h *HybridCore) Dropped() int { return h.queue.Dropped() }
-
-// Completed reports retired tasks across both classes.
-func (h *HybridCore) Completed() int { return h.cpu.completed + h.dscs.completed }
-
-// Conservation checks the bookkeeping invariant across both classes: every
-// admitted task is queued, executing, or completed, and neither class saw
-// a completion without a matching dispatch.
-func (h *HybridCore) Conservation() error {
-	for _, c := range []*PoolCore{h.cpu, h.dscs} {
-		if err := c.Conservation(); err != nil {
-			return fmt.Errorf("%s class: %w", c.class, err)
-		}
-	}
-	accounted := h.QueueLen() + h.cpu.running + h.dscs.running + h.Completed()
-	if h.submitted != accounted {
-		return fmt.Errorf("serve: hybrid conservation violated: %d submitted != %d queued + %d+%d running + %d completed",
-			h.submitted, h.QueueLen(), h.cpu.running, h.dscs.running, h.Completed())
 	}
 	return nil
 }

@@ -6,7 +6,7 @@
 // The package splits along the clock boundary:
 //
 //   - The state machines (PoolCore; MultiCore, N pools with their own
-//     backlogs; HybridCore, the classic one-queue-two-classes pool) own no
+//     backlogs or, by PoolSpec.Backlog, several classes draining one) own no
 //     goroutines and no clocks. Callers inject `now` into every dispatch —
 //     wall time on the live engine, virtual time in internal/cluster's one
 //     sim driver — and
@@ -36,9 +36,10 @@
 // serve_queue_delay_{p50,p95,p99} gauges), and work moves once the donor
 // pool's adopted wait-p95 has diverged above the target's past the
 // metrics adoption hysteresis (Digest.Adopt's bands over one
-// metrics.Latch per pool pair). MultiCore applies it between any pair of
-// its N pools, so multiple same-class platforms rebalance with the same
-// logic as a CPU/DSCS pair.
+// metrics.Latch per pool pair). That decision is the balancer's
+// (balancer.go), one copy behind both MultiCore and the Engine and applied
+// between any pair of pools, so multiple same-class platforms rebalance
+// with the same logic as a CPU/DSCS pair.
 //
 // Scheduling decisions are priced by per-benchmark service estimates:
 // static graph-derived priors by default, blended toward live latency

@@ -260,7 +260,9 @@ func putRequest(r *request) {
 // pool is one platform's worker pool: the shared PoolCore plus the
 // goroutine machinery the simulator doesn't need.
 type pool struct {
-	name   string
+	name string
+	// idx is the pool's position in Engine.order — its balancer index.
+	idx    int
 	runner *faas.Runner
 	class  sched.InstanceClass
 
@@ -444,12 +446,22 @@ type Engine struct {
 	opt   Options
 	tel   *sched.Telemetry
 	pools map[string]*pool
-	// spillCPU lists the CPU-class pools eligible as spillover targets,
-	// sorted by name for deterministic tie-breaks; dscsPools is the same
-	// cached view of the DSCS class (the pool set is immutable after
-	// construction, so the submit path never rebuilds these).
+	// order lists the pools sorted by name (pool.idx indexes it): the
+	// numbering the balancer knows them by, so its lowest-index tie-breaks
+	// are lowest-name here. spillCPU and dscsPools are the same order
+	// filtered by class (the pool set is immutable after construction, so
+	// the submit path never rebuilds these).
+	order     []*pool
 	spillCPU  []*pool
 	dscsPools []*pool
+	// spillTo is the configured Options.SpilloverTo pool (nil: none named).
+	spillTo *pool
+	// bal owns the queue-delay observatory keyed {platform, class} — every
+	// dispatch records each served request's arrival→dispatch wait against
+	// the pool that served it, always (it backs the serve_queue_delay_*
+	// gauges) — and the spill/steal decisions Options.AdaptiveBalance keys
+	// on it. The engine is its pool view (healthy, depth, hasFree).
+	bal balancer
 	// drives arbitrates DSCS-class executions over the physical drives.
 	drives *driveSet
 	// estimates memoizes service estimates per benchmark slug. It lives
@@ -460,22 +472,11 @@ type Engine struct {
 	// recorded on every completion. Always recording (it backs the
 	// serve_latency_* gauges); consumed by pricing only with
 	// Options.AdaptiveEstimates.
-	obs *metrics.Observatory
-	// waitObs is the queue-delay observatory keyed {platform, class}: every
-	// dispatch records each served request's arrival→dispatch wait against
-	// the pool that served it (a stolen request charges the thief). Always
-	// recording (it backs the serve_queue_delay_* gauges); consumed by the
-	// spillover/steal decisions only with Options.AdaptiveBalance.
-	waitObs *metrics.Observatory
-	// balanceMu guards latches, the per-(donor, peer) adoption latches of
-	// the wait-gap decisions — per pair, not per digest, so pairwise
-	// comparisons across N pools never share hysteresis state.
-	balanceMu sync.Mutex
-	latches   map[[2]string]*metrics.Latch
-	start     time.Time
-	nextID    atomic.Int64
-	wg        sync.WaitGroup
-	once      sync.Once
+	obs    *metrics.Observatory
+	start  time.Time
+	nextID atomic.Int64
+	wg     sync.WaitGroup
+	once   sync.Once
 	// exec runs one coalesced batch (Options.Execute, or Runner.Invoke).
 	exec func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error)
 	// inflight counts admitted-but-undelivered requests; Quiesce polls it
@@ -562,18 +563,24 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		return nil, fmt.Errorf("serve: HedgeFactor %g must be 0 (disabled) or >= 1", opt.HedgeFactor)
 	}
 	e := &Engine{
-		opt:     opt,
-		tel:     opt.Telemetry,
-		pools:   make(map[string]*pool, len(runners)),
-		obs:     metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
-		waitObs: metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
-		latches: make(map[[2]string]*metrics.Latch),
-		start:   time.Now(),
+		opt:   opt,
+		tel:   opt.Telemetry,
+		pools: make(map[string]*pool, len(runners)),
+		obs:   metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
+		start: time.Now(),
 	}
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
+	names := make([]string, 0, len(runners))
+	for name := range runners {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	classes := make([]string, len(names))
 	var dscsStores []*objstore.Store
-	for name, r := range runners {
+	for idx, name := range names {
+		r := runners[name]
 		class := classFor(r.Platform)
+		classes[idx] = class.String()
 		poolWorkers := opt.Workers
 		if elastic {
 			poolWorkers = opt.MaxWorkers
@@ -582,7 +589,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &pool{name: name, runner: r, class: class, core: core, timerAt: -1}
+		p := &pool{name: name, idx: idx, runner: r, class: class, core: core, timerAt: -1}
 		p.cond = sync.NewCond(&p.mu)
 		if elastic {
 			lc, err := NewLifecycle(LifecycleConfig{
@@ -618,8 +625,14 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		p.cDropped = e.tel.CounterHandle("serve_dropped_total{platform=" + name + "}")
 		p.cFormed = e.tel.CounterHandle("serve_batch_formed_total{platform=" + name + "}")
 		e.pools[name] = p
-		if class == sched.ClassDSCS && r.Store != nil {
-			dscsStores = append(dscsStores, r.Store)
+		e.order = append(e.order, p)
+		if class == sched.ClassCPU {
+			e.spillCPU = append(e.spillCPU, p)
+		} else {
+			e.dscsPools = append(e.dscsPools, p)
+			if r.Store != nil {
+				dscsStores = append(dscsStores, r.Store)
+			}
 		}
 		// serve_workers tracks live warm capacity through a handle — it
 		// refreshes on every lifecycle transition instead of being set
@@ -642,15 +655,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			e.tel.Set("serve_queue_delay_"+q+"{platform="+name+",class="+class.String()+"}", 0)
 		}
 	}
-	for _, p := range e.pools {
-		if p.class == sched.ClassCPU {
-			e.spillCPU = append(e.spillCPU, p)
-		} else {
-			e.dscsPools = append(e.dscsPools, p)
-		}
-	}
-	sort.Slice(e.spillCPU, func(i, j int) bool { return e.spillCPU[i].name < e.spillCPU[j].name })
-	sort.Slice(e.dscsPools, func(i, j int) bool { return e.dscsPools[i].name < e.dscsPools[j].name })
+	e.bal.init(e, names, classes, opt.EstimateWindow, opt.EstimateWarmup)
 	if opt.SpilloverThreshold > 0 || opt.AdaptiveBalance {
 		if opt.SpilloverTo != "" {
 			t, ok := e.pools[opt.SpilloverTo]
@@ -660,6 +665,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			if t.class != sched.ClassCPU {
 				return nil, fmt.Errorf("serve: spillover target %q is not a CPU-class pool", opt.SpilloverTo)
 			}
+			e.spillTo = t
 		}
 		if opt.SpilloverThreshold > 0 && len(e.spillCPU) == 0 {
 			// A static threshold with nowhere to spill is a configuration
@@ -788,11 +794,10 @@ func (e *Engine) now() time.Duration { return time.Since(e.start) }
 
 // Platforms lists the pools, sorted.
 func (e *Engine) Platforms() []string {
-	names := make([]string, 0, len(e.pools))
-	for n := range e.pools {
-		names = append(names, n)
+	names := make([]string, len(e.order))
+	for i, p := range e.order {
+		names[i] = p.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -864,13 +869,11 @@ func coalescable(a, b faas.Options) bool {
 // lands on: the configured SpilloverTo pool, or the least-queued CPU pool
 // (ties broken by name).
 func (e *Engine) spillTarget() *pool {
-	if e.opt.SpilloverTo != "" {
-		if t := e.pools[e.opt.SpilloverTo]; e.poolHealthy(t) {
-			return t
-		}
-		// The named target is down; fall through to the least-queued scan
-		// rather than spill into a pool that cannot dispatch.
+	if t := e.spillTo; t != nil && e.poolHealthy(t) {
+		return t
 	}
+	// With the named target down, fall through to the least-queued scan
+	// rather than spill into a pool that cannot dispatch.
 	var best *pool
 	bestDepth := 0
 	for _, c := range e.spillCPU {
@@ -919,10 +922,7 @@ func (e *Engine) advanceElasticLocked(p *pool) bool {
 		starved := p.core.QueueLen() > 0 && p.core.Busy() >= p.core.Workers()
 		if starved || now-p.scaleAt >= scaleDecideInterval {
 			p.scaleAt = now
-			var waitP95 time.Duration
-			if dg := e.waitDigestOf(p); dg != nil && dg.Count() >= e.waitObs.Warmup() {
-				waitP95 = dg.Quantile(WaitQuantile)
-			}
+			waitP95, _ := e.bal.WarmedWait(p.idx)
 			desired := a.Desired(now, p.core.Busy(), p.core.QueueLen(), waitP95)
 			if desired != lc.Desired() && p.core.ScaleTo(desired, now) {
 				changed = true
@@ -1008,6 +1008,19 @@ func (e *Engine) lifecycleTick(p *pool) {
 // decisions never serialize on the pool mutexes they are routing around.
 func (e *Engine) poolDepth(p *pool) int { return p.ingress.pending() }
 
+// healthy, depth and hasFree are the balancer's view of pool i. Health and
+// depth are the lock-free mirrors; only the free-worker read takes p.mu,
+// and the balancer asks it of an empty healthy pool alone. Callers of the
+// balancer therefore hold no pool lock.
+func (e *Engine) healthy(i int) bool { return e.poolHealthy(e.order[i]) }
+func (e *Engine) depth(i int) int    { return e.poolDepth(e.order[i]) }
+func (e *Engine) hasFree(i int) bool {
+	p := e.order[i]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.core.Busy() < p.core.Workers()
+}
+
 // deliver resolves one admitted request: hands the outcome to the blocked
 // submitter, or — fire-and-forget — recycles the request directly. The
 // inflight count drops here and only here, so Quiesce sees every admitted
@@ -1036,7 +1049,8 @@ func (e *Engine) drainLocked(p *pool) {
 	for i := range entries {
 		en := &entries[i]
 		if !p.core.Submit(en.task) {
-			p.ingress.dropped.Add(1)
+			// The queue counted this drop; the ingress counts only offers
+			// it bounced itself, or Dropped would report the reject twice.
 			e.cDroppedAll.Inc(1)
 			p.cDropped.Inc(1)
 			e.deliver(en.req, outcome{err: ErrQueueFull})
@@ -1167,10 +1181,10 @@ func (e *Engine) wakePeers(p *pool, depth int) {
 // Latch.Above, so waking workers to lock-scan every pool then would be
 // pure overhead on the request path.
 func (e *Engine) signalPeersForBalance(p *pool, backlog bool) {
-	if !backlog || !e.waitWarmed(p) {
+	if !backlog {
 		return
 	}
-	if e.waitDigestOf(p).Quantile(WaitQuantile) <= 0 {
+	if wait, warmed := e.bal.WarmedWait(p.idx); !warmed || wait <= 0 {
 		return
 	}
 	for _, d := range e.pools {
@@ -1276,16 +1290,11 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 				target, spilled = t, true
 			}
 		case e.opt.AdaptiveBalance:
-			// Wait-keyed spillover: reroute once this pool's adopted
-			// wait-p95 has latched above the spill target's — queue delay,
-			// not queue depth, is what the submission is about to pay. An
-			// empty queue never spills: there is no backlog to route
-			// around, and noise-level warmed waits beside an idle peer
-			// must not reroute work that would dispatch immediately.
-			if e.poolDepth(p) > 0 {
-				if t := e.adaptiveSpillTarget(); t != nil && t != p && e.waitGapToPool(p, t) {
-					target, spilled = t, true
-				}
+			// Wait-keyed spillover: reroute once this pool's wait-p95 has
+			// latched above the cheapest spill target's — queue delay, not
+			// queue depth, is what the submission is about to pay.
+			if t, ok := e.bal.BalanceTarget(p.idx, e.spillEligible); ok {
+				target, spilled = e.order[t], true
 			}
 		case e.opt.SpilloverThreshold > 0:
 			if e.poolDepth(p) >= e.opt.SpilloverThreshold {
@@ -1458,103 +1467,22 @@ func lingerSlice(linger time.Duration) time.Duration {
 	return slice
 }
 
-// waitDigestOf reads a pool's queue-delay digest (nil before its first
-// dispatch).
-func (e *Engine) waitDigestOf(p *pool) *metrics.Digest {
-	return e.waitObs.Digest(p.name, p.class.String())
-}
-
-// pricedWait is what moved work would wait on a pool right now: its
-// recorded wait-p95 — except that an idle pool (empty backlog, free
-// worker) serves new work immediately and prices at zero, whatever its
-// digest holds (its recorded waits may be history it imported rescuing
-// the very donor asking). The MultiCore peerWait pricing, on engine pools.
-//
-// The health bit is checked before the idle fast path: a dead pool is the
-// textbook "idle" — empty-looking queue, free workers — but work priced
-// onto it waits for its recovery, not zero. Callers skip dead pools
-// outright; the gate here keeps the zero-price shortcut from ever
-// answering for one.
-func (e *Engine) pricedWait(p *pool) time.Duration {
-	p.mu.Lock()
-	healthy := p.core.Healthy()
-	staged := p.ingress.staged.Load() > 0
-	idle := healthy && !staged && p.core.QueueLen() == 0 && p.core.Busy() < p.core.Workers()
-	p.mu.Unlock()
-	if idle {
-		return 0
-	}
-	if dg := e.waitDigestOf(p); dg != nil {
-		return dg.Quantile(WaitQuantile)
-	}
-	return 0
-}
-
-// poolHealthy reads a pool's health bit — the engine-side spelling of
-// MultiCore.Healthy for the spill/steal/hedge scans. It reads the lock-free
-// mirror: rebalancing decisions must not serialize on the pool mutexes
-// they are routing around (decision paths holding p.mu read the core
-// directly).
+// poolHealthy reads a pool's health bit for the spill/steal/hedge scans
+// and the balancer's view. It reads the lock-free mirror: rebalancing
+// decisions must not serialize on the pool mutexes they are routing
+// around (decision paths holding p.mu read the core directly).
 func (e *Engine) poolHealthy(p *pool) bool {
 	return !p.deadBit.Load()
 }
 
-// adaptiveSpillTarget picks the CPU-class pool a wait-keyed spill lands
-// on: the configured SpilloverTo pool, or the peer with the lowest priced
-// wait — mirroring MultiCore.BalanceTarget, where ranking by queue depth
-// or raw digest p95 would let a shallow-but-slow (or rescue-contaminated)
-// pool shadow a genuinely cheap one. Ties break by name: spillCPU is
-// name-sorted and the strict < keeps the first.
-func (e *Engine) adaptiveSpillTarget() *pool {
-	if e.opt.SpilloverTo != "" {
-		if t := e.pools[e.opt.SpilloverTo]; e.poolHealthy(t) {
-			return t
-		}
-		// The named target is down; fall through to the scan rather than
-		// spill into a pool that cannot dispatch.
+// spillEligible is the adaptive spill's candidate set: the configured
+// SpilloverTo pool while it is healthy, otherwise the CPU class (a named
+// target that is down must not swallow the spill).
+func (e *Engine) spillEligible(i int) bool {
+	if t := e.spillTo; t != nil && e.poolHealthy(t) {
+		return i == t.idx
 	}
-	var best *pool
-	var bestWait time.Duration
-	for _, c := range e.spillCPU {
-		if !e.poolHealthy(c) {
-			continue
-		}
-		if w := e.pricedWait(c); best == nil || w < bestWait {
-			best, bestWait = c, w
-		}
-	}
-	return best
-}
-
-// waitGapToPool is the engine's adaptive-balance trigger: whether donor's
-// adopted wait-p95 has latched above what moved work would wait on peer
-// (see waitGapLatched — the same decision MultiCore applies in the
-// simulations). The balanceMu critical section is a map lookup plus one
-// ratio comparison — nanoseconds, far below the pool mutexes already on
-// this path.
-func (e *Engine) waitGapToPool(donor, peer *pool) bool {
-	if !e.poolHealthy(peer) {
-		// Work never rebalances onto a dead pool, whatever the gap says.
-		return false
-	}
-	peerWait := e.pricedWait(peer)
-	e.balanceMu.Lock()
-	defer e.balanceMu.Unlock()
-	k := [2]string{donor.name, peer.name}
-	latch := e.latches[k]
-	if latch == nil {
-		latch = &metrics.Latch{}
-		e.latches[k] = latch
-	}
-	return waitGapLatched(e.waitDigestOf(donor), latch, peerWait, e.waitObs.Warmup())
-}
-
-// waitWarmed reports whether a pool's wait digest has enough observations
-// for the balance latch to possibly trip — the cheap gate that keeps the
-// adaptive wakeup signals from firing while no steal can trigger anyway.
-func (e *Engine) waitWarmed(p *pool) bool {
-	dg := e.waitDigestOf(p)
-	return dg != nil && dg.Count() >= e.waitObs.Warmup()
+	return e.order[i].class == sched.ClassCPU
 }
 
 // stealInto pulls queued work from a donor pool into p — the drain-time
@@ -1577,24 +1505,8 @@ func (e *Engine) stealInto(p *pool) int {
 	p.mu.Unlock()
 	var donor *pool
 	if e.opt.AdaptiveBalance {
-		deepest := 0
-		for _, d := range e.pools {
-			if d == p {
-				continue
-			}
-			depth := e.poolDepth(d)
-			if depth == 0 {
-				continue
-			}
-			// A dead donor's backlog drains only by rescue — no latch or
-			// wait gap required; its digest was invalidated at death and
-			// could never trip one anyway.
-			if e.poolHealthy(d) && !e.waitGapToPool(d, p) {
-				continue
-			}
-			if depth > deepest || (depth == deepest && donor != nil && d.name < donor.name) {
-				donor, deepest = d, depth
-			}
+		if i, ok := e.bal.StealDonor(p.idx, nil); ok {
+			donor = e.order[i]
 		}
 	} else {
 		deepest := 0
@@ -2068,7 +1980,7 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
 		}
 		bs.waits = append(bs.waits, w)
 	}
-	dg := e.waitObs.RecordBatch(p.name, p.class.String(), bs.waits)
+	dg := e.bal.recordBatch(p.idx, bs.waits)
 	if dg == nil {
 		return
 	}
@@ -2097,7 +2009,7 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
 
 // WaitObservatory exposes the engine's queue-delay digests (diagnostics,
 // tests).
-func (e *Engine) WaitObservatory() *metrics.Observatory { return e.waitObs }
+func (e *Engine) WaitObservatory() *metrics.Observatory { return e.bal.waits }
 
 // observedService blends one class's static service prior toward the
 // observed p50 of that class's best-observed pool (the cached class lists

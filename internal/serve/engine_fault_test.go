@@ -50,6 +50,23 @@ func testRunnersTwoCPU(t testing.TB) map[string]*faas.Runner {
 	}
 }
 
+// armedSpill arms the DSCS pool's adaptive spill — a warmed wait digest and
+// a backlog (the mirror is what the balancer's view reads; workers only ever
+// store the true depth over it) — and returns the spill decision as enqueue
+// takes it, nil when nothing spills.
+func armedSpill(t *testing.T, eng *Engine) func() *pool {
+	dscs := eng.pools["DSCS-Serverless"]
+	eng.bal.record(dscs.idx, 50*time.Millisecond)
+	dscs.ingress.syncQueued(1)
+	t.Cleanup(func() { dscs.ingress.syncQueued(0) })
+	return func() *pool {
+		if i, ok := eng.bal.BalanceTarget(dscs.idx, eng.spillEligible); ok {
+			return eng.order[i]
+		}
+		return nil
+	}
+}
+
 // TestDeadPoolNotSpillTarget is the satellite regression for the idle-pool
 // fast path: a dead pool looks exactly like an idle one — empty queue,
 // free workers, zero-count digest — and before the health gate it priced
@@ -65,31 +82,74 @@ func TestDeadPoolNotSpillTarget(t *testing.T) {
 	}
 	defer eng.Close()
 
+	dscs, base, standby := eng.pools["DSCS-Serverless"], eng.pools["Baseline (CPU)"], eng.pools["Standby (CPU)"]
+	spill := armedSpill(t, eng)
+
 	// "Baseline (CPU)" sorts before "Standby (CPU)", so with both priced at
 	// zero the scan keeps Baseline. Killing it must hand the choice to the
 	// survivor — a dead pool serves nothing, whatever its price.
+	if got := spill(); got != base {
+		t.Fatalf("adaptive spill target with both CPU pools idle = %v, want Baseline (CPU)", got)
+	}
 	if err := eng.FailPool("Baseline (CPU)"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.adaptiveSpillTarget(); got == nil || got.name != "Standby (CPU)" {
+	if got := spill(); got != standby {
 		t.Fatalf("adaptive spill target with Baseline dead = %v, want Standby (CPU)", got)
 	}
-	if got := eng.spillTarget(); got == nil || got.name != "Standby (CPU)" {
+	if got := eng.spillTarget(); got != standby {
 		t.Fatalf("static spill target with Baseline dead = %v, want Standby (CPU)", got)
 	}
 	// The wait-gap trigger must never route onto a dead peer either.
-	dscs, dead := eng.pools["DSCS-Serverless"], eng.pools["Baseline (CPU)"]
-	if eng.waitGapToPool(dscs, dead) {
+	if eng.bal.Overloaded(dscs.idx, base.idx) {
 		t.Fatal("wait gap latched toward a dead pool")
 	}
 	if err := eng.RecoverPool("Baseline (CPU)"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.adaptiveSpillTarget(); got == nil || got.name != "Baseline (CPU)" {
+	if got := spill(); got != base {
 		t.Fatalf("adaptive spill target after recovery = %v, want Baseline (CPU)", got)
 	}
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNamedSpillTargetDeadFallsBack: a configured SpilloverTo pool takes
+// every adaptive spill while it lives; once it is down the spill falls back
+// to the CPU class instead of vanishing into a pool that cannot dispatch.
+func TestNamedSpillTargetDeadFallsBack(t *testing.T) {
+	eng, err := NewEngine(testRunnersTwoCPU(t), Options{
+		Workers: 1, QueueDepth: 16, AdaptiveBalance: true, EstimateWarmup: 1,
+		SpilloverTo: "Standby (CPU)",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	base, standby := eng.pools["Baseline (CPU)"], eng.pools["Standby (CPU)"]
+	spill := armedSpill(t, eng)
+	for _, step := range []struct {
+		fail, recover string
+		want          *pool
+	}{
+		{want: standby},
+		{fail: standby.name, want: base},
+		{recover: standby.name, want: standby},
+	} {
+		if step.fail != "" {
+			if err := eng.FailPool(step.fail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step.recover != "" {
+			if err := eng.RecoverPool(step.recover); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := spill(); got != step.want {
+			t.Fatalf("after fail=%q recover=%q: spill target %v, want %s", step.fail, step.recover, got, step.want.name)
+		}
 	}
 }
 

@@ -49,14 +49,7 @@ func (e *Engine) FailPool(platformName string) error {
 	}
 	p.mu.Unlock()
 	e.cFaults.Inc(1)
-	e.waitObs.Forget(platformName)
-	e.balanceMu.Lock()
-	for k, l := range e.latches {
-		if k[0] == platformName || k[1] == platformName {
-			l.Reset()
-		}
-	}
-	e.balanceMu.Unlock()
+	e.bal.invalidate(p.idx)
 	// Wake everything: the dead pool's own workers must observe the death
 	// (and park), and peers have a backlog to rescue.
 	for _, d := range e.pools {

@@ -1,17 +1,11 @@
-// multicore.go is the N-pool core with per-pool backlogs. It closes the
-// load-balancing loop on *queue delay*: every pool owns its backlog and
-// workers (a PoolCore), and the core records each task's wait
-// time — arrival to dispatch — into a per-pool digest keyed {platform,
-// class} (metrics.Observatory). Those wait digests are what the adaptive
-// spillover/steal machinery consumes: instead of static queue-depth counts,
-// a pool is rebalanced away from when its adopted wait-p95 has diverged
-// above a peer's past the metrics hysteresis bands (Digest.Adopt's ratios
-// over one metrics.Latch per pool pair), and rebalanced toward while its
-// waits stay flat. Like the rest of the
-// scheduling core it owns no goroutines and no clock — the discrete-event
-// simulations drive it from virtual time, and the live engine applies the
-// same wait-gap decision (waitGapLatched) to its own goroutine-backed
-// pools.
+// multicore.go is the N-pool core with per-pool backlogs: every pool owns
+// its backlog and workers (a PoolCore) — or drains an earlier pool's backlog
+// (PoolSpec.Backlog, the classic one-queue-two-classes layout) — with
+// submit-time spillover and drain-time stealing between any pair. The
+// wait-keyed balance decisions are the embedded balancer's (balancer.go);
+// this file feeds it each dispatch's queue delay and answers its pool view.
+// Like the rest of the scheduling core it owns no goroutines and no clock —
+// the discrete-event simulations drive it from virtual time.
 
 package serve
 
@@ -19,13 +13,8 @@ import (
 	"fmt"
 	"time"
 
-	"dscs/internal/metrics"
 	"dscs/internal/sched"
 )
-
-// WaitQuantile is the queue-delay quantile the balance decisions key on:
-// the paper's load-balancing results hinge on tail wait, not mean depth.
-const WaitQuantile = 0.95
 
 // PoolSpec describes one MultiCore member pool. Zero workers is allowed (a
 // pool may exist purely as a backlog another class drains), but at least
@@ -41,6 +30,11 @@ type PoolSpec struct {
 	Workers, QueueDepth int
 	// Policy selects queued work for free workers (nil = FCFS).
 	Policy sched.Policy
+	// Backlog names an earlier pool whose queue this pool's workers drain
+	// instead of owning one (QueueDepth is then unused): every class sees
+	// every queued task, so neither idles while work waits. Empty gives the
+	// pool its own backlog.
+	Backlog string
 }
 
 // MultiCore is the N-pool scheduling state machine: per-pool backlogs and
@@ -49,19 +43,11 @@ type PoolSpec struct {
 // rebalance with the same wait-keyed logic as a CPU/DSCS pair. Not safe for concurrent use on its own; callers
 // serialize access (the simulations are single-threaded).
 type MultiCore struct {
+	// balancer prices, latches and ranks; each successful dispatch (and
+	// coalesce) records the served task's arrival→dispatch wait into it.
+	balancer
 	pools []*PoolCore
 	specs []PoolSpec
-	// waits is the queue-delay observatory keyed {platform, class}: each
-	// successful dispatch (and coalesce) records the served task's
-	// arrival→dispatch wait against the pool that served it — a stolen
-	// task charges its wait to the thief, not the queue it first landed on.
-	waits  *metrics.Observatory
-	warmup int64
-	// latches holds one adoption latch per directed (donor, peer) pair:
-	// Digest.Adopt keeps a single latch per digest, which is right for one
-	// stable prior but would make N-way pairwise comparisons share state
-	// and depend on evaluation order.
-	latches map[[2]int]*metrics.Latch
 	// submitted counts admissions at the core level exactly once, however
 	// many times a task later moves between pools (spill, then steal): the
 	// per-pool counters transfer on a steal, this one never does.
@@ -79,49 +65,56 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 		return nil, fmt.Errorf("serve: empty multi-pool core")
 	}
 	total := 0
-	seen := make(map[string]bool, len(specs))
-	m := &MultiCore{
-		specs:   append([]PoolSpec(nil), specs...),
-		waits:   metrics.NewObservatory(0, 0),
-		warmup:  metrics.DefaultWarmup,
-		latches: make(map[[2]int]*metrics.Latch),
-	}
-	for _, s := range m.specs {
-		if s.Name == "" || seen[s.Name] {
+	m := &MultiCore{specs: append([]PoolSpec(nil), specs...)}
+	names := make([]string, len(specs))
+	classes := make([]string, len(specs))
+	for i, s := range m.specs {
+		if s.Name == "" || m.Index(s.Name) != i {
 			return nil, fmt.Errorf("serve: multi-pool names must be unique and non-empty (%q)", s.Name)
 		}
-		seen[s.Name] = true
 		if s.Workers < 0 {
 			return nil, fmt.Errorf("serve: pool %q has negative workers", s.Name)
 		}
 		total += s.Workers
-		q, err := sched.NewHybridQueue(s.QueueDepth)
-		if err != nil {
-			return nil, err
-		}
 		policy := s.Policy
 		if policy == nil {
 			policy = sched.FCFSPolicy{}
 		}
-		m.pools = append(m.pools, &PoolCore{
-			queue: q, policy: policy, class: s.Class,
-			free: s.Workers, total: s.Workers,
-		})
+		p := &PoolCore{policy: policy, class: s.Class, free: s.Workers, total: s.Workers}
+		if s.Backlog == "" {
+			q, err := sched.NewHybridQueue(s.QueueDepth)
+			if err != nil {
+				return nil, err
+			}
+			p.queue = q
+		} else {
+			// An earlier pool that owns its queue: no chains, no cycles.
+			owner := m.Index(s.Backlog)
+			if owner < 0 || owner >= i || m.specs[owner].Backlog != "" {
+				return nil, fmt.Errorf("serve: pool %q drains backlog %q, which is not an earlier pool with its own queue", s.Name, s.Backlog)
+			}
+			p.queue = m.pools[owner].queue
+			p.sharedQueue, m.pools[owner].sharedQueue = true, true
+		}
+		m.pools = append(m.pools, p)
+		names[i], classes[i] = s.Name, s.Class.String()
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("serve: multi-pool core has no workers")
 	}
+	m.balancer.init(m, names, classes, 0, 0)
 	return m, nil
 }
+
+// healthy, depth and hasFree are the balancer's view of pool i.
+func (m *MultiCore) healthy(i int) bool { return m.pools[i].Healthy() }
+func (m *MultiCore) depth(i int) int    { return m.pools[i].QueueLen() }
+func (m *MultiCore) hasFree(i int) bool { return m.pools[i].free > 0 }
 
 // SetWaitTuning retunes the wait digests' window and warmup (defaults
 // metrics.DefaultWindow/DefaultWarmup when non-positive). It must be called
 // before any dispatch: retuning replaces the observatory, dropping history.
-func (m *MultiCore) SetWaitTuning(window, warmup int) {
-	m.waits = metrics.NewObservatory(window, warmup)
-	m.warmup = m.waits.Warmup()
-	m.latches = make(map[[2]int]*metrics.Latch)
-}
+func (m *MultiCore) SetWaitTuning(window, warmup int) { m.tune(window, warmup) }
 
 // Pools reports the pool count.
 func (m *MultiCore) Pools() int { return len(m.pools) }
@@ -159,7 +152,7 @@ func (m *MultiCore) SubmitTo(i int, t sched.HybridTask) bool {
 // charges the thief (the pool that actually freed it), while its Arrived
 // instant survives every move.
 func (m *MultiCore) recordWait(i int, now time.Duration, t sched.HybridTask) {
-	m.waits.Record(m.specs[i].Name, m.specs[i].Class.String(), now-t.Arrived)
+	m.record(i, now-t.Arrived)
 }
 
 // Dispatch hands pool i's policy pick to one of its free workers and
@@ -216,12 +209,7 @@ func (m *MultiCore) FailPool(i int, now time.Duration) {
 	}
 	p.Fail(now)
 	m.faults++
-	m.waits.Forget(m.specs[i].Name)
-	for k, l := range m.latches {
-		if k[0] == i || k[1] == i {
-			l.Reset()
-		}
-	}
+	m.invalidate(i)
 }
 
 // RecoverPool ends pool i's brown-out at now (see PoolCore.Recover). The
@@ -265,8 +253,7 @@ func (m *MultiCore) Steal(from, to, max int) []sched.HybridTask {
 // changed — the sims re-drive dispatch when it did. Pools without a
 // lifecycle are untouched, so a fixed MultiCore behaves bit-identically.
 // Capacity changes move total/free in lockstep, which the balance
-// machinery sees immediately: peerWait's idle fast path needs free > 0,
-// so a suspended (zero-warm) pool prices at its digest, never at zero.
+// machinery sees immediately (hasFree reads free).
 func (m *MultiCore) AdvanceLifecycles(now time.Duration) bool {
 	changed := false
 	for _, p := range m.pools {
@@ -295,166 +282,26 @@ func (m *MultiCore) NextLifecycleEvent() (time.Duration, bool) {
 	return at, ok
 }
 
-// WaitDigest exposes pool i's queue-delay digest (nil until its first
-// dispatch).
-func (m *MultiCore) WaitDigest(i int) *metrics.Digest {
-	return m.waits.Digest(m.specs[i].Name, m.specs[i].Class.String())
-}
-
-// WaitQuantileOf reads pool i's windowed queue-delay quantile (0 until the
-// pool has dispatched).
-func (m *MultiCore) WaitQuantileOf(i int, q float64) time.Duration {
-	if dg := m.WaitDigest(i); dg != nil {
-		return dg.Quantile(q)
-	}
-	return 0
-}
-
-// Overloaded is the adaptive-balance trigger: it reports whether pool
-// from's adopted wait-p95 has diverged above pool to's past the hysteresis
-// latch (warmup, then enter at 1.5x, release within 1.2x), so the decision
-// flips once per genuine imbalance instead of flapping around the
-// boundary. Each directed pool pair owns its latch.
-//
-// Health short-circuits the wait evidence in both directions. Toward a
-// dead peer the answer is always no — however overloaded the donor, work
-// must not route into a grave. Out of a dead donor the answer is yes the
-// moment it holds a backlog: its orphaned and requeued work has no
-// workers coming back for it, so it escapes without the latch, the
-// warmup, or any digest evidence (a dead pool's digest was forgotten
-// anyway).
-func (m *MultiCore) Overloaded(from, to int) bool {
-	if !m.Healthy(to) {
-		return false
-	}
-	if !m.Healthy(from) {
-		return m.pools[from].QueueLen() > 0
-	}
-	return waitGapLatched(m.WaitDigest(from), m.latch(from, to), m.peerWait(to), m.warmup)
-}
-
-// latch returns the directed (from, to) pair's adoption latch, created on
-// first use.
-func (m *MultiCore) latch(from, to int) *metrics.Latch {
-	k := [2]int{from, to}
-	l := m.latches[k]
-	if l == nil {
-		l = &metrics.Latch{}
-		m.latches[k] = l
-	}
-	return l
-}
-
-// peerWait prices what moved work would wait on pool i right now: its
-// recorded wait-p95 — except that an idle pool (empty backlog, free
-// worker) serves new work immediately, so it prices at zero no matter what
-// its digest holds. Without the idle fast path a thief's digest poisons
-// the gap signal: stolen tasks charge their whole arrival→dispatch wait to
-// the pool that served them (the attribution the observability wants), so
-// one rescue inflates the rescuer's p95 to the donor's level and the latch
-// never re-enters while the backlog regrows.
-//
-// The health bit is checked before the idle fast path: a dead pool's
-// empty backlog and freed workers look exactly like idleness ("idle →
-// 0 wait") and would make it the most attractive target in every
-// ranking, so it prices at its digest instead — and since FailPool
-// forgot that digest, selection must additionally skip dead pools
-// (BalanceTarget does; Overloaded refuses dead peers outright).
-func (m *MultiCore) peerWait(i int) time.Duration {
-	p := m.pools[i]
-	if p.Healthy() && p.QueueLen() == 0 && p.free > 0 {
-		return 0
-	}
-	return m.WaitQuantileOf(i, WaitQuantile)
-}
-
-// PricedWait exposes peerWait's pricing to external placement policies —
-// the workflow locality placer ranks fallback pools with the same signal
-// the balance machinery uses, so "least-priced wait" means one thing
-// everywhere.
-func (m *MultiCore) PricedWait(i int) time.Duration { return m.peerWait(i) }
-
-// Idle reports whether pool i could serve new work immediately: healthy,
-// empty backlog, free worker — the locality placer's keep-it-local fast
-// path.
-func (m *MultiCore) Idle(i int) bool {
-	p := m.pools[i]
-	return p.Healthy() && p.QueueLen() == 0 && p.free > 0
-}
-
-// BalanceTarget picks the pool a submission aimed at from should spill to:
-// the eligible peer with the lowest priced wait (peerWait — an idle pool
-// prices at zero however contaminated its digest; ties to the lowest
-// index), but only when from's adopted wait-p95 gap over that peer has
-// latched. A spill routes around a backlog, so a from pool with an empty
-// queue never spills — without work queued ahead of it the submission
-// dispatches immediately anyway, and microscopic warmed waits beside a
-// never-waited peer must not reroute it. A nil eligible accepts every
-// other pool.
-func (m *MultiCore) BalanceTarget(from int, eligible func(int) bool) (int, bool) {
-	if m.pools[from].QueueLen() == 0 {
-		return 0, false
-	}
-	best, found := 0, false
-	var bestWait time.Duration
-	for i := range m.pools {
-		if i == from || (eligible != nil && !eligible(i)) || !m.Healthy(i) {
-			continue
-		}
-		// Rank by the same pricing the Overloaded gate applies: ranking by
-		// raw digest p95 would let a rescue-contaminated idle pool sort
-		// last and never be selected.
-		w := m.peerWait(i)
-		if !found || w < bestWait {
-			best, bestWait, found = i, w, true
-		}
-	}
-	if !found || !m.Overloaded(from, best) {
-		return 0, false
-	}
-	return best, true
-}
-
-// StealDonor picks the pool an idle thief should pull queued work from: the
-// eligible peer with the deepest backlog whose adopted wait-p95 gap over
-// the thief has latched. A nil eligible accepts every other pool. A dead
-// thief never steals; a dead donor with a backlog always qualifies
-// (Overloaded's dead-donor fast path) — stealing is how its orphans get
-// rescued.
-func (m *MultiCore) StealDonor(to int, eligible func(int) bool) (int, bool) {
-	if !m.Healthy(to) {
-		return 0, false
-	}
-	donor, found := 0, false
-	deepest := 0
-	for i, p := range m.pools {
-		if i == to || (eligible != nil && !eligible(i)) || p.QueueLen() == 0 {
-			continue
-		}
-		if !m.Overloaded(i, to) {
-			continue
-		}
-		if !found || p.QueueLen() > deepest {
-			donor, deepest, found = i, p.QueueLen(), true
-		}
-	}
-	return donor, found
-}
-
-// QueueLen totals queue occupancy across pools.
+// QueueLen totals queue occupancy across pools, a shared backlog counted
+// once (on the pool that owns it).
 func (m *MultiCore) QueueLen() int {
 	n := 0
-	for _, p := range m.pools {
-		n += p.QueueLen()
+	for i, p := range m.pools {
+		if m.specs[i].Backlog == "" {
+			n += p.QueueLen()
+		}
 	}
 	return n
 }
 
-// Dropped totals admission rejections across pools.
+// Dropped totals admission rejections across pools, a shared backlog
+// counted once.
 func (m *MultiCore) Dropped() int {
 	n := 0
-	for _, p := range m.pools {
-		n += p.Dropped()
+	for i, p := range m.pools {
+		if m.specs[i].Backlog == "" {
+			n += p.Dropped()
+		}
 	}
 	return n
 }
@@ -504,23 +351,4 @@ func (m *MultiCore) running() int {
 		n += p.Running()
 	}
 	return n
-}
-
-// waitGapLatched is the shared wait-keyed balance decision: whether donor's
-// adopted wait-p95 has diverged above the peer's priced wait past the
-// hysteresis latch. It applies the Digest.Adopt bands one-sidedly
-// (metrics.Latch.Above) over a latch owned by the (donor, peer) pair:
-// below warmup nothing moves, and once warmed the latch enters at
-// AdoptEnterRatio and releases within AdoptExitRatio — only upward
-// divergence ever arms it. A peer priced at zero (idle, or never waited)
-// adopts any warmed positive donor wait outright: queueing beside an idle
-// pool is the clearest imbalance there is. A donor whose recent window
-// holds no waits (p95 zero — work dispatches on arrival) never trips the
-// latch, which is exactly the wait-keyed sensitivity the static depth
-// counts lack.
-func waitGapLatched(donor *metrics.Digest, latch *metrics.Latch, peerWait time.Duration, warmup int64) bool {
-	if donor == nil || donor.Count() < warmup {
-		return false
-	}
-	return latch.Above(donor.Quantile(WaitQuantile), peerWait)
 }

@@ -313,10 +313,10 @@ func TestMultiCoreOverloadedHysteresis(t *testing.T) {
 	// The hysteresis state lives in the directed pair's latch (not the
 	// digest): exactly one enter and one release across the whole cycle,
 	// and the reverse direction's latch never moved.
-	if flips := mc.latch(0, 1).Flips(); flips != 2 {
+	if flips := mc.flips(0, 1); flips != 2 {
 		t.Fatalf("latch flipped %d times, want exactly 2 (on, then off)", flips)
 	}
-	if flips := mc.latch(1, 0).Flips(); flips != 0 {
+	if flips := mc.flips(1, 0); flips != 0 {
 		t.Fatalf("reverse-direction latch flipped %d times, want 0", flips)
 	}
 }
@@ -621,4 +621,45 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 		return nil
 	}
 	checkSequences(t, 4000, 8, run)
+}
+
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool
+
+// TestStealAllocatesNothing pins the rebalancing pull at zero allocations:
+// the moved tasks come back in the thief's reused scratch.
+func TestStealAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	donor, err := NewPoolCore(1, 64, sched.ClassCPU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thief, err := NewPoolCore(8, 64, sched.ClassDSCS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			id++
+			donor.Submit(multiTask(id, time.Duration(id)))
+		}
+		moved := thief.StealFrom(donor, 8)
+		if len(moved) != 8 {
+			t.Fatalf("stole %d of 8", len(moved))
+		}
+		for range moved {
+			if _, ok := thief.Dispatch(0); ok {
+				thief.Complete(1)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StealFrom allocated %.2f per steal, want 0", allocs)
+	}
+	if err := thief.Conservation(); err != nil {
+		t.Fatal(err)
+	}
 }

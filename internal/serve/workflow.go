@@ -5,11 +5,12 @@
 // file owns only the goroutine fan-out, the objstore I/O between stages,
 // and the serve_workflow_* telemetry.
 //
-// Placement follows the data: a stage whose dominant input has a healthy
-// replica on a DSCS drive runs on a DSCS-class pool — the in-storage
-// platform computes beside the replica, so the input never crosses the
-// fabric — falling back to the least-priced-wait healthy pool of any
-// class when the local side is busier than a peer or dead. Remote inputs
+// Placement follows the data, by the same workflow.Placer the simulations
+// run: a stage whose dominant input has a healthy replica on a DSCS drive
+// is at home on a DSCS-class pool — the in-storage platform computes beside
+// the replica, so the input never crosses the fabric — falling back to the
+// least-priced-wait healthy pool of any class (lowest name on a tie) when
+// the home side is busier than a peer or dead. Remote inputs
 // pay the store's failover read before the stage submits, and the bytes
 // are billed to serve_workflow_fabric_bytes_total either way.
 
@@ -66,11 +67,12 @@ type WorkflowResult struct {
 // mutex (it is not concurrency-safe), the per-stage outcomes, and the
 // byte ledger the result reports.
 type wfDriver struct {
-	e     *Engine
-	run   *workflow.Run
-	store *objstore.Store
-	bench []*workload.Benchmark
-	opt   faas.Options
+	e      *Engine
+	run    *workflow.Run
+	store  *objstore.Store
+	placer workflow.Placer
+	bench  []*workload.Benchmark
+	opt    faas.Options
 
 	mu       sync.Mutex
 	wg       sync.WaitGroup
@@ -109,6 +111,11 @@ func (e *Engine) SubmitWorkflow(spec *trace.WorkflowSpec, opt faas.Options) (Wor
 	d := &wfDriver{
 		e: e, run: run, store: store, bench: benches, opt: opt,
 		outcomes: make([]WorkflowStageOutcome, len(spec.Stages)),
+		placer: workflow.Placer{
+			Pools:   len(e.order),
+			Home:    func(key string) int { return e.homePool(store, key) },
+			Healthy: e.healthy, Idle: e.bal.Idle, Wait: e.bal.PricedWait,
+		},
 	}
 	for i, st := range spec.Stages {
 		d.outcomes[i] = WorkflowStageOutcome{ID: st.ID, State: workflow.Blocked}
@@ -183,50 +190,24 @@ func (d *wfDriver) launchLocked(unlocked []int) {
 	}
 }
 
-// placeStage picks the pool one unlocked stage runs on.
-//
-// The home side is the DSCS pool set, eligible only while the stage's
-// dominant input has a healthy replica on a DSCS drive. Home wins ties —
-// moving compute beside the data is free, moving data beside idle compute
-// is not — and loses only to a strictly cheaper peer, mirroring
-// workflow.Placer's tie-break. With no healthy pool at all the stage
-// cannot dispatch and the caller strands it.
-//
-//dscslint:hotpath
-func (e *Engine) placeStage(store *objstore.Store, domKey string) (p *pool, local bool) {
-	var home *pool
+// homePool is the placer's replica map: the least-priced healthy DSCS
+// pool while the input at key has a healthy replica on a DSCS drive (every
+// DSCS pool computes beside the store's drives), -1 otherwise.
+func (e *Engine) homePool(store *objstore.Store, key string) int {
+	home := -1
+	if _, _, ok := store.DSCSReplicaHealthy(key); !ok {
+		return home
+	}
 	var homeWait time.Duration
-	if _, _, ok := store.DSCSReplicaHealthy(domKey); ok {
-		for _, c := range e.dscsPools {
-			if !e.poolHealthy(c) {
-				continue
-			}
-			if w := e.pricedWait(c); home == nil || w < homeWait {
-				home, homeWait = c, w
-			}
+	for _, c := range e.dscsPools {
+		if !e.poolHealthy(c) {
+			continue
+		}
+		if w := e.bal.PricedWait(c.idx); home < 0 || w < homeWait {
+			home, homeWait = c.idx, w
 		}
 	}
-	if home != nil && homeWait == 0 {
-		return home, true
-	}
-	var best *pool
-	var bestWait time.Duration
-	scan := func(cands []*pool) {
-		for _, c := range cands {
-			if !e.poolHealthy(c) {
-				continue
-			}
-			if w := e.pricedWait(c); best == nil || w < bestWait {
-				best, bestWait = c, w
-			}
-		}
-	}
-	scan(e.dscsPools)
-	scan(e.spillCPU)
-	if home != nil && homeWait <= bestWait {
-		return home, true
-	}
-	return best, false
+	return home
 }
 
 // dominantInput returns the largest input object's key — the read worth
@@ -252,11 +233,12 @@ func (d *wfDriver) stage(i int, unlockAt time.Duration) {
 		time.Sleep(delay)
 	}
 	keys := d.run.InputKeys(i)
-	pl, local := e.placeStage(d.store, d.dominantInput(keys))
-	if pl == nil {
+	placed := d.placer.Place(d.dominantInput(keys))
+	if placed.Pool < 0 {
 		d.settle(i, "", false, fmt.Errorf("no healthy pool"), true)
 		return
 	}
+	pl, local := e.order[placed.Pool], placed.Local
 
 	// Bill every input: a healthy DSCS replica read by a locally placed
 	// stage is served in place, anything else crosses the fabric via the

@@ -2,9 +2,10 @@
 // the pool whose drive already holds its input replica, and pay the fabric
 // only when that drive is busy or dead. The Placer is adapter-shaped —
 // callers wire the replica map (objstore.DSCSReplicaHealthy), pool health,
-// and priced wait (serve.MultiCore.PricedWait / the engine's pricedWait)
-// through closures — so the identical decision runs in the live engine and
-// in both simulations.
+// and the serve balancer's Idle and PricedWait through closures — and the
+// live engine (serve/workflow.go), the rack simulation (cluster/workflow.go)
+// and the property harness all place through it, so the decision exists
+// once.
 package workflow
 
 import "time"
