@@ -48,8 +48,7 @@ var streamQuantiles = [...]float64{0.50, 0.95, 0.99}
 
 // Staging geometry: Record stages observations in per-shard fixed rings
 // (contention-free for writers) that fold into the merged window and P²
-// state only when a shard fills or a reader asks — readers pay the merge,
-// writers never do.
+// state only when a shard fills or a reader finds something staged.
 const (
 	// stageCap is one staging shard's capacity, in observations.
 	stageCap = 16
@@ -78,31 +77,44 @@ type digestShard struct {
 
 // Digest is one {benchmark, platform} latency record: a sliding window of
 // the last Window observations plus P² streaming estimators over the whole
-// stream. Safe for concurrent use, and built for write-heavy use: Record
-// appends to a per-P staging shard (no allocation, no shared lock), and
-// the merged state — the window ring and the P² markers — is folded
-// forward at read time under the digest lock. The sorted window view is
-// lazier still: folds only mark it stale, and the next windowed read
-// rebuilds it from the ring in one sort — so a write-heavy stretch pays
-// O(1) per observation no matter how large the window.
+// stream. Safe for concurrent use, and built for reads that follow writes
+// (the balance decision reads a wait digest on every submission, right
+// after a dispatch recorded into it): Record appends to a per-P staging
+// shard (no allocation, no shared lock), and the merged state — the window
+// ring, its order-statistic view and the P² markers — is folded forward
+// under the digest lock when a shard fills or a reader finds something
+// staged.
+//
+// Who pays what: the fold keeps the sorted view in step with the ring, one
+// observation at a time — a binary search for the value the ring evicts,
+// one for the newcomer's slot, and a single copy of the span between them
+// (O(log W) compares plus at most W words moved, nothing when the two are
+// equal). A windowed read is then the digest mutex and an index; with
+// nothing staged it touches no shard lock at all (folded == total).
 type Digest struct {
-	mu     sync.Mutex
-	ring   []time.Duration // eviction order (circular)
-	next   int
-	sorted []time.Duration // the same window, kept sorted
+	mu   sync.Mutex
+	ring []time.Duration // eviction order (circular)
+	next int
+	// sorted holds the ring's multiset in ascending order after every
+	// folded observation — the order-statistic view quantiles index.
+	sorted []time.Duration
 	p2s    [len(streamQuantiles)]p2
 
 	// total counts every Record ever made (staged included) — warmup
 	// thresholds read it without touching any lock. It doubles as the
 	// sequence source for the staging merge order.
 	total atomic.Int64
-	// shards are the staging rings.
+	// folded counts the observations folded into ring, sorted and p2s, under
+	// mu. It trails total by exactly what is staged or about to be (Record
+	// bumps total before it stages), so folded == total means every shard
+	// is empty.
+	folded int64
+	// shards are the staging rings; staged is the fold's merge scratch, one
+	// slot per staging slot, owned by mu. It lives here and not in the
+	// fold's frame so that a goroutine's first read fits the stack it
+	// started with.
 	shards []digestShard
-
-	// dirty marks the sorted view stale relative to the ring: folds only
-	// rotate the ring, and the next windowed read re-sorts (see
-	// ensureSortedLocked).
-	dirty bool
+	staged []stageEntry
 
 	// live is the adoption latch (see Adopt); flips counts its toggles.
 	live  bool
@@ -126,6 +138,7 @@ func NewDigest(window int) *Digest {
 		ring:   make([]time.Duration, 0, window),
 		sorted: make([]time.Duration, 0, window),
 		shards: make([]digestShard, shards),
+		staged: make([]stageEntry, shards*stageCap),
 	}
 	for i, q := range streamQuantiles {
 		d.p2s[i].init(q)
@@ -208,18 +221,21 @@ func (d *Digest) RecordBatch(vs []time.Duration) {
 }
 
 // foldStagedLocked drains every staging shard and folds the entries into
-// the merged window and P² state in sequence order. Callers hold d.mu.
+// the merged window and P² state in sequence order. With nothing staged it
+// returns without touching a shard lock. Callers hold d.mu.
 func (d *Digest) foldStagedLocked() {
-	var tmp [maxStageShards * stageCap]stageEntry
+	if d.folded == d.total.Load() {
+		return
+	}
 	n := 0
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		n += copy(tmp[n:], s.buf[:s.n])
+		n += copy(d.staged[n:], s.buf[:s.n])
 		s.n = 0
 		s.mu.Unlock()
 	}
-	staged := tmp[:n]
+	staged := d.staged[:n]
 	// Insertion sort by sequence: single-writer streams arrive already
 	// ordered (one pass), and the concurrent case is at most a few
 	// stage-rings' worth of nearly sorted entries.
@@ -228,39 +244,50 @@ func (d *Digest) foldStagedLocked() {
 			staged[j], staged[j-1] = staged[j-1], staged[j]
 		}
 	}
-	// The fold pays only what must happen in stream order: the ring
-	// rotation and the P² marker updates, both O(1) per entry. The sorted
-	// window view goes stale instead of being repaired per entry — the
-	// next windowed read rebuilds it from the ring in one sort
-	// (ensureSortedLocked). Same multiset either way, so quantiles are
-	// bit-identical; the write path just stops paying O(window) sorted
-	// maintenance for reads nobody has asked for yet.
 	for _, e := range staged {
-		if len(d.ring) < cap(d.ring) {
-			d.ring = append(d.ring, e.v)
-		} else {
-			d.ring[d.next] = e.v
-			d.next = (d.next + 1) % len(d.ring)
-		}
+		d.slideLocked(e.v)
 		for i := range d.p2s {
 			d.p2s[i].observe(float64(e.v))
 		}
 	}
-	if len(staged) > 0 {
-		d.dirty = true
-	}
+	d.folded += int64(n)
 }
 
-// ensureSortedLocked rebuilds the sorted window view from the ring if
-// folds have outdated it. Callers hold d.mu and have already folded the
-// staging shards forward.
-func (d *Digest) ensureSortedLocked() {
-	if !d.dirty {
+// slideLocked moves the window forward by one observation: v takes the
+// ring slot of the oldest value (once the ring is full), and the sorted
+// view gives up that value and takes v with one copy of the span between
+// their positions — the same multiset a full re-sort of the ring would
+// produce, so every quantile is bit-identical to it.
+func (d *Digest) slideLocked(v time.Duration) {
+	if len(d.ring) < cap(d.ring) {
+		d.ring = append(d.ring, v)
+		i, _ := slices.BinarySearch(d.sorted, v)
+		d.sorted = append(d.sorted, v)
+		copy(d.sorted[i+1:], d.sorted[i:])
+		d.sorted[i] = v
 		return
 	}
-	d.sorted = append(d.sorted[:0], d.ring...)
-	slices.Sort(d.sorted)
-	d.dirty = false
+	old := d.ring[d.next]
+	d.ring[d.next] = v
+	if d.next++; d.next == len(d.ring) {
+		d.next = 0
+	}
+	if v == old {
+		return
+	}
+	out, _ := slices.BinarySearch(d.sorted, old)
+	if v > old {
+		// v lands left of the first element ≥ v; everything between the
+		// vacated slot and there shifts down one.
+		in, _ := slices.BinarySearch(d.sorted[out+1:], v)
+		in += out
+		copy(d.sorted[out:in], d.sorted[out+1:in+1])
+		d.sorted[in] = v
+	} else {
+		in, _ := slices.BinarySearch(d.sorted[:out], v)
+		copy(d.sorted[in+1:out+1], d.sorted[in:out])
+		d.sorted[in] = v
+	}
 }
 
 // Count reports the total observations ever recorded (not capped at the
@@ -275,7 +302,6 @@ func (d *Digest) Count() int64 {
 // the exact sample agree on identical inputs. Out-of-range or NaN p clamps
 // into [0, 1]; an empty digest reports 0.
 func (d *Digest) quantileLocked(p float64) time.Duration {
-	d.ensureSortedLocked()
 	vs := d.sorted
 	if len(vs) == 0 {
 		return 0
@@ -299,7 +325,7 @@ func (d *Digest) quantileLocked(p float64) time.Duration {
 // Quantile returns the p-quantile over the sliding window — the reactive
 // estimate adaptive scheduling prices with. Never negative, never NaN; 0
 // only when nothing was recorded. The read folds any staged observations
-// forward first (readers pay the merge, writers don't).
+// forward first; with none staged it is the digest mutex and an index.
 func (d *Digest) Quantile(p float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()

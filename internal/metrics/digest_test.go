@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -258,6 +259,152 @@ func TestDigestConcurrentRecord(t *testing.T) {
 	wg.Wait()
 	if d.Count() != 16000 {
 		t.Fatalf("count = %d, want 16000", d.Count())
+	}
+}
+
+// checkWindow asserts what every fold must leave behind: the maintained
+// order-statistic view is the ring's multiset sorted, and nothing was
+// folded that was not recorded.
+func checkWindow(t *testing.T, d *Digest) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if want := slices.Sorted(slices.Values(d.ring)); !slices.Equal(d.sorted, want) {
+		t.Fatalf("maintained window is not the sorted ring:\n got %v\nwant %v", d.sorted, want)
+	}
+	if total := d.total.Load(); d.folded > total {
+		t.Fatalf("folded %d observations of %d recorded", d.folded, total)
+	}
+}
+
+// TestWindowMatchesSortedRing drives seeded mixes of every write and every
+// windowed read through one digest and re-derives the window from the ring
+// after each operation. The values are duplicate-heavy with a wide-range
+// minority, so evictions land on runs of equal values as well as between
+// them; batches run past the staging capacity, so folds fire mid-batch.
+func TestWindowMatchesSortedRing(t *testing.T) {
+	const ops = 20000
+	for seed, window := range map[uint64]int{1: 3, 2: 64, 3: DefaultWindow} {
+		next := lcg(seed)
+		value := func() time.Duration {
+			if next()%4 == 0 {
+				return time.Duration(next() % 1e9)
+			}
+			return time.Duration(next()%9) * time.Millisecond
+		}
+		d := NewDigest(window)
+		batch := make([]time.Duration, 0, 3*stageCap)
+		ps := []float64{0.5, 0.95, 0.99}
+		out := make([]time.Duration, len(ps))
+		for i := 0; i < ops; i++ {
+			read := true
+			switch next() % 8 {
+			case 0, 1, 2:
+				d.Record(value())
+				read = false
+			case 3:
+				batch = batch[:next()%uint64(cap(batch)+1)]
+				for j := range batch {
+					batch[j] = value()
+				}
+				d.RecordBatch(batch)
+				read = false
+			case 4:
+				d.Quantile(float64(next()%101) / 100)
+			case 5:
+				d.QuantilesInto(ps, out)
+			case 6:
+				d.Adopt(4*time.Millisecond, 0.95, 8)
+			case 7:
+				d.Blend(4*time.Millisecond, 8)
+			}
+			checkWindow(t, d)
+			if read && d.folded != d.Count() {
+				t.Fatalf("seed %d op %d: a read left %d of %d observations unfolded", seed, i, d.Count()-d.folded, d.Count())
+			}
+		}
+	}
+}
+
+// TestDigestConcurrentWindow runs writers against readers under -race:
+// every read's quantile must sit between the minimum and maximum of the
+// window it was taken from, and once the writers stop one read folds
+// everything — folded reaches Count and the window is the sorted ring.
+func TestDigestConcurrentWindow(t *testing.T) {
+	const writers, readers, rounds, perRound = 4, 2, 700, 6
+	const ceiling = time.Millisecond // above every recorded value
+	d := NewDigest(128)
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(seed uint64) {
+			defer writing.Done()
+			next := lcg(seed)
+			var batch [perRound - 1]time.Duration
+			for i := 0; i < rounds; i++ {
+				d.Record(time.Duration(next()) % ceiling)
+				for j := range batch {
+					batch[j] = time.Duration(next() % 16)
+				}
+				d.RecordBatch(batch[:])
+			}
+		}(uint64(w + 1))
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(q float64) {
+			defer reading.Done()
+			ps := []float64{0, q, 1}
+			out := make([]time.Duration, len(ps))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d.QuantilesInto(ps, out)
+				if out[1] < out[0] || out[1] > out[2] {
+					t.Errorf("q%v = %v outside the window's [%v, %v]", q, out[1], out[0], out[2])
+					return
+				}
+				if v := d.Quantile(q); v < 0 || v >= ceiling {
+					t.Errorf("q%v = %v outside everything recorded", q, v)
+					return
+				}
+			}
+		}(0.5 + 0.45*float64(r))
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	d.Quantile(0.5)
+	checkWindow(t, d)
+	if want := int64(writers * rounds * perRound); d.Count() != want || d.folded != want {
+		t.Fatalf("after quiesce: folded %d, count %d, want %d", d.folded, d.Count(), want)
+	}
+}
+
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool
+
+// TestWarmRecordThenQuantileAllocatesNothing pins the host cost of the
+// balancer's access pattern — a read right after a write, folding every
+// time — on a window that has wrapped.
+func TestWarmRecordThenQuantileAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	next := lcg(5)
+	d := NewDigest(64)
+	for i := 0; i < 200; i++ {
+		d.Record(time.Duration(next() % 1e9))
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		d.Record(time.Duration(next() % 1e9))
+		d.Quantile(0.95)
+	}); got != 0 {
+		t.Errorf("warm Record+Quantile allocates %v times, want 0", got)
 	}
 }
 

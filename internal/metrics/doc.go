@@ -11,8 +11,9 @@
 //   - Digest is a concurrent quantile digest — a fixed-window ring whose
 //     sorted view gives windowed quantiles that react to drift, plus
 //     constant-memory P² streaming estimators (Jain & Chlamtac, 1985) for
-//     the cumulative p50/p95/p99 surfaced as gauges. Record is O(log
-//     window) and quantile reads never sort under the lock.
+//     the cumulative p50/p95/p99 surfaced as gauges. An observation costs
+//     O(log window) compares and one bounded copy when it is folded in;
+//     a quantile read is a mutex and an index, and never sorts.
 //   - Digest.Adopt is the static-vs-live switching decision: below a
 //     warmup count the prior holds; once warmed, the live quantile is
 //     adopted when it diverges beyond AdoptEnterRatio (1.5x, either

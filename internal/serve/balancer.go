@@ -18,6 +18,12 @@
 // The balancer owns no clock and no goroutine, and reads pools only through
 // poolView, never with its own mutex held: an owner whose view takes a pool
 // lock (the Engine's free-worker read) cannot deadlock against it.
+//
+// A decision reads each pool's price once: BalanceTarget ranks its peers by
+// PricedWait and hands the winner's to the latch, StealDonor prices the
+// thief for the first donor that needs it and reuses that for the rest —
+// one free-worker read and one digest read per pool per decision, never a
+// second look at a pool already priced.
 
 package serve
 
@@ -171,6 +177,21 @@ func (b *balancer) PricedWait(i int) time.Duration {
 // work has no workers coming back for it, so it escapes without latch,
 // warm-up or digest evidence.
 func (b *balancer) Overloaded(from, to int) bool {
+	var peer price
+	return b.overloaded(from, to, &peer)
+}
+
+// price is one pool's PricedWait within one decision: read on first use,
+// reused after, so a loop over donors or peers prices a pool once.
+type price struct {
+	wait  time.Duration
+	known bool
+}
+
+// overloaded is Overloaded over a peer price the caller may already hold.
+// The peer is priced only after the donor proves warmed, so an unwarmed
+// donor never costs the peer's free-worker read.
+func (b *balancer) overloaded(from, to int, peer *price) bool {
 	if !b.view.healthy(to) {
 		return false
 	}
@@ -181,10 +202,12 @@ func (b *balancer) Overloaded(from, to int) bool {
 	if !warmed {
 		return false
 	}
-	peerWait := b.PricedWait(to)
+	if !peer.known {
+		peer.wait, peer.known = b.PricedWait(to), true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.latches[from*len(b.names)+to].Above(donorWait, peerWait)
+	return b.latches[from*len(b.names)+to].Above(donorWait, peer.wait)
 }
 
 // BalanceTarget picks the pool a submission aimed at from should spill to:
@@ -209,7 +232,7 @@ func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) 
 			best, bestWait, found = i, w, true
 		}
 	}
-	if !found || !b.Overloaded(from, best) {
+	if !found || !b.overloaded(from, best, &price{wait: bestWait, known: true}) {
 		return 0, false
 	}
 	return best, true
@@ -225,12 +248,13 @@ func (b *balancer) StealDonor(to int, eligible func(int) bool) (int, bool) {
 		return 0, false
 	}
 	donor, deepest, found := 0, 0, false
+	var thief price
 	for i := range b.names {
 		if i == to || (eligible != nil && !eligible(i)) {
 			continue
 		}
 		depth := b.view.depth(i)
-		if depth == 0 || !b.Overloaded(i, to) {
+		if depth == 0 || !b.overloaded(i, to, &thief) {
 			continue
 		}
 		if !found || depth > deepest {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -130,5 +131,54 @@ func TestBalancerInvalidate(t *testing.T) {
 	}
 	if b.Overloaded(0, 1) || b.flips(0, 1) != 1 {
 		t.Fatalf("a forgotten pool still reads overloaded, or its release counted a flip (flips %d)", b.flips(0, 1))
+	}
+}
+
+// countingView counts the free-worker reads per pool.
+type countingView struct {
+	stubView
+	free []int
+}
+
+func (v *countingView) hasFree(i int) bool { v.free[i]++; return v.stubView.hasFree(i) }
+
+// TestBalanceTargetPricesEachPoolOnce pins the cost of one spill decision:
+// the winning peer's price goes from the ranking to the latch, so no pool's
+// free-worker state (a pool lock, in the Engine) is read twice — whether the
+// winner priced at zero for being idle or at its digest for being busy —
+// and the decision allocates nothing.
+func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		busy   []bool
+		target int
+	}{
+		{"idle winner", []bool{true, true, false}, 2},
+		{"busy winner", []bool{true, true, true}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			view := countingView{
+				stubView: stubView{dead: make([]bool, 3), depths: []int{5, 0, 0}, busy: tc.busy},
+				free:     make([]int, 3),
+			}
+			var b balancer
+			b.init(&view, []string{"a", "b", "c"}, []string{"cpu", "cpu", "cpu"}, 8, 2)
+			for i, w := range []time.Duration{time.Second, time.Millisecond, time.Minute} {
+				b.record(i, w)
+				b.record(i, w)
+			}
+			if got, ok := b.BalanceTarget(0, nil); !ok || got != tc.target {
+				t.Fatalf("target %d (%v), want %d", got, ok, tc.target)
+			}
+			if want := []int{0, 1, 1}; !slices.Equal(view.free, want) {
+				t.Errorf("free-worker reads per pool %v, want %v", view.free, want)
+			}
+			if raceDetector {
+				return
+			}
+			if got := testing.AllocsPerRun(200, func() { b.BalanceTarget(0, nil) }); got != 0 {
+				t.Errorf("BalanceTarget allocates %v times, want 0", got)
+			}
+		})
 	}
 }
