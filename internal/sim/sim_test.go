@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -238,4 +240,292 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// refEngine is the engine as it was before its queue held values: every
+// event boxed behind a pointer in a binary heap ordered by (at, seq), with
+// the standard library heap's up/down inlined. The differential tests hold
+// Engine to it.
+type refEngine struct {
+	now     time.Duration
+	queue   refHeap
+	seq     uint64
+	stopped bool
+}
+
+type refHeap []*event
+
+func (h refHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h refHeap) up(j int) {
+	for {
+		i := (j - 1) / 2
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h refHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+func (h *refHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+func (h *refHeap) pop() *event {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	ev := old[n]
+	old[n] = nil
+	*h = old[:n]
+	return ev
+}
+
+func (e *refEngine) Now() time.Duration { return e.now }
+
+func (e *refEngine) At(t time.Duration, fn func()) {
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
+	e.queue.push(&event{at: t, seq: e.seq, fn: fn})
+}
+
+func (e *refEngine) After(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	e.At(e.now+d, fn)
+}
+
+func (e *refEngine) Stop() { e.stopped = true }
+
+func (e *refEngine) Run() time.Duration {
+	e.stopped = false
+	for len(e.queue) > 0 && !e.stopped {
+		ev := e.queue.pop()
+		e.now = ev.at
+		ev.fn()
+	}
+	return e.now
+}
+
+func (e *refEngine) RunUntil(deadline time.Duration) time.Duration {
+	e.stopped = false
+	for len(e.queue) > 0 && !e.stopped {
+		if e.queue[0].at > deadline {
+			e.now = deadline
+			return e.now
+		}
+		ev := e.queue.pop()
+		e.now = ev.at
+		ev.fn()
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+	return e.now
+}
+
+func (e *refEngine) Pending() int { return len(e.queue) }
+
+// scheduler is the surface the differential tests drive on both engines.
+type scheduler interface {
+	Now() time.Duration
+	At(t time.Duration, fn func())
+	After(d time.Duration, fn func())
+	Stop()
+	Run() time.Duration
+	RunUntil(deadline time.Duration) time.Duration
+	Pending() int
+}
+
+// fired is one callback run: which callback, at what virtual instant.
+type fired struct {
+	id int
+	at time.Duration
+}
+
+// program runs one engine through a schedule. Callback ids are handed out
+// in creation order, and what a callback does when it fires is a pure
+// function of the seed and its id, so two engines that pop the same events
+// in the same order create the same callbacks with the same ids.
+type program struct {
+	e    scheduler
+	seed uint64
+	ids  int
+	log  []fired
+}
+
+func (p *program) callback() func() {
+	id := p.ids
+	p.ids++
+	return func() { p.fire(id) }
+}
+
+// fire logs the callback, schedules zero to two children (a tie at the
+// current instant, a short delay, a clamped past instant, an absolute grid
+// instant, a negative delay) and stops the run one time in sixteen.
+func (p *program) fire(id int) {
+	now := p.e.Now()
+	p.log = append(p.log, fired{id, now})
+	r := mix(p.seed ^ uint64(id))
+	for k := 0; k < [4]int{0, 0, 1, 2}[r&3]; k++ {
+		c := mix(r + uint64(k))
+		d := time.Duration((c>>8)%8) * time.Millisecond
+		switch c % 5 {
+		case 0:
+			p.e.After(0, p.callback())
+		case 1:
+			p.e.After(d, p.callback())
+		case 2:
+			p.e.At(now-d-1, p.callback())
+		case 3:
+			p.e.At(time.Duration((c>>16)%32)*time.Millisecond, p.callback())
+		case 4:
+			p.e.After(-d, p.callback())
+		}
+	}
+	if (r>>4)&15 == 0 {
+		p.e.Stop()
+	}
+}
+
+// mix is the splitmix64 finalizer.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// scheduleOp applies one decoded outside operation to a program.
+func scheduleOp(p *program, op, arg byte) {
+	now := p.e.Now()
+	ms := time.Millisecond
+	switch op % 16 {
+	case 0, 1, 2, 3, 4: // near the current instant, some in the past; ties
+		p.e.At(now+time.Duration(int(arg%32)-4)*ms, p.callback())
+	case 5, 6, 7:
+		p.e.After(time.Duration(arg%16)*ms, p.callback())
+	case 8:
+		p.e.At(now-time.Duration(arg)*time.Microsecond-1, p.callback())
+	case 9:
+		p.e.After(-time.Duration(arg)*time.Microsecond, p.callback())
+	case 10, 11: // a deadline that may lie before the current instant
+		p.e.RunUntil(now + time.Duration(int(arg%64)-8)*ms/2)
+	case 12:
+		p.e.Run()
+	case 13:
+		p.e.Stop()
+	default:
+		p.e.At(now, p.callback())
+	}
+}
+
+// runSchedule decodes data as (op, arg) byte pairs, applies each to Engine
+// and to refEngine, and reports the first difference in fired callbacks,
+// Now or Pending after any step, then after a final Run.
+func runSchedule(data []byte) error {
+	var seed uint64
+	for i := 0; i < len(data) && i < 8; i++ {
+		seed = seed<<8 | uint64(data[i])
+	}
+	a := &program{e: NewEngine(), seed: seed}
+	b := &program{e: &refEngine{}, seed: seed}
+	checked := 0
+	check := func(step int) error {
+		if len(a.log) != len(b.log) {
+			return fmt.Errorf("step %d: %d callbacks fired, reference %d", step, len(a.log), len(b.log))
+		}
+		for ; checked < len(a.log); checked++ {
+			if a.log[checked] != b.log[checked] {
+				return fmt.Errorf("step %d: callback %d fired %+v, reference %+v",
+					step, checked, a.log[checked], b.log[checked])
+			}
+		}
+		if a.e.Now() != b.e.Now() || a.e.Pending() != b.e.Pending() {
+			return fmt.Errorf("step %d: now %v pending %d, reference now %v pending %d",
+				step, a.e.Now(), a.e.Pending(), b.e.Now(), b.e.Pending())
+		}
+		return nil
+	}
+	for i := 0; i+1 < len(data); i += 2 {
+		scheduleOp(a, data[i], data[i+1])
+		scheduleOp(b, data[i], data[i+1])
+		if err := check(i / 2); err != nil {
+			return err
+		}
+	}
+	a.e.Run()
+	b.e.Run()
+	return check(len(data) / 2)
+}
+
+// TestEngineMatchesReference runs three seeded 20,000-operation schedules
+// on Engine and refEngine. Every other 2,000-operation stretch schedules
+// without running, so the queue grows to thousands of events before the
+// next Run drains it.
+func TestEngineMatchesReference(t *testing.T) {
+	ops := 20000
+	if testing.Short() {
+		ops = 2000
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 2*ops)
+		rng.Read(data)
+		for i := 0; i < ops; i++ {
+			if (i/2000)%2 == 1 && data[2*i]%16 >= 10 && data[2*i]%16 <= 12 {
+				data[2*i] = 0
+			}
+		}
+		if err := runSchedule(data); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+func FuzzEngineSchedule(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 0, 3, 14, 0, 5, 0, 12, 0})
+	f.Add([]byte("at-after-past-clamp-rununtil-stop-run"))
+	seed := make([]byte, 256)
+	for i := range seed {
+		seed[i] = byte(i * 29)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<13 {
+			data = data[:1<<13]
+		}
+		if err := runSchedule(data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
