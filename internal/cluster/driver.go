@@ -7,9 +7,10 @@
 // closing conservation check live here once.
 //
 // Same-instant events run in scheduling order (sim.Engine), so the order
-// in which this file schedules is behaviour: faults, then arrivals, then
-// the sampler; per execution the hedge timer before the completion; service
-// times sampled at dispatch.
+// in which this file schedules is behaviour: faults, then arrivals (one
+// sim.Engine.Arrivals stream, which takes its sequence numbers at the call),
+// then the sampler; per execution the hedge timer before the completion;
+// service times sampled at dispatch.
 package cluster
 
 import (
@@ -218,13 +219,10 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 		ev := ev
 		d.engine.At(ev.At, func() { d.applyFault(ev) })
 	}
-	for i := 0; i < arrivals; i++ {
-		i := i
-		d.engine.At(arrivalAt(i), func() {
-			d.arrive(i)
-			d.pump()
-		})
-	}
+	d.engine.Arrivals(arrivals, arrivalAt, func(i int) {
+		d.arrive(i)
+		d.pump()
+	})
 	for t := time.Duration(0); t <= d.horizon; t += d.sampleEvery {
 		at := t
 		d.engine.At(at, func() { d.sample(at) })

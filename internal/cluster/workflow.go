@@ -233,11 +233,14 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		}
 	}
 
+	// benches holds each slug's benchmark, built once per replay by the
+	// admission loop below, which also rejects unknown slugs.
+	benches := make(map[string]*workload.Benchmark)
 	nextTaskID := 0
 	submitStage := func(ws *wfState, idx int) {
 		now := d.now()
 		stage := ws.run.Stage(idx)
-		ref := &wfStageRef{ws: ws, idx: idx, bench: workload.BySlug(stage.Benchmark)}
+		ref := &wfStageRef{ws: ws, idx: idx, bench: benches[stage.Benchmark]}
 		inputs := ws.run.InputKeys(idx)
 		// Place by the dominant input: the biggest object is the one worth
 		// staying next to. Fan-in side inputs are billed individually below.
@@ -378,7 +381,12 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			return nil, err
 		}
 		for _, st := range w.Spec.Stages {
-			if workload.BySlug(st.Benchmark) == nil {
+			b, ok := benches[st.Benchmark]
+			if !ok {
+				b = workload.BySlug(st.Benchmark)
+				benches[st.Benchmark] = b
+			}
+			if b == nil {
 				return nil, fmt.Errorf("cluster: workflow %d stage %q runs unknown benchmark %q",
 					w.ID, st.ID, st.Benchmark)
 			}
@@ -388,7 +396,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	d.arrive = func(i int) {
 		ws := states[i]
 		for _, i := range ws.run.Spec().Roots() {
-			b := workload.BySlug(ws.run.Stage(i).Benchmark)
+			b := benches[ws.run.Stage(i).Benchmark]
 			if _, _, err := store.PutAt(workflow.InputKey(ws.run.ID(), ws.run.Stage(i).ID),
 				b.InputBytes, true, 0.5); err != nil && admitErr == nil {
 				admitErr = err

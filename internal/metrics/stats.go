@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -45,7 +45,7 @@ func (s *Sample) Len() int {
 // sortValues orders the observations; callers hold s.mu.
 func (s *Sample) sortValues() {
 	if !s.sorted {
-		sort.Slice(s.values, func(i, j int) bool { return s.values[i] < s.values[j] })
+		slices.Sort(s.values)
 		s.sorted = true
 	}
 }

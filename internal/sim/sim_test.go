@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -110,6 +112,86 @@ func TestStop(t *testing.T) {
 	e.Run()
 	if ran != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", ran)
+	}
+}
+
+// TestArrivalsTakeSequenceAtCall pins the stream's place among same-instant
+// timers: after those scheduled before the call, in index order however
+// they were passed, before those scheduled after; at runs once per index,
+// in order, inside the call.
+func TestArrivalsTakeSequenceAtCall(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(time.Millisecond, func() { order = append(order, "before") })
+	var calls []int
+	at := []time.Duration{2 * time.Millisecond, time.Millisecond, -time.Second, time.Millisecond}
+	e.Arrivals(len(at), func(i int) time.Duration {
+		calls = append(calls, i)
+		return at[i]
+	}, func(i int) { order = append(order, fmt.Sprint(i)) })
+	if fmt.Sprint(calls) != "[0 1 2 3]" || e.Pending() != 5 {
+		t.Fatalf("at called for %v, pending %d; want [0 1 2 3], 5", calls, e.Pending())
+	}
+	e.At(time.Millisecond, func() { order = append(order, "after") })
+	e.Run()
+	if got := fmt.Sprint(order); got != "[2 before 1 3 after 0]" {
+		t.Fatalf("ran %s, want [2 before 1 3 after 0]", got)
+	}
+}
+
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool
+
+func nop() {}
+
+// TestWarmTimersAllocateNothing pins At's host cost: a timer is a value in
+// the heap, so once the heap has grown scheduling and running allocate
+// nothing.
+func TestWarmTimersAllocateNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	schedule := func() {
+		for i := 0; i < 64; i++ {
+			e.After(time.Duration(i%7), nop)
+		}
+		e.Run()
+	}
+	schedule()
+	if got := testing.AllocsPerRun(100, schedule); got != 0 {
+		t.Errorf("After+Run on a warmed engine allocates %v times, want 0", got)
+	}
+}
+
+// TestArrivalsAllocations pins the stream's host cost whatever its length:
+// one allocation for instants in order, a second for the run order of
+// instants out of order. The process's first collection allocates its mark
+// workers, so one runs before counting, and the count averages over
+// enough runs that a later cycle's bookkeeping rounds away.
+func TestArrivalsAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	runtime.GC()
+	e := NewEngine()
+	for _, n := range []int{1, 100, 100000} {
+		sorted := func(i int) time.Duration { return e.Now() + time.Duration(i) }
+		reversed := func(i int) time.Duration { return e.Now() + time.Duration(n-i) }
+		for _, c := range []struct {
+			at   func(int) time.Duration
+			want float64
+		}{{sorted, 1}, {reversed, 2}} {
+			if n == 1 {
+				c.want = 1 // one instant is in order
+			}
+			if got := testing.AllocsPerRun(20, func() {
+				e.Arrivals(n, c.at, func(int) {})
+				e.Run()
+			}); got != c.want {
+				t.Errorf("Arrivals of %d allocates %v times, want %v", n, got, c.want)
+			}
+		}
 	}
 }
 
@@ -354,11 +436,20 @@ func (e *refEngine) RunUntil(deadline time.Duration) time.Duration {
 
 func (e *refEngine) Pending() int { return len(e.queue) }
 
+// Arrivals is the At loop Engine.Arrivals is specified to equal.
+func (e *refEngine) Arrivals(n int, at func(int) time.Duration, fn func(int)) {
+	for i := 0; i < n; i++ {
+		i := i
+		e.At(at(i), func() { fn(i) })
+	}
+}
+
 // scheduler is the surface the differential tests drive on both engines.
 type scheduler interface {
 	Now() time.Duration
 	At(t time.Duration, fn func())
 	After(d time.Duration, fn func())
+	Arrivals(n int, at func(int) time.Duration, fn func(int))
 	Stop()
 	Run() time.Duration
 	RunUntil(deadline time.Duration) time.Duration
@@ -443,9 +534,37 @@ func scheduleOp(p *program, op, arg byte) {
 		p.e.Run()
 	case 13:
 		p.e.Stop()
-	default:
+	case 14:
 		p.e.At(now, p.callback())
+	default:
+		p.arrivals(arg)
 	}
+}
+
+// arrivals hands the engine a stream of up to 204 arrivals whose instants
+// are, by arg%5: in order (or all but 1 ns) with ties and a clamped start,
+// out of order, all tied, negative (all clamp to Now), or in reverse order.
+func (p *program) arrivals(arg byte) {
+	now := p.e.Now()
+	n := int(arg/5) * 4
+	base := p.ids
+	p.ids += n
+	at := func(i int) time.Duration {
+		h := mix(p.seed ^ uint64(base+i))
+		switch arg % 5 {
+		case 0: // for odd arg/5, odd indices 1 ns late: out of order by 1 ns
+			return now + time.Duration(i/3-2)*time.Millisecond + time.Duration(i%2*int(arg/5%2))
+		case 1:
+			return now + time.Duration(int(h%32)-4)*time.Millisecond + time.Duration((h>>8)%3)
+		case 2:
+			return now + 2*time.Millisecond
+		case 3:
+			return -time.Duration(h%5)*time.Millisecond - time.Duration(i)
+		default:
+			return now + time.Duration(n-i)*time.Millisecond/2
+		}
+	}
+	p.e.Arrivals(n, at, func(i int) { p.fire(base + i) })
 }
 
 // runSchedule decodes data as (op, arg) byte pairs, applies each to Engine
@@ -456,7 +575,8 @@ func runSchedule(data []byte) error {
 	for i := 0; i < len(data) && i < 8; i++ {
 		seed = seed<<8 | uint64(data[i])
 	}
-	a := &program{e: NewEngine(), seed: seed}
+	eng := NewEngine()
+	a := &program{e: eng, seed: seed}
 	b := &program{e: &refEngine{}, seed: seed}
 	checked := 0
 	check := func(step int) error {
@@ -476,8 +596,15 @@ func runSchedule(data []byte) error {
 		return nil
 	}
 	for i := 0; i+1 < len(data); i += 2 {
-		scheduleOp(a, data[i], data[i+1])
-		scheduleOp(b, data[i], data[i+1])
+		if data[i]%16 == 15 && eng.Pending() > len(eng.heap) {
+			// One stream at a time: run to the pending one's last instant.
+			last := slices.Max(eng.arr.at)
+			a.e.RunUntil(last)
+			b.e.RunUntil(last)
+		} else {
+			scheduleOp(a, data[i], data[i+1])
+			scheduleOp(b, data[i], data[i+1])
+		}
 		if err := check(i / 2); err != nil {
 			return err
 		}
@@ -515,6 +642,7 @@ func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 3, 14, 0, 5, 0, 12, 0})
 	f.Add([]byte("at-after-past-clamp-rununtil-stop-run"))
+	f.Add([]byte{0, 9, 15, 200, 14, 0, 10, 20, 15, 201, 5, 2, 12, 0, 15, 202, 0, 6, 15, 203, 11, 9, 15, 204, 12, 0})
 	seed := make([]byte, 256)
 	for i := range seed {
 		seed[i] = byte(i * 29)
