@@ -11,6 +11,15 @@
 // sim.Engine.Arrivals stream, which takes its sequence numbers at the call),
 // then the sampler; per execution the hedge timer before the completion;
 // service times sampled at dispatch.
+//
+// Every execution is a record from the driver's free list, so a replay
+// allocates nothing per execution. A record's callbacks — completion, hedge
+// timer, lender lease — are bound once, when the record is made, and the
+// record counts what can still reach it: its pending completion, a pending
+// hedge timer or lease, and its inflight slot. It returns to the free list
+// only when the last of these lets go, so an event that fires late (the
+// completion of a cancelled execution, the lease of a hedge that lost)
+// never finds the record serving another execution.
 package cluster
 
 import (
@@ -47,16 +56,30 @@ type rack struct {
 	sampleEvery, horizon time.Duration
 }
 
-// execution is one in-flight dispatch under the fault and hedge models,
-// allocated only when one of them is armed. pool is the dispatch pool, the
-// accounting owner throughout. done marks a completion already credited
-// (by the primary or a winning hedge), cancelled a pool-down requeue — the
-// completion event still fires but retires nothing.
+// execution is one dispatched batch's record. pool is the dispatch pool,
+// the accounting owner throughout; rest is the record's own copy of the
+// coalesced tasks; service is the sampled execution time. done marks a
+// completion already credited (by the primary or a winning hedge),
+// cancelled a pool-down requeue — the completion event still fires but
+// retires nothing.
 type execution struct {
+	d               *driver
 	lead            sched.HybridTask
 	rest            []sched.HybridTask
 	pool            int
+	service         time.Duration
 	done, cancelled bool
+	// refs counts the pending completion, a pending hedge timer or lender
+	// lease, and the inflight slot; at zero the record is free.
+	refs int
+	// The lease of a launched hedge: the lender pool, its fault count at
+	// the launch (a lender that died meanwhile voids the result), and the
+	// duplicate's execution time.
+	lender, lenderFaults int
+	leased               time.Duration
+	// fire, hedgeFire and leaseFire are complete, hedgeDue and leaseDone,
+	// bound once when the record is made.
+	fire, hedgeFire, leaseFire func()
 }
 
 // driver owns the clock. The callbacks are the topology's half; hold,
@@ -75,7 +98,8 @@ type driver struct {
 	// lead and the coalesced rest share it.
 	service func(pool int, lead sched.HybridTask, rest []sched.HybridTask) time.Duration
 	// settle books a finished execution; pool served it (the lender when a
-	// hedge won).
+	// hedge won). Like hold, it must not retain rest past the call: the
+	// slice is the execution record's, or the driver's dispatch scratch.
 	settle func(pool int, lead sched.HybridTask, rest []sched.HybridTask, service time.Duration)
 	sample func(at time.Duration)
 	// hold may keep a dispatched batch open instead of executing it now
@@ -96,9 +120,19 @@ type driver struct {
 	// cancelled, so an instant already armed will fire and re-pump.
 	lastWake                 []time.Duration
 	lastLifeWake, lastDecide time.Duration
+	// pumpFire and lifeFire are pump and the lifecycle wake, bound once.
+	pumpFire, lifeFire func()
 
-	track    bool
-	inflight []*execution
+	// free holds the execution records no event can reach any more; rest
+	// is dispatch's batch scratch.
+	free []*execution
+	rest []sched.HybridTask
+	// track keeps inflight, the fault and hedge models' executions in
+	// dispatch order. live counts executions neither done nor cancelled,
+	// peak the most ever live at once; the slice never outgrows peak.
+	track      bool
+	inflight   []*execution
+	live, peak int
 
 	dispatched []int // executions started, per pool
 	hedgesWon  int
@@ -131,6 +165,14 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 	}
 	for i := range d.lastWake {
 		d.lastWake[i] = -1
+	}
+	d.pumpFire = d.pump
+	d.lifeFire = func() {
+		// A lifecycle wake fires at the instant it was armed for.
+		if d.lastLifeWake == d.engine.Now() {
+			d.lastLifeWake = -1
+		}
+		d.pump()
 	}
 	if r.formBatches && r.maxBatch > 1 {
 		for i, spec := range r.pools {
@@ -223,9 +265,10 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 		d.arrive(i)
 		d.pump()
 	})
+	// A tick fires at the instant it was armed for.
+	tick := func() { d.sample(d.engine.Now()) }
 	for t := time.Duration(0); t <= d.horizon; t += d.sampleEvery {
-		at := t
-		d.engine.At(at, func() { d.sample(at) })
+		d.engine.At(t, tick)
 	}
 	d.engine.Run()
 	d.mc.AdvanceLifecycles(d.horizon)
@@ -273,12 +316,7 @@ func (d *driver) advanceScale() {
 	}
 	if evt, ok := d.mc.NextLifecycleEvent(); ok && evt != d.lastLifeWake {
 		d.lastLifeWake = evt
-		d.engine.At(evt, func() {
-			if d.lastLifeWake == evt {
-				d.lastLifeWake = -1
-			}
-			d.pump()
-		})
+		d.engine.At(evt, d.lifeFire)
 	}
 }
 
@@ -307,7 +345,7 @@ func (d *driver) dispatch(i int) bool {
 	if !ok {
 		if wakeOK && wake != d.lastWake[i] {
 			d.lastWake[i] = wake
-			d.engine.At(wake, d.pump)
+			d.engine.At(wake, d.pumpFire)
 		}
 		return false
 	}
@@ -316,8 +354,9 @@ func (d *driver) dispatch(i int) bool {
 	if d.maxBatch > 1 {
 		payload := lead.Payload
 		// Coalesce returns the core's scratch; keep a copy.
-		rest = append(rest, d.mc.Coalesce(i, now, d.maxBatch-1,
+		d.rest = append(d.rest[:0], d.mc.Coalesce(i, now, d.maxBatch-1,
 			func(t sched.HybridTask) bool { return t.Payload == payload })...)
+		rest = d.rest
 	}
 	if d.hold == nil || !d.hold(i, lead, rest) {
 		d.execute(i, lead, rest)
@@ -329,33 +368,88 @@ func (d *driver) dispatch(i int) bool {
 // sample prices the whole coalesced execution, as on the live engine.
 func (d *driver) execute(pool int, lead sched.HybridTask, rest []sched.HybridTask) {
 	service := d.service(pool, lead, rest)
-	var ex *execution
+	ex := d.take()
+	ex.lead, ex.rest, ex.pool, ex.service = lead, append(ex.rest, rest...), pool, service
+	ex.refs = 1
+	if d.live++; d.live > d.peak {
+		d.peak = d.live
+	}
 	if d.track {
-		ex = &execution{lead: lead, rest: rest, pool: pool}
+		if len(d.inflight) >= d.peak {
+			d.compact()
+		}
 		d.inflight = append(d.inflight, ex)
+		ex.refs++
 		if d.patience != nil {
 			// The sim knows the true service time, so the timer arms only
 			// when the primary will outlive its patience; the live engine's
 			// fires blind and finds the primary done, same outcome.
 			if p := d.patience(pool, lead); p > 0 && p < service {
-				d.engine.After(p, func() { d.hedge(ex) })
+				ex.refs++
+				d.engine.After(p, ex.hedgeFire)
 			}
 		}
 	}
-	d.engine.After(service, func() {
-		if ex != nil {
-			if ex.done || ex.cancelled {
-				return
-			}
-			ex.done = true
+	d.engine.After(service, ex.fire)
+}
+
+// take hands out a free execution record, making one — callbacks bound —
+// when none is free.
+func (d *driver) take() *execution {
+	if n := len(d.free); n > 0 {
+		ex := d.free[n-1]
+		d.free = d.free[:n-1]
+		return ex
+	}
+	ex := &execution{d: d}
+	ex.fire, ex.hedgeFire, ex.leaseFire = ex.complete, ex.hedgeDue, ex.leaseDone
+	return ex
+}
+
+// release drops one reference to ex and frees the record with the last.
+func (d *driver) release(ex *execution) {
+	if ex.refs--; ex.refs > 0 {
+		return
+	}
+	ex.rest, ex.done, ex.cancelled = ex.rest[:0], false, false
+	d.free = append(d.free, ex)
+}
+
+// compact drops finished executions from inflight, keeping dispatch order.
+func (d *driver) compact() {
+	kept := d.inflight[:0]
+	for _, ex := range d.inflight {
+		if ex.done || ex.cancelled {
+			d.release(ex)
+		} else {
+			kept = append(kept, ex)
 		}
-		d.mc.Complete(pool, 1+len(rest))
-		if a := d.ascs[pool]; a != nil {
-			a.ObserveService(lead.Payload, service)
-		}
-		d.settle(pool, lead, rest, service)
-		d.pump()
-	})
+	}
+	d.inflight = kept
+}
+
+// complete is the primary's completion event.
+func (ex *execution) complete() {
+	d := ex.d
+	if ex.done || ex.cancelled {
+		d.release(ex)
+		return
+	}
+	ex.done = true
+	d.live--
+	d.mc.Complete(ex.pool, 1+len(ex.rest))
+	if a := d.ascs[ex.pool]; a != nil {
+		a.ObserveService(ex.lead.Payload, ex.service)
+	}
+	d.settle(ex.pool, ex.lead, ex.rest, ex.service)
+	d.release(ex)
+	d.pump()
+}
+
+// hedgeDue is the patience timer: the primary is a straggler.
+func (ex *execution) hedgeDue() {
+	ex.d.hedge(ex)
+	ex.d.release(ex)
 }
 
 // hedge duplicates one straggling execution: the first healthy peer with a
@@ -371,23 +465,29 @@ func (d *driver) hedge(ex *execution) {
 		if j == ex.pool || !d.mc.Healthy(j) || !d.mc.Pool(j).Hedge() {
 			continue
 		}
-		lender := d.mc.Pool(j)
-		faults := lender.Faults()
-		elapsed := d.service(j, ex.lead, ex.rest)
-		d.engine.After(elapsed, func() {
-			// The lease runs out on schedule even if the lender died
-			// mid-hedge; only the result is discarded.
-			lender.HedgeDone()
-			if lender.Faults() == faults && !ex.done && !ex.cancelled {
-				ex.done = true
-				d.hedgesWon++
-				d.mc.Complete(ex.pool, 1+len(ex.rest))
-				d.settle(j, ex.lead, ex.rest, elapsed)
-			}
-			d.pump()
-		})
+		ex.lender, ex.lenderFaults = j, d.mc.Pool(j).Faults()
+		ex.leased = d.service(j, ex.lead, ex.rest)
+		ex.refs++
+		d.engine.After(ex.leased, ex.leaseFire)
 		return
 	}
+}
+
+// leaseDone ends a hedge's lease. It runs out on schedule even if the
+// lender died mid-hedge; only the result is discarded.
+func (ex *execution) leaseDone() {
+	d := ex.d
+	lender := d.mc.Pool(ex.lender)
+	lender.HedgeDone()
+	if lender.Faults() == ex.lenderFaults && !ex.done && !ex.cancelled {
+		ex.done = true
+		d.live--
+		d.hedgesWon++
+		d.mc.Complete(ex.pool, 1+len(ex.rest))
+		d.settle(ex.lender, ex.lead, ex.rest, ex.leased)
+	}
+	d.release(ex)
+	d.pump()
 }
 
 // applyFault drives the scripted schedule. A pool-down cancels the pool's
@@ -419,10 +519,12 @@ func (d *driver) applyFault(ev trace.FaultEvent) {
 	for _, ex := range d.inflight {
 		switch {
 		case ex.done || ex.cancelled:
+			d.release(ex)
 		case ex.pool != i:
 			kept = append(kept, ex)
 		default:
 			ex.cancelled = true
+			d.live--
 			tasks := append([]sched.HybridTask{ex.lead}, ex.rest...)
 			d.mc.Requeue(i, tasks)
 			if f := d.formers[i]; f != nil {
@@ -430,6 +532,7 @@ func (d *driver) applyFault(ev trace.FaultEvent) {
 					f.Observe(t, 1)
 				}
 			}
+			d.release(ex)
 		}
 	}
 	d.inflight = kept

@@ -353,13 +353,13 @@ func TestQueueDelayGaugesOnGateway(t *testing.T) {
 	// The digests behind the gauges recorded every served request exactly
 	// once across the pools.
 	var waits int64
-	for _, key := range [][2]string{{"DSCS-Serverless", "dscs"}, {"Baseline (CPU)", "cpu"}} {
-		if dg := g.Engine().WaitObservatory().Digest(key[0], key[1]); dg != nil {
+	for _, platform := range []string{"DSCS-Serverless", "Baseline (CPU)"} {
+		if dg := g.Engine().WaitDigest(platform); dg != nil {
 			waits += dg.Count()
 		}
 	}
 	if waits != 8 {
-		t.Errorf("wait observatory recorded %d delays for 8 served requests", waits)
+		t.Errorf("wait digests recorded %d delays for 8 served requests", waits)
 	}
 	if err := g.Engine().Conservation(); err != nil {
 		t.Fatal(err)

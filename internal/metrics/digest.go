@@ -1,15 +1,14 @@
-// digest.go is the latency observatory's data structure: an online
-// quantile digest safe for concurrent Record from serving-engine worker
-// goroutines. Each digest combines a fixed-size ring of the most recent
-// observations (windowed quantiles that react to drift — what adaptive
-// scheduling estimates price with) and constant-memory P² streaming
-// estimators (Jain & Chlamtac, CACM 1985) for the cumulative p50/p95/p99
-// surfaced as gauges on /metrics. The Observatory keys digests per
-// {benchmark, platform}, so the scheduler's live pricing and the telemetry
-// both see per-pool service behavior rather than one blurred aggregate.
-// The serving engine runs a second observatory over queue delays keyed
-// {platform, class}, which the wait-keyed spillover/steal decisions read
-// through the same Adopt latch.
+// digest.go is the latency observatory's data structure: online quantile
+// digests safe for concurrent Record from serving-engine worker goroutines.
+// A WindowDigest is a fixed-size ring of the most recent observations
+// (windowed quantiles that react to drift — what the wait-keyed balance
+// decisions read, one per pool). A Digest embeds one and adds
+// constant-memory P² streaming estimators (Jain & Chlamtac, CACM 1985) for
+// the cumulative p50/p95/p99 surfaced as gauges on /metrics, plus the
+// Adopt latch and Blend that service-estimate pricing uses. The Observatory
+// keys Digests per {benchmark, platform}, so the scheduler's live pricing
+// and the telemetry both see per-pool service behavior rather than one
+// blurred aggregate.
 
 package metrics
 
@@ -75,15 +74,13 @@ type digestShard struct {
 	buf [stageCap]stageEntry
 }
 
-// Digest is one {benchmark, platform} latency record: a sliding window of
-// the last Window observations plus P² streaming estimators over the whole
-// stream. Safe for concurrent use, and built for reads that follow writes
-// (the balance decision reads a wait digest on every submission, right
-// after a dispatch recorded into it): Record appends to a per-P staging
-// shard (no allocation, no shared lock), and the merged state — the window
-// ring, its order-statistic view and the P² markers — is folded forward
-// under the digest lock when a shard fills or a reader finds something
-// staged.
+// WindowDigest is a sliding window of the last Window observations. Safe
+// for concurrent use, and built for reads that follow writes (the balance
+// decision reads a pool's wait digest on every submission, right after a
+// dispatch recorded into it): Record appends to a per-P staging shard (no
+// allocation, no shared lock), and the merged state — the window ring and
+// its order-statistic view — is folded forward under the digest lock when
+// a shard fills or a reader finds something staged.
 //
 // Who pays what: the fold keeps the sorted view in step with the ring, one
 // observation at a time — a binary search for the value the ring evicts,
@@ -91,23 +88,22 @@ type digestShard struct {
 // (O(log W) compares plus at most W words moved, nothing when the two are
 // equal). A windowed read is then the digest mutex and an index; with
 // nothing staged it touches no shard lock at all (folded == total).
-type Digest struct {
+type WindowDigest struct {
 	mu   sync.Mutex
 	ring []time.Duration // eviction order (circular)
 	next int
 	// sorted holds the ring's multiset in ascending order after every
 	// folded observation — the order-statistic view quantiles index.
 	sorted []time.Duration
-	p2s    [len(streamQuantiles)]p2
 
 	// total counts every Record ever made (staged included) — warmup
 	// thresholds read it without touching any lock. It doubles as the
 	// sequence source for the staging merge order.
 	total atomic.Int64
-	// folded counts the observations folded into ring, sorted and p2s, under
-	// mu. It trails total by exactly what is staged or about to be (Record
-	// bumps total before it stages), so folded == total means every shard
-	// is empty.
+	// folded counts the observations folded into ring and sorted (and
+	// streams), under mu. It trails total by exactly what is staged or about
+	// to be (Record bumps total before it stages), so folded == total means
+	// every shard is empty.
 	folded int64
 	// shards are the staging rings; staged is the fold's merge scratch, one
 	// slot per staging slot, owned by mu. It lives here and not in the
@@ -115,15 +111,45 @@ type Digest struct {
 	// started with.
 	shards []digestShard
 	staged []stageEntry
+	// streams are the P² estimators the fold also feeds: none on a bare
+	// window, the embedding Digest's own otherwise.
+	streams []p2
+}
+
+// Digest is one {benchmark, platform} latency record: a WindowDigest plus
+// P² streaming estimators over the whole stream, the static-vs-live Adopt
+// latch and Blend. The window's fold feeds the estimators under the same
+// lock, in the same sequence order.
+type Digest struct {
+	WindowDigest
+	p2s [len(streamQuantiles)]p2
 
 	// live is the adoption latch (see Adopt); flips counts its toggles.
 	live  bool
 	flips int64
 }
 
+// NewWindowDigest returns an empty window over the given number of
+// observations (DefaultWindow when non-positive).
+func NewWindowDigest(window int) *WindowDigest {
+	d := &WindowDigest{}
+	d.init(window)
+	return d
+}
+
 // NewDigest returns an empty digest over a window of the given size
 // (DefaultWindow when non-positive).
 func NewDigest(window int) *Digest {
+	d := &Digest{}
+	d.init(window)
+	for i, q := range streamQuantiles {
+		d.p2s[i].init(q)
+	}
+	d.streams = d.p2s[:]
+	return d
+}
+
+func (d *WindowDigest) init(window int) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
@@ -134,16 +160,10 @@ func NewDigest(window int) *Digest {
 	if shards < 1 {
 		shards = 1
 	}
-	d := &Digest{
-		ring:   make([]time.Duration, 0, window),
-		sorted: make([]time.Duration, 0, window),
-		shards: make([]digestShard, shards),
-		staged: make([]stageEntry, shards*stageCap),
-	}
-	for i, q := range streamQuantiles {
-		d.p2s[i].init(q)
-	}
-	return d
+	d.ring = make([]time.Duration, 0, window)
+	d.sorted = make([]time.Duration, 0, window)
+	d.shards = make([]digestShard, shards)
+	d.staged = make([]stageEntry, shards*stageCap)
 }
 
 // Record stages one observation: an atomic sequence fetch plus an
@@ -153,7 +173,7 @@ func NewDigest(window int) *Digest {
 // staged backlog forward (amortized: once per stageCap observations).
 //
 //dscslint:hotpath
-func (d *Digest) Record(v time.Duration) {
+func (d *WindowDigest) Record(v time.Duration) {
 	if v < 0 {
 		v = 0
 	}
@@ -191,7 +211,7 @@ func (d *Digest) Record(v time.Duration) {
 // the one-at-a-time path.
 //
 //dscslint:hotpath
-func (d *Digest) RecordBatch(vs []time.Duration) {
+func (d *WindowDigest) RecordBatch(vs []time.Duration) {
 	if len(vs) == 0 {
 		return
 	}
@@ -221,9 +241,10 @@ func (d *Digest) RecordBatch(vs []time.Duration) {
 }
 
 // foldStagedLocked drains every staging shard and folds the entries into
-// the merged window and P² state in sequence order. With nothing staged it
-// returns without touching a shard lock. Callers hold d.mu.
-func (d *Digest) foldStagedLocked() {
+// the merged window (and a Digest's P² streams) in sequence order. With
+// nothing staged it returns without touching a shard lock. Callers hold
+// d.mu.
+func (d *WindowDigest) foldStagedLocked() {
 	if d.folded == d.total.Load() {
 		return
 	}
@@ -246,8 +267,8 @@ func (d *Digest) foldStagedLocked() {
 	}
 	for _, e := range staged {
 		d.slideLocked(e.v)
-		for i := range d.p2s {
-			d.p2s[i].observe(float64(e.v))
+		for i := range d.streams {
+			d.streams[i].observe(float64(e.v))
 		}
 	}
 	d.folded += int64(n)
@@ -258,7 +279,7 @@ func (d *Digest) foldStagedLocked() {
 // view gives up that value and takes v with one copy of the span between
 // their positions — the same multiset a full re-sort of the ring would
 // produce, so every quantile is bit-identical to it.
-func (d *Digest) slideLocked(v time.Duration) {
+func (d *WindowDigest) slideLocked(v time.Duration) {
 	if len(d.ring) < cap(d.ring) {
 		d.ring = append(d.ring, v)
 		i, _ := slices.BinarySearch(d.sorted, v)
@@ -293,7 +314,7 @@ func (d *Digest) slideLocked(v time.Duration) {
 // Count reports the total observations ever recorded (not capped at the
 // window) — the warmup thresholds compare against it. Lock-free: the hot
 // warmth checks on the submit path never contend with writers.
-func (d *Digest) Count() int64 {
+func (d *WindowDigest) Count() int64 {
 	return d.total.Load()
 }
 
@@ -301,7 +322,7 @@ func (d *Digest) Count() int64 {
 // the same linear interpolation as Sample.Percentile, so the digest and
 // the exact sample agree on identical inputs. Out-of-range or NaN p clamps
 // into [0, 1]; an empty digest reports 0.
-func (d *Digest) quantileLocked(p float64) time.Duration {
+func (d *WindowDigest) quantileLocked(p float64) time.Duration {
 	vs := d.sorted
 	if len(vs) == 0 {
 		return 0
@@ -326,7 +347,7 @@ func (d *Digest) quantileLocked(p float64) time.Duration {
 // estimate adaptive scheduling prices with. Never negative, never NaN; 0
 // only when nothing was recorded. The read folds any staged observations
 // forward first; with none staged it is the digest mutex and an index.
-func (d *Digest) Quantile(p float64) time.Duration {
+func (d *WindowDigest) Quantile(p float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.foldStagedLocked()
@@ -338,7 +359,7 @@ func (d *Digest) Quantile(p float64) time.Duration {
 // Quantile once per p, minus the repeated lock/fold round-trips. The
 // per-batch gauge refresh on the serving hot path reads through this.
 // out and ps must have equal length.
-func (d *Digest) QuantilesInto(ps []float64, out []time.Duration) {
+func (d *WindowDigest) QuantilesInto(ps []float64, out []time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.foldStagedLocked()

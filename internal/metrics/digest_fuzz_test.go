@@ -73,10 +73,22 @@ func FuzzDigestRecord(f *testing.F) {
 			d := NewDigest(window)
 			ref := slidingRef{window: window}
 			into := make([]time.Duration, len(quantiles))
+			w := NewWindowDigest(window)
+			windowInto := make([]time.Duration, len(quantiles))
 			for i := 0; i < n; i++ {
 				v := time.Duration(binary.LittleEndian.Uint64(data[8*i:]))
 				d.Record(v)
 				ref.add(v)
+				// A bare WindowDigest fed the same values matches the same
+				// reference.
+				w.Record(v)
+				w.QuantilesInto(quantiles, windowInto)
+				for qi, q := range quantiles {
+					if got, want := w.Quantile(q), ref.quantile(q); got != want || windowInto[qi] != want {
+						t.Fatalf("window %d obs %d q=%v: bare window Quantile %v, QuantilesInto %v, exact %v",
+							window, i, q, got, windowInto[qi], want)
+					}
+				}
 
 				d.QuantilesInto(quantiles, into)
 				prev := time.Duration(-1)

@@ -265,7 +265,7 @@ func TestDigestConcurrentRecord(t *testing.T) {
 // checkWindow asserts what every fold must leave behind: the maintained
 // order-statistic view is the ring's multiset sorted, and nothing was
 // folded that was not recorded.
-func checkWindow(t *testing.T, d *Digest) {
+func checkWindow(t *testing.T, d *WindowDigest) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -281,10 +281,13 @@ func checkWindow(t *testing.T, d *Digest) {
 // windowed read through one digest and re-derives the window from the ring
 // after each operation. The values are duplicate-heavy with a wide-range
 // minority, so evictions land on runs of equal values as well as between
-// them; batches run past the staging capacity, so folds fire mid-batch.
+// them; batches run past the staging capacity, so folds fire mid-batch. A
+// bare WindowDigest takes the same writes and reads and must hold the same
+// window as the Digest after every read.
 func TestWindowMatchesSortedRing(t *testing.T) {
 	const ops = 20000
 	for seed, window := range map[uint64]int{1: 3, 2: 64, 3: DefaultWindow} {
+		bare := NewWindowDigest(window)
 		next := lcg(seed)
 		value := func() time.Duration {
 			if next()%4 == 0 {
@@ -300,7 +303,9 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 			read := true
 			switch next() % 8 {
 			case 0, 1, 2:
-				d.Record(value())
+				v := value()
+				d.Record(v)
+				bare.Record(v)
 				read = false
 			case 3:
 				batch = batch[:next()%uint64(cap(batch)+1)]
@@ -308,19 +313,32 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 					batch[j] = value()
 				}
 				d.RecordBatch(batch)
+				bare.RecordBatch(batch)
 				read = false
 			case 4:
-				d.Quantile(float64(next()%101) / 100)
+				q := float64(next()%101) / 100
+				d.Quantile(q)
+				bare.Quantile(q)
 			case 5:
 				d.QuantilesInto(ps, out)
+				bare.QuantilesInto(ps, out)
 			case 6:
 				d.Adopt(4*time.Millisecond, 0.95, 8)
+				bare.Quantile(0.95)
 			case 7:
 				d.Blend(4*time.Millisecond, 8)
+				bare.Quantile(0.5)
 			}
-			checkWindow(t, d)
-			if read && d.folded != d.Count() {
-				t.Fatalf("seed %d op %d: a read left %d of %d observations unfolded", seed, i, d.Count()-d.folded, d.Count())
+			checkWindow(t, &d.WindowDigest)
+			checkWindow(t, bare)
+			if read && (d.folded != d.Count() || bare.folded != bare.Count()) {
+				t.Fatalf("seed %d op %d: a read left %d of %d observations unfolded (bare window: %d of %d)",
+					seed, i, d.Count()-d.folded, d.Count(), bare.Count()-bare.folded, bare.Count())
+			}
+			// Staging shards fill on their own schedule, so the two windows
+			// agree once a read has folded both.
+			if read && (!slices.Equal(d.sorted, bare.sorted) || !slices.Equal(d.ring, bare.ring)) {
+				t.Fatalf("seed %d op %d: the Digest's window and the bare window diverged", seed, i)
 			}
 		}
 	}
@@ -379,7 +397,7 @@ func TestDigestConcurrentWindow(t *testing.T) {
 	close(stop)
 	reading.Wait()
 	d.Quantile(0.5)
-	checkWindow(t, d)
+	checkWindow(t, &d.WindowDigest)
 	if want := int64(writers * rounds * perRound); d.Count() != want || d.folded != want {
 		t.Fatalf("after quiesce: folded %d, count %d, want %d", d.folded, d.Count(), want)
 	}
@@ -390,7 +408,8 @@ var raceDetector bool
 
 // TestWarmRecordThenQuantileAllocatesNothing pins the host cost of the
 // balancer's access pattern — a read right after a write, folding every
-// time — on a window that has wrapped.
+// time — on a window that has wrapped, for the Digest and for the bare
+// WindowDigest the balancer holds (whose warm Record alone is pinned too).
 func TestWarmRecordThenQuantileAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates")
@@ -405,6 +424,21 @@ func TestWarmRecordThenQuantileAllocatesNothing(t *testing.T) {
 		d.Quantile(0.95)
 	}); got != 0 {
 		t.Errorf("warm Record+Quantile allocates %v times, want 0", got)
+	}
+	w := NewWindowDigest(64)
+	for i := 0; i < 200; i++ {
+		w.Record(time.Duration(next() % 1e9))
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		w.Record(time.Duration(next() % 1e9))
+	}); got != 0 {
+		t.Errorf("warm WindowDigest.Record allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		w.Record(time.Duration(next() % 1e9))
+		w.Quantile(0.95)
+	}); got != 0 {
+		t.Errorf("warm WindowDigest Record+Quantile allocates %v times, want 0", got)
 	}
 }
 

@@ -3,12 +3,14 @@
 // balancer, and neither prices a peer, arms a latch or ranks a donor itself.
 //
 // The signal is queue delay: every dispatch records the served task's wait —
-// arrival to dispatch — into the digest of the pool that served it. Work
-// moves away from a pool once its wait-p95 has diverged above what it would
-// wait on a peer, past the metrics hysteresis bands (after the warm-up
-// count, enter at AdoptEnterRatio, release within AdoptExitRatio) over one
-// metrics.Latch per directed pool pair, so the decision flips once per
-// genuine imbalance instead of flapping around the boundary.
+// arrival to dispatch — into the window digest of the pool that served it,
+// held in a dense per-pool slot (a record or a read is an index and an
+// atomic load, with no key to hash). Work moves away from a pool once its
+// wait-p95 has diverged above what it would wait on a peer, past the
+// metrics hysteresis bands (after the warm-up count, enter at
+// AdoptEnterRatio, release within AdoptExitRatio) over one metrics.Latch
+// per directed pool pair, so the decision flips once per genuine imbalance
+// instead of flapping around the boundary.
 //
 // Pools are numbered by their owner, fixed at construction, and every tie
 // goes to the lowest index: among equally priced spill targets, equally
@@ -29,6 +31,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dscs/internal/metrics"
@@ -50,12 +53,13 @@ type poolView interface {
 // balancer holds the balance state of one fixed pool set.
 type balancer struct {
 	view poolView
-	// waits is the queue-delay observatory, keyed {names[i], classes[i]}: a
-	// stolen task charges its wait to the thief, not the queue it first
-	// landed on.
-	waits          *metrics.Observatory
-	names, classes []string
-	warmup         int64
+	// waits holds pool i's queue-delay window at index i, nil until the
+	// pool's first dispatch and again after its death: a stolen task
+	// charges its wait to the thief, not the queue it first landed on.
+	// window sizes the windows created from here on.
+	waits  []atomic.Pointer[metrics.WindowDigest]
+	window int
+	warmup int64
 	// latches holds one adoption latch per directed (from, to) pair at
 	// from*n+to — per pair, not per digest as Digest.Adopt keeps, or N-way
 	// comparisons would share state and depend on evaluation order. mu
@@ -64,40 +68,65 @@ type balancer struct {
 	latches []metrics.Latch
 }
 
-// init sizes the balancer for the named pools. Non-positive window and
-// warmup take the metrics defaults.
-func (b *balancer) init(view poolView, names, classes []string, window, warmup int) {
-	b.view, b.names, b.classes = view, names, classes
+// init sizes the balancer for n pools. Non-positive window and warmup take
+// the metrics defaults.
+func (b *balancer) init(view poolView, n, window, warmup int) {
+	b.view = view
+	b.waits = make([]atomic.Pointer[metrics.WindowDigest], n)
 	b.tune(window, warmup)
 }
 
-// tune replaces the observatory and releases every latch, dropping history.
+// tune drops every wait window and releases every latch, dropping history;
+// windows created afterwards use the new size. It must run before traffic.
 func (b *balancer) tune(window, warmup int) {
-	b.waits = metrics.NewObservatory(window, warmup)
-	b.warmup = b.waits.Warmup()
+	if window <= 0 {
+		window = metrics.DefaultWindow
+	}
+	if warmup <= 0 {
+		warmup = metrics.DefaultWarmup
+	}
+	b.window, b.warmup = window, int64(warmup)
+	for i := range b.waits {
+		b.waits[i].Store(nil)
+	}
 	b.mu.Lock()
-	b.latches = make([]metrics.Latch, len(b.names)*len(b.names))
+	b.latches = make([]metrics.Latch, len(b.waits)*len(b.waits))
 	b.mu.Unlock()
+}
+
+// digest returns pool i's wait window, creating it on first use.
+func (b *balancer) digest(i int) *metrics.WindowDigest {
+	for {
+		if dg := b.waits[i].Load(); dg != nil {
+			return dg
+		}
+		b.waits[i].CompareAndSwap(nil, metrics.NewWindowDigest(b.window))
+	}
 }
 
 // record charges one served task's queue delay to pool i.
 func (b *balancer) record(i int, wait time.Duration) {
-	b.waits.Record(b.names[i], b.classes[i], wait)
+	b.digest(i).Record(wait)
 }
 
 // recordBatch charges one dispatched batch's queue delays to pool i and
-// returns the digest (nil only for an empty batch on a fresh pool).
-func (b *balancer) recordBatch(i int, waits []time.Duration) *metrics.Digest {
-	return b.waits.RecordBatch(b.names[i], b.classes[i], waits)
+// returns the window (nil only for an empty batch on a fresh pool).
+func (b *balancer) recordBatch(i int, waits []time.Duration) *metrics.WindowDigest {
+	if len(waits) == 0 {
+		return b.waits[i].Load()
+	}
+	dg := b.digest(i)
+	dg.RecordBatch(waits)
+	return dg
 }
 
 // invalidate forgets what pool i's history armed, at its death: its wait
-// digest (a dead pool's recorded waits price a world that no longer
+// window (a dead pool's recorded waits price a world that no longer
 // exists) and, without counting a flip, every latch touching it — so
 // decisions re-derive from live evidence.
 func (b *balancer) invalidate(i int) {
-	b.waits.Forget(b.names[i])
-	n := len(b.names)
+	b.waits[i].Store(nil)
+	n := len(b.waits)
 	b.mu.Lock()
 	for j := 0; j < n; j++ {
 		b.latches[i*n+j].Reset()
@@ -106,10 +135,10 @@ func (b *balancer) invalidate(i int) {
 	b.mu.Unlock()
 }
 
-// WaitDigest exposes pool i's queue-delay digest (nil until its first
-// dispatch).
-func (b *balancer) WaitDigest(i int) *metrics.Digest {
-	return b.waits.Digest(b.names[i], b.classes[i])
+// WaitDigest exposes pool i's queue-delay window (nil until its first
+// dispatch, and again from its death until its next one).
+func (b *balancer) WaitDigest(i int) *metrics.WindowDigest {
+	return b.waits[i].Load()
 }
 
 // WaitQuantileOf reads pool i's windowed queue-delay quantile (0 until the
@@ -207,7 +236,7 @@ func (b *balancer) overloaded(from, to int, peer *price) bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.latches[from*len(b.names)+to].Above(donorWait, peer.wait)
+	return b.latches[from*len(b.waits)+to].Above(donorWait, peer.wait)
 }
 
 // BalanceTarget picks the pool a submission aimed at from should spill to:
@@ -224,7 +253,7 @@ func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) 
 	}
 	best, found := 0, false
 	var bestWait time.Duration
-	for i := range b.names {
+	for i := range b.waits {
 		if i == from || (eligible != nil && !eligible(i)) || !b.view.healthy(i) {
 			continue
 		}
@@ -249,7 +278,7 @@ func (b *balancer) StealDonor(to int, eligible func(int) bool) (int, bool) {
 	}
 	donor, deepest, found := 0, 0, false
 	var thief price
-	for i := range b.names {
+	for i := range b.waits {
 		if i == to || (eligible != nil && !eligible(i)) {
 			continue
 		}

@@ -23,7 +23,7 @@ func (v *stubView) hasFree(i int) bool { v.freeReads++; return !v.busy[i] }
 func (b *balancer) flips(from, to int) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.latches[from*len(b.names)+to].Flips()
+	return b.latches[from*len(b.waits)+to].Flips()
 }
 
 // TestBalancerDecisions covers the corners of the shared decision that no
@@ -91,7 +91,7 @@ func TestBalancerDecisions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			view := tc.view
 			var b balancer
-			b.init(&view, []string{"a", "b", "c"}, []string{"cpu", "cpu", "cpu"}, 8, warmup)
+			b.init(&view, 3, 8, warmup)
 			for i, ws := range tc.waits {
 				for _, w := range ws {
 					b.record(i, w)
@@ -120,7 +120,7 @@ func TestBalancerDecisions(t *testing.T) {
 func TestBalancerInvalidate(t *testing.T) {
 	view := stubView{dead: make([]bool, 2), depths: []int{4, 0}, busy: make([]bool, 2)}
 	var b balancer
-	b.init(&view, []string{"a", "b"}, []string{"cpu", "cpu"}, 8, 1)
+	b.init(&view, 2, 8, 1)
 	b.record(0, time.Second)
 	if !b.Overloaded(0, 1) || b.flips(0, 1) != 1 {
 		t.Fatalf("warmed wait beside an idle peer must latch once (flips %d)", b.flips(0, 1))
@@ -162,7 +162,7 @@ func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 				free:     make([]int, 3),
 			}
 			var b balancer
-			b.init(&view, []string{"a", "b", "c"}, []string{"cpu", "cpu", "cpu"}, 8, 2)
+			b.init(&view, 3, 8, 2)
 			for i, w := range []time.Duration{time.Second, time.Millisecond, time.Minute} {
 				b.record(i, w)
 				b.record(i, w)

@@ -31,8 +31,8 @@
 // follows tasks across queues). The triggers are either static queue-depth
 // counts (Options.SpilloverThreshold / StealThreshold) or, behind
 // Options.AdaptiveBalance, the wait-keyed latch: every dispatch records
-// the served request's queue delay — arrival to dispatch — into
-// per-{platform, class} digests (the wait observatory, surfaced as
+// the served request's queue delay — arrival to dispatch — into its
+// pool's window digest (surfaced as the per-{platform, class}
 // serve_queue_delay_{p50,p95,p99} gauges), and work moves once the donor
 // pool's adopted wait-p95 has diverged above the target's past the
 // metrics adoption hysteresis (Digest.Adopt's bands over one

@@ -113,7 +113,7 @@ type Options struct {
 	// AdaptiveBalance replaces the static SpilloverThreshold/StealThreshold
 	// queue-depth counts with the wait-keyed decision: every dispatch
 	// records the served request's queue delay (arrival to dispatch) into
-	// per-{platform, class} digests, and work rebalances — DSCS submissions
+	// its pool's wait digest, and work rebalances — DSCS submissions
 	// spill to a CPU pool at submit time, an idle worker steals any peer
 	// pool's backlog (same class included) at drain time — once the donor's
 	// adopted wait-p95 has diverged above the target's past the hysteresis
@@ -456,11 +456,10 @@ type Engine struct {
 	dscsPools []*pool
 	// spillTo is the configured Options.SpilloverTo pool (nil: none named).
 	spillTo *pool
-	// bal owns the queue-delay observatory keyed {platform, class} — every
-	// dispatch records each served request's arrival→dispatch wait against
-	// the pool that served it, always (it backs the serve_queue_delay_*
-	// gauges) — and the spill/steal decisions Options.AdaptiveBalance keys
-	// on it. The engine is its pool view (healthy, depth, hasFree).
+	// bal owns the per-pool queue-delay windows — every dispatch records
+	// each served request's arrival→dispatch wait against the pool that
+	// served it, always (it backs the serve_queue_delay_* gauges) — and the
+	// spill/steal decisions Options.AdaptiveBalance keys on it. The engine is its pool view (healthy, depth, hasFree).
 	bal balancer
 	// drives arbitrates DSCS-class executions over the physical drives.
 	drives *driveSet
@@ -575,12 +574,10 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	classes := make([]string, len(names))
 	var dscsStores []*objstore.Store
 	for idx, name := range names {
 		r := runners[name]
 		class := classFor(r.Platform)
-		classes[idx] = class.String()
 		poolWorkers := opt.Workers
 		if elastic {
 			poolWorkers = opt.MaxWorkers
@@ -650,12 +647,12 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			e.tel.Inc("serve_cold_starts_total", 0)
 		}
 		// Queue-delay gauges are registered up front so /metrics shows the
-		// wait observatory live before the first dispatch.
+		// wait digests live before the first dispatch.
 		for _, q := range []string{"p50", "p95", "p99"} {
 			e.tel.Set("serve_queue_delay_"+q+"{platform="+name+",class="+class.String()+"}", 0)
 		}
 	}
-	e.bal.init(e, names, classes, opt.EstimateWindow, opt.EstimateWarmup)
+	e.bal.init(e, len(names), opt.EstimateWindow, opt.EstimateWarmup)
 	if opt.SpilloverThreshold > 0 || opt.AdaptiveBalance {
 		if opt.SpilloverTo != "" {
 			t, ok := e.pools[opt.SpilloverTo]
@@ -1961,14 +1958,14 @@ func (e *Engine) observe(slug, platformName string, service time.Duration, at ti
 }
 
 // recordWaits folds one dispatched batch's queue delays — each request's
-// arrival→dispatch wait — into the wait observatory under the serving
-// pool's {platform, class} key and refreshes the serve_queue_delay_*
-// gauges. A stolen request charges its wait to the pool that served it,
-// while its enqueue instant survives the move — so a hot pool's digest
-// reflects what its own backlog cost, not what it exported. (A request
-// gathered during the linger window can postdate the dispatch instant;
-// the negative wait clamps to zero here, and the delivery loop hands the
-// same clamped values to the per-request outcomes.)
+// arrival→dispatch wait — into the serving pool's wait window and
+// refreshes its serve_queue_delay_* gauges. A stolen request charges its
+// wait to the pool that served it, while its enqueue instant survives the
+// move — so a hot pool's digest reflects what its own backlog cost, not
+// what it exported. (A request gathered during the linger window can
+// postdate the dispatch instant; the negative wait clamps to zero here,
+// and the delivery loop hands the same clamped values to the per-request
+// outcomes.)
 //
 //dscslint:hotpath
 func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
@@ -2007,9 +2004,15 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
 	p.gDelayP99.SetDuration(qs[2])
 }
 
-// WaitObservatory exposes the engine's queue-delay digests (diagnostics,
-// tests).
-func (e *Engine) WaitObservatory() *metrics.Observatory { return e.bal.waits }
+// WaitDigest exposes the named pool's queue-delay window (diagnostics,
+// tests): nil for an unknown platform, and until the pool's first dispatch.
+func (e *Engine) WaitDigest(platform string) *metrics.WindowDigest {
+	p, ok := e.pools[platform]
+	if !ok {
+		return nil
+	}
+	return e.bal.WaitDigest(p.idx)
+}
 
 // observedService blends one class's static service prior toward the
 // observed p50 of that class's best-observed pool (the cached class lists

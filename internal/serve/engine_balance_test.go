@@ -11,9 +11,9 @@ import (
 	"dscs/internal/workload"
 )
 
-// TestEngineQueueDelayGaugesLive pins the wait observatory's telemetry
+// TestEngineQueueDelayGaugesLive pins the wait digests' telemetry
 // contract: the serve_queue_delay_{p50,p95,p99}{platform,class} gauges are
-// registered at construction (so /metrics shows the observatory before any
+// registered at construction (so /metrics shows the wait digests before any
 // traffic) and carry real quantiles once requests have been served.
 func TestEngineQueueDelayGaugesLive(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{Workers: 2, QueueDepth: 16})
@@ -36,7 +36,7 @@ func TestEngineQueueDelayGaugesLive(t *testing.T) {
 	if _, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	dg := eng.WaitObservatory().Digest("DSCS-Serverless", "dscs")
+	dg := eng.WaitDigest("DSCS-Serverless")
 	if dg == nil || dg.Count() != 1 {
 		t.Fatalf("wait digest after one request = %v, want one observation", dg)
 	}
@@ -216,16 +216,14 @@ func TestEngineAdaptiveBalance64WayConservation(t *testing.T) {
 		}
 	}
 	// Every served request recorded its queue delay against exactly one
-	// pool: the wait observatory's counts must sum to the completions.
+	// pool: the wait digests' counts must sum to the completions.
 	var waits int64
 	for _, platform := range []string{"DSCS-Serverless", "Baseline (CPU)"} {
-		for _, class := range []string{"dscs", "cpu"} {
-			if dg := eng.WaitObservatory().Digest(platform, class); dg != nil {
-				waits += dg.Count()
-			}
+		if dg := eng.WaitDigest(platform); dg != nil {
+			waits += dg.Count()
 		}
 	}
 	if waits != int64(served) {
-		t.Errorf("wait observatory recorded %d delays for %d served requests", waits, served)
+		t.Errorf("wait digests recorded %d delays for %d served requests", waits, served)
 	}
 }

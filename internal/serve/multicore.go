@@ -66,8 +66,6 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 	}
 	total := 0
 	m := &MultiCore{specs: append([]PoolSpec(nil), specs...)}
-	names := make([]string, len(specs))
-	classes := make([]string, len(specs))
 	for i, s := range m.specs {
 		if s.Name == "" || m.Index(s.Name) != i {
 			return nil, fmt.Errorf("serve: multi-pool names must be unique and non-empty (%q)", s.Name)
@@ -97,12 +95,11 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 			p.sharedQueue, m.pools[owner].sharedQueue = true, true
 		}
 		m.pools = append(m.pools, p)
-		names[i], classes[i] = s.Name, s.Class.String()
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("serve: multi-pool core has no workers")
 	}
-	m.balancer.init(m, names, classes, 0, 0)
+	m.balancer.init(m, len(specs), 0, 0)
 	return m, nil
 }
 
@@ -113,7 +110,7 @@ func (m *MultiCore) hasFree(i int) bool { return m.pools[i].free > 0 }
 
 // SetWaitTuning retunes the wait digests' window and warmup (defaults
 // metrics.DefaultWindow/DefaultWarmup when non-positive). It must be called
-// before any dispatch: retuning replaces the observatory, dropping history.
+// before any dispatch: retuning drops every wait window, and history with it.
 func (m *MultiCore) SetWaitTuning(window, warmup int) { m.tune(window, warmup) }
 
 // Pools reports the pool count.
