@@ -354,6 +354,18 @@ func (a *refArray) WearSpread() float64 {
 	return float64(maxW) / float64(minW)
 }
 
+// tally counts, die by die, the mapped pages among [lpnStart,
+// lpnStart+pages), one map lookup a page.
+func (a *refArray) tally(lpnStart, pages int64) []int64 {
+	perDie := make([]int64, a.geo.totalDies())
+	for lpn := lpnStart; lpn < lpnStart+pages; lpn++ {
+		if ppa, ok := a.l2p[lpn]; ok {
+			perDie[a.dieIndex(ppa.Channel, ppa.Die)]++
+		}
+	}
+	return perDie
+}
+
 func refMaxDur(a, b time.Duration) time.Duration {
 	if a > b {
 		return a
@@ -404,6 +416,17 @@ func (d *differ) step(op arrayOp) error {
 	}
 	if gotLat != refLat || gotE != refE {
 		return fmt.Errorf("%+v: latency %v energy %v, reference %v %v", op, gotLat, gotE, refLat, refE)
+	}
+	// readLatency folds the tally into a per-channel sum and maximum, so a
+	// wrong tally can still price right; compare the tally itself.
+	if pages := d.ref.pagesFor(op.n); !op.write && pages > 0 {
+		want := d.ref.tally(op.offset/int64(d.ref.geo.PageSize), pages)
+		for die, got := range d.got.perDie {
+			if got != want[die] {
+				return fmt.Errorf("%+v: die %d read %d pages, reference %d (tally %v, want %v)",
+					op, die, got, want[die], d.got.perDie, want)
+			}
+		}
 	}
 	if g, r := d.got.MappedPages(), d.ref.MappedPages(); g != r {
 		return fmt.Errorf("%+v: %d mapped pages, reference %d", op, g, r)
@@ -527,6 +550,83 @@ func TestArrayMatchesReferenceOddGeometry(t *testing.T) {
 	}
 }
 
+// TestReadTallyLayouts holds every read's per-die tally, latency and energy
+// to the reference on the layouts a tally by runs of consecutive
+// allocations could get wrong: runs just under, at and over the die count
+// from every starting die, runs a segment boundary cuts, single pages
+// overwritten inside an extent, and unmapped holes — on the 32-die drive
+// and on 15 dies, which divide neither the segment size nor a power of two.
+func TestReadTallyLayouts(t *testing.T) {
+	odd := SmartSSDClass()
+	odd.Channels, odd.DiesPerChannel = 3, 5
+	for _, geo := range []Geometry{SmartSSDClass(), odd} {
+		dies := int64(geo.totalDies())
+		ps := int64(geo.PageSize)
+		w := func(lpn, n int64) arrayOp { return arrayOp{write: true, offset: lpn * ps, n: units.Bytes(n * ps)} }
+		r := func(lpn, n int64) arrayOp { return arrayOp{offset: lpn * ps, n: units.Bytes(n * ps)} }
+		const base, far = 100, 1 << 30 // far: a write there only turns the rotation
+		layouts := map[string][]arrayOp{}
+		for _, n := range []int64{dies - 1, dies, dies + 1, 2*dies + 3} {
+			for o := int64(0); o < dies; o++ {
+				layouts[fmt.Sprintf("run%d/from-die%d", n, o)] = []arrayOp{
+					w(far, o), w(base, n),
+					r(base, n), r(base+1, n-1), r(base, n-1), r(base-2, n+4),
+				}
+			}
+		}
+		for _, back := range []int64{1, dies / 2, dies + 1} {
+			lpn := int64(segPages) - back
+			for _, o := range []int64{0, 1, dies - 1} {
+				layouts[fmt.Sprintf("segment-cut%d/from-die%d", back, o)] = []arrayOp{
+					w(far, o), w(lpn, 2*dies+3),
+					r(lpn, 2*dies+3), r(segPages, dies), r(lpn-1, back+1),
+				}
+			}
+		}
+		layouts["run-over-a-whole-segment"] = []arrayOp{
+			w(far, 3), w(segPages-5, segPages+2*dies+9),
+			r(segPages-5, segPages+2*dies+9), r(0, 3*segPages),
+		}
+		overwrites := []arrayOp{w(far, 2), w(base, 3*dies+7)}
+		for p := int64(0); p < 3*dies+7; p += 3 {
+			overwrites = append(overwrites, w(base+p, 1))
+		}
+		overwrites = append(overwrites, w(base+dies, 2), // a two-page run inside
+			r(base, 3*dies+7), r(base+1, 3*dies+5), r(base+dies-1, 4))
+		layouts["single-page-overwrites"] = overwrites
+		fragmented := []arrayOp{w(base, 2*dies+1)}
+		for p := int64(0); p < 2*dies+1; p += 2 {
+			fragmented = append(fragmented, w(base+p, 1))
+		}
+		layouts["every-other-page-overwritten"] = append(fragmented, r(base, 2*dies+1))
+		layouts["holes"] = []arrayOp{
+			w(base, dies+1), w(base+dies+5, 2), w(base+2*dies+20, dies-1), w(base+3*dies+25, 1),
+			r(base-3, 3*dies+30), r(base+dies, 7), r(base+dies+1, 4),
+		}
+		reversed := []arrayOp{}
+		for p := int64(2*dies + 1); p >= 0; p-- {
+			reversed = append(reversed, w(base+p, 1))
+		}
+		layouts["written-backwards"] = append(reversed, r(base, 2*dies+2))
+		layouts["run-continued-by-next-write"] = []arrayOp{
+			w(base, dies-3), w(base+dies-3, dies+5), r(base, 2*dies+2),
+		}
+		for name, ops := range layouts {
+			t.Run(fmt.Sprintf("%ddies/%s", dies, name), func(t *testing.T) {
+				d, err := newDiffer(geo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, op := range ops {
+					if err := d.step(op); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // FuzzArrayOps decodes a byte stream into reads and writes — four bytes an
 // operation: kind and region, position within the region, and a 16-bit
 // length — and holds Array to the reference after every one.
@@ -634,6 +734,39 @@ func BenchmarkArrayRead(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		benchLat, _ = a.ReadBytes(chunkSize, 3*units.MB)
+	}
+}
+
+// BenchmarkArrayReadFragmented is the host cost of reading a placed 3 MB
+// object whose every other page was since overwritten on its own, so no
+// two neighbouring pages hold consecutive allocations.
+func BenchmarkArrayReadFragmented(b *testing.B) {
+	a, err := NewArray(SmartSSDClass())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.WriteBytes(chunkSize, 3*units.MB)
+	start, pages := chunkSize/int64(a.geo.PageSize), a.pagesFor(3*units.MB)
+	for p := int64(0); p < pages; p += 2 {
+		a.Write(start+p, 1)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		benchLat, _ = a.ReadBytes(chunkSize, 3*units.MB)
+	}
+}
+
+// BenchmarkArrayReadSmall is the host cost of reading a placed 200 KB
+// object.
+func BenchmarkArrayReadSmall(b *testing.B) {
+	a, err := NewArray(SmartSSDClass())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.WriteBytes(chunkSize, 200*units.KB)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchLat, _ = a.ReadBytes(chunkSize, 200*units.KB)
 	}
 }
 
