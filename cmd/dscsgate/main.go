@@ -40,16 +40,24 @@
 // offset:id=benchmark:deps stages joined by ';') or one-shot via
 // -workflow; stages chain through object-store objects and place where
 // their input's replica lives (watch the serve_workflow_* metrics).
+//
+// SIGINT or SIGTERM stops the listener, lets in-flight requests finish and
+// drains the engine's queues before the process exits.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"dscs"
@@ -167,9 +175,46 @@ func main() {
 	fmt.Println("  POST /system/workflows   run an invocation graph (offset:id=benchmark:deps body)")
 	fmt.Println("  POST /function/<name>    invoke ({\"batch\":..,\"cold\":..,\"quantile\":..})")
 	fmt.Println("  GET  /metrics            telemetry (incl. serve_* queue/batch metrics)")
-	if err := http.ListenAndServe(*addr, gw.Handler()); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fail(err)
 	}
+	if err := serveUntil(ctx, l, gw); err != nil {
+		fail(err)
+	}
+}
+
+const (
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers, so a slow client cannot hold a connection open.
+	readHeaderTimeout = 10 * time.Second
+	// shutdownGrace bounds how long in-flight requests may run once the
+	// server stops accepting.
+	shutdownGrace = 30 * time.Second
+)
+
+// serveUntil answers gw's API on l until ctx is done, then stops accepting,
+// lets in-flight requests finish (up to shutdownGrace) and closes gw, so the
+// engine has drained every queue when it returns.
+func serveUntil(ctx context.Context, l net.Listener, gw *gateway.Gateway) error {
+	defer gw.Close()
+	srv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(grace)
+	if serr := <-served; !errors.Is(serr, http.ErrServerClosed) {
+		err = errors.Join(err, serr)
+	}
+	return err
 }
 
 // deploySuite pushes every Table 1 deployment through the API path.

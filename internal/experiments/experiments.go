@@ -9,7 +9,8 @@ import (
 
 // Result is one experiment's reproduction output: the printable table (the
 // rows/series the paper's figure reports), named scalar findings used by
-// the regression tests and EXPERIMENTS.md, and any time series.
+// the regression tests and the benchmark's paper-reference error, and any
+// time series.
 type Result struct {
 	ID     string
 	Title  string

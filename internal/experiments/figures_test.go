@@ -94,9 +94,11 @@ func TestFig7PowerFrontier(t *testing.T) {
 	if res.Value("frontier_points") < 4 {
 		t.Error("fig7: frontier too small")
 	}
-	// The DSE selects a 128x128 array on DDR5 (the paper's pick; our
-	// memory model selects a larger buffer than the paper's 4MB —
-	// documented in EXPERIMENTS.md).
+	// The DSE selects a 128x128 array on DDR5 (the paper's pick). Our
+	// selection takes a larger buffer than the paper's 4MB (29.4 MB): in
+	// our DDR5 model throughput keeps rising past 4 MB (340 -> 431 req/s)
+	// as more of the working set stays on chip, and the larger buffer
+	// still fits the power budget.
 	within(t, res, "optimal_dim", 128, 128)
 	within(t, res, "optimal_mem_is_ddr5", 1, 1)
 	// The paper's headline: 1024x1024 loses to 128x128 at batch one.
@@ -171,8 +173,10 @@ func TestFig10BottleneckShift(t *testing.T) {
 
 func TestFig11EnergyShape(t *testing.T) {
 	res := run(t, "fig11")
-	// Paper: DSCS 3.5x (ours overshoots; see EXPERIMENTS.md), NS-FPGA the
-	// most competitive conventional platform at ~1.9x less than DSCS.
+	// Paper: DSCS 3.5x, NS-FPGA the most competitive conventional
+	// platform at ~1.9x less than DSCS. Ours overshoots to ~5.6x: the
+	// energy model splits power between the baseline and DSCS platforms
+	// more in DSCS's favour than the paper's measurements do.
 	within(t, res, "geomean/DSCS-Serverless", 3.4, 7.0)
 	ratio := res.Value("geomean/DSCS-Serverless") / res.Value("geomean/NS-FPGA (SmartSSD)")
 	if ratio < 1.5 || ratio > 2.5 {
@@ -263,8 +267,10 @@ func TestFig14BatchSweep(t *testing.T) {
 
 func TestFig15TailSweep(t *testing.T) {
 	res := run(t, "fig15")
-	// Speedup grows monotonically toward the tail (paper: 3.1x -> 5.0x;
-	// our amplification is smaller — see EXPERIMENTS.md).
+	// Speedup grows monotonically toward the tail (paper: 3.1x -> 5.0x).
+	// Ours grows less, ~3.9x -> 4.3x: the storage-access tail is a
+	// lognormal whose p99 is ~2.1x its median, and the parts of both
+	// paths that do not depend on the quantile damp its effect.
 	prev := 0.0
 	for _, p := range []string{"p50", "p75", "p90", "p95", "p99"} {
 		v := res.Value("speedup/" + p)

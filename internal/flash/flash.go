@@ -20,6 +20,15 @@
 // one map lookup per 2,048 pages and a slice walk, not a hash per 16 KiB
 // page.
 //
+// A read goes by runs, by the same invariant: one Write numbers its pages
+// consecutively, so a run of n cells holding 1+g, 2+g, … puts n / dies
+// pages on every die and one more on each of the n % dies dies from die
+// g % dies on, wrapping. A read therefore costs one compare per page to
+// find the runs plus closed-form work per run — a divide and at most one
+// increment per die — and a page standing alone, as a single-page
+// overwrite leaves it, costs the one divide and increment it did when the
+// tally went page by page.
+//
 // All of this rests on the round-robin invariant. A second source of
 // allocations that does not take the next number in order — garbage
 // collection that relocates pages to a die of its choosing, a per-die
@@ -251,26 +260,65 @@ func (a *Array) WriteBytes(offset int64, n units.Bytes) (time.Duration, units.En
 // [lpnStart, lpnStart+pages). Unmapped pages read as zero-fill from the
 // controller without touching the array.
 //
+// The tally goes by runs of cells holding consecutive allocation numbers:
+// a run of n pages from allocation g puts n / dies pages on every die and
+// one more on each of the n % dies dies from die g % dies on, wrapping.
+//
 //dscslint:hotpath
 func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	perDie := a.perDie
+	perDie, dies := a.perDie, a.dies
 	clear(perDie)
-	var mapped int64
+	// every is the pages each die gets from the runs' whole rotations.
+	var mapped, every int64
 	for lpn, end := lpnStart, lpnStart+pages; lpn < end; {
 		lo := lpn & (segPages - 1)
 		n := min(segPages-lo, end-lpn)
 		if seg := a.segmentAt(lpn >> segShift); seg != nil {
-			for _, cell := range seg[lo : lo+n] {
-				if cell != 0 {
-					mapped++
-					perDie[(cell-1)%a.dies]++
+			cells := seg[lo : lo+n]
+			for i := 0; i < len(cells); {
+				cell := cells[i]
+				if cell == 0 {
+					i++
+					continue
+				}
+				j, want := i+1, cell+1
+				for j < len(cells) && cells[j] == want {
+					j++
+					want++
+				}
+				// cell is 1 + g with g >= 0, so the unsigned remainder is
+				// g % dies without the signed division's sign fix-up.
+				run, die := int64(j-i), uint64(cell-1)%uint64(dies)
+				mapped += run
+				i = j
+				if run == 1 {
+					// A page on its own — single-page overwrites leave
+					// extents like this — costs what it did page by page.
+					perDie[die]++
+					continue
+				}
+				if run >= dies {
+					every += run / dies
+					run %= dies
+				}
+				// The remainder wraps past the last die at most once.
+				if tail := perDie[die:]; run <= int64(len(tail)) {
+					bump(tail[:run])
+				} else {
+					bump(tail)
+					bump(perDie[:run-int64(len(tail))])
 				}
 			}
 		}
 		lpn += n
+	}
+	if every != 0 {
+		for die := range perDie {
+			perDie[die] += every
+		}
 	}
 	if mapped == 0 {
 		// Zero-fill read: controller-only, a page transfer worth of work.
@@ -279,6 +327,13 @@ func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 	lat := a.readLatency(perDie)
 	energy := units.Energy(float64(mapped)*float64(a.geo.PageSize)) * a.geo.ReadEnergyPerByte
 	return lat, energy
+}
+
+// bump adds one page to each die of q.
+func bump(q []int64) {
+	for i := range q {
+		q[i]++
+	}
 }
 
 // ReadBytes reads n bytes at a logical byte offset.
