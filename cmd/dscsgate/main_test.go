@@ -41,11 +41,15 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- serveUntil(ctx, l, gw) }()
 
 	url := "http://" + l.Addr().String() + "/function/asset-damage"
+	// warmed closes once the server has answered 20 invocations, so the
+	// cancellation lands while clients are still sending.
 	var ok atomic.Int64
+	warmed := make(chan struct{})
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)
@@ -63,15 +67,16 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 				if resp.StatusCode != http.StatusOK {
 					return
 				}
-				ok.Add(1)
+				if ok.Add(1) == 20 {
+					close(warmed)
+				}
 			}
 		}()
 	}
-	for deadline := time.Now().Add(10 * time.Second); ok.Load() < 20; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d invocations answered before the deadline", ok.Load())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-warmed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("only %d invocations answered before the deadline", ok.Load())
 	}
 	cancel()
 	select {

@@ -26,8 +26,7 @@
 // g % dies on, wrapping. A read therefore costs one compare per page to
 // find the runs plus closed-form work per run — a divide and at most one
 // increment per die — and a page standing alone, as a single-page
-// overwrite leaves it, costs the one divide and increment it did when the
-// tally went page by page.
+// overwrite leaves it, costs one divide and one increment.
 //
 // All of this rests on the round-robin invariant. A second source of
 // allocations that does not take the next number in order — garbage
@@ -260,9 +259,7 @@ func (a *Array) WriteBytes(offset int64, n units.Bytes) (time.Duration, units.En
 // [lpnStart, lpnStart+pages). Unmapped pages read as zero-fill from the
 // controller without touching the array.
 //
-// The tally goes by runs of cells holding consecutive allocation numbers:
-// a run of n pages from allocation g puts n / dies pages on every die and
-// one more on each of the n % dies dies from die g % dies on, wrapping.
+// The per-die tally goes run by run (see the package comment).
 //
 //dscslint:hotpath
 func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
@@ -295,8 +292,7 @@ func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 				mapped += run
 				i = j
 				if run == 1 {
-					// A page on its own — single-page overwrites leave
-					// extents like this — costs what it did page by page.
+					// Single-page overwrites leave these.
 					perDie[die]++
 					continue
 				}
