@@ -17,17 +17,14 @@
 // -batch-linger (how long a dispatch may wait for its batch to fill
 // toward -max-batch), -global-batch/-batch-slo (queue-level SLO-aware
 // batch forming ahead of dispatch; watch serve_batch_formed_total),
-// -spillover-threshold (DSCS queue depth beyond which submissions reroute
-// to the CPU pool; watch serve_spillover_total on /metrics),
-// -steal-threshold (peer backlog depth beyond which an idle pool pulls the
-// other class's queued work; watch serve_steal_total),
 // -adaptive-estimates/-estimate-warmup (price batching and policy
 // decisions with live latency digests instead of the static model-derived
 // estimates once a benchmark has enough observations; watch the
-// serve_latency_p50/p95/p99 gauges), and -adaptive-balance (replace the
-// static spillover/steal depth counts with the wait-keyed decision: work
-// rebalances once a pool's adopted queue-delay p95 diverges above a
-// peer's; watch the serve_queue_delay_p50/p95/p99 gauges).
+// serve_latency_p50/p95/p99 gauges), and -adaptive-balance (DSCS
+// submissions spill to the CPU pool and idle pools steal queued work once
+// a pool's adopted queue-delay p95 diverges above a peer's; watch
+// serve_spillover_total, serve_steal_total and the
+// serve_queue_delay_p50/p95/p99 gauges).
 //
 // The failure model is armed with -hedge-factor (duplicate a straggling
 // execution on a healthy peer once it outlives that multiple of its
@@ -79,12 +76,10 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound per platform")
 		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max same-benchmark requests coalesced per execution")
 		linger      = flag.Duration("batch-linger", 0, "how long a dispatch may wait for its batch to fill toward -max-batch (0 disables)")
-		spillover   = flag.Int("spillover-threshold", 0, "DSCS queue depth at which submissions spill to the CPU pool (0 disables)")
 		globalBatch = flag.Bool("global-batch", false, "form same-benchmark batches across the whole queue before dispatch (needs -batch-linger)")
 		batchSLO    = flag.Duration("batch-slo", 0, "per-request deadline budget bounding how long -global-batch may hold a forming batch (0 = linger only)")
-		steal       = flag.Int("steal-threshold", 0, "peer queue depth beyond which an idle pool steals the other class's queued work (0 disables)")
 		adaptive    = flag.Bool("adaptive-estimates", false, "price batching and policy decisions with live latency digests once warmed (static estimates stay the cold-start prior)")
-		balance     = flag.Bool("adaptive-balance", false, "rebalance on queue delay instead of queue depth: spill and steal once a pool's adopted wait-p95 diverges above a peer's (replaces -spillover-threshold/-steal-threshold)")
+		balance     = flag.Bool("adaptive-balance", false, "rebalance on queue delay: spill DSCS submissions to the CPU pool and let idle pools steal once a pool's adopted wait-p95 diverges above a peer's (off keeps the pools isolated)")
 		warmup      = flag.Int("estimate-warmup", metrics.DefaultWarmup, "per-{benchmark,platform} completions before live estimates replace the static prior")
 		minWorkers  = flag.Int("min-workers", 0, "elastic warm floor per platform; 0 allows scale-to-zero (needs -max-workers)")
 		maxWorkers  = flag.Int("max-workers", 0, "elastic warm ceiling per platform; arms the worker lifecycle and replaces -workers (0 keeps fixed pools)")
@@ -107,25 +102,23 @@ func main() {
 	}
 	gw, err := gateway.NewWithOptions(env.Runners, "DSCS-Serverless", "Baseline (CPU)",
 		serve.Options{
-			Workers:            *workers,
-			PolicyName:         *policy,
-			QueueDepth:         *queueDepth,
-			MaxBatch:           *maxBatch,
-			BatchLinger:        *linger,
-			GlobalBatch:        *globalBatch,
-			BatchSLO:           *batchSLO,
-			SpilloverThreshold: *spillover,
-			StealThreshold:     *steal,
-			AdaptiveEstimates:  *adaptive,
-			AdaptiveBalance:    *balance,
-			EstimateWarmup:     *warmup,
-			MinWorkers:         *minWorkers,
-			MaxWorkers:         *maxWorkers,
-			ColdStart:          *coldStart,
-			IdleLinger:         *idleLinger,
-			Prewarm:            *prewarm,
-			HedgeFactor:        *hedgeFactor,
-			Faults:             faults,
+			Workers:           *workers,
+			PolicyName:        *policy,
+			QueueDepth:        *queueDepth,
+			MaxBatch:          *maxBatch,
+			BatchLinger:       *linger,
+			GlobalBatch:       *globalBatch,
+			BatchSLO:          *batchSLO,
+			AdaptiveEstimates: *adaptive,
+			AdaptiveBalance:   *balance,
+			EstimateWarmup:    *warmup,
+			MinWorkers:        *minWorkers,
+			MaxWorkers:        *maxWorkers,
+			ColdStart:         *coldStart,
+			IdleLinger:        *idleLinger,
+			Prewarm:           *prewarm,
+			HedgeFactor:       *hedgeFactor,
+			Faults:            faults,
 		})
 	if err != nil {
 		fail(err)
@@ -162,8 +155,8 @@ func main() {
 		capacity = fmt.Sprintf("elastic %d..%d workers/platform (%s, cold-start %v, idle-linger %v)",
 			*minWorkers, *maxWorkers, mode, *coldStart, *idleLinger)
 	}
-	fmt.Printf("DSCS-Serverless gateway listening on %s (%s, %s policy, queue %d, batch %d, linger %v, global-batch %v, spillover %d, steal %d, adaptive %v, balance %v)\n",
-		*addr, capacity, *policy, *queueDepth, *maxBatch, *linger, *globalBatch, *spillover, *steal, *adaptive, *balance)
+	fmt.Printf("DSCS-Serverless gateway listening on %s (%s, %s policy, queue %d, batch %d, linger %v, global-batch %v, adaptive %v, balance %v)\n",
+		*addr, capacity, *policy, *queueDepth, *maxBatch, *linger, *globalBatch, *adaptive, *balance)
 	if *hedgeFactor >= 1 {
 		fmt.Printf("  hedging duplicates at %gx the adopted service-p95\n", *hedgeFactor)
 	}

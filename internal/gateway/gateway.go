@@ -88,10 +88,9 @@ func NewWithOptions(runners map[string]*faas.Runner, accelRunner, plainRunner st
 		tel = sched.NewTelemetry()
 		opt.Telemetry = tel
 	}
-	// DSCS spillover — static threshold or wait-keyed adaptive balance —
-	// lands on the gateway's plain (CPU) pool unless the caller picked a
-	// target explicitly.
-	if (opt.SpilloverThreshold > 0 || opt.AdaptiveBalance) && opt.SpilloverTo == "" {
+	// Adaptive balance spills DSCS work onto the gateway's plain (CPU)
+	// pool unless the caller picked a target explicitly.
+	if opt.AdaptiveBalance && opt.SpilloverTo == "" {
 		opt.SpilloverTo = plainRunner
 	}
 	engine, err := serve.NewEngine(runners, opt)

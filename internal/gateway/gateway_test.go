@@ -247,14 +247,15 @@ func TestMetricsAndHealth(t *testing.T) {
 }
 
 // TestSpilloverAndLingerObservable exercises the dscsgate tuning surface:
-// with -spillover-threshold and -batch-linger set, /metrics must expose
-// serve_spillover_total (spillover lands on the gateway's plain pool by
-// default) and the per-platform serve_batch_occupancy gauge.
+// with -adaptive-balance and -batch-linger set, /metrics must expose
+// serve_spillover_total and serve_steal_total (spillover lands on the
+// gateway's plain pool by default) and the per-platform
+// serve_batch_occupancy gauge.
 func TestSpilloverAndLingerObservable(t *testing.T) {
 	g := testGatewayWithOptions(t, 29, serve.Options{
 		Workers: 1, QueueDepth: 64, MaxBatch: 8,
-		SpilloverThreshold: 1,
-		BatchLinger:        2 * time.Millisecond,
+		AdaptiveBalance: true, EstimateWarmup: 1,
+		BatchLinger: 2 * time.Millisecond,
 	})
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
@@ -287,8 +288,10 @@ func TestSpilloverAndLingerObservable(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	if !strings.Contains(text, "serve_spillover_total") {
-		t.Errorf("metrics missing serve_spillover_total:\n%s", text)
+	for _, counter := range []string{"serve_spillover_total", "serve_steal_total"} {
+		if !strings.Contains(text, counter) {
+			t.Errorf("metrics missing %s:\n%s", counter, text)
+		}
 	}
 	if !strings.Contains(text, "serve_batch_occupancy{platform=") {
 		t.Errorf("metrics missing per-platform serve_batch_occupancy:\n%s", text)

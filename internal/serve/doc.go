@@ -28,9 +28,8 @@
 // spillover pushes DSCS-class submissions to a CPU pool; drain-time
 // stealing lets an idle pool pull a peer's oldest backlog (StealFrom keeps
 // arrival instants and order, so the sched.AgingMultiple starvation bound
-// follows tasks across queues). The triggers are either static queue-depth
-// counts (Options.SpilloverThreshold / StealThreshold) or, behind
-// Options.AdaptiveBalance, the wait-keyed latch: every dispatch records
+// follows tasks across queues). The live engine has one trigger, behind
+// Options.AdaptiveBalance: the wait-keyed latch. Every dispatch records
 // the served request's queue delay — arrival to dispatch — into its
 // pool's window digest (surfaced as the per-{platform, class}
 // serve_queue_delay_{p50,p95,p99} gauges), and work moves once the donor
@@ -39,7 +38,9 @@
 // metrics.Latch per pool pair). That decision is the balancer's
 // (balancer.go), one copy behind both MultiCore and the Engine and applied
 // between any pair of pools, so multiple same-class platforms rebalance
-// with the same logic as a CPU/DSCS pair.
+// with the same logic as a CPU/DSCS pair. Static queue-depth triggers live
+// on only in the simulations (cluster.HybridConfig), as the baseline arm
+// the wait-keyed latch is judged against.
 //
 // Scheduling decisions are priced by per-benchmark service estimates:
 // static graph-derived priors by default, blended toward live latency

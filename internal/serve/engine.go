@@ -3,8 +3,8 @@
 // shared scheduling state machines, admission control on a bounded queue
 // with the pluggable policies of internal/sched, request batching
 // (per-dispatch lingering or the queue-level SLO-aware former), two-way
-// queue rebalancing (submit-time spillover, drain-time stealing — static
-// depth counts or the wait-keyed AdaptiveBalance latch), per-drive
+// queue rebalancing (submit-time spillover, drain-time stealing, both on
+// the wait-keyed AdaptiveBalance latch), per-drive
 // occupancy for DSCS executions, and the latency/wait observatories behind
 // the serve_latency_* and serve_queue_delay_* gauges. The discrete-event
 // at-scale simulation (internal/cluster) drives the same cores, windows,
@@ -104,32 +104,24 @@ type Options struct {
 	// BatchSLO - expected service, so occupancy never costs an SLO (0
 	// bounds holds by BatchLinger alone).
 	BatchSLO time.Duration
-	// StealThreshold arms pull-based queue rebalancing: a worker whose own
-	// dispatch comes up empty pulls queued work from the deepest pool of
-	// the other class once that backlog exceeds this depth, counted as
-	// serve_steal_total{from,to} (0, the default, disables stealing).
-	// Ignored when AdaptiveBalance keys the decision on wait delay instead.
-	StealThreshold int
-	// AdaptiveBalance replaces the static SpilloverThreshold/StealThreshold
-	// queue-depth counts with the wait-keyed decision: every dispatch
-	// records the served request's queue delay (arrival to dispatch) into
-	// its pool's wait digest, and work rebalances — DSCS submissions
-	// spill to a CPU pool at submit time, an idle worker steals any peer
-	// pool's backlog (same class included) at drain time — once the donor's
-	// adopted wait-p95 has diverged above the target's past the hysteresis
-	// latch (the metrics.Digest.Adopt bands — enter at 1.5x, release
-	// within 1.2x, after EstimateWarmup dispatches — over one
-	// metrics.Latch per pool pair). Queue delay is what the SLO actually
-	// spends while work sits behind a hot pool; depth counts are only a
-	// proxy for it.
+	// AdaptiveBalance arms queue rebalancing keyed on wait delay: every
+	// dispatch records the served request's queue delay (arrival to
+	// dispatch) into its pool's wait digest, and work rebalances — DSCS
+	// submissions spill to a CPU pool at submit time
+	// (serve_spillover_total{from,to}), an idle worker steals any peer
+	// pool's backlog (same class included) at drain time
+	// (serve_steal_total{from,to}) — once the donor's adopted wait-p95 has
+	// diverged above the target's past the hysteresis latch (the
+	// metrics.Digest.Adopt bands — enter at 1.5x, release within 1.2x,
+	// after EstimateWarmup dispatches — over one metrics.Latch per pool
+	// pair). Queue delay is what the SLO actually spends while work sits
+	// behind a hot pool; a queue-depth count is only a proxy for it. A
+	// dead pool's backlog is rescued, and a submission aimed at a dead
+	// DSCS pool reroutes, with no wait evidence at all. Off (the default),
+	// the pools stay isolated.
 	AdaptiveBalance bool
-	// SpilloverThreshold routes a submission aimed at a DSCS-class pool
-	// to a CPU-class pool once the DSCS queue has reached this depth —
-	// the scarce accelerated capacity stays for work already committed to
-	// it (0, the default, keeps the pools isolated).
-	SpilloverThreshold int
 	// SpilloverTo names the CPU-class pool spilled work lands on. Empty
-	// picks the least-queued CPU-class pool per submission.
+	// picks among every CPU-class pool per submission.
 	SpilloverTo string
 	// AdaptiveEstimates prices scheduling decisions with live latency
 	// digests (metrics.Observatory, per {benchmark, platform}) instead of
@@ -403,26 +395,6 @@ func (ds *driveSet) acquireDrive(d *csd.Drive) (idx int, waited bool) {
 	return -1, waited
 }
 
-// acquire blocks until any drive's DSA is free (tests use it to stage
-// occupancy); same contract as acquireDrive.
-func (ds *driveSet) acquire() (idx int, waited bool) {
-	if len(ds.drives) == 0 {
-		return -1, false
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for !ds.closed {
-		for i, d := range ds.drives {
-			if d.Acquire() {
-				return i, waited
-			}
-		}
-		waited = true
-		ds.cond.Wait()
-	}
-	return -1, waited
-}
-
 // release frees a drive and wakes every waiter: waiters target specific
 // drives, so a single Signal could wake one waiting on a still-busy device
 // and strand the one this release unblocks.
@@ -653,7 +625,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		}
 	}
 	e.bal.init(e, len(names), opt.EstimateWindow, opt.EstimateWarmup)
-	if opt.SpilloverThreshold > 0 || opt.AdaptiveBalance {
+	if opt.AdaptiveBalance {
 		if opt.SpilloverTo != "" {
 			t, ok := e.pools[opt.SpilloverTo]
 			if !ok {
@@ -664,21 +636,28 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			}
 			e.spillTo = t
 		}
-		if opt.SpilloverThreshold > 0 && len(e.spillCPU) == 0 {
-			// A static threshold with nowhere to spill is a configuration
-			// error; adaptive balance simply never spills on such a lineup
-			// (it can still steal between same-class pools).
-			return nil, fmt.Errorf("serve: spillover enabled with no CPU-class pool")
-		}
 		// Register the counters up front so /metrics shows the feature is
-		// armed even before the first spill, and pre-resolve a handle for
-		// every directed (DSCS pool → CPU pool) pair the spill path can
-		// take, so enqueue never builds a label per spilled request.
+		// armed even before the first move, and pre-resolve a handle for
+		// every directed pair the spill path (DSCS pool → CPU pool) and the
+		// steal path (any pool → any other: dead-pool rescue crosses
+		// classes) can take, so neither builds a label per moved request.
+		// On a lineup with no CPU-class pool nothing spills; same-class
+		// pools still steal from each other.
 		e.tel.Inc("serve_spillover_total", 0)
 		for _, p := range e.dscsPools {
 			p.cSpillTo = make(map[string]sched.CounterHandle, len(e.spillCPU))
 			for _, q := range e.spillCPU {
 				p.cSpillTo[q.name] = e.tel.CounterHandle("serve_spillover_total{from=" + p.name + ",to=" + q.name + "}")
+			}
+		}
+		e.tel.Inc("serve_steal_total", 0)
+		for _, p := range e.pools {
+			p.cStealFrom = make(map[string]sched.CounterHandle, len(e.pools)-1)
+			for _, d := range e.pools {
+				if d == p {
+					continue
+				}
+				p.cStealFrom[d.name] = e.tel.CounterHandle("serve_steal_total{from=" + d.name + ",to=" + p.name + "}")
 			}
 		}
 	}
@@ -697,20 +676,6 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			p.core.AttachFormer(f)
 		}
 		e.tel.Inc("serve_batch_formed_total", 0)
-	}
-	if opt.StealThreshold > 0 || opt.AdaptiveBalance {
-		// Any pool can steal from any other (dead-pool rescue crosses
-		// classes), so every directed pair gets a handle up front.
-		e.tel.Inc("serve_steal_total", 0)
-		for _, p := range e.pools {
-			p.cStealFrom = make(map[string]sched.CounterHandle, len(e.pools)-1)
-			for _, d := range e.pools {
-				if d == p {
-					continue
-				}
-				p.cStealFrom[d.name] = e.tel.CounterHandle("serve_steal_total{from=" + d.name + ",to=" + p.name + "}")
-			}
-		}
 	}
 	e.drives = newDriveSet(dscsStores)
 	for _, id := range e.drives.ids {
@@ -862,9 +827,9 @@ func coalescable(a, b faas.Options) bool {
 		a.ExtraAccelFuncs == b.ExtraAccelFuncs
 }
 
-// spillTarget picks the CPU-class pool an over-threshold DSCS submission
-// lands on: the configured SpilloverTo pool, or the least-queued CPU pool
-// (ties broken by name).
+// spillTarget picks the CPU-class pool a submission aimed at a dead DSCS
+// pool reroutes to: the configured SpilloverTo pool, or the least-queued
+// CPU pool (ties broken by name).
 func (e *Engine) spillTarget() *pool {
 	if t := e.spillTo; t != nil && e.poolHealthy(t) {
 		return t
@@ -1141,15 +1106,14 @@ func (e *Engine) admitDirect(p *pool, task sched.HybridTask, req *request) error
 // wakePeers is the cross-pool half of the admit-time wakeups. Pull-based
 // rebalancing is driven by the thief, so a worker parked on its own empty
 // queue must hear the peer backlog deepen. (Signaling a Cond without its
-// lock is explicitly allowed.) The static threshold wakes the other class
-// past the depth count; adaptive balance wakes every peer via the shared
-// latch-precondition gate.
+// lock is explicitly allowed.) Adaptive balance wakes every peer via the
+// shared latch-precondition gate.
 func (e *Engine) wakePeers(p *pool, depth int) {
 	if depth > 0 && p.deadBit.Load() {
-		// Work admitted to a dead pool drains only by rescue: neither the
-		// static depth gate nor the warmed-digest gate below can fire for
-		// it (its digest was invalidated at death), so wake every peer
-		// directly — a parked worker elsewhere is this backlog's only exit.
+		// Work admitted to a dead pool drains only by rescue: the
+		// warmed-digest gate below cannot fire for it (its digest was
+		// invalidated at death), so wake every peer directly — a parked
+		// worker elsewhere is this backlog's only exit.
 		for _, d := range e.pools {
 			if d != p {
 				d.cond.Signal()
@@ -1159,18 +1123,11 @@ func (e *Engine) wakePeers(p *pool, depth int) {
 	}
 	if e.opt.AdaptiveBalance {
 		e.signalPeersForBalance(p, depth > 0)
-	} else if e.opt.StealThreshold > 0 && depth > e.opt.StealThreshold {
-		for _, d := range e.pools {
-			if d.class != p.class {
-				d.cond.Signal()
-			}
-		}
 	}
 }
 
 // signalPeersForBalance wakes every parked peer worker to re-check the
-// wait-gap latch against p — the adaptive analogue of the static
-// threshold's cross-class signal, shared by the submit-time (admit) and
+// wait-gap latch against p, shared by the submit-time (admit) and
 // dispatch-time (recordWaits) call sites so the two wakeup policies
 // cannot drift apart. The gate is exactly the latch's own arming
 // precondition: p has a backlog, its wait digest is warmed, and the
@@ -1195,12 +1152,12 @@ func (e *Engine) signalPeersForBalance(p *pool, backlog bool) {
 // admission control rejects it with ErrQueueFull). Safe for concurrent use
 // from any number of goroutines — the request path has no global lock.
 //
-// With SpilloverThreshold set, a submission aimed at a DSCS-class pool
-// whose queue has reached the threshold is rerouted to a CPU-class pool
-// (recorded as serve_spillover_total{from,to}); the returned
-// Invocation.Platform names the pool that actually served it. A full spill
-// target falls back to the original pool, which may still have room — the
-// threshold sits well below the admission bound.
+// With AdaptiveBalance set, a submission aimed at a DSCS-class pool whose
+// wait gap over a CPU-class pool has latched (or whose pool is dead) is
+// rerouted there (recorded as serve_spillover_total{from,to}); the
+// returned Invocation.Platform names the pool that actually served it. A
+// full spill target falls back to the original pool, which may still have
+// room.
 //
 //dscslint:hotpath
 func (e *Engine) Submit(platformName string, b *workload.Benchmark, opt faas.Options) (Invocation, error) {
@@ -1275,30 +1232,20 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		return nil, "", fmt.Errorf("serve: nil benchmark")
 	}
 	target, spilled := p, false
-	if p.class == sched.ClassDSCS {
-		switch {
-		case !e.poolHealthy(p) && (e.opt.AdaptiveBalance || e.opt.SpilloverThreshold > 0):
-			// The home pool is dead: with rebalancing armed, reroute
-			// unconditionally — no depth or wait gap needed, anything
-			// admitted here waits for recovery or rescue. (Without
-			// rebalancing the submission queues on the dead pool, the
+	if p.class == sched.ClassDSCS && e.opt.AdaptiveBalance {
+		if !e.poolHealthy(p) {
+			// The home pool is dead: reroute unconditionally — no wait gap
+			// needed, anything admitted here waits for recovery or rescue.
+			// (Without balance the submission queues on the dead pool, the
 			// degraded mode an operator chose by running isolated pools.)
-			if t := e.spillTarget(); t != nil && t != p {
+			if t := e.spillTarget(); t != nil {
 				target, spilled = t, true
 			}
-		case e.opt.AdaptiveBalance:
+		} else if t, ok := e.bal.BalanceTarget(p.idx, e.spillEligible); ok {
 			// Wait-keyed spillover: reroute once this pool's wait-p95 has
-			// latched above the cheapest spill target's — queue delay, not
-			// queue depth, is what the submission is about to pay.
-			if t, ok := e.bal.BalanceTarget(p.idx, e.spillEligible); ok {
-				target, spilled = e.order[t], true
-			}
-		case e.opt.SpilloverThreshold > 0:
-			if e.poolDepth(p) >= e.opt.SpilloverThreshold {
-				if t := e.spillTarget(); t != nil && t != p {
-					target, spilled = t, true
-				}
-			}
+			// latched above the cheapest spill target's — queue delay is
+			// what the submission is about to pay.
+			target, spilled = e.order[t], true
 		}
 	}
 	cpuSvc, dscsSvc, accel := e.estimate(b)
@@ -1326,7 +1273,7 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 	err := e.admit(target, task, req, spilled)
 	if spilled && errors.Is(err, ErrQueueFull) {
 		// The spill target is full; the original DSCS queue may still
-		// have room (its bound is deeper than the spill threshold).
+		// have room.
 		target, spilled = p, false
 		err = e.admit(target, task, req, false)
 	}
@@ -1443,13 +1390,6 @@ func (e *Engine) gather(p *pool, bs *batchState) int {
 	return len(taken)
 }
 
-// collectBatch is newBatch flattened to (requests, combined batch) — kept
-// as the deterministic entry point the batching tests drive.
-func (e *Engine) collectBatch(p *pool, task sched.HybridTask) ([]*request, int) {
-	bs := e.newBatch(p, task)
-	return bs.reqs, bs.batch
-}
-
 // lingerSlice is the wall-clock granularity of the engine's linger loop:
 // the worker re-checks the queue for late same-benchmark arrivals at this
 // period until the BatchWindow closes.
@@ -1483,14 +1423,13 @@ func (e *Engine) spillEligible(i int) bool {
 }
 
 // stealInto pulls queued work from a donor pool into p — the drain-time
-// half of rebalancing, complementing submit-time spillover. With the
-// static StealThreshold the donor is the deepest pool of the other class
-// whose backlog exceeds the count; with AdaptiveBalance it is the deepest
-// pool of any class (same-class platforms rebalance too) whose adopted
-// wait-p95 gap over p has latched. The caller holds p.mu; stealInto
-// releases it and retakes both pool locks in name order (the engine-wide
-// lock order), so two pools stealing from each other cannot deadlock. It
-// returns how many requests moved; p.mu is held again on return.
+// half of rebalancing, complementing submit-time spillover. The donor is
+// the deepest pool of any class (same-class platforms rebalance too) whose
+// adopted wait-p95 gap over p has latched, or a dead pool with a backlog.
+// The caller holds p.mu; stealInto releases it and retakes both pool locks
+// in name order (the engine-wide lock order), so two pools stealing from
+// each other cannot deadlock. It returns how many requests moved; p.mu is
+// held again on return.
 //
 //dscslint:hotpath
 func (e *Engine) stealInto(p *pool) int {
@@ -1500,36 +1439,12 @@ func (e *Engine) stealInto(p *pool) int {
 		return 0
 	}
 	p.mu.Unlock()
-	var donor *pool
-	if e.opt.AdaptiveBalance {
-		if i, ok := e.bal.StealDonor(p.idx, nil); ok {
-			donor = e.order[i]
-		}
-	} else {
-		deepest := 0
-		for _, d := range e.pools {
-			if d == p {
-				continue
-			}
-			alive := e.poolHealthy(d)
-			if alive && d.class == p.class {
-				// Live same-class pools rebalance only adaptively; a dead
-				// pool's backlog is rescued regardless of class.
-				continue
-			}
-			depth := e.poolDepth(d)
-			if depth == 0 || (alive && depth <= e.opt.StealThreshold) {
-				continue
-			}
-			if depth > deepest || (depth == deepest && donor != nil && d.name < donor.name) {
-				donor, deepest = d, depth
-			}
-		}
-	}
-	if donor == nil {
+	i, ok := e.bal.StealDonor(p.idx, nil)
+	if !ok {
 		p.mu.Lock()
 		return 0
 	}
+	donor := e.order[i]
 	first, second := p, donor
 	if second.name < first.name {
 		first, second = second, first
@@ -1542,14 +1457,10 @@ func (e *Engine) stealInto(p *pool) int {
 	// steal sees the donor's full depth.
 	e.drainLocked(donor)
 	// Re-check under both locks: the backlog may have drained, or the
-	// engine may be closing, since the unlocked scan. (The adaptive latch
-	// itself is not re-checked — it just tripped, and hysteresis means a
-	// single completion cannot have released it.)
-	floor := e.opt.StealThreshold
-	if e.opt.AdaptiveBalance || !donor.core.Healthy() {
-		floor = 0
-	}
-	if !p.closed && !donor.closed && p.core.Healthy() && donor.core.QueueLen() > floor {
+	// engine may be closing, since the unlocked scan. (The latch itself is
+	// not re-checked — it just tripped, and hysteresis means a single
+	// completion cannot have released it.)
+	if !p.closed && !donor.closed && p.core.Healthy() && donor.core.QueueLen() > 0 {
 		tasks := p.core.StealFrom(donor.core, e.opt.MaxBatch)
 		for _, t := range tasks {
 			// The request rides the task's Ref across the move; only the
@@ -1606,8 +1517,8 @@ func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok
 
 // worker is one pool goroutine: dispatch via the shared core, coalesce a
 // batch (lingering up to BatchLinger for it to fill toward MaxBatch, or
-// waiting on the global former's queue-level batch), stealing from the
-// other class's backlog when its own queue is empty, execute
+// waiting on the global former's queue-level batch), stealing a peer's
+// backlog under AdaptiveBalance when its own queue is empty, execute
 // run-to-completion, deliver outcomes.
 func (e *Engine) worker(p *pool) {
 	defer e.wg.Done()
@@ -1641,7 +1552,7 @@ func (e *Engine) worker(p *pool) {
 			// without ever releasing p.mu — starving the very peers trying
 			// to lock the pool and rescue that backlog. FailPool/RecoverPool
 			// broadcast, so the park always wakes on a health transition.
-			if p.core.Healthy() && (e.opt.StealThreshold > 0 || e.opt.AdaptiveBalance) {
+			if e.opt.AdaptiveBalance && p.core.Healthy() {
 				stole := e.stealInto(p)
 				// Re-check before parking: stealInto dropped p.mu, so a
 				// submission may have signaled into the gap and its wakeup

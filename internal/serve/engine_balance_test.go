@@ -43,8 +43,8 @@ func TestEngineQueueDelayGaugesLive(t *testing.T) {
 }
 
 // TestEngineAdaptiveBalanceRebalances is the deterministic wait-keyed
-// rebalancing scenario, mirroring TestEngineStealRebalances with no static
-// threshold at all: every drive is held so the single DSCS worker stalls
+// rebalancing scenario, TestEngineStealRebalances with the backlog
+// submitted at once: every drive is held so the single DSCS worker stalls
 // mid-execution, its first dispatch warms the wait digest (warmup 1), and
 // queued work behind it must then migrate to the idle CPU pool purely on
 // the adopted wait-p95 gap — the CPU pool has never waited, so any warmed
@@ -66,14 +66,7 @@ func TestEngineAdaptiveBalanceRebalances(t *testing.T) {
 		return tel.Counter("serve_steal_total") + tel.Counter("serve_spillover_total")
 	}
 
-	var held []int
-	for range eng.drives.ids {
-		idx, _ := eng.drives.acquire()
-		if idx < 0 {
-			t.Fatal("could not hold a drive")
-		}
-		held = append(held, idx)
-	}
+	held := holdDrives(t, eng)
 
 	var wg sync.WaitGroup
 	results := make(chan Invocation, 2)
@@ -101,9 +94,7 @@ func TestEngineAdaptiveBalanceRebalances(t *testing.T) {
 	submitDSCS(true)
 	waitFor(t, "wait-keyed rebalance", func() bool { return rebalanced() >= 1 })
 
-	for _, idx := range held {
-		eng.drives.release(idx)
-	}
+	releaseDrives(eng, held)
 	onCPU := 0
 	for i := 0; i < 2; i++ {
 		select {
@@ -139,7 +130,7 @@ func TestEngineAdaptiveBalanceRebalances(t *testing.T) {
 }
 
 // TestEngineAdaptiveBalance64WayConservation is the satellite race test:
-// adaptive balance (no static thresholds), the global SLO-aware former, and
+// adaptive balance, the global SLO-aware former, and
 // adaptive estimates all armed at once under 64-way concurrent load with
 // mixed shapes. Bookkeeping must stay conserved, every accepted request
 // completes exactly once even when it spills and is then stolen, and the
@@ -200,21 +191,7 @@ func TestEngineAdaptiveBalance64WayConservation(t *testing.T) {
 	if got := tel.Counter("serve_completed_total"); got != float64(served) {
 		t.Errorf("serve_completed_total = %g, want %d", got, served)
 	}
-	for _, family := range []string{"serve_spillover_total", "serve_steal_total"} {
-		total := tel.Counter(family)
-		var labeled float64
-		for _, from := range []string{"DSCS-Serverless", "Baseline (CPU)"} {
-			for _, to := range []string{"DSCS-Serverless", "Baseline (CPU)"} {
-				labeled += tel.Counter(family + "{from=" + from + ",to=" + to + "}")
-			}
-		}
-		if labeled != total {
-			t.Errorf("%s labels sum to %g, total is %g", family, labeled, total)
-		}
-		if total > float64(served) {
-			t.Errorf("%s = %g exceeds %d accepted requests", family, total, served)
-		}
-	}
+	checkMoveCounters(t, eng, served)
 	// Every served request recorded its queue delay against exactly one
 	// pool: the wait digests' counts must sum to the completions.
 	var waits int64

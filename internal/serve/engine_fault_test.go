@@ -227,28 +227,29 @@ func TestEngineRequeueOnPoolDeath(t *testing.T) {
 }
 
 // TestEngineStealsFromDeadPool: a dead pool's backlog is rescue work — the
-// static steal path must pull it regardless of class or threshold, and
-// submissions landing on a dead pool must wake the rescuers.
+// steal path must pull it regardless of class and with no wait evidence
+// (warmup is far out of reach, so only the dead-donor bypass can move
+// this work), and submissions landing on a dead pool must wake the
+// rescuers. The dead pool is the CPU one: a dead DSCS home reroutes at
+// submit time instead, so its submissions never land.
 func TestEngineStealsFromDeadPool(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 1, QueueDepth: 16, MaxBatch: 1,
-		// Far above the backlog below: only the dead-donor bypass can move
-		// this work.
-		StealThreshold: 50,
+		AdaptiveBalance: true, EstimateWarmup: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	bench := workload.BySlug("asset-damage")
-	if err := eng.FailPool("DSCS-Serverless"); err != nil {
+	if err := eng.FailPool("Baseline (CPU)"); err != nil {
 		t.Fatal(err)
 	}
 
 	done := make(chan Invocation, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			inv, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5})
+			inv, err := eng.Submit("Baseline (CPU)", bench, faas.Options{Quantile: 0.5})
 			if err != nil {
 				t.Error(err)
 				return
@@ -259,15 +260,16 @@ func TestEngineStealsFromDeadPool(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		select {
 		case inv := <-done:
-			if inv.Platform != "Baseline (CPU)" {
-				t.Fatalf("rescued request served by %q, want Baseline (CPU)", inv.Platform)
+			if inv.Platform != "DSCS-Serverless" {
+				t.Fatalf("rescued request served by %q, want DSCS-Serverless", inv.Platform)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("request %d stranded on the dead pool", i)
 		}
 	}
-	if got := eng.Telemetry().Counter("serve_steal_total"); got < 3 {
-		t.Fatalf("serve_steal_total = %v, want >= 3", got)
+	tel := eng.Telemetry()
+	if got := tel.Counter("serve_steal_total{from=Baseline (CPU),to=DSCS-Serverless}"); got != 3 {
+		t.Fatalf("rescue steal counter = %v, want 3", got)
 	}
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)

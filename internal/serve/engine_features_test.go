@@ -33,17 +33,40 @@ func dscsBusy(eng *Engine) int {
 	return p.core.Busy()
 }
 
+// holdDrives acquires every physical DSCS drive, so a DSCS worker that
+// dispatches then stalls in drive acquisition and everything queued behind
+// it stays queued. It returns the held indices for releaseDrives.
+func holdDrives(t *testing.T, eng *Engine) []int {
+	t.Helper()
+	var held []int
+	for _, d := range eng.drives.drives {
+		idx, _ := eng.drives.acquireDrive(d)
+		if idx < 0 {
+			t.Fatal("could not hold a drive")
+		}
+		held = append(held, idx)
+	}
+	return held
+}
+
+// releaseDrives frees the drives holdDrives took.
+func releaseDrives(eng *Engine, held []int) {
+	for _, idx := range held {
+		eng.drives.release(idx)
+	}
+}
+
 func TestSpilloverValidation(t *testing.T) {
-	if _, err := NewEngine(testRunners(t), Options{SpilloverThreshold: 4, SpilloverTo: "TPU"}); err == nil {
+	if _, err := NewEngine(testRunners(t), Options{AdaptiveBalance: true, SpilloverTo: "TPU"}); err == nil {
 		t.Error("unknown spillover target must fail")
 	}
-	if _, err := NewEngine(testRunners(t), Options{SpilloverThreshold: 4, SpilloverTo: "DSCS-Serverless"}); err == nil {
+	if _, err := NewEngine(testRunners(t), Options{AdaptiveBalance: true, SpilloverTo: "DSCS-Serverless"}); err == nil {
 		t.Error("DSCS-class spillover target must fail")
 	}
 }
 
 func TestSpillTarget(t *testing.T) {
-	eng, err := NewEngine(testRunners(t), Options{Workers: 1, SpilloverThreshold: 4, SpilloverTo: "Baseline (CPU)"})
+	eng, err := NewEngine(testRunners(t), Options{Workers: 1, AdaptiveBalance: true, SpilloverTo: "Baseline (CPU)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +75,7 @@ func TestSpillTarget(t *testing.T) {
 		t.Fatalf("explicit spill target not honored: %+v", got)
 	}
 
-	eng2, err := NewEngine(testRunners(t), Options{Workers: 1, SpilloverThreshold: 4})
+	eng2, err := NewEngine(testRunners(t), Options{Workers: 1, AdaptiveBalance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,57 +86,30 @@ func TestSpillTarget(t *testing.T) {
 	}
 }
 
-// TestEngineSpillover pins the reroute deterministically: the test holds
-// both physical DSCS drives, so the single DSCS worker blocks in drive
-// acquisition and the queue provably backs up past the threshold; the next
-// submission must then be served by the CPU pool and counted in
-// serve_spillover_total{from,to}.
+// TestEngineSpillover pins the submit-time reroute deterministically: a
+// submission aimed at a dead DSCS pool spills to the CPU pool with no wait
+// evidence at all (warmup is far out of reach), is served there, and is
+// counted in serve_spillover_total{from,to}. With balance off the same
+// submission queues on the dead pool instead.
 func TestEngineSpillover(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 1, QueueDepth: 64, MaxBatch: 1,
-		SpilloverThreshold: 1, SpilloverTo: "Baseline (CPU)",
+		AdaptiveBalance: true, EstimateWarmup: 1000, SpilloverTo: "Baseline (CPU)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	bench := workload.BySlug("asset-damage")
-
-	// Hold every physical drive: the DSCS worker can dispatch but not
-	// execute, so queued work stays queued.
-	var held []int
-	for range eng.drives.ids {
-		idx, _ := eng.drives.acquire()
-		if idx < 0 {
-			t.Fatal("could not hold a drive")
-		}
-		held = append(held, idx)
+	if err := eng.FailPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
 	}
-
-	// Stage the backlog one step at a time so no setup submission can
-	// itself trip the threshold: first a request the worker dispatches
-	// (and then stalls on the drives), then one that provably queues.
-	var wg sync.WaitGroup
-	submitDSCS := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	submitDSCS()
-	waitFor(t, "first request dispatched", func() bool { return dscsBusy(eng) == 1 })
-	submitDSCS()
-	waitFor(t, "second request queued", func() bool { return eng.QueueLen("DSCS-Serverless") == 1 })
-
 	inv, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inv.Platform != "Baseline (CPU)" {
-		t.Errorf("over-threshold submission served on %q, want the CPU pool", inv.Platform)
+		t.Errorf("submission to a dead DSCS pool served on %q, want the CPU pool", inv.Platform)
 	}
 	tel := eng.Telemetry()
 	if got := tel.Counter("serve_spillover_total{from=DSCS-Serverless,to=Baseline (CPU)}"); got != 1 {
@@ -122,82 +118,87 @@ func TestEngineSpillover(t *testing.T) {
 	if got := tel.Counter("serve_spillover_total"); got != 1 {
 		t.Errorf("total spill counter = %g, want 1", got)
 	}
-
-	for _, idx := range held {
-		eng.drives.release(idx)
+	if got := tel.Counter("serve_steal_total"); got != 0 {
+		t.Errorf("steal counter = %g for a submit-time reroute, want 0", got)
 	}
-	wg.Wait()
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)
+	}
+
+	isolated, err := NewEngine(testRunners(t), Options{Workers: 1, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer isolated.Close()
+	if err := isolated.FailPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
+	}
+	if err := isolated.SubmitAsync("DSCS-Serverless", bench, faas.Options{Quantile: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := isolated.QueueLen("DSCS-Serverless"); got != 1 {
+		t.Errorf("isolated dead pool queue = %d, want the submission queued there", got)
+	}
+	if err := isolated.RecoverPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
+	}
+	if !isolated.Quiesce(5 * time.Second) {
+		t.Fatal("isolated submission not served after recovery")
 	}
 }
 
 // TestEngineSpilloverFallsBackWhenTargetFull: a full spill target must not
 // reject a request the DSCS queue could still admit — the submission
-// bounces back to the original pool and no spill is counted.
+// bounces back to the original pool and no spill is counted. The CPU pool
+// is pinned full behind an execution that blocks, and the DSCS pool is
+// killed so the reroute is unconditional; the bounced request waits on the
+// dead pool and is served there once it recovers.
 func TestEngineSpilloverFallsBackWhenTargetFull(t *testing.T) {
+	release := make(chan struct{})
+	var unblock sync.Once
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 1, QueueDepth: 2, MaxBatch: 1,
-		SpilloverThreshold: 1, SpilloverTo: "Baseline (CPU)",
+		AdaptiveBalance: true, SpilloverTo: "Baseline (CPU)",
+		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+			if classFor(r.Platform) == sched.ClassCPU {
+				<-release
+			}
+			return faas.Result{}, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	defer unblock.Do(func() { close(release) })
 	bench := workload.BySlug("asset-damage")
 
-	// Hold every drive so the DSCS worker blocks after its first dispatch.
-	var held []int
-	for range eng.drives.ids {
-		idx, _ := eng.drives.acquire()
-		held = append(held, idx)
-	}
-	// Pin the CPU queue at its bound without signaling the workers: the
-	// requests are real (they get served at Close), but with no signal a
-	// parked worker never dispatches them. A worker still mid-startup may
-	// drain an early fill, so retry until an unsignaled fill sticks.
-	cpu := eng.pools["Baseline (CPU)"]
-	waitFor(t, "CPU queue pinned at its bound", func() bool {
-		cpu.mu.Lock()
-		for cpu.core.QueueLen() < 2 {
-			id := int(eng.nextID.Add(1))
-			req := &request{bench: bench, opt: faas.Options{Quantile: 0.5},
-				enq: time.Now(), done: make(chan outcome, 1)}
-			if !cpu.core.Submit(sched.HybridTask{ID: id, Arrived: eng.now(),
-				Payload: bench.Slug, Ref: req}) {
-				break
-			}
-		}
-		cpu.mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
-		cpu.mu.Lock()
-		defer cpu.mu.Unlock()
-		return cpu.core.QueueLen() == 2 && cpu.core.Busy() == 0
-	})
-
+	// Pin the CPU pool: one request executing (blocked), two queued behind
+	// it — the queue at its bound, and its one worker unable to steal.
 	var wg sync.WaitGroup
-	submitDSCS := func() {
+	submitCPU := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			inv, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5})
-			if err != nil {
+			if _, err := eng.Submit("Baseline (CPU)", bench, faas.Options{Quantile: 0.5}); err != nil {
 				t.Error(err)
-			} else if inv.Platform != "DSCS-Serverless" {
-				t.Errorf("pre-threshold request served on %q", inv.Platform)
 			}
 		}()
 	}
-	// Stage the backlog: one request dispatched (worker stalls on the
-	// drives), one provably queued — depth exactly 1 of bound 2.
-	submitDSCS()
-	waitFor(t, "first request dispatched", func() bool { return dscsBusy(eng) == 1 })
-	submitDSCS()
-	waitFor(t, "second request queued", func() bool { return eng.QueueLen("DSCS-Serverless") == 1 })
+	cpu := eng.pools["Baseline (CPU)"]
+	submitCPU()
+	waitFor(t, "CPU worker busy", func() bool {
+		cpu.mu.Lock()
+		defer cpu.mu.Unlock()
+		return cpu.core.Busy() == 1
+	})
+	submitCPU()
+	submitCPU()
+	waitFor(t, "CPU queue pinned at its bound", func() bool { return eng.QueueLen("Baseline (CPU)") == 2 })
 
-	// Over threshold, spill target full: the submission must bounce back
-	// to the DSCS pool, uncounted, and be served there once the drives
-	// free up.
+	if err := eng.FailPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan Invocation, 1)
 	go func() {
 		inv, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5})
@@ -207,19 +208,24 @@ func TestEngineSpilloverFallsBackWhenTargetFull(t *testing.T) {
 		done <- inv
 	}()
 	waitFor(t, "bounced submission to land on the DSCS queue", func() bool {
-		return eng.QueueLen("DSCS-Serverless") == 2
+		return eng.QueueLen("DSCS-Serverless") == 1
 	})
 	if spills := eng.Telemetry().Counter("serve_spillover_total"); spills != 0 {
 		t.Errorf("spill counter = %g for a bounced spill, want 0", spills)
 	}
-
-	for _, idx := range held {
-		eng.drives.release(idx)
+	if err := eng.RecoverPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
 	}
+	select {
+	case inv := <-done:
+		if inv.Platform != "DSCS-Serverless" {
+			t.Errorf("bounced submission served on %q, want the DSCS pool", inv.Platform)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bounced submission not served after recovery")
+	}
+	unblock.Do(func() { close(release) })
 	wg.Wait()
-	if inv := <-done; inv.Platform != "DSCS-Serverless" {
-		t.Errorf("bounced submission served on %q, want the DSCS pool", inv.Platform)
-	}
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +323,15 @@ func TestEngineDriveOccupancy(t *testing.T) {
 	}
 }
 
-// TestEngineSpilloverLingerConservation is the satellite stress test:
-// spillover and lingering together, 64-way concurrent load, bookkeeping
-// must stay conserved (run under -race in CI).
+// TestEngineSpilloverLingerConservation is the stress test for balance
+// and the per-dispatch linger window together: 64-way concurrent load,
+// bookkeeping must stay conserved (run under -race in CI).
 func TestEngineSpilloverLingerConservation(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 2, QueueDepth: 8, MaxBatch: 8,
-		BatchLinger:        2 * time.Millisecond,
-		SpilloverThreshold: 2,
+		BatchLinger:     2 * time.Millisecond,
+		AdaptiveBalance: true,
+		EstimateWarmup:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -364,6 +371,7 @@ func TestEngineSpilloverLingerConservation(t *testing.T) {
 	if got := tel.Counter("serve_completed_total"); got != float64(served) {
 		t.Errorf("serve_completed_total = %g, want %d", got, served)
 	}
+	checkMoveCounters(t, eng, served)
 	// The per-platform occupancy gauges must carry their platform label
 	// (the unlabeled gauge was a cross-pool last-write-wins bug).
 	render := tel.Render()

@@ -11,36 +11,28 @@ import (
 )
 
 // TestEngineStealRebalances pins the pull path deterministically: every
-// physical drive is held, so the single DSCS worker stalls mid-execution
-// and its backlog provably deepens past the threshold while the CPU pool
-// idles. The idle CPU worker must pull the queued work and serve it — the
-// invocations report the CPU pool as their platform, the steal counters
-// account for the move, and the queue-depth gauges follow the extraction.
+// physical drive is held, so the single DSCS worker stalls mid-execution,
+// and its first dispatch warms the wait digest (warmup 1). Each later
+// submission meets an empty DSCS queue at submit time, so it cannot spill;
+// it queues behind the stalled worker, and the idle CPU worker must pull
+// it on the latched wait gap and serve it — the invocations report the CPU
+// pool as their platform, the steal counters account for the moves, and
+// the queue-depth gauges follow the extraction.
 func TestEngineStealRebalances(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 1, QueueDepth: 64, MaxBatch: 2,
-		StealThreshold: 1,
+		AdaptiveBalance: true, EstimateWarmup: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	bench := workload.BySlug("asset-damage")
-
-	// Hold every drive: the DSCS worker dispatches its first task and then
-	// blocks acquiring a drive, so everything behind it stays queued.
-	var held []int
-	for range eng.drives.ids {
-		idx, _ := eng.drives.acquire()
-		if idx < 0 {
-			t.Fatal("could not hold a drive")
-		}
-		held = append(held, idx)
-	}
+	held := holdDrives(t, eng)
 
 	var wg sync.WaitGroup
 	stolen := make(chan Invocation, 2)
-	submitDSCS := func(collect bool) {
+	submitDSCS := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -49,29 +41,26 @@ func TestEngineStealRebalances(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if collect {
-				stolen <- inv
-			}
+			stolen <- inv
 		}()
 	}
-	// Stage: one request dispatched (stalled on the drives), then two that
-	// provably queue — depth 2 exceeds the steal threshold of 1.
-	submitDSCS(false)
+	// Stage: one request dispatched (stalled on the drives) whose recorded
+	// wait warms the DSCS digest, then two more, one at a time.
+	submitDSCS()
 	waitFor(t, "first request dispatched", func() bool { return dscsBusy(eng) == 1 })
-	submitDSCS(true)
-	waitFor(t, "second request queued", func() bool { return eng.QueueLen("DSCS-Serverless") >= 1 })
-	submitDSCS(true)
-
-	// The CPU pool pulls both queued requests (MaxBatch caps the pull at
-	// 2) and serves them without touching a drive.
+	waitFor(t, "DSCS wait digest warmed", func() bool {
+		dg := eng.WaitDigest("DSCS-Serverless")
+		return dg != nil && dg.Count() == 1
+	})
 	for i := 0; i < 2; i++ {
+		submitDSCS()
 		select {
 		case inv := <-stolen:
 			if inv.Platform != "Baseline (CPU)" {
 				t.Errorf("stolen request served on %q, want the CPU pool", inv.Platform)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("timed out waiting for stolen requests to be served")
+			t.Fatal("timed out waiting for a stolen request to be served")
 		}
 	}
 	tel := eng.Telemetry()
@@ -81,8 +70,11 @@ func TestEngineStealRebalances(t *testing.T) {
 	if got := tel.Counter("serve_steal_total"); got != 2 {
 		t.Errorf("total steal counter = %g, want 2", got)
 	}
-	// The satellite fix: a steal extracts queued tasks, so the depth
-	// gauges must refresh for both pools, just as Coalesce refreshes them.
+	if got := tel.Counter("serve_spillover_total"); got != 0 {
+		t.Errorf("spill counter = %g for submissions that met an empty queue, want 0", got)
+	}
+	// A steal extracts queued tasks, so the depth gauges must refresh for
+	// both pools, just as Coalesce refreshes them.
 	if got := tel.Gauge("serve_queue_depth{platform=DSCS-Serverless}"); got != 0 {
 		t.Errorf("donor depth gauge = %g after the steal drained it, want 0", got)
 	}
@@ -90,9 +82,8 @@ func TestEngineStealRebalances(t *testing.T) {
 		t.Errorf("thief depth gauge = %g after serving, want 0", got)
 	}
 
-	for _, idx := range held {
-		eng.drives.release(idx)
-	}
+	releaseDrives(eng, held)
+	<-stolen
 	wg.Wait()
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)
@@ -103,28 +94,23 @@ func TestEngineStealRebalances(t *testing.T) {
 }
 
 // TestEngineStealDominatesNoSteal is the acceptance scenario: a deep DSCS
-// backlog with an idle CPU pool. With stealing armed, completions within
-// the observation window must strictly dominate the no-steal
-// configuration, where the backlog waits for the single stalled DSCS
-// worker.
+// backlog with an idle CPU pool. With balance armed, completions within
+// the observation window must strictly dominate the isolated pools, where
+// the backlog waits for the single stalled DSCS worker.
 func TestEngineStealDominatesNoSteal(t *testing.T) {
-	serveBacklog := func(stealThreshold int) (completedEarly float64) {
+	serveBacklog := func(balance bool) (completedEarly float64) {
 		eng, err := NewEngine(testRunners(t), Options{
 			Workers: 1, QueueDepth: 64, MaxBatch: 4,
-			StealThreshold: stealThreshold,
+			AdaptiveBalance: balance, EstimateWarmup: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
 		bench := workload.BySlug("asset-damage")
-		var held []int
-		for range eng.drives.ids {
-			idx, _ := eng.drives.acquire()
-			held = append(held, idx)
-		}
+		held := holdDrives(t, eng)
 		var wg sync.WaitGroup
-		for i := 0; i < 9; i++ {
+		submit := func() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -133,11 +119,19 @@ func TestEngineStealDominatesNoSteal(t *testing.T) {
 				}
 			}()
 		}
+		// The first request dispatches and stalls; its wait is the evidence
+		// the balance latch needs before the backlog arrives behind it.
+		submit()
+		waitFor(t, "first request dispatched", func() bool { return dscsBusy(eng) == 1 })
+		waitFor(t, "DSCS wait digest warmed", func() bool {
+			dg := eng.WaitDigest("DSCS-Serverless")
+			return dg != nil && dg.Count() == 1
+		})
+		for i := 0; i < 8; i++ {
+			submit()
+		}
 		// The observation window: the DSCS worker is stalled the whole
 		// time, so anything completed was rebalanced.
-		waitFor(t, "backlog staged", func() bool {
-			return dscsBusy(eng) == 1 || eng.Telemetry().Counter("serve_completed_total") > 0
-		})
 		deadline := time.Now().Add(time.Second)
 		for time.Now().Before(deadline) {
 			if eng.Telemetry().Counter("serve_completed_total") >= 8 {
@@ -146,9 +140,7 @@ func TestEngineStealDominatesNoSteal(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		completedEarly = eng.Telemetry().Counter("serve_completed_total")
-		for _, idx := range held {
-			eng.drives.release(idx)
-		}
+		releaseDrives(eng, held)
 		wg.Wait()
 		if err := eng.Conservation(); err != nil {
 			t.Fatal(err)
@@ -156,31 +148,32 @@ func TestEngineStealDominatesNoSteal(t *testing.T) {
 		return completedEarly
 	}
 
-	withSteal := serveBacklog(1)
-	withoutSteal := serveBacklog(0)
+	withSteal := serveBacklog(true)
+	withoutSteal := serveBacklog(false)
 	if withoutSteal != 0 {
-		t.Errorf("no-steal run completed %g requests with every drive held, want 0", withoutSteal)
+		t.Errorf("isolated run completed %g requests with every drive held, want 0", withoutSteal)
 	}
 	if withSteal <= withoutSteal {
-		t.Errorf("steal completions (%g) must strictly dominate no-steal (%g)", withSteal, withoutSteal)
+		t.Errorf("balanced completions (%g) must strictly dominate isolated (%g)", withSteal, withoutSteal)
 	}
 }
 
-// TestEngineSpilloverLingerStealConservation is the satellite stress test:
-// spillover, the global SLO-aware former, and stealing all armed at once
-// under 64-way concurrent load with mixed deadlines (two benchmarks, two
-// batch shapes). Bookkeeping must stay conserved, every accepted request
-// completes exactly once, and the rebalancing counters stay internally
-// consistent — a request may spill and later be stolen, but it is never
-// double-counted as completed. Run under -race in CI.
+// TestEngineSpilloverLingerStealConservation is the stress test for
+// spillover, the global SLO-aware former priced by static estimates, and
+// stealing all armed at once under 64-way concurrent load with mixed
+// deadlines (two benchmarks, two batch shapes). Bookkeeping must stay
+// conserved, every accepted request completes exactly once, and the
+// rebalancing counters stay internally consistent — a request may spill
+// and later be stolen, but it is never double-counted as completed. Run
+// under -race in CI.
 func TestEngineSpilloverLingerStealConservation(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 2, QueueDepth: 8, MaxBatch: 4,
-		BatchLinger:        2 * time.Millisecond,
-		GlobalBatch:        true,
-		BatchSLO:           8 * time.Millisecond,
-		SpilloverThreshold: 3,
-		StealThreshold:     2,
+		BatchLinger:     2 * time.Millisecond,
+		GlobalBatch:     true,
+		BatchSLO:        8 * time.Millisecond,
+		AdaptiveBalance: true,
+		EstimateWarmup:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,15 +223,26 @@ func TestEngineSpilloverLingerStealConservation(t *testing.T) {
 	if got := tel.Counter("serve_completed_total"); got != float64(served) {
 		t.Errorf("serve_completed_total = %g, want %d", got, served)
 	}
-	// The rebalancing counters never double-count: each labeled family
-	// sums to its total, and neither exceeds the accepted request count
-	// (a request spills at most once and is stolen from a queue it
-	// actually sat on).
+	checkMoveCounters(t, eng, served)
+	// The former ran: executions were released through it.
+	if got := tel.Counter("serve_batch_formed_total"); got <= 0 {
+		t.Errorf("serve_batch_formed_total = %g with the global former armed", got)
+	}
+}
+
+// checkMoveCounters asserts the rebalancing counters never double-count:
+// each labeled family sums to its total, and neither exceeds the accepted
+// request count (a request spills at most once and is stolen from a queue
+// it actually sat on).
+func checkMoveCounters(t *testing.T, eng *Engine, served int) {
+	t.Helper()
+	tel := eng.Telemetry()
+	pools := eng.Platforms()
 	for _, family := range []string{"serve_spillover_total", "serve_steal_total"} {
 		total := tel.Counter(family)
 		var labeled float64
-		for _, from := range []string{"DSCS-Serverless", "Baseline (CPU)"} {
-			for _, to := range []string{"DSCS-Serverless", "Baseline (CPU)"} {
+		for _, from := range pools {
+			for _, to := range pools {
 				labeled += tel.Counter(family + "{from=" + from + ",to=" + to + "}")
 			}
 		}
@@ -248,9 +252,5 @@ func TestEngineSpilloverLingerStealConservation(t *testing.T) {
 		if total > float64(served) {
 			t.Errorf("%s = %g exceeds %d accepted requests", family, total, served)
 		}
-	}
-	// The former ran: executions were released through it.
-	if got := tel.Counter("serve_batch_formed_total"); got <= 0 {
-		t.Errorf("serve_batch_formed_total = %g with the global former armed", got)
 	}
 }
