@@ -6,14 +6,15 @@
 // internal/serve's clock-free core (core.go, lifecycle.go) exists so
 // that both clocks drive one implementation.
 //
-// The live engine's wall-clock files (engine.go's timers, fault.go's
-// wall-clock fault injector) are the sanctioned exception: they declare
-// it with a file-scoped
+// The live engine's one wall-clock seam, internal/serve/clock.go (engine
+// time, timers and sleeps for the whole Engine), is the sanctioned
+// exception: it declares it with a file-scoped
 //
 //	//dscslint:allow clockcheck <reason>
 //
-// directive above their package clause, which doubles as documentation
-// that the file is the wall-clock half.
+// directive above its package clause, which doubles as documentation that
+// the file is the wall-clock half. A serve test pins it as the only such
+// file in the package.
 package clockcheck
 
 import (

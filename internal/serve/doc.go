@@ -16,7 +16,11 @@
 //   - The Engine is the goroutine half: one worker pool per platform over
 //     a PoolCore each, bounded-queue admission control (ErrQueueFull maps
 //     to HTTP 429 at the gateway), run-to-completion execution against the
-//     faas runners, and per-drive occupancy for DSCS-class executions.
+//     faas runners, and per-drive occupancy for DSCS-class executions. It
+//     reads and waits on wall time in one file, clock.go: engine time, the
+//     lifecycle and fault timers, and the worker, linger and workflow
+//     sleeps all go through it, and no other file in the package is
+//     exempt from the clockcheck lint.
 //
 // Batching has two clock-free decision types: BatchWindow (a dispatched
 // lead lingers for same-benchmark stragglers) and BatchFormer (the

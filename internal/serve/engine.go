@@ -9,9 +9,8 @@
 // the serve_latency_* and serve_queue_delay_* gauges. The discrete-event
 // at-scale simulation (internal/cluster) drives the same cores, windows,
 // and former from its virtual clock, so the simulated rack and the live
-// HTTP path share one scheduler implementation.
-
-//dscslint:allow clockcheck this file is the wall-clock half of the core: worker sleeps, quiesce deadlines, and lifecycle timers run on real time (the clock-free state machines live in core.go and lifecycle.go)
+// HTTP path share one scheduler implementation. Engine time — worker
+// sleeps, quiesce deadlines, lifecycle timers — comes from clock.go.
 
 package serve
 
@@ -226,11 +225,11 @@ type outcome struct {
 
 // request is one pending submission. fire marks a fire-and-forget
 // SubmitAsync request: no submitter blocks on done, so the worker recycles
-// the request instead of delivering an outcome.
+// the request instead of delivering an outcome. Its arrival instant rides
+// the queue task (HybridTask.Arrived), not the request.
 type request struct {
 	bench *workload.Benchmark
 	opt   faas.Options
-	enq   time.Time
 	fire  bool
 	done  chan outcome
 }
@@ -245,7 +244,7 @@ var requestPool = sync.Pool{New: func() any {
 func getRequest() *request { return requestPool.Get().(*request) }
 
 func putRequest(r *request) {
-	r.bench, r.opt, r.enq, r.fire = nil, faas.Options{}, time.Time{}, false
+	r.bench, r.opt, r.fire = nil, faas.Options{}, false
 	requestPool.Put(r)
 }
 
@@ -319,11 +318,11 @@ type pool struct {
 	// handle, whose Inc is a no-op.
 	cSpillTo   map[string]sched.CounterHandle
 	cStealFrom map[string]sched.CounterHandle
-	// delayRefresh is the wall-clock nanos of the last serve_queue_delay_*
-	// gauge refresh — the publish rate limit (gaugeRefreshInterval). The
-	// digests themselves stay exact; only how often their window quantiles
-	// are re-read onto /metrics is bounded.
-	delayRefresh atomic.Int64
+	// delayPublish is the engine time (nanos) from which the next
+	// serve_queue_delay_* gauge refresh may run — the publish rate limit
+	// (publishDue). The digests themselves stay exact; only how often their
+	// window quantiles are re-read onto /metrics is bounded.
+	delayPublish atomic.Int64
 }
 
 // gaugeRefreshInterval bounds how often a dispatch (or completion)
@@ -335,6 +334,17 @@ type pool struct {
 // rates the refresh would otherwise sort-maintain the window once per
 // batch just to overwrite the same gauge cells.
 const gaugeRefreshInterval = time.Millisecond
+
+// publishDue is the gauge publish rate limit. next holds the engine time
+// from which the next refresh may run; zero, its start value, lets the
+// first observation publish at once (engine time starts near zero, so a
+// last-published stamp would suppress it). It reports whether the caller
+// won the refresh; the CAS keeps concurrent workers from refreshing twice
+// for one slot.
+func publishDue(next *atomic.Int64, now time.Duration) bool {
+	n := next.Load()
+	return int64(now) >= n && next.CompareAndSwap(n, int64(now+gaugeRefreshInterval))
+}
 
 // driveSet serializes DSCS-class executions over the physical DSCS-Drives:
 // the engine's DSCS pool sizes workers, but the rack has a fixed number of
@@ -494,10 +504,10 @@ type Engine struct {
 type latKey struct{ slug, platform string }
 
 // latHandles carries one {benchmark, platform} series' three quantile
-// gauges plus its publish-rate-limit stamp (see gaugeRefreshInterval).
+// gauges plus its publish-rate-limit stamp (see publishDue).
 type latHandles struct {
 	p50, p95, p99 sched.GaugeHandle
-	refresh       atomic.Int64
+	publish       atomic.Int64
 }
 
 // NewEngine builds one worker pool per runner (the platform.All lineup in
@@ -538,7 +548,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		tel:   opt.Telemetry,
 		pools: make(map[string]*pool, len(runners)),
 		obs:   metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
-		start: time.Now(),
+		start: wallEpoch(),
 	}
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
 	names := make([]string, 0, len(runners))
@@ -733,7 +743,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	for _, ev := range opt.Faults {
 		ev := ev
 		e.faultTimers = append(e.faultTimers,
-			time.AfterFunc(ev.At, func() { e.applyFault(ev) }))
+			afterFunc(ev.At, func() { e.applyFault(ev) }))
 	}
 	return e, nil
 }
@@ -749,10 +759,6 @@ func classFor(c platform.Compute) sched.InstanceClass {
 
 // Telemetry returns the engine's metric registry.
 func (e *Engine) Telemetry() *sched.Telemetry { return e.tel }
-
-// now is the engine's clock on the same basis as HybridTask.Arrived; the
-// scheduling core and batch windows are clock-free and take it as input.
-func (e *Engine) now() time.Duration { return time.Since(e.start) }
 
 // Platforms lists the pools, sorted.
 func (e *Engine) Platforms() []string {
@@ -940,7 +946,7 @@ func (e *Engine) armLifecycleLocked(p *pool) {
 		d = 0
 	}
 	if p.lifeTimer == nil {
-		p.lifeTimer = time.AfterFunc(d, func() { e.lifecycleTick(p) })
+		p.lifeTimer = afterFunc(d, func() { e.lifecycleTick(p) })
 	} else {
 		p.lifeTimer.Reset(d)
 	}
@@ -1207,12 +1213,12 @@ func (e *Engine) InFlight() int { return int(e.inflight.Load()) }
 // timeout elapses, reporting whether the engine drained. Fire-and-forget
 // callers use it as their completion barrier.
 func (e *Engine) Quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	deadline := e.now() + timeout
 	for e.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
+		if e.now() > deadline {
 			return false
 		}
-		time.Sleep(20 * time.Microsecond)
+		sleep(20 * time.Microsecond)
 	}
 	return true
 }
@@ -1256,12 +1262,11 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		cpuSvc = e.observedService(b.Slug, sched.ClassCPU, cpuSvc)
 		dscsSvc = e.observedService(b.Slug, sched.ClassDSCS, dscsSvc)
 	}
-	now := time.Now() // one clock read serves both stamps below
 	req := getRequest()
-	req.bench, req.opt, req.enq, req.fire = b, opt, now, fire
+	req.bench, req.opt, req.fire = b, opt, fire
 	task := sched.HybridTask{
 		ID:          int(e.nextID.Add(1)),
-		Arrived:     now.Sub(e.start),
+		Arrived:     e.now(),
 		Payload:     b.Slug,
 		CPUService:  cpuSvc,
 		DSCSService: dscsSvc,
@@ -1538,7 +1543,7 @@ func (e *Engine) worker(p *pool) {
 				if wait < 50*time.Microsecond {
 					wait = 50 * time.Microsecond
 				}
-				time.Sleep(wait)
+				sleep(wait)
 				p.mu.Lock()
 				continue
 			}
@@ -1584,7 +1589,7 @@ func (e *Engine) worker(p *pool) {
 		// pool the gauges would converge on BatchLinger and the balance
 		// latch would see congestion that is not there. (The simulation
 		// records at core dispatch the same way.)
-		dispatched := time.Now()
+		dispatched := e.now()
 		if e.opt.BatchLinger > 0 && e.opt.MaxBatch > 1 && p.core.Former() == nil {
 			// Deadline-aware batching: the same BatchWindow decision the
 			// discrete-event simulation drives from its virtual clock,
@@ -1592,7 +1597,7 @@ func (e *Engine) worker(p *pool) {
 			w := NewBatchWindow(now, e.opt.BatchLinger, e.opt.MaxBatch, bs.batch)
 			for w.Open(e.now()) && !p.closed {
 				p.mu.Unlock()
-				time.Sleep(lingerSlice(e.opt.BatchLinger))
+				sleep(lingerSlice(e.opt.BatchLinger))
 				p.mu.Lock()
 				e.drainLocked(p)
 				e.gather(p, bs)
@@ -1842,7 +1847,7 @@ func (e *Engine) Observatory() *metrics.Observatory { return e.obs }
 // and refreshes the per-{benchmark, platform} quantile gauges (rate-
 // limited; the digest itself ingests every observation). The gauges read
 // the O(1) P² stream estimates, so the completion path never sorts.
-func (e *Engine) observe(slug, platformName string, service time.Duration, at time.Time) {
+func (e *Engine) observe(slug, platformName string, service, at time.Duration) {
 	dg := e.obs.Record(slug, platformName, service)
 	k := latKey{slug: slug, platform: platformName}
 	v, ok := e.latGauges.Load(k)
@@ -1855,9 +1860,7 @@ func (e *Engine) observe(slug, platformName string, service time.Duration, at ti
 		})
 	}
 	h := v.(*latHandles)
-	nowNS := at.UnixNano()
-	last := h.refresh.Load()
-	if nowNS-last < int64(gaugeRefreshInterval) || !h.refresh.CompareAndSwap(last, nowNS) {
+	if !publishDue(&h.publish, at) {
 		return
 	}
 	ps := [3]float64{0.50, 0.95, 0.99}
@@ -1871,33 +1874,25 @@ func (e *Engine) observe(slug, platformName string, service time.Duration, at ti
 // recordWaits folds one dispatched batch's queue delays — each request's
 // arrival→dispatch wait — into the serving pool's wait window and
 // refreshes its serve_queue_delay_* gauges. A stolen request charges its
-// wait to the pool that served it, while its enqueue instant survives the
-// move — so a hot pool's digest reflects what its own backlog cost, not
+// wait to the pool that served it, while its arrival instant (the task's
+// Arrived) survives the move — so a hot pool's digest reflects what its own backlog cost, not
 // what it exported. (A request gathered during the linger window can
 // postdate the dispatch instant; the negative wait clamps to zero here,
 // and the delivery loop hands the same clamped values to the per-request
 // outcomes.)
 //
 //dscslint:hotpath
-func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Time) {
+func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Duration) {
 	bs.waits = bs.waits[:0]
-	for _, r := range bs.reqs {
-		w := dispatched.Sub(r.enq)
+	for i := range bs.tasks {
+		w := dispatched - bs.tasks[i].Arrived
 		if w < 0 {
 			w = 0
 		}
 		bs.waits = append(bs.waits, w)
 	}
 	dg := e.bal.recordBatch(p.idx, bs.waits)
-	if dg == nil {
-		return
-	}
-	// Publish rate limit: the first dispatch refreshes immediately (the
-	// stamp starts at zero), later ones at most once per interval. The CAS
-	// keeps concurrent workers from folding the window twice for one slot.
-	nowNS := dispatched.UnixNano()
-	last := p.delayRefresh.Load()
-	if nowNS-last < int64(gaugeRefreshInterval) || !p.delayRefresh.CompareAndSwap(last, nowNS) {
+	if dg == nil || !publishDue(&p.delayPublish, dispatched) {
 		return
 	}
 	// Unlike the cumulative serve_latency_* gauges, these publish the

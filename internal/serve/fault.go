@@ -2,10 +2,9 @@
 // drives (directly, or on a schedule via Options.Faults), and hedge
 // executions that outlive their adopted service-p95. The discrete-event
 // simulations drive the same PoolCore/MultiCore failure state from their
-// virtual clocks; this file is the wall-clock half — time.AfterFunc
-// injection timers and a real second dispatch racing the first.
-
-//dscslint:allow clockcheck wall-clock half by design: fault-injection timers and hedge deadlines race real executions
+// virtual clocks; this file drives it from engine time — injection timers
+// and hedge deadlines armed through clock.go, and a real second dispatch
+// racing the first.
 
 package serve
 
@@ -217,12 +216,13 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 		res, err := e.exec(p.runner, b, opt)
 		ch <- hedgeResult{res, err, false}
 	}()
-	timer := time.NewTimer(threshold)
+	due := make(chan struct{})
+	timer := afterFunc(threshold, func() { close(due) })
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.res, r.err
-	case <-timer.C:
+	case <-due:
 	}
 	peer := e.hedgePeer(p)
 	if peer == nil {

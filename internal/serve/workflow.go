@@ -12,9 +12,9 @@
 // least-priced-wait healthy pool of any class (lowest name on a tie) when
 // the home side is busier than a peer or dead. Remote inputs
 // pay the store's failover read before the stage submits, and the bytes
-// are billed to serve_workflow_fabric_bytes_total either way.
-
-//dscslint:allow clockcheck wall-clock half by design: stage offsets sleep real time and fetch latencies are slept against real executions (the clock-free graph state lives in internal/workflow)
+// are billed to serve_workflow_fabric_bytes_total either way. Stage
+// offsets and fetch latencies are slept in engine time (clock.go) against
+// real executions; the clock-free graph state lives in internal/workflow.
 
 package serve
 
@@ -230,7 +230,7 @@ func (d *wfDriver) stage(i int, unlockAt time.Duration) {
 	defer d.wg.Done()
 	e := d.e
 	if delay := unlockAt - e.now(); delay > 0 {
-		time.Sleep(delay)
+		sleep(delay)
 	}
 	keys := d.run.InputKeys(i)
 	placed := d.placer.Place(d.dominantInput(keys))
@@ -263,7 +263,7 @@ func (d *wfDriver) stage(i int, unlockAt time.Duration) {
 		fabricBytes += size
 	}
 	if fetch > 0 {
-		time.Sleep(fetch)
+		sleep(fetch)
 	}
 
 	inflight := e.wfInflight.Add(1)
