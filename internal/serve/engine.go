@@ -41,6 +41,10 @@ var (
 	ErrQueueFull = errors.New("serve: queue full")
 	// ErrClosed reports a submit after Close.
 	ErrClosed = errors.New("serve: engine closed")
+	// ErrExecutionPanicked wraps a panic inside one execution
+	// (Options.Execute or Runner.Invoke): every request of the batch fails
+	// with it, and the engine keeps serving.
+	ErrExecutionPanicked = errors.New("serve: execution panicked")
 )
 
 // DefaultMaxBatch caps request coalescing. Figure 14 shows DSA throughput

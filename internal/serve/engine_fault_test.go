@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -321,6 +322,44 @@ func TestEngineHedgedDispatch(t *testing.T) {
 	}
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineExecutionPanicContained: an execution that panics fails its
+// own batch with ErrExecutionPanicked and takes nothing else down — the
+// next submission is served, the pool made its one Complete for the failed
+// batch, and Conservation holds. The hedged arm runs the primary on its own
+// goroutine, where an escaped panic would kill the process outright.
+func TestEngineExecutionPanicContained(t *testing.T) {
+	for _, hedge := range []float64{0, 1} {
+		t.Run(fmt.Sprintf("hedge=%g", hedge), func(t *testing.T) {
+			eng, err := NewEngine(testRunners(t), Options{
+				Workers: 1, QueueDepth: 16, HedgeFactor: hedge,
+				Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+					if b.Slug == "chatbot" {
+						panic("model crashed")
+					}
+					return faas.Result{}, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			_, err = eng.Submit("DSCS-Serverless", workload.BySlug("chatbot"), faas.Options{Quantile: 0.5})
+			if !errors.Is(err, ErrExecutionPanicked) {
+				t.Fatalf("panicking execution returned %v, want ErrExecutionPanicked", err)
+			}
+			if _, err := eng.Submit("DSCS-Serverless", workload.BySlug("asset-damage"), faas.Options{Quantile: 0.5}); err != nil {
+				t.Fatalf("submission after a panic: %v", err)
+			}
+			if err := eng.Conservation(); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Telemetry().Counter("serve_completed_total"); got != 2 {
+				t.Fatalf("serve_completed_total = %v, want 2 (the failed batch completes too)", got)
+			}
+		})
 	}
 }
 

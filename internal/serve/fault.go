@@ -193,7 +193,7 @@ func (e *Engine) applyFault(ev trace.FaultEvent) {
 // primary pool, which still owes exactly one Complete for this batch.
 func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, payload string) (faas.Result, error) {
 	if e.opt.HedgeFactor < 1 {
-		return e.exec(p.runner, b, opt)
+		return e.execute(p.runner, b, opt)
 	}
 	cpuSvc, dscsSvc, _ := e.estimate(b)
 	static := cpuSvc
@@ -202,7 +202,7 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 	}
 	threshold := time.Duration(float64(e.obs.ServiceQuantile(payload, p.name, static, 0.95)) * e.opt.HedgeFactor)
 	if threshold <= 0 {
-		return e.exec(p.runner, b, opt)
+		return e.execute(p.runner, b, opt)
 	}
 	type hedgeResult struct {
 		res   faas.Result
@@ -213,7 +213,7 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 	// receiver required.
 	ch := make(chan hedgeResult, 2)
 	go func() {
-		res, err := e.exec(p.runner, b, opt)
+		res, err := e.execute(p.runner, b, opt)
 		ch <- hedgeResult{res, err, false}
 	}()
 	due := make(chan struct{})
@@ -231,7 +231,7 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 	}
 	e.cHedgesFired.Inc(1)
 	go func() {
-		res, err := e.exec(peer.runner, b, opt)
+		res, err := e.execute(peer.runner, b, opt)
 		ch <- hedgeResult{res, err, true}
 	}()
 	r := <-ch
@@ -239,6 +239,21 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 		e.cHedgesWon.Inc(1)
 	}
 	return r.res, r.err
+}
+
+// execute runs one coalesced batch on r and is the only caller of e.exec.
+// It contains a panic inside the execution: the panic becomes an error
+// wrapping ErrExecutionPanicked, which the worker delivers to every request
+// of the batch after making the pool's one Complete for it — a crashing
+// model fails its own batch and takes down neither the worker nor, from a
+// hedge goroutine, the process.
+func (e *Engine) execute(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (res faas.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = faas.Result{}, fmt.Errorf("%w (%s): %v", ErrExecutionPanicked, b.Slug, v)
+		}
+	}()
+	return e.exec(r, b, opt)
 }
 
 // hedgePeer picks the pool a hedge runs on: the first healthy CPU-class
