@@ -1,7 +1,5 @@
-// admit.go is the submit half of the engine: request pooling, the
-// admission path behind Submit and SubmitAsync (spill decision, pricing,
-// the sharded ingress hand-off and its drain into the pool core), and the
-// admit-time wakeups that let idle peers steal.
+// admit.go is the engine's submit half: request pooling, the admission
+// path behind Submit and SubmitAsync, and the cross-pool wakeups.
 
 package serve
 
@@ -54,23 +52,17 @@ func putRequest(r *request) {
 	requestPool.Put(r)
 }
 
-// spillTarget picks the CPU-class pool a submission aimed at a dead DSCS
-// pool reroutes to: the configured SpilloverTo pool, or the least-queued
-// CPU pool (ties broken by name).
+// spillTarget picks the pool a submission aimed at a dead DSCS pool
+// reroutes to: the least-queued healthy pool spillEligible admits (ties
+// broken by name) — the SpilloverTo pool while it lives.
 func (e *Engine) spillTarget() *pool {
-	if t := e.spillTo; t != nil && e.poolHealthy(t) {
-		return t
-	}
-	// With the named target down, fall through to the least-queued scan
-	// rather than spill into a pool that cannot dispatch.
 	var best *pool
 	bestDepth := 0
 	for _, c := range e.spillCPU {
-		if !e.poolHealthy(c) {
+		if !e.poolHealthy(c) || !e.spillEligible(c.idx) {
 			continue
 		}
-		depth := e.poolDepth(c)
-		if best == nil || depth < bestDepth {
+		if depth := e.poolDepth(c); best == nil || depth < bestDepth {
 			best, bestDepth = c, depth
 		}
 	}
@@ -185,70 +177,80 @@ func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFul
 // entries drain first so admission order holds.
 func (e *Engine) admitDirect(p *pool, task sched.HybridTask, req *request) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return ErrClosed
 	}
 	e.drainLocked(p)
-	if p.core.QueueFull() {
-		return ErrQueueFull
-	}
-	if !p.core.Submit(task) {
+	if p.core.QueueFull() || !p.core.Submit(task) {
 		e.syncDepth(p)
+		p.mu.Unlock()
 		return ErrQueueFull
 	}
 	if f := p.core.Former(); f != nil {
 		f.Observe(task, reqBatch(req.opt))
 	}
 	e.syncDepth(p)
+	depth := p.core.QueueLen()
+	p.mu.Unlock()
 	p.cond.Signal()
-	e.wakePeers(p, p.core.QueueLen())
+	e.wakePeers(p, depth)
 	return nil
 }
 
-// wakePeers is the cross-pool half of the admit-time wakeups. Pull-based
+// wakePeers wakes every parked peer worker to re-check the balance
+// decision against p, whose backlog is depth: the one cross-pool wakeup
+// policy behind the admit, dispatch and requeue call sites. Pull-based
 // rebalancing is driven by the thief, so a worker parked on its own empty
-// queue must hear the peer backlog deepen. (Signaling a Cond without its
-// lock is explicitly allowed.) Adaptive balance wakes every peer via the
-// shared latch-precondition gate.
+// queue must hear a peer backlog deepen. (Signaling a Cond without its
+// lock is explicitly allowed.) A live pool's gate is exactly the latch's
+// own arming precondition: a backlog, a warmed wait digest, and a recent
+// window that actually holds waits — a zero windowed p95 can never arm
+// Latch.Above, so waking workers to lock-scan every pool then would be
+// pure overhead on the request path. A dead pool's backlog drains only by
+// rescue and its digest was invalidated at death, so any backlog wakes
+// every peer — a parked worker elsewhere is its only exit — and that
+// wakeup must not be lost: a parked peer is fenced through its mutex the
+// way admit fences its own pool, pairing with the rescueWaiting re-check
+// its worker makes after counting itself parked. Callers hold no pool
+// lock.
 func (e *Engine) wakePeers(p *pool, depth int) {
-	if depth > 0 && p.deadBit.Load() {
-		// Work admitted to a dead pool drains only by rescue: the
-		// warmed-digest gate below cannot fire for it (its digest was
-		// invalidated at death), so wake every peer directly — a parked
-		// worker elsewhere is this backlog's only exit.
-		for _, d := range e.pools {
-			if d != p {
-				d.cond.Signal()
-			}
-		}
+	if depth == 0 || !e.opt.AdaptiveBalance {
 		return
 	}
-	if e.opt.AdaptiveBalance {
-		e.signalPeersForBalance(p, depth > 0)
+	dead := p.deadBit.Load()
+	if !dead {
+		if wait, warmed := e.bal.WarmedWait(p.idx); !warmed || wait <= 0 {
+			return
+		}
+	}
+	for _, d := range e.pools {
+		if d == p {
+			continue
+		}
+		if dead && d.parked.Load() > 0 {
+			d.mu.Lock()
+			//lint:ignore SA2001 empty critical section is the wakeup fence
+			d.mu.Unlock()
+		}
+		d.cond.Signal()
 	}
 }
 
-// signalPeersForBalance wakes every parked peer worker to re-check the
-// wait-gap latch against p, shared by the submit-time (admit) and
-// dispatch-time (recordWaits) call sites so the two wakeup policies
-// cannot drift apart. The gate is exactly the latch's own arming
-// precondition: p has a backlog, its wait digest is warmed, and the
-// recent window actually holds waits — a zero windowed p95 can never arm
-// Latch.Above, so waking workers to lock-scan every pool then would be
-// pure overhead on the request path.
-func (e *Engine) signalPeersForBalance(p *pool, backlog bool) {
-	if !backlog {
-		return
+// rescueWaiting reports whether a dead peer holds a backlog p's worker
+// could rescue. The worker checks it after counting itself parked, so a
+// rescue wakeup racing its park is either fenced into the wait by
+// wakePeers or seen here. Callers hold p.mu.
+func (e *Engine) rescueWaiting(p *pool) bool {
+	if !e.opt.AdaptiveBalance || !p.core.Healthy() {
+		return false
 	}
-	if wait, warmed := e.bal.WarmedWait(p.idx); !warmed || wait <= 0 {
-		return
-	}
-	for _, d := range e.pools {
-		if d != p {
-			d.cond.Signal()
+	for _, d := range e.order {
+		if d != p && d.deadBit.Load() && e.poolDepth(d) > 0 {
+			return true
 		}
 	}
+	return false
 }
 
 // Submit enqueues one invocation and blocks until a worker serves it (or
@@ -401,9 +403,9 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 	return req, target.name, nil
 }
 
-// spillEligible is the adaptive spill's candidate set: the configured
-// SpilloverTo pool while it is healthy, otherwise the CPU class (a named
-// target that is down must not swallow the spill).
+// spillEligible is the spill candidate set: the configured SpilloverTo
+// pool while it is healthy, otherwise the CPU class (a named target that
+// is down must not swallow the spill).
 func (e *Engine) spillEligible(i int) bool {
 	if t := e.spillTo; t != nil && e.poolHealthy(t) {
 		return i == t.idx

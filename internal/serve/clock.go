@@ -1,11 +1,7 @@
 // clock.go is the live engine's one wall-clock seam: every read of real
 // time and every wait on it in this package goes through the four
-// functions below. Everything else — the clock-free state machines the
-// simulations share (core.go, multicore.go, lifecycle.go, former.go,
-// balancer.go) and the engine files that drive them from goroutines —
-// takes engine time from here. Engine time is the wall time elapsed since
-// the engine was built (the basis of HybridTask.Arrived), so it starts
-// near zero.
+// functions below. Engine time is the wall time elapsed since the engine
+// was built (the basis of HybridTask.Arrived), so it starts near zero.
 
 //dscslint:allow clockcheck the live engine's one wall-clock seam: engine time, timers and sleeps read real time here and nowhere else in the package
 

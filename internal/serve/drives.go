@@ -1,7 +1,4 @@
-// drives.go is the engine's physical-drive arbitration: DSCS-class
-// executions hold the csd.Drive carrying their input replica for the
-// duration, so drive contention and the arbitration penalty show up in
-// live latencies.
+// drives.go arbitrates DSCS-class executions over the physical drives.
 
 package serve
 

@@ -1,6 +1,5 @@
-// elastic.go drives a pool's clock-free worker Lifecycle from the engine:
-// autoscale decisions, the published capacity gauges, and the lifecycle
-// timer that wakes the pool at its next self-transition.
+// elastic.go drives each pool's clock-free Lifecycle: autoscale decisions,
+// capacity gauges, and the timer armed at its next self-transition.
 
 package serve
 

@@ -13,10 +13,8 @@
 // sleeps, quiesce deadlines, lifecycle timers — comes from clock.go.
 //
 // This file holds the options, the pool and Engine types, construction,
-// the read-only accessors and Close. The rest is split by concern:
-// admit.go (the submit half), worker.go (the drain half), elastic.go
-// (lifecycle timers), estimate.go (pricing and observatories), drives.go
-// (drive arbitration), fault.go (failures and hedging).
+// the accessors and Close; admit.go, worker.go, elastic.go, estimate.go,
+// drives.go and fault.go hold the rest by concern.
 
 package serve
 
@@ -115,18 +113,13 @@ type Options struct {
 	// AdaptiveBalance arms queue rebalancing keyed on wait delay: every
 	// dispatch records the served request's queue delay (arrival to
 	// dispatch) into its pool's wait digest, and work rebalances — DSCS
-	// submissions spill to a CPU pool at submit time
-	// (serve_spillover_total{from,to}), an idle worker steals any peer
-	// pool's backlog (same class included) at drain time
-	// (serve_steal_total{from,to}) — once the donor's adopted wait-p95 has
-	// diverged above the target's past the hysteresis latch (the
-	// metrics.Digest.Adopt bands — enter at 1.5x, release within 1.2x,
-	// after EstimateWarmup dispatches — over one metrics.Latch per pool
-	// pair). Queue delay is what the SLO actually spends while work sits
-	// behind a hot pool; a queue-depth count is only a proxy for it. A
-	// dead pool's backlog is rescued, and a submission aimed at a dead
-	// DSCS pool reroutes, with no wait evidence at all. Off (the default),
-	// the pools stay isolated.
+	// submissions spill to a CPU pool at submit time, an idle worker
+	// steals any peer pool's backlog (same class included) at drain time —
+	// once the donor's adopted wait-p95 has diverged above the target's
+	// past the hysteresis latch (the metrics.Digest.Adopt bands — enter at
+	// 1.5x, release within 1.2x, after EstimateWarmup dispatches — over one
+	// metrics.Latch per pool pair). A dead pool's backlog moves with no
+	// wait evidence at all. Off (the default), the pools stay isolated.
 	AdaptiveBalance bool
 	// SpilloverTo names the CPU-class pool spilled work lands on. Empty
 	// picks among every CPU-class pool per submission.
@@ -419,14 +412,17 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// With the elastic lifecycle every slot gets a goroutine up front; how
+	// many may dispatch at once is the lifecycle's warm count, so suspended
+	// capacity is a parked goroutine, not a missing one.
+	poolWorkers := opt.Workers
+	if elastic {
+		poolWorkers = opt.MaxWorkers
+	}
 	var dscsStores []*objstore.Store
 	for idx, name := range names {
 		r := runners[name]
 		class := classFor(r.Platform)
-		poolWorkers := opt.Workers
-		if elastic {
-			poolWorkers = opt.MaxWorkers
-		}
 		core, err := NewPoolCore(poolWorkers, opt.QueueDepth, class, opt.Policy)
 		if err != nil {
 			return nil, err
@@ -489,12 +485,6 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			p.gWarm.Set(float64(lc.Warm()))
 			p.gCold.Set(float64(lc.Cold()))
 			p.gWarming.Set(float64(lc.Warming()))
-			e.tel.Inc("serve_cold_starts_total", 0)
-		}
-		// Queue-delay gauges are registered up front so /metrics shows the
-		// wait digests live before the first dispatch.
-		for _, q := range []string{"p50", "p95", "p99"} {
-			e.tel.Set("serve_queue_delay_"+q+"{platform="+name+",class="+class.String()+"}", 0)
 		}
 	}
 	e.bal.init(e, len(names), opt.EstimateWindow, opt.EstimateWarmup)
@@ -509,21 +499,17 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			}
 			e.spillTo = t
 		}
-		// Register the counters up front so /metrics shows the feature is
-		// armed even before the first move, and pre-resolve a handle for
-		// every directed pair the spill path (DSCS pool → CPU pool) and the
-		// steal path (any pool → any other: dead-pool rescue crosses
-		// classes) can take, so neither builds a label per moved request.
-		// On a lineup with no CPU-class pool nothing spills; same-class
-		// pools still steal from each other.
-		e.tel.Inc("serve_spillover_total", 0)
+		// Pre-resolve a handle for every directed pair the spill path (DSCS
+		// pool → CPU pool) and the steal path (any pool → any other:
+		// dead-pool rescue crosses classes) can take, so neither builds a
+		// label per moved request. On a lineup with no CPU-class pool
+		// nothing spills; same-class pools still steal from each other.
 		for _, p := range e.dscsPools {
 			p.cSpillTo = make(map[string]sched.CounterHandle, len(e.spillCPU))
 			for _, q := range e.spillCPU {
 				p.cSpillTo[q.name] = e.tel.CounterHandle("serve_spillover_total{from=" + p.name + ",to=" + q.name + "}")
 			}
 		}
-		e.tel.Inc("serve_steal_total", 0)
 		for _, p := range e.pools {
 			p.cStealFrom = make(map[string]sched.CounterHandle, len(e.pools)-1)
 			for _, d := range e.pools {
@@ -548,14 +534,15 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			}
 			p.core.AttachFormer(f)
 		}
-		e.tel.Inc("serve_batch_formed_total", 0)
 	}
 	e.drives = newDriveSet(dscsStores)
 	for _, id := range e.drives.ids {
 		e.driveBusy = append(e.driveBusy, e.tel.GaugeHandle("serve_drive_busy{drive="+id+"}"))
 		e.driveAcq = append(e.driveAcq, e.tel.CounterHandle("serve_drive_acquired_total{drive="+id+"}"))
-		e.tel.Set("serve_drive_busy{drive="+id+"}", 0)
 	}
+	// Resolving a handle registers its series, so every engine-wide
+	// counter — the armed-feature ones included — shows on /metrics at 0
+	// before its first event, as the per-pool gauges above do.
 	e.cSubmitted = e.tel.CounterHandle("serve_submitted_total")
 	e.cCompleted = e.tel.CounterHandle("serve_completed_total")
 	e.cBatches = e.tel.CounterHandle("serve_batches_total")
@@ -571,14 +558,6 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	e.cRequeues = e.tel.CounterHandle("serve_requeues_total")
 	e.cHedgesFired = e.tel.CounterHandle("serve_hedges_fired_total")
 	e.cHedgesWon = e.tel.CounterHandle("serve_hedges_won_total")
-	if len(opt.Faults) > 0 || opt.HedgeFactor >= 1 {
-		// Register up front so /metrics shows the failure machinery is
-		// armed before the first fault fires or hedge forks.
-		e.tel.Inc("serve_faults_total", 0)
-		e.tel.Inc("serve_requeues_total", 0)
-		e.tel.Inc("serve_hedges_fired_total", 0)
-		e.tel.Inc("serve_hedges_won_total", 0)
-	}
 	e.exec = opt.Execute
 	if e.exec == nil {
 		e.exec = func(r *faas.Runner, b *workload.Benchmark, o faas.Options) (faas.Result, error) {
@@ -589,14 +568,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	for _, p := range e.pools {
-		// With the elastic lifecycle every slot gets a goroutine up front;
-		// how many may dispatch at once is the lifecycle's warm count, so
-		// suspended capacity is a parked goroutine, not a missing one.
-		n := opt.Workers
-		if elastic {
-			n = opt.MaxWorkers
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < poolWorkers; i++ {
 			e.wg.Add(1)
 			go e.worker(p)
 		}

@@ -1,7 +1,5 @@
 // estimate.go is the engine's pricing and observation: static service
-// estimates per benchmark, the latency observatory and its gauges, the
-// per-pool queue-delay record every dispatch makes, and the rate limit on
-// publishing their quantiles.
+// estimates, the latency observatory, and the per-dispatch wait record.
 
 package serve
 

@@ -176,8 +176,8 @@ func TestCollectBatchCoalesces(t *testing.T) {
 		t.Fatalf("dispatch = %+v ok=%v, want task 1", task, ok)
 	}
 	bs := eng.newBatch(p, task)
-	if len(bs.reqs) != 4 || bs.batch != 7 {
-		t.Fatalf("newBatch = %d reqs, batch %d; want 4 reqs, batch 7", len(bs.reqs), bs.batch)
+	if len(bs.tasks) != 4 || bs.batch != 7 {
+		t.Fatalf("newBatch = %d requests, batch %d; want 4 requests, batch 7", len(bs.tasks), bs.batch)
 	}
 	if core.QueueLen() != 3 {
 		t.Fatalf("queue kept %d tasks, want 3 (moderation, cold, over-budget)", core.QueueLen())
@@ -185,7 +185,7 @@ func TestCollectBatchCoalesces(t *testing.T) {
 	if core.Running() != 4 {
 		t.Fatalf("running = %d, want 4", core.Running())
 	}
-	core.Complete(len(bs.reqs))
+	core.Complete(len(bs.tasks))
 	if err := core.Conservation(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
-// worker.go is the drain half of the engine: the worker goroutine's loop
-// — dispatch through the pool core or its batch former, same-benchmark
-// batch gathering and lingering, drain-time stealing, run-to-completion
-// execution and delivery — and the pooled batch state it runs on.
+// worker.go is the engine's drain half: the worker loop (dispatch, batch
+// gathering and lingering, stealing, execution, delivery) and its batches.
 
 package serve
 
@@ -34,13 +32,12 @@ func coalescable(a, b faas.Options) bool {
 // remaining MaxBatch budget for further gathering during a linger window.
 type batchState struct {
 	lead    *request
-	reqs    []*request
 	payload string
 	batch   int // combined model batch
 	budget  int // remaining model-batch budget toward MaxBatch
-	// tasks mirrors reqs with the dispatched queue tasks themselves: the
-	// requeue path needs the original HybridTasks (arrival stamps, pricing)
-	// to return in-flight work to the queue when the pool dies mid-batch.
+	// tasks holds the dispatched queue tasks themselves, lead first, each
+	// carrying its request in Ref: the requeue path returns them to the
+	// queue (arrival stamps, pricing) when the pool dies mid-batch.
 	tasks []sched.HybridTask
 	// waits holds the batch's clamped queue delays, computed once at
 	// dispatch (recordWaits) and reused by the delivery loop — the digest
@@ -48,16 +45,14 @@ type batchState struct {
 	waits []time.Duration
 }
 
-// batchPool recycles batchState structs and their request slices across
-// executions; putBatch clears the request pointers so a recycled batch
-// never pins served requests for the GC.
+// batchPool recycles batchState structs and their task slices across
+// executions; putBatch clears the tasks so a recycled batch never pins
+// served requests for the GC.
 var batchPool = sync.Pool{New: func() any {
-	return &batchState{reqs: make([]*request, 0, DefaultMaxBatch)}
+	return &batchState{tasks: make([]sched.HybridTask, 0, DefaultMaxBatch)}
 }}
 
 func putBatch(bs *batchState) {
-	clear(bs.reqs)
-	bs.reqs = bs.reqs[:0]
 	clear(bs.tasks)
 	bs.tasks = bs.tasks[:0]
 	bs.waits = bs.waits[:0]
@@ -74,7 +69,6 @@ func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
 	lead := task.Ref.(*request)
 	bs := batchPool.Get().(*batchState)
 	bs.lead, bs.payload = lead, task.Payload
-	bs.reqs = append(bs.reqs[:0], lead)
 	bs.tasks = append(bs.tasks[:0], task)
 	bs.batch = reqBatch(lead.opt)
 	bs.budget = e.opt.MaxBatch - bs.batch
@@ -84,13 +78,13 @@ func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
 
 // gather coalesces compatible same-benchmark queued requests into the
 // batch, up to the remaining budget, and refreshes the queue-depth gauge
-// (Coalesce removes queued tasks just like Dispatch does). It returns how
-// many requests were taken. Callers hold p.mu.
+// (Coalesce removes queued tasks just like Dispatch does). Callers hold
+// p.mu.
 //
 //dscslint:hotpath
-func (e *Engine) gather(p *pool, bs *batchState) int {
+func (e *Engine) gather(p *pool, bs *batchState) {
 	if bs.budget <= 0 {
-		return 0
+		return
 	}
 	budget := bs.budget
 	taken := p.core.Coalesce(budget, func(t sched.HybridTask) bool {
@@ -108,16 +102,13 @@ func (e *Engine) gather(p *pool, bs *batchState) int {
 		return true
 	})
 	for _, t := range taken {
-		r := t.Ref.(*request)
-		bs.reqs = append(bs.reqs, r)
 		bs.tasks = append(bs.tasks, t)
-		bs.batch += reqBatch(r.opt)
+		bs.batch += reqBatch(t.Ref.(*request).opt)
 	}
 	bs.budget = budget
 	if len(taken) > 0 {
 		e.syncDepth(p)
 	}
-	return len(taken)
 }
 
 // lingerSlice is the wall-clock granularity of the engine's linger loop:
@@ -277,9 +268,10 @@ func (e *Engine) worker(p *pool) {
 			// re-check: a submitter that just staged an entry either sees
 			// parked > 0 (and fences a Signal through the mutex) or this
 			// load sees its entry — the Dekker pairing that makes the
-			// lock-free offer path wakeup-safe.
+			// lock-free offer path wakeup-safe. A dead peer's backlog pairs
+			// the same way with wakePeers.
 			p.parked.Add(1)
-			if p.ingress.staged.Load() > 0 {
+			if p.ingress.staged.Load() > 0 || e.rescueWaiting(p) {
 				p.parked.Add(-1)
 				continue
 			}
@@ -321,9 +313,9 @@ func (e *Engine) worker(p *pool) {
 			// peers must re-check it: with no further arrivals to signal
 			// them, a freshly tripped latch would otherwise go unheard.
 			p.mu.Lock()
-			backlog := p.core.QueueLen() > 0
+			backlog := p.core.QueueLen()
 			p.mu.Unlock()
-			e.signalPeersForBalance(p, backlog)
+			e.wakePeers(p, backlog)
 		}
 
 		// DSCS-class executions occupy the physical drive holding their
@@ -369,24 +361,20 @@ func (e *Engine) worker(p *pool) {
 			// Conservation still accounts each request exactly once.
 			p.core.Requeue(bs.tasks)
 			if f := p.core.Former(); f != nil {
-				for i, t := range bs.tasks {
-					f.Observe(t, reqBatch(bs.reqs[i].opt))
+				for _, t := range bs.tasks {
+					f.Observe(t, reqBatch(t.Ref.(*request).opt))
 				}
 			}
 			e.syncDepth(p)
 			p.mu.Unlock()
 			e.cRequeues.Inc(float64(len(bs.tasks)))
 			// The requeued backlog is rescue work: wake peers to steal it.
-			for _, d := range e.pools {
-				if d != p {
-					d.cond.Signal()
-				}
-			}
+			e.wakePeers(p, len(bs.tasks))
 			putBatch(bs)
 			p.mu.Lock()
 			continue
 		}
-		p.core.Complete(len(bs.reqs))
+		p.core.Complete(len(bs.tasks))
 		p.mu.Unlock()
 		if err == nil {
 			e.observe(bs.payload, p.name, res.Total(), dispatched)
@@ -397,9 +385,9 @@ func (e *Engine) worker(p *pool) {
 			}
 		}
 		e.cBatches.Inc(1)
-		e.cBatchedReqs.Inc(float64(len(bs.reqs)))
+		e.cBatchedReqs.Inc(float64(len(bs.tasks)))
 		p.gBatchOcc.Set(float64(bs.batch))
-		e.cCompleted.Inc(float64(len(bs.reqs)))
+		e.cCompleted.Inc(float64(len(bs.tasks)))
 		if formed {
 			e.cFormedAll.Inc(1)
 			p.cFormed.Inc(1)
@@ -408,11 +396,11 @@ func (e *Engine) worker(p *pool) {
 		// clamped) at dispatch time in recordWaits; charge the counter
 		// once for the whole batch and hand each request its own value.
 		var waitMS float64
-		for i, r := range bs.reqs {
+		for i := range bs.tasks {
 			wait := bs.waits[i]
 			waitMS += float64(wait) / float64(time.Millisecond)
-			e.deliver(r, outcome{res: res, err: err, platform: p.name, queued: wait,
-				batchRequests: len(bs.reqs), batchSize: bs.batch})
+			e.deliver(bs.tasks[i].Ref.(*request), outcome{res: res, err: err, platform: p.name, queued: wait,
+				batchRequests: len(bs.tasks), batchSize: bs.batch})
 		}
 		e.cWaitMS.Inc(waitMS)
 		putBatch(bs)
