@@ -25,10 +25,9 @@ const gaugeRefreshInterval = time.Millisecond
 
 // publishDue is the gauge publish rate limit. next holds the engine time
 // from which the next refresh may run; zero, its start value, lets the
-// first observation publish at once (engine time starts near zero, so a
-// last-published stamp would suppress it). It reports whether the caller
-// won the refresh; the CAS keeps concurrent workers from refreshing twice
-// for one slot.
+// first observation publish at once although engine time starts near
+// zero. It reports whether the caller won the refresh; the CAS keeps
+// concurrent workers from refreshing twice for one slot.
 func publishDue(next *atomic.Int64, now time.Duration) bool {
 	n := next.Load()
 	return int64(now) >= n && next.CompareAndSwap(n, int64(now+gaugeRefreshInterval))
