@@ -206,3 +206,63 @@ func TestEngineQuiesceEdgeCases(t *testing.T) {
 		wg.Wait()
 	})
 }
+
+// TestElasticSpareWorkersParkUnderBalance pins that a worker goroutine
+// holding no warm slot parks under AdaptiveBalance as it does without it.
+// One warm slot is busy (a cold start takes an hour), two requests queue
+// behind it, and the three spare goroutines can dispatch neither that
+// backlog nor stolen work; they used to loop on the non-empty queue.
+func TestElasticSpareWorkersParkUnderBalance(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	eng, err := NewEngine(testRunners(t), Options{
+		MaxWorkers: 4, MinWorkers: 1, ColdStart: time.Hour,
+		AdaptiveBalance: true,
+		QueueDepth:      16,
+		MaxBatch:        1,
+		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+			return faas.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	defer close(release)
+
+	bench := workload.BySlug("asset-damage")
+	const platform = "DSCS-Serverless"
+	if err := eng.SubmitAsync(platform, bench, faas.Options{Quantile: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	for i := 0; i < 2; i++ {
+		if err := eng.SubmitAsync(platform, bench, faas.Options{Quantile: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The submissions' wakeups land within a few scheduler slices; a
+	// goroutine that did not park by then never does.
+	p := eng.pools[platform]
+	time.Sleep(50 * time.Millisecond)
+	deadline := time.Now().Add(time.Second)
+	for {
+		p.mu.Lock()
+		queued, warm := p.core.QueueLen(), p.core.Workers()
+		p.mu.Unlock()
+		parked := p.parked.Load()
+		if queued == 2 && warm == 1 && parked == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("spare goroutines: %d of 3 parked (queued %d, warm %d)", parked, queued, warm)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

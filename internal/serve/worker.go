@@ -255,7 +255,13 @@ func (e *Engine) worker(p *pool) {
 			// without ever releasing p.mu — starving the very peers trying
 			// to lock the pool and rescue that backlog. FailPool/RecoverPool
 			// broadcast, so the park always wakes on a health transition.
-			if e.opt.AdaptiveBalance && p.core.Healthy() {
+			// A goroutine with no free slot (elastic spare capacity while
+			// every warm slot is busy) parks too: it can run neither its
+			// own backlog nor stolen work, and looping on that backlog
+			// would spin. A completing worker loops on its own, and the
+			// lifecycle timer broadcasts when slots come warm.
+			free := p.core.Busy() < p.core.Workers()
+			if e.opt.AdaptiveBalance && p.core.Healthy() && free {
 				stole := e.stealInto(p)
 				// Re-check before parking: stealInto dropped p.mu, so a
 				// submission may have signaled into the gap and its wakeup
@@ -269,9 +275,10 @@ func (e *Engine) worker(p *pool) {
 			// parked > 0 (and fences a Signal through the mutex) or this
 			// load sees its entry — the Dekker pairing that makes the
 			// lock-free offer path wakeup-safe. A dead peer's backlog pairs
-			// the same way with wakePeers.
+			// the same way with wakePeers; a goroutine with no free slot
+			// could not rescue it.
 			p.parked.Add(1)
-			if p.ingress.staged.Load() > 0 || e.rescueWaiting(p) {
+			if p.ingress.staged.Load() > 0 || (free && e.rescueWaiting(p)) {
 				p.parked.Add(-1)
 				continue
 			}
