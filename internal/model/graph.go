@@ -6,6 +6,7 @@ package model
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"dscs/internal/tensor"
 )
@@ -251,6 +252,36 @@ type Graph struct {
 	// builder state: current spatial feature-map shape.
 	curH, curW, curC int
 	curFeatures      int64
+
+	// sums memoizes the per-layer totals, so the roofline's per-call
+	// reads are arithmetic rather than graph walks.
+	sums atomic.Pointer[graphSums]
+}
+
+// graphSums are a graph's totals, taken when it had the given number of
+// layers. A graph grows only by appending, so a memo taken before the
+// latest append shows a short count and is re-derived; editing a Layer in
+// place after the first read is not supported.
+type graphSums struct {
+	layers                    int
+	params, flops, activation int64
+}
+
+// totals returns the graph's sums, deriving them on the first read after
+// the last append. Safe for concurrent readers: racing derivations store
+// equal values.
+func (g *Graph) totals() *graphSums {
+	if s := g.sums.Load(); s != nil && s.layers == len(g.Layers) {
+		return s
+	}
+	s := &graphSums{layers: len(g.Layers)}
+	for _, l := range g.Layers {
+		s.params += l.WeightElems()
+		s.flops += l.FLOPs()
+		s.activation += l.OutputElems()
+	}
+	g.sums.Store(s)
+	return s
 }
 
 // NewGraph starts a graph whose input is an H x W x C image.
@@ -474,22 +505,14 @@ func (g *Graph) Prep(name string, elems int64) *Layer {
 }
 
 // Params returns the total learned parameter count.
-func (g *Graph) Params() int64 {
-	var n int64
-	for _, l := range g.Layers {
-		n += l.WeightElems()
-	}
-	return n
-}
+func (g *Graph) Params() int64 { return g.totals().params }
 
 // FLOPs returns the total op count for one batch item.
-func (g *Graph) FLOPs() int64 {
-	var n int64
-	for _, l := range g.Layers {
-		n += l.FLOPs()
-	}
-	return n
-}
+func (g *Graph) FLOPs() int64 { return g.totals().flops }
+
+// ActivationElems returns the summed output elements of every layer for
+// one batch item: the activation traffic a roofline model charges.
+func (g *Graph) ActivationElems() int64 { return g.totals().activation }
 
 // MACs returns the total GEMM multiply-accumulate count for one batch item.
 func (g *Graph) MACs() int64 {

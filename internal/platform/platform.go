@@ -111,15 +111,6 @@ func (r Roofline) util(batch int) float64 {
 	return r.MaxUtil - (r.MaxUtil-r.Batch1Util)/float64(batch)
 }
 
-// activationBytes approximates a graph's activation DRAM traffic.
-func activationBytes(g *model.Graph, d tensor.DType) units.Bytes {
-	var elems int64
-	for _, l := range g.Layers {
-		elems += l.OutputElems()
-	}
-	return units.Bytes(elems) * d.Size()
-}
-
 // Infer implements Compute via the roofline.
 func (r Roofline) Infer(g *model.Graph, batch int) (time.Duration, units.Energy, error) {
 	if batch < 1 {
@@ -127,8 +118,10 @@ func (r Roofline) Infer(g *model.Graph, batch int) (time.Duration, units.Energy,
 	}
 	flops := float64(g.FLOPs()) * float64(batch)
 	compute := flops / (r.PeakFLOPS * r.util(batch))
+	// Weights stream once; activations (approximated as every layer's
+	// output) once per batch item.
 	bytes := units.Bytes(g.WeightBytes(r.DType)) +
-		activationBytes(g, r.DType)*units.Bytes(batch)
+		units.Bytes(g.ActivationElems())*r.DType.Size()*units.Bytes(batch)
 	mem := r.MemBW.TransferTime(bytes).Seconds()
 	sec := compute
 	if mem > sec {
