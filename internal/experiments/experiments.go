@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"dscs/internal/metrics"
 )
@@ -83,4 +85,37 @@ func ByID(id string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
+}
+
+// fanOut runs fn(0) … fn(n-1) on min(n, GOMAXPROCS) goroutines and returns
+// the lowest-index error. It is how an experiment runs its independent
+// replays side by side: each fn(i) writes only its own index of the
+// caller's result slices and shares nothing mutable with another index
+// (it draws only from its own RNG stream, seeded or split before the
+// call), so the rows and values built from those slices afterwards are
+// the same at any width.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < min(n, runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

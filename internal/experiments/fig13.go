@@ -52,29 +52,37 @@ func Fig13(env *Environment) (*Result, error) {
 	// Both systems replay under the paper's deployed FCFS policy — the
 	// same policy implementation the live serving engine dispatches with,
 	// driven here by the discrete-event clock instead of worker pools.
-	baseCfg := cluster.PaperConfig(baseService)
-	baseCfg.Policy = sched.FCFSPolicy{}
-	dscsCfg := cluster.PaperConfig(dscsService)
-	dscsCfg.Policy = sched.FCFSPolicy{}
-	baseStats, err := cluster.Run(tr, baseCfg, env.Seed+101)
+	// The two racks are independent replays of one trace, each seeded on
+	// its own, so they run side by side along with their reductions.
+	services := [2]cluster.ServiceModel{baseService, dscsService}
+	var stats [2]*cluster.Stats
+	var mean, p99 [2]time.Duration
+	var peak [2]float64
+	err = fanOut(2, func(i int) error {
+		cfg := cluster.PaperConfig(services[i])
+		cfg.Policy = sched.FCFSPolicy{}
+		st, err := cluster.Run(tr, cfg, env.Seed+101+uint64(i))
+		if err != nil {
+			return err
+		}
+		stats[i] = st
+		mean[i], p99[i] = st.LatencySample.Mean(), st.LatencySample.Percentile(0.99)
+		peak[i] = st.Queue.MaxValue()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	dscsStats, err := cluster.Run(tr, dscsCfg, env.Seed+102)
-	if err != nil {
-		return nil, err
-	}
+	baseStats, dscsStats := stats[0], stats[1]
 
 	t := metrics.NewTable("Figure 13: at-scale comparison (200 instances, 20-minute bursty trace)",
 		"System", "MeanLatency(ms)", "p99(ms)", "PeakQueue", "Completed", "Dropped")
-	addRow := func(name string, st *cluster.Stats) {
+	for i, name := range []string{"Baseline (CPU)", "DSCS-Serverless"} {
 		t.AddRow(name,
-			float64(st.LatencySample.Mean())/float64(time.Millisecond),
-			float64(st.LatencySample.Percentile(0.99))/float64(time.Millisecond),
-			st.Queue.MaxValue(), st.Completed, st.Dropped)
+			float64(mean[i])/float64(time.Millisecond),
+			float64(p99[i])/float64(time.Millisecond),
+			peak[i], stats[i].Completed, stats[i].Dropped)
 	}
-	addRow("Baseline (CPU)", baseStats)
-	addRow("DSCS-Serverless", dscsStats)
 
 	rate := tr.RateSeries(15 * time.Second)
 	rate.Name = "fig13a:requests/s"
@@ -87,13 +95,13 @@ func Fig13(env *Environment) (*Result, error) {
 		"trace_requests":        float64(len(tr.Requests)),
 		"trace_mean_rate":       tr.MeanRate(),
 		"trace_peak_rate":       rate.MaxValue(),
-		"baseline_mean_ms":      float64(baseStats.LatencySample.Mean()) / 1e6,
-		"dscs_mean_ms":          float64(dscsStats.LatencySample.Mean()) / 1e6,
-		"baseline_peak_queue":   baseStats.Queue.MaxValue(),
-		"dscs_peak_queue":       dscsStats.Queue.MaxValue(),
+		"baseline_mean_ms":      float64(mean[0]) / 1e6,
+		"dscs_mean_ms":          float64(mean[1]) / 1e6,
+		"baseline_peak_queue":   peak[0],
+		"dscs_peak_queue":       peak[1],
 		"baseline_dropped":      float64(baseStats.Dropped),
 		"dscs_dropped":          float64(dscsStats.Dropped),
-		"wallclock_improvement": float64(baseStats.LatencySample.Mean()) / float64(dscsStats.LatencySample.Mean()),
+		"wallclock_improvement": float64(mean[0]) / float64(mean[1]),
 	}
 	return &Result{
 		ID: "fig13", Title: "At-scale wall-clock latency and queueing",
