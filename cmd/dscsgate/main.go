@@ -183,17 +183,29 @@ const (
 	// readHeaderTimeout bounds how long a connection may take to send its
 	// request headers, so a slow client cannot hold a connection open.
 	readHeaderTimeout = 10 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may sit between
+	// requests before the server closes it.
+	idleTimeout = 120 * time.Second
 	// shutdownGrace bounds how long in-flight requests may run once the
 	// server stops accepting.
 	shutdownGrace = 30 * time.Second
 )
+
+// newServer serves h with the connection timeouts above.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // serveUntil answers gw's API on l until ctx is done, then stops accepting,
 // lets in-flight requests finish (up to shutdownGrace) and closes gw, so the
 // engine has drained every queue when it returns.
 func serveUntil(ctx context.Context, l net.Listener, gw *gateway.Gateway) error {
 	defer gw.Close()
-	srv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := newServer(gw.Handler())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(l) }()
 	select {

@@ -98,3 +98,12 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 		t.Error("the listener still accepts after serveUntil returned")
 	}
 }
+
+// TestServerTimeouts: the server bounds both a slow client's headers and an
+// idle keep-alive connection, so neither holds a connection forever.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: both must be positive", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}

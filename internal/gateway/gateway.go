@@ -275,24 +275,20 @@ const maxInvokeBody = 1 << 16
 
 // invokeScratch is everything one invoke call would otherwise allocate: the
 // body buffer and its bounded reader, the decoded request, the response and
-// the buffer it is encoded into. The encoder is bound to out with its indent
-// set once, so its indent buffer is reused too and the response leaves in a
-// single Write.
+// the bytes it is rendered into, which leave in a single Write.
 type invokeScratch struct {
 	limit io.LimitedReader
 	body  bytes.Buffer
 	req   invokeRequest
 	resp  invokeResponse
-	out   bytes.Buffer
-	enc   *json.Encoder
+	out   []byte
 }
 
-var invokeScratchPool = sync.Pool{New: func() any {
-	s := new(invokeScratch)
-	s.enc = json.NewEncoder(&s.out)
-	s.enc.SetIndent("", "  ")
-	return s
-}}
+var invokeScratchPool = sync.Pool{New: func() any { return new(invokeScratch) }}
+
+// jsonContentType is the invoke response's Content-Type header value,
+// shared so that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
 
 // readBody reads r's body into the scratch and decodes it into s.req (an
 // empty body leaves the defaults). It fails closed: a read error or
@@ -317,6 +313,12 @@ func (s *invokeScratch) readBody(r *http.Request) (status int, err error) {
 	case n == 0:
 		return http.StatusOK, nil
 	}
+	if scanInvokeRequest(s.body.Bytes(), &s.req) {
+		return http.StatusOK, nil
+	}
+	// Whatever the scanner leaves is json.Unmarshal's to accept or refuse.
+	// Unmarshal merges into the struct, so start it from zero again.
+	s.req = invokeRequest{}
 	if err := json.Unmarshal(s.body.Bytes(), &s.req); err != nil {
 		//dscslint:allow hotpathcheck cold branch: malformed body
 		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
@@ -395,14 +397,32 @@ func (g *Gateway) invoke(w http.ResponseWriter, r *http.Request) {
 		BatchRequests: inv.BatchRequests,
 		BatchSize:     inv.BatchSize,
 	}
-	s.out.Reset()
-	if err := s.enc.Encode(&s.resp); err != nil {
+	if err := s.renderResponse(); err != nil {
 		g.tel.Inc("gateway_errors_total", 1)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(s.out.Bytes()) // a client that hung up has nobody to report to
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(s.out) // a client that hung up has nobody to report to
+}
+
+// renderResponse writes s.resp into s.out as a json.Encoder with a
+// two-space indent would. appendInvokeResponse renders the common case; a
+// response it declines goes through the encoder itself, so a NaN or
+// infinite float is still the encoder's error and a name that needs
+// escaping still gets the encoder's escapes.
+func (s *invokeScratch) renderResponse() error {
+	out, ok := appendInvokeResponse(s.out[:0], &s.resp)
+	s.out = out
+	if ok {
+		return nil
+	}
+	buf := bytes.NewBuffer(out[:0])
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(&s.resp)
+	s.out = buf.Bytes()
+	return err
 }
 
 // workflowStageJSON is one stage row of a workflow response.

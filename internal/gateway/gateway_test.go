@@ -24,7 +24,7 @@ import (
 
 // testGatewayWithOptions builds the standard six-node fixture (four plain
 // SSDs, two DSCS-Drives) and a gateway with the given engine options.
-func testGatewayWithOptions(t *testing.T, seed uint64, opt serve.Options) *Gateway {
+func testGatewayWithOptions(t testing.TB, seed uint64, opt serve.Options) *Gateway {
 	t.Helper()
 	var nodes []*objstore.Node
 	for i := 0; i < 4; i++ {
