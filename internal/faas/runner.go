@@ -15,8 +15,11 @@
 package faas
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dscs/internal/csd"
@@ -118,8 +121,21 @@ type Options struct {
 	// ExtraAccelFuncs appends duplicates of f2 to the chain (Figure 16).
 	ExtraAccelFuncs int
 	// Quantile, when positive, evaluates every network component at that
-	// percentile (Figure 15); zero or negative samples stochastically.
+	// percentile (Figure 15); zero or negative samples stochastically. It
+	// must be below 1 (Validate).
 	Quantile float64
+}
+
+// ErrQuantile rejects a network quantile of 1 or more, or NaN: the normal
+// quantile is infinite there, and so would be every latency priced at it.
+var ErrQuantile = errors.New("faas: quantile must be below 1 (0 or less samples the network)")
+
+// Validate reports ErrQuantile for a quantile Invoke cannot price.
+func (o Options) Validate() error {
+	if o.Quantile >= 1 || math.IsNaN(o.Quantile) {
+		return ErrQuantile
+	}
+	return nil
 }
 
 func (o Options) batch() int {
@@ -154,6 +170,9 @@ type Runner struct {
 	put map[string]units.Bytes
 	// plans holds one resolved deployment per slug (plan.go).
 	plans map[string]*plan
+	// egress is Egress priced at the last quantile notify asked for, so a
+	// warm invocation prices the egress fabric once per quantile.
+	egress atomic.Pointer[network.Priced]
 }
 
 // NewRunner assembles a runner with default stack/energy/cold models.
@@ -202,6 +221,9 @@ func (r *Runner) ensureInput(key string, size units.Bytes) error {
 //
 //dscslint:hotpath
 func (r *Runner) Invoke(b *workload.Benchmark, opt Options) (Result, error) {
+	if err := opt.Validate(); err != nil {
+		return Result{}, err
+	}
 	p, err := r.planFor(b)
 	if err != nil {
 		return Result{}, err
@@ -326,7 +348,13 @@ func (r *Runner) notify(res *Result, b *workload.Benchmark, q float64) {
 	if q <= 0 {
 		q = 0.5 // egress uses the median unless a tail sweep asks otherwise
 	}
-	lat := r.Egress.QuantileLatency(b.NotifyBytes, q)
+	pr := r.egress.Load()
+	if pr == nil || !pr.Matches(r.Egress, q) {
+		priced := r.Egress.At(q)
+		pr = &priced
+		r.egress.Store(pr)
+	}
+	lat := pr.Latency(b.NotifyBytes)
 	res.Breakdown.Notify += lat
 	res.Energy += r.Energy.HostWait.Times(lat)
 }

@@ -1,7 +1,10 @@
 package faas
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -231,4 +234,115 @@ func TestChainedIntermediatesStayOnDrive(t *testing.T) {
 		t.Errorf("f3 read too large (%v): intermediate leaked off-drive?",
 			res.Breakdown.RemoteRead)
 	}
+}
+
+// TestInvokeRejectsUnpriceableQuantile pins the quantile bound: at 1 or
+// more, or NaN, the normal quantile is infinite and every priced latency
+// garbage, so Invoke and InvokeScattered refuse before touching the store.
+// Below 1 is served; 0 or less keeps meaning "sample".
+func TestInvokeRejectsUnpriceableQuantile(t *testing.T) {
+	b := workload.AssetDamage()
+	for _, tc := range []struct {
+		q    float64
+		want error
+	}{
+		{1, ErrQuantile},
+		{1.5, ErrQuantile},
+		{math.Inf(1), ErrQuantile},
+		{math.NaN(), ErrQuantile},
+		{0.999999, nil},
+		{0.5, nil},
+		{0, nil},
+		{-1, nil},
+		{math.Inf(-1), nil},
+	} {
+		store := testStore(t)
+		for _, p := range platform.All() {
+			r := NewRunner(store, p)
+			res, err := r.Invoke(b, Options{Quantile: tc.q})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("q=%v on %s: err %v, want %v", tc.q, p.Name(), err, tc.want)
+			}
+			if tc.want == nil && (res.Total() <= 0 || res.Total() > time.Hour) {
+				t.Fatalf("q=%v on %s: total %v", tc.q, p.Name(), res.Total())
+			}
+			if p.Class() == platform.InStorageDSA {
+				if _, err := r.InvokeScattered(b, Options{Batch: 4, Quantile: tc.q}, 2); !errors.Is(err, tc.want) {
+					t.Fatalf("scattered q=%v: err %v, want %v", tc.q, err, tc.want)
+				}
+			}
+		}
+		if tc.want == nil {
+			continue
+		}
+		for _, n := range store.Nodes() {
+			if reads, writes, _, _ := n.Drive().Counters(); reads+writes != 0 {
+				t.Fatalf("q=%v: node %s saw %d reads and %d writes, want none", tc.q, n.ID, reads, writes)
+			}
+		}
+	}
+}
+
+// TestWarmLoopExtentsSettle pins the flash table's size under the warm
+// invocation loop: every application on every platform at batch 1, 2 and
+// 8, at quantile 0.5. Once every object is placed, a round rewrites each
+// one in place, so a drive's extent count stops moving. The count is
+// bounded by the drive's share of the store: one extent per chunk replica
+// it holds, one more where the DSCS path's output write cuts an input
+// replica's head, and a staircase in the near-storage scratch region of at
+// most one extent per size written there (an intermediate and an output
+// per application and batch).
+func TestWarmLoopExtentsSettle(t *testing.T) {
+	store := testStore(t)
+	var runners []*Runner
+	for _, p := range platform.All() {
+		runners = append(runners, NewRunner(store, p))
+	}
+	batches := []int{1, 2, 8}
+	round := func() []int {
+		for _, b := range workload.Suite() {
+			for _, r := range runners {
+				for _, batch := range batches {
+					if _, err := r.Invoke(b, Options{Batch: batch, Quantile: 0.5}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		var counts []int
+		for _, n := range store.Nodes() {
+			counts = append(counts, n.Drive().FlashExtents())
+		}
+		return counts
+	}
+	round()
+	settled := round()
+	for i := 0; i < 3; i++ {
+		if got := round(); !slices.Equal(got, settled) {
+			t.Fatalf("round %d: extents per drive %v, settled at %v", i+3, got, settled)
+		}
+	}
+	replicas := map[string]int{}
+	for _, b := range workload.Suite() {
+		for _, batch := range batches {
+			for s := range stageNames {
+				obj, ok := store.Lookup(formatStageKey(b.Slug, stage(s), batch))
+				if !ok {
+					t.Fatalf("%s stage %d batch %d never placed", b.Slug, s, batch)
+				}
+				for _, c := range obj.Chunks {
+					for _, rep := range c.Replicas {
+						replicas[rep.NodeID]++
+					}
+				}
+			}
+		}
+	}
+	scratch := 2 * len(workload.Suite()) * len(batches)
+	for i, n := range store.Nodes() {
+		if bound := 2*replicas[n.ID] + scratch; settled[i] < 1 || settled[i] > bound {
+			t.Errorf("drive %s settled at %d extents, want 1-%d", n.ID, settled[i], bound)
+		}
+	}
+	t.Logf("extents per drive: %v; chunk replicas per drive: %v", settled, replicas)
 }

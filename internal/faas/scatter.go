@@ -20,6 +20,9 @@ import (
 // up to parts DSCS-Drives. It requires the DSCS platform; parts <= 1
 // degrades to Invoke.
 func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) (Result, error) {
+	if err := opt.Validate(); err != nil {
+		return Result{}, err
+	}
 	if r.Platform.Class() != platform.InStorageDSA {
 		return Result{}, fmt.Errorf("faas: scatter requires the DSCS platform, have %s", r.Platform.Name())
 	}

@@ -11,21 +11,27 @@
 // round-robin from die 0: allocation g (counting from zero over the array's
 // life) lands on die g % dies, as that die's page number g / dies. The array
 // therefore keeps one counter, next, instead of a write position and a wear
-// count per die, and the logical-to-physical table stores only each page's
-// allocation number — in dense segments of 2,048 logical pages, 1 + g per
-// cell with 0 for unmapped, behind a map from segment index with a memo of
-// the last segment touched. A physical address (PPA) is arithmetic on g; a
-// write of n pages occupies its deepest die ceil(n / dies) times wherever
-// the rotation stands; wear per die follows from next alone. Host cost is
-// one map lookup per 2,048 pages and a slice walk, not a hash per 16 KiB
-// page.
+// count per die. A physical address (PPA) is arithmetic on g; a write of n
+// pages occupies its deepest die ceil(n / dies) times wherever the rotation
+// stands; wear per die follows from next alone.
 //
-// A read goes by runs, by the same invariant: one Write numbers its pages
-// consecutively, so a run of n cells holding 1+g, 2+g, … puts n / dies
-// pages on every die and one more on each of the n % dies dies from die
-// g % dies on, wrapping. A read therefore costs one compare per page to
-// find the runs plus closed-form work per run — a divide and at most one
-// increment per die — and a page standing alone, as a single-page
+// One Write numbers its pages consecutively, so the logical-to-physical
+// table is a sorted slice of extents, each {first logical page, page count,
+// first allocation number}: page lpn+i of an extent is allocation g+i. A
+// write replaces what it covers with one extent — in place when it covers
+// exactly one extent, as an overwrite of a placed object does — and keeps
+// the uncovered head and tail of the extents it cuts, so it splices in at
+// most three. A write that continues the extent before it, in logical pages
+// and in allocations, extends that extent instead. A page lookup is a binary
+// search. Host cost per operation is a binary search plus work per extent
+// touched, not per 16 KiB page, and the table's size tracks how fragmented
+// the logical space is, not how much of it is written.
+//
+// A read goes extent by extent, by the same invariant: the n pages an
+// extent contributes, from allocation g on, put n / dies pages on every die
+// and one more on each of the n % dies dies from die g % dies on, wrapping.
+// A read therefore costs closed-form work per extent — a divide and at most
+// one increment per die — and a page standing alone, as a single-page
 // overwrite leaves it, costs one divide and one increment.
 //
 // All of this rests on the round-robin invariant. A second source of
@@ -36,6 +42,7 @@ package flash
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dscs/internal/units"
@@ -113,30 +120,26 @@ type PPA struct {
 	Channel, Die, Plane, Block, Page int
 }
 
-// The logical-to-physical table is cut into segments of segPages
-// consecutive logical pages.
-const (
-	segShift = 11
-	segPages = 1 << segShift
-)
+// extent maps n consecutive logical pages from lpn on to consecutive
+// allocations from g on: page lpn+i is allocation g+i.
+type extent struct {
+	lpn, n, g int64
+}
 
-// segment maps segPages logical pages: a cell holds 1 + the page's
-// allocation number, 0 while the page is unmapped.
-type segment [segPages]int64
+// end is the first logical page past the extent.
+func (e extent) end() int64 { return e.lpn + e.n }
 
 // Array is the flash array with its FTL state. It is not safe for concurrent
-// use — operations share the segment memo and the perDie tally — and nothing
+// use — operations share the extent table and the perDie tally — and nothing
 // hands it out: every caller reaches it through an ssd.Drive, under that
 // drive's lock, as real controllers serialize per queue pair.
 type Array struct {
 	geo  Geometry
 	dies int64
 
-	// FTL: logical page number >> segShift -> that segment of the table.
-	segs map[int64]*segment
-	// last memoises the segment lastIdx names; nil before the first write.
-	last    *segment
-	lastIdx int64
+	// ext is the logical-to-physical table: disjoint extents sorted by
+	// first logical page. Pages no extent covers are unmapped.
+	ext []extent
 
 	// next is the number of pages ever allocated, and the next allocation's
 	// number (append-only allocation; steady-state GC cost is folded into
@@ -159,13 +162,16 @@ func NewArray(geo Geometry) (*Array, error) {
 	return &Array{
 		geo:    geo,
 		dies:   int64(geo.totalDies()),
-		segs:   make(map[int64]*segment),
 		perDie: make([]int64, geo.totalDies()),
 	}, nil
 }
 
 // Geometry returns the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geo }
+
+// Extents reports the size of the logical-to-physical table: how many runs
+// of consecutively allocated logical pages the live data forms.
+func (a *Array) Extents() int { return len(a.ext) }
 
 // pagesFor returns the page count spanning n bytes.
 func (a *Array) pagesFor(n units.Bytes) int64 {
@@ -175,27 +181,29 @@ func (a *Array) pagesFor(n units.Bytes) int64 {
 	return int64((n + a.geo.PageSize - 1) / a.geo.PageSize)
 }
 
-// segmentAt returns the segment with index idx, nil if no page of it was
-// ever written.
-func (a *Array) segmentAt(idx int64) *segment {
-	if a.last != nil && a.lastIdx == idx {
-		return a.last
+// search returns the index of the first extent ending after lpn: the extent
+// holding lpn if one does, else the first one past it.
+func (a *Array) search(lpn int64) int {
+	lo, hi := 0, len(a.ext)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.ext[m].end() <= lpn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	seg := a.segs[idx]
-	if seg != nil {
-		a.last, a.lastIdx = seg, idx
-	}
-	return seg
+	return lo
 }
 
 // ppa returns the physical address behind a logical page: allocation g is
 // page g / dies of die g % dies, planes interleaved block by block.
 func (a *Array) ppa(lpn int64) (PPA, bool) {
-	seg := a.segmentAt(lpn >> segShift)
-	if seg == nil || seg[lpn&(segPages-1)] == 0 {
+	i := a.search(lpn)
+	if i == len(a.ext) || a.ext[i].lpn > lpn {
 		return PPA{}, false
 	}
-	g := seg[lpn&(segPages-1)] - 1 // the cell holds 1 + g
+	g := a.ext[i].g + lpn - a.ext[i].lpn
 	die, seq := int(g%a.dies), g/a.dies
 	pagesPerPlane := int64(a.geo.PagesPerBlock) * int64(a.geo.BlocksPerPlane)
 	within := seq % (pagesPerPlane * int64(a.geo.PlanesPerDie))
@@ -217,29 +225,47 @@ func (a *Array) Write(lpnStart, pages int64) (time.Duration, units.Energy) {
 	if pages <= 0 {
 		return 0, 0
 	}
-	for lpn, end := lpnStart, lpnStart+pages; lpn < end; {
-		idx := lpn >> segShift
-		seg := a.segmentAt(idx)
-		if seg == nil {
-			// Once per 2,048 never-written logical pages; overwrites and
-			// reads allocate nothing.
-			seg = new(segment)
-			a.segs[idx] = seg
-			a.last, a.lastIdx = seg, idx
-		}
-		lo := lpn & (segPages - 1)
-		n := min(segPages-lo, end-lpn)
-		cells := seg[lo : lo+n]
-		for i, cell := range cells {
-			if cell != 0 {
-				a.invalidated++
-			} else {
-				a.mapped++
+	end := lpnStart + pages
+	// ext[i:j] are the extents the write covers, wholly or in part.
+	i := a.search(lpnStart)
+	j := i
+	var live int64
+	for ; j < len(a.ext) && a.ext[j].lpn < end; j++ {
+		e := a.ext[j]
+		live += min(e.end(), end) - max(e.lpn, lpnStart)
+	}
+	a.invalidated += live
+	a.mapped += pages - live
+	fresh := extent{lpn: lpnStart, n: pages, g: a.next}
+	a.next += pages
+
+	if j == i+1 && a.ext[i].lpn == lpnStart && a.ext[i].n == pages {
+		a.ext[i] = fresh // an overwrite of exactly one extent
+	} else {
+		// What replaces ext[i:j]: the head the write leaves of ext[i], the
+		// write itself, the tail it leaves of ext[j-1].
+		var buf [3]extent
+		put := buf[:0]
+		if i < j && a.ext[i].lpn < lpnStart {
+			head := a.ext[i]
+			head.n = lpnStart - head.lpn
+			put = append(put, head)
+		} else if i > 0 {
+			if prev := &a.ext[i-1]; prev.end() == lpnStart && prev.g+prev.n == fresh.g {
+				// The write continues the extent before it.
+				prev.n += pages
+				fresh.n = 0
 			}
-			a.next++
-			cells[i] = a.next
 		}
-		lpn += n
+		if fresh.n != 0 {
+			put = append(put, fresh)
+		}
+		if i < j {
+			if last := a.ext[j-1]; last.end() > end {
+				put = append(put, extent{lpn: end, n: last.end() - end, g: last.g + end - last.lpn})
+			}
+		}
+		a.ext = slices.Replace(a.ext, i, j, put...)
 	}
 	// Per-die serialization dominates a program (tPROG far exceeds bus
 	// time), and round-robin puts ceil(pages/dies) of them on the deepest
@@ -259,7 +285,7 @@ func (a *Array) WriteBytes(offset int64, n units.Bytes) (time.Duration, units.En
 // [lpnStart, lpnStart+pages). Unmapped pages read as zero-fill from the
 // controller without touching the array.
 //
-// The per-die tally goes run by run (see the package comment).
+// The per-die tally goes extent by extent (see the package comment).
 //
 //dscslint:hotpath
 func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
@@ -268,48 +294,34 @@ func (a *Array) Read(lpnStart, pages int64) (time.Duration, units.Energy) {
 	}
 	perDie, dies := a.perDie, a.dies
 	clear(perDie)
-	// every is the pages each die gets from the runs' whole rotations.
+	end := lpnStart + pages
+	// every is the pages each die gets from the extents' whole rotations.
 	var mapped, every int64
-	for lpn, end := lpnStart, lpnStart+pages; lpn < end; {
-		lo := lpn & (segPages - 1)
-		n := min(segPages-lo, end-lpn)
-		if seg := a.segmentAt(lpn >> segShift); seg != nil {
-			cells := seg[lo : lo+n]
-			for i := 0; i < len(cells); {
-				cell := cells[i]
-				if cell == 0 {
-					i++
-					continue
-				}
-				j, want := i+1, cell+1
-				for j < len(cells) && cells[j] == want {
-					j++
-					want++
-				}
-				// cell is 1 + g with g >= 0, so the unsigned remainder is
-				// g % dies without the signed division's sign fix-up.
-				run, die := int64(j-i), uint64(cell-1)%uint64(dies)
-				mapped += run
-				i = j
-				if run == 1 {
-					// Single-page overwrites leave these.
-					perDie[die]++
-					continue
-				}
-				if run >= dies {
-					every += run / dies
-					run %= dies
-				}
-				// The remainder wraps past the last die at most once.
-				if tail := perDie[die:]; run <= int64(len(tail)) {
-					bump(tail[:run])
-				} else {
-					bump(tail)
-					bump(perDie[:run-int64(len(tail))])
-				}
-			}
+	for _, e := range a.ext[a.search(lpnStart):] {
+		if e.lpn >= end {
+			break
 		}
-		lpn += n
+		lo := max(e.lpn, lpnStart)
+		// Allocation numbers are non-negative, so the unsigned remainder
+		// is g % dies without the signed division's sign fix-up.
+		run, die := min(e.end(), end)-lo, uint64(e.g+lo-e.lpn)%uint64(dies)
+		mapped += run
+		if run == 1 {
+			// Single-page overwrites leave these.
+			perDie[die]++
+			continue
+		}
+		if run >= dies {
+			every += run / dies
+			run %= dies
+		}
+		// The remainder wraps past the last die at most once.
+		if tail := perDie[die:]; run <= int64(len(tail)) {
+			bump(tail[:run])
+		} else {
+			bump(tail)
+			bump(perDie[:run-int64(len(tail))])
+		}
 	}
 	if every != 0 {
 		for die := range perDie {

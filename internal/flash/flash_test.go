@@ -181,7 +181,7 @@ func TestPagesForProperty(t *testing.T) {
 	}
 }
 
-// refArray is the per-page FTL this package used before the segment table:
+// refArray is the per-page FTL this package started with:
 // a map from logical page to a stored PPA, a cursor and a wear count per
 // die, and a least-written-die scan on every allocation. It is kept
 // verbatim (type and receiver renamed) as the reference the differential
@@ -382,6 +382,12 @@ const (
 	weightRegionOffset  = int64(1) << 43
 )
 
+// segPages is a logical-page boundary the layouts straddle: 2,048, where a
+// table cut into dense 2,048-page segments would split a run. The extent
+// table has no such boundary; ranges across it stay in the tests because a
+// table of fixed-size blocks is the obvious alternative representation.
+const segPages = 2048
+
 // arrayOp is one byte-addressed read or write.
 type arrayOp struct {
 	write  bool
@@ -441,29 +447,30 @@ func (d *differ) step(op arrayOp) error {
 }
 
 // checkPPAs compares the reconstructed physical address of every page the
-// reference maps, and that nothing else is mapped.
+// reference maps, that the extent table is sorted, disjoint and free of
+// empty extents, and that it maps nothing else.
 func (d *differ) checkPPAs() error {
 	for lpn, want := range d.ref.l2p {
 		if got, ok := d.got.ppa(lpn); !ok || got != want {
 			return fmt.Errorf("lpn %d: ppa %+v (mapped %v), reference %+v", lpn, got, ok, want)
 		}
 	}
-	var cells int64
-	for _, seg := range d.got.segs {
-		for _, cell := range seg {
-			if cell != 0 {
-				cells++
-			}
+	var pages, end int64
+	for i, e := range d.got.ext {
+		if e.n <= 0 || (i > 0 && e.lpn < end) {
+			return fmt.Errorf("extent %d %+v: empty, or overlaps or precedes the one before (ending at %d)", i, e, end)
 		}
+		pages += e.n
+		end = e.end()
 	}
-	if cells != int64(len(d.ref.l2p)) {
-		return fmt.Errorf("%d mapped cells, reference maps %d pages", cells, len(d.ref.l2p))
+	if pages != int64(len(d.ref.l2p)) {
+		return fmt.Errorf("extents map %d pages, reference maps %d", pages, len(d.ref.l2p))
 	}
 	return nil
 }
 
 // TestArrayMatchesReference replays seeded operation streams through the
-// segment-table FTL and the per-page reference: chunk-spaced objects
+// extent-table FTL and the per-page reference: chunk-spaced objects
 // overwritten whole and in part, ranges straddling a segment boundary, the
 // scratch and weight regions, zero-length and never-written ranges. Every
 // operation's latency and energy and every counter must agree throughout.
@@ -523,8 +530,7 @@ func TestArrayMatchesReference(t *testing.T) {
 }
 
 // TestArrayMatchesReferenceOddGeometry repeats the comparison on a geometry
-// whose die count is not a power of two and does not divide the segment
-// size, where a wrong modulus or tie-break would show first.
+// whose die count is not a power of two and does not divide segPages, where a wrong modulus or tie-break would show first.
 func TestArrayMatchesReferenceOddGeometry(t *testing.T) {
 	geo := SmartSSDClass()
 	geo.Channels, geo.DiesPerChannel, geo.PlanesPerDie = 3, 5, 3
@@ -555,7 +561,7 @@ func TestArrayMatchesReferenceOddGeometry(t *testing.T) {
 // allocations could get wrong: runs just under, at and over the die count
 // from every starting die, runs a segment boundary cuts, single pages
 // overwritten inside an extent, and unmapped holes — on the 32-die drive
-// and on 15 dies, which divide neither the segment size nor a power of two.
+// and on 15 dies, which divide neither segPages nor a power of two.
 func TestReadTallyLayouts(t *testing.T) {
 	odd := SmartSSDClass()
 	odd.Channels, odd.DiesPerChannel = 3, 5
@@ -699,23 +705,30 @@ func TestWarmArrayOpsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestSegmentTableBounded pins the table's growth: overwriting an object
-// adds no segment, and placing a new object of up to 20 MB adds at most two.
-func TestSegmentTableBounded(t *testing.T) {
+// TestExtentTableBounded pins the table's growth: placing a new object adds
+// one extent, overwriting it adds none and rewrites its extent in place, and
+// an overwrite inside it splices in a head and a tail once, then no more.
+func TestExtentTableBounded(t *testing.T) {
 	a := newArray(t)
 	for obj := int64(0); obj < 40; obj++ {
-		before := len(a.segs)
+		before := a.Extents()
 		a.WriteBytes(obj*chunkSize, 20*units.MB)
-		if grew := len(a.segs) - before; grew > 2 {
-			t.Fatalf("object %d added %d segments, want at most 2", obj, grew)
+		if grew := a.Extents() - before; grew != 1 {
+			t.Fatalf("object %d added %d extents, want 1", obj, grew)
 		}
 	}
-	before := len(a.segs)
-	for i := 0; i < 1000; i++ {
-		a.WriteBytes(3*chunkSize, 20*units.MB)
+	before := a.Extents()
+	if allocs := testing.AllocsPerRun(1000, func() { a.WriteBytes(3*chunkSize, 20*units.MB) }); allocs != 0 && !raceDetector {
+		t.Errorf("an overwrite allocates %v times, want 0", allocs)
 	}
-	if len(a.segs) != before {
-		t.Errorf("1,000 overwrites took the table from %d to %d segments", before, len(a.segs))
+	if a.Extents() != before {
+		t.Errorf("1,000 overwrites took the table from %d to %d extents", before, a.Extents())
+	}
+	for i := 0; i < 3; i++ {
+		a.WriteBytes(5*chunkSize+int64(units.MB), 2*units.MB)
+		if want := before + 2; a.Extents() != want {
+			t.Fatalf("overwrite %d inside an object: %d extents, want %d", i, a.Extents(), want)
+		}
 	}
 	if a.MappedPages() != 40*a.pagesFor(20*units.MB) {
 		t.Errorf("mapped pages = %d after overwrites, want %d", a.MappedPages(), 40*a.pagesFor(20*units.MB))

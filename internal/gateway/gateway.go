@@ -291,9 +291,9 @@ var invokeScratchPool = sync.Pool{New: func() any { return new(invokeScratch) }}
 var jsonContentType = []string{"application/json"}
 
 // readBody reads r's body into the scratch and decodes it into s.req (an
-// empty body leaves the defaults). It fails closed: a read error or
-// malformed JSON is 400, a body past maxInvokeBody 413. The caller's
-// reader is not retained.
+// empty body leaves the defaults). It fails closed: a read error, malformed
+// JSON or a quantile the runner cannot price is 400, a body past
+// maxInvokeBody 413. The caller's reader is not retained.
 func (s *invokeScratch) readBody(r *http.Request) (status int, err error) {
 	s.req = invokeRequest{}
 	if r.Body == nil {
@@ -313,15 +313,18 @@ func (s *invokeScratch) readBody(r *http.Request) (status int, err error) {
 	case n == 0:
 		return http.StatusOK, nil
 	}
-	if scanInvokeRequest(s.body.Bytes(), &s.req) {
-		return http.StatusOK, nil
+	if !scanInvokeRequest(s.body.Bytes(), &s.req) {
+		// Whatever the scanner leaves is json.Unmarshal's to accept or
+		// refuse. Unmarshal merges into the struct, so start it from zero
+		// again.
+		s.req = invokeRequest{}
+		if err := json.Unmarshal(s.body.Bytes(), &s.req); err != nil {
+			//dscslint:allow hotpathcheck cold branch: malformed body
+			return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+		}
 	}
-	// Whatever the scanner leaves is json.Unmarshal's to accept or refuse.
-	// Unmarshal merges into the struct, so start it from zero again.
-	s.req = invokeRequest{}
-	if err := json.Unmarshal(s.body.Bytes(), &s.req); err != nil {
-		//dscslint:allow hotpathcheck cold branch: malformed body
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	if err := (faas.Options{Quantile: s.req.Quantile}).Validate(); err != nil {
+		return http.StatusBadRequest, err
 	}
 	return http.StatusOK, nil
 }
@@ -469,7 +472,10 @@ func (g *Gateway) systemWorkflows(w http.ResponseWriter, r *http.Request) {
 	}
 	var opt faas.Options
 	if q := r.URL.Query().Get("quantile"); q != "" {
-		if opt.Quantile, err = strconv.ParseFloat(q, 64); err != nil {
+		if opt.Quantile, err = strconv.ParseFloat(q, 64); err == nil {
+			err = opt.Validate()
+		}
+		if err != nil {
 			http.Error(w, "bad quantile: "+err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -610,3 +610,68 @@ func TestSystemWorkflows(t *testing.T) {
 		t.Fatalf("GET allowed: %d", resp.StatusCode)
 	}
 }
+
+// TestQuantileBounds holds both HTTP surfaces that take a network quantile
+// to the runner's bound: 1 or more, or NaN, is 400 before anything runs;
+// anything below 1, including 0 and negatives (sample the network), is
+// served.
+func TestQuantileBounds(t *testing.T) {
+	g := testGateway(t)
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	deployApp(t, srv, "chatbot")
+
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"quantile":1}`, http.StatusBadRequest},
+		{`{"quantile":1.0}`, http.StatusBadRequest},
+		{`{"quantile":2.5}`, http.StatusBadRequest},
+		{`{"quantile":1e300}`, http.StatusBadRequest},
+		{`{"quantile": 1, "batch": 2}`, http.StatusBadRequest},
+		{`{"Quantile":1}`, http.StatusBadRequest}, // the encoding/json fallback
+		{`{"quantile":0.999999}`, http.StatusOK},
+		{`{"quantile":0.5}`, http.StatusOK},
+		{`{"quantile":0}`, http.StatusOK},
+		{`{"quantile":-3}`, http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+"/function/chatbot", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("invoke %s: status %d, want %d (%s)", tc.body, resp.StatusCode, tc.want, body)
+		}
+	}
+
+	spec := "0s:a=credit-risk:"
+	for _, tc := range []struct {
+		q    string
+		want int
+	}{
+		{"1", http.StatusBadRequest},
+		{"1.5", http.StatusBadRequest},
+		{"NaN", http.StatusBadRequest},
+		{"Inf", http.StatusBadRequest},
+		{"bogus", http.StatusBadRequest},
+		{"0.99", http.StatusOK},
+		{"0", http.StatusOK},
+		{"-1", http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+"/system/workflows?quantile="+tc.q, "text/plain", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("workflow ?quantile=%s: status %d, want %d (%s)", tc.q, resp.StatusCode, tc.want, body)
+		}
+	}
+	if n := g.Telemetry().Counter("gateway_errors_total"); n != 0 {
+		t.Errorf("gateway_errors_total = %v: a refused quantile is the client's error, not the server's", n)
+	}
+}

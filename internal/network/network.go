@@ -82,27 +82,62 @@ func (f Fabric) payloadTime(payload units.Bytes) time.Duration {
 	return d
 }
 
-// latencyAtZ composes the request latency for one standard-normal draw z,
-// which correlates the service and transfer tails (one congested path slows
-// everything about the request).
-func (f Fabric) latencyAtZ(payload units.Bytes, z float64) time.Duration {
-	fb := time.Duration(float64(f.FirstByte.Median) * math.Exp(f.FirstByte.Sigma*z))
-	xfer := time.Duration(float64(f.payloadTime(payload)) * math.Exp(TransferSigma*z))
-	return f.RTT + fb + xfer
+// Priced is a fabric priced at one point of its congestion distribution:
+// the multipliers that point puts on the first-byte and on the
+// payload-proportional components, so pricing a request is arithmetic.
+// One standard-normal z drives both multipliers, which correlates the
+// service and transfer tails (one congested path slows everything about
+// the request).
+type Priced struct {
+	f        Fabric
+	p        float64 // the percentile At priced; NaN for a sampled draw
+	fb, xfer float64
+}
+
+// atZ prices the fabric at one standard-normal draw z.
+func (f Fabric) atZ(z float64) Priced {
+	return Priced{
+		f:    f,
+		p:    math.NaN(),
+		fb:   math.Exp(f.FirstByte.Sigma * z),
+		xfer: math.Exp(TransferSigma * z),
+	}
+}
+
+// At prices the fabric at percentile p — the tail sensitivity sweep of
+// Figure 15 uses this instead of sampling. The same percentile applies to
+// the service and transfer components, modeling the correlated congestion
+// the sweep explores.
+func (f Fabric) At(p float64) Priced {
+	pr := f.atZ(sim.NormQuantile(p))
+	pr.p = p
+	return pr
+}
+
+// Matches reports whether pr is fabric f priced at percentile p, so a
+// caller can keep one Priced and reprice only when either changes.
+func (pr Priced) Matches(f Fabric, p float64) bool {
+	return pr.p == p && pr.f == f
+}
+
+// Latency is the end-to-end time of one request moving payload bytes
+// across the priced fabric.
+func (pr Priced) Latency(payload units.Bytes) time.Duration {
+	fb := time.Duration(float64(pr.f.FirstByte.Median) * pr.fb)
+	xfer := time.Duration(float64(pr.f.payloadTime(payload)) * pr.xfer)
+	return pr.f.RTT + fb + xfer
 }
 
 // RequestLatency samples the end-to-end time of one request moving payload
 // bytes across the fabric.
 func (f Fabric) RequestLatency(payload units.Bytes, rng *sim.RNG) time.Duration {
-	return f.latencyAtZ(payload, rng.NormFloat64())
+	return f.atZ(rng.NormFloat64()).Latency(payload)
 }
 
-// QuantileLatency returns the analytic latency at percentile p — the tail
-// sensitivity sweep of Figure 15 uses this instead of sampling. The same
-// percentile applies to the service and transfer components, modeling the
-// correlated congestion the sweep explores.
+// QuantileLatency returns the analytic latency at percentile p; a caller
+// pricing many requests at one percentile keeps f.At(p) instead.
 func (f Fabric) QuantileLatency(payload units.Bytes, p float64) time.Duration {
-	return f.latencyAtZ(payload, sim.NormQuantile(p))
+	return f.At(p).Latency(payload)
 }
 
 // MedianLatency is the 50th-percentile request latency.

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -105,5 +106,36 @@ func TestScaled(t *testing.T) {
 func TestEgressCheaperThanStorage(t *testing.T) {
 	if Egress().MedianLatency(8*units.KB) >= IntraDC().MedianLatency(8*units.MB) {
 		t.Error("small egress should beat a large storage read")
+	}
+}
+
+// TestPricedMatchesClosedForm holds a fabric priced once to the closed form
+// evaluated per request, bit for bit, over payloads and percentiles, and
+// checks that Matches keys on both the fabric and the percentile.
+func TestPricedMatchesClosedForm(t *testing.T) {
+	closed := func(f Fabric, payload units.Bytes, p float64) time.Duration {
+		z := sim.NormQuantile(p)
+		fb := time.Duration(float64(f.FirstByte.Median) * math.Exp(f.FirstByte.Sigma*z))
+		xfer := time.Duration(float64(f.payloadTime(payload)) * math.Exp(TransferSigma*z))
+		return f.RTT + fb + xfer
+	}
+	for _, f := range []Fabric{IntraDC(), Egress(), IntraDC().Scaled(1.7)} {
+		for _, p := range []float64{0.01, 0.5, 0.75, 0.99, 0.999999} {
+			pr := f.At(p)
+			if !pr.Matches(f, p) || pr.Matches(f, p+1e-9) || pr.Matches(f.Scaled(2), p) {
+				t.Fatalf("%+v at %v: Matches keys wrong", f, p)
+			}
+			for _, payload := range []units.Bytes{0, 1, 4 * units.KB, 3 * units.MB, units.Bytes(18.6 * 1e6)} {
+				if got, want := pr.Latency(payload), closed(f, payload, p); got != want {
+					t.Errorf("%+v at %v, %v bytes: %v, closed form %v", f, p, payload, got, want)
+				}
+				if got := f.QuantileLatency(payload, p); got != pr.Latency(payload) {
+					t.Errorf("QuantileLatency %v differs from At(%v).Latency %v", got, p, pr.Latency(payload))
+				}
+			}
+		}
+	}
+	if f := IntraDC(); f.atZ(0).Matches(f, 0.5) {
+		t.Error("a sampled draw must match no percentile, even the one with its z")
 	}
 }

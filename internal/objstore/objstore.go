@@ -144,6 +144,9 @@ type Store struct {
 	byID    map[string]*Node
 	objects map[string]*Object
 	rng     *sim.RNG
+	// priced is the fabric at the last analytic quantile asked for: the
+	// store prices the fabric once per quantile, not once per request.
+	priced network.Priced
 }
 
 // New assembles a store over the given nodes.
@@ -272,13 +275,28 @@ func (s *Store) stream(q float64) *sim.RNG {
 }
 
 // fabricLatency evaluates the network component: a positive quantile gives
-// the analytic value (the tail sweeps of Figure 15); zero or negative
-// samples stochastically from the operation's split stream.
+// the analytic value (the tail sweeps of Figure 15), repricing the fabric
+// only when the quantile changes; zero or negative samples stochastically
+// from the operation's split stream. Callers hold s.mu.
 func (s *Store) fabricLatency(payload units.Bytes, q float64, rng *sim.RNG) time.Duration {
 	if q <= 0 {
 		return s.cfg.Fabric.RequestLatency(payload, rng)
 	}
-	return s.cfg.Fabric.QuantileLatency(payload, q)
+	if !s.priced.Matches(s.cfg.Fabric, q) {
+		s.priced = s.cfg.Fabric.At(q)
+	}
+	return s.priced.Latency(payload)
+}
+
+// chunkFabric prices a chunk's network component once for all its
+// replicas on the analytic path. It returns zero, and draws nothing, on the
+// sampled one, where each replica draws its own in replica order. Callers
+// hold s.mu.
+func (s *Store) chunkFabric(cs units.Bytes, q float64) time.Duration {
+	if q > 0 {
+		return s.fabricLatency(cs, q, nil)
+	}
+	return 0
 }
 
 // PutAt stores an object and returns the client-visible latency and the
@@ -310,6 +328,7 @@ func (s *Store) PutAt(key string, size units.Bytes, acceleratable bool, q float6
 		//dscslint:allow hotpathcheck placement runs once per new object; an existing one took the overwrite branch
 		nodes := s.placement(key, idx, acceleratable)
 		chunk := Chunk{Index: idx, Size: cs}
+		path, fab := rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, cs), s.chunkFabric(cs, q)
 		var slowest time.Duration
 		for _, n := range nodes {
 			off := n.nextOffset
@@ -317,8 +336,10 @@ func (s *Store) PutAt(key string, size units.Bytes, acceleratable bool, q float6
 			chunk.Replicas = append(chunk.Replicas, Replica{NodeID: n.ID, Offset: off})
 			devLat, devEnergy := n.hostWrite(off, cs)
 			energy += devEnergy
-			lat := rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, cs) +
-				s.fabricLatency(cs, q, rng) + devLat
+			if q <= 0 {
+				fab = s.fabricLatency(cs, q, rng)
+			}
+			lat := path + fab + devLat
 			if lat > slowest {
 				slowest = lat
 			}
@@ -335,13 +356,16 @@ func (s *Store) overwrite(obj *Object, q float64, rng *sim.RNG) (time.Duration, 
 	var total time.Duration
 	var energy units.Energy
 	for _, chunk := range obj.Chunks {
+		path, fab := rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, chunk.Size), s.chunkFabric(chunk.Size, q)
 		var slowest time.Duration
 		for _, rep := range chunk.Replicas {
 			n := s.byID[rep.NodeID]
 			devLat, devEnergy := n.hostWrite(rep.Offset, chunk.Size)
 			energy += devEnergy
-			lat := rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, chunk.Size) +
-				s.fabricLatency(chunk.Size, q, rng) + devLat
+			if q <= 0 {
+				fab = s.fabricLatency(chunk.Size, q, rng)
+			}
+			lat := path + fab + devLat
 			if lat > slowest {
 				slowest = lat
 			}

@@ -94,6 +94,9 @@ func (e *Engine) SubmitWorkflow(spec *trace.WorkflowSpec, opt faas.Options) (Wor
 	if spec == nil {
 		return WorkflowResult{}, fmt.Errorf("serve: nil workflow spec")
 	}
+	if err := opt.Validate(); err != nil {
+		return WorkflowResult{}, err
+	}
 	benches := make([]*workload.Benchmark, len(spec.Stages))
 	for i, st := range spec.Stages {
 		if benches[i] = workload.BySlug(st.Benchmark); benches[i] == nil {

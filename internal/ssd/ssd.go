@@ -171,6 +171,14 @@ func (d *Drive) InternalWrite(offset int64, n units.Bytes) (time.Duration, units
 	return lat, progEnergy + d.cfg.ActivePower.Times(lat)
 }
 
+// FlashExtents reports the size of the flash array's logical-to-physical
+// table, in extents (flash.Array.Extents).
+func (d *Drive) FlashExtents() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.array.Extents()
+}
+
 // Counters reports operation counts and byte totals.
 func (d *Drive) Counters() (reads, writes int64, bytesRead, bytesWritten units.Bytes) {
 	d.mu.Lock()
