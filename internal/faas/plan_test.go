@@ -28,6 +28,7 @@ func TestWarmInvokeAllocations(t *testing.T) {
 	}{
 		{"dscs", platform.DSCS()},
 		{"cpu", platform.BaselineCPU()},
+		{"ns-arm", platform.NSARM()},
 	} {
 		r := NewRunner(testStore(t), tc.p)
 		if _, err := r.Invoke(b, opt); err != nil {

@@ -16,7 +16,7 @@ import (
 	"dscs/internal/workload"
 )
 
-func testStore(t *testing.T) *objstore.Store {
+func testStore(t testing.TB) *objstore.Store {
 	t.Helper()
 	var nodes []*objstore.Node
 	for i := 0; i < 4; i++ {
@@ -345,4 +345,37 @@ func TestWarmLoopExtentsSettle(t *testing.T) {
 		}
 	}
 	t.Logf("extents per drive: %v; chunk replicas per drive: %v", settled, replicas)
+}
+
+var benchResult Result
+
+// BenchmarkInvokeWarm is the host cost of one warm invocation at quantile
+// 0.5 on each execution path: in-storage (DSCS), traditional (CPU, remote
+// storage) and conventional near-storage (NS-ARM). Each allocates nothing.
+func BenchmarkInvokeWarm(b *testing.B) {
+	bench := workload.AssetDamage()
+	opt := Options{Quantile: 0.5}
+	for _, tc := range []struct {
+		name string
+		p    platform.Compute
+	}{
+		{"DSCS", platform.DSCS()},
+		{"CPU", platform.BaselineCPU()},
+		{"NS-ARM", platform.NSARM()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			r := NewRunner(testStore(b), tc.p)
+			if _, err := r.Invoke(bench, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				res, err := r.Invoke(bench, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = res
+			}
+		})
+	}
 }

@@ -38,18 +38,48 @@ type request struct {
 	done  chan outcome
 }
 
-// requestPool recycles request structs (and their reply channels — cap-1,
-// drained by exactly one receiver) across submissions, so the steady-state
-// submit path allocates nothing per call.
-var requestPool = sync.Pool{New: func() any {
+// requestShard is one of the engine's request free lists. It recycles
+// request structs (and their reply channels — cap-1, drained by exactly one
+// receiver) across submissions, so the steady-state submit path allocates
+// nothing per call. The lists are the engine's own rather than a sync.Pool
+// because every GC empties a sync.Pool, and the smaller the live heap the
+// more often the GC runs: each refill would be a fresh request and channel.
+type requestShard struct {
+	mu   sync.Mutex
+	free []*request
+}
+
+// getRequest takes a request from the caller's shard (metrics.ShardIndex,
+// the ingress's per-P pick), else from the first sibling shard holding
+// one, and allocates only when every shard is empty — so the engine holds
+// at most as many requests as were ever in flight at once.
+//
+//dscslint:hotpath
+func (e *Engine) getRequest() *request {
+	shards := e.requests
+	first := metrics.ShardIndex(len(shards))
+	for i := range shards {
+		s := &shards[(first+i)%len(shards)]
+		s.mu.Lock()
+		if n := len(s.free); n > 0 {
+			r := s.free[n-1]
+			s.free[n-1] = nil
+			s.free = s.free[:n-1]
+			s.mu.Unlock()
+			return r
+		}
+		s.mu.Unlock()
+	}
 	return &request{done: make(chan outcome, 1)}
-}}
+}
 
-func getRequest() *request { return requestPool.Get().(*request) }
-
-func putRequest(r *request) {
+// putRequest returns a delivered request to the caller's shard.
+func (e *Engine) putRequest(r *request) {
 	r.bench, r.opt, r.fire = nil, faas.Options{}, false
-	requestPool.Put(r)
+	s := &e.requests[metrics.ShardIndex(len(e.requests))]
+	s.mu.Lock()
+	s.free = append(s.free, r)
+	s.mu.Unlock()
 }
 
 // spillTarget picks the pool a submission aimed at a dead DSCS pool
@@ -86,7 +116,7 @@ func (e *Engine) deliver(r *request, out outcome) {
 	fire := r.fire
 	e.inflight.Add(-1)
 	if fire {
-		putRequest(r)
+		e.putRequest(r)
 		return
 	}
 	r.done <- out
@@ -271,7 +301,7 @@ func (e *Engine) Submit(platformName string, b *workload.Benchmark, opt faas.Opt
 		return Invocation{}, err
 	}
 	out := <-req.done
-	putRequest(req)
+	e.putRequest(req)
 	if out.err != nil {
 		return Invocation{}, out.err
 	}
@@ -361,7 +391,7 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		cpuSvc = e.observedService(b.Slug, sched.ClassCPU, cpuSvc)
 		dscsSvc = e.observedService(b.Slug, sched.ClassDSCS, dscsSvc)
 	}
-	req := getRequest()
+	req := e.getRequest()
 	req.bench, req.opt, req.fire = b, opt, fire
 	task := sched.HybridTask{
 		ID:          int(e.nextID.Add(1)),
@@ -383,7 +413,7 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 	}
 	if err != nil {
 		e.inflight.Add(-1)
-		putRequest(req)
+		e.putRequest(req)
 		if errors.Is(err, ErrQueueFull) {
 			e.cDroppedAll.Inc(1)
 			target.cDropped.Inc(1)

@@ -233,6 +233,9 @@ type pool struct {
 	// is the drain buffer, reused under p.mu.
 	ingress *ingress
 	scratch []ingressEntry
+	// batches is the free list newBatch takes from and putBatch returns
+	// to, under p.mu.
+	batches []*batchState
 	// parked counts workers blocked in cond.Wait. Submitters that fail the
 	// opportunistic drain read it to decide whether a wakeup fence is
 	// needed: the parked increment and the staged check are both
@@ -330,6 +333,8 @@ type Engine struct {
 	// inflight counts admitted-but-undelivered requests; Quiesce polls it
 	// so fire-and-forget callers can drain the engine.
 	inflight atomic.Int64
+	// requests are the request free lists, one shard per P (admit.go).
+	requests []requestShard
 	// latGauges caches the per-{benchmark, platform} latency gauge handles
 	// resolved by observe (invalidated by ForgetEstimate, which Unsets the
 	// underlying series).
@@ -405,6 +410,8 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		pools: make(map[string]*pool, len(runners)),
 		obs:   metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
 		start: wallEpoch(),
+
+		requests: make([]requestShard, runtime.GOMAXPROCS(0)),
 	}
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
 	names := make([]string, 0, len(runners))

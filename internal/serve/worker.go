@@ -4,7 +4,6 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"dscs/internal/faas"
@@ -45,19 +44,16 @@ type batchState struct {
 	waits []time.Duration
 }
 
-// batchPool recycles batchState structs and their task slices across
-// executions; putBatch clears the tasks so a recycled batch never pins
-// served requests for the GC.
-var batchPool = sync.Pool{New: func() any {
-	return &batchState{tasks: make([]sched.HybridTask, 0, DefaultMaxBatch)}
-}}
-
-func putBatch(bs *batchState) {
+// putBatch returns an executed batch to the pool's free list; it clears
+// the tasks so a recycled batch never pins served requests for the GC.
+// Callers hold p.mu, as newBatch's callers do, so the list needs no lock of
+// its own and, unlike a sync.Pool, survives a GC.
+func (p *pool) putBatch(bs *batchState) {
 	clear(bs.tasks)
 	bs.tasks = bs.tasks[:0]
 	bs.waits = bs.waits[:0]
 	bs.lead, bs.payload, bs.batch, bs.budget = nil, "", 0, 0
-	batchPool.Put(bs)
+	p.batches = append(p.batches, bs)
 }
 
 // newBatch resolves a dispatched task to its request (carried in the
@@ -67,7 +63,14 @@ func putBatch(bs *batchState) {
 //dscslint:hotpath
 func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
 	lead := task.Ref.(*request)
-	bs := batchPool.Get().(*batchState)
+	var bs *batchState
+	if n := len(p.batches); n > 0 {
+		bs = p.batches[n-1]
+		p.batches[n-1] = nil
+		p.batches = p.batches[:n-1]
+	} else {
+		bs = &batchState{tasks: make([]sched.HybridTask, 0, DefaultMaxBatch)}
+	}
 	bs.lead, bs.payload = lead, task.Payload
 	bs.tasks = append(bs.tasks[:0], task)
 	bs.batch = reqBatch(lead.opt)
@@ -377,8 +380,8 @@ func (e *Engine) worker(p *pool) {
 			e.cRequeues.Inc(float64(len(bs.tasks)))
 			// The requeued backlog is rescue work: wake peers to steal it.
 			e.wakePeers(p, len(bs.tasks))
-			putBatch(bs)
 			p.mu.Lock()
+			p.putBatch(bs)
 			continue
 		}
 		p.core.Complete(len(bs.tasks))
@@ -410,7 +413,7 @@ func (e *Engine) worker(p *pool) {
 				batchRequests: len(bs.tasks), batchSize: bs.batch})
 		}
 		e.cWaitMS.Inc(waitMS)
-		putBatch(bs)
 		p.mu.Lock()
+		p.putBatch(bs)
 	}
 }
