@@ -313,16 +313,22 @@ func (s *invokeScratch) readBody(r *http.Request) (status int, err error) {
 	case n == 0:
 		return http.StatusOK, nil
 	}
-	if !scanInvokeRequest(s.body.Bytes(), &s.req) {
-		// Whatever the scanner leaves is json.Unmarshal's to accept or
-		// refuse. Unmarshal merges into the struct, so start it from zero
-		// again.
-		s.req = invokeRequest{}
-		if err := json.Unmarshal(s.body.Bytes(), &s.req); err != nil {
-			//dscslint:allow hotpathcheck cold branch: malformed body
-			return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
-		}
+	if scanInvokeRequest(s.body.Bytes(), &s.req) {
+		return s.checkQuantile()
 	}
+	// Whatever the scanner leaves is json.Unmarshal's to accept or refuse.
+	// Unmarshal merges into the struct, so start it from zero again.
+	s.req = invokeRequest{}
+	if err := json.Unmarshal(s.body.Bytes(), &s.req); err != nil {
+		//dscslint:allow hotpathcheck cold branch: malformed body
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+	return s.checkQuantile()
+}
+
+// checkQuantile refuses a decoded quantile the runner cannot price
+// (faas.ErrQuantile) with 400.
+func (s *invokeScratch) checkQuantile() (status int, err error) {
 	if err := (faas.Options{Quantile: s.req.Quantile}).Validate(); err != nil {
 		return http.StatusBadRequest, err
 	}
