@@ -134,17 +134,6 @@ func (f Fabric) RequestLatency(payload units.Bytes, rng *sim.RNG) time.Duration 
 	return f.atZ(rng.NormFloat64()).Latency(payload)
 }
 
-// QuantileLatency returns the analytic latency at percentile p; a caller
-// pricing many requests at one percentile keeps f.At(p) instead.
-func (f Fabric) QuantileLatency(payload units.Bytes, p float64) time.Duration {
-	return f.At(p).Latency(payload)
-}
-
-// MedianLatency is the 50th-percentile request latency.
-func (f Fabric) MedianLatency(payload units.Bytes) time.Duration {
-	return f.QuantileLatency(payload, 0.5)
-}
-
 // Scaled returns the fabric with the stochastic component's median scaled
 // by k, used by the tail-latency sensitivity sweeps.
 func (f Fabric) Scaled(k float64) Fabric {

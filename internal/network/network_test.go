@@ -32,12 +32,12 @@ func TestIntraDCValidates(t *testing.T) {
 func TestMedianComposition(t *testing.T) {
 	f := IntraDC()
 	// Small read: ~RTT + first-byte.
-	small := f.MedianLatency(4 * units.KB)
+	small := f.At(0.5).Latency(4 * units.KB)
 	if small < 10*time.Millisecond || small > 30*time.Millisecond {
 		t.Errorf("small read median = %v, want 10-30ms", small)
 	}
 	// 18.6 MB (PPE) read: transfer-dominated, ~100-200ms.
-	big := f.MedianLatency(units.Bytes(18.6 * 1e6))
+	big := f.At(0.5).Latency(units.Bytes(18.6 * 1e6))
 	if big < 70*time.Millisecond || big > 250*time.Millisecond {
 		t.Errorf("18.6MB read median = %v, want 70-250ms", big)
 	}
@@ -50,8 +50,8 @@ func TestTailRatioMatchesPaper(t *testing.T) {
 	// The paper: p99 about 110% above the median (factor ~2.1) for reads.
 	f := IntraDC()
 	for _, payload := range []units.Bytes{4 * units.KB, 3 * units.MB} {
-		p50 := f.QuantileLatency(payload, 0.5)
-		p99 := f.QuantileLatency(payload, 0.99)
+		p50 := f.At(0.5).Latency(payload)
+		p99 := f.At(0.99).Latency(payload)
 		ratio := float64(p99) / float64(p50)
 		if ratio < 1.6 || ratio > 2.4 {
 			t.Errorf("p99/p50 at %v = %.2f, want ~2", payload, ratio)
@@ -67,13 +67,13 @@ func TestSampledMatchesAnalytic(t *testing.T) {
 		sample.Add(f.RequestLatency(units.MB, rng))
 	}
 	p50 := sample.Percentile(0.5)
-	want := f.QuantileLatency(units.MB, 0.5)
+	want := f.At(0.5).Latency(units.MB)
 	diff := float64(p50-want) / float64(want)
 	if diff < -0.05 || diff > 0.05 {
 		t.Errorf("sampled median %v vs analytic %v", p50, want)
 	}
 	p99 := sample.Percentile(0.99)
-	want99 := f.QuantileLatency(units.MB, 0.99)
+	want99 := f.At(0.99).Latency(units.MB)
 	diff99 := float64(p99-want99) / float64(want99)
 	if diff99 < -0.12 || diff99 > 0.12 {
 		t.Errorf("sampled p99 %v vs analytic %v", p99, want99)
@@ -84,7 +84,7 @@ func TestQuantileMonotone(t *testing.T) {
 	f := IntraDC()
 	var prev time.Duration
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		lat := f.QuantileLatency(2*units.MB, q)
+		lat := f.At(q).Latency(2 * units.MB)
 		if lat <= prev {
 			t.Fatalf("quantile latency not monotone at %v", q)
 		}
@@ -104,7 +104,7 @@ func TestScaled(t *testing.T) {
 }
 
 func TestEgressCheaperThanStorage(t *testing.T) {
-	if Egress().MedianLatency(8*units.KB) >= IntraDC().MedianLatency(8*units.MB) {
+	if Egress().At(0.5).Latency(8*units.KB) >= IntraDC().At(0.5).Latency(8*units.MB) {
 		t.Error("small egress should beat a large storage read")
 	}
 }
@@ -128,9 +128,6 @@ func TestPricedMatchesClosedForm(t *testing.T) {
 			for _, payload := range []units.Bytes{0, 1, 4 * units.KB, 3 * units.MB, units.Bytes(18.6 * 1e6)} {
 				if got, want := pr.Latency(payload), closed(f, payload, p); got != want {
 					t.Errorf("%+v at %v, %v bytes: %v, closed form %v", f, p, payload, got, want)
-				}
-				if got := f.QuantileLatency(payload, p); got != pr.Latency(payload) {
-					t.Errorf("QuantileLatency %v differs from At(%v).Latency %v", got, p, pr.Latency(payload))
 				}
 			}
 		}
