@@ -410,9 +410,8 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		pools: make(map[string]*pool, len(runners)),
 		obs:   metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
 		start: wallEpoch(),
-
-		requests: make([]requestShard, runtime.GOMAXPROCS(0)),
 	}
+	e.requests = make([]requestShard, runtime.GOMAXPROCS(0))
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
 	names := make([]string, 0, len(runners))
 	for name := range runners {
