@@ -20,11 +20,11 @@
 // -adaptive-estimates/-estimate-warmup (price batching and policy
 // decisions with live latency digests instead of the static model-derived
 // estimates once a benchmark has enough observations; watch the
-// serve_latency_p50/p95/p99 gauges), and -adaptive-balance (DSCS
-// submissions spill to the CPU pool and idle pools steal queued work once
-// a pool's adopted queue-delay p95 diverges above a peer's; watch
-// serve_spillover_total, serve_steal_total and the
-// serve_queue_delay_p50/p95/p99 gauges).
+// serve_latency_p50/p95/p99 gauges, the windowed quantiles that pricing
+// reads), and -adaptive-balance (DSCS submissions spill to the CPU pool
+// and idle pools steal queued work once a pool's adopted queue-delay p95
+// diverges above a peer's; watch serve_spillover_total,
+// serve_steal_total and the serve_queue_delay_p50/p95/p99 gauges).
 //
 // The failure model is armed with -hedge-factor (duplicate a straggling
 // execution on a healthy peer once it outlives that multiple of its

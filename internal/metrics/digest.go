@@ -1,14 +1,13 @@
-// digest.go is the latency observatory's data structure: online quantile
-// digests safe for concurrent Record from serving-engine worker goroutines.
-// A WindowDigest is a fixed-size ring of the most recent observations
-// (windowed quantiles that react to drift — what the wait-keyed balance
-// decisions read, one per pool). A Digest embeds one and adds
-// constant-memory P² streaming estimators (Jain & Chlamtac, CACM 1985) for
-// the cumulative p50/p95/p99 surfaced as gauges on /metrics, plus the
-// Adopt latch and Blend that service-estimate pricing uses. The Observatory
-// keys Digests per {benchmark, platform}, so the scheduler's live pricing
-// and the telemetry both see per-pool service behavior rather than one
-// blurred aggregate.
+// digest.go is the latency observatory's data structure: an online
+// quantile digest safe for concurrent Record from serving-engine worker
+// goroutines. A Digest is a fixed-size ring of the most recent
+// observations with a sorted view of it, so its windowed quantiles react
+// to drift; every adaptive decision reads them — the wait-keyed balance
+// (one digest per pool), the Adopt latch and Blend that service-estimate
+// pricing uses, and the serve_latency_* and serve_queue_delay_* gauges on
+// /metrics. The Observatory keys Digests per {benchmark, platform}, so the
+// scheduler's live pricing and the telemetry both see per-pool service
+// behavior rather than one blurred aggregate.
 
 package metrics
 
@@ -16,7 +15,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,12 +40,9 @@ const (
 	AdoptExitRatio  = 1.2
 )
 
-// streamQuantiles are the cumulative P² targets every digest maintains.
-var streamQuantiles = [...]float64{0.50, 0.95, 0.99}
-
 // Staging geometry: Record stages observations in per-shard fixed rings
-// (contention-free for writers) that fold into the merged window and P²
-// state only when a shard fills or a reader finds something staged.
+// (contention-free for writers) that fold into the merged window only when
+// a shard fills or a reader finds something staged.
 const (
 	// stageCap is one staging shard's capacity, in observations.
 	stageCap = 16
@@ -59,8 +54,8 @@ const (
 // stageEntry is one staged observation with its global sequence number:
 // the read-time merge folds entries in sequence order, so a deterministic
 // (single-goroutine) Record stream folds exactly as the pre-sharding
-// digest ingested it — quantiles, P² state, and adoption flips stay
-// bit-identical — no matter which shard each observation landed on.
+// digest ingested it — quantiles and adoption flips stay bit-identical —
+// no matter which shard each observation landed on.
 type stageEntry struct {
 	seq uint64
 	v   time.Duration
@@ -74,13 +69,14 @@ type digestShard struct {
 	buf [stageCap]stageEntry
 }
 
-// WindowDigest is a sliding window of the last Window observations. Safe
-// for concurrent use, and built for reads that follow writes (the balance
-// decision reads a pool's wait digest on every submission, right after a
-// dispatch recorded into it): Record appends to a per-P staging shard (no
-// allocation, no shared lock), and the merged state — the window ring and
-// its order-statistic view — is folded forward under the digest lock when
-// a shard fills or a reader finds something staged.
+// Digest is a sliding window of the last window observations, plus the
+// static-vs-live Adopt latch and Blend. Safe for concurrent use, and built
+// for reads that follow writes (the balance decision reads a pool's wait
+// digest on every submission, right after a dispatch recorded into it):
+// Record appends to a per-P staging shard (no allocation, no shared lock),
+// and the merged state — the window ring and its order-statistic view — is
+// folded forward under the digest lock when a shard fills or a reader
+// finds something staged.
 //
 // Who pays what: the fold keeps the sorted view in step with the ring, one
 // observation at a time — a binary search for the value the ring evicts,
@@ -88,7 +84,7 @@ type digestShard struct {
 // (O(log W) compares plus at most W words moved, nothing when the two are
 // equal). A windowed read is then the digest mutex and an index; with
 // nothing staged it touches no shard lock at all (folded == total).
-type WindowDigest struct {
+type Digest struct {
 	mu   sync.Mutex
 	ring []time.Duration // eviction order (circular)
 	next int
@@ -100,10 +96,10 @@ type WindowDigest struct {
 	// thresholds read it without touching any lock. It doubles as the
 	// sequence source for the staging merge order.
 	total atomic.Int64
-	// folded counts the observations folded into ring and sorted (and
-	// streams), under mu. It trails total by exactly what is staged or about
-	// to be (Record bumps total before it stages), so folded == total means
-	// every shard is empty.
+	// folded counts the observations folded into ring and sorted, under
+	// mu. It trails total by exactly what is staged or about to be (Record
+	// bumps total before it stages), so folded == total means every shard
+	// is empty.
 	folded int64
 	// shards are the staging rings; staged is the fold's merge scratch, one
 	// slot per staging slot, owned by mu. It lives here and not in the
@@ -111,45 +107,15 @@ type WindowDigest struct {
 	// started with.
 	shards []digestShard
 	staged []stageEntry
-	// streams are the P² estimators the fold also feeds: none on a bare
-	// window, the embedding Digest's own otherwise.
-	streams []p2
-}
-
-// Digest is one {benchmark, platform} latency record: a WindowDigest plus
-// P² streaming estimators over the whole stream, the static-vs-live Adopt
-// latch and Blend. The window's fold feeds the estimators under the same
-// lock, in the same sequence order.
-type Digest struct {
-	WindowDigest
-	p2s [len(streamQuantiles)]p2
 
 	// live is the adoption latch (see Adopt); flips counts its toggles.
 	live  bool
 	flips int64
 }
 
-// NewWindowDigest returns an empty window over the given number of
-// observations (DefaultWindow when non-positive).
-func NewWindowDigest(window int) *WindowDigest {
-	d := &WindowDigest{}
-	d.init(window)
-	return d
-}
-
 // NewDigest returns an empty digest over a window of the given size
 // (DefaultWindow when non-positive).
 func NewDigest(window int) *Digest {
-	d := &Digest{}
-	d.init(window)
-	for i, q := range streamQuantiles {
-		d.p2s[i].init(q)
-	}
-	d.streams = d.p2s[:]
-	return d
-}
-
-func (d *WindowDigest) init(window int) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
@@ -160,10 +126,12 @@ func (d *WindowDigest) init(window int) {
 	if shards < 1 {
 		shards = 1
 	}
-	d.ring = make([]time.Duration, 0, window)
-	d.sorted = make([]time.Duration, 0, window)
-	d.shards = make([]digestShard, shards)
-	d.staged = make([]stageEntry, shards*stageCap)
+	return &Digest{
+		ring:   make([]time.Duration, 0, window),
+		sorted: make([]time.Duration, 0, window),
+		shards: make([]digestShard, shards),
+		staged: make([]stageEntry, shards*stageCap),
+	}
 }
 
 // Record stages one observation: an atomic sequence fetch plus an
@@ -173,7 +141,7 @@ func (d *WindowDigest) init(window int) {
 // staged backlog forward (amortized: once per stageCap observations).
 //
 //dscslint:hotpath
-func (d *WindowDigest) Record(v time.Duration) {
+func (d *Digest) Record(v time.Duration) {
 	if v < 0 {
 		v = 0
 	}
@@ -211,7 +179,7 @@ func (d *WindowDigest) Record(v time.Duration) {
 // the one-at-a-time path.
 //
 //dscslint:hotpath
-func (d *WindowDigest) RecordBatch(vs []time.Duration) {
+func (d *Digest) RecordBatch(vs []time.Duration) {
 	if len(vs) == 0 {
 		return
 	}
@@ -241,10 +209,9 @@ func (d *WindowDigest) RecordBatch(vs []time.Duration) {
 }
 
 // foldStagedLocked drains every staging shard and folds the entries into
-// the merged window (and a Digest's P² streams) in sequence order. With
-// nothing staged it returns without touching a shard lock. Callers hold
-// d.mu.
-func (d *WindowDigest) foldStagedLocked() {
+// the merged window in sequence order. With nothing staged it returns
+// without touching a shard lock. Callers hold d.mu.
+func (d *Digest) foldStagedLocked() {
 	if d.folded == d.total.Load() {
 		return
 	}
@@ -267,9 +234,6 @@ func (d *WindowDigest) foldStagedLocked() {
 	}
 	for _, e := range staged {
 		d.slideLocked(e.v)
-		for i := range d.streams {
-			d.streams[i].observe(float64(e.v))
-		}
 	}
 	d.folded += int64(n)
 }
@@ -279,7 +243,7 @@ func (d *WindowDigest) foldStagedLocked() {
 // view gives up that value and takes v with one copy of the span between
 // their positions — the same multiset a full re-sort of the ring would
 // produce, so every quantile is bit-identical to it.
-func (d *WindowDigest) slideLocked(v time.Duration) {
+func (d *Digest) slideLocked(v time.Duration) {
 	if len(d.ring) < cap(d.ring) {
 		d.ring = append(d.ring, v)
 		i, _ := slices.BinarySearch(d.sorted, v)
@@ -314,44 +278,20 @@ func (d *WindowDigest) slideLocked(v time.Duration) {
 // Count reports the total observations ever recorded (not capped at the
 // window) — the warmup thresholds compare against it. Lock-free: the hot
 // warmth checks on the submit path never contend with writers.
-func (d *WindowDigest) Count() int64 {
+func (d *Digest) Count() int64 {
 	return d.total.Load()
 }
 
-// quantileLocked is Quantile under d.mu: the p-quantile of the window by
-// the same linear interpolation as Sample.Percentile, so the digest and
-// the exact sample agree on identical inputs. Out-of-range or NaN p clamps
-// into [0, 1]; an empty digest reports 0.
-func (d *WindowDigest) quantileLocked(p float64) time.Duration {
-	vs := d.sorted
-	if len(vs) == 0 {
-		return 0
-	}
-	if !(p > 0) { // also catches NaN
-		return vs[0]
-	}
-	if p >= 1 {
-		return vs[len(vs)-1]
-	}
-	pos := p * float64(len(vs)-1)
-	lo := int(pos)
-	hi := lo + 1
-	frac := pos - float64(lo)
-	if hi >= len(vs) || frac == 0 {
-		return vs[lo]
-	}
-	return vs[lo] + time.Duration(frac*float64(vs[hi]-vs[lo]))
-}
-
 // Quantile returns the p-quantile over the sliding window — the reactive
-// estimate adaptive scheduling prices with. Never negative, never NaN; 0
-// only when nothing was recorded. The read folds any staged observations
+// estimate adaptive scheduling prices with — by the same interpolation as
+// Sample.Percentile. Never negative, never NaN; 0 only when nothing was
+// recorded. The read folds any staged observations
 // forward first; with none staged it is the digest mutex and an index.
-func (d *WindowDigest) Quantile(p float64) time.Duration {
+func (d *Digest) Quantile(p float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.foldStagedLocked()
-	return d.quantileLocked(p)
+	return quantileSorted(d.sorted, p)
 }
 
 // QuantilesInto fills out[i] with the ps[i]-quantile over the sliding
@@ -359,61 +299,13 @@ func (d *WindowDigest) Quantile(p float64) time.Duration {
 // Quantile once per p, minus the repeated lock/fold round-trips. The
 // per-batch gauge refresh on the serving hot path reads through this.
 // out and ps must have equal length.
-func (d *WindowDigest) QuantilesInto(ps []float64, out []time.Duration) {
+func (d *Digest) QuantilesInto(ps []float64, out []time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.foldStagedLocked()
 	for i, p := range ps {
-		out[i] = d.quantileLocked(p)
+		out[i] = quantileSorted(d.sorted, p)
 	}
-}
-
-// StreamQuantile returns the constant-memory P² estimate over the whole
-// stream for the nearest maintained target (p50/p95/p99) — the cheap
-// read backing the /metrics gauges.
-func (d *Digest) StreamQuantile(p float64) time.Duration {
-	best := 0
-	for i, q := range streamQuantiles {
-		if math.Abs(q-p) < math.Abs(streamQuantiles[best]-p) {
-			best = i
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.foldStagedLocked()
-	return clampP2(d.p2s[best].quantile())
-}
-
-// StreamQuantilesInto fills out[i] with the P² estimate for the
-// maintained target nearest ps[i], all under a single staged-merge fold —
-// value-identical to calling StreamQuantile once per p. out and ps must
-// have equal length.
-func (d *Digest) StreamQuantilesInto(ps []float64, out []time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.foldStagedLocked()
-	for i, p := range ps {
-		best := 0
-		for j, q := range streamQuantiles {
-			if math.Abs(q-p) < math.Abs(streamQuantiles[best]-p) {
-				best = j
-			}
-		}
-		out[i] = clampP2(d.p2s[best].quantile())
-	}
-}
-
-// clampP2 converts a raw P² estimate to a duration: never negative, never
-// NaN, and saturating at the maximum duration (float64(MaxInt64) rounds up
-// past MaxInt64; an unguarded conversion would wrap negative).
-func clampP2(v float64) time.Duration {
-	if v < 0 || math.IsNaN(v) {
-		v = 0
-	}
-	if v >= float64(math.MaxInt64) {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(v)
 }
 
 // adoptStep is the hysteresis decision shared by Digest.Adopt and Latch:
@@ -457,7 +349,7 @@ func (d *Digest) Adopt(static time.Duration, q float64, warmup int64) (time.Dura
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.foldStagedLocked()
-	live := d.quantileLocked(q)
+	live := quantileSorted(d.sorted, q)
 	if d.total.Load() < warmup || live <= 0 {
 		return static, false
 	}
@@ -545,7 +437,7 @@ func (d *Digest) Blend(static time.Duration, warmup int64) time.Duration {
 	if n == 0 || warmup <= 0 {
 		return static
 	}
-	p50 := d.quantileLocked(0.5)
+	p50 := quantileSorted(d.sorted, 0.5)
 	if p50 <= 0 {
 		return static
 	}
@@ -557,112 +449,6 @@ func (d *Digest) Blend(static time.Duration, warmup int64) time.Duration {
 		return time.Duration(math.MaxInt64)
 	}
 	return time.Duration(blend)
-}
-
-// p2 is one P² streaming quantile estimator: five markers tracking the
-// running min, q/2, q, (1+q)/2, and max quantiles with parabolic height
-// adjustment — O(1) per observation, O(1) memory, no stored samples.
-type p2 struct {
-	q    float64
-	n    int
-	pos  [5]float64 // actual marker positions (1-based observation ranks)
-	want [5]float64 // desired marker positions
-	inc  [5]float64 // desired-position increment per observation
-	h    [5]float64 // marker heights (the estimates)
-}
-
-func (e *p2) init(q float64) {
-	e.q = q
-	e.inc = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-}
-
-func (e *p2) observe(x float64) {
-	if e.n < 5 {
-		e.h[e.n] = x
-		e.n++
-		if e.n == 5 {
-			sort.Float64s(e.h[:])
-			for i := range e.pos {
-				e.pos[i] = float64(i + 1)
-			}
-			e.want = [5]float64{1, 1 + 2*e.q, 1 + 4*e.q, 3 + 2*e.q, 5}
-		}
-		return
-	}
-	// Locate the marker cell the observation falls into, stretching the
-	// extremes when it lands outside them.
-	var k int
-	switch {
-	case x < e.h[0]:
-		e.h[0] = x
-		k = 0
-	case x >= e.h[4]:
-		e.h[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.h[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := range e.want {
-		e.want[i] += e.inc[i]
-	}
-	e.n++
-	// Nudge interior markers toward their desired positions, adjusting
-	// heights parabolically (linearly when the parabola overshoots a
-	// neighbor).
-	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1
-			}
-			if hp := e.parabolic(i, s); e.h[i-1] < hp && hp < e.h[i+1] {
-				e.h[i] = hp
-			} else {
-				e.h[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
-		}
-	}
-}
-
-func (e *p2) parabolic(i int, s float64) float64 {
-	return e.h[i] + s/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+s)*(e.h[i+1]-e.h[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-s)*(e.h[i]-e.h[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-func (e *p2) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return e.h[i] + s*(e.h[j]-e.h[i])/(e.pos[j]-e.pos[i])
-}
-
-// quantile reads the current estimate; below five observations it falls
-// back to the exact quantile over what was stored.
-func (e *p2) quantile() float64 {
-	if e.n == 0 {
-		return 0
-	}
-	if e.n < 5 {
-		var tmp [5]float64
-		copy(tmp[:], e.h[:e.n])
-		vs := tmp[:e.n]
-		sort.Float64s(vs)
-		pos := e.q * float64(len(vs)-1)
-		lo := int(pos)
-		if lo >= len(vs)-1 {
-			return vs[len(vs)-1]
-		}
-		return vs[lo] + (pos-float64(lo))*(vs[lo+1]-vs[lo])
-	}
-	return e.h[2]
 }
 
 // obsKey addresses one digest in the observatory.
@@ -707,25 +493,6 @@ func (o *Observatory) Record(bench, platform string, v time.Duration) *Digest {
 	d, _ := o.m.LoadOrStore(k, NewDigest(o.window))
 	dg := d.(*Digest)
 	dg.Record(v)
-	return dg
-}
-
-// RecordBatch folds a run of observations into the keyed digest (created
-// on first use) under one key lookup and one staging pass — see
-// Digest.RecordBatch. A nil digest comes back only for an empty run.
-//
-//dscslint:hotpath
-func (o *Observatory) RecordBatch(bench, platform string, vs []time.Duration) *Digest {
-	if len(vs) == 0 {
-		return o.Digest(bench, platform)
-	}
-	k := obsKey{bench, platform}
-	d, ok := o.m.Load(k)
-	if !ok {
-		d, _ = o.m.LoadOrStore(k, NewDigest(o.window))
-	}
-	dg := d.(*Digest)
-	dg.RecordBatch(vs)
 	return dg
 }
 

@@ -61,51 +61,6 @@ func TestDigestWindowSlides(t *testing.T) {
 	}
 }
 
-// TestP2StreamQuantiles checks the constant-memory estimators against the
-// exact quantiles of a 20k-value stream: P² is approximate, so the pin is
-// a relative tolerance, not equality.
-func TestP2StreamQuantiles(t *testing.T) {
-	next := lcg(99)
-	d := NewDigest(128) // window much smaller than the stream
-	s := NewSample(20000)
-	for i := 0; i < 20000; i++ {
-		// Skewed distribution (squared uniform) so the tails matter.
-		u := float64(next()%1e6) / 1e6
-		v := time.Duration(u * u * float64(time.Second))
-		d.Record(v)
-		s.Add(v)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		got := float64(d.StreamQuantile(q))
-		want := float64(s.Percentile(q))
-		if want == 0 {
-			t.Fatalf("degenerate exact q%v", q)
-		}
-		if rel := math.Abs(got-want) / want; rel > 0.05 {
-			t.Errorf("q%v: stream %v vs exact %v (rel err %.3f)", q,
-				time.Duration(got), time.Duration(want), rel)
-		}
-	}
-}
-
-// TestStreamQuantileSmallN: below five observations P² falls back to the
-// exact stored values.
-func TestStreamQuantileSmallN(t *testing.T) {
-	d := NewDigest(16)
-	if d.StreamQuantile(0.5) != 0 {
-		t.Fatal("empty stream quantile must be 0")
-	}
-	d.Record(40 * time.Millisecond)
-	if got := d.StreamQuantile(0.5); got != 40*time.Millisecond {
-		t.Fatalf("1-obs p50 = %v", got)
-	}
-	d.Record(20 * time.Millisecond)
-	d.Record(60 * time.Millisecond)
-	if got := d.StreamQuantile(0.5); got != 40*time.Millisecond {
-		t.Fatalf("3-obs p50 = %v, want the middle value", got)
-	}
-}
-
 // TestDigestAdversarialNeverNaNZero drives Record with the adversarial
 // sequences the fuzz seeds use — zero, the maximum duration, monotone
 // decreasing — and asserts the digest can never emit a negative estimate,
@@ -127,9 +82,6 @@ func TestDigestAdversarialNeverNaNZero(t *testing.T) {
 				if got := d.Quantile(q); got < 0 {
 					t.Fatalf("seq %d: Quantile(%v) = %v negative", si, q, got)
 				}
-			}
-			if got := d.StreamQuantile(0.95); got < 0 {
-				t.Fatalf("seq %d: StreamQuantile negative: %v", si, got)
 			}
 			if est, _ := d.Adopt(static, 0.95, 4); est <= 0 {
 				t.Fatalf("seq %d: Adopt fed a non-positive estimate %v into pricing", si, est)
@@ -246,7 +198,7 @@ func TestDigestConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if d.Quantile(0.95) < 0 || d.StreamQuantile(0.5) < 0 {
+				if d.Quantile(0.95) < 0 || d.Quantile(0.5) < 0 {
 					t.Error("negative quantile under concurrency")
 					return
 				}
@@ -265,7 +217,7 @@ func TestDigestConcurrentRecord(t *testing.T) {
 // checkWindow asserts what every fold must leave behind: the maintained
 // order-statistic view is the ring's multiset sorted, and nothing was
 // folded that was not recorded.
-func checkWindow(t *testing.T, d *WindowDigest) {
+func checkWindow(t *testing.T, d *Digest) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -282,12 +234,12 @@ func checkWindow(t *testing.T, d *WindowDigest) {
 // after each operation. The values are duplicate-heavy with a wide-range
 // minority, so evictions land on runs of equal values as well as between
 // them; batches run past the staging capacity, so folds fire mid-batch. A
-// bare WindowDigest takes the same writes and reads and must hold the same
-// window as the Digest after every read.
+// bare twin Digest takes the same writes but only plain Quantile reads and
+// must hold the same window after every read.
 func TestWindowMatchesSortedRing(t *testing.T) {
 	const ops = 20000
 	for seed, window := range map[uint64]int{1: 3, 2: 64, 3: DefaultWindow} {
-		bare := NewWindowDigest(window)
+		bare := NewDigest(window)
 		next := lcg(seed)
 		value := func() time.Duration {
 			if next()%4 == 0 {
@@ -321,7 +273,7 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 				bare.Quantile(q)
 			case 5:
 				d.QuantilesInto(ps, out)
-				bare.QuantilesInto(ps, out)
+				bare.Quantile(ps[len(ps)-1])
 			case 6:
 				d.Adopt(4*time.Millisecond, 0.95, 8)
 				bare.Quantile(0.95)
@@ -329,7 +281,7 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 				d.Blend(4*time.Millisecond, 8)
 				bare.Quantile(0.5)
 			}
-			checkWindow(t, &d.WindowDigest)
+			checkWindow(t, d)
 			checkWindow(t, bare)
 			if read && (d.folded != d.Count() || bare.folded != bare.Count()) {
 				t.Fatalf("seed %d op %d: a read left %d of %d observations unfolded (bare window: %d of %d)",
@@ -338,7 +290,7 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 			// Staging shards fill on their own schedule, so the two windows
 			// agree once a read has folded both.
 			if read && (!slices.Equal(d.sorted, bare.sorted) || !slices.Equal(d.ring, bare.ring)) {
-				t.Fatalf("seed %d op %d: the Digest's window and the bare window diverged", seed, i)
+				t.Fatalf("seed %d op %d: the digest's window and its bare twin's diverged", seed, i)
 			}
 		}
 	}
@@ -397,7 +349,7 @@ func TestDigestConcurrentWindow(t *testing.T) {
 	close(stop)
 	reading.Wait()
 	d.Quantile(0.5)
-	checkWindow(t, &d.WindowDigest)
+	checkWindow(t, d)
 	if want := int64(writers * rounds * perRound); d.Count() != want || d.folded != want {
 		t.Fatalf("after quiesce: folded %d, count %d, want %d", d.folded, d.Count(), want)
 	}
@@ -408,8 +360,7 @@ var raceDetector bool
 
 // TestWarmRecordThenQuantileAllocatesNothing pins the host cost of the
 // balancer's access pattern — a read right after a write, folding every
-// time — on a window that has wrapped, for the Digest and for the bare
-// WindowDigest the balancer holds (whose warm Record alone is pinned too).
+// time — on a window that has wrapped; a warm Record alone is pinned too.
 func TestWarmRecordThenQuantileAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates")
@@ -421,24 +372,14 @@ func TestWarmRecordThenQuantileAllocatesNothing(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, func() {
 		d.Record(time.Duration(next() % 1e9))
+	}); got != 0 {
+		t.Errorf("warm Record allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		d.Record(time.Duration(next() % 1e9))
 		d.Quantile(0.95)
 	}); got != 0 {
 		t.Errorf("warm Record+Quantile allocates %v times, want 0", got)
-	}
-	w := NewWindowDigest(64)
-	for i := 0; i < 200; i++ {
-		w.Record(time.Duration(next() % 1e9))
-	}
-	if got := testing.AllocsPerRun(1000, func() {
-		w.Record(time.Duration(next() % 1e9))
-	}); got != 0 {
-		t.Errorf("warm WindowDigest.Record allocates %v times, want 0", got)
-	}
-	if got := testing.AllocsPerRun(1000, func() {
-		w.Record(time.Duration(next() % 1e9))
-		w.Quantile(0.95)
-	}); got != 0 {
-		t.Errorf("warm WindowDigest Record+Quantile allocates %v times, want 0", got)
 	}
 }
 

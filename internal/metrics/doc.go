@@ -8,15 +8,14 @@
 //
 // The online half is the observatory the scheduler closes its loops with:
 //
-//   - WindowDigest is a concurrent quantile digest over a fixed-window
-//     ring whose sorted view gives windowed quantiles that react to drift.
+//   - Digest is a concurrent quantile digest over a fixed-window ring
+//     whose sorted view gives windowed quantiles that react to drift.
 //     An observation costs O(log window) compares and one bounded copy
 //     when it is folded in; a quantile read is a mutex and an index, and
 //     never sorts. The balancer holds one per pool for queue delays
-//     (adaptive spillover/steal, serve_queue_delay_* gauges).
-//   - Digest embeds a WindowDigest and adds constant-memory P² streaming
-//     estimators (Jain & Chlamtac, 1985) for the cumulative p50/p95/p99
-//     surfaced as serve_latency_* gauges.
+//     (adaptive spillover/steal, serve_queue_delay_* gauges). Digest and
+//     Sample share one interpolation rule, so the two agree on identical
+//     inputs.
 //   - Digest.Adopt is the static-vs-live switching decision: below a
 //     warmup count the prior holds; once warmed, the live quantile is
 //     adopted when it diverges beyond AdoptEnterRatio (1.5x, either
@@ -29,6 +28,8 @@
 //     package defaults (DefaultWindow, DefaultWarmup). The serving engine
 //     and the discrete-event simulations key service latencies
 //     {benchmark, platform} (adaptive estimation, serve_latency_* gauges).
+//     Both gauge families publish the windowed quantiles the decisions
+//     read.
 //
 // The digest's agreement with the exact Sample quantiles, its behavior on
 // adversarial inputs, and the no-flapping latch are pinned by the package

@@ -54,24 +54,32 @@ func (s *Sample) sortValues() {
 func (s *Sample) Percentile(p float64) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.values) == 0 {
+	s.sortValues()
+	return quantileSorted(s.values, p)
+}
+
+// quantileSorted is the one interpolation rule Sample and Digest share:
+// the p-quantile of ascending vs by linear interpolation between the two
+// nearest ranks. Out-of-range or NaN p clamps into [0, 1]; an empty slice
+// reports 0.
+func quantileSorted(vs []time.Duration, p float64) time.Duration {
+	if len(vs) == 0 {
 		return 0
 	}
-	s.sortValues()
-	if p <= 0 {
-		return s.values[0]
+	if !(p > 0) { // also catches NaN
+		return vs[0]
 	}
 	if p >= 1 {
-		return s.values[len(s.values)-1]
+		return vs[len(vs)-1]
 	}
-	pos := p * float64(len(s.values)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.values[lo]
-	}
+	pos := p * float64(len(vs)-1)
+	lo := int(pos)
+	hi := lo + 1
 	frac := pos - float64(lo)
-	return s.values[lo] + time.Duration(frac*float64(s.values[hi]-s.values[lo]))
+	if hi >= len(vs) || frac == 0 {
+		return vs[lo]
+	}
+	return vs[lo] + time.Duration(frac*float64(vs[hi]-vs[lo]))
 }
 
 // Mean returns the arithmetic mean of the observations.

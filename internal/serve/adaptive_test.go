@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +109,57 @@ func TestEngineRecordsLatencyDigests(t *testing.T) {
 		name := g + "{benchmark=chatbot,platform=DSCS-Serverless}"
 		if v := e.Telemetry().Gauge(name); v <= 0 {
 			t.Errorf("%s = %v, want positive", name, v)
+		}
+	}
+}
+
+// TestLatencyGaugesPublishTheWindow: the serve_latency_* gauges publish
+// the digest's sliding-window quantiles — the values pricing and hedging
+// read — not quantiles since start. A service time that drops from 100 ms
+// to 10 ms after 200 executions must leave every gauge at the window's
+// 10 ms once the window has turned over, where a cumulative p99 would
+// stay near 100 ms.
+func TestLatencyGaugesPublishTheWindow(t *testing.T) {
+	var calls atomic.Int64
+	e, err := NewEngine(testRunners(t), Options{
+		Workers: 1, MaxBatch: 1, EstimateWindow: 64,
+		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+			service := 10 * time.Millisecond
+			if calls.Add(1) <= 200 {
+				service = 100 * time.Millisecond
+			}
+			return faas.Result{Breakdown: faas.Breakdown{Compute: service}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	b := workload.BySlug("chatbot")
+	submit := func() {
+		t.Helper()
+		if _, err := e.Submit("DSCS-Serverless", b, faas.Options{Quantile: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 800; i++ {
+		submit()
+	}
+	// Past the publish rate limit, one more completion refreshes the
+	// gauges from the digest as it now stands.
+	time.Sleep(2 * gaugeRefreshInterval)
+	submit()
+
+	ps := []float64{0.5, 0.95, 0.99}
+	want := make([]time.Duration, len(ps))
+	e.Observatory().Digest("chatbot", "DSCS-Serverless").QuantilesInto(ps, want)
+	for i, g := range []string{"serve_latency_p50", "serve_latency_p95", "serve_latency_p99"} {
+		name := g + "{benchmark=chatbot,platform=DSCS-Serverless}"
+		if got, w := e.Telemetry().Gauge(name), float64(want[i])/float64(time.Millisecond); got != w {
+			t.Errorf("%s = %v ms, want the window's %v ms", name, got, w)
+		}
+		if want[i] != 10*time.Millisecond {
+			t.Errorf("window q%v = %v, want 10ms once the 100ms executions left it", ps[i], want[i])
 		}
 	}
 }

@@ -57,7 +57,7 @@ type balancer struct {
 	// pool's first dispatch and again after its death: a stolen task
 	// charges its wait to the thief, not the queue it first landed on.
 	// window sizes the windows created from here on.
-	waits  []atomic.Pointer[metrics.WindowDigest]
+	waits  []atomic.Pointer[metrics.Digest]
 	window int
 	warmup int64
 	// latches holds one adoption latch per directed (from, to) pair at
@@ -72,7 +72,7 @@ type balancer struct {
 // the metrics defaults.
 func (b *balancer) init(view poolView, n, window, warmup int) {
 	b.view = view
-	b.waits = make([]atomic.Pointer[metrics.WindowDigest], n)
+	b.waits = make([]atomic.Pointer[metrics.Digest], n)
 	b.tune(window, warmup)
 }
 
@@ -95,12 +95,12 @@ func (b *balancer) tune(window, warmup int) {
 }
 
 // digest returns pool i's wait window, creating it on first use.
-func (b *balancer) digest(i int) *metrics.WindowDigest {
+func (b *balancer) digest(i int) *metrics.Digest {
 	for {
 		if dg := b.waits[i].Load(); dg != nil {
 			return dg
 		}
-		b.waits[i].CompareAndSwap(nil, metrics.NewWindowDigest(b.window))
+		b.waits[i].CompareAndSwap(nil, metrics.NewDigest(b.window))
 	}
 }
 
@@ -111,7 +111,7 @@ func (b *balancer) record(i int, wait time.Duration) {
 
 // recordBatch charges one dispatched batch's queue delays to pool i and
 // returns the window (nil only for an empty batch on a fresh pool).
-func (b *balancer) recordBatch(i int, waits []time.Duration) *metrics.WindowDigest {
+func (b *balancer) recordBatch(i int, waits []time.Duration) *metrics.Digest {
 	if len(waits) == 0 {
 		return b.waits[i].Load()
 	}
@@ -137,7 +137,7 @@ func (b *balancer) invalidate(i int) {
 
 // WaitDigest exposes pool i's queue-delay window (nil until its first
 // dispatch, and again from its death until its next one).
-func (b *balancer) WaitDigest(i int) *metrics.WindowDigest {
+func (b *balancer) WaitDigest(i int) *metrics.Digest {
 	return b.waits[i].Load()
 }
 

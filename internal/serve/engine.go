@@ -85,11 +85,9 @@ type Options struct {
 	Prewarm bool
 	// QueueDepth bounds each platform's admission queue (default 256).
 	QueueDepth int
-	// Policy selects queued work for free workers (default FCFS, the
-	// paper's deployed policy).
-	Policy sched.Policy
-	// PolicyName resolves a policy by name ("fcfs", "criticality",
-	// "dag-aware") when Policy is nil — the CLI/API-friendly spelling.
+	// PolicyName selects queued work for free workers by policy name
+	// ("fcfs", "criticality", "dag-aware"; see PolicyByName). Empty is
+	// FCFS, the paper's deployed policy.
 	PolicyName string
 	// MaxBatch caps same-benchmark request coalescing per execution
 	// (default DefaultMaxBatch; 1 disables batching).
@@ -166,9 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
-	}
-	if o.Policy == nil {
-		o.Policy = sched.FCFSPolicy{}
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
@@ -377,12 +372,9 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	if len(runners) == 0 {
 		return nil, fmt.Errorf("serve: no runners")
 	}
-	if opt.Policy == nil && opt.PolicyName != "" {
-		p, err := PolicyByName(opt.PolicyName)
-		if err != nil {
-			return nil, err
-		}
-		opt.Policy = p
+	policy, err := PolicyByName(opt.PolicyName)
+	if err != nil {
+		return nil, err
 	}
 	opt = opt.withDefaults()
 	elastic := opt.MaxWorkers > 0
@@ -429,7 +421,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	for idx, name := range names {
 		r := runners[name]
 		class := classFor(r.Platform)
-		core, err := NewPoolCore(poolWorkers, opt.QueueDepth, class, opt.Policy)
+		core, err := NewPoolCore(poolWorkers, opt.QueueDepth, class, policy)
 		if err != nil {
 			return nil, err
 		}

@@ -121,8 +121,10 @@ func (e *Engine) Observatory() *metrics.Observatory { return e.obs }
 
 // observe folds one execution's service time into the latency observatory
 // and refreshes the per-{benchmark, platform} quantile gauges (rate-
-// limited; the digest itself ingests every observation). The gauges read
-// the O(1) P² stream estimates, so the completion path never sorts.
+// limited; the digest itself ingests every observation). The gauges
+// publish the sliding-window quantiles that pricing and hedging read, off
+// the sorted window under one staged-merge fold, so the completion path
+// never sorts.
 func (e *Engine) observe(slug, platformName string, service, at time.Duration) {
 	dg := e.obs.Record(slug, platformName, service)
 	k := latKey{slug: slug, platform: platformName}
@@ -141,7 +143,7 @@ func (e *Engine) observe(slug, platformName string, service, at time.Duration) {
 	}
 	ps := [3]float64{0.50, 0.95, 0.99}
 	var qs [3]time.Duration
-	dg.StreamQuantilesInto(ps[:], qs[:])
+	dg.QuantilesInto(ps[:], qs[:])
 	h.p50.SetDuration(qs[0])
 	h.p95.SetDuration(qs[1])
 	h.p99.SetDuration(qs[2])
@@ -171,13 +173,12 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Duration) 
 	if dg == nil || !publishDue(&p.delayPublish, dispatched) {
 		return
 	}
-	// Unlike the cumulative serve_latency_* gauges, these publish the
-	// sliding-window quantiles — the very values the balance latch reads —
-	// so an operator alerting on serve_queue_delay_p95 watches the same
-	// signal that trips rebalancing, and the gauge falls back once a
-	// congested window drains instead of staying inflated by history.
-	// Windowed reads are O(1) off the sorted ring, all three under one
-	// staged-merge fold.
+	// Like the serve_latency_* gauges, these publish the sliding-window
+	// quantiles — the very values the balance latch reads — so an operator
+	// alerting on serve_queue_delay_p95 watches the same signal that trips
+	// rebalancing, and the gauge falls back once a congested window drains
+	// instead of staying inflated by history. Windowed reads are O(1) off
+	// the sorted ring, all three under one staged-merge fold.
 	ps := [3]float64{0.50, WaitQuantile, 0.99}
 	var qs [3]time.Duration
 	dg.QuantilesInto(ps[:], qs[:])
@@ -188,7 +189,7 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Duration) 
 
 // WaitDigest exposes the named pool's queue-delay window (diagnostics,
 // tests): nil for an unknown platform, and until the pool's first dispatch.
-func (e *Engine) WaitDigest(platform string) *metrics.WindowDigest {
+func (e *Engine) WaitDigest(platform string) *metrics.Digest {
 	p, ok := e.pools[platform]
 	if !ok {
 		return nil

@@ -323,11 +323,7 @@ func TestEnginePoliciesServeEverything(t *testing.T) {
 	for _, name := range PolicyNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			policy, err := PolicyByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := NewEngine(testRunners(t), Options{Workers: 2, QueueDepth: 64, Policy: policy})
+			eng, err := NewEngine(testRunners(t), Options{Workers: 2, QueueDepth: 64, PolicyName: name})
 			if err != nil {
 				t.Fatal(err)
 			}
