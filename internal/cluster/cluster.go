@@ -224,8 +224,8 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	// window is one instance's open linger window: the batch it holds and
 	// the BatchWindow deciding whether to keep waiting. Arrivals landing
 	// while a window is open coalesce into it immediately and may close it
-	// early (exactly the live engine's per-slice re-gather); otherwise the
-	// deadline event fires it.
+	// early (as the live engine's filling arrival wakes its lingering
+	// worker); otherwise the deadline event fires it, as the wake timer does.
 	type window struct {
 		w     serve.BatchWindow
 		batch []sched.HybridTask

@@ -394,15 +394,12 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 					from, excess = donor, mc.Pool(donor).QueueLen()
 				}
 			} else {
-				// The static threshold steals cross-class only, exactly
-				// like the live engine's static path: same-class
-				// rebalancing is what AdaptiveBalance adds, and a replay
-				// must not move work the deployed configuration would
-				// leave queued. A dead donor bypasses both the class
-				// restriction and the depth floor — its backlog has no
-				// workers coming back for it, so any orphan justifies the
-				// pull (the live engine's static path applies the same
-				// bypass).
+				// The static threshold, a sim-only reference arm, steals
+				// cross-class only: same-class rebalancing is what
+				// AdaptiveBalance adds. A dead donor bypasses both the
+				// class restriction and the depth floor — its backlog has
+				// no workers coming back for it, so any orphan justifies
+				// the pull.
 				for i := 0; i < mc.Pools(); i++ {
 					alive := mc.Healthy(i)
 					if i == to || (alive && specs[i].Class == specs[to].Class) {

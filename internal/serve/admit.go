@@ -114,7 +114,9 @@ func (e *Engine) syncDepth(p *pool) {
 // request exactly once.
 func (e *Engine) deliver(r *request, out outcome) {
 	fire := r.fire
-	e.inflight.Add(-1)
+	if e.inflight.Add(-1) == 0 && e.quiescers.Load() > 0 {
+		e.wakeQuiescers()
+	}
 	if fire {
 		e.putRequest(r)
 		return
@@ -343,13 +345,30 @@ func (e *Engine) InFlight() int { return int(e.inflight.Load()) }
 // callers use it as their completion barrier.
 func (e *Engine) Quiesce(timeout time.Duration) bool {
 	deadline := e.now() + timeout
+	e.drainMu.Lock()
+	defer e.drainMu.Unlock()
+	// Counting this waiter before the inflight load pairs with deliver's
+	// decrement-then-load: either the load sees the last delivery or that
+	// delivery sees the waiter and broadcasts (the parked/staged pairing).
+	e.quiescers.Add(1)
+	defer e.quiescers.Add(-1)
+	t := afterFunc(deadline-e.now(), e.wakeQuiescers)
+	defer t.Stop()
 	for e.inflight.Load() > 0 {
-		if e.now() > deadline {
+		if e.now() >= deadline {
 			return false
 		}
-		sleep(20 * time.Microsecond)
+		e.drained.Wait()
 	}
 	return true
+}
+
+// wakeQuiescers wakes every Quiesce caller to re-check the in-flight count
+// and its deadline.
+func (e *Engine) wakeQuiescers() {
+	e.drainMu.Lock()
+	e.drained.Broadcast()
+	e.drainMu.Unlock()
 }
 
 // enqueue is the shared admission path behind Submit and SubmitAsync:

@@ -1,9 +1,10 @@
 // clock.go is the live engine's one wall-clock seam: every read of real
-// time and every wait on it in this package goes through the four
-// functions below. Engine time is the wall time elapsed since the engine
-// was built (the basis of HybridTask.Arrived), so it starts near zero.
+// time and every timed wait in this package goes through the three
+// functions below, which map onto a virtual clock's Now and At. Engine
+// time is the wall time elapsed since the engine was built (the basis of
+// HybridTask.Arrived), so it starts near zero.
 
-//dscslint:allow clockcheck the live engine's one wall-clock seam: engine time, timers and sleeps read real time here and nowhere else in the package
+//dscslint:allow clockcheck the live engine's one wall-clock seam: engine time and timers read real time here and nowhere else in the package
 
 package serve
 
@@ -19,6 +20,3 @@ func (e *Engine) now() time.Duration { return time.Since(e.start) }
 // afterFunc runs f on its own goroutine once d of wall time has passed;
 // the returned timer stops or re-arms it.
 func afterFunc(d time.Duration, f func()) *time.Timer { return time.AfterFunc(d, f) }
-
-// sleep blocks the calling goroutine for d of wall time.
-func sleep(d time.Duration) { time.Sleep(d) }

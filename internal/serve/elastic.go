@@ -1,5 +1,6 @@
 // elastic.go drives each pool's clock-free Lifecycle: autoscale decisions,
-// capacity gauges, and the timer armed at its next self-transition.
+// capacity gauges, and the pool's one wake timer, which the lifecycle's
+// next self-transition, a forming batch and a linger window all arm.
 
 package serve
 
@@ -17,36 +18,32 @@ const scaleDecideInterval = time.Millisecond
 // advanceElasticLocked drives a pool's lifecycle to the present: warming
 // slots come ready, expired lingers suspend, and (rate-limited) the
 // autoscaler's desired capacity is recomputed and applied. It refreshes
-// the worker gauges and re-arms the lifecycle timer, and reports whether
-// warm capacity changed — the caller broadcasts then, so parked workers
-// re-try dispatch against the new capacity. Callers hold p.mu; a fixed
-// pool is a no-op.
-func (e *Engine) advanceElasticLocked(p *pool) bool {
+// the worker gauges and re-arms the wake timer. Callers hold p.mu; a
+// fixed pool is a no-op.
+func (e *Engine) advanceElasticLocked(p *pool) {
 	lc := p.core.Lifecycle()
 	if lc == nil {
-		return false
+		return
 	}
 	now := e.now()
-	changed := p.core.AdvanceLifecycle(now)
+	p.core.AdvanceLifecycle(now)
 	if a := p.autoscaler; a != nil && !p.closed && p.core.Healthy() {
 		starved := p.core.QueueLen() > 0 && p.core.Busy() >= p.core.Workers()
 		if starved || now-p.scaleAt >= scaleDecideInterval {
 			p.scaleAt = now
 			waitP95, _ := e.bal.WarmedWait(p.idx)
-			desired := a.Desired(now, p.core.Busy(), p.core.QueueLen(), waitP95)
-			if desired != lc.Desired() && p.core.ScaleTo(desired, now) {
-				changed = true
+			if desired := a.Desired(now, p.core.Busy(), p.core.QueueLen(), waitP95); desired != lc.Desired() {
+				p.core.ScaleTo(desired, now)
 			}
 		}
 	}
 	e.syncWorkersLocked(p)
-	return changed
 }
 
 // syncWorkersLocked publishes a pool's live capacity — serve_workers is
 // the warm count, never the construction-time constant — plus the
 // warm/cold/warming breakdown and any newly paid cold starts, then
-// re-arms the lifecycle timer. Callers hold p.mu; fixed pools are a
+// re-arms the wake timer. Callers hold p.mu; fixed pools are a
 // no-op (their construction-time gauge stays exact).
 func (e *Engine) syncWorkersLocked(p *pool) {
 	lc := p.core.Lifecycle()
@@ -66,49 +63,45 @@ func (e *Engine) syncWorkersLocked(p *pool) {
 	e.armLifecycleLocked(p)
 }
 
-// armLifecycleLocked points the pool's timer at the lifecycle's next
+// armLifecycleLocked points the pool's wake timer at the lifecycle's next
 // self-transition. The state machine is clock-free; this timer is the
 // live engine's half of the bargain — the sims schedule virtual events
 // at the same instants. Callers hold p.mu.
 func (e *Engine) armLifecycleLocked(p *pool) {
-	evt, ok := p.core.Lifecycle().NextEvent()
-	if !ok || p.closed {
-		if p.lifeTimer != nil {
-			p.lifeTimer.Stop()
-		}
-		p.timerAt = -1
-		return
-	}
-	if evt == p.timerAt {
-		return
-	}
-	p.timerAt = evt
-	d := evt - e.now()
-	if d < 0 {
-		d = 0
-	}
-	if p.lifeTimer == nil {
-		p.lifeTimer = afterFunc(d, func() { e.lifecycleTick(p) })
-	} else {
-		p.lifeTimer.Reset(d)
+	if evt, ok := p.core.Lifecycle().NextEvent(); ok {
+		e.wakeAtLocked(p, evt)
 	}
 }
 
-// lifecycleTick is the timer callback behind armLifecycleLocked: a
-// warming slot just came ready or a linger just expired. Capacity
-// changes wake every parked worker — freshly warmed slots have a
-// backlog to drain.
-func (e *Engine) lifecycleTick(p *pool) {
+// wakeAtLocked arms the pool's one wake timer to fire by at (engine time).
+// It moves the timer earlier, never later: every waiter the earlier tick
+// wakes re-arms its own instant, so no later one is lost, and a tick that
+// finds nothing due is harmless. Callers hold p.mu.
+func (e *Engine) wakeAtLocked(p *pool, at time.Duration) {
+	if p.closed || (p.wakeAt >= 0 && p.wakeAt <= at) {
+		return
+	}
+	p.wakeAt = at
+	if p.wake == nil {
+		p.wake = afterFunc(at-e.now(), func() { e.tick(p) })
+	} else {
+		p.wake.Reset(at - e.now())
+	}
+}
+
+// tick is the wake timer's callback: a warming slot came ready, an idle
+// slot's linger expired, a forming group came due or a linger window
+// closed. It drives the pool to the present and wakes every parked
+// worker; one whose instant has not come re-arms the timer.
+func (e *Engine) tick(p *pool) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
-	p.timerAt = -1
+	p.wakeAt = -1
 	e.drainLocked(p)
-	changed := e.advanceElasticLocked(p)
+	e.advanceElasticLocked(p)
 	p.mu.Unlock()
-	if changed {
-		p.cond.Broadcast()
-	}
+	p.cond.Broadcast()
 }

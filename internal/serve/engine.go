@@ -9,8 +9,8 @@
 // the serve_latency_* and serve_queue_delay_* gauges. The discrete-event
 // at-scale simulation (internal/cluster) drives the same cores, windows,
 // and former from its virtual clock, so the simulated rack and the live
-// HTTP path share one scheduler implementation. Engine time — worker
-// sleeps, quiesce deadlines, lifecycle timers — comes from clock.go.
+// HTTP path share one scheduler implementation. Engine time and every
+// timer — each pool's wake timer, quiesce deadlines — come from clock.go.
 //
 // This file holds the options, the pool and Engine types, construction,
 // the accessors and Close; admit.go, worker.go, elastic.go, estimate.go,
@@ -246,15 +246,18 @@ type pool struct {
 	deadBit atomic.Bool
 
 	// autoscaler produces the pool's desired warm capacity (nil for a
-	// classic fixed pool); lifeTimer wakes the pool at the lifecycle's
-	// next self-transition (a warming slot coming ready, a linger
-	// expiring). timerAt is the armed instant (engine-clock basis,
-	// -1 when nothing is armed); scaleAt stamps the last autoscale
-	// decision for its rate limit. All three are guarded by p.mu.
+	// classic fixed pool); wake is the pool's one timer, armed at the
+	// earliest of the lifecycle's next self-transition, a forming group's
+	// due instant and an open linger window's deadline (wakeAtLocked).
+	// wakeAt is the armed instant (engine-clock basis, -1 when nothing is
+	// armed); scaleAt stamps the last autoscale decision for its rate
+	// limit; lingering counts the parked workers holding a linger window.
+	// All are guarded by p.mu.
 	autoscaler *scale.Autoscaler
-	lifeTimer  *time.Timer
-	timerAt    time.Duration
+	wake       *time.Timer
+	wakeAt     time.Duration
 	scaleAt    time.Duration
+	lingering  int32
 	// coldStartsPub tracks how many lifecycle cold starts have been
 	// published to the counters (guarded by p.mu).
 	coldStartsPub int
@@ -325,9 +328,13 @@ type Engine struct {
 	once   sync.Once
 	// exec runs one coalesced batch (Options.Execute, or Runner.Invoke).
 	exec func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error)
-	// inflight counts admitted-but-undelivered requests; Quiesce polls it
-	// so fire-and-forget callers can drain the engine.
-	inflight atomic.Int64
+	// inflight counts admitted-but-undelivered requests so fire-and-forget
+	// callers can drain the engine: Quiesce waits on drained, under
+	// drainMu, and quiescers counts those waiters for deliver.
+	inflight  atomic.Int64
+	quiescers atomic.Int32
+	drainMu   sync.Mutex
+	drained   *sync.Cond
 	// requests are the request free lists, one shard per P (admit.go).
 	requests []requestShard
 	// latGauges caches the per-{benchmark, platform} latency gauge handles
@@ -403,6 +410,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		obs:   metrics.NewObservatory(opt.EstimateWindow, opt.EstimateWarmup),
 		start: wallEpoch(),
 	}
+	e.drained = sync.NewCond(&e.drainMu)
 	e.requests = make([]requestShard, runtime.GOMAXPROCS(0))
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
 	names := make([]string, 0, len(runners))
@@ -425,7 +433,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &pool{name: name, idx: idx, runner: r, class: class, core: core, timerAt: -1}
+		p := &pool{name: name, idx: idx, runner: r, class: class, core: core, wakeAt: -1}
 		p.cond = sync.NewCond(&p.mu)
 		if elastic {
 			lc, err := NewLifecycle(LifecycleConfig{
@@ -689,6 +697,9 @@ func (e *Engine) Close() {
 		for _, p := range e.pools {
 			p.mu.Lock()
 			p.closed = true
+			if p.wake != nil {
+				p.wake.Stop()
+			}
 			if !p.core.Healthy() {
 				// A drain outranks a fault: a dead pool's queue must still be
 				// served (its tasks carry blocked submitters), so revive the
@@ -702,10 +713,6 @@ func (e *Engine) Close() {
 				// scaled-to-zero pool gets one slot back to empty its
 				// queue rather than stranding requests behind cold
 				// capacity.
-				if p.lifeTimer != nil {
-					p.lifeTimer.Stop()
-				}
-				p.timerAt = -1
 				lc.Freeze(e.now())
 				p.core.AdvanceLifecycle(e.now())
 			}

@@ -38,12 +38,8 @@ func (e *Engine) FailPool(platformName string) error {
 	p.core.Fail(e.now())
 	p.deadBit.Store(true)
 	if p.core.Lifecycle() != nil {
-		// Quench emptied the warming/idle ledgers; republish the gauges and
-		// let armLifecycleLocked see there is no next event to arm.
-		if p.lifeTimer != nil {
-			p.lifeTimer.Stop()
-		}
-		p.timerAt = -1
+		// Quench emptied the warming/idle ledgers; republish the gauges.
+		// The wake timer stays armed: a tick with nothing due is harmless.
 		e.syncWorkersLocked(p)
 	}
 	p.mu.Unlock()

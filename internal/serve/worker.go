@@ -114,20 +114,6 @@ func (e *Engine) gather(p *pool, bs *batchState) {
 	}
 }
 
-// lingerSlice is the wall-clock granularity of the engine's linger loop:
-// the worker re-checks the queue for late same-benchmark arrivals at this
-// period until the BatchWindow closes.
-func lingerSlice(linger time.Duration) time.Duration {
-	slice := linger / 8
-	if slice < 100*time.Microsecond {
-		slice = 100 * time.Microsecond
-	}
-	if slice > 2*time.Millisecond {
-		slice = 2 * time.Millisecond
-	}
-	return slice
-}
-
 // stealInto pulls queued work from a donor pool into p — the drain-time
 // half of rebalancing, complementing submit-time spillover. The donor is
 // the deepest pool of any class (same-class platforms rebalance too) whose
@@ -196,16 +182,16 @@ func (e *Engine) stealInto(p *pool) int {
 }
 
 // dispatch selects p's next task at now, honoring an attached batch
-// former. Callers hold p.mu. When nothing dispatches, wait (valid when
-// waitOK) is how long the worker should sleep before re-driving the core —
-// a forming batch is filling and will come due. formed reports whether
+// former. Callers hold p.mu. When nothing dispatches, wake (valid when
+// waitOK) is the instant a forming batch comes due — the worker arms the
+// pool's wake timer there and parks. formed reports whether
 // this dispatch released a formed group (as opposed to group-less work:
 // post-close leftovers, stolen-in tasks, or the shutdown drain), so the
 // serve_batch_formed_total counter matches BatchFormer.Formed and the
 // simulation's Stats.Formed.
 //
 //dscslint:hotpath
-func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok bool, wait time.Duration, waitOK, formed bool) {
+func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok bool, wake time.Duration, waitOK, formed bool) {
 	f := p.core.Former()
 	if f == nil || p.closed {
 		// No former, or draining at shutdown: serve immediately, holding
@@ -218,14 +204,15 @@ func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok
 	if ok || !wakeOK {
 		return task, ok, 0, false, ok && f.Formed() > before
 	}
-	return sched.HybridTask{}, false, wake - now, true, false
+	return sched.HybridTask{}, false, wake, true, false
 }
 
 // worker is one pool goroutine: dispatch via the shared core, coalesce a
 // batch (lingering up to BatchLinger for it to fill toward MaxBatch, or
-// waiting on the global former's queue-level batch), stealing a peer's
-// backlog under AdaptiveBalance when its own queue is empty, execute
-// run-to-completion, deliver outcomes.
+// waiting on the global former's queue-level batch, both parked until an
+// arrival or the pool's wake timer), stealing a peer's backlog under
+// AdaptiveBalance when its own queue is empty, execute run-to-completion,
+// deliver outcomes.
 func (e *Engine) worker(p *pool) {
 	defer e.wg.Done()
 	p.mu.Lock()
@@ -233,22 +220,16 @@ func (e *Engine) worker(p *pool) {
 		e.drainLocked(p)
 		e.advanceElasticLocked(p)
 		now := e.now()
-		task, ok, wait, waitOK, formed := e.dispatch(p, now)
+		task, ok, wake, waitOK, formed := e.dispatch(p, now)
 		if !ok {
+			// A batch is forming: park until it fills (the filling arrival
+			// signals) or comes due (the wake timer), with no steal or
+			// rescue check — the forming work is queued, so either would
+			// spin this loop.
+			free := !waitOK && p.core.Busy() < p.core.Workers()
 			if waitOK {
-				// A batch is forming; wake when it fills or comes due.
-				p.mu.Unlock()
-				if slice := lingerSlice(e.opt.BatchLinger); wait > slice {
-					wait = slice
-				}
-				if wait < 50*time.Microsecond {
-					wait = 50 * time.Microsecond
-				}
-				sleep(wait)
-				p.mu.Lock()
-				continue
-			}
-			if p.closed {
+				e.wakeAtLocked(p, wake)
+			} else if p.closed {
 				p.mu.Unlock()
 				return
 			}
@@ -262,8 +243,7 @@ func (e *Engine) worker(p *pool) {
 			// every warm slot is busy) parks too: it can run neither its
 			// own backlog nor stolen work, and looping on that backlog
 			// would spin. A completing worker loops on its own, and the
-			// lifecycle timer broadcasts when slots come warm.
-			free := p.core.Busy() < p.core.Workers()
+			// wake timer broadcasts when slots come warm.
 			if e.opt.AdaptiveBalance && p.core.Healthy() && free {
 				stole := e.stealInto(p)
 				// Re-check before parking: stealInto dropped p.mu, so a
@@ -301,16 +281,29 @@ func (e *Engine) worker(p *pool) {
 		dispatched := e.now()
 		if e.opt.BatchLinger > 0 && e.opt.MaxBatch > 1 && p.core.Former() == nil {
 			// Deadline-aware batching: the same BatchWindow decision the
-			// discrete-event simulation drives from its virtual clock,
-			// here fed wall time and slept in slices.
+			// discrete-event simulation drives from its virtual clock. The
+			// worker parks until the window's deadline (the wake timer) or
+			// an arrival's signal, so a filling arrival closes it at once.
 			w := NewBatchWindow(now, e.opt.BatchLinger, e.opt.MaxBatch, bs.batch)
 			for w.Open(e.now()) && !p.closed {
-				p.mu.Unlock()
-				sleep(lingerSlice(e.opt.BatchLinger))
-				p.mu.Lock()
+				e.wakeAtLocked(p, w.Deadline)
+				p.lingering++
+				p.parked.Add(1)
+				if p.ingress.staged.Load() == 0 {
+					p.cond.Wait()
+				}
+				p.parked.Add(-1)
+				p.lingering--
 				e.drainLocked(p)
 				e.gather(p, bs)
 				w.Size = bs.batch
+				// The wakeup may have been meant for an idle worker: pass
+				// it on when work is left that this batch cannot take.
+				// Only to a waiter that is not lingering, or two lingerers
+				// would hand it back and forth.
+				if p.core.QueueLen() > 0 && p.parked.Load() > p.lingering {
+					p.cond.Signal()
+				}
 			}
 		}
 		e.syncDepth(p)

@@ -13,8 +13,9 @@
 // the home side is busier than a peer or dead. Remote inputs
 // pay the store's failover read before the stage submits, and the bytes
 // are billed to serve_workflow_fabric_bytes_total either way. Stage
-// offsets and fetch latencies are slept in engine time (clock.go) against
-// real executions; the clock-free graph state lives in internal/workflow.
+// offsets and fetch latencies are engine-time timers (clock.go's
+// afterFunc) around real executions, the instants a sim schedules as
+// events; the clock-free graph state lives in internal/workflow.
 
 package serve
 
@@ -182,14 +183,14 @@ func (e *Engine) workflowStore() *objstore.Store {
 	return nil
 }
 
-// launchLocked starts one goroutine per newly unlocked stage. Callers
-// hold d.mu; the unlocked slice is the Run's reusable buffer, so indices
-// are captured before the lock is released.
+// launchLocked schedules each newly unlocked stage at its unlock instant,
+// the offset floor. Callers hold d.mu; the unlocked slice is the Run's
+// reusable buffer, so indices are captured before the lock is released.
 func (d *wfDriver) launchLocked(unlocked []int) {
 	for _, i := range unlocked {
 		d.outcomes[i].State = workflow.Ready
 		d.wg.Add(1)
-		go d.stage(i, d.run.UnlockedAt(i))
+		afterFunc(d.run.UnlockedAt(i)-d.e.now(), func() { d.stage(i) })
 	}
 }
 
@@ -226,19 +227,16 @@ func (d *wfDriver) dominantInput(keys []string) string {
 	return dom
 }
 
-// stage drives one unlocked stage end to end: wait out the offset floor,
-// place against the dominant input's replica, pay the fabric for remote
-// inputs, submit, write the output object, unlock dependents.
-func (d *wfDriver) stage(i int, unlockAt time.Duration) {
-	defer d.wg.Done()
+// stage places one unlocked stage against its dominant input's replica
+// and bills its inputs; the submit half runs once the fabric reads for
+// remote inputs have completed.
+func (d *wfDriver) stage(i int) {
 	e := d.e
-	if delay := unlockAt - e.now(); delay > 0 {
-		sleep(delay)
-	}
 	keys := d.run.InputKeys(i)
 	placed := d.placer.Place(d.dominantInput(keys))
 	if placed.Pool < 0 {
 		d.settle(i, "", false, fmt.Errorf("no healthy pool"), true)
+		d.wg.Done()
 		return
 	}
 	pl, local := e.order[placed.Pool], placed.Local
@@ -260,15 +258,20 @@ func (d *wfDriver) stage(i int, unlockAt time.Duration) {
 		fd, _, err := d.store.GetWithFailover(k, d.opt.Quantile)
 		if err != nil {
 			d.settle(i, pl.name, local, fmt.Errorf("input %s unreadable: %w", k, err), true)
+			d.wg.Done()
 			return
 		}
 		fetch += fd
 		fabricBytes += size
 	}
-	if fetch > 0 {
-		sleep(fetch)
-	}
+	afterFunc(fetch, func() { d.submit(i, pl, local, localBytes, fabricBytes) })
+}
 
+// submit runs a placed stage whose inputs have arrived: submit, write the
+// output object, unlock dependents.
+func (d *wfDriver) submit(i int, pl *pool, local bool, localBytes, fabricBytes units.Bytes) {
+	defer d.wg.Done()
+	e := d.e
 	inflight := e.wfInflight.Add(1)
 	e.tel.Set("serve_workflow_stages_inflight", float64(inflight))
 	_, err := e.Submit(pl.name, d.bench[i], d.opt)

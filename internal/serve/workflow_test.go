@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,6 +103,58 @@ func TestSubmitWorkflowOffsetFloor(t *testing.T) {
 	}
 	if !res.Succeeded {
 		t.Fatalf("ledger: %+v", res)
+	}
+}
+
+// TestSubmitWorkflowWaitsForFetch pins the fetch half of the live stage
+// path: a stage placed away from its input's replica pays the fabric read
+// before it submits, so its execution starts no earlier than the fetch
+// completes.
+func TestSubmitWorkflowWaitsForFetch(t *testing.T) {
+	var mu sync.Mutex
+	var executed time.Time
+	eng, err := NewEngine(testRunners(t), Options{
+		Workers: 1,
+		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+			mu.Lock()
+			executed = time.Now()
+			mu.Unlock()
+			return faas.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// With the DSCS pool down the stage runs on the CPU pool, so its
+	// seeded input crosses the fabric.
+	if err := eng.FailPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := trace.ParseWorkflowSpec("0s:a=ppe-detection:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := eng.SubmitWorkflow(spec, faas.Options{Quantile: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Succeeded || res.RemoteStages != 1 || res.FabricBytes == 0 {
+		t.Fatalf("want one remote stage that read over the fabric: %+v", res)
+	}
+	// The analytic quantile path prices the same read identically.
+	fetch, _, err := eng.workflowStore().GetWithFailover(workflow.InputKey(res.ID, "a"), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetch < 5*time.Millisecond {
+		t.Fatalf("fixture fetch is %v; too short to tell a wait from none", fetch)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if waited := executed.Sub(start); waited < fetch {
+		t.Errorf("stage executed %v after admission, before its %v fetch completed", waited, fetch)
 	}
 }
 
