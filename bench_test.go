@@ -1,7 +1,7 @@
 // bench_test.go is the benchmark harness: one testing.B target per table
 // and figure of the paper's evaluation (each iteration regenerates the
 // experiment and reports its headline numbers as custom metrics), plus the
-// ablation benches for the design choices DESIGN.md calls out.
+// ablation benches for the design choices ARCHITECTURE.md calls out.
 //
 // Run everything with:
 //
@@ -136,7 +136,7 @@ func BenchmarkFig17ColdStart(b *testing.B) {
 	runExperiment(b, "fig17", "speedup/warm", "speedup/cold")
 }
 
-// --- Ablation benches (design choices from DESIGN.md) ---
+// --- Ablation benches (design choices from ARCHITECTURE.md) ---
 
 // BenchmarkAblationArraySize contrasts the selected 128x128 array with a
 // 1024x1024 monster at batch 1 (the paper's key DSE finding).

@@ -47,12 +47,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -86,10 +88,11 @@ func main() {
 		coldStart   = flag.Duration("cold-start", 0, "provisioning penalty a cold slot pays before serving (needs -max-workers)")
 		idleLinger  = flag.Duration("idle-linger", 0, "idle grace before a surplus warm slot suspends (needs -max-workers)")
 		prewarm     = flag.Bool("prewarm", false, "predictive autoscaling: pre-warm to the arrival-rate demand floor and surge on wait-p95 (needs -max-workers; default reactive)")
-		hedgeFactor = flag.Float64("hedge-factor", 0, "dispatch a duplicate on a healthy peer once an execution outlives this multiple of its adopted service-p95; first completion wins (0 disables, must be >= 1 otherwise)")
+		hedgeFactor = new(finiteFloat)
 		faultScript = flag.String("fault-script", "", "scripted fault schedule, e.g. '30s:pool-down:DSCS-Serverless;2m:pool-up:DSCS-Serverless' (kinds: pool-down, pool-up, drive-down, drive-up)")
 		wfSpec      = flag.String("workflow", "", "run one invocation graph at startup and print its ledger, e.g. '0s:extract=credit-risk:;0s:shard=asset-damage:extract' (offset:id=benchmark:deps, ';'-separated)")
 	)
+	flag.Var(hedgeFactor, "hedge-factor", "dispatch a duplicate on a healthy peer once an execution outlives this multiple of its adopted service-p95; first completion wins (0 disables, must be finite and >= 1 otherwise)")
 	flag.Parse()
 
 	faults, err := trace.ParseFaultScript(*faultScript)
@@ -117,7 +120,7 @@ func main() {
 			ColdStart:         *coldStart,
 			IdleLinger:        *idleLinger,
 			Prewarm:           *prewarm,
-			HedgeFactor:       *hedgeFactor,
+			HedgeFactor:       float64(*hedgeFactor),
 			Faults:            faults,
 		})
 	if err != nil {
@@ -177,6 +180,25 @@ func main() {
 	if err := serveUntil(ctx, l, gw); err != nil {
 		fail(err)
 	}
+}
+
+// finiteFloat is a float64 flag that refuses NaN and ±Inf when parsed:
+// strconv accepts "NaN" and "Inf", and a non-finite -hedge-factor would arm
+// a hedge path that never fires.
+type finiteFloat float64
+
+func (f *finiteFloat) String() string { return strconv.FormatFloat(float64(*f), 'g', -1, 64) }
+
+func (f *finiteFloat) Set(s string) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s is not finite", s)
+	}
+	*f = finiteFloat(v)
+	return nil
 }
 
 const (

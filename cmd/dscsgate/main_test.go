@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
@@ -105,5 +106,23 @@ func TestServerTimeouts(t *testing.T) {
 	srv := newServer(http.NotFoundHandler())
 	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: both must be positive", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}
+
+// TestHedgeFactorFlagRejectsNonFinite: -hedge-factor parses through
+// strconv, which reads "NaN" and "Inf" as floats; the flag must refuse
+// them before the engine is ever built.
+func TestHedgeFactorFlagRejectsNonFinite(t *testing.T) {
+	for arg, ok := range map[string]bool{
+		"NaN": false, "Inf": false, "+Inf": false, "-Inf": false, "x": false,
+		"0": true, "1.5": true,
+	} {
+		var f finiteFloat
+		fs := flag.NewFlagSet("dscsgate", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Var(&f, "hedge-factor", "")
+		if err := fs.Parse([]string{"-hedge-factor", arg}); (err == nil) != ok {
+			t.Errorf("-hedge-factor %s: err = %v, want accepted = %v", arg, err, ok)
+		}
 	}
 }

@@ -188,7 +188,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	// Latency accumulator per sampling bucket.
 	var bucketSum time.Duration
 	var bucketN int
-	complete := func(t sched.HybridTask) {
+	complete := func(t *sched.HybridTask) {
 		lat := d.now() - t.Arrived
 		st.Completed++
 		if cfg.BatchSLO > 0 && lat <= cfg.BatchSLO {
@@ -198,10 +198,10 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		bucketSum += lat
 		bucketN++
 	}
-	d.service = func(_ int, lead sched.HybridTask, _ []sched.HybridTask) time.Duration {
+	d.service = func(_ int, lead *sched.HybridTask, _ []sched.HybridTask) time.Duration {
 		return cfg.Service(lead.Payload, d.rng)
 	}
-	d.settle = func(_ int, lead sched.HybridTask, rest []sched.HybridTask, service time.Duration) {
+	d.settle = func(_ int, lead *sched.HybridTask, rest []sched.HybridTask, service time.Duration) {
 		st.Batches++
 		if obs != nil {
 			// The digest learns the true service time at completion —
@@ -209,8 +209,8 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 			obs.Record(lead.Payload, simPlatform, service)
 		}
 		complete(lead)
-		for _, t := range rest {
-			complete(t)
+		for i := range rest {
+			complete(&rest[i])
 		}
 	}
 	d.sample = func(at time.Duration) {
@@ -235,7 +235,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	fire := func(win *window) {
 		if !win.fired {
 			win.fired = true
-			d.execute(0, win.batch[0], win.batch[1:])
+			d.execute(0, &win.batch[0], win.batch[1:])
 		}
 	}
 	// gatherInto pulls queued same-benchmark tasks into the window and
@@ -253,13 +253,13 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	if former == nil && cfg.MaxBatch > 1 {
 		// Deadline-aware linger: the instance stays busy holding the batch
 		// open until it fills or the window closes.
-		d.hold = func(_ int, lead sched.HybridTask, rest []sched.HybridTask) bool {
+		d.hold = func(_ int, lead *sched.HybridTask, rest []sched.HybridTask) bool {
 			now := d.now()
 			w := serve.NewBatchWindow(now, cfg.BatchLinger, cfg.MaxBatch, 1+len(rest))
 			if !w.Open(now) {
 				return false
 			}
-			win := &window{w: w, batch: append([]sched.HybridTask{lead}, rest...)}
+			win := &window{w: w, batch: append([]sched.HybridTask{*lead}, rest...)}
 			open = append(open, win)
 			d.at(w.Deadline, func() {
 				if !win.fired {

@@ -96,15 +96,15 @@ type driver struct {
 	arrive func(i int)
 	// service samples one execution's duration on pool at dispatch; the
 	// lead and the coalesced rest share it.
-	service func(pool int, lead sched.HybridTask, rest []sched.HybridTask) time.Duration
+	service func(pool int, lead *sched.HybridTask, rest []sched.HybridTask) time.Duration
 	// settle books a finished execution; pool served it (the lender when a
-	// hedge won). Like hold, it must not retain rest past the call: the
-	// slice is the execution record's, or the driver's dispatch scratch.
-	settle func(pool int, lead sched.HybridTask, rest []sched.HybridTask, service time.Duration)
+	// hedge won). Like hold, it must not retain lead or rest past the call:
+	// they are the execution record's, or the driver's dispatch scratch.
+	settle func(pool int, lead *sched.HybridTask, rest []sched.HybridTask, service time.Duration)
 	sample func(at time.Duration)
 	// hold may keep a dispatched batch open instead of executing it now
 	// (the per-dispatch linger window); it then owes d.execute.
-	hold func(pool int, lead sched.HybridTask, rest []sched.HybridTask) bool
+	hold func(pool int, lead *sched.HybridTask, rest []sched.HybridTask) bool
 	// poolDown runs after a pool browns out, before its executions requeue.
 	poolDown func(pool int)
 	// rebalance moves queued work between pools once no pool can dispatch
@@ -112,7 +112,7 @@ type driver struct {
 	rebalance func() int
 	// patience is how long an execution may run before a duplicate
 	// dispatches on a peer; nil disables hedging.
-	patience func(pool int, lead sched.HybridTask) time.Duration
+	patience func(pool int, lead *sched.HybridTask) time.Duration
 	// driveFault applies a storage-node event; nil rejects them.
 	driveFault func(ev trace.FaultEvent)
 
@@ -123,9 +123,11 @@ type driver struct {
 	// pumpFire and lifeFire are pump and the lifecycle wake, bound once.
 	pumpFire, lifeFire func()
 
-	// free holds the execution records no event can reach any more; rest
-	// is dispatch's batch scratch.
+	// free holds the execution records no event can reach any more; lead
+	// and rest are dispatch's batch scratch: the core writes the dispatched
+	// task straight into lead, and execute copies it into a record once.
 	free []*execution
+	lead sched.HybridTask
 	rest []sched.HybridTask
 	// track keeps inflight, the fault and hedge models' executions in
 	// dispatch order. live counts executions neither done nor cancelled,
@@ -341,7 +343,8 @@ func (d *driver) pump() {
 // the earliest due instant — the live engine's timed worker wait.
 func (d *driver) dispatch(i int) bool {
 	now := d.engine.Now()
-	lead, ok, wake, wakeOK := d.mc.DispatchFormed(i, now)
+	lead := &d.lead
+	ok, wake, wakeOK := d.mc.DispatchFormed(i, now, lead)
 	if !ok {
 		if wakeOK && wake != d.lastWake[i] {
 			d.lastWake[i] = wake
@@ -366,10 +369,10 @@ func (d *driver) dispatch(i int) bool {
 
 // execute retires a gathered batch after one service time: the lead's
 // sample prices the whole coalesced execution, as on the live engine.
-func (d *driver) execute(pool int, lead sched.HybridTask, rest []sched.HybridTask) {
+func (d *driver) execute(pool int, lead *sched.HybridTask, rest []sched.HybridTask) {
 	service := d.service(pool, lead, rest)
 	ex := d.take()
-	ex.lead, ex.rest, ex.pool, ex.service = lead, append(ex.rest, rest...), pool, service
+	ex.lead, ex.rest, ex.pool, ex.service = *lead, append(ex.rest, rest...), pool, service
 	ex.refs = 1
 	if d.live++; d.live > d.peak {
 		d.peak = d.live
@@ -384,7 +387,7 @@ func (d *driver) execute(pool int, lead sched.HybridTask, rest []sched.HybridTas
 			// The sim knows the true service time, so the timer arms only
 			// when the primary will outlive its patience; the live engine's
 			// fires blind and finds the primary done, same outcome.
-			if p := d.patience(pool, lead); p > 0 && p < service {
+			if p := d.patience(pool, &ex.lead); p > 0 && p < service {
 				ex.refs++
 				d.engine.After(p, ex.hedgeFire)
 			}
@@ -441,7 +444,7 @@ func (ex *execution) complete() {
 	if a := d.ascs[ex.pool]; a != nil {
 		a.ObserveService(ex.lead.Payload, ex.service)
 	}
-	d.settle(ex.pool, ex.lead, ex.rest, ex.service)
+	d.settle(ex.pool, &ex.lead, ex.rest, ex.service)
 	d.release(ex)
 	d.pump()
 }
@@ -466,7 +469,7 @@ func (d *driver) hedge(ex *execution) {
 			continue
 		}
 		ex.lender, ex.lenderFaults = j, d.mc.Pool(j).Faults()
-		ex.leased = d.service(j, ex.lead, ex.rest)
+		ex.leased = d.service(j, &ex.lead, ex.rest)
 		ex.refs++
 		d.engine.After(ex.leased, ex.leaseFire)
 		return
@@ -484,7 +487,7 @@ func (ex *execution) leaseDone() {
 		d.live--
 		d.hedgesWon++
 		d.mc.Complete(ex.pool, 1+len(ex.rest))
-		d.settle(ex.lender, ex.lead, ex.rest, ex.leased)
+		d.settle(ex.lender, &ex.lead, ex.rest, ex.leased)
 	}
 	d.release(ex)
 	d.pump()

@@ -33,7 +33,7 @@ func TestInflightStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak, settled := 0, 0
-	d.service = func(int, sched.HybridTask, []sched.HybridTask) time.Duration {
+	d.service = func(int, *sched.HybridTask, []sched.HybridTask) time.Duration {
 		// A primary's dispatch has just entered the ledger; a hedge's
 		// lease is outside it, so the count is the executions running.
 		if n := d.mc.Pool(0).Running() + d.mc.Pool(1).Running(); n > peak {
@@ -41,14 +41,14 @@ func TestInflightStaysBounded(t *testing.T) {
 		}
 		return sim.LogNormal{Median: 60 * time.Millisecond, Sigma: 0.8}.Sample(d.rng)
 	}
-	d.settle = func(int, sched.HybridTask, []sched.HybridTask, time.Duration) {
+	d.settle = func(int, *sched.HybridTask, []sched.HybridTask, time.Duration) {
 		settled++
 		if len(d.inflight) > peak {
 			t.Fatalf("settle %d: %d executions tracked, at most %d ever ran at once", settled, len(d.inflight), peak)
 		}
 	}
 	d.sample = func(time.Duration) {}
-	d.patience = func(int, sched.HybridTask) time.Duration { return 90 * time.Millisecond }
+	d.patience = func(int, *sched.HybridTask) time.Duration { return 90 * time.Millisecond }
 	d.arrive = func(i int) {
 		d.submit(i%2, sched.HybridTask{ID: i, Arrived: d.now(), Payload: tr.Requests[i].Benchmark})
 	}

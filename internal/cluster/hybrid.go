@@ -224,7 +224,7 @@ func (p *hybridPricing) task(req trace.Request, now time.Duration) sched.HybridT
 
 // service samples the actual execution time from the true model — the
 // scheduler's belief must not contaminate what really runs.
-func (p *hybridPricing) service(cfg HybridConfig, rng *sim.RNG, t sched.HybridTask, class sched.InstanceClass) time.Duration {
+func (p *hybridPricing) service(cfg HybridConfig, rng *sim.RNG, t *sched.HybridTask, class sched.InstanceClass) time.Duration {
 	base := t.Service(class)
 	if p.priced {
 		cpu, dscs, _ := cfg.Service(t.Payload)
@@ -276,10 +276,10 @@ func runSharedHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridSta
 	}
 	st := newHybridStats(tr, cfg)
 	pricing := newHybridPricing(cfg)
-	d.service = func(pool int, lead sched.HybridTask, _ []sched.HybridTask) time.Duration {
+	d.service = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask) time.Duration {
 		return pricing.service(cfg, d.rng, lead, specs[pool].Class)
 	}
-	d.settle = func(pool int, lead sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
+	d.settle = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
 		pricing.observe(lead.Payload, specs[pool].Class, elapsed)
 		st.Completed++
 		st.observeLatency(d.now()-lead.Arrived, cfg.SLO)
@@ -343,10 +343,10 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	st.Served = make(map[string]int)
 	pricing := newHybridPricing(cfg)
 
-	d.service = func(pool int, lead sched.HybridTask, _ []sched.HybridTask) time.Duration {
+	d.service = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask) time.Duration {
 		return pricing.service(cfg, d.rng, lead, specs[pool].Class)
 	}
-	d.settle = func(pool int, lead sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
+	d.settle = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
 		pricing.observe(lead.Payload, specs[pool].Class, elapsed)
 		st.Completed++
 		st.Served[specs[pool].Name]++
@@ -358,7 +358,7 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		// for the benchmark on the serving class — the static belief until
 		// the estimate digests warm, exactly the pricing the live engine's
 		// execHedged applies.
-		d.patience = func(pool int, t sched.HybridTask) time.Duration {
+		d.patience = func(pool int, t *sched.HybridTask) time.Duration {
 			class := specs[pool].Class
 			q := t.Service(class)
 			if pricing.obs != nil {

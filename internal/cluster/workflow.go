@@ -320,7 +320,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		submitStage(ws, idx)
 	}
 
-	d.service = func(pool int, lead sched.HybridTask, rest []sched.HybridTask) time.Duration {
+	d.service = func(pool int, lead *sched.HybridTask, rest []sched.HybridTask) time.Duration {
 		service := lead.Service(specs[pool].Class)
 		if cfg.Jitter > 0 {
 			service = sim.LogNormal{Median: service, Sigma: cfg.Jitter}.Sample(d.rng)
@@ -338,7 +338,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	// RNG) — and once that lands, completes the stage and feeds the unlock
 	// path. A refused write (an empty output) takes no time: PutAt reports
 	// zero latency with every error.
-	written := func(t sched.HybridTask) {
+	written := func(t *sched.HybridTask) {
 		ref := t.Ref.(*wfStageRef)
 		putD, _, _ := store.PutAt(ref.ws.run.OutputKey(ref.idx),
 			ref.bench.IntermediateBytes, true, 0.5)
@@ -351,11 +351,11 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			d.pump()
 		})
 	}
-	d.settle = func(_ int, lead sched.HybridTask, rest []sched.HybridTask, _ time.Duration) {
+	d.settle = func(_ int, lead *sched.HybridTask, rest []sched.HybridTask, _ time.Duration) {
 		st.Batches++
 		written(lead)
-		for _, t := range rest {
-			written(t)
+		for i := range rest {
+			written(&rest[i])
 		}
 	}
 	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(mc.QueueLen())) }

@@ -79,11 +79,13 @@ type digestShard struct {
 // finds something staged.
 //
 // Who pays what: the fold keeps the sorted view in step with the ring, one
-// observation at a time — a binary search for the value the ring evicts,
-// one for the newcomer's slot, and a single copy of the span between them
-// (O(log W) compares plus at most W words moved, nothing when the two are
-// equal). A windowed read is then the digest mutex and an index; with
-// nothing staged it touches no shard lock at all (folded == total).
+// staged run at a time (foldFullLocked) — two binary searches bound the
+// span the run's evicted and new values touch, and that span is rewritten
+// twice: once to drop the evicted values, once to merge in the newcomers
+// (O(log W + k²) compares for a run of k plus at most 2W words moved per
+// fold, not per observation). A windowed read is then the digest mutex and
+// an index; with nothing staged it touches no shard lock at all
+// (folded == total).
 type Digest struct {
 	mu   sync.Mutex
 	ring []time.Duration // eviction order (circular)
@@ -232,47 +234,139 @@ func (d *Digest) foldStagedLocked() {
 			staged[j], staged[j-1] = staged[j-1], staged[j]
 		}
 	}
-	for _, e := range staged {
-		d.slideLocked(e.v)
+	// The first window observations ever recorded fill the ring one at a
+	// time.
+	for len(staged) > 0 && len(d.ring) < cap(d.ring) {
+		d.fillLocked(staged[0].v)
+		staged = staged[1:]
+	}
+	// A run longer than the window would write some slots twice. Its
+	// excess is gone before the fold ends — the last window of the run
+	// overwrites every slot — so it only advances the eviction cursor.
+	if excess := len(staged) - len(d.ring); excess > 0 {
+		d.next = (d.next + excess) % len(d.ring)
+		staged = staged[excess:]
+	}
+	if len(staged) > 0 {
+		d.foldFullLocked(staged)
 	}
 	d.folded += int64(n)
 }
 
-// slideLocked moves the window forward by one observation: v takes the
-// ring slot of the oldest value (once the ring is full), and the sorted
-// view gives up that value and takes v with one copy of the span between
-// their positions — the same multiset a full re-sort of the ring would
-// produce, so every quantile is bit-identical to it.
-func (d *Digest) slideLocked(v time.Duration) {
-	if len(d.ring) < cap(d.ring) {
-		d.ring = append(d.ring, v)
-		i, _ := slices.BinarySearch(d.sorted, v)
-		d.sorted = append(d.sorted, v)
-		copy(d.sorted[i+1:], d.sorted[i:])
-		d.sorted[i] = v
+// foldFullLocked folds a run of at most one window of observations, in
+// sequence order, into the full window in one pass: the run overwrites the
+// ring's oldest slots, and the sorted view gives up the evicted multiset
+// and merges in the newcomers — the multiset a full re-sort of the ring
+// would produce, so every quantile is bit-identical to it. A value that is
+// both evicted and new cancels out; what is left costs two binary searches
+// and one copy per value, and nothing above the largest value moved is
+// touched. The fold keeps the evicted values in the run's own seq column
+// (the order is fixed once the ring is written), so it needs no scratch of
+// its own. Callers hold d.mu.
+func (d *Digest) foldFullLocked(run []stageEntry) {
+	for i := range run {
+		e := &run[i]
+		old := d.ring[d.next]
+		d.ring[d.next] = e.v
+		if d.next++; d.next == len(d.ring) {
+			d.next = 0
+		}
+		e.seq = uint64(old) // observations are never negative
+	}
+	// Sort each column on its own: v holds the newcomers, seq the evicted.
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0 && run[j].v < run[j-1].v; j-- {
+			run[j].v, run[j-1].v = run[j-1].v, run[j].v
+		}
+		for j := i; j > 0 && run[j].seq < run[j-1].seq; j-- {
+			run[j].seq, run[j-1].seq = run[j-1].seq, run[j].seq
+		}
+	}
+	run = run[:cancelEqual(run)]
+	if len(run) == 0 {
 		return
 	}
-	old := d.ring[d.next]
-	d.ring[d.next] = v
-	if d.next++; d.next == len(d.ring) {
-		d.next = 0
+	evicted := func(i int) time.Duration { return time.Duration(run[i].seq) }
+	sorted := d.sorted
+	k := len(run)
+	// Drop the evicted values front to back, one copy per gap between
+	// them...
+	first, _ := slices.BinarySearch(sorted, evicted(0))
+	r, w := first, first
+	for i := 1; i < k; i++ {
+		p, _ := slices.BinarySearch(sorted[r+1:], evicted(i))
+		p += r + 1
+		w += copy(sorted[w:], sorted[r+1:p])
+		r = p
 	}
-	if v == old {
-		return
+	// ...up to hi: nothing at or above it moves, being past every value
+	// that leaves or arrives...
+	hi := r + 1
+	if last := run[k-1].v; last == math.MaxInt64 {
+		hi = len(sorted)
+	} else if last > evicted(k-1) {
+		p, _ := slices.BinarySearch(sorted[hi:], last+1)
+		hi += p
 	}
-	out, _ := slices.BinarySearch(d.sorted, old)
-	if v > old {
-		// v lands left of the first element ≥ v; everything between the
-		// vacated slot and there shifts down one.
-		in, _ := slices.BinarySearch(d.sorted[out+1:], v)
-		in += out
-		copy(d.sorted[out:in], d.sorted[out+1:in+1])
-		d.sorted[in] = v
-	} else {
-		in, _ := slices.BinarySearch(d.sorted[:out], v)
-		copy(d.sorted[in+1:out+1], d.sorted[in:out])
-		d.sorted[in] = v
+	w += copy(sorted[w:], sorted[r+1:hi])
+	// ...then merge the newcomers in from the back, one copy per gap. A
+	// newcomer no smaller than the first evicted value lands at or after
+	// its position.
+	end, kept := hi, w
+	for j := k - 1; j >= 0; j-- {
+		v, p := run[j].v, kept
+		if p > 0 && sorted[p-1] > v {
+			from := 0
+			if v >= evicted(0) {
+				from = first
+			}
+			p, _ = slices.BinarySearch(sorted[from:kept], v)
+			p += from
+		}
+		end -= copy(sorted[end-(kept-p):end], sorted[p:kept]) + 1
+		sorted[end] = v
+		kept = p
 	}
+}
+
+// cancelEqual removes the values a sorted run both evicts (seq column)
+// and brings in (v column) — they leave the window's multiset as it was —
+// and reports how many of each remain, compacted to the front of their
+// columns in order.
+func cancelEqual(run []stageEntry) int {
+	a, b, ke, kn := 0, 0, 0, 0
+	for a < len(run) && b < len(run) {
+		switch ev, nv := run[a].seq, uint64(run[b].v); {
+		case ev == nv:
+			a++
+			b++
+		case ev < nv:
+			run[ke].seq = ev
+			ke++
+			a++
+		default:
+			run[kn].v = run[b].v
+			kn++
+			b++
+		}
+	}
+	for ; a < len(run); a++ {
+		run[ke].seq = run[a].seq
+		ke++
+	}
+	for ; b < len(run); b++ {
+		run[kn].v = run[b].v
+		kn++
+	}
+	return ke // == kn: as many values stay as leave
+}
+
+// fillLocked appends v to a ring that is not full yet and inserts it into
+// the sorted view.
+func (d *Digest) fillLocked(v time.Duration) {
+	d.ring = append(d.ring, v)
+	i, _ := slices.BinarySearch(d.sorted, v)
+	d.sorted = slices.Insert(d.sorted, i, v)
 }
 
 // Count reports the total observations ever recorded (not capped at the

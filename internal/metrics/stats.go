@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -51,35 +52,108 @@ func (s *Sample) sortValues() {
 }
 
 // Percentile returns the p-quantile (p in [0,1]) by linear interpolation.
+// A sample that is not sorted yet is not sorted for it: an in-place
+// selection finds the one or two ranks the interpolation reads, which
+// reorders the observations (Min, Max and CDF still sort them).
 func (s *Sample) Percentile(p float64) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sortValues()
-	return quantileSorted(s.values, p)
+	if s.sorted {
+		return quantileSorted(s.values, p)
+	}
+	return quantileSelect(s.values, p)
+}
+
+// quantileRank places the p-quantile of n ascending values: rank lo, and
+// the fraction of the way to rank lo+1 the interpolation goes (0 when
+// rank lo alone is the answer). Out-of-range or NaN p clamps into [0, 1].
+// n must be positive.
+func quantileRank(n int, p float64) (lo int, frac float64) {
+	if !(p > 0) { // also catches NaN
+		return 0, 0
+	}
+	if p >= 1 {
+		return n - 1, 0
+	}
+	pos := p * float64(n-1)
+	lo = int(pos)
+	if lo+1 >= n {
+		return lo, 0
+	}
+	return lo, pos - float64(lo)
 }
 
 // quantileSorted is the one interpolation rule Sample and Digest share:
 // the p-quantile of ascending vs by linear interpolation between the two
-// nearest ranks. Out-of-range or NaN p clamps into [0, 1]; an empty slice
-// reports 0.
+// nearest ranks (see quantileRank). An empty slice reports 0.
 func quantileSorted(vs []time.Duration, p float64) time.Duration {
 	if len(vs) == 0 {
 		return 0
 	}
-	if !(p > 0) { // also catches NaN
-		return vs[0]
-	}
-	if p >= 1 {
-		return vs[len(vs)-1]
-	}
-	pos := p * float64(len(vs)-1)
-	lo := int(pos)
-	hi := lo + 1
-	frac := pos - float64(lo)
-	if hi >= len(vs) || frac == 0 {
+	lo, frac := quantileRank(len(vs), p)
+	if frac == 0 {
 		return vs[lo]
 	}
-	return vs[lo] + time.Duration(frac*float64(vs[hi]-vs[lo]))
+	return vs[lo] + time.Duration(frac*float64(vs[lo+1]-vs[lo]))
+}
+
+// quantileSelect is quantileSorted over unordered vs, without sorting:
+// selectRank brings rank lo into place with everything after it no
+// smaller, so rank lo+1 is the minimum of that tail. It reorders vs.
+func quantileSelect(vs []time.Duration, p float64) time.Duration {
+	if len(vs) == 0 {
+		return 0
+	}
+	lo, frac := quantileRank(len(vs), p)
+	selectRank(vs, lo)
+	if frac == 0 {
+		return vs[lo]
+	}
+	return vs[lo] + time.Duration(frac*float64(slices.Min(vs[lo+1:])-vs[lo]))
+}
+
+// selectRank reorders vs so that vs[k] holds the value a sort would put
+// there, with nothing larger before it and nothing smaller after it:
+// quickselect with a median-of-three pivot and a three-way partition, so
+// runs of equal values (the common case for simulated latencies) finish
+// in one pass. After 2·log2(n) partitions whatever window is left is
+// sorted instead: a few values on ordinary input, and on input that
+// defeats the pivot choice, a bound on the worst case at a sort's.
+func selectRank(vs []time.Duration, k int) {
+	lo, hi := 0, len(vs) // the window holding rank k
+	for budget := 2 * bits.Len(uint(len(vs))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(vs[lo:hi])
+			return
+		}
+		w := vs[lo:hi]
+		a, b, c := w[0], w[len(w)/2], w[len(w)-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// Dutch national flag: w[:lt] < pivot, w[lt:i] == pivot,
+		// w[gt:] > pivot.
+		lt, i, gt := 0, 0, len(w)
+		for i < gt {
+			switch v := w[i]; {
+			case v < pivot:
+				w[lt], w[i] = v, w[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				w[gt], w[i] = v, w[gt]
+			default:
+				i++
+			}
+		}
+		switch r := k - lo; {
+		case r < lt:
+			hi = lo + lt
+		case r >= gt:
+			lo += gt
+		default:
+			return // rank k is the pivot, in place
+		}
+	}
 }
 
 // Mean returns the arithmetic mean of the observations.

@@ -15,7 +15,9 @@
 //
 // Policies order dispatch: FCFSPolicy (the paper's deployed policy),
 // CriticalityPolicy (longest-running work to the accelerated class), and
-// DAGAwarePolicy (most acceleratable chains to the accelerated class).
+// DAGAwarePolicy (most acceleratable chains to the accelerated class). A
+// policy only selects a queue position; PickInto removes that task into
+// the caller's storage, so a dispatch copies each task once.
 // The estimate-ordered policies are bounded by AgingMultiple: once the
 // queue head has waited longer than AgingMultiple times its own expected
 // service on the picking class, it dispatches next regardless of

@@ -103,7 +103,8 @@ func runQueueOps(data []byte) error {
 			p := policies[int(b/8)%len(policies)]
 			class := InstanceClass(int(b/4) % 2)
 			head, hadHead := q.Head()
-			got, ok := p.Pick(q, class, now)
+			var got HybridTask
+			ok := PickInto(p, q, class, now, &got)
 			if !ok {
 				if hadHead {
 					return fmt.Errorf("pick(%s): nothing from a non-empty queue", p.Name())

@@ -64,15 +64,33 @@ func (t HybridTask) Service(class InstanceClass) time.Duration {
 	return t.CPUService
 }
 
-// Policy selects which queued task a freed instance should run.
+// Policy selects which queued task a freed instance should run. It only
+// decides: PickInto removes the selected task, writing it straight from
+// its queue slot into the caller's destination, so a 72-byte task is
+// copied once per dispatch however many layers hand it on.
 type Policy interface {
 	Name() string
-	// Pick removes and returns the task the given instance class should
-	// run next; ok is false when the queue has nothing for it. now is the
+	// Select reports the queue position (0 = head, arrival order) of the
+	// task the given instance class should run next; ok is false when the
+	// queue has nothing for it. It must not modify the queue. now is the
 	// caller's clock (wall time on the live engine, virtual time in the
 	// discrete-event simulation) on the same basis as HybridTask.Arrived;
 	// policies use it to bound how long a task may be passed over.
-	Pick(q *HybridQueue, class InstanceClass, now time.Duration) (HybridTask, bool)
+	Select(q *HybridQueue, class InstanceClass, now time.Duration) (i int, ok bool)
+}
+
+// PickInto removes p's selection for the given class from q and writes it
+// to *dst, reporting false (and leaving *dst untouched) when there is
+// nothing to run. It is the one pick implementation: the serving core
+// dispatches through it, and every policy's by-value Pick wraps it.
+//
+//dscslint:hotpath
+func PickInto(p Policy, q *HybridQueue, class InstanceClass, now time.Duration, dst *HybridTask) bool {
+	i, ok := p.Select(q, class, now)
+	if ok {
+		q.removeAt(i, dst)
+	}
+	return ok
 }
 
 // AgingMultiple bounds starvation under the estimate-ordered policies: once
@@ -84,18 +102,12 @@ type Policy interface {
 // one forever.
 const AgingMultiple = 8
 
-// agedHead returns the oldest queued task when its wait has exceeded the
+// agedHead reports whether the oldest queued task has waited past the
 // aging bound for the given class. The queue preserves arrival order, so
-// the head is always the oldest.
-func agedHead(q *HybridQueue, class InstanceClass, now time.Duration) (HybridTask, bool) {
-	if q.Len() == 0 {
-		return HybridTask{}, false
-	}
-	head := q.live()[0]
-	if now-head.Arrived > AgingMultiple*head.Service(class) {
-		return q.removeAt(0), true
-	}
-	return HybridTask{}, false
+// the head (position 0) is always the oldest.
+func agedHead(q *HybridQueue, class InstanceClass, now time.Duration) bool {
+	head := &q.live()[0]
+	return now-head.Arrived > AgingMultiple*head.Service(class)
 }
 
 // HybridQueue is the bounded shared queue. The live window is
@@ -182,21 +194,21 @@ func (q *HybridQueue) compact() {
 	}
 }
 
-// removeAt extracts queue position i (0 = head) preserving arrival order
-// of the rest. Head removal advances the window; interior removal (the
-// estimate-ordered policies' picks) slides only the tasks behind i.
-func (q *HybridQueue) removeAt(i int) HybridTask {
+// removeAt extracts queue position i (0 = head) into *dst, preserving
+// arrival order of the rest. Head removal advances the window; interior
+// removal (the estimate-ordered policies' picks) slides only the tasks
+// behind i.
+func (q *HybridQueue) removeAt(i int, dst *HybridTask) {
 	if i == 0 {
-		t := q.tasks[q.head]
+		*dst = q.tasks[q.head]
 		q.tasks[q.head] = HybridTask{} // release the payload for the GC
 		q.head++
 		q.compact()
-		return t
+		return
 	}
 	at := q.head + i
-	t := q.tasks[at]
+	*dst = q.tasks[at]
 	q.tasks = append(q.tasks[:at], q.tasks[at+1:]...)
-	return t
 }
 
 // TakeWhere removes and returns up to max queued tasks matching the
@@ -324,14 +336,17 @@ type FCFSPolicy struct{}
 // Name implements Policy.
 func (FCFSPolicy) Name() string { return "fcfs" }
 
-// Pick implements Policy.
+// Select implements Policy.
 //
 //dscslint:hotpath
-func (FCFSPolicy) Pick(q *HybridQueue, _ InstanceClass, _ time.Duration) (HybridTask, bool) {
-	if q.Len() == 0 {
-		return HybridTask{}, false
-	}
-	return q.removeAt(0), true
+func (FCFSPolicy) Select(q *HybridQueue, _ InstanceClass, _ time.Duration) (int, bool) {
+	return 0, q.Len() > 0
+}
+
+// Pick removes and returns the selected task (PickInto by value).
+func (p FCFSPolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (t HybridTask, ok bool) {
+	ok = PickInto(p, q, class, now, &t)
+	return t, ok
 }
 
 // CriticalityPolicy sends the longest-running work (by CPU-time
@@ -342,15 +357,15 @@ type CriticalityPolicy struct{}
 // Name implements Policy.
 func (CriticalityPolicy) Name() string { return "criticality" }
 
-// Pick implements Policy.
+// Select implements Policy.
 //
 //dscslint:hotpath
-func (CriticalityPolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (HybridTask, bool) {
+func (CriticalityPolicy) Select(q *HybridQueue, class InstanceClass, now time.Duration) (int, bool) {
 	if q.Len() == 0 {
-		return HybridTask{}, false
+		return 0, false
 	}
-	if t, ok := agedHead(q, class, now); ok {
-		return t, true
+	if agedHead(q, class, now) {
+		return 0, true
 	}
 	liveView := q.live()
 	best := 0
@@ -365,7 +380,13 @@ func (CriticalityPolicy) Pick(q *HybridQueue, class InstanceClass, now time.Dura
 			}
 		}
 	}
-	return q.removeAt(best), true
+	return best, true
+}
+
+// Pick removes and returns the selected task (PickInto by value).
+func (p CriticalityPolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (t HybridTask, ok bool) {
+	ok = PickInto(p, q, class, now, &t)
+	return t, ok
 }
 
 // DAGAwarePolicy prioritizes applications with many acceleratable
@@ -376,20 +397,20 @@ type DAGAwarePolicy struct{}
 // Name implements Policy.
 func (DAGAwarePolicy) Name() string { return "dag-aware" }
 
-// Pick implements Policy.
+// Select implements Policy.
 //
 //dscslint:hotpath
-func (DAGAwarePolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (HybridTask, bool) {
+func (DAGAwarePolicy) Select(q *HybridQueue, class InstanceClass, now time.Duration) (int, bool) {
 	if q.Len() == 0 {
-		return HybridTask{}, false
+		return 0, false
 	}
-	if t, ok := agedHead(q, class, now); ok {
-		return t, true
+	if agedHead(q, class, now) {
+		return 0, true
 	}
 	liveView := q.live()
 	best := 0
 	for i := 1; i < len(liveView); i++ {
-		ti, tb := liveView[i], liveView[best]
+		ti, tb := &liveView[i], &liveView[best]
 		if class == ClassDSCS {
 			if ti.AccelFuncs > tb.AccelFuncs ||
 				(ti.AccelFuncs == tb.AccelFuncs && ti.CPUService > tb.CPUService) {
@@ -402,5 +423,11 @@ func (DAGAwarePolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duratio
 			}
 		}
 	}
-	return q.removeAt(best), true
+	return best, true
+}
+
+// Pick removes and returns the selected task (PickInto by value).
+func (p DAGAwarePolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (t HybridTask, ok bool) {
+	ok = PickInto(p, q, class, now, &t)
+	return t, ok
 }

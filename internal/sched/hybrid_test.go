@@ -101,7 +101,8 @@ func TestCPUAgingPreventsStarvation(t *testing.T) {
 					CPUService: 10 * time.Millisecond, DSCSService: 3 * time.Millisecond,
 					AccelFuncs: 1,
 				})
-				got, ok := p.Pick(q, ClassCPU, now)
+				var got HybridTask
+				ok := PickInto(p, q, ClassCPU, now, &got)
 				if !ok {
 					t.Fatalf("tick %d: nothing picked from a non-empty queue", i)
 				}

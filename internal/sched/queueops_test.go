@@ -97,7 +97,9 @@ func TestRestoreAllRequeue(t *testing.T) {
 	// Tasks 0 and 1 were dispatched together and their worker was killed;
 	// meanwhile tasks 2–4 arrived. The requeued batch must slot ahead of
 	// everything younger.
-	batch := []HybridTask{q.removeAt(0), q.removeAt(0)}
+	batch := make([]HybridTask, 2)
+	q.removeAt(0, &batch[0])
+	q.removeAt(0, &batch[1])
 	mustSubmit(t, q, mk(2, 20*time.Millisecond), mk(3, 30*time.Millisecond), mk(4, 40*time.Millisecond))
 	q.RestoreAll(batch)
 

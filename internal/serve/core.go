@@ -263,20 +263,13 @@ func (c *PoolCore) Submit(t sched.HybridTask) bool {
 // Dispatch hands the policy-selected task to a free worker, if both exist.
 // now is the caller's clock (wall time on the live engine, virtual time in
 // the simulator) on the same basis as HybridTask.Arrived; the policies use
-// it for starvation aging.
+// it for starvation aging. It ignores an attached BatchFormer (the
+// engine's shutdown drain serves through it).
 //
 //dscslint:hotpath
-func (c *PoolCore) Dispatch(now time.Duration) (sched.HybridTask, bool) {
-	if c.free == 0 || c.dead {
-		return sched.HybridTask{}, false
-	}
-	t, ok := c.policy.Pick(c.queue, c.class, now)
-	if !ok {
-		return sched.HybridTask{}, false
-	}
-	c.free--
-	c.running++
-	return t, true
+func (c *PoolCore) Dispatch(now time.Duration) (t sched.HybridTask, ok bool) {
+	ok, _, _ = c.dispatch(now, &t, false)
+	return t, ok
 }
 
 // DispatchFormed is Dispatch gated by the attached BatchFormer: the
@@ -291,45 +284,56 @@ func (c *PoolCore) Dispatch(now time.Duration) (sched.HybridTask, bool) {
 //
 //dscslint:hotpath
 func (c *PoolCore) DispatchFormed(now time.Duration) (t sched.HybridTask, ok bool, wake time.Duration, wakeOK bool) {
-	if c.former == nil {
-		t, ok = c.Dispatch(now)
-		return t, ok, 0, false
+	ok, wake, wakeOK = c.dispatch(now, &t, true)
+	return t, ok, wake, wakeOK
+}
+
+// dispatch is the one dispatch implementation behind Dispatch,
+// DispatchFormed and MultiCore's dispatches. It writes the dispatched task
+// through t — caller-owned storage, so the task is copied once, from its
+// queue slot, however many layers hand it on — and *t is meaningful only
+// when ok. formed gates the pick by an attached former (DispatchFormed);
+// without one, or with formed false, the policy's pick dispatches as is.
+//
+//dscslint:hotpath
+func (c *PoolCore) dispatch(now time.Duration, t *sched.HybridTask, formed bool) (ok bool, wake time.Duration, wakeOK bool) {
+	if c.free == 0 || c.dead || !sched.PickInto(c.policy, c.queue, c.class, now, t) {
+		return false, 0, false
 	}
-	if c.free == 0 || c.dead {
-		return sched.HybridTask{}, false, 0, false
+	if f := c.former; formed && f != nil {
+		if !f.Ready(t.Payload, now) {
+			c.queue.Restore(*t)
+			if !c.takeDue(now, t) {
+				wake, wakeOK = f.NextDue()
+				return false, wake, wakeOK
+			}
+		}
+		f.Close(t.Payload)
 	}
-	pick, ok := c.policy.Pick(c.queue, c.class, now)
-	if !ok {
-		return sched.HybridTask{}, false, 0, false
-	}
-	if c.former.Ready(pick.Payload, now) {
-		c.former.Close(pick.Payload)
-		c.free--
-		c.running++
-		return pick, true, 0, false
-	}
-	c.queue.Restore(pick)
-	// The policy's preference is still forming; serve a group that is due
-	// instead, oldest member first. A group whose members all left the
-	// queue by another door is stale — drop it and look again.
+	c.free--
+	c.running++
+	return true, 0, false
+}
+
+// takeDue serves a group that is due at now when the policy's preference
+// is still forming: the due group's oldest queued member moves into *t. A
+// group whose members all left the queue by another door is stale — it is
+// dropped and the next due group tried. It reports false when no group is
+// due.
+func (c *PoolCore) takeDue(now time.Duration, t *sched.HybridTask) bool {
 	for {
 		payload, due := c.former.DuePayload(now)
 		if !due {
-			break
+			return false
 		}
 		taken := c.queue.TakeWhereInto(c.scratch[:0], 1, func(x sched.HybridTask) bool { return x.Payload == payload })
 		c.scratch = taken
-		if len(taken) == 0 {
-			c.former.Drop(payload) // stale group: no queued member left
-			continue
+		if len(taken) > 0 {
+			*t = taken[0]
+			return true
 		}
-		c.former.Close(payload)
-		c.free--
-		c.running++
-		return taken[0], true, 0, false
+		c.former.Drop(payload) // stale group: no queued member left
 	}
-	wake, wakeOK = c.former.NextDue()
-	return sched.HybridTask{}, false, wake, wakeOK
 }
 
 // StealFrom moves up to max of donor's oldest queued tasks onto c's queue

@@ -21,6 +21,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -398,10 +399,12 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	} else if opt.Prewarm || opt.MinWorkers != 0 || opt.ColdStart != 0 || opt.IdleLinger != 0 {
 		return nil, fmt.Errorf("serve: elastic options need MaxWorkers > 0")
 	}
-	if opt.HedgeFactor != 0 && opt.HedgeFactor < 1 {
+	if f := opt.HedgeFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
 		// A sub-1 factor would hedge before the expected service time has
-		// even elapsed — every request would fork.
-		return nil, fmt.Errorf("serve: HedgeFactor %g must be 0 (disabled) or >= 1", opt.HedgeFactor)
+		// even elapsed — every request would fork. +Inf never hedges and
+		// NaN compares false everywhere; both would arm a hedge path that
+		// cannot fire.
+		return nil, fmt.Errorf("serve: HedgeFactor %g must be 0 (disabled) or a finite value >= 1", f)
 	}
 	e := &Engine{
 		opt:   opt,

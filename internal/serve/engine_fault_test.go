@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,6 +381,24 @@ func TestEngineFaultScriptValidation(t *testing.T) {
 	if _, err := NewEngine(testRunners(t), Options{HedgeFactor: 0.5}); err == nil {
 		t.Error("HedgeFactor below 1 must fail construction")
 	}
+}
+
+// TestEngineRejectsNonFiniteHedgeFactor: NaN and +Inf slip past a plain
+// "non-zero and below 1" check — NaN compares false and +Inf is not below
+// 1 — and would arm a hedge path that never fires. Construction must
+// refuse both, as it refuses -Inf.
+func TestEngineRejectsNonFiniteHedgeFactor(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if eng, err := NewEngine(testRunners(t), Options{HedgeFactor: f}); err == nil {
+			eng.Close()
+			t.Errorf("HedgeFactor %g must fail construction", f)
+		}
+	}
+	eng, err := NewEngine(testRunners(t), Options{HedgeFactor: math.MaxFloat64})
+	if err != nil {
+		t.Fatalf("the largest finite HedgeFactor must construct: %v", err)
+	}
+	eng.Close()
 }
 
 // TestEngineFaultScriptInjection: a scripted pool-down/pool-up pair fires

@@ -144,37 +144,38 @@ func (m *MultiCore) SubmitTo(i int, t sched.HybridTask) bool {
 	return true
 }
 
-// recordWait charges a served task's queue delay — arrival to dispatch at
-// now — to the pool that served it. A task stolen across pools therefore
-// charges the thief (the pool that actually freed it), while its Arrived
-// instant survives every move.
-func (m *MultiCore) recordWait(i int, now time.Duration, t sched.HybridTask) {
-	m.record(i, now-t.Arrived)
-}
-
 // Dispatch hands pool i's policy pick to one of its free workers and
-// records the task's queue delay against the pool.
+// records the task's queue delay against the pool. It ignores an attached
+// BatchFormer, like PoolCore.Dispatch.
 //
 //dscslint:hotpath
-func (m *MultiCore) Dispatch(i int, now time.Duration) (sched.HybridTask, bool) {
-	t, ok := m.pools[i].Dispatch(now)
-	if ok {
-		m.recordWait(i, now, t)
-	}
+func (m *MultiCore) Dispatch(i int, now time.Duration) (t sched.HybridTask, ok bool) {
+	ok, _, _ = m.dispatch(i, now, &t, false)
 	return t, ok
 }
 
 // DispatchFormed is Dispatch gated by pool i's attached BatchFormer (see
-// PoolCore.DispatchFormed); a released task records its queue delay —
+// PoolCore.DispatchFormed), writing the released task through t: storage
+// the caller owns and reuses, so a replay's dispatch copies each task once.
+// *t is meaningful only when ok. A released task records its queue delay —
 // including the forming hold — against the pool.
 //
 //dscslint:hotpath
-func (m *MultiCore) DispatchFormed(i int, now time.Duration) (t sched.HybridTask, ok bool, wake time.Duration, wakeOK bool) {
-	t, ok, wake, wakeOK = m.pools[i].DispatchFormed(now)
+func (m *MultiCore) DispatchFormed(i int, now time.Duration, t *sched.HybridTask) (ok bool, wake time.Duration, wakeOK bool) {
+	return m.dispatch(i, now, t, true)
+}
+
+// dispatch runs pool i's dispatch (PoolCore.dispatch) and charges a
+// released task's queue delay — arrival to dispatch at now — to the pool
+// that served it. A task stolen across pools therefore charges the thief
+// (the pool that actually freed it), while its Arrived instant survives
+// every move.
+func (m *MultiCore) dispatch(i int, now time.Duration, t *sched.HybridTask, formed bool) (ok bool, wake time.Duration, wakeOK bool) {
+	ok, wake, wakeOK = m.pools[i].dispatch(now, t, formed)
 	if ok {
-		m.recordWait(i, now, t)
+		m.record(i, now-t.Arrived)
 	}
-	return t, ok, wake, wakeOK
+	return ok, wake, wakeOK
 }
 
 // Coalesce batches up to max matching queued tasks of pool i onto its just
@@ -184,8 +185,8 @@ func (m *MultiCore) DispatchFormed(i int, now time.Duration) (t sched.HybridTask
 //dscslint:hotpath
 func (m *MultiCore) Coalesce(i int, now time.Duration, max int, match func(sched.HybridTask) bool) []sched.HybridTask {
 	taken := m.pools[i].Coalesce(max, match)
-	for _, t := range taken {
-		m.recordWait(i, now, t)
+	for j := range taken {
+		m.record(i, now-taken[j].Arrived)
 	}
 	return taken
 }

@@ -159,7 +159,8 @@ func TestMultiCoreWaitSurvivesBatchForming(t *testing.T) {
 		former.Observe(tk, 1)
 	}
 	// Below target and before the linger deadline: the pick is held.
-	if _, ok, _, wakeOK := mc.DispatchFormed(0, 5*time.Millisecond); ok || !wakeOK {
+	var task sched.HybridTask
+	if ok, _, wakeOK := mc.DispatchFormed(0, 5*time.Millisecond, &task); ok || !wakeOK {
 		t.Fatalf("former released a batch early (ok=%v wakeOK=%v)", ok, wakeOK)
 	}
 	if dg := mc.WaitDigest(0); dg != nil {
@@ -168,8 +169,7 @@ func TestMultiCoreWaitSurvivesBatchForming(t *testing.T) {
 	// Past the linger deadline the group releases; the lead's wait spans
 	// the whole hold, and the coalesced member's does too.
 	now := 50 * time.Millisecond
-	task, ok, _, _ := mc.DispatchFormed(0, now)
-	if !ok {
+	if ok, _, _ := mc.DispatchFormed(0, now, &task); !ok {
 		t.Fatal("former held past its deadline")
 	}
 	taken := mc.Coalesce(0, now, 3, func(x sched.HybridTask) bool { return x.Payload == task.Payload })

@@ -141,13 +141,22 @@ func GenerateDiurnal(cfg DiurnalConfig, suite []*workload.Benchmark, rng *sim.RN
 	return generate(cfg.Duration, cfg.peak(), cfg.RateAt, suite, rng)
 }
 
+// maxPrealloc caps generate's up-front reservation, in requests (the
+// 20-minute paper trace bounds at 864k).
+const maxPrealloc = 1 << 21
+
 // generate is the shared thinning loop: exponential gaps at the peak rate,
 // arrivals kept with probability rate(t)/peak.
 func generate(duration time.Duration, peak float64, rateAt func(time.Duration) float64, suite []*workload.Benchmark, rng *sim.RNG) (*Trace, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("trace: empty suite")
 	}
-	tr := &Trace{Duration: duration}
+	// Thinning keeps at most every candidate, and the candidates average
+	// peak x duration, so that bound sizes the slice once instead of
+	// growing it from empty; the cap keeps an absurd profile from
+	// reserving memory it may never fill.
+	expected := min(peak*duration.Seconds(), maxPrealloc)
+	tr := &Trace{Duration: duration, Requests: make([]Request, 0, int(expected))}
 	meanGap := time.Duration(float64(time.Second) / peak)
 	t := time.Duration(0)
 	id := 0
@@ -171,16 +180,18 @@ func generate(duration time.Duration, peak float64, rateAt func(time.Duration) f
 // (Figure 13a's plotted form).
 func (tr *Trace) RateSeries(bucket time.Duration) *metrics.Series {
 	s := &metrics.Series{Name: "requests/s"}
-	if bucket <= 0 || len(tr.Requests) == 0 {
+	if bucket <= 0 || tr.Duration < 0 || len(tr.Requests) == 0 {
 		return s
 	}
-	counts := make(map[int]int)
-	maxBucket := int(tr.Duration / bucket)
+	counts := make([]int, int(tr.Duration/bucket)+1)
 	for _, r := range tr.Requests {
-		counts[int(r.At/bucket)]++
+		// An arrival outside [0, Duration] falls in no plotted bucket.
+		if i := int(r.At / bucket); i >= 0 && i < len(counts) {
+			counts[i]++
+		}
 	}
-	for i := 0; i <= maxBucket; i++ {
-		s.Add(time.Duration(i)*bucket, float64(counts[i])/bucket.Seconds())
+	for i, n := range counts {
+		s.Add(time.Duration(i)*bucket, float64(n)/bucket.Seconds())
 	}
 	return s
 }
