@@ -47,7 +47,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -63,6 +62,7 @@ import (
 	"dscs/internal/faas"
 	"dscs/internal/gateway"
 	"dscs/internal/metrics"
+	"dscs/internal/scale"
 	"dscs/internal/serve"
 	"dscs/internal/trace"
 )
@@ -99,6 +99,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	elastic, err := elasticConfig(*minWorkers, *maxWorkers, *coldStart, *idleLinger, *prewarm)
+	if err != nil {
+		fail(err)
+	}
 	env, err := dscs.NewEnvironment(*seed)
 	if err != nil {
 		fail(err)
@@ -115,11 +119,7 @@ func main() {
 			AdaptiveEstimates: *adaptive,
 			AdaptiveBalance:   *balance,
 			EstimateWarmup:    *warmup,
-			MinWorkers:        *minWorkers,
-			MaxWorkers:        *maxWorkers,
-			ColdStart:         *coldStart,
-			IdleLinger:        *idleLinger,
-			Prewarm:           *prewarm,
+			Elastic:           elastic,
 			HedgeFactor:       float64(*hedgeFactor),
 			Faults:            faults,
 		})
@@ -150,13 +150,9 @@ func main() {
 	}
 
 	capacity := fmt.Sprintf("%d workers/platform", *workers)
-	if *maxWorkers > 0 {
-		mode := "reactive"
-		if *prewarm {
-			mode = "predictive"
-		}
+	if elastic != nil {
 		capacity = fmt.Sprintf("elastic %d..%d workers/platform (%s, cold-start %v, idle-linger %v)",
-			*minWorkers, *maxWorkers, mode, *coldStart, *idleLinger)
+			elastic.Min, elastic.Max, elastic.Mode, elastic.ColdStart, elastic.IdleLinger)
 	}
 	fmt.Printf("DSCS-Serverless gateway listening on %s (%s, %s policy, queue %d, batch %d, linger %v, global-batch %v, adaptive %v, balance %v)\n",
 		*addr, capacity, *policy, *queueDepth, *maxBatch, *linger, *globalBatch, *adaptive, *balance)
@@ -182,9 +178,26 @@ func main() {
 	}
 }
 
-// finiteFloat is a float64 flag that refuses NaN and ±Inf when parsed:
-// strconv accepts "NaN" and "Inf", and a non-finite -hedge-factor would arm
-// a hedge path that never fires.
+// elasticConfig builds the engine's elastic pool description from the
+// five elastic flags: nil without -max-workers, which keeps fixed pools,
+// and an error if another elastic flag is set without it.
+func elasticConfig(minWorkers, maxWorkers int, coldStart, idleLinger time.Duration, prewarm bool) (*scale.Config, error) {
+	if maxWorkers == 0 {
+		if minWorkers != 0 || coldStart != 0 || idleLinger != 0 || prewarm {
+			return nil, errors.New("-min-workers, -cold-start, -idle-linger and -prewarm need -max-workers")
+		}
+		return nil, nil
+	}
+	mode := scale.ModeReactive
+	if prewarm {
+		mode = scale.ModePredictive
+	}
+	return &scale.Config{Mode: mode, Min: minWorkers, Max: maxWorkers, ColdStart: coldStart, IdleLinger: idleLinger}, nil
+}
+
+// finiteFloat is the -hedge-factor flag: it refuses at parse time what the
+// engine would (serve.CheckHedgeFactor) — strconv reads "NaN" and "Inf" as
+// floats, and a non-finite factor would arm a hedge path that never fires.
 type finiteFloat float64
 
 func (f *finiteFloat) String() string { return strconv.FormatFloat(float64(*f), 'g', -1, 64) }
@@ -194,8 +207,8 @@ func (f *finiteFloat) Set(s string) error {
 	if err != nil {
 		return err
 	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%s is not finite", s)
+	if err := serve.CheckHedgeFactor(v); err != nil {
+		return err
 	}
 	*f = finiteFloat(v)
 	return nil

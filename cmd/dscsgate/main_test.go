@@ -16,6 +16,7 @@ import (
 	"dscs"
 	"dscs/internal/faas"
 	"dscs/internal/gateway"
+	"dscs/internal/scale"
 	"dscs/internal/serve"
 )
 
@@ -111,11 +112,11 @@ func TestServerTimeouts(t *testing.T) {
 
 // TestHedgeFactorFlagRejectsNonFinite: -hedge-factor parses through
 // strconv, which reads "NaN" and "Inf" as floats; the flag must refuse
-// them before the engine is ever built.
+// them, and a factor below 1, before the engine is ever built.
 func TestHedgeFactorFlagRejectsNonFinite(t *testing.T) {
 	for arg, ok := range map[string]bool{
 		"NaN": false, "Inf": false, "+Inf": false, "-Inf": false, "x": false,
-		"0": true, "1.5": true,
+		"0.5": false, "0": true, "1.5": true,
 	} {
 		var f finiteFloat
 		fs := flag.NewFlagSet("dscsgate", flag.ContinueOnError)
@@ -124,5 +125,39 @@ func TestHedgeFactorFlagRejectsNonFinite(t *testing.T) {
 		if err := fs.Parse([]string{"-hedge-factor", arg}); (err == nil) != ok {
 			t.Errorf("-hedge-factor %s: err = %v, want accepted = %v", arg, err, ok)
 		}
+	}
+}
+
+// TestElasticFlagsNeedMaxWorkers: only -max-workers arms the lifecycle,
+// so each other elastic flag alone is an error; with it each is accepted,
+// and no elastic flag at all keeps fixed pools.
+func TestElasticFlagsNeedMaxWorkers(t *testing.T) {
+	type flags struct {
+		minWorkers, maxWorkers int
+		coldStart, idleLinger  time.Duration
+		prewarm                bool
+	}
+	config := func(f flags) (*scale.Config, error) {
+		return elasticConfig(f.minWorkers, f.maxWorkers, f.coldStart, f.idleLinger, f.prewarm)
+	}
+	for name, f := range map[string]flags{
+		"-min-workers": {minWorkers: 1},
+		"-cold-start":  {coldStart: time.Second},
+		"-idle-linger": {idleLinger: time.Second},
+		"-prewarm":     {prewarm: true},
+	} {
+		if _, err := config(f); err == nil {
+			t.Errorf("%s without -max-workers accepted", name)
+		}
+		f.maxWorkers = 4
+		if cfg, err := config(f); err != nil || cfg == nil || cfg.Max != 4 {
+			t.Errorf("%s with -max-workers 4: %+v, %v", name, cfg, err)
+		}
+	}
+	if cfg, _ := config(flags{maxWorkers: 4, prewarm: true}); cfg.Mode != scale.ModePredictive {
+		t.Errorf("-prewarm built %v mode, want predictive", cfg.Mode)
+	}
+	if cfg, err := config(flags{}); cfg != nil || err != nil {
+		t.Errorf("no elastic flags: %+v, %v; want fixed pools", cfg, err)
 	}
 }

@@ -41,8 +41,9 @@ type rack struct {
 	order []int
 	// estimateWindow and estimateWarmup tune the per-pool wait digests.
 	estimateWindow, estimateWarmup int
-	// elastic gives every staffed pool a serve.Lifecycle and an autoscaler;
-	// per pool, Max is the worker count and Min is clamped to it.
+	// elastic makes every staffed pool's capacity elastic
+	// (serve.PoolCore.AttachElastic); per pool, Max is the worker count and
+	// Min is clamped to it.
 	elastic *scale.Config
 	faults  []trace.FaultEvent
 	// maxBatch > 1 coalesces same-benchmark queued tasks onto a dispatch;
@@ -90,7 +91,6 @@ type driver struct {
 	rng     *sim.RNG
 	mc      *serve.MultiCore
 	formers []*serve.BatchFormer // nil entries: pool dispatches unformed
-	ascs    []*scale.Autoscaler  // nil entries: fixed capacity (no elastic, or an unstaffed pool)
 
 	// arrive routes arrival i (d.submit); the driver pumps after it.
 	arrive func(i int)
@@ -144,8 +144,9 @@ type driver struct {
 	idleCost             time.Duration
 }
 
-// scaleInterval rate-limits autoscaler decisions like the live engine's
-// (the digest quantile reads are not per-event work).
+// scaleInterval rate-limits autoscale decisions, rack-wide, on the virtual
+// clock: the digest quantile reads are not per-event work. The live
+// engine limits per pool at 1 ms; the goldens pin this cadence.
 const scaleInterval = 100 * time.Millisecond
 
 func newDriver(r rack, seed uint64) (*driver, error) {
@@ -160,7 +161,6 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 	d := &driver{
 		rack: r, engine: sim.NewEngine(), rng: sim.NewRNG(seed), mc: mc,
 		formers:      make([]*serve.BatchFormer, len(r.pools)),
-		ascs:         make([]*scale.Autoscaler, len(r.pools)),
 		lastWake:     make([]time.Duration, len(r.pools)),
 		dispatched:   make([]int, len(r.pools)),
 		lastLifeWake: -1, lastDecide: -1,
@@ -183,48 +183,22 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 		}
 	}
 	if r.elastic != nil {
-		if err := d.attachLifecycles(*r.elastic); err != nil {
-			return nil, err
+		// The lifecycle the live engine drives with wall-clock timers;
+		// here its events are virtual.
+		for i := range r.pools {
+			pool := mc.Pool(i)
+			if pool.Workers() == 0 {
+				continue
+			}
+			ec := *r.elastic
+			ec.Max = pool.Workers()
+			ec.Min = min(ec.Min, ec.Max)
+			if err := pool.AttachElastic(ec, mc.Spec(i).Name, 0); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return d, nil
-}
-
-// attachLifecycles arms the serve.Lifecycle the live engine drives with
-// wall-clock timers — here its events are virtual.
-func (d *driver) attachLifecycles(base scale.Config) error {
-	for i := range d.ascs {
-		pool := d.mc.Pool(i)
-		if pool.Workers() == 0 {
-			continue
-		}
-		ec := base
-		ec.Max = pool.Workers()
-		if ec.Min > ec.Max {
-			ec.Min = ec.Max
-		}
-		if err := ec.Validate(); err != nil {
-			return err
-		}
-		initial := ec.Min
-		if ec.Mode == scale.ModeFixed {
-			initial = ec.Max
-		}
-		lc, err := serve.NewLifecycle(serve.LifecycleConfig{
-			Min: ec.Min, Max: ec.Max,
-			ColdStart: ec.ColdStart, IdleLinger: ec.IdleLinger,
-		}, initial, 0)
-		if err != nil {
-			return err
-		}
-		if err := pool.AttachLifecycle(lc, 0); err != nil {
-			return err
-		}
-		if d.ascs[i], err = scale.New(ec, d.mc.Spec(i).Name); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (d *driver) now() time.Duration { return d.engine.Now() }
@@ -236,7 +210,7 @@ func (d *driver) at(t time.Duration, fn func()) { d.engine.At(t, fn) }
 // load (dropped arrivals still describe the demand to warm for); the
 // former observes what was admitted.
 func (d *driver) submit(pool int, t sched.HybridTask) bool {
-	if a := d.ascs[pool]; a != nil {
+	if a := d.mc.Pool(pool).Autoscaler(); a != nil {
 		a.ObserveArrival(t.Payload, d.engine.Now())
 	}
 	if !d.mc.SubmitTo(pool, t) {
@@ -285,10 +259,11 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 }
 
 // advanceScale is the elastic drive: fold virtual time into every
-// lifecycle (warming slots come ready, expired lingers suspend), re-decide
-// each autoscaler's target, and arm a wake at the earliest lifecycle
+// lifecycle (warming slots come ready, expired lingers suspend), rescale
+// every elastic pool, and arm a wake at the earliest lifecycle
 // self-transition — the live engine's lifecycle timer on the virtual
-// clock. A starved pool (backlog, no free capacity) bypasses the rate limit.
+// clock. Unlike the engine's per-pool gate, the rate limit is rack-wide,
+// one starved pool bypasses it for all, and a dead pool still rescales.
 func (d *driver) advanceScale() {
 	if d.elastic == nil {
 		return
@@ -296,23 +271,15 @@ func (d *driver) advanceScale() {
 	now := d.engine.Now()
 	d.mc.AdvanceLifecycles(now)
 	starved := false
-	for i, a := range d.ascs {
-		p := d.mc.Pool(i)
-		if a != nil && p.QueueLen() > 0 && p.Busy() >= p.Workers() {
-			starved = true
-			break
-		}
+	for i := 0; i < d.mc.Pools() && !starved; i++ {
+		starved = d.mc.Pool(i).Starved()
 	}
 	if starved || d.lastDecide < 0 || now-d.lastDecide >= scaleInterval {
 		d.lastDecide = now
-		for i, a := range d.ascs {
-			if a == nil {
-				continue
-			}
-			p := d.mc.Pool(i)
-			waitP95, _ := d.mc.WarmedWait(i)
-			if desired := a.Desired(now, p.Busy(), p.QueueLen(), waitP95); desired != p.Lifecycle().Desired() {
-				p.ScaleTo(desired, now)
+		for i := 0; i < d.mc.Pools(); i++ {
+			if p := d.mc.Pool(i); p.Autoscaler() != nil {
+				waitP95, _ := d.mc.WarmedWait(i)
+				p.Rescale(now, waitP95)
 			}
 		}
 	}
@@ -441,7 +408,7 @@ func (ex *execution) complete() {
 	ex.done = true
 	d.live--
 	d.mc.Complete(ex.pool, 1+len(ex.rest))
-	if a := d.ascs[ex.pool]; a != nil {
+	if a := d.mc.Pool(ex.pool).Autoscaler(); a != nil {
 		a.ObserveService(ex.lead.Payload, ex.service)
 	}
 	d.settle(ex.pool, &ex.lead, ex.rest, ex.service)

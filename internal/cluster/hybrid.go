@@ -104,7 +104,7 @@ type HybridConfig struct {
 	// benchmark on its class dispatches a duplicate on a healthy peer pool
 	// with a free worker (serve.PoolCore.Hedge — borrowed outside the
 	// submission ledger); the first completion wins. 0 disables; values
-	// below 1 are rejected.
+	// below 1 and non-finite ones are rejected (serve.CheckHedgeFactor).
 	HedgeFactor float64
 }
 
@@ -167,8 +167,8 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 5 * time.Second
 	}
-	if cfg.HedgeFactor != 0 && cfg.HedgeFactor < 1 {
-		return nil, fmt.Errorf("cluster: HedgeFactor %g must be 0 (off) or >= 1", cfg.HedgeFactor)
+	if err := serve.CheckHedgeFactor(cfg.HedgeFactor); err != nil {
+		return nil, err
 	}
 	if cfg.SplitQueues {
 		return runSplitHybrid(tr, cfg, seed)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -90,6 +91,21 @@ func TestHybridValidation(t *testing.T) {
 	tr := hybridTrace(t)
 	if _, err := RunHybrid(tr, HybridConfig{}, 1); err == nil {
 		t.Error("incomplete config must fail")
+	}
+}
+
+// TestRunHybridRejectsNonFiniteHedgeFactor: NaN and +Inf pass a
+// "nonzero and below 1" test, so a replay armed with either would run
+// with hedging that never fires. Every value the live engine refuses the
+// sim must refuse too (serve.CheckHedgeFactor).
+func TestRunHybridRejectsNonFiniteHedgeFactor(t *testing.T) {
+	tr := hybridTrace(t)
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5} {
+		cfg := HybridConfig{CPUInstances: 2, DSCSInstances: 2, QueueDepth: 10,
+			Service: mixedService, SplitQueues: true, HedgeFactor: f}
+		if _, err := RunHybrid(tr, cfg, 1); err == nil {
+			t.Errorf("RunHybrid accepted HedgeFactor %g", f)
+		}
 	}
 }
 

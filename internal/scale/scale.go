@@ -63,16 +63,21 @@ func (m Mode) String() string {
 // Config bounds and parameterizes one pool's autoscaler.
 type Config struct {
 	Mode Mode
-	// Min and Max bound the desired capacity; they mirror the pool
-	// lifecycle's bounds.
+	// Min and Max bound the desired capacity and the pool lifecycle's
+	// warm capacity alike. Min == 0 allows scale-to-zero; Max is also the
+	// number of worker loops the live engine parks over the pool.
 	Min, Max int
-	// ColdStart is the warming penalty the lifecycle will charge; the
+	// ColdStart is the warming penalty the lifecycle charges: the delay
+	// between a slot being asked for and it becoming dispatchable. The
 	// surge latch compares wait p95 against half of it — once requests
 	// wait on the order of a cold start, warming everything is cheaper
 	// than queueing.
 	ColdStart time.Duration
-	// IdleLinger rides along for callers that build the lifecycle from
-	// the same config; the autoscaler itself never reads it.
+	// IdleLinger is how long the lifecycle keeps a warm slot idle before
+	// it may suspend (only while capacity exceeds the target). Zero
+	// suspends surplus idle slots at the next advance; the surplus
+	// condition, not the linger, is what prevents warm/suspend thrash.
+	// The autoscaler itself never reads it.
 	IdleLinger time.Duration
 	// Warmup is the per-benchmark observation count below which the
 	// predictive floor stays silent (default DefaultWarmup).
@@ -96,8 +101,11 @@ const GapQuantile = 0.25
 // don't queue at exactly-critical utilization.
 const Headroom = 1.25
 
-// Validate rejects impossible bounds.
+// Validate rejects an unknown mode and impossible bounds.
 func (c Config) Validate() error {
+	if c.Mode < ModeFixed || c.Mode > ModePredictive {
+		return fmt.Errorf("scale: unknown %v", c.Mode)
+	}
 	if c.Max <= 0 {
 		return fmt.Errorf("scale: Max must be positive, got %d", c.Max)
 	}
@@ -141,9 +149,6 @@ func New(cfg Config, pool string) (*Autoscaler, error) {
 		svc:  metrics.NewObservatory(cfg.Window, cfg.Warmup),
 	}, nil
 }
-
-// Config returns the bounds the autoscaler was built with.
-func (a *Autoscaler) Config() Config { return a.cfg }
 
 // ObserveArrival folds one admission at now into the benchmark's
 // inter-arrival digest. The first arrival of a benchmark only anchors

@@ -12,14 +12,19 @@ func TestConfigValidate(t *testing.T) {
 		{Min: 5, Max: 4},
 		{Max: 4, ColdStart: -time.Second},
 		{Max: 4, IdleLinger: -time.Second},
+		{Mode: -1, Max: 4},
+		{Mode: 3, Max: 4},
+		{Mode: 9, Max: 4},
 	}
 	for _, cfg := range bad {
 		if cfg.Validate() == nil {
 			t.Errorf("config %+v must be rejected", cfg)
 		}
 	}
-	if err := (Config{Min: 0, Max: 4}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, m := range []Mode{ModeFixed, ModeReactive, ModePredictive} {
+		if err := (Config{Mode: m, Min: 0, Max: 4}).Validate(); err != nil {
+			t.Errorf("valid %v config rejected: %v", m, err)
+		}
 	}
 }
 

@@ -443,10 +443,10 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		e.cSpillAll.Inc(1)
 		p.cSpillTo[target.name].Inc(1)
 	}
-	if target.autoscaler != nil {
+	if a := target.core.Autoscaler(); a != nil {
 		// Arrival-rate digests feed the predictive pre-warm floor; the
 		// autoscaler serializes internally, off the pool lock.
-		target.autoscaler.ObserveArrival(b.Slug, task.Arrived)
+		a.ObserveArrival(b.Slug, task.Arrived)
 	}
 	e.cSubmitted.Inc(1)
 	return req, target.name, nil

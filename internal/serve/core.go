@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"dscs/internal/scale"
 	"dscs/internal/sched"
 )
 
@@ -48,10 +49,14 @@ type PoolCore struct {
 	// rebalancing hot paths never allocate. Serialized by whatever
 	// serializes the core.
 	scratch []sched.HybridTask
-	// lc, when attached, makes the pool's capacity elastic: total/free
-	// track the lifecycle's warm count instead of staying fixed at
-	// construction. Nil keeps the fixed-pool behavior bit-identical.
-	lc *Lifecycle
+	// lc and asc, when attached (AttachElastic), make the pool's capacity
+	// elastic: total/free track the lifecycle's warm count instead of
+	// staying fixed at construction, and asc picks the count lc converges
+	// to. Nil keeps the fixed-pool behavior bit-identical. Both are set
+	// before the pool serves and never change, so the live engine's
+	// submitters read asc without the pool lock.
+	lc  *Lifecycle
+	asc *scale.Autoscaler
 	// dead marks a browned-out pool. The queue is the durable half (it
 	// keeps admitting and holding work, like a safekeeper's log); the
 	// workers are the ephemeral half — dispatch is gated off and in-flight
@@ -96,18 +101,31 @@ func NewPoolCore(workers, queueDepth int, class sched.InstanceClass, policy sche
 // Policy returns the pool's scheduling policy.
 func (c *PoolCore) Policy() sched.Policy { return c.policy }
 
-// AttachLifecycle makes the pool's capacity elastic: from now on total
-// and free track the lifecycle's warm slot count. The pool must be idle
-// (nothing dispatched yet) — capacity changes hand busy workers over
-// only through AdvanceLifecycle, which never suspends an occupied slot.
-func (c *PoolCore) AttachLifecycle(lc *Lifecycle, now time.Duration) error {
-	if lc == nil {
-		return fmt.Errorf("serve: nil lifecycle")
-	}
+// AttachElastic makes the pool's capacity elastic under cfg: it builds
+// the lifecycle and the autoscaler for the pool called name — the one
+// construction the live engine and the sims share. A fixed-mode pool
+// starts warm at Max, a reactive or predictive one at Min, and from now
+// on total and free track the lifecycle's warm slot count. The pool must
+// be idle (nothing dispatched yet): capacity changes hand busy workers
+// over only through AdvanceLifecycle, which never suspends an occupied
+// slot. On error the pool stays fixed.
+func (c *PoolCore) AttachElastic(cfg scale.Config, name string, now time.Duration) error {
 	if c.Busy() != 0 {
-		return fmt.Errorf("serve: lifecycle attached to a busy pool (%d busy)", c.Busy())
+		return fmt.Errorf("serve: elastic capacity attached to a busy pool (%d busy)", c.Busy())
 	}
-	c.lc = lc
+	initial := cfg.Min
+	if cfg.Mode == scale.ModeFixed {
+		initial = cfg.Max
+	}
+	lc, err := newLifecycle(cfg, initial, now)
+	if err != nil {
+		return err
+	}
+	asc, err := scale.New(cfg, name)
+	if err != nil {
+		return err
+	}
+	c.lc, c.asc = lc, asc
 	c.total = lc.advance(now, 0)
 	c.free = c.total
 	return nil
@@ -115,6 +133,10 @@ func (c *PoolCore) AttachLifecycle(lc *Lifecycle, now time.Duration) error {
 
 // Lifecycle returns the attached lifecycle (nil for a fixed pool).
 func (c *PoolCore) Lifecycle() *Lifecycle { return c.lc }
+
+// Autoscaler returns the attached autoscaler (nil for a fixed pool). Its
+// observation methods are safe for concurrent use.
+func (c *PoolCore) Autoscaler() *scale.Autoscaler { return c.asc }
 
 // AdvanceLifecycle folds elapsed time into the attached lifecycle —
 // warming slots come ready, lingering slots suspend — and resizes the
@@ -135,13 +157,34 @@ func (c *PoolCore) AdvanceLifecycle(now time.Duration) bool {
 	return true
 }
 
-// ScaleTo forwards a new desired capacity to the attached lifecycle at
-// now and applies any immediate resize (zero cold start, or a shrink
-// whose linger already expired). A fixed pool ignores it.
-func (c *PoolCore) ScaleTo(desired int, now time.Duration) bool {
-	if c.lc == nil {
+// Starved reports an elastic pool with backlog and no free capacity: the
+// one state where deferring a scale decision costs latency for certain,
+// so both drivers let it bypass their decision rate limit.
+func (c *PoolCore) Starved() bool {
+	return c.asc != nil && c.QueueLen() > 0 && c.Busy() >= c.Workers()
+}
+
+// Rescale is the autoscale decision: the autoscaler's desired capacity at
+// now, from the pool's occupancy and its adopted queue-wait p95 (zero
+// while unwarmed), goes to the lifecycle when the target moved. It
+// reports whether capacity changed. A fixed pool ignores it. The caller
+// owns the cadence — how often to decide, and whether a closed or dead
+// pool decides at all.
+func (c *PoolCore) Rescale(now, waitP95 time.Duration) bool {
+	if c.asc == nil {
 		return false
 	}
+	desired := c.asc.Desired(now, c.Busy(), c.QueueLen(), waitP95)
+	if desired == c.lc.Desired() {
+		return false
+	}
+	return c.scaleTo(desired, now)
+}
+
+// scaleTo forwards a new desired capacity to the attached lifecycle at
+// now and applies any immediate resize (zero cold start, or a shrink
+// whose linger already expired).
+func (c *PoolCore) scaleTo(desired int, now time.Duration) bool {
 	c.lc.advance(now, c.Busy())
 	c.lc.SetDesired(desired, now)
 	return c.AdvanceLifecycle(now)

@@ -9,33 +9,26 @@ import (
 )
 
 // scaleDecideInterval rate-limits autoscale decisions per pool: the
-// digest quantile reads behind Desired are not per-dispatch work. A
-// starved pool (backlog with zero free capacity) bypasses the limit —
-// that is the one state where waiting a millisecond to scale costs
-// latency for certain.
+// digest quantile reads behind PoolCore.Rescale are not per-dispatch work.
+// A starved pool (PoolCore.Starved) bypasses the limit — that is the one
+// state where waiting a millisecond to scale costs latency for certain.
 const scaleDecideInterval = time.Millisecond
 
 // advanceElasticLocked drives a pool's lifecycle to the present: warming
-// slots come ready, expired lingers suspend, and (rate-limited) the
-// autoscaler's desired capacity is recomputed and applied. It refreshes
-// the worker gauges and re-arms the wake timer. Callers hold p.mu; a
-// fixed pool is a no-op.
+// slots come ready, expired lingers suspend, and (rate-limited) the pool
+// rescales. A closed or dead pool does not rescale. It refreshes the
+// worker gauges and re-arms the wake timer. Callers hold p.mu; a fixed
+// pool is a no-op.
 func (e *Engine) advanceElasticLocked(p *pool) {
-	lc := p.core.Lifecycle()
-	if lc == nil {
+	if p.core.Lifecycle() == nil {
 		return
 	}
 	now := e.now()
 	p.core.AdvanceLifecycle(now)
-	if a := p.autoscaler; a != nil && !p.closed && p.core.Healthy() {
-		starved := p.core.QueueLen() > 0 && p.core.Busy() >= p.core.Workers()
-		if starved || now-p.scaleAt >= scaleDecideInterval {
-			p.scaleAt = now
-			waitP95, _ := e.bal.WarmedWait(p.idx)
-			if desired := a.Desired(now, p.core.Busy(), p.core.QueueLen(), waitP95); desired != lc.Desired() {
-				p.core.ScaleTo(desired, now)
-			}
-		}
+	if !p.closed && p.core.Healthy() && (p.core.Starved() || now-p.scaleAt >= scaleDecideInterval) {
+		p.scaleAt = now
+		waitP95, _ := e.bal.WarmedWait(p.idx)
+		p.core.Rescale(now, waitP95)
 	}
 	e.syncWorkersLocked(p)
 }

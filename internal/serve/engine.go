@@ -21,7 +21,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -59,31 +58,18 @@ const DefaultMaxBatch = 8
 
 // Options tune the engine.
 type Options struct {
-	// Workers is the pool size per platform (default 4). With the elastic
-	// lifecycle armed (MaxWorkers > 0) it is ignored: capacity floats
-	// between MinWorkers and MaxWorkers instead.
+	// Workers is the pool size per platform (default 4). With Elastic set
+	// it is ignored.
 	Workers int
-	// MaxWorkers arms the elastic worker lifecycle when positive: each
-	// pool's warm capacity floats between MinWorkers and MaxWorkers,
-	// driven by a per-pool autoscaler (reactive by default, predictive
-	// with Prewarm). The pool spawns MaxWorkers goroutines; how many may
-	// dispatch at once is the lifecycle's warm count. Zero keeps the
-	// classic fixed pool bit-identical.
-	MaxWorkers int
-	// MinWorkers is the elastic floor (0 allows scale-to-zero: an idle
-	// pool suspends entirely and the next burst pays a cold start).
-	MinWorkers int
-	// ColdStart is the warming penalty a suspended slot pays before it
-	// can dispatch — the container pull plus the CompileCached miss.
-	ColdStart time.Duration
-	// IdleLinger is how long a warm worker stays idle before it may
-	// suspend (only while capacity exceeds the autoscaler's target).
-	IdleLinger time.Duration
-	// Prewarm upgrades the autoscaler from reactive (size to the live
-	// backlog) to predictive: a Little's-law floor from per-benchmark
-	// arrival-rate and service digests plus a wait-p95 surge latch warms
-	// capacity before the backlog exists.
-	Prewarm bool
+	// Elastic arms the elastic worker lifecycle: each pool's warm capacity
+	// floats between Elastic.Min and Elastic.Max, paying Elastic.ColdStart
+	// to warm a slot and suspending surplus slots idle for
+	// Elastic.IdleLinger, as Elastic.Mode's autoscaler (reactive or
+	// predictive; fixed pins Max) directs (PoolCore.AttachElastic). The
+	// pool spawns Max goroutines; how many may dispatch at once is the
+	// lifecycle's warm count. Nil keeps the classic fixed pool
+	// bit-identical.
+	Elastic *scale.Config
 	// QueueDepth bounds each platform's admission queue (default 256).
 	QueueDepth int
 	// PolicyName selects queued work for free workers by policy name
@@ -136,7 +122,8 @@ type Options struct {
 	// metrics.DefaultWarmup).
 	EstimateWarmup int
 	// EstimateWindow is each latency digest's sliding window, in
-	// observations (default metrics.DefaultWindow).
+	// observations (default metrics.DefaultWindow). The autoscaler's
+	// digests take Elastic.Window instead.
 	EstimateWindow int
 	// Telemetry receives the engine's metrics; pass the gateway's
 	// registry to surface them on /metrics (default: a fresh registry).
@@ -246,19 +233,17 @@ type pool struct {
 	// always coherent with the core's transitions.
 	deadBit atomic.Bool
 
-	// autoscaler produces the pool's desired warm capacity (nil for a
-	// classic fixed pool); wake is the pool's one timer, armed at the
-	// earliest of the lifecycle's next self-transition, a forming group's
-	// due instant and an open linger window's deadline (wakeAtLocked).
-	// wakeAt is the armed instant (engine-clock basis, -1 when nothing is
-	// armed); scaleAt stamps the last autoscale decision for its rate
-	// limit; lingering counts the parked workers holding a linger window.
-	// All are guarded by p.mu.
-	autoscaler *scale.Autoscaler
-	wake       *time.Timer
-	wakeAt     time.Duration
-	scaleAt    time.Duration
-	lingering  int32
+	// wake is the pool's one timer, armed at the earliest of the
+	// lifecycle's next self-transition, a forming group's due instant and
+	// an open linger window's deadline (wakeAtLocked). wakeAt is the armed
+	// instant (engine-clock basis, -1 when nothing is armed); scaleAt
+	// stamps the last autoscale decision for its rate limit; lingering
+	// counts the parked workers holding a linger window. All are guarded
+	// by p.mu.
+	wake      *time.Timer
+	wakeAt    time.Duration
+	scaleAt   time.Duration
+	lingering int32
 	// coldStartsPub tracks how many lifecycle cold starts have been
 	// published to the counters (guarded by p.mu).
 	coldStartsPub int
@@ -385,26 +370,8 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	elastic := opt.MaxWorkers > 0
-	if elastic {
-		if opt.MinWorkers < 0 || opt.MinWorkers > opt.MaxWorkers {
-			return nil, fmt.Errorf("serve: MinWorkers %d outside [0, MaxWorkers=%d]",
-				opt.MinWorkers, opt.MaxWorkers)
-		}
-		if opt.ColdStart < 0 || opt.IdleLinger < 0 {
-			return nil, fmt.Errorf("serve: negative ColdStart/IdleLinger")
-		}
-	} else if opt.MaxWorkers < 0 {
-		return nil, fmt.Errorf("serve: negative MaxWorkers %d", opt.MaxWorkers)
-	} else if opt.Prewarm || opt.MinWorkers != 0 || opt.ColdStart != 0 || opt.IdleLinger != 0 {
-		return nil, fmt.Errorf("serve: elastic options need MaxWorkers > 0")
-	}
-	if f := opt.HedgeFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
-		// A sub-1 factor would hedge before the expected service time has
-		// even elapsed — every request would fork. +Inf never hedges and
-		// NaN compares false everywhere; both would arm a hedge path that
-		// cannot fire.
-		return nil, fmt.Errorf("serve: HedgeFactor %g must be 0 (disabled) or a finite value >= 1", f)
+	if err := CheckHedgeFactor(opt.HedgeFactor); err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		opt:   opt,
@@ -425,8 +392,8 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	// many may dispatch at once is the lifecycle's warm count, so suspended
 	// capacity is a parked goroutine, not a missing one.
 	poolWorkers := opt.Workers
-	if elastic {
-		poolWorkers = opt.MaxWorkers
+	if opt.Elastic != nil {
+		poolWorkers = opt.Elastic.Max
 	}
 	var dscsStores []*objstore.Store
 	for idx, name := range names {
@@ -438,27 +405,8 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		}
 		p := &pool{name: name, idx: idx, runner: r, class: class, core: core, wakeAt: -1}
 		p.cond = sync.NewCond(&p.mu)
-		if elastic {
-			lc, err := NewLifecycle(LifecycleConfig{
-				Min: opt.MinWorkers, Max: opt.MaxWorkers,
-				ColdStart: opt.ColdStart, IdleLinger: opt.IdleLinger,
-			}, opt.MinWorkers, e.now())
-			if err != nil {
-				return nil, err
-			}
-			if err := core.AttachLifecycle(lc, e.now()); err != nil {
-				return nil, err
-			}
-			mode := scale.ModeReactive
-			if opt.Prewarm {
-				mode = scale.ModePredictive
-			}
-			p.autoscaler, err = scale.New(scale.Config{
-				Mode: mode, Min: opt.MinWorkers, Max: opt.MaxWorkers,
-				ColdStart: opt.ColdStart, IdleLinger: opt.IdleLinger,
-				Window: opt.EstimateWindow,
-			}, name)
-			if err != nil {
+		if opt.Elastic != nil {
+			if err := core.AttachElastic(*opt.Elastic, name, e.now()); err != nil {
 				return nil, err
 			}
 		}

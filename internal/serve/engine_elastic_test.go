@@ -6,25 +6,24 @@ import (
 	"time"
 
 	"dscs/internal/faas"
+	"dscs/internal/scale"
 	"dscs/internal/workload"
 )
 
 func TestEngineElasticValidation(t *testing.T) {
+	elastic := func(c scale.Config) Options { return Options{Elastic: &c} }
 	bad := []Options{
-		{Workers: 2, Prewarm: true},                               // elastic knob without MaxWorkers
-		{Workers: 2, MinWorkers: 1},                               // same
-		{Workers: 2, ColdStart: time.Second},                      // same
-		{Workers: 2, IdleLinger: time.Second},                     // same
-		{MaxWorkers: 4, MinWorkers: 5},                            // Min above Max
-		{MaxWorkers: 4, MinWorkers: -1},                           // negative Min
-		{MaxWorkers: 4, ColdStart: -time.Second},                  // negative penalty
-		{MaxWorkers: 4, IdleLinger: -time.Second},                 // negative linger
-		{MaxWorkers: -3},                                          // negative Max
-		{Workers: 2, MaxWorkers: 4, MinWorkers: 1, Prewarm: true}, // ok: Workers ignored
+		elastic(scale.Config{Mode: scale.ModeReactive, Min: 5, Max: 4}),                   // Min above Max
+		elastic(scale.Config{Mode: scale.ModeReactive, Min: -1, Max: 4}),                  // negative Min
+		elastic(scale.Config{Mode: scale.ModeReactive, Max: 4, ColdStart: -time.Second}),  // negative penalty
+		elastic(scale.Config{Mode: scale.ModeReactive, Max: 4, IdleLinger: -time.Second}), // negative linger
+		elastic(scale.Config{Mode: scale.ModeReactive, Max: -3}),                          // negative Max
+		elastic(scale.Config{Mode: 9, Max: 4}),                                            // unknown mode
+		{Workers: 2, Elastic: &scale.Config{Mode: scale.ModePredictive, Min: 1, Max: 4}},  // ok: Workers ignored
 	}
 	for i, opt := range bad[:len(bad)-1] {
 		if _, err := NewEngine(testRunners(t), opt); err == nil {
-			t.Errorf("options %d (%+v) must be rejected", i, opt)
+			t.Errorf("options %d (%+v) must be rejected", i, *opt.Elastic)
 		}
 	}
 	eng, err := NewEngine(testRunners(t), bad[len(bad)-1])
@@ -36,7 +35,7 @@ func TestEngineElasticValidation(t *testing.T) {
 
 // TestEngineElasticScalesUpAndDown drives the live lifecycle end to end:
 // a burst of concurrent submissions forces cold starts above the
-// MinWorkers floor, and once the engine quiesces the idle linger suspends
+// Elastic.Min floor, and once the engine quiesces the idle linger suspends
 // capacity back down — all observable through the lifecycle gauges.
 func TestEngineElasticScalesUpAndDown(t *testing.T) {
 	// ColdStart zero keeps the scale-up deterministic under wall time:
@@ -47,8 +46,7 @@ func TestEngineElasticScalesUpAndDown(t *testing.T) {
 	// each request before the next stages, so the queue never backs up
 	// and a reactive scaler rightly never grows.
 	eng, err := NewEngine(testRunners(t), Options{
-		MaxWorkers: 4, MinWorkers: 1,
-		IdleLinger: 10 * time.Millisecond,
+		Elastic:    &scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 4, IdleLinger: 10 * time.Millisecond},
 		QueueDepth: 128,
 		MaxBatch:   1,
 		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
@@ -119,8 +117,10 @@ func TestEngineElasticScalesUpAndDown(t *testing.T) {
 // everything still completes and conserves.
 func TestEngineElasticPrewarmServes(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
-		MaxWorkers: 3, MinWorkers: 1, Prewarm: true,
-		ColdStart: time.Millisecond, IdleLinger: 50 * time.Millisecond,
+		Elastic: &scale.Config{
+			Mode: scale.ModePredictive, Min: 1, Max: 3,
+			ColdStart: time.Millisecond, IdleLinger: 50 * time.Millisecond,
+		},
 		QueueDepth: 64,
 	})
 	if err != nil {
@@ -178,8 +178,10 @@ func TestEngineQuiesceEdgeCases(t *testing.T) {
 
 	t.Run("quiesce-racing-close", func(t *testing.T) {
 		eng, err := NewEngine(testRunners(t), Options{
-			MaxWorkers: 4, MinWorkers: 0,
-			ColdStart: time.Millisecond, IdleLinger: 5 * time.Millisecond,
+			Elastic: &scale.Config{
+				Mode: scale.ModeReactive, Min: 0, Max: 4,
+				ColdStart: time.Millisecond, IdleLinger: 5 * time.Millisecond,
+			},
 			QueueDepth: 256,
 		})
 		if err != nil {
@@ -216,7 +218,7 @@ func TestElasticSpareWorkersParkUnderBalance(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	eng, err := NewEngine(testRunners(t), Options{
-		MaxWorkers: 4, MinWorkers: 1, ColdStart: time.Hour,
+		Elastic:         &scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 4, ColdStart: time.Hour},
 		AdaptiveBalance: true,
 		QueueDepth:      16,
 		MaxBatch:        1,

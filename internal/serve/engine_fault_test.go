@@ -12,6 +12,7 @@ import (
 	"dscs/internal/faas"
 	"dscs/internal/objstore"
 	"dscs/internal/platform"
+	"dscs/internal/scale"
 	"dscs/internal/sim"
 	"dscs/internal/ssd"
 	"dscs/internal/trace"
@@ -464,8 +465,11 @@ func TestEngineFailDrive(t *testing.T) {
 // (run under -race in CI). Recovery re-warms and serves the queued work.
 func TestEngineFailPoolMidColdStart(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
-		MaxWorkers: 2, MinWorkers: 0, QueueDepth: 16,
-		ColdStart: 150 * time.Millisecond, IdleLinger: time.Millisecond,
+		Elastic: &scale.Config{
+			Mode: scale.ModeReactive, Min: 0, Max: 2,
+			ColdStart: 150 * time.Millisecond, IdleLinger: time.Millisecond,
+		},
+		QueueDepth: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

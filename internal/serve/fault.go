@@ -10,6 +10,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dscs/internal/faas"
@@ -177,6 +178,18 @@ func (e *Engine) applyFault(ev trace.FaultEvent) {
 	case trace.FaultDriveUp:
 		_ = e.RecoverDrive(ev.Target)
 	}
+}
+
+// CheckHedgeFactor is the one rule for a hedge factor, live and simulated:
+// 0 disables hedging, anything else must be finite and >= 1. A sub-1
+// factor would hedge before the expected service time has even elapsed —
+// every request would fork. +Inf never hedges and NaN compares false
+// everywhere; both would arm a hedge path that cannot fire.
+func CheckHedgeFactor(f float64) error {
+	if f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
+		return fmt.Errorf("serve: HedgeFactor %g must be 0 (disabled) or a finite value >= 1", f)
+	}
+	return nil
 }
 
 // execHedged runs one coalesced batch with tail-latency hedging: if the

@@ -29,44 +29,16 @@ package serve
 import (
 	"fmt"
 	"time"
+
+	"dscs/internal/scale"
 )
-
-// LifecycleConfig bounds one pool's elastic capacity.
-type LifecycleConfig struct {
-	// Min and Max bound the warm capacity the autoscaler may choose.
-	// Min == 0 allows scale-to-zero; Max is also the number of worker
-	// loops the live engine parks over the pool.
-	Min, Max int
-	// ColdStart is the warming penalty: the delay between a slot being
-	// asked for and it becoming dispatchable.
-	ColdStart time.Duration
-	// IdleLinger is how long a warm slot stays idle before it is
-	// eligible to suspend. Zero suspends surplus idle slots at the next
-	// advance; the surplus condition (not the linger) is what prevents
-	// warm/suspend thrash.
-	IdleLinger time.Duration
-}
-
-// Validate rejects impossible bounds.
-func (c LifecycleConfig) Validate() error {
-	if c.Max <= 0 {
-		return fmt.Errorf("serve: lifecycle Max must be positive, got %d", c.Max)
-	}
-	if c.Min < 0 || c.Min > c.Max {
-		return fmt.Errorf("serve: lifecycle Min %d outside [0, Max=%d]", c.Min, c.Max)
-	}
-	if c.ColdStart < 0 || c.IdleLinger < 0 {
-		return fmt.Errorf("serve: negative lifecycle durations")
-	}
-	return nil
-}
 
 // Lifecycle is the state machine for one pool's capacity. Slots are
 // fungible — it tracks counts and deadlines, not worker identities.
 // Like PoolCore it is not safe for concurrent use; whatever serializes
 // the core serializes its lifecycle.
 type Lifecycle struct {
-	cfg     LifecycleConfig
+	cfg     scale.Config    // Min, Max, ColdStart and IdleLinger; Mode is the autoscaler's
 	warm    int             // dispatchable slots (includes lingering idle)
 	warming []time.Duration // readyAt instants, ascending (appends use a monotone clock)
 	desired int             // autoscaler target for warm+warming, clamped to [Min, Max]
@@ -79,9 +51,8 @@ type Lifecycle struct {
 
 	// busy is the occupancy reported by the last advance; the idle
 	// integral charges each interval with the state that held during it.
-	busy    int
-	lastAt  time.Duration
-	started bool
+	busy   int
+	lastAt time.Duration
 
 	coldStarts int
 	suspends   int
@@ -99,9 +70,10 @@ type Lifecycle struct {
 	quenched bool
 }
 
-// NewLifecycle builds the state machine with initialWarm slots already
+// newLifecycle builds the state machine with initialWarm slots already
 // warm at now (no cold start charged for them) and the rest cold.
-func NewLifecycle(cfg LifecycleConfig, initialWarm int, now time.Duration) (*Lifecycle, error) {
+// PoolCore.AttachElastic is its one caller outside the tests.
+func newLifecycle(cfg scale.Config, initialWarm int, now time.Duration) (*Lifecycle, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,16 +83,10 @@ func NewLifecycle(cfg LifecycleConfig, initialWarm int, now time.Duration) (*Lif
 	if initialWarm > cfg.Max {
 		initialWarm = cfg.Max
 	}
-	lc := &Lifecycle{
-		cfg: cfg, warm: initialWarm, desired: initialWarm,
-		lastAt: now, started: true,
-	}
+	lc := &Lifecycle{cfg: cfg, warm: initialWarm, desired: initialWarm, lastAt: now}
 	lc.reconcileIdle(now, 0)
 	return lc, nil
 }
-
-// Config returns the bounds the lifecycle was built with.
-func (lc *Lifecycle) Config() LifecycleConfig { return lc.cfg }
 
 // Warm reports dispatchable slots (busy + lingering idle).
 func (lc *Lifecycle) Warm() int { return lc.warm }

@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"dscs/internal/scale"
 	"dscs/internal/sched"
 )
 
-func newTestLifecycle(t *testing.T, cfg LifecycleConfig, initial int) *Lifecycle {
+func newTestLifecycle(t *testing.T, cfg scale.Config, initial int) *Lifecycle {
 	t.Helper()
-	lc, err := NewLifecycle(cfg, initial, 0)
+	lc, err := newLifecycle(cfg, initial, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +19,7 @@ func newTestLifecycle(t *testing.T, cfg LifecycleConfig, initial int) *Lifecycle
 }
 
 func TestLifecycleValidation(t *testing.T) {
-	bad := []LifecycleConfig{
+	bad := []scale.Config{
 		{Min: 0, Max: 0},
 		{Min: -1, Max: 4},
 		{Min: 5, Max: 4},
@@ -26,16 +27,16 @@ func TestLifecycleValidation(t *testing.T) {
 		{Min: 0, Max: 4, IdleLinger: -time.Second},
 	}
 	for _, cfg := range bad {
-		if _, err := NewLifecycle(cfg, 1, 0); err == nil {
+		if _, err := newLifecycle(cfg, 1, 0); err == nil {
 			t.Errorf("config %+v must be rejected", cfg)
 		}
 	}
 	// initialWarm clamps into [Min, Max].
-	lc := newTestLifecycle(t, LifecycleConfig{Min: 2, Max: 4}, 0)
+	lc := newTestLifecycle(t, scale.Config{Min: 2, Max: 4}, 0)
 	if lc.Warm() != 2 {
 		t.Errorf("initial warm clamped to %d, want Min=2", lc.Warm())
 	}
-	lc = newTestLifecycle(t, LifecycleConfig{Min: 0, Max: 4}, 9)
+	lc = newTestLifecycle(t, scale.Config{Min: 0, Max: 4}, 9)
 	if lc.Warm() != 4 {
 		t.Errorf("initial warm clamped to %d, want Max=4", lc.Warm())
 	}
@@ -45,7 +46,7 @@ func TestLifecycleValidation(t *testing.T) {
 // cycle: cold -> warming (paying the penalty) -> warm -> lingering ->
 // suspended once the surplus linger expires.
 func TestLifecycleColdStartThenLinger(t *testing.T) {
-	cfg := LifecycleConfig{Min: 1, Max: 4, ColdStart: 100 * time.Millisecond, IdleLinger: 50 * time.Millisecond}
+	cfg := scale.Config{Min: 1, Max: 4, ColdStart: 100 * time.Millisecond, IdleLinger: 50 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 1)
 
 	if got := lc.SetDesired(3, 0); got != 1 {
@@ -90,7 +91,7 @@ func TestLifecycleColdStartThenLinger(t *testing.T) {
 // TestLifecycleBusySlotNeverSuspends: a slot reported busy is not idle;
 // suspension only parks genuinely idle surplus.
 func TestLifecycleBusySlotNeverSuspends(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 2, IdleLinger: 10 * time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 2, IdleLinger: 10 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 2)
 	lc.SetDesired(0, 0)
 	// Both slots busy: deadlines pass but nothing suspends.
@@ -112,7 +113,7 @@ func TestLifecycleBusySlotNeverSuspends(t *testing.T) {
 // TestLifecycleCancelWarming: a shrink cancels not-yet-ready warming slots
 // without charging their cold start.
 func TestLifecycleCancelWarming(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 8, ColdStart: 100 * time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 8, ColdStart: 100 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 0)
 	lc.SetDesired(6, 0)
 	if lc.Warming() != 6 {
@@ -132,7 +133,7 @@ func TestLifecycleCancelWarming(t *testing.T) {
 // deadlines release first, so the longest-idle slot keeps aging and
 // suspends at its original deadline.
 func TestLifecycleLIFOReconcile(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 2, IdleLinger: 100 * time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 2, IdleLinger: 100 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 2)
 	lc.SetDesired(1, 0) // surplus of one: deadlines at 100ms armed for both idles
 	// At 40ms one slot goes busy: the NEWEST deadline pops; the oldest
@@ -154,7 +155,7 @@ func TestLifecycleLIFOReconcile(t *testing.T) {
 // TestLifecycleFreeze: Close drain semantics — warming promotes instantly,
 // at least one slot stays warm, and nothing ever suspends again.
 func TestLifecycleFreeze(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 4, ColdStart: time.Hour, IdleLinger: time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 4, ColdStart: time.Hour, IdleLinger: time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 0)
 	lc.SetDesired(2, 0)
 	lc.Freeze(time.Millisecond)
@@ -182,7 +183,7 @@ func TestLifecycleFreeze(t *testing.T) {
 // TestLifecycleIdleCost pins the integral: warm-but-idle worker-time,
 // charged segment-wise with the occupancy that held during each interval.
 func TestLifecycleIdleCost(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 4}
+	cfg := scale.Config{Min: 0, Max: 4}
 	lc := newTestLifecycle(t, cfg, 2)
 	// [0, 1s]: 2 warm, 0 busy -> 2 slot-seconds.
 	lc.advance(time.Second, 1)
@@ -202,7 +203,7 @@ func TestLifecycleIdleCost(t *testing.T) {
 
 // TestLifecycleZeroColdStart: with no penalty, raises take effect in place.
 func TestLifecycleZeroColdStart(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 8}
+	cfg := scale.Config{Min: 0, Max: 8}
 	lc := newTestLifecycle(t, cfg, 0)
 	if got := lc.SetDesired(5, 0); got != 5 {
 		t.Fatalf("warm after zero-penalty raise = %d, want 5", got)
@@ -212,28 +213,29 @@ func TestLifecycleZeroColdStart(t *testing.T) {
 	}
 }
 
-// TestElasticPoolPropertyHarness model-checks PoolCore with an attached
-// lifecycle under randomized schedules that mix scheduling ops with
-// suspend/resume traffic (ScaleTo raises and drops, long clock advances
-// that expire lingers and finish warmings). After every step: queue/worker
-// conservation, slot conservation inside the lifecycle, the pool's worker
-// count tracking warm capacity exactly, and the aging bound on dispatches.
+// TestElasticPoolPropertyHarness model-checks PoolCore with elastic
+// capacity attached under randomized schedules that mix scheduling ops
+// with suspend/resume traffic (scaleTo raises and drops, long clock
+// advances that expire lingers and finish warmings). After every step:
+// queue/worker conservation, slot conservation inside the lifecycle, the
+// pool's worker count tracking warm capacity exactly, and the aging bound
+// on dispatches. The pool starts at Min (one warm slot), and across the
+// sequences the ops must both warm and suspend capacity.
 func TestElasticPoolPropertyHarness(t *testing.T) {
+	coldStarts, suspends := 0, 0
 	run := func(ops []propOp) error {
 		core, err := NewPoolCore(8, 16, sched.ClassCPU, sched.CriticalityPolicy{})
 		if err != nil {
 			return err
 		}
-		lc, err := NewLifecycle(LifecycleConfig{
-			Min: 1, Max: 8,
+		if err := core.AttachElastic(scale.Config{
+			Mode: scale.ModeReactive, Min: 1, Max: 8,
 			ColdStart: 40 * time.Millisecond, IdleLinger: 60 * time.Millisecond,
-		}, 3, 0)
-		if err != nil {
+		}, "pool", 0); err != nil {
 			return err
 		}
-		if err := core.AttachLifecycle(lc, 0); err != nil {
-			return err
-		}
+		lc := core.Lifecycle()
+		defer func() { coldStarts, suspends = coldStarts+lc.ColdStarts(), suspends+lc.Suspends() }()
 		now := time.Duration(0)
 		nextID := 0
 		dispatched := map[int]bool{}
@@ -283,7 +285,7 @@ func TestElasticPoolPropertyHarness(t *testing.T) {
 				now += time.Duration(op.a%200) * time.Millisecond
 				core.AdvanceLifecycle(now)
 			case 5: // autoscaler decision: raise or drop desired capacity
-				core.ScaleTo(op.a%10, now) // clamped into [Min, Max]
+				core.scaleTo(op.a%10, now) // clamped into [Min, Max]
 			case 6: // drive the lifecycle alone (a timer tick)
 				core.AdvanceLifecycle(now)
 			}
@@ -304,6 +306,108 @@ func TestElasticPoolPropertyHarness(t *testing.T) {
 		return nil
 	}
 	checkSequences(t, 4000, 7, run)
+	t.Logf("%d cold starts, %d suspends across the sequences", coldStarts, suspends)
+	if coldStarts == 0 || suspends == 0 {
+		t.Errorf("the ops never exercised the lifecycle: %d cold starts, %d suspends", coldStarts, suspends)
+	}
+}
+
+// TestAttachElastic pins the one elastic construction: the starting
+// capacity per mode, the idle-pool precondition, and that a refused config
+// leaves the pool fixed.
+func TestAttachElastic(t *testing.T) {
+	cfg := scale.Config{Min: 1, Max: 4, ColdStart: time.Second}
+	for mode, warm := range map[scale.Mode]int{
+		scale.ModeFixed: 4, scale.ModeReactive: 1, scale.ModePredictive: 1,
+	} {
+		core, err := NewPoolCore(4, 8, sched.ClassCPU, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Mode = mode
+		if err := core.AttachElastic(cfg, "pool", 0); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if core.Workers() != warm || core.Lifecycle().Warm() != warm || core.Lifecycle().ColdStarts() != 0 {
+			t.Errorf("%v starts at %d workers (%d warm), want %d and no cold start",
+				mode, core.Workers(), core.Lifecycle().Warm(), warm)
+		}
+		if core.Autoscaler() == nil {
+			t.Errorf("%v: no autoscaler attached", mode)
+		}
+	}
+
+	busy, err := NewPoolCore(4, 8, sched.ClassCPU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy.Submit(sched.HybridTask{ID: 1, Payload: "a"})
+	if _, ok := busy.Dispatch(0); !ok {
+		t.Fatal("dispatch failed")
+	}
+	cfg.Mode = scale.ModeReactive
+	if err := busy.AttachElastic(cfg, "pool", 0); err == nil || busy.Lifecycle() != nil {
+		t.Errorf("a busy pool accepted elastic capacity (err %v)", err)
+	}
+
+	for _, bad := range []scale.Config{
+		{Mode: scale.ModeReactive, Min: 5, Max: 4},
+		{Mode: scale.ModeReactive, Max: 4, IdleLinger: -time.Second},
+		{Mode: 9, Max: 4},
+	} {
+		core, err := NewPoolCore(4, 8, sched.ClassCPU, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.AttachElastic(bad, "pool", 0); err == nil {
+			t.Errorf("config %+v accepted", bad)
+		}
+		if core.Lifecycle() != nil || core.Autoscaler() != nil || core.Workers() != 4 {
+			t.Errorf("config %+v left the pool elastic (%d workers)", bad, core.Workers())
+		}
+	}
+}
+
+// TestPoolCoreRescale: a starved reactive pool grows to its backlog on
+// Rescale, an unchanged target is a no-op, and a fixed pool never
+// rescales.
+func TestPoolCoreRescale(t *testing.T) {
+	core, err := NewPoolCore(4, 8, sched.ClassCPU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.AttachElastic(scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 4}, "pool", 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		core.Submit(sched.HybridTask{ID: i, Payload: "a"})
+	}
+	if _, ok := core.Dispatch(0); !ok {
+		t.Fatal("dispatch failed")
+	}
+	if !core.Starved() {
+		t.Fatal("one busy slot with two queued tasks must be starved")
+	}
+	// Zero cold start: the raise to busy+queued = 3 promotes in place.
+	if !core.Rescale(time.Millisecond, 0) || core.Workers() != 3 {
+		t.Fatalf("rescale left %d workers, want 3", core.Workers())
+	}
+	if core.Starved() || core.Rescale(2*time.Millisecond, 0) {
+		t.Error("a pool at its target must neither starve nor rescale")
+	}
+
+	fixed, err := NewPoolCore(2, 8, sched.ClassCPU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed.Submit(sched.HybridTask{ID: 1, Payload: "a"})
+	fixed.Submit(sched.HybridTask{ID: 2, Payload: "a"})
+	fixed.Submit(sched.HybridTask{ID: 3, Payload: "a"})
+	fixed.Dispatch(0)
+	fixed.Dispatch(0)
+	if fixed.Starved() || fixed.Rescale(time.Millisecond, 0) {
+		t.Error("a pool without elastic capacity starved or rescaled")
+	}
 }
 
 // TestLifecycleQuenchCancelsWarming is the regression for a pool dying
@@ -312,7 +416,7 @@ func TestElasticPoolPropertyHarness(t *testing.T) {
 // NextEvent into the dead pool and resurrect capacity into a grave — and
 // must pin SetDesired so no new cold starts are scheduled while dead.
 func TestLifecycleQuenchCancelsWarming(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 4, ColdStart: 100 * time.Millisecond, IdleLinger: 50 * time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 4, ColdStart: 100 * time.Millisecond, IdleLinger: 50 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 0)
 	lc.SetDesired(2, 0)
 	if lc.Warming() != 2 {
@@ -356,7 +460,7 @@ func TestLifecycleQuenchCancelsWarming(t *testing.T) {
 // a brown-out disarms their lingers (no suspension fires into a dead
 // pool) but never releases them, so recovery resumes at pre-fault size.
 func TestLifecycleQuenchKeepsWarmCapacity(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 4, ColdStart: 100 * time.Millisecond, IdleLinger: 50 * time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 4, ColdStart: 100 * time.Millisecond, IdleLinger: 50 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 2)
 	lc.advance(0, 0) // both slots idle, lingers armed
 	lc.Quench(10 * time.Millisecond)
@@ -378,7 +482,7 @@ func TestLifecycleQuenchKeepsWarmCapacity(t *testing.T) {
 // freeze clears the quench pin and guarantees a warm slot, so queued work
 // leaves instead of stranding behind the fault.
 func TestLifecycleFreezeOutranksQuench(t *testing.T) {
-	cfg := LifecycleConfig{Min: 0, Max: 4, ColdStart: 100 * time.Millisecond}
+	cfg := scale.Config{Min: 0, Max: 4, ColdStart: 100 * time.Millisecond}
 	lc := newTestLifecycle(t, cfg, 0)
 	lc.SetDesired(2, 0)
 	lc.Quench(10 * time.Millisecond)

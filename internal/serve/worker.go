@@ -381,10 +381,10 @@ func (e *Engine) worker(p *pool) {
 		p.mu.Unlock()
 		if err == nil {
 			e.observe(bs.payload, p.name, res.Total(), dispatched)
-			if p.autoscaler != nil {
+			if a := p.core.Autoscaler(); a != nil {
 				// The predictive floor prices demand with observed
 				// service times; completions are where they exist.
-				p.autoscaler.ObserveService(bs.payload, res.Total())
+				a.ObserveService(bs.payload, res.Total())
 			}
 		}
 		e.cBatches.Inc(1)
