@@ -14,9 +14,10 @@
 // engine is tuned with -workers (pool size per platform), -policy (fcfs,
 // criticality, dag-aware), -queue-depth (admission bound; a full queue
 // returns HTTP 429), -max-batch (same-benchmark request coalescing),
-// -batch-linger (how long a dispatch may wait for its batch to fill
-// toward -max-batch), -global-batch/-batch-slo (queue-level SLO-aware
-// batch forming ahead of dispatch; watch serve_batch_formed_total),
+// -batch-linger (arms queue-level batch forming ahead of dispatch: queued
+// work may wait this long for its batch to fill toward -max-batch, and the
+// hold counts as queue delay; watch serve_batch_formed_total), -batch-slo
+// (a per-request deadline budget that caps the hold; needs -batch-linger),
 // -adaptive-estimates/-estimate-warmup (price batching and policy
 // decisions with live latency digests instead of the static model-derived
 // estimates once a benchmark has enough observations; watch the
@@ -77,9 +78,8 @@ func main() {
 		policy      = flag.String("policy", "fcfs", "scheduling policy: "+strings.Join(serve.PolicyNames(), ", "))
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound per platform")
 		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max same-benchmark requests coalesced per execution")
-		linger      = flag.Duration("batch-linger", 0, "how long a dispatch may wait for its batch to fill toward -max-batch (0 disables)")
-		globalBatch = flag.Bool("global-batch", false, "form same-benchmark batches across the whole queue before dispatch (needs -batch-linger)")
-		batchSLO    = flag.Duration("batch-slo", 0, "per-request deadline budget bounding how long -global-batch may hold a forming batch (0 = linger only)")
+		linger      = flag.Duration("batch-linger", 0, "form same-benchmark batches across the whole queue before dispatch, holding queued work up to this long for its batch to fill toward -max-batch (0 disables)")
+		batchSLO    = flag.Duration("batch-slo", 0, "per-request deadline budget bounding how long -batch-linger may hold a forming batch (0 = linger only; needs -batch-linger)")
 		adaptive    = flag.Bool("adaptive-estimates", false, "price batching and policy decisions with live latency digests once warmed (static estimates stay the cold-start prior)")
 		balance     = flag.Bool("adaptive-balance", false, "rebalance on queue delay: spill DSCS submissions to the CPU pool and let idle pools steal once a pool's adopted wait-p95 diverges above a peer's (off keeps the pools isolated)")
 		warmup      = flag.Int("estimate-warmup", metrics.DefaultWarmup, "per-{benchmark,platform} completions before live estimates replace the static prior")
@@ -114,7 +114,6 @@ func main() {
 			QueueDepth:        *queueDepth,
 			MaxBatch:          *maxBatch,
 			BatchLinger:       *linger,
-			GlobalBatch:       *globalBatch,
 			BatchSLO:          *batchSLO,
 			AdaptiveEstimates: *adaptive,
 			AdaptiveBalance:   *balance,
@@ -154,8 +153,8 @@ func main() {
 		capacity = fmt.Sprintf("elastic %d..%d workers/platform (%s, cold-start %v, idle-linger %v)",
 			elastic.Min, elastic.Max, elastic.Mode, elastic.ColdStart, elastic.IdleLinger)
 	}
-	fmt.Printf("DSCS-Serverless gateway listening on %s (%s, %s policy, queue %d, batch %d, linger %v, global-batch %v, adaptive %v, balance %v)\n",
-		*addr, capacity, *policy, *queueDepth, *maxBatch, *linger, *globalBatch, *adaptive, *balance)
+	fmt.Printf("DSCS-Serverless gateway listening on %s (%s, %s policy, queue %d, batch %d, linger %v, adaptive %v, balance %v)\n",
+		*addr, capacity, *policy, *queueDepth, *maxBatch, *linger, *adaptive, *balance)
 	if *hedgeFactor >= 1 {
 		fmt.Printf("  hedging duplicates at %gx the adopted service-p95\n", *hedgeFactor)
 	}

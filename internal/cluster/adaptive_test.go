@@ -25,7 +25,7 @@ func TestAdaptiveFormerGolden(t *testing.T) {
 		Service:     flatService(30 * time.Millisecond),
 		SampleEvery: time.Second,
 		MaxBatch:    8, BatchLinger: 150 * time.Millisecond,
-		GlobalBatch: true, BatchSLO: 100 * time.Millisecond,
+		BatchSLO:       100 * time.Millisecond,
 		StaticEstimate: func(string) time.Duration { return time.Millisecond },
 		EstimateWarmup: 16, EstimateWindow: 128,
 	}

@@ -39,20 +39,14 @@ type Config struct {
 	// MaxBatch coalesces same-benchmark queued requests into one
 	// execution, up to this count (0 or 1 disables batching).
 	MaxBatch int
-	// BatchLinger lets a dispatching instance hold its batch open until
-	// the serve.BatchWindow deadline so later same-benchmark arrivals can
-	// fill it toward MaxBatch — the same deadline-aware batching decision
-	// the live engine runs, exercised here from the virtual clock.
+	// BatchLinger attaches the queue-level serve.BatchFormer when
+	// MaxBatch > 1: same-benchmark arrivals group across the whole queue
+	// before any instance dispatches, releasing at MaxBatch, after
+	// BatchLinger, or when the oldest member's BatchSLO slack runs out —
+	// the live engine's former driven from the virtual clock.
 	BatchLinger time.Duration
-	// GlobalBatch switches batching from the per-dispatch linger window to
-	// the queue-level serve.BatchFormer: same-benchmark arrivals group
-	// across the whole queue before any instance dispatches, releasing at
-	// MaxBatch, after BatchLinger, or when the oldest member's BatchSLO
-	// slack runs out — the live engine's former driven from the virtual
-	// clock.
-	GlobalBatch bool
-	// BatchSLO is each request's deadline budget for the global former (0
-	// bounds holds by BatchLinger alone).
+	// BatchSLO is each request's deadline budget for the former (0 bounds
+	// holds by BatchLinger alone), and the budget WithinSLO counts against.
 	BatchSLO time.Duration
 	// StaticEstimate is the scheduler's static per-benchmark service
 	// prior: tasks are priced with it, so the former's BatchSLO slack has
@@ -109,8 +103,8 @@ type Stats struct {
 	Dropped   int
 	// Batches counts executions; with batching enabled it is <= Completed.
 	Batches int
-	// Formed counts batches released by the queue-level former (0 unless
-	// Config.GlobalBatch).
+	// Formed counts batches released by the queue-level former (0 without
+	// Config.BatchLinger).
 	Formed int
 	// WithinSLO counts completions whose wall-clock latency fit the
 	// BatchSLO budget (0 when Config.BatchSLO is unset) — the adaptive-
@@ -162,7 +156,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		order:          []int{0},
 		estimateWindow: cfg.EstimateWindow, estimateWarmup: cfg.EstimateWarmup,
 		elastic: cfg.Elastic, faults: cfg.Faults,
-		maxBatch: cfg.MaxBatch, formBatches: cfg.GlobalBatch,
+		maxBatch: cfg.MaxBatch, formBatches: cfg.BatchLinger > 0,
 		batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
 		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
 	}, seed)
@@ -221,91 +215,15 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		}
 	}
 
-	// window is one instance's open linger window: the batch it holds and
-	// the BatchWindow deciding whether to keep waiting. Arrivals landing
-	// while a window is open coalesce into it immediately and may close it
-	// early (as the live engine's filling arrival wakes its lingering
-	// worker); otherwise the deadline event fires it, as the wake timer does.
-	type window struct {
-		w     serve.BatchWindow
-		batch []sched.HybridTask
-		fired bool
-	}
-	var open []*window
-	fire := func(win *window) {
-		if !win.fired {
-			win.fired = true
-			d.execute(0, &win.batch[0], win.batch[1:])
-		}
-	}
-	// gatherInto pulls queued same-benchmark tasks into the window and
-	// fires it when full.
-	gatherInto := func(win *window, now time.Duration) {
-		late := mc.Coalesce(0, now, win.w.Target-win.w.Size, func(t sched.HybridTask) bool {
-			return t.Payload == win.batch[0].Payload
-		})
-		win.w.Add(len(late))
-		win.batch = append(win.batch, late...)
-		if !win.w.Open(now) {
-			fire(win)
-		}
-	}
-	if former == nil && cfg.MaxBatch > 1 {
-		// Deadline-aware linger: the instance stays busy holding the batch
-		// open until it fills or the window closes.
-		d.hold = func(_ int, lead *sched.HybridTask, rest []sched.HybridTask) bool {
-			now := d.now()
-			w := serve.NewBatchWindow(now, cfg.BatchLinger, cfg.MaxBatch, 1+len(rest))
-			if !w.Open(now) {
-				return false
-			}
-			win := &window{w: w, batch: append([]sched.HybridTask{*lead}, rest...)}
-			open = append(open, win)
-			d.at(w.Deadline, func() {
-				if !win.fired {
-					gatherInto(win, d.now())
-					fire(win)
-				}
-			})
-			return true
-		}
-		// A brown-out cancels the open windows with the executions: their
-		// tasks go back to the queue and re-enter through a fresh window.
-		d.poolDown = func(int) {
-			for _, win := range open {
-				if !win.fired {
-					win.fired = true
-					mc.Requeue(0, win.batch)
-				}
-			}
-			open = open[:0]
-		}
-	}
-
 	d.arrive = func(i int) {
 		req := tr.Requests[i]
-		now := d.now()
-		task := sched.HybridTask{ID: req.ID, Arrived: now, Payload: req.Benchmark}
+		task := sched.HybridTask{ID: req.ID, Arrived: d.now(), Payload: req.Benchmark}
 		if cfg.StaticEstimate != nil {
 			// The rack's single simulated pool is CPU-class, so the
 			// CPU estimate is the one the former's slack pricing reads.
 			task.CPUService = cfg.StaticEstimate(req.Benchmark)
 		}
-		if !d.submit(0, task) || len(open) == 0 {
-			return
-		}
-		// Offer the arrival to open windows before idle instances see it —
-		// the engine's lingering workers do the same.
-		kept := open[:0]
-		for _, win := range open {
-			if !win.fired && win.w.Open(now) {
-				gatherInto(win, now)
-			}
-			if !win.fired {
-				kept = append(kept, win)
-			}
-		}
-		open = kept
+		d.submit(0, task)
 	}
 
 	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {

@@ -9,11 +9,12 @@ import (
 	"dscs/internal/workload"
 )
 
-// TestLingerBatchesFromVirtualClock exercises the deadline-aware batching
-// path from the discrete-event clock: one instance, two same-benchmark
-// arrivals 1s apart, and a 2s linger window. The first dispatch must hold
-// its batch open past the second arrival and serve both in one execution —
-// the same serve.BatchWindow decision the live engine runs on wall time.
+// TestLingerBatchesFromVirtualClock exercises batch forming from the
+// discrete-event clock: one instance, two same-benchmark arrivals 1s
+// apart, and a 2s linger, which attaches the queue-level former. It must
+// hold the first arrival queued past the second and serve both in one
+// execution — the same serve.BatchFormer decision the live engine runs on
+// wall time.
 func TestLingerBatchesFromVirtualClock(t *testing.T) {
 	tr := &trace.Trace{
 		Duration: 10 * time.Second,
@@ -39,29 +40,32 @@ func TestLingerBatchesFromVirtualClock(t *testing.T) {
 	if st.Batches != 2 {
 		t.Fatalf("executions = %d, want 2 (chatbot pair lingered into one batch)", st.Batches)
 	}
-	// The lead waits out the full 2s window before its 10s service, so the
-	// batch completes at 12s: latencies 12s (lead), 11s (follower), and
-	// 10s for the solo request at 90s. Max is the lead's 12s.
+	if st.Formed != 2 {
+		t.Fatalf("formed = %d, want 2 (the chatbot pair and the solo request)", st.Formed)
+	}
+	// The lead waits out the full 2s linger before its 10s service, so the
+	// batch completes at 12s: latencies 12s (lead) and 11s (follower). The
+	// solo request at 90s lingers out alone, also 12s. Max is 12s.
 	if max := st.LatencySample.Percentile(1.0); max != 12*time.Second {
 		t.Fatalf("max latency = %v, want 12s (2s linger + 10s service)", max)
 	}
 
-	// Without a linger window the two arrivals serve separately: the
-	// second queues behind a 10s execution.
+	// Without a linger no former attaches and the two arrivals serve
+	// separately: the second queues behind a 10s execution.
 	cfg.BatchLinger = 0
 	st2, err := Run(tr, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Batches != 3 {
-		t.Fatalf("executions without linger = %d, want 3", st2.Batches)
+	if st2.Batches != 3 || st2.Formed != 0 {
+		t.Fatalf("without linger: executions = %d, formed = %d, want 3 and 0", st2.Batches, st2.Formed)
 	}
 
-	// A window that fills must close early, exactly like the engine's
-	// linger loop: with MaxBatch 2 the second arrival at 1s completes the
-	// batch, so execution starts at 1s — not at the 2s deadline — and the
-	// lead's latency is 11s, not 12s. (A two-request trace: a solo
-	// request would legitimately wait out its whole window.)
+	// A group that fills must release early, exactly like the engine's:
+	// with MaxBatch 2 the second arrival at 1s completes the batch, so
+	// execution starts at 1s — not at the 2s linger bound — and the lead's
+	// latency is 11s, not 12s. (A two-request trace: a solo request would
+	// legitimately wait out its whole linger.)
 	pair := &trace.Trace{
 		Duration: 10 * time.Second,
 		Requests: []trace.Request{
@@ -74,11 +78,11 @@ func TestLingerBatchesFromVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Batches != 1 {
-		t.Fatalf("executions with early-close = %d, want 1", st3.Batches)
+	if st3.Batches != 1 || st3.Formed != 1 {
+		t.Fatalf("early release: executions = %d, formed = %d, want 1 and 1", st3.Batches, st3.Formed)
 	}
 	if max := st3.LatencySample.Percentile(1.0); max != 11*time.Second {
-		t.Fatalf("max latency = %v, want 11s (window closed early when full)", max)
+		t.Fatalf("max latency = %v, want 11s (group released early when full)", max)
 	}
 }
 

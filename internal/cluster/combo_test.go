@@ -53,14 +53,13 @@ func fingerprint(st any) string {
 //   - Run with elastic capacity under a brown-out;
 //   - split RunHybrid with two CPU pools, tail hedging and adaptive balance
 //     under a mid-burst pool-down/up of the DSCS pool and of a CPU pool
-//     that lends hedge workers;
-//   - Run with the per-dispatch linger window under a brown-out.
+//     that lends hedge workers.
 //
-// The last two recycle execution records while a hedge lease, a cancelled
-// completion or an open linger window is still outstanding, so they pin
-// every Stats field (fingerprint).
+// The last recycles execution records while a hedge lease or a cancelled
+// completion is still outstanding, so it pins every Stats field
+// (fingerprint).
 //
-// All five are seeded and fully deterministic; the counts are pinned so
+// All four are seeded and fully deterministic; the counts are pinned so
 // a change to event ordering in any of those paths shows its hand.
 func TestRackComboGolden(t *testing.T) {
 	mustParse := func(s string) []trace.FaultEvent {
@@ -106,7 +105,7 @@ func TestRackComboGolden(t *testing.T) {
 	}
 	t.Run("rack/former+faults", func(t *testing.T) {
 		cfg := rack
-		cfg.MaxBatch, cfg.BatchLinger, cfg.GlobalBatch = 8, 20*time.Millisecond, true
+		cfg.MaxBatch, cfg.BatchLinger = 8, 20*time.Millisecond
 		st, err := Run(smallTrace(t, 60), cfg, 11)
 		if err != nil {
 			t.Fatal(err)
@@ -159,20 +158,6 @@ func TestRackComboGolden(t *testing.T) {
 			"OnDSCS=3208 Stolen=4231 Spilled=3387 WithinSLO=5183 Served=map[cpu0:3438 cpu1:3520 dscs:3192] " +
 			"WaitP95=map[cpu0:1.596841416s cpu1:0s dscs:9.675019ms] ColdStarts=0 Suspends=0 IdleCost=0s " +
 			"Faults=13 Requeued=46 HedgesFired=71 HedgesWon=11 Stranded=0"
-		if got := fingerprint(st); got != pinned {
-			t.Errorf("stats\n   got %s\npinned %s", got, pinned)
-		}
-	})
-	t.Run("rack/linger+faults", func(t *testing.T) {
-		cfg := rack
-		cfg.MaxBatch, cfg.BatchLinger = 4, 20*time.Millisecond
-		st, err := Run(smallTrace(t, 60), cfg, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const pinned = "Queue=241/33a92da7ffe4460a Latency=116/4b260e3300b29db4 Completed=7118 Dropped=0 Batches=5938 " +
-			"Formed=0 WithinSLO=6826 LatencySample=7118/555e8420358603bc WaitP50=0s WaitP95=26.04773ms " +
-			"WaitP99=43.174014ms ColdStarts=0 Suspends=0 IdleCost=0s Faults=1 Requeued=6 Stranded=0"
 		if got := fingerprint(st); got != pinned {
 			t.Errorf("stats\n   got %s\npinned %s", got, pinned)
 		}

@@ -47,7 +47,8 @@ type rack struct {
 	elastic *scale.Config
 	faults  []trace.FaultEvent
 	// maxBatch > 1 coalesces same-benchmark queued tasks onto a dispatch;
-	// formBatches also attaches a serve.BatchFormer to every pool.
+	// formBatches also attaches a serve.BatchFormer to every pool, the one
+	// way a pool holds work back to batch it.
 	maxBatch              int
 	formBatches           bool
 	batchLinger, batchSLO time.Duration
@@ -83,8 +84,8 @@ type execution struct {
 	fire, hedgeFire, leaseFire func()
 }
 
-// driver owns the clock. The callbacks are the topology's half; hold,
-// poolDown, rebalance, patience and driveFault are optional.
+// driver owns the clock. The callbacks are the topology's half;
+// rebalance, patience and driveFault are optional.
 type driver struct {
 	rack
 	engine  *sim.Engine
@@ -98,15 +99,10 @@ type driver struct {
 	// lead and the coalesced rest share it.
 	service func(pool int, lead *sched.HybridTask, rest []sched.HybridTask) time.Duration
 	// settle books a finished execution; pool served it (the lender when a
-	// hedge won). Like hold, it must not retain lead or rest past the call:
-	// they are the execution record's, or the driver's dispatch scratch.
+	// hedge won). It must not retain lead or rest past the call: they are
+	// the execution record's.
 	settle func(pool int, lead *sched.HybridTask, rest []sched.HybridTask, service time.Duration)
 	sample func(at time.Duration)
-	// hold may keep a dispatched batch open instead of executing it now
-	// (the per-dispatch linger window); it then owes d.execute.
-	hold func(pool int, lead *sched.HybridTask, rest []sched.HybridTask) bool
-	// poolDown runs after a pool browns out, before its executions requeue.
-	poolDown func(pool int)
 	// rebalance moves queued work between pools once no pool can dispatch
 	// and reports how many tasks moved.
 	rebalance func() int
@@ -328,9 +324,7 @@ func (d *driver) dispatch(i int) bool {
 			func(t sched.HybridTask) bool { return t.Payload == payload })...)
 		rest = d.rest
 	}
-	if d.hold == nil || !d.hold(i, lead, rest) {
-		d.execute(i, lead, rest)
-	}
+	d.execute(i, lead, rest)
 	return true
 }
 
@@ -482,9 +476,6 @@ func (d *driver) applyFault(ev trace.FaultEvent) {
 		return
 	}
 	d.mc.FailPool(i, now)
-	if d.poolDown != nil {
-		d.poolDown(i)
-	}
 	kept := d.inflight[:0]
 	for _, ex := range d.inflight {
 		switch {

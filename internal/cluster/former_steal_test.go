@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestFormerGolden pins the Fig 13/14 regime counts with the global batch
-// former disabled and enabled, so a future scheduler refactor that shifts
+// TestFormerGolden pins the Fig 13/14 regime counts of the global batch
+// former without and with an SLO cap, so a future scheduler refactor that shifts
 // the batching regime shows its hand explicitly instead of hiding inside a
 // latency delta. Two regimes, both seeded and fully deterministic:
 //
@@ -15,8 +15,7 @@ import (
 //     more (the queue drains in fuller batches ahead of the bound) and the
 //     SLO cap tightens it further.
 //   - Light load (the Fig 14 tension): sparse arrivals, a generous 2s
-//     linger. The per-dispatch window holds workers hostage for the full
-//     linger; the former holds only queued work, and the SLO budget caps
+//     linger. The former holds only queued work, and the SLO budget caps
 //     the hold so p99 collapses to the service time plus the slack bound.
 func TestFormerGolden(t *testing.T) {
 	type golden struct {
@@ -43,17 +42,15 @@ func TestFormerGolden(t *testing.T) {
 			Service: flatService(250 * time.Millisecond), SampleEvery: time.Second,
 			MaxBatch: 4, BatchLinger: 400 * time.Millisecond}
 		goldens := map[string]golden{
-			"off":        {6974, 144, 1756, 0, 742.828539},
 			"former":     {7017, 101, 1877, 1775, 716.985365},
 			"former+slo": {7026, 92, 1930, 1809, 687.382626},
 		}
 		for _, mode := range []struct {
 			name string
-			gb   bool
 			slo  time.Duration
-		}{{"off", false, 0}, {"former", true, 0}, {"former+slo", true, 150 * time.Millisecond}} {
+		}{{"former", 0}, {"former+slo", 150 * time.Millisecond}} {
 			cfg := base
-			cfg.GlobalBatch, cfg.BatchSLO = mode.gb, mode.slo
+			cfg.BatchSLO = mode.slo
 			st, err := Run(tr, cfg, 11)
 			if err != nil {
 				t.Fatal(err)
@@ -68,17 +65,15 @@ func TestFormerGolden(t *testing.T) {
 			Service: flatService(100 * time.Millisecond), SampleEvery: time.Second,
 			MaxBatch: 4, BatchLinger: 2 * time.Second}
 		goldens := map[string]golden{
-			"off":        {349, 0, 140, 0, 3232.455882},
 			"former":     {349, 0, 206, 206, 1657.040010},
 			"former+slo": {349, 0, 310, 310, 385.518062},
 		}
 		for _, mode := range []struct {
 			name string
-			gb   bool
 			slo  time.Duration
-		}{{"off", false, 0}, {"former", true, 0}, {"former+slo", true, 300 * time.Millisecond}} {
+		}{{"former", 0}, {"former+slo", 300 * time.Millisecond}} {
 			cfg := base
-			cfg.GlobalBatch, cfg.BatchSLO = mode.gb, mode.slo
+			cfg.BatchSLO = mode.slo
 			st, err := Run(tr, cfg, 11)
 			if err != nil {
 				t.Fatal(err)

@@ -81,11 +81,11 @@ func ExtScheduling(env *Environment) (*Result, error) {
 
 // ExtBatchFormer evaluates the global SLO-aware batch former in the
 // Figure 14 regime: under bursty mixed traffic, batching is what lets the
-// DSA amortize weight reuse, but the per-dispatch linger window only sees
-// stragglers that arrive while one worker waits. The queue-level former
-// groups same-benchmark arrivals across the whole queue before dispatch,
-// so the same trace executes in fewer, fuller batches at a bounded latency
-// cost — the serving-layer half of the Fig 14 batch-size sensitivity.
+// DSA amortize weight reuse. The queue-level former groups same-benchmark
+// arrivals across the whole queue before dispatch, so the same trace
+// executes in fewer, fuller batches at a bounded latency cost — the
+// serving-layer half of the Fig 14 batch-size sensitivity — and an SLO
+// budget caps how long it may hold a group.
 func ExtBatchFormer(env *Environment) (*Result, error) {
 	dscsService, err := env.serviceModel("DSCS-Serverless")
 	if err != nil {
@@ -100,9 +100,8 @@ func ExtBatchFormer(env *Environment) (*Result, error) {
 		return nil, err
 	}
 
-	// Few instances and a sparse base rate: the regime where holding a
-	// worker (the per-dispatch window) and holding queued work (the
-	// former) genuinely differ, with bursts to exercise full batches.
+	// Few instances and a sparse base rate, where holding queued work
+	// costs latency, with bursts to exercise full batches.
 	base := cluster.Config{
 		Instances: 6, QueueDepth: 10000,
 		Service: dscsService, SampleEvery: 5 * time.Second,
@@ -113,12 +112,8 @@ func ExtBatchFormer(env *Environment) (*Result, error) {
 		mutate func(*cluster.Config)
 	}{
 		{"no batching", func(c *cluster.Config) { c.MaxBatch = 1; c.BatchLinger = 0 }},
-		{"per-dispatch linger", func(c *cluster.Config) {}},
-		{"global former", func(c *cluster.Config) { c.GlobalBatch = true }},
-		{"global former + SLO", func(c *cluster.Config) {
-			c.GlobalBatch = true
-			c.BatchSLO = 150 * time.Millisecond
-		}},
+		{"global former", func(c *cluster.Config) {}},
+		{"global former + SLO", func(c *cluster.Config) { c.BatchSLO = 150 * time.Millisecond }},
 	}
 
 	t := metrics.NewTable("Extension: global batch former under the Fig 14 regime (6 instances, bursty trace)",
@@ -128,15 +123,13 @@ func ExtBatchFormer(env *Environment) (*Result, error) {
 		switch name {
 		case "no batching":
 			return "none"
-		case "per-dispatch linger":
-			return "linger"
 		case "global former":
 			return "former"
 		default:
 			return "former_slo"
 		}
 	}
-	// Each mode replays the trace on its own seeded driver, so the four
+	// Each mode replays the trace on its own seeded driver, so the three
 	// replays run side by side; the rows are built in mode order after.
 	stats := make([]*cluster.Stats, len(modes))
 	meanMS := make([]float64, len(modes))
@@ -167,12 +160,10 @@ func ExtBatchFormer(env *Environment) (*Result, error) {
 		values["p99_ms/"+k] = p99MS[i]
 		values["formed/"+k] = float64(st.Formed)
 	}
-	// Batching is what makes this load servable at all; the former then
-	// beats the per-dispatch window on latency (it holds queued work, not
-	// workers), and the SLO cap trades amortization for tail latency.
-	values["batching_gain"] = values["mean_ms/none"] / values["mean_ms/linger"]
-	values["former_latency_gain"] = values["mean_ms/linger"] / values["mean_ms/former"]
-	values["slo_p99_gain"] = values["p99_ms/linger"] / values["p99_ms/former_slo"]
+	// Batching is what makes this load servable at all, and the SLO cap
+	// trades amortization for tail latency.
+	values["batching_gain"] = values["mean_ms/none"] / values["mean_ms/former"]
+	values["slo_p99_gain"] = values["p99_ms/former"] / values["p99_ms/former_slo"]
 	return &Result{
 		ID: "ext-batchform", Title: "Global SLO-aware batch forming (Fig 14 regime)",
 		Table: t, Values: values,

@@ -56,12 +56,7 @@ func TestExtBatchFormer(t *testing.T) {
 	if g := res.Value("batching_gain"); g < 5 {
 		t.Errorf("batching gain = %.2fx, want >= 5x", g)
 	}
-	// The queue-level former beats the per-dispatch window: it groups the
-	// same arrivals without holding a worker hostage for the linger.
-	if g := res.Value("former_latency_gain"); g <= 1.0 {
-		t.Errorf("former latency gain = %.3fx over the per-dispatch window, want > 1", g)
-	}
-	// The SLO cap cuts the tail sharply relative to the uncapped window.
+	// The SLO cap cuts the tail sharply relative to the uncapped former.
 	if g := res.Value("slo_p99_gain"); g < 1.5 {
 		t.Errorf("SLO p99 gain = %.2fx, want >= 1.5x", g)
 	}
@@ -69,15 +64,15 @@ func TestExtBatchFormer(t *testing.T) {
 	if res.Value("formed/former") <= 0 {
 		t.Error("the former formed no batches")
 	}
-	for _, k := range []string{"none", "linger", "former", "former_slo"} {
+	for _, k := range []string{"none", "former", "former_slo"} {
 		if res.Value("per_exec/"+k) < 1 {
 			t.Errorf("mode %s: requests per execution below 1", k)
 		}
 	}
-	// The amortization ordering: batching modes coalesce, no-batching
-	// serves one request per execution.
-	if res.Value("per_exec/linger") <= 2 || res.Value("per_exec/former") <= 2 {
-		t.Error("batching modes should coalesce well above 2 requests/execution")
+	// The amortization ordering: the former coalesces, no-batching serves
+	// one request per execution.
+	if res.Value("per_exec/former") <= 2 {
+		t.Error("the former should coalesce well above 2 requests/execution")
 	}
 }
 

@@ -245,7 +245,7 @@ func TestFormerAdaptiveCrossoverFlipsOnce(t *testing.T) {
 // hold and completions must flow.
 func TestEngineAdaptiveGlobalBatchEndToEnd(t *testing.T) {
 	e, err := NewEngine(testRunners(t), Options{
-		Workers: 2, MaxBatch: 4, GlobalBatch: true,
+		Workers: 2, MaxBatch: 4,
 		BatchLinger: 2 * time.Millisecond, BatchSLO: 20 * time.Millisecond,
 		AdaptiveEstimates: true, EstimateWarmup: 4, EstimateWindow: 64,
 	})

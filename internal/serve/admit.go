@@ -174,7 +174,7 @@ func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFul
 		return e.admitDirect(p, task, req)
 	}
 	if err := p.ingress.offer(metrics.ShardIndex(len(p.ingress.shards)),
-		ingressEntry{task: task, req: req}, false); err != nil {
+		ingressEntry{task: task, req: req}); err != nil {
 		return err
 	}
 	// Only reach for the pool lock when a worker is parked and needs the

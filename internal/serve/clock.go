@@ -14,7 +14,7 @@ import "time"
 func wallEpoch() time.Time { return time.Now() }
 
 // now is the engine's clock on the same basis as HybridTask.Arrived; the
-// scheduling core and batch windows are clock-free and take it as input.
+// scheduling core and batch former are clock-free and take it as input.
 func (e *Engine) now() time.Duration { return time.Since(e.start) }
 
 // afterFunc runs f on its own goroutine once d of wall time has passed;

@@ -506,31 +506,3 @@ func (c *PoolCore) Conservation() error {
 	}
 	return nil
 }
-
-// BatchWindow is the deadline-aware half of request batching: when a
-// dispatched lead task's batch is below the profitable size, the dispatcher
-// may linger until the deadline to let same-benchmark arrivals fill it,
-// instead of coalescing only what already queued. It is clock-free — the
-// live engine feeds it wall time while the discrete-event simulation feeds
-// it virtual time, so both exercise the same linger decision.
-type BatchWindow struct {
-	// Deadline is the instant the dispatcher stops waiting.
-	Deadline time.Duration
-	// Target is the profitable batch size; Size is gathered so far.
-	Target, Size int
-}
-
-// NewBatchWindow opens a linger window at now for a batch that currently
-// holds size of target.
-func NewBatchWindow(now, linger time.Duration, target, size int) BatchWindow {
-	return BatchWindow{Deadline: now + linger, Target: target, Size: size}
-}
-
-// Open reports whether the dispatcher should keep lingering at now: the
-// batch is below target and the deadline has not passed.
-func (w BatchWindow) Open(now time.Duration) bool {
-	return w.Size < w.Target && now < w.Deadline
-}
-
-// Add records n more gathered requests.
-func (w *BatchWindow) Add(n int) { w.Size += n }

@@ -22,11 +22,11 @@
 //     workflow offsets and fetches) go through it, nothing polls the
 //     clock, and no other file is exempt from the clockcheck lint.
 //
-// Batching has two clock-free decision types: BatchWindow (a dispatched
-// lead lingers for same-benchmark stragglers) and BatchFormer (the
-// queue-level, SLO-aware generalization — arrivals group across the whole
-// queue before any worker dispatches, releasing at the target size, the
-// linger bound, or the deadline-slack bound).
+// Batching is one clock-free decision, the BatchFormer: under a linger
+// bound, same-benchmark arrivals group across the whole queue before any
+// worker dispatches, releasing at the target size, the linger bound, or
+// the deadline-slack bound (SLO-aware). Without one, a dispatch coalesces
+// only what already queued.
 //
 // Queued work rebalances in both directions across pools. Submit-time
 // spillover pushes DSCS-class submissions to a CPU pool; drain-time

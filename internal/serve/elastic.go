@@ -1,6 +1,6 @@
 // elastic.go drives each pool's clock-free Lifecycle: autoscale decisions,
 // capacity gauges, and the pool's one wake timer, which the lifecycle's
-// next self-transition, a forming batch and a linger window all arm.
+// next self-transition and a forming batch both arm.
 
 package serve
 
@@ -83,8 +83,7 @@ func (e *Engine) wakeAtLocked(p *pool, at time.Duration) {
 }
 
 // tick is the wake timer's callback: a warming slot came ready, an idle
-// slot's linger expired, a forming group came due or a linger window
-// closed. It drives the pool to the present and wakes every parked
+// slot's linger expired or a forming group came due. It drives the pool to the present and wakes every parked
 // worker; one whose instant has not come re-arms the timer.
 func (e *Engine) tick(p *pool) {
 	p.mu.Lock()

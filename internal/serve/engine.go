@@ -2,13 +2,13 @@
 // invocation engine behind the gateway. Per-platform worker pools over the
 // shared scheduling state machines, admission control on a bounded queue
 // with the pluggable policies of internal/sched, request batching
-// (per-dispatch lingering or the queue-level SLO-aware former), two-way
+// (coalescing at dispatch, and the queue-level SLO-aware former), two-way
 // queue rebalancing (submit-time spillover, drain-time stealing, both on
 // the wait-keyed AdaptiveBalance latch), per-drive
 // occupancy for DSCS executions, and the latency/wait observatories behind
 // the serve_latency_* and serve_queue_delay_* gauges. The discrete-event
-// at-scale simulation (internal/cluster) drives the same cores, windows,
-// and former from its virtual clock, so the simulated rack and the live
+// at-scale simulation (internal/cluster) drives the same cores and former
+// from its virtual clock, so the simulated rack and the live
 // HTTP path share one scheduler implementation. Engine time and every
 // timer — each pool's wake timer, quiesce deadlines — come from clock.go.
 //
@@ -77,23 +77,20 @@ type Options struct {
 	// FCFS, the paper's deployed policy.
 	PolicyName string
 	// MaxBatch caps same-benchmark request coalescing per execution
-	// (default DefaultMaxBatch; 1 disables batching).
+	// (0 means DefaultMaxBatch; 1 disables batching; negative is an error).
 	MaxBatch int
-	// BatchLinger lets a dispatching worker wait up to this long for a
-	// same-benchmark batch to fill toward MaxBatch instead of coalescing
-	// only what already queued (0, the default, disables lingering).
+	// BatchLinger attaches a queue-level BatchFormer to every pool when
+	// MaxBatch > 1: same-benchmark arrivals group across the whole queue
+	// before dispatch, and a batch is released once it reaches MaxBatch,
+	// its oldest member has waited BatchLinger, or that member's BatchSLO
+	// slack is exhausted. The hold counts as queue delay. 0, the default,
+	// coalesces only what already queued; negative is an error.
 	BatchLinger time.Duration
-	// GlobalBatch replaces the per-dispatch linger window with the
-	// queue-level BatchFormer: same-benchmark arrivals group across the
-	// whole queue before dispatch, and a batch is released once it reaches
-	// MaxBatch, its oldest member has waited BatchLinger, or that member's
-	// BatchSLO slack is exhausted. Needs MaxBatch > 1 and BatchLinger > 0
-	// to hold anything.
-	GlobalBatch bool
-	// BatchSLO is each request's deadline budget for the global former: a
-	// forming batch dispatches no later than its oldest member's arrival +
-	// BatchSLO - expected service, so occupancy never costs an SLO (0
-	// bounds holds by BatchLinger alone).
+	// BatchSLO is each request's deadline budget for the former: a forming
+	// batch dispatches no later than its oldest member's arrival + BatchSLO
+	// - expected service, so occupancy never costs an SLO (0 bounds holds
+	// by BatchLinger alone). Setting it without a former, or negative, is
+	// an error.
 	BatchSLO time.Duration
 	// AdaptiveBalance arms queue rebalancing keyed on wait delay: every
 	// dispatch records the served request's queue delay (arrival to
@@ -168,6 +165,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// checkBatching rejects batching options the engine would otherwise
+// ignore or rewrite. It runs before withDefaults: MaxBatch 0 means
+// DefaultMaxBatch, so only MaxBatch 1 leaves the former off.
+func checkBatching(o Options) error {
+	switch {
+	case o.MaxBatch < 0:
+		return fmt.Errorf("serve: MaxBatch %d must be >= 0 (0 means %d)", o.MaxBatch, DefaultMaxBatch)
+	case o.BatchLinger < 0:
+		return fmt.Errorf("serve: BatchLinger %v must be >= 0", o.BatchLinger)
+	case o.BatchSLO < 0:
+		return fmt.Errorf("serve: BatchSLO %v must be >= 0", o.BatchSLO)
+	case o.BatchSLO > 0 && (o.BatchLinger == 0 || o.MaxBatch == 1):
+		return fmt.Errorf("serve: BatchSLO %v bounds the batch former, which needs BatchLinger > 0 and MaxBatch > 1", o.BatchSLO)
+	}
+	return nil
+}
+
 // PolicyByName maps a CLI/API policy name to its implementation.
 func PolicyByName(name string) (sched.Policy, error) {
 	switch name {
@@ -233,17 +247,14 @@ type pool struct {
 	// always coherent with the core's transitions.
 	deadBit atomic.Bool
 
-	// wake is the pool's one timer, armed at the earliest of the
-	// lifecycle's next self-transition, a forming group's due instant and
-	// an open linger window's deadline (wakeAtLocked). wakeAt is the armed
-	// instant (engine-clock basis, -1 when nothing is armed); scaleAt
-	// stamps the last autoscale decision for its rate limit; lingering
-	// counts the parked workers holding a linger window. All are guarded
-	// by p.mu.
-	wake      *time.Timer
-	wakeAt    time.Duration
-	scaleAt   time.Duration
-	lingering int32
+	// wake is the pool's one timer, armed at the earlier of the
+	// lifecycle's next self-transition and a forming group's due instant
+	// (wakeAtLocked). wakeAt is the armed instant (engine-clock basis, -1
+	// when nothing is armed); scaleAt stamps the last autoscale decision
+	// for its rate limit. All are guarded by p.mu.
+	wake    *time.Timer
+	wakeAt  time.Duration
+	scaleAt time.Duration
 	// coldStartsPub tracks how many lifecycle cold starts have been
 	// published to the counters (guarded by p.mu).
 	coldStartsPub int
@@ -369,6 +380,9 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkBatching(opt); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	if err := CheckHedgeFactor(opt.HedgeFactor); err != nil {
 		return nil, err
@@ -477,7 +491,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			}
 		}
 	}
-	if opt.GlobalBatch && opt.MaxBatch > 1 {
+	if opt.MaxBatch > 1 && opt.BatchLinger > 0 {
 		for _, p := range e.pools {
 			f := NewBatchFormer(opt.MaxBatch, opt.BatchLinger, opt.BatchSLO, p.class)
 			if opt.AdaptiveEstimates {

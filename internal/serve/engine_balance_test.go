@@ -139,7 +139,6 @@ func TestEngineAdaptiveBalance64WayConservation(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 2, QueueDepth: 8, MaxBatch: 4,
 		BatchLinger:       2 * time.Millisecond,
-		GlobalBatch:       true,
 		BatchSLO:          8 * time.Millisecond,
 		AdaptiveBalance:   true,
 		AdaptiveEstimates: true,

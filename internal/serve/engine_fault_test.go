@@ -13,6 +13,7 @@ import (
 	"dscs/internal/objstore"
 	"dscs/internal/platform"
 	"dscs/internal/scale"
+	"dscs/internal/sched"
 	"dscs/internal/sim"
 	"dscs/internal/ssd"
 	"dscs/internal/trace"
@@ -276,6 +277,69 @@ func TestEngineStealsFromDeadPool(t *testing.T) {
 	}
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineRescueSeesDrainInTransit replays, step by step, the
+// interleaving behind a rare strand in TestEngineStealsFromDeadPool. A
+// submitter staged a request on the dead pool and woke its peers while
+// none was parked, so that wakeup was spent; then the dead pool's own
+// worker drained the stage into its core. A peer that makes its steal
+// scan and pre-park rescue re-check inside that drain — after the entry
+// left the stage, before the queued mirror counts it — must still see the
+// backlog. If it read the pool as empty it would park, and nothing would
+// wake it again.
+func TestEngineRescueSeesDrainInTransit(t *testing.T) {
+	eng, err := NewEngine(testRunners(t), Options{
+		Workers: 1, QueueDepth: 16, MaxBatch: 1,
+		AdaptiveBalance: true, EstimateWarmup: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	cpu, dscs := eng.pools["Baseline (CPU)"], eng.pools["DSCS-Serverless"]
+	if err := eng.FailPool(cpu.name); err != nil {
+		t.Fatal(err)
+	}
+
+	// The submitter's half: stage the request, its peer wakeup spent.
+	req := eng.getRequest()
+	req.bench, req.opt = workload.BySlug("asset-damage"), faas.Options{Quantile: 0.5}
+	eng.inflight.Add(1)
+	task := sched.HybridTask{ID: 1, Arrived: eng.now(), Payload: req.bench.Slug, Ref: req}
+	if err := cpu.ingress.offer(0, ingressEntry{task: task, req: req}); err != nil {
+		t.Fatal(err)
+	}
+	// The dead pool's worker drains, and the peer checks mid-drain.
+	cpu.mu.Lock()
+	entries := cpu.ingress.drainInto(cpu.scratch)
+	if i, ok := eng.bal.StealDonor(dscs.idx, nil); !ok || eng.order[i] != cpu {
+		t.Error("mid-drain steal scan found no donor, want the dead pool")
+	}
+	dscs.mu.Lock()
+	rescue := eng.rescueWaiting(dscs)
+	dscs.mu.Unlock()
+	if !rescue {
+		t.Error("mid-drain rescue re-check read the dead pool's backlog as empty")
+	}
+	for _, en := range entries {
+		if !cpu.core.Submit(en.task) {
+			t.Fatal("the dead pool's queue refused the drained entry")
+		}
+	}
+	eng.syncDepth(cpu)
+	cpu.mu.Unlock()
+
+	// Spend the peer wakeup now, so the request is rescued either way.
+	eng.wakePeers(cpu, eng.poolDepth(cpu))
+	select {
+	case out := <-req.done:
+		if out.platform != dscs.name {
+			t.Errorf("rescued request served by %q, want %q", out.platform, dscs.name)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request stranded on the dead pool")
 	}
 }
 

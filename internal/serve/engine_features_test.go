@@ -231,8 +231,8 @@ func TestEngineSpilloverFallsBackWhenTargetFull(t *testing.T) {
 	}
 }
 
-// TestEngineLingerCoalesces drives deadline-aware batching on the wall
-// clock: one worker, a generous linger, and a burst of identical requests
+// TestEngineLingerCoalesces drives the batch former on the wall clock:
+// one worker, a generous linger, and a burst of identical requests
 // must coalesce into fewer executions than requests.
 func TestEngineLingerCoalesces(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
@@ -270,6 +270,33 @@ func TestEngineLingerCoalesces(t *testing.T) {
 	if occ := tel.Gauge("serve_batch_occupancy{platform=DSCS-Serverless}"); occ < 2 {
 		t.Errorf("per-platform batch occupancy = %g, want >= 2 after a lingered batch", occ)
 	}
+}
+
+// TestEngineRejectsBadBatchOptions: construction refuses batching options
+// it would otherwise ignore or rewrite, so a gateway fails at start-up
+// instead of serving with settings nobody asked for.
+func TestEngineRejectsBadBatchOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"negative linger", Options{BatchLinger: -time.Second}},
+		{"negative SLO", Options{BatchLinger: time.Millisecond, BatchSLO: -time.Second}},
+		{"negative MaxBatch", Options{MaxBatch: -3}},
+		{"SLO without a former", Options{BatchSLO: time.Second}},
+	} {
+		if eng, err := NewEngine(testRunners(t), tc.opt); err == nil {
+			eng.Close()
+			t.Errorf("%s: construction must fail", tc.name)
+		}
+	}
+	// MaxBatch 0 means DefaultMaxBatch, so a linger alone arms the former
+	// that BatchSLO bounds.
+	eng, err := NewEngine(testRunners(t), Options{BatchLinger: time.Millisecond, BatchSLO: time.Second})
+	if err != nil {
+		t.Fatalf("SLO-bounded former on the default MaxBatch must construct: %v", err)
+	}
+	eng.Close()
 }
 
 // TestEngineDriveOccupancy checks that DSCS executions acquire the
@@ -324,7 +351,7 @@ func TestEngineDriveOccupancy(t *testing.T) {
 }
 
 // TestEngineSpilloverLingerConservation is the stress test for balance
-// and the per-dispatch linger window together: 64-way concurrent load,
+// and the linger-armed batch former together: 64-way concurrent load,
 // bookkeeping must stay conserved (run under -race in CI).
 func TestEngineSpilloverLingerConservation(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{

@@ -170,7 +170,6 @@ func TestEngineSpilloverLingerStealConservation(t *testing.T) {
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 2, QueueDepth: 8, MaxBatch: 4,
 		BatchLinger:     2 * time.Millisecond,
-		GlobalBatch:     true,
 		BatchSLO:        8 * time.Millisecond,
 		AdaptiveBalance: true,
 		EstimateWarmup:  1,

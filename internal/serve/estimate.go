@@ -154,20 +154,15 @@ func (e *Engine) observe(slug, platformName string, service, at time.Duration) {
 // refreshes its serve_queue_delay_* gauges. A stolen request charges its
 // wait to the pool that served it, while its arrival instant (the task's
 // Arrived) survives the move — so a hot pool's digest reflects what its own backlog cost, not
-// what it exported. (A request gathered during the linger window can
-// postdate the dispatch instant; the negative wait clamps to zero here,
-// and the delivery loop hands the same clamped values to the per-request
-// outcomes.)
+// what it exported. Every task was admitted, and so stamped, before the
+// dispatch that gathered it, so no wait is negative; the delivery loop
+// hands the same values to the per-request outcomes.
 //
 //dscslint:hotpath
 func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Duration) {
 	bs.waits = bs.waits[:0]
 	for i := range bs.tasks {
-		w := dispatched - bs.tasks[i].Arrived
-		if w < 0 {
-			w = 0
-		}
-		bs.waits = append(bs.waits, w)
+		bs.waits = append(bs.waits, dispatched-bs.tasks[i].Arrived)
 	}
 	dg := e.bal.recordBatch(p.idx, bs.waits)
 	if dg == nil || !publishDue(&p.delayPublish, dispatched) {

@@ -1,10 +1,10 @@
-// former.go is the global batch former: the queue-level generalization of
-// the per-dispatch BatchWindow. Instead of a worker dispatching the policy
-// pick immediately and then lingering for stragglers, the former groups
-// same-benchmark arrivals across the whole queue while they are still
-// queued, and releases a batch to a worker only when it is ready: the
-// profitable target size was reached, the oldest member has lingered out,
-// or the oldest member's deadline slack is exhausted (SLO-aware). Like the
+// former.go is the batch former, the one way a pool holds work back to
+// batch it. Rather than a worker dispatching the policy pick and then
+// holding it open for stragglers, the former groups same-benchmark
+// arrivals across the whole queue while they are still queued, and
+// releases a batch to a worker only when it is ready: the profitable
+// target size was reached, the oldest member has lingered out, or the
+// oldest member's deadline slack is exhausted (SLO-aware). Like the
 // rest of the scheduling core it is clock-free — the live engine feeds it
 // wall time from worker goroutines and the discrete-event simulation feeds
 // it virtual time, so both exercise the same forming decision.

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dscs/internal/metrics"
 	"dscs/internal/sched"
 )
 
@@ -45,10 +44,13 @@ type ingressShard struct {
 // ErrQueueFull semantics survive the split: staged counts entries offered
 // but not yet drained, queued mirrors the downstream core's occupancy
 // (stored by the engine under the pool lock after every core mutation).
+// transit counts the entries of the drain in progress, off the shards but
+// not yet in the queued mirror, so pending never misses them.
 type ingress struct {
 	shards  []ingressShard
 	staged  atomic.Int64
 	queued  atomic.Int64
+	transit atomic.Int64
 	dropped atomic.Int64
 	bound   int64
 }
@@ -67,19 +69,17 @@ func newIngress(shards, bound int) *ingress {
 }
 
 // offer stages one entry on the given shard (modulo the shard count). It
-// rejects with ErrQueueFull once staged plus queued work reaches the
-// bound — without counting a drop when bounce marks a spill attempt that
-// will fall back to its original pool — and with ErrClosed after close.
+// rejects with ErrQueueFull, counting a drop, once staged plus queued work
+// reaches the bound, and with ErrClosed after close. (Spill attempts, whose
+// reject must not count, bounce through Engine.admitDirect instead.)
 // The bound check reads two atomics; under concurrent offers it is exact
 // to within the in-flight racers, and a sequential caller sees exactly
 // the old single-queue admission behavior.
 //
 //dscslint:hotpath
-func (in *ingress) offer(shard int, e ingressEntry, bounce bool) error {
+func (in *ingress) offer(shard int, e ingressEntry) error {
 	if in.staged.Load()+in.queued.Load() >= in.bound {
-		if !bounce {
-			in.dropped.Add(1)
-		}
+		in.dropped.Add(1)
 		return ErrQueueFull
 	}
 	s := &in.shards[shard%len(in.shards)]
@@ -94,16 +94,15 @@ func (in *ingress) offer(shard int, e ingressEntry, bounce bool) error {
 	return nil
 }
 
-// offerLocal is offer on the calling P's shard.
-func (in *ingress) offerLocal(e ingressEntry, bounce bool) error {
-	return in.offer(metrics.ShardIndex(len(in.shards)), e, bounce)
-}
-
-// pending reports staged plus queued work — the depth the admission bound
-// compares against, and what the spill/steal scans read in place of a
-// locked core QueueLen.
+// pending reports staged, in-transit and queued work — what the
+// spill/steal scans and the rescue re-check read in place of a locked
+// core QueueLen. A drained entry moves staged → transit → queued, each
+// count raised before the last is lowered, and the loads run in that
+// order, so a backlog in motion is never read as empty: a peer parking on
+// that misreading would strand a dead pool's backlog. The admission bound
+// reads staged plus queued alone, so a drain never over-counts it.
 func (in *ingress) pending() int {
-	return int(in.staged.Load() + in.queued.Load())
+	return int(in.staged.Load() + in.transit.Load() + in.queued.Load())
 }
 
 // drainInto empties every shard into scratch (reusing its backing array)
@@ -125,6 +124,7 @@ func (in *ingress) drainInto(scratch []ingressEntry) []ingressEntry {
 		s.items = s.items[:0]
 		s.mu.Unlock()
 	}
+	in.transit.Store(int64(len(out)))
 	in.staged.Add(-int64(len(out)))
 	if len(out) > 1 {
 		slices.SortFunc(out, func(a, b ingressEntry) int {
@@ -141,8 +141,14 @@ func (in *ingress) drainInto(scratch []ingressEntry) []ingressEntry {
 }
 
 // syncQueued stores the downstream core's occupancy into the admission
-// bound's mirror. Called under the pool lock after every core mutation.
-func (in *ingress) syncQueued(n int) { in.queued.Store(int64(n)) }
+// bound's mirror, which ends any drain in transit. Called under the pool
+// lock after every core mutation.
+func (in *ingress) syncQueued(n int) {
+	in.queued.Store(int64(n))
+	if in.transit.Load() != 0 {
+		in.transit.Store(0)
+	}
+}
 
 // droppedCount reports offers rejected at the bound.
 func (in *ingress) droppedCount() int { return int(in.dropped.Load()) }

@@ -117,10 +117,9 @@ func TestShardedIngressPropertyHarness(t *testing.T) {
 			case 0: // offer onto an arbitrary shard
 				tk := propTask(nextID, now, op.a)
 				nextID++
-				bounce := op.a%7 == 0
 				before := sp.in.droppedCount()
 				pendingBefore := sp.in.pending()
-				err := sp.in.offer(op.a%shards, ingressEntry{task: tk}, bounce)
+				err := sp.in.offer(op.a%shards, ingressEntry{task: tk})
 				switch {
 				case err == nil:
 					if int64(pendingBefore) >= sp.in.bound {
@@ -134,13 +133,9 @@ func TestShardedIngressPropertyHarness(t *testing.T) {
 					if int64(pendingBefore) < sp.in.bound {
 						return fmt.Errorf("offer rejected at pending %d under bound %d", pendingBefore, sp.in.bound)
 					}
-					want := before
-					if !bounce {
-						want++
-					}
-					if sp.in.droppedCount() != want {
-						return fmt.Errorf("drop counter %d after bounced=%v rejection, want %d",
-							sp.in.droppedCount(), bounce, want)
+					if sp.in.droppedCount() != before+1 {
+						return fmt.Errorf("drop counter %d after a rejection, want %d",
+							sp.in.droppedCount(), before+1)
 					}
 				default:
 					return fmt.Errorf("offer: unexpected error %v", err)

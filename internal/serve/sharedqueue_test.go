@@ -264,23 +264,3 @@ func TestSharedQueueOverComplete(t *testing.T) {
 		t.Fatal("double-complete must violate shared-queue conservation")
 	}
 }
-
-func TestBatchWindow(t *testing.T) {
-	w := NewBatchWindow(100*time.Millisecond, 50*time.Millisecond, 8, 3)
-	if !w.Open(120 * time.Millisecond) {
-		t.Fatal("window must stay open before the deadline with room left")
-	}
-	w.Add(5)
-	if w.Open(120 * time.Millisecond) {
-		t.Fatal("window must close at target")
-	}
-	w2 := NewBatchWindow(0, 10*time.Millisecond, 8, 1)
-	if w2.Open(10 * time.Millisecond) {
-		t.Fatal("window must close at the deadline")
-	}
-	// Zero linger never opens: the deadline is now.
-	w3 := NewBatchWindow(time.Second, 0, 8, 1)
-	if w3.Open(time.Second) {
-		t.Fatal("zero linger must not open a window")
-	}
-}

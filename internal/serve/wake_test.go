@@ -12,21 +12,20 @@ import (
 )
 
 // TestLingerReleasesOnFillingArrival pins the arrival half of the batch
-// wake path, per-dispatch window and queue-level former alike: the
-// arrival that fills a batch releases it at once, long before the
-// window's deadline.
+// wake path: the arrival that fills a forming batch releases it at once,
+// long before the former's linger bound, whatever the batch size.
 func TestLingerReleasesOnFillingArrival(t *testing.T) {
-	for _, global := range []bool{false, true} {
-		t.Run(fmt.Sprintf("GlobalBatch=%v", global), func(t *testing.T) {
+	for _, maxBatch := range []int{2, 3} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
 			eng, err := NewEngine(testRunners(t), Options{
-				Workers: 1, MaxBatch: 2, BatchLinger: 2 * time.Second, GlobalBatch: global,
+				Workers: 1, MaxBatch: maxBatch, BatchLinger: 2 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
 			bench := workload.BySlug("chatbot")
-			invs := make([]Invocation, 2)
+			invs := make([]Invocation, maxBatch)
 			var wg sync.WaitGroup
 			start := time.Now()
 			for i := range invs {
@@ -45,40 +44,63 @@ func TestLingerReleasesOnFillingArrival(t *testing.T) {
 			}
 			wg.Wait()
 			if elapsed := time.Since(start); elapsed >= time.Second {
-				t.Errorf("a filled batch of 2 was served after %v; the filling arrival should release it", elapsed)
+				t.Errorf("a filled batch of %d was served after %v; the filling arrival should release it", maxBatch, elapsed)
 			}
 			for i, inv := range invs {
-				if inv.BatchRequests != 2 {
-					t.Errorf("request %d: BatchRequests = %d, want 2", i, inv.BatchRequests)
+				if inv.BatchRequests != maxBatch {
+					t.Errorf("request %d: BatchRequests = %d, want %d", i, inv.BatchRequests, maxBatch)
 				}
 			}
 		})
 	}
 }
 
-// TestLingerHoldsLoneRequestForWindow pins the timer half: a request with
-// no company waits out the whole window before it executes alone.
+// TestLingerHoldsLoneRequestForWindow pins the timer half and the rule
+// that arms the former: with MaxBatch > 1, BatchLinger attaches one, and a
+// request with no company waits out the whole linger bound queued before
+// it executes alone; with MaxBatch 1 the same linger attaches none.
 func TestLingerHoldsLoneRequestForWindow(t *testing.T) {
 	const linger = 30 * time.Millisecond
-	for _, global := range []bool{false, true} {
-		t.Run(fmt.Sprintf("GlobalBatch=%v", global), func(t *testing.T) {
+	for _, tc := range []struct {
+		maxBatch int
+		former   bool
+	}{{8, true}, {1, false}} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", tc.maxBatch), func(t *testing.T) {
 			eng, err := NewEngine(testRunners(t), Options{
-				Workers: 1, MaxBatch: 8, BatchLinger: linger, GlobalBatch: global,
+				Workers: 1, MaxBatch: tc.maxBatch, BatchLinger: linger,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
+			for name, p := range eng.pools {
+				if got := p.core.Former() != nil; got != tc.former {
+					t.Errorf("pool %s: former attached = %v, want %v", name, got, tc.former)
+				}
+			}
 			start := time.Now()
 			inv, err := eng.Submit("DSCS-Serverless", workload.BySlug("chatbot"), faas.Options{Quantile: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if elapsed := time.Since(start); elapsed < linger {
-				t.Errorf("lone request served after %v, inside its %v window", elapsed, linger)
-			}
 			if inv.BatchRequests != 1 {
 				t.Errorf("BatchRequests = %d, want 1", inv.BatchRequests)
+			}
+			formed := eng.tel.Counter("serve_batch_formed_total")
+			if !tc.former {
+				if formed != 0 {
+					t.Errorf("serve_batch_formed_total = %g without a former, want 0", formed)
+				}
+				return
+			}
+			if elapsed := time.Since(start); elapsed < linger {
+				t.Errorf("lone request served after %v, inside its %v linger", elapsed, linger)
+			}
+			if inv.Queued < linger {
+				t.Errorf("Queued = %v, want at least the %v hold", inv.Queued, linger)
+			}
+			if formed != 1 {
+				t.Errorf("serve_batch_formed_total = %g, want 1", formed)
 			}
 		})
 	}

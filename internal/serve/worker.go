@@ -1,5 +1,5 @@
 // worker.go is the engine's drain half: the worker loop (dispatch, batch
-// gathering and lingering, stealing, execution, delivery) and its batches.
+// gathering, stealing, execution, delivery) and its batches.
 
 package serve
 
@@ -27,13 +27,11 @@ func coalescable(a, b faas.Options) bool {
 }
 
 // batchState is one execution's gathered requests: the dispatched lead
-// plus every compatible same-benchmark request coalesced so far, with the
-// remaining MaxBatch budget for further gathering during a linger window.
+// plus every compatible same-benchmark request coalesced at dispatch.
 type batchState struct {
 	lead    *request
 	payload string
 	batch   int // combined model batch
-	budget  int // remaining model-batch budget toward MaxBatch
 	// tasks holds the dispatched queue tasks themselves, lead first, each
 	// carrying its request in Ref: the requeue path returns them to the
 	// queue (arrival stamps, pricing) when the pool dies mid-batch.
@@ -52,13 +50,15 @@ func (p *pool) putBatch(bs *batchState) {
 	clear(bs.tasks)
 	bs.tasks = bs.tasks[:0]
 	bs.waits = bs.waits[:0]
-	bs.lead, bs.payload, bs.batch, bs.budget = nil, "", 0, 0
+	bs.lead, bs.payload, bs.batch = nil, "", 0
 	p.batches = append(p.batches, bs)
 }
 
 // newBatch resolves a dispatched task to its request (carried in the
-// task's Ref — no side-table lookup) and does the initial coalescing pass
-// over what already queued. Callers hold p.mu.
+// task's Ref — no side-table lookup) and coalesces compatible
+// same-benchmark requests that already queued, up to MaxBatch model-batch
+// units. Coalesce removes queued tasks just as Dispatch does, so the
+// caller refreshes the depth gauge after. Callers hold p.mu.
 //
 //dscslint:hotpath
 func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
@@ -74,28 +74,16 @@ func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
 	bs.lead, bs.payload = lead, task.Payload
 	bs.tasks = append(bs.tasks[:0], task)
 	bs.batch = reqBatch(lead.opt)
-	bs.budget = e.opt.MaxBatch - bs.batch
-	e.gather(p, bs)
-	return bs
-}
-
-// gather coalesces compatible same-benchmark queued requests into the
-// batch, up to the remaining budget, and refreshes the queue-depth gauge
-// (Coalesce removes queued tasks just like Dispatch does). Callers hold
-// p.mu.
-//
-//dscslint:hotpath
-func (e *Engine) gather(p *pool, bs *batchState) {
-	if bs.budget <= 0 {
-		return
+	budget := e.opt.MaxBatch - bs.batch
+	if budget <= 0 {
+		return bs
 	}
-	budget := bs.budget
 	taken := p.core.Coalesce(budget, func(t sched.HybridTask) bool {
 		if t.Payload != bs.payload {
 			return false
 		}
 		r := t.Ref.(*request)
-		if !coalescable(r.opt, bs.lead.opt) {
+		if !coalescable(r.opt, lead.opt) {
 			return false
 		}
 		if reqBatch(r.opt) > budget {
@@ -108,10 +96,7 @@ func (e *Engine) gather(p *pool, bs *batchState) {
 		bs.tasks = append(bs.tasks, t)
 		bs.batch += reqBatch(t.Ref.(*request).opt)
 	}
-	bs.budget = budget
-	if len(taken) > 0 {
-		e.syncDepth(p)
-	}
+	return bs
 }
 
 // stealInto pulls queued work from a donor pool into p — the drain-time
@@ -208,11 +193,10 @@ func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok
 }
 
 // worker is one pool goroutine: dispatch via the shared core, coalesce a
-// batch (lingering up to BatchLinger for it to fill toward MaxBatch, or
-// waiting on the global former's queue-level batch, both parked until an
-// arrival or the pool's wake timer), stealing a peer's backlog under
-// AdaptiveBalance when its own queue is empty, execute run-to-completion,
-// deliver outcomes.
+// batch (under BatchLinger, waiting on the former's queue-level batch,
+// parked until an arrival or the pool's wake timer), stealing a peer's
+// backlog under AdaptiveBalance when its own queue is empty, execute
+// run-to-completion, deliver outcomes.
 func (e *Engine) worker(p *pool) {
 	defer e.wg.Done()
 	p.mu.Lock()
@@ -270,42 +254,12 @@ func (e *Engine) worker(p *pool) {
 			continue
 		}
 		bs := e.newBatch(p, task)
-		// Queue delay ends at this dispatch: the linger window below holds
-		// an already-assigned batch open (worker-side batching, not
-		// queueing), and waiting for a physical drive further down is
-		// execution contention. Recording either as wait would let a lone
-		// lingered request read as linger-length queue delay — on a quiet
-		// pool the gauges would converge on BatchLinger and the balance
-		// latch would see congestion that is not there. (The simulation
-		// records at core dispatch the same way.)
+		// Queue delay ends at this dispatch. Under BatchLinger it includes
+		// the former's hold: the request sat queued while its group formed.
+		// Waiting for a physical drive further down is execution
+		// contention, not queueing. (The simulation records at core
+		// dispatch the same way.)
 		dispatched := e.now()
-		if e.opt.BatchLinger > 0 && e.opt.MaxBatch > 1 && p.core.Former() == nil {
-			// Deadline-aware batching: the same BatchWindow decision the
-			// discrete-event simulation drives from its virtual clock. The
-			// worker parks until the window's deadline (the wake timer) or
-			// an arrival's signal, so a filling arrival closes it at once.
-			w := NewBatchWindow(now, e.opt.BatchLinger, e.opt.MaxBatch, bs.batch)
-			for w.Open(e.now()) && !p.closed {
-				e.wakeAtLocked(p, w.Deadline)
-				p.lingering++
-				p.parked.Add(1)
-				if p.ingress.staged.Load() == 0 {
-					p.cond.Wait()
-				}
-				p.parked.Add(-1)
-				p.lingering--
-				e.drainLocked(p)
-				e.gather(p, bs)
-				w.Size = bs.batch
-				// The wakeup may have been meant for an idle worker: pass
-				// it on when work is left that this batch cannot take.
-				// Only to a waiter that is not lingering, or two lingerers
-				// would hand it back and forth.
-				if p.core.QueueLen() > 0 && p.parked.Load() > p.lingering {
-					p.cond.Signal()
-				}
-			}
-		}
 		e.syncDepth(p)
 		p.mu.Unlock()
 
@@ -395,9 +349,9 @@ func (e *Engine) worker(p *pool) {
 			e.cFormedAll.Inc(1)
 			p.cFormed.Inc(1)
 		}
-		// The waits were computed (and negative linger-window waits
-		// clamped) at dispatch time in recordWaits; charge the counter
-		// once for the whole batch and hand each request its own value.
+		// The waits were computed at dispatch time in recordWaits; charge
+		// the counter once for the whole batch and hand each request its
+		// own value.
 		var waitMS float64
 		for i := range bs.tasks {
 			wait := bs.waits[i]
