@@ -23,16 +23,29 @@ type Options struct {
 
 // Compile lowers graph g at the given batch size onto design point cfg.
 func Compile(g *model.Graph, batch int, cfg dsa.Config, opts Options) (*isa.Program, error) {
+	prog := new(isa.Program)
+	if err := CompileInto(prog, g, batch, cfg, opts); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// CompileInto is Compile lowering into dst, reusing dst.Instrs' storage:
+// a caller that compiles many programs and keeps none (the design-space
+// sweep) allocates one instruction buffer instead of one per program. dst
+// is overwritten whole; on error its contents are unspecified.
+func CompileInto(dst *isa.Program, g *model.Graph, batch int, cfg dsa.Config, opts Options) error {
 	if batch <= 0 {
-		return nil, fmt.Errorf("compiler: non-positive batch %d", batch)
+		return fmt.Errorf("compiler: non-positive batch %d", batch)
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	c := &compilation{g: g, batch: batch, cfg: cfg, opts: opts}
+	*dst = isa.Program{Name: g.Name, Batch: batch, Instrs: dst.Instrs[:0]}
+	c := compilation{g: g, batch: batch, cfg: cfg, opts: opts, prog: dst}
 	return c.run()
 }
 
@@ -43,17 +56,12 @@ type compilation struct {
 	opts  Options
 
 	prog *isa.Program
-	// lastGEMM indexes the most recent GEMM instruction, the fusion target.
-	lastGEMM int
 	// lastOutBytes is the previous layer's output size, used to decide
 	// whether a following vector op can stay on-chip.
 	lastOutBytes units.Bytes
 }
 
-func (c *compilation) run() (*isa.Program, error) {
-	c.prog = &isa.Program{Name: c.g.Name, Batch: c.batch}
-	c.lastGEMM = -1
-
+func (c *compilation) run() error {
 	// Stage the function input once from drive DRAM.
 	inBytes := units.Bytes(c.g.InputShape.Elems()) * units.Bytes(c.batch)
 	c.emit(isa.Instr{Op: isa.OpLoad, Layer: "input", Bytes: inBytes})
@@ -76,10 +84,7 @@ func (c *compilation) run() (*isa.Program, error) {
 	outBytes := units.Bytes(last.OutputElems()) * units.Bytes(c.batch)
 	c.emit(isa.Instr{Op: isa.OpStore, Layer: "output", Bytes: outBytes})
 
-	if err := c.prog.Validate(); err != nil {
-		return nil, err
-	}
-	return c.prog, nil
+	return c.prog.Validate()
 }
 
 func (c *compilation) emit(in isa.Instr) {
@@ -145,7 +150,6 @@ func (c *compilation) lowerGEMM(l *model.Layer) {
 		OutputBytes: outputBytes,
 		FusedVec:    fused,
 	})
-	c.lastGEMM = len(c.prog.Instrs) - 1
 	c.lastOutBytes = outputBytes
 
 	if c.opts.DisableFusion && l.FusedAct != model.NoAct {

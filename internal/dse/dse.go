@@ -14,6 +14,7 @@ import (
 
 	"dscs/internal/compiler"
 	"dscs/internal/dsa"
+	"dscs/internal/isa"
 	"dscs/internal/metrics"
 	"dscs/internal/model"
 	"dscs/internal/power"
@@ -116,6 +117,16 @@ func SuiteModels() []*model.Graph {
 // harmonic composition (requests per second of the average latency), power
 // is energy over busy time at 45 nm.
 func Evaluate(cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
+	return evaluate(new(isa.Program), cfg, models, node, budget)
+}
+
+// evaluate is Evaluate compiling every model into prog, whose storage the
+// next call reuses: Explore's workers each keep one program for the whole
+// sweep instead of allocating one per (configuration, model).
+func evaluate(prog *isa.Program, cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
+	if len(models) == 0 {
+		return Point{}, fmt.Errorf("dse: no models to evaluate %v on", cfg)
+	}
 	sim, err := dsa.New(cfg)
 	if err != nil {
 		return Point{}, err
@@ -123,8 +134,7 @@ func Evaluate(cfg dsa.Config, models []*model.Graph, node power.TechNode, budget
 	var totalLatency float64
 	var totalEnergy units.Energy
 	for _, g := range models {
-		prog, err := compiler.Compile(g, 1, cfg, compiler.Options{})
-		if err != nil {
+		if err := compiler.CompileInto(prog, g, 1, cfg, compiler.Options{}); err != nil {
 			return Point{}, err
 		}
 		st, err := sim.Run(prog)
@@ -162,8 +172,9 @@ func Explore(s Space, node power.TechNode) ([]Point, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prog isa.Program
 			for i := range work {
-				points[i], errs[i] = Evaluate(configs[i], models, node, s.Budget)
+				points[i], errs[i] = evaluate(&prog, configs[i], models, node, s.Budget)
 			}
 		}()
 	}

@@ -1,9 +1,11 @@
 package dse
 
 import (
+	"math"
 	"testing"
 
 	"dscs/internal/dsa"
+	"dscs/internal/model"
 	"dscs/internal/power"
 	"dscs/internal/units"
 )
@@ -141,5 +143,64 @@ func TestOptimal(t *testing.T) {
 	}
 	if _, ok := Optimal(nil); ok {
 		t.Error("no points should yield no optimum")
+	}
+}
+
+// TestEvaluateRejectsNoModels pins the empty-suite edge: with no models
+// the average latency is 0/0, which used to come back as a NaN point
+// marked feasible with a nil error.
+func TestEvaluateRejectsNoModels(t *testing.T) {
+	for _, models := range [][]*model.Graph{nil, {}} {
+		p, err := Evaluate(dsa.PaperOptimal(), models, power.Node45nm, 25)
+		if err == nil {
+			t.Fatalf("Evaluate with %d models = %+v, nil error; want an error", len(models), p)
+		}
+	}
+}
+
+// TestExploreMatchesEvaluate pins the sweep's buffer reuse: every point
+// Explore computes with a worker's reused program must be bit-identical to
+// the public Evaluate's, which compiles into a fresh one.
+func TestExploreMatchesEvaluate(t *testing.T) {
+	space := Space{
+		Dims:        []int{8, 64, 256},
+		BufferSteps: []units.Bytes{512 * units.KiB, 4 * units.MiB, 16 * units.MiB},
+		Memories:    []power.DRAMKind{power.DDR4, power.HBM2},
+		MaxBuffer:   32 * units.MiB,
+		Budget:      25,
+	}
+	points, err := Explore(space, power.Node45nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := space.Enumerate()
+	if len(points) != len(configs) || len(points) < 10 {
+		t.Fatalf("Explore returned %d points for %d configs", len(points), len(configs))
+	}
+	models := SuiteModels()
+	for i, cfg := range configs {
+		want, err := Evaluate(cfg, models, power.Node45nm, space.Budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := points[i]
+		if got.Config != want.Config || got.Feasible != want.Feasible ||
+			math.Float64bits(got.Throughput) != math.Float64bits(want.Throughput) ||
+			math.Float64bits(float64(got.DynPower)) != math.Float64bits(float64(want.DynPower)) ||
+			math.Float64bits(float64(got.Area)) != math.Float64bits(float64(want.Area)) {
+			t.Fatalf("%s: Explore = %+v, Evaluate = %+v", cfg, got, want)
+		}
+	}
+}
+
+// BenchmarkExplore times one full Section 4.2 sweep and reports its
+// allocations: the sweep compiles seven models on every configuration, so
+// a program allocated per compilation shows here first.
+func BenchmarkExplore(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Explore(PaperSpace(), power.Node45nm); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

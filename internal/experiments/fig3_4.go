@@ -27,9 +27,10 @@ func Fig3(env *Environment) (*Result, error) {
 		if _, err := base.Invoke(b, faas.Options{Quantile: 0.5}); err != nil {
 			return nil, err
 		}
+		key := b.Slug + "/input"
 		sample := metrics.NewSample(Fig3Samples)
 		for i := 0; i < Fig3Samples; i++ {
-			lat, _, err := env.Store.GetAt(b.Slug+"/input", -1)
+			lat, _, err := env.Store.GetAt(key, -1)
 			if err != nil {
 				return nil, err
 			}

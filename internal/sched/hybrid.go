@@ -113,11 +113,11 @@ func agedHead(q *HybridQueue, class InstanceClass, now time.Duration) bool {
 // HybridQueue is the bounded shared queue. The live window is
 // tasks[head:]: a head dequeue — the FCFS fast path every dispatch takes —
 // advances the index instead of sliding the whole backlog down, and the
-// backlog compacts once the dead prefix reaches the queue bound. That
-// keeps head removal amortized O(1) where the previous slide was O(n) per
-// dispatch — at depth 4096 the slide was the single largest cost on the
-// serve hot path, dwarfing the scheduler itself — while the backing array
-// stays bounded at twice the queue depth.
+// backlog compacts once the dead prefix is as long as the live window.
+// That keeps head removal amortized O(1) where the previous slide was O(n)
+// per dispatch — at depth 4096 the slide was the single largest cost on
+// the serve hot path, dwarfing the scheduler itself — while the backing
+// array stays bounded at about twice the peak backlog, whatever the depth.
 type HybridQueue struct {
 	tasks   []HybridTask // live window is tasks[head:]
 	head    int
@@ -180,14 +180,13 @@ func (q *HybridQueue) Head() (HybridTask, bool) {
 	return q.live()[0], true
 }
 
-// compact reclaims the dead prefix once it reaches the queue bound (or the
-// queue empties). Amortized O(1): a compaction of depth elements is paid
-// for by the depth head-dequeues that preceded it.
+// compact reclaims the dead prefix once it is at least as long as the
+// live window (an empty queue always qualifies). Amortized O(1): copying
+// the L live tasks down is paid for by the L or more head-dequeues that
+// built the prefix, and keying on the window rather than the bound keeps a
+// deep queue with a short backlog from growing toward its bound.
 func (q *HybridQueue) compact() {
-	if q.head == len(q.tasks) {
-		q.tasks = q.tasks[:0]
-		q.head = 0
-	} else if q.head >= q.depth {
+	if q.head >= q.Len() {
 		n := copy(q.tasks, q.tasks[q.head:])
 		q.tasks = q.tasks[:n]
 		q.head = 0

@@ -212,3 +212,59 @@ func TestPolicyNames(t *testing.T) {
 		t.Error("classes must render differently")
 	}
 }
+
+// TestHybridQueueCapacityTracksBacklog pins the storage bound: a deep queue
+// (depth 100,000) that never holds more than 64 tasks must keep its backing
+// array near twice that backlog. Compacting only when the dead prefix
+// reached the depth grew it past 116,000 slots over this run.
+func TestHybridQueueCapacityTracksBacklog(t *testing.T) {
+	const (
+		depth   = 100_000
+		backlog = 64
+		cycles  = 1_000_000
+	)
+	q, err := NewHybridQueue(depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	submit := func() {
+		if !q.Submit(HybridTask{ID: next, Arrived: time.Duration(next)}) {
+			t.Fatalf("task %d dropped below the bound", next)
+		}
+		next++
+	}
+	for q.Len() < backlog {
+		submit()
+	}
+	var got HybridTask
+	var scratch []HybridTask
+	want, peak := 0, 0
+	for i := 0; i < cycles; i++ {
+		if i%1000 == 999 {
+			// A steal-shaped drain of the oldest few, then refill.
+			scratch = q.TakePrefixInto(scratch[:0], 8, nil)
+			for _, tk := range scratch {
+				if tk.ID != want {
+					t.Fatalf("cycle %d: took %d, want %d", i, tk.ID, want)
+				}
+				want++
+				submit()
+			}
+		} else {
+			if !PickInto(FCFSPolicy{}, q, ClassCPU, 0, &got) || got.ID != want {
+				t.Fatalf("cycle %d: picked %d, want %d", i, got.ID, want)
+			}
+			want++
+			submit()
+		}
+		if q.Len() > backlog {
+			t.Fatalf("cycle %d: %d live tasks, want at most %d", i, q.Len(), backlog)
+		}
+		peak = max(peak, cap(q.tasks))
+	}
+	if peak > 4*backlog {
+		t.Fatalf("backing array peaked at %d slots for a backlog of at most %d (depth %d)", peak, backlog, depth)
+	}
+	t.Logf("peak capacity %d for a backlog of %d", peak, backlog)
+}
