@@ -156,8 +156,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		order:          []int{0},
 		estimateWindow: cfg.EstimateWindow, estimateWarmup: cfg.EstimateWarmup,
 		elastic: cfg.Elastic, faults: cfg.Faults,
-		maxBatch: cfg.MaxBatch, formBatches: cfg.BatchLinger > 0,
-		batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
+		maxBatch: cfg.MaxBatch, batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
 		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
 	}, seed)
 	if err != nil {

@@ -47,10 +47,10 @@ type rack struct {
 	elastic *scale.Config
 	faults  []trace.FaultEvent
 	// maxBatch > 1 coalesces same-benchmark queued tasks onto a dispatch;
-	// formBatches also attaches a serve.BatchFormer to every pool, the one
-	// way a pool holds work back to batch it.
+	// a batchLinger beside it also attaches a serve.BatchFormer to every
+	// pool, the one way a pool holds work back to batch it — the rule the
+	// live engine applies to MaxBatch and BatchLinger.
 	maxBatch              int
-	formBatches           bool
 	batchLinger, batchSLO time.Duration
 	// The sampler ticks every sampleEvery across [0, horizon]; the lifecycle
 	// tallies close at horizon too, so every configuration's idle cost
@@ -172,7 +172,7 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 		}
 		d.pump()
 	}
-	if r.formBatches && r.maxBatch > 1 {
+	if r.maxBatch > 1 && r.batchLinger > 0 {
 		for i, spec := range r.pools {
 			d.formers[i] = serve.NewBatchFormer(r.maxBatch, r.batchLinger, r.batchSLO, spec.Class)
 			mc.Pool(i).AttachFormer(d.formers[i])

@@ -86,16 +86,16 @@ func TestFormerGolden(t *testing.T) {
 // TestStealRebalancesDeepBacklog is the acceptance scenario on the
 // discrete-event rack: split per-class backlogs stage a deep DSCS queue
 // beside 28 idle CPU instances (every arrival targets the accelerated
-// tier). With stealing armed the CPU side drains the excess and
-// completions strictly dominate the no-steal configuration; without it the
-// backlog overflows its bound and drops.
+// tier). With balance armed the CPU side drains the excess, by steal and
+// by spill, and completions strictly dominate isolated pools; without it
+// the backlog overflows its bound and drops.
 func TestStealRebalancesDeepBacklog(t *testing.T) {
 	tr := hybridTrace(t)
-	run := func(steal, spill int) *HybridStats {
+	run := func(balance bool) *HybridStats {
 		st, err := RunHybrid(tr, HybridConfig{
 			CPUInstances: 28, DSCSInstances: 6, QueueDepth: 400,
 			Service: mixedService, Jitter: 0.15, SampleEvery: 5 * time.Second,
-			SplitQueues: true, StealThreshold: steal, SpilloverThreshold: spill,
+			SplitQueues: true, AdaptiveBalance: balance,
 		}, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -103,35 +103,24 @@ func TestStealRebalancesDeepBacklog(t *testing.T) {
 		return st
 	}
 
-	noSteal := run(0, 0)
-	withSteal := run(4, 0)
-	both := run(4, 200)
+	isolated := run(false)
+	balanced := run(true)
 
-	if withSteal.Completed <= noSteal.Completed {
-		t.Errorf("steal completions (%d) must strictly dominate no-steal (%d)",
-			withSteal.Completed, noSteal.Completed)
+	if balanced.Completed <= isolated.Completed {
+		t.Errorf("balanced completions (%d) must strictly dominate isolated pools (%d)",
+			balanced.Completed, isolated.Completed)
 	}
-	if withSteal.Dropped >= noSteal.Dropped {
-		t.Errorf("steal drops (%d) must undercut no-steal (%d)", withSteal.Dropped, noSteal.Dropped)
+	if balanced.Dropped >= isolated.Dropped {
+		t.Errorf("balanced drops (%d) must undercut isolated pools (%d)", balanced.Dropped, isolated.Dropped)
 	}
-	if withSteal.Stolen == 0 {
-		t.Error("rebalancing run recorded no steals")
+	if balanced.Stolen == 0 || balanced.Spilled == 0 {
+		t.Errorf("balanced run: stolen=%d spilled=%d, want both active", balanced.Stolen, balanced.Spilled)
 	}
-	if noSteal.Stolen != 0 || noSteal.Spilled != 0 {
-		t.Errorf("no-steal run moved work: stolen=%d spilled=%d", noSteal.Stolen, noSteal.Spilled)
+	if isolated.Stolen != 0 || isolated.Spilled != 0 {
+		t.Errorf("isolated run moved work: stolen=%d spilled=%d", isolated.Stolen, isolated.Spilled)
 	}
-	if withSteal.Latency.Mean() >= noSteal.Latency.Mean() {
+	if balanced.Latency.Mean() >= isolated.Latency.Mean() {
 		t.Error("rebalancing must not worsen mean latency under a drop-heavy backlog")
-	}
-	// Submit-time spillover and drain-time stealing compose: the combined
-	// run completes at least as much as stealing alone and both mechanisms
-	// are visibly at work.
-	if both.Completed < withSteal.Completed {
-		t.Errorf("steal+spillover completed %d, less than steal alone (%d)",
-			both.Completed, withSteal.Completed)
-	}
-	if both.Spilled == 0 || both.Stolen == 0 {
-		t.Errorf("combined run: spilled=%d stolen=%d, want both active", both.Spilled, both.Stolen)
 	}
 
 	// Seeded golden pins for the regime shift (same trace seed 21, run
@@ -142,9 +131,8 @@ func TestStealRebalancesDeepBacklog(t *testing.T) {
 		st   *HybridStats
 		want golden
 	}{
-		{"no-steal", noSteal, golden{18213, 15606, 0, 0}},
-		{"steal", withSteal, golden{31499, 2320, 13754, 0}},
-		{"steal+spillover", both, golden{32106, 1713, 5896, 8382}},
+		{"isolated", isolated, golden{18213, 15606, 0, 0}},
+		{"balanced", balanced, golden{31491, 2328, 14541, 215}},
 	} {
 		if pin.st.Completed != pin.want.completed || pin.st.Dropped != pin.want.dropped ||
 			pin.st.Stolen != pin.want.stolen || pin.st.Spilled != pin.want.spilled {
@@ -155,15 +143,15 @@ func TestStealRebalancesDeepBacklog(t *testing.T) {
 	}
 }
 
-// TestSplitDeterminism: split + steal runs must stay reproducible per
-// seed, like every other simulation path.
+// TestSplitDeterminism: split runs under balance must stay reproducible
+// per seed, like every other simulation path.
 func TestSplitDeterminism(t *testing.T) {
 	tr := hybridTrace(t)
 	run := func() *HybridStats {
 		st, err := RunHybrid(tr, HybridConfig{
 			CPUInstances: 10, DSCSInstances: 3, QueueDepth: 300,
 			Service: mixedService, Jitter: 0.2, SampleEvery: 5 * time.Second,
-			SplitQueues: true, StealThreshold: 2, SpilloverThreshold: 150,
+			SplitQueues: true, AdaptiveBalance: true,
 		}, 9)
 		if err != nil {
 			t.Fatal(err)
@@ -171,6 +159,9 @@ func TestSplitDeterminism(t *testing.T) {
 		return st
 	}
 	a, b := run(), run()
+	if a.Stolen == 0 {
+		t.Error("balanced split run recorded no steals")
+	}
 	if a.Completed != b.Completed || a.Stolen != b.Stolen || a.Spilled != b.Spilled ||
 		a.Latency.Mean() != b.Latency.Mean() {
 		t.Error("split runs must be deterministic per seed")

@@ -46,22 +46,15 @@ type HybridConfig struct {
 	// N-way: spilled arrivals pick the least-loaded CPU pool and idle CPU
 	// pools steal from each other as well as from the DSCS backlog.
 	CPUPools int
-	// StealThreshold arms pull-based rebalancing over split backlogs: a
-	// pool whose own backlog is empty pulls a peer's oldest queued work
-	// once the peer backlog exceeds this depth (0 disables; split layout
-	// only; ignored under AdaptiveBalance).
-	StealThreshold int
-	// SpilloverThreshold reroutes an arrival onto a CPU backlog at submit
-	// time once the DSCS backlog is this deep (0 disables; split layout
-	// only; ignored under AdaptiveBalance).
-	SpilloverThreshold int
-	// AdaptiveBalance replaces the static queue-depth thresholds with the
-	// wait-keyed decision (split layout only): every dispatch records the
-	// served task's queue delay into per-pool digests, and work spills or
-	// is stolen once the donor pool's adopted wait-p95 has diverged above
-	// the target's past the hysteresis latch (metrics.Digest.Adopt) — the
-	// same serve.MultiCore logic the live engine runs behind
-	// -adaptive-balance, driven here from the virtual clock.
+	// AdaptiveBalance arms rebalancing over split backlogs (split layout
+	// only): every dispatch records the served task's queue delay into
+	// per-pool digests, and work spills at submit time or is stolen at
+	// drain time once the donor pool's wait-p95 has diverged above the
+	// target's past the hysteresis latch, while arrivals aimed at a dead
+	// DSCS pool reroute to the shallowest healthy CPU pool — the
+	// serve.MultiCore decisions (BalanceTarget, StealDonor) the live engine
+	// runs behind -adaptive-balance, driven here from the virtual clock.
+	// Off, the pools stay isolated, as on the engine.
 	AdaptiveBalance bool
 	// SLO is the per-request latency budget; completions within it count
 	// toward HybridStats.WithinSLO (0 disables the tally).
@@ -95,9 +88,9 @@ type HybridConfig struct {
 	// pool names ("dscs", "cpu" or "cpu0".."cpuN-1"); drive events are
 	// rejected — this sim models instances, not storage nodes. A pool-down
 	// gates the pool's dispatch and cancels its in-flight executions, whose
-	// tasks requeue (serve.PoolCore.Requeue); peers rescue the backlog
-	// through the spill/steal machinery, which treats a dead pool as
-	// unboundedly slow rather than idle.
+	// tasks requeue (serve.PoolCore.Requeue); under AdaptiveBalance peers
+	// rescue the backlog through the spill/steal machinery, which treats a
+	// dead pool as unboundedly slow rather than idle.
 	Faults []trace.FaultEvent
 	// HedgeFactor arms tail-latency hedging (split layout only): an
 	// execution that outlives HedgeFactor x the adopted service-p95 for its
@@ -295,9 +288,9 @@ func runSharedHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridSta
 }
 
 // runSplitHybrid is the per-pool-backlog topology: one DSCS pool plus
-// CPUPools same-class CPU pools, rebalanced by submit-time spillover and
-// drain-time stealing — keyed by the static depth thresholds or, under
-// AdaptiveBalance, by the adopted wait-p95 gap between pools.
+// CPUPools same-class CPU pools. Under AdaptiveBalance they rebalance by
+// submit-time spillover and drain-time stealing, keyed by the adopted
+// wait-p95 gap between pools; without it they stay isolated.
 func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
 	cpuPools := cfg.CPUPools
 	if cpuPools <= 0 {
@@ -369,12 +362,11 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	}
 
 	// steal is the pull half of rebalancing: a pool with free instances
-	// and an empty backlog drains a peer's excess, capped at its free
-	// capacity. The static threshold picks the deepest peer beyond the
-	// depth count; adaptive balance picks the deepest peer whose adopted
-	// wait-p95 gap over the thief has latched (serve.MultiCore.StealDonor).
+	// and an empty backlog drains the deepest peer whose adopted wait-p95
+	// gap over it has latched (serve.MultiCore.StealDonor), capped at its
+	// free capacity.
 	d.rebalance = func() int {
-		if !cfg.AdaptiveBalance && cfg.StealThreshold <= 0 {
+		if !cfg.AdaptiveBalance {
 			return 0
 		}
 		stole := 0
@@ -387,83 +379,26 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 			if free == 0 || thief.QueueLen() > 0 || !thief.Healthy() {
 				continue
 			}
-			// from is the donor, excess what it may give.
-			from, excess := -1, 0
-			if cfg.AdaptiveBalance {
-				if donor, ok := mc.StealDonor(to, nil); ok {
-					from, excess = donor, mc.Pool(donor).QueueLen()
-				}
-			} else {
-				// The static threshold, a sim-only reference arm, steals
-				// cross-class only: same-class rebalancing is what
-				// AdaptiveBalance adds. A dead donor bypasses both the
-				// class restriction and the depth floor — its backlog has
-				// no workers coming back for it, so any orphan justifies
-				// the pull.
-				for i := 0; i < mc.Pools(); i++ {
-					alive := mc.Healthy(i)
-					if i == to || (alive && specs[i].Class == specs[to].Class) {
-						continue
-					}
-					floor := cfg.StealThreshold
-					if !alive {
-						floor = 0
-					}
-					if over := mc.Pool(i).QueueLen() - floor; over > excess {
-						from, excess = i, over
-					}
-				}
-			}
-			if from < 0 {
+			from, ok := mc.StealDonor(to, nil)
+			if !ok {
 				continue
 			}
-			if excess < free {
-				free = excess
-			}
-			stole += len(mc.Steal(from, to, free))
+			stole += len(mc.Steal(from, to, min(free, mc.Pool(from).QueueLen())))
 		}
 		return stole
 	}
 
-	// spillTarget picks the CPU pool an over-threshold (or over-wait)
-	// arrival lands on: least-queued under the static threshold,
-	// least-wait under adaptive balance (serve.MultiCore.BalanceTarget).
-	// A dead accelerated tier reroutes arrivals to the least-queued
-	// healthy CPU pool whenever any balancing is armed — the same
-	// dead-pool reroute the live engine's enqueue applies.
 	onlyCPU := func(i int) bool { return i != dscsIdx }
-	leastQueuedCPU := func(healthyOnly bool) (int, bool) {
-		best, depth, found := 0, 0, false
-		for i := 0; i < dscsIdx; i++ {
-			if healthyOnly && !mc.Healthy(i) {
-				continue
-			}
-			if n := mc.Pool(i).QueueLen(); !found || n < depth {
-				best, depth, found = i, n, true
-			}
-		}
-		return best, found
-	}
-	spillTarget := func() (int, bool) {
-		switch {
-		case !mc.Healthy(dscsIdx) && (cfg.AdaptiveBalance || cfg.SpilloverThreshold > 0):
-			return leastQueuedCPU(true)
-		case cfg.AdaptiveBalance:
-			return mc.BalanceTarget(dscsIdx, onlyCPU)
-		case cfg.SpilloverThreshold <= 0 || mc.Pool(dscsIdx).QueueLen() < cfg.SpilloverThreshold:
-			return 0, false
-		}
-		return leastQueuedCPU(false)
-	}
-
 	d.arrive = func(i int) {
 		task := pricing.task(tr.Requests[i], d.now())
-		// Arrivals target the accelerated backlog; past the spillover
-		// trigger they land on a CPU backlog instead — the same
-		// submit-time reroute the live engine applies.
+		// Arrivals target the accelerated backlog; under balance the one
+		// submit-time decision the live engine's enqueue takes
+		// (serve.MultiCore.BalanceTarget) moves them to a CPU backlog.
 		idx := dscsIdx
-		if to, ok := spillTarget(); ok {
-			idx = to
+		if cfg.AdaptiveBalance {
+			if to, ok := mc.BalanceTarget(dscsIdx, onlyCPU); ok {
+				idx = to
+			}
 		}
 		if d.submit(idx, task) && idx != dscsIdx {
 			st.Spilled++

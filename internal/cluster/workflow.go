@@ -54,10 +54,13 @@ type WorkflowSimConfig struct {
 	// blindly across pools (workflow.RoundRobin).
 	Locality bool
 	// MaxBatch arms inter-stage batching: same-benchmark stages queued on
-	// one pool — parallel fan-out shards especially — coalesce through a
-	// per-pool serve.BatchFormer up to this count (0 or 1 disables).
+	// one pool — parallel fan-out shards especially — coalesce onto one
+	// dispatch up to this count (0 or 1 disables).
 	MaxBatch int
-	// BatchLinger and BatchSLO tune the former's hold decision.
+	// BatchLinger attaches a per-pool serve.BatchFormer when MaxBatch > 1,
+	// the live engine's rule: stages landing together group across the
+	// queue and release at MaxBatch, after BatchLinger, or when BatchSLO's
+	// slack runs out. 0 coalesces only what already queued.
 	BatchLinger, BatchSLO time.Duration
 	// SampleEvery sets the queue-occupancy sampling period.
 	SampleEvery time.Duration
@@ -179,8 +182,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	// fan-out shards landing together release as one execution.
 	d, err := newDriver(rack{
 		pools: specs, order: order, faults: cfg.Faults,
-		maxBatch: cfg.MaxBatch, formBatches: true,
-		batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
+		maxBatch: cfg.MaxBatch, batchLinger: cfg.BatchLinger, batchSLO: cfg.BatchSLO,
 		sampleEvery: cfg.SampleEvery, horizon: wtr.Duration + 2*time.Minute,
 	}, seed)
 	if err != nil {

@@ -82,23 +82,6 @@ func (e *Engine) putRequest(r *request) {
 	s.mu.Unlock()
 }
 
-// spillTarget picks the pool a submission aimed at a dead DSCS pool
-// reroutes to: the least-queued healthy pool spillEligible admits (ties
-// broken by name) — the SpilloverTo pool while it lives.
-func (e *Engine) spillTarget() *pool {
-	var best *pool
-	bestDepth := 0
-	for _, c := range e.spillCPU {
-		if !e.poolHealthy(c) || !e.spillEligible(c.idx) {
-			continue
-		}
-		if depth := e.poolDepth(c); best == nil || depth < bestDepth {
-			best, bestDepth = c, depth
-		}
-	}
-	return best
-}
-
 // syncDepth refreshes a pool's queue-depth gauge and the queued mirror the
 // ingress admission bound reads. Callers hold p.mu; every core mutation
 // routes through here so the two views cannot drift.
@@ -387,18 +370,12 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 	}
 	target, spilled := p, false
 	if p.class == sched.ClassDSCS && e.opt.AdaptiveBalance {
-		if !e.poolHealthy(p) {
-			// The home pool is dead: reroute unconditionally — no wait gap
-			// needed, anything admitted here waits for recovery or rescue.
-			// (Without balance the submission queues on the dead pool, the
-			// degraded mode an operator chose by running isolated pools.)
-			if t := e.spillTarget(); t != nil {
-				target, spilled = t, true
-			}
-		} else if t, ok := e.bal.BalanceTarget(p.idx, e.spillEligible); ok {
-			// Wait-keyed spillover: reroute once this pool's wait-p95 has
-			// latched above the cheapest spill target's — queue delay is
-			// what the submission is about to pay.
+		// A dead home pool reroutes unconditionally; a live one spills once
+		// its wait-p95 has latched above the cheapest spill target's —
+		// queue delay is what the submission is about to pay. (Without
+		// balance the submission queues on its home pool, dead or not, the
+		// degraded mode an operator chose by running isolated pools.)
+		if t, ok := e.bal.BalanceTarget(p.idx, e.spillEligible); ok {
 			target, spilled = e.order[t], true
 		}
 	}

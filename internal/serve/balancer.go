@@ -14,8 +14,9 @@
 //
 // Pools are numbered by their owner, fixed at construction, and every tie
 // goes to the lowest index: among equally priced spill targets, equally
-// deep donors and (through workflow.Placer) equally priced non-home pools.
-// The Engine numbers its pools in name order, so there it is lowest name.
+// shallow reroute targets, equally deep donors and (through
+// workflow.Placer) equally priced non-home pools. The Engine numbers its
+// pools in name order, so there it is lowest name.
 //
 // The balancer owns no clock and no goroutine, and reads pools only through
 // poolView, never with its own mutex held: an owner whose view takes a pool
@@ -239,15 +240,21 @@ func (b *balancer) overloaded(from, to int, peer *price) bool {
 	return b.latches[from*len(b.waits)+to].Above(donorWait, peer.wait)
 }
 
-// BalanceTarget picks the pool a submission aimed at from should spill to:
-// the eligible healthy peer with the lowest priced wait (the pricing the
-// Overloaded gate applies — by raw digest p95 a rescue-contaminated idle
-// pool would sort last and never be selected), but only when from's gap
-// over that peer has latched. A spill routes around a backlog, so a from
-// pool with an empty queue never spills: the submission dispatches
-// immediately anyway, and microscopic warmed waits beside a never-waited
-// peer must not reroute it. A nil eligible accepts every other pool.
+// BalanceTarget picks the pool a submission aimed at from should go to
+// instead: the one spill and reroute decision on both clocks. A dead from
+// reroutes to its shallowest healthy eligible peer (shallowest). A live
+// one spills to the eligible healthy peer with the lowest priced wait (the
+// pricing the Overloaded gate applies — by raw digest p95 a
+// rescue-contaminated idle pool would sort last and never be selected),
+// but only when from's gap over that peer has latched. A spill routes
+// around a backlog, so a live from pool with an empty queue never spills:
+// the submission dispatches immediately anyway, and microscopic warmed
+// waits beside a never-waited peer must not reroute it. A nil eligible
+// accepts every other pool.
 func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) {
+	if !b.view.healthy(from) {
+		return b.shallowest(from, eligible)
+	}
 	if b.view.depth(from) == 0 {
 		return 0, false
 	}
@@ -265,6 +272,22 @@ func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) 
 		return 0, false
 	}
 	return best, true
+}
+
+// shallowest is the dead-home reroute: the eligible healthy peer with the
+// shallowest backlog. Anything admitted to a dead pool waits for recovery
+// or rescue, so the reroute needs no backlog, warm-up or latch.
+func (b *balancer) shallowest(from int, eligible func(int) bool) (int, bool) {
+	best, bestDepth, found := 0, 0, false
+	for i := range b.waits {
+		if i == from || (eligible != nil && !eligible(i)) || !b.view.healthy(i) {
+			continue
+		}
+		if d := b.view.depth(i); !found || d < bestDepth {
+			best, bestDepth, found = i, d, true
+		}
+	}
+	return best, found
 }
 
 // StealDonor picks the pool an idle thief should pull queued work from:

@@ -79,6 +79,42 @@ func TestBalancerDecisions(t *testing.T) {
 			expect: want{target: 2, donor: -1, freeReads: -1},
 		},
 		{
+			// A dead from reroutes by depth alone: no warm-up, no latch,
+			// and no free-worker read.
+			name:   "dead from: the least-deep peer wins",
+			view:   stubView{dead: []bool{true, false, false}, depths: []int{3, 4, 1}, busy: make([]bool, 3)},
+			thief:  2,
+			expect: want{target: 2, donor: 0, freeReads: 0},
+		},
+		{
+			// An empty dead from still reroutes: what it admits waits
+			// for recovery or rescue.
+			name:   "dead from: a tie goes to the lowest index",
+			view:   stubView{dead: []bool{true, false, false}, depths: []int{0, 2, 2}, busy: make([]bool, 3)},
+			thief:  1,
+			expect: want{target: 1, donor: -1, freeReads: 0},
+		},
+		{
+			name:   "dead from: dead peers and from are skipped",
+			view:   stubView{dead: []bool{true, true, false}, depths: []int{5, 0, 3}, busy: make([]bool, 3)},
+			thief:  2,
+			expect: want{target: 2, donor: 0, freeReads: 0},
+		},
+		{
+			name:   "dead from: eligible is honoured",
+			view:   stubView{dead: []bool{true, false, false}, depths: []int{1, 0, 4}, busy: make([]bool, 3)},
+			only:   func(i int) bool { return i == 2 },
+			thief:  1,
+			expect: want{target: 2, donor: 0, freeReads: 0},
+		},
+		{
+			name:   "dead from: no healthy eligible peer",
+			view:   stubView{dead: []bool{true, false, true}, depths: []int{2, 0, 0}, busy: make([]bool, 3)},
+			only:   func(i int) bool { return i == 2 },
+			thief:  1,
+			expect: want{target: -1, donor: 0, freeReads: 0},
+		},
+		{
 			// Pool 1 is busy and has waited as long as the donor; pool 2
 			// is idle and prices at zero whatever its digest holds.
 			name:   "an idle peer prices at zero despite its digest",
@@ -146,7 +182,7 @@ func (v *countingView) hasFree(i int) bool { v.free[i]++; return v.stubView.hasF
 // the winning peer's price goes from the ranking to the latch, so no pool's
 // free-worker state (a pool lock, in the Engine) is read twice — whether the
 // winner priced at zero for being idle or at its digest for being busy —
-// and the decision allocates nothing.
+// and the decision allocates nothing; a dead-home reroute prices nothing.
 func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -181,4 +217,26 @@ func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 			}
 		})
 	}
+	// A dead from reroutes on depth alone: no pool's free-worker state is
+	// read, and the decision allocates nothing either.
+	t.Run("dead from", func(t *testing.T) {
+		view := countingView{
+			stubView: stubView{dead: []bool{true, false, false}, depths: []int{5, 2, 1}, busy: make([]bool, 3)},
+			free:     make([]int, 3),
+		}
+		var b balancer
+		b.init(&view, 3, 8, 2)
+		if got, ok := b.BalanceTarget(0, nil); !ok || got != 2 {
+			t.Fatalf("target %d (%v), want 2", got, ok)
+		}
+		if want := []int{0, 0, 0}; !slices.Equal(view.free, want) {
+			t.Errorf("free-worker reads per pool %v, want %v", view.free, want)
+		}
+		if raceDetector {
+			return
+		}
+		if got := testing.AllocsPerRun(200, func() { b.BalanceTarget(0, nil) }); got != 0 {
+			t.Errorf("BalanceTarget allocates %v times, want 0", got)
+		}
+	})
 }

@@ -42,9 +42,10 @@
 // metrics.Latch per pool pair). That decision is the balancer's
 // (balancer.go), one copy behind both MultiCore and the Engine and applied
 // between any pair of pools, so multiple same-class platforms rebalance
-// with the same logic as a CPU/DSCS pair. Static queue-depth triggers live
-// on only in the simulations (cluster.HybridConfig), as the baseline arm
-// the wait-keyed latch is judged against.
+// with the same logic as a CPU/DSCS pair. A submission aimed at a dead
+// DSCS pool reroutes through the same BalanceTarget call, without the
+// latch. The simulations (cluster.HybridConfig) run the same decisions
+// and no other.
 //
 // Scheduling decisions are priced by per-benchmark service estimates:
 // static graph-derived priors by default, blended toward live latency

@@ -58,8 +58,8 @@ const DefaultMaxBatch = 8
 
 // Options tune the engine.
 type Options struct {
-	// Workers is the pool size per platform (default 4). With Elastic set
-	// it is ignored.
+	// Workers is the pool size per platform (0 means 4; negative is an
+	// error). With Elastic set it is ignored.
 	Workers int
 	// Elastic arms the elastic worker lifecycle: each pool's warm capacity
 	// floats between Elastic.Min and Elastic.Max, paying Elastic.ColdStart
@@ -70,7 +70,8 @@ type Options struct {
 	// lifecycle's warm count. Nil keeps the classic fixed pool
 	// bit-identical.
 	Elastic *scale.Config
-	// QueueDepth bounds each platform's admission queue (default 256).
+	// QueueDepth bounds each platform's admission queue (0 means 256;
+	// negative is an error).
 	QueueDepth int
 	// PolicyName selects queued work for free workers by policy name
 	// ("fcfs", "criticality", "dag-aware"; see PolicyByName). Empty is
@@ -115,12 +116,12 @@ type Options struct {
 	// static estimate stays as the cold-start prior.
 	AdaptiveEstimates bool
 	// EstimateWarmup is the per-{benchmark, platform} completion count
-	// below which live digests defer to the static prior (default
-	// metrics.DefaultWarmup).
+	// below which live digests defer to the static prior (0 means
+	// metrics.DefaultWarmup; negative is an error).
 	EstimateWarmup int
 	// EstimateWindow is each latency digest's sliding window, in
-	// observations (default metrics.DefaultWindow). The autoscaler's
-	// digests take Elastic.Window instead.
+	// observations (0 means metrics.DefaultWindow; negative is an error).
+	// The autoscaler's digests take Elastic.Window instead.
 	EstimateWindow int
 	// Telemetry receives the engine's metrics; pass the gateway's
 	// registry to surface them on /metrics (default: a fresh registry).
@@ -165,10 +166,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// checkBatching rejects batching options the engine would otherwise
-// ignore or rewrite. It runs before withDefaults: MaxBatch 0 means
+// checkOptions rejects sizing and batching options the engine would
+// otherwise ignore or rewrite into a default. It runs before withDefaults:
+// 0 selects a default, a negative is an error; MaxBatch 0 means
 // DefaultMaxBatch, so only MaxBatch 1 leaves the former off.
-func checkBatching(o Options) error {
+func checkOptions(o Options) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Workers", o.Workers}, {"QueueDepth", o.QueueDepth},
+		{"EstimateWarmup", o.EstimateWarmup}, {"EstimateWindow", o.EstimateWindow},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: %s %d must be >= 0 (0 means the default)", f.name, f.v)
+		}
+	}
 	switch {
 	case o.MaxBatch < 0:
 		return fmt.Errorf("serve: MaxBatch %d must be >= 0 (0 means %d)", o.MaxBatch, DefaultMaxBatch)
@@ -380,7 +393,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkBatching(opt); err != nil {
+	if err := checkOptions(opt); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()

@@ -101,9 +101,17 @@ func TestDeadPoolNotSpillTarget(t *testing.T) {
 	if got := spill(); got != standby {
 		t.Fatalf("adaptive spill target with Baseline dead = %v, want Standby (CPU)", got)
 	}
-	if got := eng.spillTarget(); got != standby {
-		t.Fatalf("static spill target with Baseline dead = %v, want Standby (CPU)", got)
+	// The dead-home reroute skips the dead peer too.
+	if err := eng.FailPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
 	}
+	if got := spill(); got != standby {
+		t.Fatalf("reroute from a dead DSCS pool with Baseline dead = %v, want Standby (CPU)", got)
+	}
+	if err := eng.RecoverPool("DSCS-Serverless"); err != nil {
+		t.Fatal(err)
+	}
+	spill = armedSpill(t, eng) // the DSCS pool's death forgot its waits
 	// The wait-gap trigger must never route onto a dead peer either.
 	if eng.bal.Overloaded(dscs.idx, base.idx) {
 		t.Fatal("wait gap latched toward a dead pool")

@@ -65,23 +65,30 @@ func TestSpilloverValidation(t *testing.T) {
 	}
 }
 
+// TestSpillTarget pins the dead-home reroute's candidate set: with the DSCS
+// pool dead, BalanceTarget sends its submissions to the named SpilloverTo
+// pool, or to a CPU-class pool when none is named.
 func TestSpillTarget(t *testing.T) {
-	eng, err := NewEngine(testRunners(t), Options{Workers: 1, AdaptiveBalance: true, SpilloverTo: "Baseline (CPU)"})
-	if err != nil {
-		t.Fatal(err)
+	reroute := func(opt Options) *pool {
+		t.Helper()
+		eng, err := NewEngine(testRunners(t), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		if err := eng.FailPool("DSCS-Serverless"); err != nil {
+			t.Fatal(err)
+		}
+		i, ok := eng.bal.BalanceTarget(eng.pools["DSCS-Serverless"].idx, eng.spillEligible)
+		if !ok {
+			return nil
+		}
+		return eng.order[i]
 	}
-	defer eng.Close()
-	if got := eng.spillTarget(); got == nil || got.name != "Baseline (CPU)" {
+	if got := reroute(Options{Workers: 1, AdaptiveBalance: true, SpilloverTo: "Baseline (CPU)"}); got == nil || got.name != "Baseline (CPU)" {
 		t.Fatalf("explicit spill target not honored: %+v", got)
 	}
-
-	eng2, err := NewEngine(testRunners(t), Options{Workers: 1, AdaptiveBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	got := eng2.spillTarget()
-	if got == nil || got.class != sched.ClassCPU {
+	if got := reroute(Options{Workers: 1, AdaptiveBalance: true}); got == nil || got.class != sched.ClassCPU {
 		t.Fatalf("default spill target must be a CPU-class pool, got %+v", got)
 	}
 }
@@ -297,6 +304,32 @@ func TestEngineRejectsBadBatchOptions(t *testing.T) {
 		t.Fatalf("SLO-bounded former on the default MaxBatch must construct: %v", err)
 	}
 	eng.Close()
+}
+
+// TestEngineRejectsNegativeSizes: a negative pool size, queue bound or
+// digest tuning fails construction with an error naming the field rather
+// than silently taking the default (dscsgate -workers -1 must not serve 4
+// workers per platform).
+func TestEngineRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opt   Options
+	}{
+		{"Workers", Options{Workers: -1}},
+		{"QueueDepth", Options{QueueDepth: -1}},
+		{"EstimateWarmup", Options{EstimateWarmup: -1}},
+		{"EstimateWindow", Options{EstimateWindow: -1}},
+	} {
+		eng, err := NewEngine(testRunners(t), tc.opt)
+		if err == nil {
+			eng.Close()
+			t.Errorf("%s -1: construction must fail", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s -1: error %q does not name the field", tc.field, err)
+		}
+	}
 }
 
 // TestEngineDriveOccupancy checks that DSCS executions acquire the
