@@ -78,21 +78,33 @@ type digestShard struct {
 // folded forward under the digest lock when a shard fills or a reader
 // finds something staged.
 //
-// Who pays what: the fold keeps the sorted view in step with the ring, one
-// staged run at a time (foldFullLocked) — two binary searches bound the
-// span the run's evicted and new values touch, and that span is rewritten
-// twice: once to drop the evicted values, once to merge in the newcomers
-// (O(log W + k²) compares for a run of k plus at most 2W words moved per
-// fold, not per observation). A windowed read is then the digest mutex and
-// an index; with nothing staged it touches no shard lock at all
+// Who pays what: while reads keep arriving, the fold keeps the sorted view
+// in step with the ring, one staged run at a time (foldFullLocked) — two
+// binary searches bound the span the run's evicted and new values touch,
+// and that span is rewritten twice: once to drop the evicted values, once
+// to merge in the newcomers (O(log W + k²) compares for a run of k plus at
+// most 2W words moved per fold, not per observation). Once a whole window
+// of observations has folded with no read in between, nobody is looking:
+// folds then write only the ring and mark the view stale, and the next
+// read re-sorts the ring into the view's buffer (O(W log W), no
+// allocation) — paid only after at least W unread observations whose
+// incremental folds it replaces, so a digest read less than once a window
+// (a gauge under heavy traffic, a run's final quantile) stops paying per
+// fold, and one read after every write pays what it always did. A windowed read is then the digest mutex and an
+// index; with nothing staged it touches no shard lock at all
 // (folded == total).
 type Digest struct {
 	mu   sync.Mutex
 	ring []time.Duration // eviction order (circular)
 	next int
-	// sorted holds the ring's multiset in ascending order after every
-	// folded observation — the order-statistic view quantiles index.
+	// sorted holds the ring's multiset in ascending order — the
+	// order-statistic view quantiles index — whenever stale is false.
 	sorted []time.Duration
+	// unread counts the observations folded since the last read; once it
+	// reaches a full window, folds stop maintaining sorted and set stale,
+	// and the next read (view) rebuilds it from the ring.
+	unread int
+	stale  bool
 
 	// total counts every Record ever made (staged included) — warmup
 	// thresholds read it without touching any lock. It doubles as the
@@ -248,9 +260,43 @@ func (d *Digest) foldStagedLocked() {
 		staged = staged[excess:]
 	}
 	if len(staged) > 0 {
-		d.foldFullLocked(staged)
+		if d.stale || d.unread >= len(d.ring) {
+			// A full window folded unread: stop maintaining the view until
+			// a reader asks for it.
+			d.stale = true
+			d.writeRingLocked(staged)
+		} else {
+			d.foldFullLocked(staged)
+		}
 	}
+	d.unread += n
 	d.folded += int64(n)
+}
+
+// writeRingLocked overwrites the full ring's oldest slots with a run, in
+// sequence order, leaving the (stale) sorted view alone. Callers hold d.mu.
+func (d *Digest) writeRingLocked(run []stageEntry) {
+	for i := range run {
+		d.ring[d.next] = run[i].v
+		if d.next++; d.next == len(d.ring) {
+			d.next = 0
+		}
+	}
+}
+
+// viewLocked is every read's entry: it folds anything staged, rebuilds a
+// stale view from the ring in place — the window's multiset never changed,
+// so the rebuilt view is the one incremental folds would have kept — and
+// returns the sorted window. Callers hold d.mu.
+func (d *Digest) viewLocked() []time.Duration {
+	d.foldStagedLocked()
+	d.unread = 0
+	if d.stale {
+		d.sorted = append(d.sorted[:0], d.ring...)
+		slices.Sort(d.sorted)
+		d.stale = false
+	}
+	return d.sorted
 }
 
 // foldFullLocked folds a run of at most one window of observations, in
@@ -380,12 +426,12 @@ func (d *Digest) Count() int64 {
 // estimate adaptive scheduling prices with — by the same interpolation as
 // Sample.Percentile. Never negative, never NaN; 0 only when nothing was
 // recorded. The read folds any staged observations
-// forward first; with none staged it is the digest mutex and an index.
+// forward first (and rebuilds a stale view); with none staged it is the
+// digest mutex and an index.
 func (d *Digest) Quantile(p float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.foldStagedLocked()
-	return quantileSorted(d.sorted, p)
+	return quantileSorted(d.viewLocked(), p)
 }
 
 // QuantilesInto fills out[i] with the ps[i]-quantile over the sliding
@@ -396,9 +442,9 @@ func (d *Digest) Quantile(p float64) time.Duration {
 func (d *Digest) QuantilesInto(ps []float64, out []time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.foldStagedLocked()
+	sorted := d.viewLocked()
 	for i, p := range ps {
-		out[i] = quantileSorted(d.sorted, p)
+		out[i] = quantileSorted(sorted, p)
 	}
 }
 
@@ -442,8 +488,7 @@ func adoptStep(latched bool, live, static time.Duration) (est time.Duration, ado
 func (d *Digest) Adopt(static time.Duration, q float64, warmup int64) (time.Duration, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.foldStagedLocked()
-	live := quantileSorted(d.sorted, q)
+	live := quantileSorted(d.viewLocked(), q)
 	if d.total.Load() < warmup || live <= 0 {
 		return static, false
 	}
@@ -523,7 +568,7 @@ func (d *Digest) Flips() int64 {
 func (d *Digest) Blend(static time.Duration, warmup int64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.foldStagedLocked()
+	sorted := d.viewLocked()
 	n := d.total.Load()
 	if w := int64(cap(d.ring)); n > w {
 		n = w
@@ -531,7 +576,7 @@ func (d *Digest) Blend(static time.Duration, warmup int64) time.Duration {
 	if n == 0 || warmup <= 0 {
 		return static
 	}
-	p50 := quantileSorted(d.sorted, 0.5)
+	p50 := quantileSorted(sorted, 0.5)
 	if p50 <= 0 {
 		return static
 	}

@@ -22,13 +22,32 @@ func warmBenchDigest() (*Digest, func() time.Duration) {
 }
 
 // BenchmarkDigestRecord is the write-heavy stretch: observations staged
-// and folded with no reader asking.
+// and folded with no reader asking (after the first unread window, into
+// the ring alone).
 func BenchmarkDigestRecord(b *testing.B) {
 	d, value := warmBenchDigest()
 	b.ReportAllocs()
 	for b.Loop() {
 		d.Record(value())
 	}
+}
+
+// BenchmarkDigestRecordUnread is the read-rarely pattern (a gauge, a
+// run's final quantile): each op records two windows with no read between
+// them — the folds stop maintaining the sorted view after the first — and
+// then reads once, rebuilding it. ns/obs is the per-observation cost, to
+// set beside BenchmarkDigestRecordThenQuantile's.
+func BenchmarkDigestRecordUnread(b *testing.B) {
+	d, value := warmBenchDigest()
+	const stretch = 2 * DefaultWindow
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := 0; i < stretch; i++ {
+			d.Record(value())
+		}
+		benchSink = d.Quantile(0.95)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stretch), "ns/obs")
 }
 
 // BenchmarkDigestRecordThenQuantile is the balancer's pattern: every read

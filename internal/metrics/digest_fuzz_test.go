@@ -42,7 +42,10 @@ func (r *slidingRef) quantile(q float64) time.Duration {
 // monotone in p and never negative. The seed corpus covers the adversarial
 // shapes named in the scheduler's threat model: all-zero durations, the
 // maximum duration, a monotone-decreasing ramp, negatives, and
-// duplicate-heavy runs long enough to evict at every window.
+// duplicate-heavy runs long enough to evict at every window. The cadence
+// input reads only every cadence-th observation (and after the last), so
+// unread stretches of a window or more leave the view stale and the next
+// read rebuilds it — that read must be as exact as one after every write.
 func FuzzDigestRecord(f *testing.F) {
 	seq := func(vs ...int64) []byte {
 		b := make([]byte, 8*len(vs))
@@ -51,24 +54,27 @@ func FuzzDigestRecord(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seq(0, 0, 0, 0, 0, 0, 0, 0))
-	f.Add(seq(math.MaxInt64, math.MaxInt64, math.MaxInt64))
-	f.Add(seq(1<<50, 1<<40, 1<<30, 1<<20, 1<<10, 1, 0))
-	f.Add(seq(-1, math.MinInt64, 5, -5))
-	f.Add(seq(5, 5, 5, 1, 5, 5, 9, 5, 5, 1, 1, 9, 9, 5, 1, 5))
-	f.Add(seq(math.MaxInt64, -1, math.MaxInt64, 0, math.MinInt64, math.MaxInt64-1, 1, math.MaxInt64, -7, math.MaxInt64))
+	f.Add(seq(0, 0, 0, 0, 0, 0, 0, 0), uint8(1))
+	f.Add(seq(math.MaxInt64, math.MaxInt64, math.MaxInt64), uint8(1))
+	f.Add(seq(1<<50, 1<<40, 1<<30, 1<<20, 1<<10, 1, 0), uint8(1))
+	f.Add(seq(-1, math.MinInt64, 5, -5), uint8(1))
+	f.Add(seq(5, 5, 5, 1, 5, 5, 9, 5, 5, 1, 1, 9, 9, 5, 1, 5), uint8(1))
+	f.Add(seq(math.MaxInt64, -1, math.MaxInt64, 0, math.MinInt64, math.MaxInt64-1, 1, math.MaxInt64, -7, math.MaxInt64), uint8(1))
 	dups, next := make([]int64, 96), lcg(3)
 	for i := range dups {
 		dups[i] = int64(next() % 7) // seven distinct values across three wraps of window 32
 	}
-	f.Add(seq(dups...))
+	f.Add(seq(dups...), uint8(1))
+	f.Add(seq(dups...), uint8(7))
+	f.Add(seq(dups...), uint8(100))
 
 	quantiles := []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, cadence uint8) {
 		n := len(data) / 8
 		if n > 256 {
 			n = 256
 		}
+		every := int(cadence%128) + 1
 		for _, window := range []int{1, 2, 3, 32} {
 			d := NewDigest(window)
 			ref := slidingRef{window: window}
@@ -77,6 +83,9 @@ func FuzzDigestRecord(f *testing.F) {
 				v := time.Duration(binary.LittleEndian.Uint64(data[8*i:]))
 				d.Record(v)
 				ref.add(v)
+				if (i+1)%every != 0 && i != n-1 {
+					continue
+				}
 				d.QuantilesInto(quantiles, into)
 				prev := time.Duration(-1)
 				for qi, q := range quantiles {

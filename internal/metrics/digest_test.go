@@ -214,14 +214,18 @@ func TestDigestConcurrentRecord(t *testing.T) {
 	}
 }
 
-// checkWindow asserts what every fold must leave behind: the maintained
-// order-statistic view is the ring's multiset sorted, and nothing was
-// folded that was not recorded.
+// checkWindow asserts what every fold must leave behind: a view marked
+// current is the ring's multiset sorted (a stale one is rebuilt by the
+// next read, and only a full window of unread observations may leave it
+// stale), and nothing was folded that was not recorded.
 func checkWindow(t *testing.T, d *Digest) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if want := slices.Sorted(slices.Values(d.ring)); !slices.Equal(d.sorted, want) {
+	if d.stale && d.unread < len(d.ring) {
+		t.Fatalf("view went stale after %d unread observations, under the window's %d", d.unread, len(d.ring))
+	}
+	if want := slices.Sorted(slices.Values(d.ring)); !d.stale && !slices.Equal(d.sorted, want) {
 		t.Fatalf("maintained window is not the sorted ring:\n got %v\nwant %v", d.sorted, want)
 	}
 	if total := d.total.Load(); d.folded > total {
@@ -286,6 +290,9 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 			if read && (d.folded != d.Count() || bare.folded != bare.Count()) {
 				t.Fatalf("seed %d op %d: a read left %d of %d observations unfolded (bare window: %d of %d)",
 					seed, i, d.Count()-d.folded, d.Count(), bare.Count()-bare.folded, bare.Count())
+			}
+			if read && (d.stale || bare.stale) {
+				t.Fatalf("seed %d op %d: a read left the view stale", seed, i)
 			}
 			// Staging shards fill on their own schedule, so the two windows
 			// agree once a read has folded both.
@@ -353,6 +360,112 @@ func TestDigestConcurrentWindow(t *testing.T) {
 	if want := int64(writers * rounds * perRound); d.Count() != want || d.folded != want {
 		t.Fatalf("after quiesce: folded %d, count %d, want %d", d.folded, d.Count(), want)
 	}
+}
+
+// TestUnreadWindowRebuildsOnRead records several windows' worth with no
+// read in between, so folds stop maintaining the view, and then reads it
+// once by each read kind: the rebuilt view, and every value read off it,
+// must be bit-identical to an always-eager twin that read after every
+// observation (and so never went stale) — the Adopt latch included. The
+// rebuild itself allocates nothing.
+func TestUnreadWindowRebuildsOnRead(t *testing.T) {
+	ps := []float64{0, 0.5, 0.95, 0.99, 1}
+	reads := []struct {
+		name string
+		read func(d *Digest) []time.Duration
+	}{
+		{"Quantile", func(d *Digest) []time.Duration {
+			out := make([]time.Duration, len(ps))
+			for i, p := range ps {
+				out[i] = d.Quantile(p)
+			}
+			return out
+		}},
+		{"QuantilesInto", func(d *Digest) []time.Duration {
+			out := make([]time.Duration, len(ps))
+			d.QuantilesInto(ps, out)
+			return out
+		}},
+		{"Adopt", func(d *Digest) []time.Duration {
+			est, live := d.Adopt(4*time.Millisecond, 0.95, 8)
+			return []time.Duration{est, time.Duration(btoi(live)), time.Duration(d.Flips())}
+		}},
+		{"Blend", func(d *Digest) []time.Duration {
+			return []time.Duration{d.Blend(4*time.Millisecond, 8)}
+		}},
+	}
+	for seed, window := range map[uint64]int{1: 3, 2: 64, 3: DefaultWindow} {
+		for _, rk := range reads {
+			next := lcg(seed)
+			value := func() time.Duration {
+				if next()%4 == 0 {
+					return time.Duration(next() % 1e9)
+				}
+				return time.Duration(next()%9) * time.Millisecond
+			}
+			lazy, eager := NewDigest(window), NewDigest(window)
+			for round := 0; round < 3; round++ {
+				// Past a window of folds, and then past one more fold
+				// whichever shards the writes landed on.
+				for i := 0; i < unreadStretch(window); i++ {
+					v := value()
+					lazy.Record(v)
+					eager.Record(v)
+					eager.Quantile(0.5)
+				}
+				foldNow(lazy)
+				if !lazy.stale || eager.stale {
+					t.Fatalf("window %d %s round %d: lazy stale %v, eager stale %v after %d unread observations",
+						window, rk.name, round, lazy.stale, eager.stale, lazy.unread)
+				}
+				got, want := rk.read(lazy), rk.read(eager)
+				if !slices.Equal(got, want) {
+					t.Fatalf("window %d %s round %d: read %v after the rebuild, eager twin %v", window, rk.name, round, got, want)
+				}
+				if !slices.Equal(lazy.sorted, eager.sorted) || !slices.Equal(lazy.ring, eager.ring) || lazy.stale {
+					t.Fatalf("window %d %s round %d: the rebuilt window differs from the eager twin's", window, rk.name, round)
+				}
+			}
+		}
+		if raceDetector {
+			continue
+		}
+		d, next := NewDigest(window), lcg(seed)
+		if got := testing.AllocsPerRun(50, func() {
+			for i := 0; i < unreadStretch(window); i++ {
+				d.Record(time.Duration(next() % 1e9))
+			}
+			if foldNow(d); !d.stale {
+				t.Fatal("the view stayed current through two unread windows")
+			}
+			d.Quantile(0.5)
+		}); got != 0 {
+			t.Errorf("window %d: an unread stretch and its rebuild allocate %v times, want 0", window, got)
+		}
+	}
+}
+
+// unreadStretch is an unread run of several windows, long enough to leave
+// the view stale on any shard count: folds come at least every
+// maxStageShards*(stageCap-1)+1 records, so past window+that much a window
+// has folded unread, and the fold after it writes only the ring.
+func unreadStretch(window int) int {
+	return 3*window + 2*maxStageShards*stageCap
+}
+
+// foldNow folds whatever is staged without reading the view.
+func foldNow(d *Digest) {
+	d.mu.Lock()
+	d.foldStagedLocked()
+	d.mu.Unlock()
+}
+
+// btoi is 1 for true.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // raceDetector is set by race_test.go under -race.

@@ -82,13 +82,29 @@ func (e *Engine) putRequest(r *request) {
 	s.mu.Unlock()
 }
 
-// syncDepth refreshes a pool's queue-depth gauge and the queued mirror the
-// ingress admission bound reads. Callers hold p.mu; every core mutation
-// routes through here so the two views cannot drift.
-func (e *Engine) syncDepth(p *pool) {
+// syncView refreshes what lock-free readers know of a pool's core: the
+// queue-depth gauge, the queued mirror the ingress admission bound and
+// the balancer's depth read, and the free-slot mirror behind the
+// balancer's hasFree. Callers hold p.mu; every core mutation — queue
+// changes, and every transition of Busy or Workers (dispatch, Requeue,
+// lifecycle resizes, Fail, Recover, Close) — routes through here, so no
+// mirror can drift from the core it reflects. Complete, which moves Busy
+// and leaves the queue alone, refreshes the free-slot mirror only
+// (syncFree).
+func (e *Engine) syncView(p *pool) {
 	n := p.core.QueueLen()
 	p.ingress.syncQueued(n)
 	p.gDepth.Set(float64(n))
+	e.syncFree(p)
+}
+
+// syncFree refreshes the free-slot mirror, writing only on a change, so a
+// transition that leaves the bit as it was costs a load, not a store to a
+// line lock-free readers share. Callers hold p.mu.
+func (e *Engine) syncFree(p *pool) {
+	if free := p.core.Busy() < p.core.Workers(); p.free.Load() != free {
+		p.free.Store(free)
+	}
 }
 
 // deliver resolves one admitted request: hands the outcome to the blocked
@@ -134,7 +150,7 @@ func (e *Engine) drainLocked(p *pool) {
 	}
 	clear(entries)
 	p.scratch = entries[:0]
-	e.syncDepth(p)
+	e.syncView(p)
 }
 
 // admit submits the task (carrying its request in Ref) to one pool's
@@ -198,14 +214,14 @@ func (e *Engine) admitDirect(p *pool, task sched.HybridTask, req *request) error
 	}
 	e.drainLocked(p)
 	if p.core.QueueFull() || !p.core.Submit(task) {
-		e.syncDepth(p)
+		e.syncView(p)
 		p.mu.Unlock()
 		return ErrQueueFull
 	}
 	if f := p.core.Former(); f != nil {
 		f.Observe(task, reqBatch(req.opt))
 	}
-	e.syncDepth(p)
+	e.syncView(p)
 	depth := p.core.QueueLen()
 	p.mu.Unlock()
 	p.cond.Signal()
@@ -213,31 +229,31 @@ func (e *Engine) admitDirect(p *pool, task sched.HybridTask, req *request) error
 	return nil
 }
 
-// wakePeers wakes every parked peer worker to re-check the balance
-// decision against p, whose backlog is depth: the one cross-pool wakeup
-// policy behind the admit, dispatch and requeue call sites. Pull-based
-// rebalancing is driven by the thief, so a worker parked on its own empty
-// queue must hear a peer backlog deepen. (Signaling a Cond without its
-// lock is explicitly allowed.) A live pool's gate is exactly the latch's
-// own arming precondition: a backlog, a warmed wait digest, and a recent
-// window that actually holds waits — a zero windowed p95 can never arm
-// Latch.Above, so waking workers to lock-scan every pool then would be
-// pure overhead on the request path. A dead pool's backlog drains only by
+// wakePeers wakes every parked peer worker to re-check the balance decision
+// against p, whose backlog is depth: the one cross-pool wakeup policy
+// behind the admit, dispatch and requeue call sites. Pull-based rebalancing
+// is driven by the thief, so a worker parked on its own empty queue must
+// hear a peer backlog deepen. (Signaling a Cond without its lock is
+// explicitly allowed.) A live pool's gate is exactly the latch's own arming
+// precondition: a backlog, a warmed wait digest, and a recent window that
+// actually holds waits — a zero windowed p95 can never arm Latch.Above, so
+// waking workers to scan every pool then would be pure overhead on the
+// request path. The gate reads the warmed wait-p95 the pool's last dispatch
+// published (balancer.WakeGate), not the digest: a pool's wait window
+// changes only at its dispatches and its death, so the published value is
+// the one a fresh read would return. A dead pool's backlog drains only by
 // rescue and its digest was invalidated at death, so any backlog wakes
-// every peer — a parked worker elsewhere is its only exit — and that
-// wakeup must not be lost: a parked peer is fenced through its mutex the
-// way admit fences its own pool, pairing with the rescueWaiting re-check
-// its worker makes after counting itself parked. Callers hold no pool
-// lock.
+// every peer — a parked worker elsewhere is its only exit — and that wakeup
+// must not be lost: a parked peer is fenced through its mutex the way admit
+// fences its own pool, pairing with the rescueWaiting re-check its worker
+// makes after counting itself parked. Callers hold no pool lock.
 func (e *Engine) wakePeers(p *pool, depth int) {
 	if depth == 0 || !e.opt.AdaptiveBalance {
 		return
 	}
 	dead := p.deadBit.Load()
-	if !dead {
-		if wait, warmed := e.bal.WarmedWait(p.idx); !warmed || wait <= 0 {
-			return
-		}
+	if !dead && e.bal.WakeGate(p.idx) <= 0 {
+		return
 	}
 	for _, d := range e.pools {
 		if d == p {
@@ -379,13 +395,16 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 			target, spilled = e.order[t], true
 		}
 	}
-	cpuSvc, dscsSvc, accel := e.estimate(b)
+	est := e.estimate(b)
+	cpuSvc, dscsSvc := est.cpu, est.dscs
 	if e.opt.AdaptiveEstimates {
 		// Policy pricing blends the static prior toward the observed p50
 		// of each class's best-observed pool, so SJF/criticality/DAG picks
 		// order work by real service times instead of the offline model.
-		cpuSvc = e.observedService(b.Slug, sched.ClassCPU, cpuSvc)
-		dscsSvc = e.observedService(b.Slug, sched.ClassDSCS, dscsSvc)
+		// Completions publish the blends (observe); until the first
+		// publish the prior stands.
+		cpuSvc = est.priced(sched.ClassCPU)
+		dscsSvc = est.priced(sched.ClassDSCS)
 	}
 	req := e.getRequest()
 	req.bench, req.opt, req.fire = b, opt, fire
@@ -395,7 +414,7 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		Payload:     b.Slug,
 		CPUService:  cpuSvc,
 		DSCSService: dscsSvc,
-		AccelFuncs:  accel,
+		AccelFuncs:  est.accelFuncs,
 		Ref:         req,
 	}
 

@@ -19,14 +19,18 @@
 // pools in name order, so there it is lowest name.
 //
 // The balancer owns no clock and no goroutine, and reads pools only through
-// poolView, never with its own mutex held: an owner whose view takes a pool
-// lock (the Engine's free-worker read) cannot deadlock against it.
+// poolView, never with its own mutex held. Both owners answer the view from
+// state they already keep — MultiCore from its single-threaded cores, the
+// Engine from lock-free mirrors written under each pool's lock — so no
+// decision waits on a pool mutex.
 //
-// A decision reads each pool's price once: BalanceTarget ranks its peers by
-// PricedWait and hands the winner's to the latch, StealDonor prices the
-// thief for the first donor that needs it and reuses that for the rest —
-// one free-worker read and one digest read per pool per decision, never a
-// second look at a pool already priced.
+// A decision reads each pool's price at most once: BalanceTarget ranks its
+// peers by PricedWait, stops at the first that prices at zero (nothing can
+// undercut it, and ties go to the lowest index) and hands the winner's
+// price to the latch; StealDonor prices the thief for the first donor that
+// needs it and reuses that for the rest — at most one free-worker read and
+// one digest read per pool per decision, never a second look at a pool
+// already priced.
 
 package serve
 
@@ -61,6 +65,11 @@ type balancer struct {
 	waits  []atomic.Pointer[metrics.Digest]
 	window int
 	warmup int64
+	// gates holds pool i's warmed wait-p95 (nanoseconds; 0 while unwarmed)
+	// as of its last publishWakeGate — what an owner gating wakeups on the
+	// latch's arming precondition reads instead of the digest. Only the
+	// Engine publishes it; invalidate and tune clear it.
+	gates []atomic.Int64
 	// latches holds one adoption latch per directed (from, to) pair at
 	// from*n+to — per pair, not per digest as Digest.Adopt keeps, or N-way
 	// comparisons would share state and depend on evaluation order. mu
@@ -74,6 +83,7 @@ type balancer struct {
 func (b *balancer) init(view poolView, n, window, warmup int) {
 	b.view = view
 	b.waits = make([]atomic.Pointer[metrics.Digest], n)
+	b.gates = make([]atomic.Int64, n)
 	b.tune(window, warmup)
 }
 
@@ -89,6 +99,7 @@ func (b *balancer) tune(window, warmup int) {
 	b.window, b.warmup = window, int64(warmup)
 	for i := range b.waits {
 		b.waits[i].Store(nil)
+		b.gates[i].Store(0)
 	}
 	b.mu.Lock()
 	b.latches = make([]metrics.Latch, len(b.waits)*len(b.waits))
@@ -123,10 +134,11 @@ func (b *balancer) recordBatch(i int, waits []time.Duration) *metrics.Digest {
 
 // invalidate forgets what pool i's history armed, at its death: its wait
 // window (a dead pool's recorded waits price a world that no longer
-// exists) and, without counting a flip, every latch touching it — so
-// decisions re-derive from live evidence.
+// exists), the wake gate published from it and, without counting a flip,
+// every latch touching it — so decisions re-derive from live evidence.
 func (b *balancer) invalidate(i int) {
 	b.waits[i].Store(nil)
+	b.gates[i].Store(0)
 	n := len(b.waits)
 	b.mu.Lock()
 	for j := 0; j < n; j++ {
@@ -162,9 +174,28 @@ func (b *balancer) WarmedWait(i int) (time.Duration, bool) {
 	return dg.Quantile(WaitQuantile), true
 }
 
+// publishWakeGate stores pool i's warmed wait-p95 (0 while unwarmed) for
+// WakeGate. The Engine calls it after each dispatch records its waits:
+// a pool's wait window changes only there and at invalidate, so between
+// dispatches the published value is what WarmedWait would read. A publish
+// racing the pool's death may store a value from the forgotten window;
+// the gate then at worst wakes peers that find nothing to do, until the
+// revived pool's first dispatch republishes it.
+func (b *balancer) publishWakeGate(i int) {
+	w, _ := b.WarmedWait(i)
+	b.gates[i].Store(int64(w))
+}
+
+// WakeGate reads the wait-p95 pool i's last dispatch published: positive
+// only once the pool's window is warmed and holds waits — the latch's
+// arming precondition.
+func (b *balancer) WakeGate(i int) time.Duration {
+	return time.Duration(b.gates[i].Load())
+}
+
 // Idle reports whether pool i could serve new work immediately: healthy,
 // empty backlog, free worker — the locality placer's keep-it-local fast
-// path. The free-worker read, the one an owner may lock for, comes last.
+// path.
 func (b *balancer) Idle(i int) bool {
 	return b.view.healthy(i) && b.view.depth(i) == 0 && b.view.hasFree(i)
 }
@@ -242,15 +273,15 @@ func (b *balancer) overloaded(from, to int, peer *price) bool {
 
 // BalanceTarget picks the pool a submission aimed at from should go to
 // instead: the one spill and reroute decision on both clocks. A dead from
-// reroutes to its shallowest healthy eligible peer (shallowest). A live
-// one spills to the eligible healthy peer with the lowest priced wait (the
+// reroutes to its shallowest healthy eligible peer (shallowest). A live one
+// spills to the eligible healthy peer with the lowest priced wait (the
 // pricing the Overloaded gate applies — by raw digest p95 a
-// rescue-contaminated idle pool would sort last and never be selected),
-// but only when from's gap over that peer has latched. A spill routes
-// around a backlog, so a live from pool with an empty queue never spills:
-// the submission dispatches immediately anyway, and microscopic warmed
-// waits beside a never-waited peer must not reroute it. A nil eligible
-// accepts every other pool.
+// rescue-contaminated idle pool would sort last and never be selected), but
+// only when from's gap over that peer has latched; the scan ends at the
+// first peer priced at zero. A spill routes around a backlog, so a live
+// from pool with an empty queue never spills: the submission dispatches
+// immediately anyway, and microscopic warmed waits beside a never-waited
+// peer must not reroute it. A nil eligible accepts every other pool.
 func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) {
 	if !b.view.healthy(from) {
 		return b.shallowest(from, eligible)
@@ -266,6 +297,11 @@ func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) 
 		}
 		if w := b.PricedWait(i); !found || w < bestWait {
 			best, bestWait, found = i, w, true
+			if w == 0 {
+				// No price is below zero and ties go to the lowest
+				// index: nothing later in the scan can win.
+				break
+			}
 		}
 	}
 	if !found || !b.overloaded(from, best, &price{wait: bestWait, known: true}) {

@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// stubView is a poolView over plain slices, counting the free-worker reads
-// (the one an owner may have to lock for).
+// stubView is a poolView over plain slices, counting the free-worker reads.
 type stubView struct {
 	dead      []bool
 	depths    []int
@@ -52,7 +51,7 @@ func TestBalancerDecisions(t *testing.T) {
 		},
 		{
 			// One observation is below warm-up: the donor's waits are not
-			// evidence, so the peer's lock is never touched to price it
+			// evidence, so the peer's free-worker state is never read to price it
 			// for the latch (ranking BalanceTarget's one candidate is the
 			// single free-worker read).
 			name:   "an unwarmed donor never prices its peer",
@@ -151,19 +150,23 @@ func TestBalancerDecisions(t *testing.T) {
 	}
 }
 
-// TestBalancerInvalidate pins what a pool's death forgets: its digest and
-// every latch touching it, released without counting a flip.
+// TestBalancerInvalidate pins what a pool's death forgets: its digest, the
+// wake gate published from it, and every latch touching it, released
+// without counting a flip.
 func TestBalancerInvalidate(t *testing.T) {
 	view := stubView{dead: make([]bool, 2), depths: []int{4, 0}, busy: make([]bool, 2)}
 	var b balancer
 	b.init(&view, 2, 8, 1)
 	b.record(0, time.Second)
+	if b.publishWakeGate(0); b.WakeGate(0) != time.Second {
+		t.Fatalf("published wake gate %v, want the warmed wait-p95 1s", b.WakeGate(0))
+	}
 	if !b.Overloaded(0, 1) || b.flips(0, 1) != 1 {
 		t.Fatalf("warmed wait beside an idle peer must latch once (flips %d)", b.flips(0, 1))
 	}
 	b.invalidate(0)
-	if b.WaitDigest(0) != nil {
-		t.Fatal("the dead pool's digest survived")
+	if b.WaitDigest(0) != nil || b.WakeGate(0) != 0 {
+		t.Fatalf("the dead pool's digest (%v) or wake gate (%v) survived", b.WaitDigest(0), b.WakeGate(0))
 	}
 	if b.Overloaded(0, 1) || b.flips(0, 1) != 1 {
 		t.Fatalf("a forgotten pool still reads overloaded, or its release counted a flip (flips %d)", b.flips(0, 1))
@@ -180,17 +183,20 @@ func (v *countingView) hasFree(i int) bool { v.free[i]++; return v.stubView.hasF
 
 // TestBalanceTargetPricesEachPoolOnce pins the cost of one spill decision:
 // the winning peer's price goes from the ranking to the latch, so no pool's
-// free-worker state (a pool lock, in the Engine) is read twice — whether the
-// winner priced at zero for being idle or at its digest for being busy —
-// and the decision allocates nothing; a dead-home reroute prices nothing.
+// free-worker state is read twice — whether the winner priced at zero for
+// being idle or at its digest for being busy — the scan prices no pool
+// after the first one priced at zero (nothing can undercut it), and the
+// decision allocates nothing; a dead-home reroute prices nothing.
 func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		busy   []bool
 		target int
+		reads  []int // free-worker reads per pool
 	}{
-		{"idle winner", []bool{true, true, false}, 2},
-		{"busy winner", []bool{true, true, true}, 1},
+		{"idle winner", []bool{true, true, false}, 2, []int{0, 1, 1}},
+		{"busy winner", []bool{true, true, true}, 1, []int{0, 1, 1}},
+		{"an idle peer ends the scan", []bool{true, false, true}, 1, []int{0, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			view := countingView{
@@ -206,8 +212,8 @@ func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 			if got, ok := b.BalanceTarget(0, nil); !ok || got != tc.target {
 				t.Fatalf("target %d (%v), want %d", got, ok, tc.target)
 			}
-			if want := []int{0, 1, 1}; !slices.Equal(view.free, want) {
-				t.Errorf("free-worker reads per pool %v, want %v", view.free, want)
+			if !slices.Equal(view.free, tc.reads) {
+				t.Errorf("free-worker reads per pool %v, want %v", view.free, tc.reads)
 			}
 			if raceDetector {
 				return

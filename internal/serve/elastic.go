@@ -17,8 +17,8 @@ const scaleDecideInterval = time.Millisecond
 // advanceElasticLocked drives a pool's lifecycle to the present: warming
 // slots come ready, expired lingers suspend, and (rate-limited) the pool
 // rescales. A closed or dead pool does not rescale. It refreshes the
-// worker gauges and re-arms the wake timer. Callers hold p.mu; a fixed
-// pool is a no-op.
+// worker gauges and the free-slot mirror and re-arms the wake timer.
+// Callers hold p.mu; a fixed pool is a no-op.
 func (e *Engine) advanceElasticLocked(p *pool) {
 	if p.core.Lifecycle() == nil {
 		return
@@ -30,6 +30,7 @@ func (e *Engine) advanceElasticLocked(p *pool) {
 		waitP95, _ := e.bal.WarmedWait(p.idx)
 		p.core.Rescale(now, waitP95)
 	}
+	e.syncView(p)
 	e.syncWorkersLocked(p)
 }
 

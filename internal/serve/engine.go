@@ -113,7 +113,10 @@ type Options struct {
 	// observations on a pool: the former's BatchSLO slack uses the
 	// observed p95 (with warmup and hysteresis, Digest.Adopt) and the
 	// policies' service estimates blend toward the observed p50. The
-	// static estimate stays as the cold-start prior.
+	// blends are published by completions at the serve_latency_* gauge
+	// cadence, so submission pricing lags the digests by at most one
+	// publish interval (1 ms per {benchmark, platform} while completions
+	// arrive). The static estimate stays as the cold-start prior.
 	AdaptiveEstimates bool
 	// EstimateWarmup is the per-{benchmark, platform} completion count
 	// below which live digests defer to the static prior (0 means
@@ -299,6 +302,14 @@ type pool struct {
 	// (publishDue). The digests themselves stay exact; only how often their
 	// window quantiles are re-read onto /metrics is bounded.
 	delayPublish atomic.Int64
+	// free mirrors "a warm worker is unoccupied" (core.Busy() <
+	// core.Workers()) for the balancer's hasFree, so spill decisions price
+	// an idle peer without taking its lock. Written only under p.mu, by
+	// syncFree, after every transition that moves either count. It sits
+	// here, away from parked, which every submission loads: workers flip
+	// it at dispatch and completion, and beside parked each flip would
+	// evict the submitters' copy of that line.
+	free atomic.Bool
 }
 
 // Engine is the concurrent serving core. Safe for concurrent use.
@@ -319,14 +330,15 @@ type Engine struct {
 	// bal owns the per-pool queue-delay windows — every dispatch records
 	// each served request's arrival→dispatch wait against the pool that
 	// served it, always (it backs the serve_queue_delay_* gauges) — and the
-	// spill/steal decisions Options.AdaptiveBalance keys on it. The engine is its pool view (healthy, depth, hasFree).
+	// spill/steal decisions Options.AdaptiveBalance keys on it. The engine
+	// is its pool view (healthy, depth, hasFree).
 	bal balancer
 	// drives arbitrates DSCS-class executions over the physical drives.
 	drives *driveSet
 	// estimates memoizes service estimates per benchmark slug. It lives
 	// on the engine — a package-level cache would leak one run's pricing
 	// into another engine's policies (or a test's redefined slug).
-	estimates sync.Map // slug -> serviceEstimate
+	estimates sync.Map // slug -> *serviceEstimate
 	// obs is the latency observatory: per-{benchmark, platform} digests
 	// recorded on every completion. Always recording (it backs the
 	// serve_latency_* gauges); consumed by pricing only with
@@ -439,6 +451,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		}
 		p.ingress = newIngress(runtime.GOMAXPROCS(0), opt.QueueDepth)
 		p.gDepth = e.tel.GaugeHandle("serve_queue_depth{platform=" + name + "}")
+		e.syncView(p)
 		p.gBatchOcc = e.tel.GaugeHandle("serve_batch_occupancy{platform=" + name + "}")
 		delay := "{platform=" + name + ",class=" + class.String() + "}"
 		p.gDelayP50 = e.tel.GaugeHandle("serve_queue_delay_p50" + delay)
@@ -641,18 +654,13 @@ func (e *Engine) Conservation() error {
 // decisions never serialize on the pool mutexes they are routing around.
 func (e *Engine) poolDepth(p *pool) int { return p.ingress.pending() }
 
-// healthy, depth and hasFree are the balancer's view of pool i. Health and
-// depth are the lock-free mirrors; only the free-worker read takes p.mu,
-// and the balancer asks it of an empty healthy pool alone. Callers of the
-// balancer therefore hold no pool lock.
+// healthy, depth and hasFree are the balancer's view of pool i: three
+// lock-free mirrors, each written under p.mu alongside the core transition
+// it reflects (deadBit, the ingress depth, the free-slot bit), so no
+// balance decision waits on a pool mutex it is routing around.
 func (e *Engine) healthy(i int) bool { return e.poolHealthy(e.order[i]) }
 func (e *Engine) depth(i int) int    { return e.poolDepth(e.order[i]) }
-func (e *Engine) hasFree(i int) bool {
-	p := e.order[i]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.core.Busy() < p.core.Workers()
-}
+func (e *Engine) hasFree(i int) bool { return e.order[i].free.Load() }
 
 // poolHealthy reads a pool's health bit for the spill/steal/hedge scans
 // and the balancer's view. It reads the lock-free mirror: rebalancing
@@ -694,6 +702,7 @@ func (e *Engine) Close() {
 				lc.Freeze(e.now())
 				p.core.AdvanceLifecycle(e.now())
 			}
+			e.syncView(p)
 			// Closing the shards (under p.mu, which every drain also
 			// holds) leaves no window for a staged entry to strand: offers
 			// racing this section either landed in the flush or fail with

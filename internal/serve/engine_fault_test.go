@@ -336,7 +336,7 @@ func TestEngineRescueSeesDrainInTransit(t *testing.T) {
 			t.Fatal("the dead pool's queue refused the drained entry")
 		}
 	}
-	eng.syncDepth(cpu)
+	eng.syncView(cpu)
 	cpu.mu.Unlock()
 
 	// Spend the peer wakeup now, so the request is rescued either way.

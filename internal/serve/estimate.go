@@ -15,12 +15,13 @@ import (
 
 // gaugeRefreshInterval bounds how often a dispatch (or completion)
 // re-derives the published quantile gauges from its digest. Every
-// observation still lands in the digest, and every decision path (the
-// balance latch, adaptive pricing) reads the digest directly — folding
-// staged entries on demand — so rate-limiting the gauges changes no
-// scheduling behavior, only the /metrics publish cadence. At sub-ms batch
-// rates the refresh would otherwise sort-maintain the window once per
-// batch just to overwrite the same gauge cells.
+// observation still lands in the digest, and the balance latch, the
+// former's slack and hedging read the digests directly — folding staged
+// entries on demand. Submission pricing under AdaptiveEstimates is the one
+// decision that reads what this cadence publishes (serviceEstimate's
+// observed blends), so it lags the digests by at most one interval. At
+// sub-ms batch rates the refresh would otherwise re-read the window once
+// per batch just to overwrite the same cells.
 const gaugeRefreshInterval = time.Millisecond
 
 // publishDue is the gauge publish rate limit. next holds the engine time
@@ -44,33 +45,61 @@ type latHandles struct {
 	publish       atomic.Int64
 }
 
-// serviceEstimate is a benchmark's fixed pricing for the scheduling
-// policies. bench records which Benchmark object it was derived from: a
-// redeploy under the same slug hands the engine a different object, and a
-// cache hit must not price the new chain with the old chain's estimate
-// (nor let a racing in-flight request of the old chain re-memoize stale
-// pricing after the redeploy's ForgetEstimate ran).
+// serviceEstimate is a benchmark's pricing for the scheduling policies:
+// the fixed static prior, and the observed blend submissions price with
+// under AdaptiveEstimates. bench records which Benchmark object it was
+// derived from: a redeploy under the same slug hands the engine a
+// different object, and a cache hit must not price the new chain with the
+// old chain's estimate (nor let a racing in-flight request of the old
+// chain re-memoize stale pricing after the redeploy's ForgetEstimate ran).
 type serviceEstimate struct {
 	bench      *workload.Benchmark
 	cpu, dscs  time.Duration
 	accelFuncs int
+	// observed holds observedService's CPU and DSCS blends (nanoseconds;
+	// 0 until the first publish), refreshed by completions at the gauge
+	// publish cadence (observe) so a submission prices with two atomic
+	// loads instead of re-blending every pool's digest.
+	observed [2]atomic.Int64
 }
 
-// estimate prices a benchmark for the scheduling policies: expected service
-// time on the CPU baseline and on the in-storage DSA (effective-throughput
-// rooflines; only the relative order matters to the policies), plus the
-// acceleratable-function count of its chain for DAG-aware scheduling.
+// priced returns the class's service price: the observed blend once a
+// completion has published one, the static prior until then.
+func (est *serviceEstimate) priced(class sched.InstanceClass) time.Duration {
+	static, cell := est.cpu, &est.observed[0]
+	if class == sched.ClassDSCS {
+		static, cell = est.dscs, &est.observed[1]
+	}
+	if v := cell.Load(); v > 0 {
+		return time.Duration(v)
+	}
+	return static
+}
+
+// publishObserved refreshes both observed blends from the digests as they
+// stand. Completions call it at the gauge publish cadence.
+func (e *Engine) publishObserved(est *serviceEstimate) {
+	slug := est.bench.Slug
+	est.observed[0].Store(int64(e.observedService(slug, sched.ClassCPU, est.cpu)))
+	est.observed[1].Store(int64(e.observedService(slug, sched.ClassDSCS, est.dscs)))
+}
+
+// estimate returns a benchmark's memoized pricing entry for the scheduling
+// policies: expected service time on the CPU baseline and on the
+// in-storage DSA (effective-throughput rooflines; only the relative order
+// matters to the policies), the acceleratable-function count of its chain
+// for DAG-aware scheduling, and the observed blends completions publish.
 // Deriving an estimate walks the model graphs and rebuilds the application
 // chain — pure per-benchmark work memoized in the engine's cache (per
 // engine, not per process: another engine, or a test redefining a slug,
 // must not read this run's pricing).
-func (e *Engine) estimate(b *workload.Benchmark) (cpu, dscs time.Duration, accelFuncs int) {
+func (e *Engine) estimate(b *workload.Benchmark) *serviceEstimate {
 	if v, ok := e.estimates.Load(b.Slug); ok {
 		// A hit only counts for the same Benchmark object: a different
 		// object under the same slug is a changed chain (redeploy), and
 		// its pricing must be re-derived, not inherited.
-		if est := v.(serviceEstimate); est.bench == b {
-			return est.cpu, est.dscs, est.accelFuncs
+		if est := v.(*serviceEstimate); est.bench == b {
+			return est
 		}
 	}
 	const (
@@ -78,7 +107,7 @@ func (e *Engine) estimate(b *workload.Benchmark) (cpu, dscs time.Duration, accel
 		dscsFLOPS = 26e12 // 128x128 DSA at 1 GHz, utilization-derated
 	)
 	flops := float64(b.Preproc.FLOPs() + b.Model.FLOPs())
-	est := serviceEstimate{
+	est := &serviceEstimate{
 		bench: b,
 		cpu:   time.Duration(flops / cpuFLOPS * float64(time.Second)),
 		dscs:  time.Duration(flops / dscsFLOPS * float64(time.Second)),
@@ -87,13 +116,14 @@ func (e *Engine) estimate(b *workload.Benchmark) (cpu, dscs time.Duration, accel
 		est.accelFuncs = len(app.AcceleratedPrefix())
 	}
 	e.estimates.Store(b.Slug, est)
-	return est.cpu, est.dscs, est.accelFuncs
+	return est
 }
 
 // ServiceEstimate exposes the engine's (memoized) static pricing for a
 // benchmark — diagnostics and the redeploy regression tests.
 func (e *Engine) ServiceEstimate(b *workload.Benchmark) (cpu, dscs time.Duration, accelFuncs int) {
-	return e.estimate(b)
+	est := e.estimate(b)
+	return est.cpu, est.dscs, est.accelFuncs
 }
 
 // ForgetEstimate drops the memoized static pricing, the live latency
@@ -124,7 +154,9 @@ func (e *Engine) Observatory() *metrics.Observatory { return e.obs }
 // limited; the digest itself ingests every observation). The gauges
 // publish the sliding-window quantiles that pricing and hedging read, off
 // the sorted window under one staged-merge fold, so the completion path
-// never sorts.
+// never sorts. Under AdaptiveEstimates the same publish refreshes the
+// slug's observed pricing, so submissions read the blends as of the last
+// publish rather than re-deriving them per request.
 func (e *Engine) observe(slug, platformName string, service, at time.Duration) {
 	dg := e.obs.Record(slug, platformName, service)
 	k := latKey{slug: slug, platform: platformName}
@@ -147,6 +179,11 @@ func (e *Engine) observe(slug, platformName string, service, at time.Duration) {
 	h.p50.SetDuration(qs[0])
 	h.p95.SetDuration(qs[1])
 	h.p99.SetDuration(qs[2])
+	if e.opt.AdaptiveEstimates {
+		if v, ok := e.estimates.Load(slug); ok {
+			e.publishObserved(v.(*serviceEstimate))
+		}
+	}
 }
 
 // recordWaits folds one dispatched batch's queue delays — each request's
@@ -165,6 +202,11 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Duration) 
 		bs.waits = append(bs.waits, dispatched-bs.tasks[i].Arrived)
 	}
 	dg := e.bal.recordBatch(p.idx, bs.waits)
+	if e.opt.AdaptiveBalance {
+		// The peer-wake gate reads the warmed wait-p95 as of this
+		// dispatch, so admits never read the digest to decide a wakeup.
+		e.bal.publishWakeGate(p.idx)
+	}
 	if dg == nil || !publishDue(&p.delayPublish, dispatched) {
 		return
 	}

@@ -25,7 +25,8 @@ import (
 // admitting (durable) until peers steal the backlog or RecoverPool brings
 // the pool back. The wait digest and every balance latch touching the pool
 // are invalidated — a dead pool's recorded waits price nothing, and stale
-// hysteresis must not survive into its next life. Idempotent.
+// hysteresis must not survive into its next life — along with the wake
+// gate its last dispatch published. Idempotent.
 func (e *Engine) FailPool(platformName string) error {
 	p, ok := e.pools[platformName]
 	if !ok {
@@ -38,6 +39,7 @@ func (e *Engine) FailPool(platformName string) error {
 	}
 	p.core.Fail(e.now())
 	p.deadBit.Store(true)
+	e.syncView(p)
 	if p.core.Lifecycle() != nil {
 		// Quench emptied the warming/idle ledgers; republish the gauges.
 		// The wake timer stays armed: a tick with nothing due is harmless.
@@ -70,6 +72,7 @@ func (e *Engine) RecoverPool(platformName string) error {
 	}
 	p.core.Recover(e.now())
 	p.deadBit.Store(false)
+	e.syncView(p)
 	if p.core.Lifecycle() != nil {
 		// Unquench restarted warming; arm the timer at its ready instant.
 		e.syncWorkersLocked(p)
@@ -204,10 +207,10 @@ func (e *Engine) execHedged(p *pool, b *workload.Benchmark, opt faas.Options, pa
 	if e.opt.HedgeFactor < 1 {
 		return e.execute(p.runner, b, opt)
 	}
-	cpuSvc, dscsSvc, _ := e.estimate(b)
-	static := cpuSvc
+	est := e.estimate(b)
+	static := est.cpu
 	if p.class == sched.ClassDSCS {
-		static = dscsSvc
+		static = est.dscs
 	}
 	threshold := time.Duration(float64(e.obs.ServiceQuantile(payload, p.name, static, 0.95)) * e.opt.HedgeFactor)
 	if threshold <= 0 {

@@ -353,7 +353,7 @@ func TestEstimateOrdersBenchmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	cpu, dscs, accel := eng.estimate(workload.BySlug("chatbot"))
+	cpu, dscs, accel := eng.ServiceEstimate(workload.BySlug("chatbot"))
 	if cpu <= 0 || dscs <= 0 || cpu <= dscs {
 		t.Errorf("estimate(chatbot) cpu=%v dscs=%v: CPU service must dominate", cpu, dscs)
 	}
@@ -377,18 +377,18 @@ func TestEstimateCachePerEngine(t *testing.T) {
 	}
 	defer e2.Close()
 
-	cpu1, _, _ := e1.estimate(workload.BySlug("chatbot"))
+	cpu1, _, _ := e1.ServiceEstimate(workload.BySlug("chatbot"))
 	// A "redefined" chatbot: the credit-risk models under the chatbot
 	// slug. With the old package-level cache e2 would return e1's BERT
 	// pricing for it.
 	fake := *workload.BySlug("credit-risk")
 	fake.Slug = "chatbot"
-	cpu2, _, _ := e2.estimate(&fake)
+	cpu2, _, _ := e2.ServiceEstimate(&fake)
 	if cpu2 == cpu1 {
 		t.Fatalf("engine 2 served engine 1's cached estimate (%v) for a redefined slug", cpu2)
 	}
 	// And e1's own cache is undisturbed.
-	if again, _, _ := e1.estimate(workload.BySlug("chatbot")); again != cpu1 {
+	if again, _, _ := e1.ServiceEstimate(workload.BySlug("chatbot")); again != cpu1 {
 		t.Fatalf("engine 1 estimate changed: %v != %v", again, cpu1)
 	}
 }

@@ -158,8 +158,8 @@ func (e *Engine) stealInto(p *pool) int {
 			p.cStealFrom[donor.name].Inc(float64(moved))
 			// A steal extracts queued tasks just like Coalesce does: both
 			// pools' depth gauges (and ingress mirrors) must follow.
-			e.syncDepth(donor)
-			e.syncDepth(p)
+			e.syncView(donor)
+			e.syncView(p)
 		}
 	}
 	donor.mu.Unlock()
@@ -260,7 +260,7 @@ func (e *Engine) worker(p *pool) {
 		// contention, not queueing. (The simulation records at core
 		// dispatch the same way.)
 		dispatched := e.now()
-		e.syncDepth(p)
+		e.syncView(p)
 		p.mu.Unlock()
 
 		e.recordWaits(p, bs, dispatched)
@@ -269,10 +269,8 @@ func (e *Engine) worker(p *pool) {
 			// signal the balance latch reads. If a backlog remains, parked
 			// peers must re-check it: with no further arrivals to signal
 			// them, a freshly tripped latch would otherwise go unheard.
-			p.mu.Lock()
-			backlog := p.core.QueueLen()
-			p.mu.Unlock()
-			e.wakePeers(p, backlog)
+			// The backlog is the lock-free depth mirror.
+			e.wakePeers(p, p.ingress.pending())
 		}
 
 		// DSCS-class executions occupy the physical drive holding their
@@ -322,7 +320,7 @@ func (e *Engine) worker(p *pool) {
 					f.Observe(t, reqBatch(t.Ref.(*request).opt))
 				}
 			}
-			e.syncDepth(p)
+			e.syncView(p)
 			p.mu.Unlock()
 			e.cRequeues.Inc(float64(len(bs.tasks)))
 			// The requeued backlog is rescue work: wake peers to steal it.
@@ -332,6 +330,7 @@ func (e *Engine) worker(p *pool) {
 			continue
 		}
 		p.core.Complete(len(bs.tasks))
+		e.syncFree(p)
 		p.mu.Unlock()
 		if err == nil {
 			e.observe(bs.payload, p.name, res.Total(), dispatched)

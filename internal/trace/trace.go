@@ -142,8 +142,29 @@ func GenerateDiurnal(cfg DiurnalConfig, suite []*workload.Benchmark, rng *sim.RN
 }
 
 // maxPrealloc caps generate's up-front reservation, in requests (the
-// 20-minute paper trace bounds at 864k).
+// 20-minute paper trace expects about 600k).
 const maxPrealloc = 1 << 21
+
+// rateGrid is how many midpoint samples of the rate profile size
+// generate's reservation.
+const rateGrid = 4096
+
+// expectedArrivals sizes generate's reservation: the profile's expected
+// arrival count, ∫rate dt by the midpoint rule on a fixed grid, plus a 4σ
+// Poisson margin (a count above it is rare enough that the one regrowth
+// it costs does not matter), capped at maxPrealloc.
+func expectedArrivals(duration time.Duration, rateAt func(time.Duration) float64) int {
+	step := duration / rateGrid
+	if step <= 0 {
+		step = 1
+	}
+	mean := 0.0
+	for t := time.Duration(0); t < duration; t += step {
+		cell := min(step, duration-t)
+		mean += rateAt(t+cell/2) * cell.Seconds()
+	}
+	return int(min(mean+4*math.Sqrt(mean)+1, maxPrealloc))
+}
 
 // generate is the shared thinning loop: exponential gaps at the peak rate,
 // arrivals kept with probability rate(t)/peak.
@@ -151,12 +172,10 @@ func generate(duration time.Duration, peak float64, rateAt func(time.Duration) f
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("trace: empty suite")
 	}
-	// Thinning keeps at most every candidate, and the candidates average
-	// peak x duration, so that bound sizes the slice once instead of
-	// growing it from empty; the cap keeps an absurd profile from
-	// reserving memory it may never fill.
-	expected := min(peak*duration.Seconds(), maxPrealloc)
-	tr := &Trace{Duration: duration, Requests: make([]Request, 0, int(expected))}
+	// Thinning keeps far fewer than the peak x duration candidates (the
+	// paper trace keeps 70 %), so the slice is sized from the profile's own
+	// expected count, once, instead of growing it from empty.
+	tr := &Trace{Duration: duration, Requests: make([]Request, 0, expectedArrivals(duration, rateAt))}
 	meanGap := time.Duration(float64(time.Second) / peak)
 	t := time.Duration(0)
 	id := 0

@@ -121,3 +121,34 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateReservesTheExpectedCount pins generate's reservation to the
+// profile's expected arrival count rather than the thinning envelope's:
+// for both generators, over several seeds, the slice never regrows (len
+// fits in cap) and holds no more spare room than the Poisson margin on
+// each side of the mean allows.
+func TestGenerateReservesTheExpectedCount(t *testing.T) {
+	diurnal := DiurnalConfig{
+		Duration: 2 * time.Minute, MinRate: 50, MaxRate: 400, Period: time.Minute,
+		BurstFactor: 3, BurstEvery: 20 * time.Second, BurstLength: 4 * time.Second,
+	}
+	for _, gen := range []struct {
+		name string
+		run  func(*sim.RNG) (*Trace, error)
+	}{
+		{"bursty", func(r *sim.RNG) (*Trace, error) { return Generate(PaperTrace(), workload.Suite(), r) }},
+		{"diurnal", func(r *sim.RNG) (*Trace, error) { return GenerateDiurnal(diurnal, workload.Suite(), r) }},
+	} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			tr, err := gen.run(sim.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, c := len(tr.Requests), cap(tr.Requests)
+			if margin := 8*math.Sqrt(float64(n)) + 2; c < n || float64(c-n) > margin {
+				t.Errorf("%s seed %d: %d arrivals in a reservation of %d, want spare room within [0, %.0f]",
+					gen.name, seed, n, c, margin)
+			}
+		}
+	}
+}
