@@ -189,7 +189,7 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 			ec := *r.elastic
 			ec.Max = pool.Workers()
 			ec.Min = min(ec.Min, ec.Max)
-			if err := pool.AttachElastic(ec, mc.Spec(i).Name, 0); err != nil {
+			if err := pool.AttachElastic(ec, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -274,8 +274,10 @@ func (d *driver) advanceScale() {
 		d.lastDecide = now
 		for i := 0; i < d.mc.Pools(); i++ {
 			if p := d.mc.Pool(i); p.Autoscaler() != nil {
-				waitP95, _ := d.mc.WarmedWait(i)
-				p.Rescale(now, waitP95)
+				p.Rescale(now, func() time.Duration {
+					w, _ := d.mc.WarmedWait(i)
+					return w
+				})
 			}
 		}
 	}

@@ -44,7 +44,13 @@ func BenchmarkReplayRack(b *testing.B) {
 	benchReplay(b, len(tr.Requests), func() error { _, err := Run(tr, cfg, 1); return err })
 }
 
-func BenchmarkReplayHybrid(b *testing.B) {
+func BenchmarkReplayHybrid(b *testing.B) { benchReplayHybrid(b, scale.ModeReactive) }
+
+// BenchmarkReplayHybridPredictive is the same replay under the one mode
+// whose autoscaler observes arrivals and service times.
+func BenchmarkReplayHybridPredictive(b *testing.B) { benchReplayHybrid(b, scale.ModePredictive) }
+
+func benchReplayHybrid(b *testing.B, mode scale.Mode) {
 	tr := benchTrace(b, trace.BurstyConfig{
 		Duration: 3 * time.Minute, BaseRate: 60, BurstRate: 100,
 		BurstEvery: 30 * time.Second, BurstLength: 15 * time.Second,
@@ -59,7 +65,7 @@ func BenchmarkReplayHybrid(b *testing.B) {
 		SplitQueues: true, CPUPools: 2, AdaptiveBalance: true,
 		EstimateWarmup: 16, EstimateWindow: 128, SLO: 2 * time.Second,
 		Elastic: &scale.Config{
-			Mode: scale.ModeReactive, Min: 1, Max: 40,
+			Mode: mode, Min: 1, Max: 40,
 			ColdStart: 500 * time.Millisecond, IdleLinger: 10 * time.Second,
 		},
 		Faults: evs,

@@ -11,24 +11,28 @@
 //     Capacity grows only after work is already waiting, so every burst
 //     eats the cold-start penalty before relief arrives.
 //   - Predictive: reactive, plus a pre-warm floor from Little's law.
-//     Per-{benchmark, pool} inter-arrival gap digests estimate the
-//     near-peak arrival rate (a low gap quantile provisions for bursts,
-//     and the sliding window follows the diurnal cycle), multiplied by
-//     the observed p50 service time; a hysteresis latch on the pool's
-//     wait p95 (the same Adopt bands as adaptive pricing, PR 4/5)
-//     boosts to Max while waits run at cold-start scale, without
-//     flapping at the threshold.
+//     Per-benchmark inter-arrival gap digests estimate the near-peak
+//     arrival rate (a low gap quantile provisions for bursts, and the
+//     sliding window follows the diurnal cycle), multiplied by the
+//     observed p50 service time; a hysteresis latch on the pool's wait
+//     p95 (the same Adopt bands as adaptive pricing, PR 4/5) boosts to
+//     Max while waits run at cold-start scale, without flapping at the
+//     threshold.
 //
 // The Autoscaler owns no goroutines and no clock: callers feed it
 // arrivals and completions stamped with their own clock — wall time in
 // the live engine, virtual time in the discrete-event sims — and ask
-// for Desired at their own cadence.
+// for Desired at their own cadence. Only the predictive mode reads
+// those observations, so only it keeps them: a fixed or reactive
+// autoscaler holds no per-benchmark state, and its Observe calls return
+// before taking any lock.
 package scale
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dscs/internal/metrics"
@@ -101,7 +105,9 @@ const GapQuantile = 0.25
 // don't queue at exactly-critical utilization.
 const Headroom = 1.25
 
-// Validate rejects an unknown mode and impossible bounds.
+// Validate rejects an unknown mode, impossible bounds and negative
+// fields (zero Warmup or Window means the default; a negative one is a
+// caller error, not a request for the default).
 func (c Config) Validate() error {
 	if c.Mode < ModeFixed || c.Mode > ModePredictive {
 		return fmt.Errorf("scale: unknown %v", c.Mode)
@@ -115,6 +121,12 @@ func (c Config) Validate() error {
 	if c.ColdStart < 0 || c.IdleLinger < 0 {
 		return fmt.Errorf("scale: negative durations")
 	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("scale: Warmup %d must be >= 0 (0 means %d)", c.Warmup, DefaultWarmup)
+	}
+	if c.Window < 0 {
+		return fmt.Errorf("scale: Window %d must be >= 0 (0 means %d)", c.Window, metrics.DefaultWindow)
+	}
 	return nil
 }
 
@@ -122,56 +134,111 @@ func (c Config) Validate() error {
 // concurrent use: observations arrive from every submitter goroutine in
 // the live engine, while Desired runs under the pool lock.
 type Autoscaler struct {
-	cfg  Config
-	pool string
+	cfg Config
 
-	mu      sync.Mutex
-	last    map[string]time.Duration // last arrival instant per benchmark
-	benches []string                 // insertion order: deterministic demand sums
-	gaps    *metrics.Observatory     // inter-arrival gaps per {benchmark, pool}
-	svc     *metrics.Observatory     // service times per {benchmark, pool}
-	surge   metrics.Latch            // wait-p95 vs. cold-start hysteresis
+	mu sync.Mutex
+	// benches and order are the predictive floor's inputs: one record
+	// per benchmark, and the records in first-arrival order, so demand
+	// sums deterministically. Both stay nil in the other modes.
+	benches map[string]*benchObs
+	order   []*benchObs
+	surge   metrics.Latch // wait-p95 vs. cold-start hysteresis
 }
 
-// New builds an autoscaler for the named pool.
-func New(cfg Config, pool string) (*Autoscaler, error) {
+// benchObs is what the predictive floor knows about one benchmark. last
+// and arrived are guarded by the autoscaler's mutex. The digests are
+// created on their first record — a pool can see completions it stole
+// without arrivals, and arrivals it never completed — and published
+// atomically, because PredictedDemand reads them without the mutex.
+type benchObs struct {
+	last    time.Duration // last arrival instant
+	arrived bool          // last anchors the gap stream; the record is in order
+	gaps    atomic.Pointer[metrics.Digest]
+	svc     atomic.Pointer[metrics.Digest]
+}
+
+// New builds an autoscaler for one pool.
+func New(cfg Config) (*Autoscaler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Warmup <= 0 {
+	if cfg.Warmup == 0 {
 		cfg.Warmup = DefaultWarmup
 	}
-	return &Autoscaler{
-		cfg:  cfg,
-		pool: pool,
-		last: make(map[string]time.Duration),
-		gaps: metrics.NewObservatory(cfg.Window, cfg.Warmup),
-		svc:  metrics.NewObservatory(cfg.Window, cfg.Warmup),
-	}, nil
+	a := &Autoscaler{cfg: cfg}
+	if cfg.Mode == ModePredictive {
+		a.benches = make(map[string]*benchObs)
+	}
+	return a, nil
 }
 
-// ObserveArrival folds one admission at now into the benchmark's
+// ReadsWait reports whether Desired reads its waitP95 argument: only the
+// predictive surge latch does, and only with a cold start to pre-empt.
+// Callers skip the wait quantile when it does not.
+func (a *Autoscaler) ReadsWait() bool {
+	return a.cfg.Mode == ModePredictive && a.cfg.ColdStart > 0
+}
+
+// digestOf returns the digest p holds, creating it on first use. Callers
+// hold a.mu, which serializes creation.
+func (a *Autoscaler) digestOf(p *atomic.Pointer[metrics.Digest]) *metrics.Digest {
+	d := p.Load()
+	if d == nil {
+		d = metrics.NewDigest(a.cfg.Window)
+		p.Store(d)
+	}
+	return d
+}
+
+// record returns bench's record, creating it on first use. Callers hold
+// a.mu.
+func (a *Autoscaler) record(bench string) *benchObs {
+	r := a.benches[bench]
+	if r == nil {
+		r = new(benchObs)
+		a.benches[bench] = r
+	}
+	return r
+}
+
+// ObserveArrival folds one offered arrival at now — admitted or
+// rejected, both describe the demand to warm for — into the benchmark's
 // inter-arrival digest. The first arrival of a benchmark only anchors
-// the gap stream.
+// the gap stream; a backwards timestamp re-anchors it without a gap.
+// Only the predictive mode observes.
 func (a *Autoscaler) ObserveArrival(bench string, now time.Duration) {
+	if a.benches == nil {
+		return
+	}
 	a.mu.Lock()
-	prev, ok := a.last[bench]
-	a.last[bench] = now
+	r := a.record(bench)
+	prev, ok := r.last, r.arrived
+	r.last = now
 	if !ok {
-		a.benches = append(a.benches, bench)
+		r.arrived = true
+		a.order = append(a.order, r)
+	}
+	var gaps *metrics.Digest
+	if ok && now >= prev {
+		gaps = a.digestOf(&r.gaps)
 	}
 	a.mu.Unlock()
-	if ok && now >= prev {
-		a.gaps.Record(bench, a.pool, now-prev)
+	if gaps != nil {
+		gaps.Record(now - prev)
 	}
 }
 
 // ObserveService folds one completed execution's service time into the
 // benchmark's digest; the predictive floor prices demand with its p50.
+// Only the predictive mode observes.
 func (a *Autoscaler) ObserveService(bench string, d time.Duration) {
-	if d > 0 {
-		a.svc.Record(bench, a.pool, d)
+	if a.benches == nil || d <= 0 {
+		return
 	}
+	a.mu.Lock()
+	svc := a.digestOf(&a.record(bench).svc)
+	a.mu.Unlock()
+	svc.Record(d)
 }
 
 // Desired returns the warm capacity target at now, clamped to
@@ -187,11 +254,13 @@ func (a *Autoscaler) Desired(now time.Duration, busy, queued int, waitP95 time.D
 		if d := a.PredictedDemand(); d > target {
 			target = d
 		}
-		a.mu.Lock()
-		surge := a.cfg.ColdStart > 0 && a.surge.Above(waitP95, a.cfg.ColdStart/2)
-		a.mu.Unlock()
-		if surge {
-			target = a.cfg.Max
+		if a.ReadsWait() {
+			a.mu.Lock()
+			surge := a.surge.Above(waitP95, a.cfg.ColdStart/2)
+			a.mu.Unlock()
+			if surge {
+				target = a.cfg.Max
+			}
 		}
 	}
 	if target < a.cfg.Min {
@@ -210,12 +279,11 @@ func (a *Autoscaler) Desired(now time.Duration, busy, queued int, waitP95 time.D
 // the reactive baseline carries them until their digests fill.
 func (a *Autoscaler) PredictedDemand() int {
 	a.mu.Lock()
-	benches := a.benches
+	order := a.order
 	a.mu.Unlock()
 	demand := 0.0
-	for _, b := range benches {
-		gd := a.gaps.Digest(b, a.pool)
-		sd := a.svc.Digest(b, a.pool)
+	for _, r := range order {
+		gd, sd := r.gaps.Load(), r.svc.Load()
 		if gd == nil || sd == nil || gd.Count() < int64(a.cfg.Warmup) || sd.Count() < int64(a.cfg.Warmup) {
 			continue
 		}

@@ -1,6 +1,8 @@
 package scale
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -15,10 +17,24 @@ func TestConfigValidate(t *testing.T) {
 		{Mode: -1, Max: 4},
 		{Mode: 3, Max: 4},
 		{Mode: 9, Max: 4},
+		{Max: 4, Warmup: -1},
+		{Max: 4, Window: -1},
 	}
 	for _, cfg := range bad {
 		if cfg.Validate() == nil {
 			t.Errorf("config %+v must be rejected", cfg)
+		}
+	}
+	// A negative count is named, not silently read as the default.
+	for field, cfg := range map[string]Config{
+		"Warmup": {Max: 4, Warmup: -3},
+		"Window": {Max: 4, Window: -3},
+	} {
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %v must name the field", field, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted a negative %s", field)
 		}
 	}
 	for _, m := range []Mode{ModeFixed, ModeReactive, ModePredictive} {
@@ -40,7 +56,7 @@ func TestModeString(t *testing.T) {
 
 func newScaler(t *testing.T, cfg Config) *Autoscaler {
 	t.Helper()
-	a, err := New(cfg, "pool")
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +170,151 @@ func TestObserveArrivalAnchors(t *testing.T) {
 	a.ObserveArrival("b", 600*time.Millisecond) // 100ms after the rewound anchor
 	if got := a.PredictedDemand(); got == 0 {
 		t.Fatal("demand must warm once a positive gap lands")
+	}
+}
+
+var modes = []Mode{ModeFixed, ModeReactive, ModePredictive}
+
+// TestUnreadObservationsKeepNoState: only the predictive floor reads
+// arrivals and service times, so a fixed or reactive autoscaler keeps
+// nothing per benchmark however much traffic it sees.
+func TestUnreadObservationsKeepNoState(t *testing.T) {
+	for _, m := range modes {
+		a := newScaler(t, Config{Mode: m, Min: 1, Max: 8})
+		for i := 0; i < 256; i++ {
+			bench := string(rune('a' + i%7))
+			a.ObserveArrival(bench, time.Duration(i)*time.Millisecond)
+			a.ObserveService(bench, 5*time.Millisecond)
+		}
+		want := 0
+		if m == ModePredictive {
+			want = 7
+		}
+		if len(a.benches) != want || len(a.order) != want {
+			t.Errorf("%v holds %d records in a %d-long order after a flood, want %d of each",
+				m, len(a.benches), len(a.order), want)
+		}
+	}
+}
+
+// TestObserveAllocatesNothingWarm: once a benchmark's record and digests
+// exist, an observation allocates nothing, in every mode.
+func TestObserveAllocatesNothingWarm(t *testing.T) {
+	for _, m := range modes {
+		a := newScaler(t, Config{Mode: m, Min: 1, Max: 8})
+		feed(a, "bench", 4, time.Millisecond, time.Millisecond)
+		now := time.Second
+		if n := testing.AllocsPerRun(1000, func() {
+			now += time.Millisecond
+			a.ObserveArrival("bench", now)
+		}); n != 0 {
+			t.Errorf("%v ObserveArrival allocates %v per call", m, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { a.ObserveService("bench", time.Millisecond) }); n != 0 {
+			t.Errorf("%v ObserveService allocates %v per call", m, n)
+		}
+	}
+}
+
+// TestPredictiveDigestsAreLazy: a benchmark seen only through stolen
+// completions gets no gap digest, and one whose work never completed
+// here gets no service digest; neither joins the demand sum.
+func TestPredictiveDigestsAreLazy(t *testing.T) {
+	a := newScaler(t, Config{Mode: ModePredictive, Min: 0, Max: 10, Warmup: 1})
+	a.ObserveService("stolen", time.Millisecond)
+	a.ObserveArrival("unserved", 0)
+	a.ObserveArrival("unserved", time.Millisecond)
+	if r := a.benches["stolen"]; r == nil || r.gaps.Load() != nil || r.svc.Load() == nil || r.arrived {
+		t.Errorf("completion-only record %+v: want a service digest and nothing else", r)
+	}
+	if r := a.benches["unserved"]; r == nil || r.gaps.Load() == nil || r.svc.Load() != nil {
+		t.Errorf("arrival-only record %+v: want a gap digest and nothing else", r)
+	}
+	if len(a.order) != 1 || a.PredictedDemand() != 0 {
+		t.Errorf("order %d, demand %d: want only the arrived benchmark ordered and no demand", len(a.order), a.PredictedDemand())
+	}
+}
+
+// TestPredictiveConcurrentObservations runs the live engine's shape under
+// the race detector: submitters and completing workers observe from many
+// goroutines while the pool lock's holder reads PredictedDemand and
+// Desired, and digests are created while the readers run.
+func TestPredictiveConcurrentObservations(t *testing.T) {
+	a := newScaler(t, Config{Mode: ModePredictive, Min: 1, Max: 64, ColdStart: time.Millisecond, Warmup: 4, Window: 32})
+	const writers, each = 8, 400
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				bench := string(rune('a' + (w+i)%11))
+				a.ObserveArrival(bench, time.Duration(w*each+i)*time.Microsecond)
+				a.ObserveService(bench, time.Duration(1+i%5)*time.Millisecond)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if d := a.Desired(0, 1, 0, 0); d < 1 || d > 64 {
+				t.Errorf("desired %d outside [Min, Max]", d)
+			}
+			a.PredictedDemand()
+		}
+	}()
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if len(a.order) != 11 || a.PredictedDemand() <= 0 {
+		t.Errorf("after the storm: %d benchmarks ordered, demand %d; want 11 and a warmed floor", len(a.order), a.PredictedDemand())
+	}
+}
+
+// The observation benchmarks price one warm call per mode: fixed and
+// reactive must read as a branch, predictive as a map lookup under the
+// mutex plus one digest record.
+
+func BenchmarkObserveArrival(b *testing.B) {
+	for _, m := range modes {
+		b.Run(m.String(), func(b *testing.B) {
+			a, err := New(Config{Mode: m, Min: 1, Max: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benches := []string{"a", "b", "c", "d"}
+			now := time.Duration(0)
+			b.ReportAllocs()
+			for b.Loop() {
+				now += time.Microsecond
+				a.ObserveArrival(benches[int(now/time.Microsecond)%len(benches)], now)
+			}
+		})
+	}
+}
+
+func BenchmarkObserveService(b *testing.B) {
+	for _, m := range modes {
+		b.Run(m.String(), func(b *testing.B) {
+			a, err := New(Config{Mode: m, Min: 1, Max: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benches := []string{"a", "b", "c", "d"}
+			i := 0
+			b.ReportAllocs()
+			for b.Loop() {
+				i++
+				a.ObserveService(benches[i%len(benches)], time.Duration(1+i%7)*time.Millisecond)
+			}
+		})
 	}
 }

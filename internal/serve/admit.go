@@ -426,6 +426,12 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		target, spilled = p, false
 		err = e.admit(target, task, req, false)
 	}
+	if a := target.core.Autoscaler(); a != nil {
+		// The autoscaler sees offered load, as in the sims: a rejected
+		// arrival still describes the demand to warm for. It serializes
+		// internally, off the pool lock.
+		a.ObserveArrival(b.Slug, task.Arrived)
+	}
 	if err != nil {
 		e.inflight.Add(-1)
 		e.putRequest(req)
@@ -438,11 +444,6 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 	if spilled {
 		e.cSpillAll.Inc(1)
 		p.cSpillTo[target.name].Inc(1)
-	}
-	if a := target.core.Autoscaler(); a != nil {
-		// Arrival-rate digests feed the predictive pre-warm floor; the
-		// autoscaler serializes internally, off the pool lock.
-		a.ObserveArrival(b.Slug, task.Arrived)
 	}
 	e.cSubmitted.Inc(1)
 	return req, target.name, nil

@@ -102,14 +102,14 @@ func NewPoolCore(workers, queueDepth int, class sched.InstanceClass, policy sche
 func (c *PoolCore) Policy() sched.Policy { return c.policy }
 
 // AttachElastic makes the pool's capacity elastic under cfg: it builds
-// the lifecycle and the autoscaler for the pool called name — the one
-// construction the live engine and the sims share. A fixed-mode pool
-// starts warm at Max, a reactive or predictive one at Min, and from now
-// on total and free track the lifecycle's warm slot count. The pool must
+// the pool's lifecycle and autoscaler — the one construction the live
+// engine and the sims share. A fixed-mode pool starts warm at Max, a
+// reactive or predictive one at Min, and from now on total and free
+// track the lifecycle's warm slot count. The pool must
 // be idle (nothing dispatched yet): capacity changes hand busy workers
 // over only through AdvanceLifecycle, which never suspends an occupied
 // slot. On error the pool stays fixed.
-func (c *PoolCore) AttachElastic(cfg scale.Config, name string, now time.Duration) error {
+func (c *PoolCore) AttachElastic(cfg scale.Config, now time.Duration) error {
 	if c.Busy() != 0 {
 		return fmt.Errorf("serve: elastic capacity attached to a busy pool (%d busy)", c.Busy())
 	}
@@ -121,7 +121,7 @@ func (c *PoolCore) AttachElastic(cfg scale.Config, name string, now time.Duratio
 	if err != nil {
 		return err
 	}
-	asc, err := scale.New(cfg, name)
+	asc, err := scale.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -165,16 +165,22 @@ func (c *PoolCore) Starved() bool {
 }
 
 // Rescale is the autoscale decision: the autoscaler's desired capacity at
-// now, from the pool's occupancy and its adopted queue-wait p95 (zero
-// while unwarmed), goes to the lifecycle when the target moved. It
-// reports whether capacity changed. A fixed pool ignores it. The caller
-// owns the cadence — how often to decide, and whether a closed or dead
-// pool decides at all.
-func (c *PoolCore) Rescale(now, waitP95 time.Duration) bool {
+// now, from the pool's occupancy and its adopted queue-wait p95, goes to
+// the lifecycle when the target moved. It reports whether capacity
+// changed. A fixed pool ignores it. waitP95 reads the pool's warmed
+// wait-p95 (zero while unwarmed); it is called only when the autoscaler
+// reads waits (scale.Autoscaler.ReadsWait), so a mode without the surge
+// latch pays no quantile read. The caller owns the cadence — how often
+// to decide, and whether a closed or dead pool decides at all.
+func (c *PoolCore) Rescale(now time.Duration, waitP95 func() time.Duration) bool {
 	if c.asc == nil {
 		return false
 	}
-	desired := c.asc.Desired(now, c.Busy(), c.QueueLen(), waitP95)
+	var wait time.Duration
+	if c.asc.ReadsWait() {
+		wait = waitP95()
+	}
+	desired := c.asc.Desired(now, c.Busy(), c.QueueLen(), wait)
 	if desired == c.lc.Desired() {
 		return false
 	}

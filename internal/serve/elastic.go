@@ -27,8 +27,10 @@ func (e *Engine) advanceElasticLocked(p *pool) {
 	p.core.AdvanceLifecycle(now)
 	if !p.closed && p.core.Healthy() && (p.core.Starved() || now-p.scaleAt >= scaleDecideInterval) {
 		p.scaleAt = now
-		waitP95, _ := e.bal.WarmedWait(p.idx)
-		p.core.Rescale(now, waitP95)
+		p.core.Rescale(now, func() time.Duration {
+			w, _ := e.bal.WarmedWait(p.idx)
+			return w
+		})
 	}
 	e.syncView(p)
 	e.syncWorkersLocked(p)

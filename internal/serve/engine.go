@@ -445,7 +445,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		p := &pool{name: name, idx: idx, runner: r, class: class, core: core, wakeAt: -1}
 		p.cond = sync.NewCond(&p.mu)
 		if opt.Elastic != nil {
-			if err := core.AttachElastic(*opt.Elastic, name, e.now()); err != nil {
+			if err := core.AttachElastic(*opt.Elastic, e.now()); err != nil {
 				return nil, err
 			}
 		}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,6 +134,74 @@ func TestEngineElasticPrewarmServes(t *testing.T) {
 		if _, err := eng.Submit("Baseline (CPU)", bench, faas.Options{Quantile: 0.5}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := eng.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPredictiveEngineObservesRejectedArrivals: the engine's autoscaler
+// sees offered load, as the sims' driver does — a rejected arrival still
+// describes the demand to warm for. Five sequential requests warm the
+// floor on gaps of at least their 2ms execution, which 1ms of service
+// prices at one slot. Then the one worker is held and a flood hits the
+// one-deep queue: nearly all of it is rejected, microseconds apart. Seen,
+// those gaps fill the window and the floor prices the flood's rate;
+// unseen, the window still holds the warm-up's gaps and the floor reads
+// at most two slots.
+func TestPredictiveEngineObservesRejectedArrivals(t *testing.T) {
+	release := make(chan struct{})
+	var hold atomic.Bool
+	eng, err := NewEngine(testRunners(t), Options{
+		Elastic:    &scale.Config{Mode: scale.ModePredictive, Min: 1, Max: 1, Warmup: 4, Window: 16},
+		QueueDepth: 1,
+		MaxBatch:   1,
+		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+			if hold.Load() {
+				<-release
+			}
+			time.Sleep(2 * time.Millisecond)
+			return faas.Result{Breakdown: faas.Breakdown{Compute: time.Millisecond}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const platform = "Baseline (CPU)"
+	bench := workload.BySlug("asset-damage")
+	opt := faas.Options{Quantile: 0.5}
+	asc := eng.pools[platform].core.Autoscaler()
+	for i := 0; i < 5; i++ {
+		if _, err := eng.Submit(platform, bench, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := asc.PredictedDemand(); got != 1 {
+		t.Fatalf("warm-up demand = %d, want 1 (1ms of service every 2ms or more)", got)
+	}
+
+	hold.Store(true)
+	const flood = 48
+	rejected := 0
+	for i := 0; i < flood; i++ {
+		if err := eng.SubmitAsync(platform, bench, opt); errors.Is(err, ErrQueueFull) {
+			rejected++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if rejected < flood-2 {
+		t.Fatalf("%d of %d flood arrivals rejected, want all but the held one and the queued one", rejected, flood)
+	}
+	// 1.25 × 1ms of service at 10 slots needs gaps under 125µs; a
+	// rejected submission takes microseconds.
+	if got := asc.PredictedDemand(); got < 10 {
+		t.Errorf("demand after a rejected flood = %d, want the flood's rate priced (>= 10 slots)", got)
+	}
+	if !eng.Quiesce(5 * time.Second) {
+		t.Fatal("engine did not drain")
 	}
 	if err := eng.Conservation(); err != nil {
 		t.Fatal(err)

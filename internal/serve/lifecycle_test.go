@@ -231,7 +231,7 @@ func TestElasticPoolPropertyHarness(t *testing.T) {
 		if err := core.AttachElastic(scale.Config{
 			Mode: scale.ModeReactive, Min: 1, Max: 8,
 			ColdStart: 40 * time.Millisecond, IdleLinger: 60 * time.Millisecond,
-		}, "pool", 0); err != nil {
+		}, 0); err != nil {
 			return err
 		}
 		lc := core.Lifecycle()
@@ -325,7 +325,7 @@ func TestAttachElastic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Mode = mode
-		if err := core.AttachElastic(cfg, "pool", 0); err != nil {
+		if err := core.AttachElastic(cfg, 0); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		if core.Workers() != warm || core.Lifecycle().Warm() != warm || core.Lifecycle().ColdStarts() != 0 {
@@ -346,7 +346,7 @@ func TestAttachElastic(t *testing.T) {
 		t.Fatal("dispatch failed")
 	}
 	cfg.Mode = scale.ModeReactive
-	if err := busy.AttachElastic(cfg, "pool", 0); err == nil || busy.Lifecycle() != nil {
+	if err := busy.AttachElastic(cfg, 0); err == nil || busy.Lifecycle() != nil {
 		t.Errorf("a busy pool accepted elastic capacity (err %v)", err)
 	}
 
@@ -359,7 +359,7 @@ func TestAttachElastic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.AttachElastic(bad, "pool", 0); err == nil {
+		if err := core.AttachElastic(bad, 0); err == nil {
 			t.Errorf("config %+v accepted", bad)
 		}
 		if core.Lifecycle() != nil || core.Autoscaler() != nil || core.Workers() != 4 {
@@ -369,14 +369,18 @@ func TestAttachElastic(t *testing.T) {
 }
 
 // TestPoolCoreRescale: a starved reactive pool grows to its backlog on
-// Rescale, an unchanged target is a no-op, and a fixed pool never
-// rescales.
+// Rescale, an unchanged target is a no-op, a fixed pool never rescales,
+// and only a predictive pool with a cold start reads the wait quantile.
 func TestPoolCoreRescale(t *testing.T) {
+	noWait := func() time.Duration {
+		t.Error("a mode without the surge latch read the wait quantile")
+		return 0
+	}
 	core, err := NewPoolCore(4, 8, sched.ClassCPU, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.AttachElastic(scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 4}, "pool", 0); err != nil {
+	if err := core.AttachElastic(scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 4}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -389,10 +393,10 @@ func TestPoolCoreRescale(t *testing.T) {
 		t.Fatal("one busy slot with two queued tasks must be starved")
 	}
 	// Zero cold start: the raise to busy+queued = 3 promotes in place.
-	if !core.Rescale(time.Millisecond, 0) || core.Workers() != 3 {
+	if !core.Rescale(time.Millisecond, noWait) || core.Workers() != 3 {
 		t.Fatalf("rescale left %d workers, want 3", core.Workers())
 	}
-	if core.Starved() || core.Rescale(2*time.Millisecond, 0) {
+	if core.Starved() || core.Rescale(2*time.Millisecond, noWait) {
 		t.Error("a pool at its target must neither starve nor rescale")
 	}
 
@@ -405,8 +409,22 @@ func TestPoolCoreRescale(t *testing.T) {
 	fixed.Submit(sched.HybridTask{ID: 3, Payload: "a"})
 	fixed.Dispatch(0)
 	fixed.Dispatch(0)
-	if fixed.Starved() || fixed.Rescale(time.Millisecond, 0) {
+	if fixed.Starved() || fixed.Rescale(time.Millisecond, noWait) {
 		t.Error("a pool without elastic capacity starved or rescaled")
+	}
+
+	pred, err := NewPoolCore(4, 8, sched.ClassCPU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pred.AttachElastic(scale.Config{Mode: scale.ModePredictive, Min: 1, Max: 4, ColdStart: time.Second}, 0); err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	pred.Rescale(time.Millisecond, func() time.Duration { reads++; return time.Second })
+	if reads != 1 || pred.Lifecycle().Desired() != 4 {
+		t.Errorf("predictive rescale read the wait %d times and desired %d, want 1 read and the Max surge 4",
+			reads, pred.Lifecycle().Desired())
 	}
 }
 
