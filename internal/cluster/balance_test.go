@@ -174,3 +174,37 @@ func TestFig13WaitStats(t *testing.T) {
 			st.WaitP50, st.WaitP95, st.WaitP99)
 	}
 }
+
+// TestSpillIntoFullTargetGoesHome pins the one rule for a spill whose
+// target is full, the live engine's: the arrival goes back to its DSCS
+// queue instead of being dropped, and the refused spill counts no drop.
+// The DSCS pool is down through a flood, so BalanceTarget sends every
+// arrival to the one CPU pool; once that pool's small queue is full, the
+// dead DSCS queue holds the rest until the pool-up.
+func TestSpillIntoFullTargetGoesHome(t *testing.T) {
+	tr := &trace.Trace{Duration: 2 * time.Second}
+	for i := 0; i < 8; i++ {
+		tr.Requests = append(tr.Requests, trace.Request{
+			ID: i, At: 100*time.Millisecond + time.Duration(i)*10*time.Millisecond, Benchmark: "credit-risk",
+		})
+	}
+	faults, err := trace.ParseFaultScript("50ms:pool-down:dscs;1s:pool-up:dscs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := RunHybrid(tr, HybridConfig{
+		CPUInstances: 1, DSCSInstances: 1, QueueDepth: 4,
+		Service: mixedService, SampleEvery: time.Second,
+		SplitQueues: true, AdaptiveBalance: true, Faults: faults,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Dropped != 0 || st.Completed != len(tr.Requests) {
+		t.Fatalf("completed %d, dropped %d of %d: a full spill target must send arrivals home, not drop them",
+			st.Completed, st.Dropped, len(tr.Requests))
+	}
+	if st.Spilled == 0 || st.Spilled >= len(tr.Requests) {
+		t.Errorf("spilled %d of %d: want the CPU queue filled and the rest queued on DSCS", st.Spilled, len(tr.Requests))
+	}
+}

@@ -91,7 +91,7 @@ func TestRackComboGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := golden{st.Completed, st.Dropped, st.Stranded, st.WithinSLO, st.Requeued, st.ColdStarts, st.Stolen, st.Latency.Mean()}
-		if want := (golden{10150, 0, 0, 5618, 3, 70, 3707, 1385754511}); got != want {
+		if want := (golden{10150, 0, 0, 5616, 3, 70, 3705, 1387059252}); got != want {
 			t.Errorf("completed/dropped/stranded/withinSLO/requeued/coldStarts/stolen/mean = %+v, pinned %+v", got, want)
 		}
 	})
@@ -126,7 +126,7 @@ func TestRackComboGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := golden{st.Completed, st.Dropped, st.Stranded, st.WithinSLO, st.Requeued, st.ColdStarts, st.Suspends, st.LatencySample.Mean()}
-		if want := (golden{7118, 0, 0, 6501, 4, 8, 8, 314772036}); got != want {
+		if want := (golden{7118, 0, 0, 6501, 4, 8, 8, 316312141}); got != want {
 			t.Errorf("completed/dropped/stranded/withinSLO/requeued/coldStarts/suspends/mean = %+v, pinned %+v", got, want)
 		}
 	})

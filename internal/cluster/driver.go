@@ -114,8 +114,8 @@ type driver struct {
 
 	// lastWake dedups former wakes per pool: scheduled events are never
 	// cancelled, so an instant already armed will fire and re-pump.
-	lastWake                 []time.Duration
-	lastLifeWake, lastDecide time.Duration
+	lastWake     []time.Duration
+	lastLifeWake time.Duration
 	// pumpFire and lifeFire are pump and the lifecycle wake, bound once.
 	pumpFire, lifeFire func()
 
@@ -140,11 +140,6 @@ type driver struct {
 	idleCost             time.Duration
 }
 
-// scaleInterval rate-limits autoscale decisions, rack-wide, on the virtual
-// clock: the digest quantile reads are not per-event work. The live
-// engine limits per pool at 1 ms; the goldens pin this cadence.
-const scaleInterval = 100 * time.Millisecond
-
 func newDriver(r rack, seed uint64) (*driver, error) {
 	mc, err := serve.NewMultiCore(r.pools)
 	if err != nil {
@@ -159,7 +154,7 @@ func newDriver(r rack, seed uint64) (*driver, error) {
 		formers:      make([]*serve.BatchFormer, len(r.pools)),
 		lastWake:     make([]time.Duration, len(r.pools)),
 		dispatched:   make([]int, len(r.pools)),
-		lastLifeWake: -1, lastDecide: -1,
+		lastLifeWake: -1,
 	}
 	for i := range d.lastWake {
 		d.lastWake[i] = -1
@@ -243,9 +238,10 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 		d.engine.At(t, tick)
 	}
 	d.engine.Run()
-	d.mc.AdvanceLifecycles(d.horizon)
 	for i := 0; i < d.mc.Pools(); i++ {
-		if lc := d.mc.Pool(i).Lifecycle(); lc != nil {
+		p := d.mc.Pool(i)
+		if lc := p.Lifecycle(); lc != nil {
+			p.AdvanceLifecycle(d.horizon)
 			d.coldStarts += lc.ColdStarts()
 			d.suspends += lc.Suspends()
 			d.idleCost += lc.IdleCost()
@@ -254,36 +250,35 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 	return d.mc.Conservation()
 }
 
-// advanceScale is the elastic drive: fold virtual time into every
-// lifecycle (warming slots come ready, expired lingers suspend), rescale
-// every elastic pool, and arm a wake at the earliest lifecycle
-// self-transition — the live engine's lifecycle timer on the virtual
-// clock. Unlike the engine's per-pool gate, the rate limit is rack-wide,
-// one starved pool bypasses it for all, and a dead pool still rescales.
+// advanceScale is the elastic drive, the engine's advanceElasticLocked on
+// the virtual clock: every elastic pool's serve.PoolCore.Rescale (the
+// lifecycle advance and the core's per-pool decision gate), then a wake
+// armed at the earliest lifecycle self-transition — the live engine's
+// lifecycle timer.
 func (d *driver) advanceScale() {
 	if d.elastic == nil {
 		return
 	}
 	now := d.engine.Now()
-	d.mc.AdvanceLifecycles(now)
-	starved := false
-	for i := 0; i < d.mc.Pools() && !starved; i++ {
-		starved = d.mc.Pool(i).Starved()
-	}
-	if starved || d.lastDecide < 0 || now-d.lastDecide >= scaleInterval {
-		d.lastDecide = now
-		for i := 0; i < d.mc.Pools(); i++ {
-			if p := d.mc.Pool(i); p.Autoscaler() != nil {
-				p.Rescale(now, func() time.Duration {
-					w, _ := d.mc.WarmedWait(i)
-					return w
-				})
-			}
+	var next time.Duration
+	armed := false
+	for i := 0; i < d.mc.Pools(); i++ {
+		p := d.mc.Pool(i)
+		lc := p.Lifecycle()
+		if lc == nil {
+			continue
+		}
+		p.Rescale(now, func() time.Duration {
+			w, _ := d.mc.WarmedWait(i)
+			return w
+		})
+		if evt, ok := lc.NextEvent(); ok && (!armed || evt < next) {
+			next, armed = evt, true
 		}
 	}
-	if evt, ok := d.mc.NextLifecycleEvent(); ok && evt != d.lastLifeWake {
-		d.lastLifeWake = evt
-		d.engine.At(evt, d.lifeFire)
+	if armed && next != d.lastLifeWake {
+		d.lastLifeWake = next
+		d.engine.At(next, d.lifeFire)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"dscs/internal/scale"
 	"dscs/internal/sched"
+	"dscs/internal/serve"
 	"dscs/internal/sim"
 	"dscs/internal/trace"
 	"dscs/internal/workload"
@@ -130,8 +131,8 @@ func TestElasticLifecycleGolden(t *testing.T) {
 		want golden
 	}{
 		{"fixed", fixed, golden{87705, 82399, 0, 0}},
-		{"reactive", reactive, golden{87705, 71279, 1426, 1426}},
-		{"predictive", predictive, golden{87705, 87670, 679, 630}},
+		{"reactive", reactive, golden{87705, 71247, 1419, 1419}},
+		{"predictive", predictive, golden{87705, 87655, 681, 632}},
 	} {
 		got := golden{pin.st.Completed, pin.st.WithinSLO, pin.st.ColdStarts, pin.st.Suspends}
 		if got != pin.want {
@@ -200,5 +201,57 @@ func TestHybridElasticLifecycle(t *testing.T) {
 	bad.SplitQueues = false
 	if _, err := RunHybrid(tr, bad, 5); err == nil {
 		t.Error("Elastic without SplitQueues must be rejected")
+	}
+}
+
+// TestElasticDeadPoolHoldsDesired: a browned-out pool takes no autoscale
+// decision — the core's gate skips a dead pool on both clocks — so
+// arrivals queueing on it during the brown-out leave its desired
+// capacity where the fault found it. After the pool-up the next decision
+// sizes the pool to its backlog, and everything queued is served.
+func TestElasticDeadPoolHoldsDesired(t *testing.T) {
+	faults, err := trace.ParseFaultScript("1s:pool-down:sim;3s:pool-up:sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDriver(rack{
+		pools: []serve.PoolSpec{{Name: "sim", Class: sched.ClassCPU, Workers: 8, QueueDepth: 100}},
+		order: []int{0},
+		elastic: &scale.Config{
+			Mode: scale.ModeReactive, Min: 1, Max: 8,
+			ColdStart: 100 * time.Millisecond, IdleLinger: time.Second,
+		},
+		faults:      faults,
+		sampleEvery: 100 * time.Millisecond, horizon: 4 * time.Second,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := d.mc.Pool(0).Lifecycle()
+	d.service = func(int, *sched.HybridTask, []sched.HybridTask) time.Duration { return 50 * time.Millisecond }
+	d.settle = func(int, *sched.HybridTask, []sched.HybridTask, time.Duration) {}
+	var down []int
+	d.sample = func(time.Duration) {
+		if !d.mc.Healthy(0) {
+			down = append(down, lc.Desired())
+		}
+	}
+	d.arrive = func(i int) { d.submit(0, sched.HybridTask{ID: i, Arrived: d.now(), Payload: "a"}) }
+	const arrivals = 6
+	if err := d.run(arrivals, func(i int) time.Duration {
+		return 1500*time.Millisecond + time.Duration(i)*100*time.Millisecond
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(down) == 0 {
+		t.Fatal("no sample fell inside the brown-out")
+	}
+	for i, n := range down {
+		if n != 1 {
+			t.Fatalf("desired %d at brown-out sample %d (all %v): a dead pool rescaled", n, i, down)
+		}
+	}
+	if got := d.mc.Completed(); got != arrivals {
+		t.Fatalf("completed %d of %d after the pool-up", got, arrivals)
 	}
 }

@@ -393,10 +393,12 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		task := pricing.task(tr.Requests[i], d.now())
 		// Arrivals target the accelerated backlog; under balance the one
 		// submit-time decision the live engine's enqueue takes
-		// (serve.MultiCore.BalanceTarget) moves them to a CPU backlog.
+		// (serve.MultiCore.BalanceTarget) moves them to a CPU backlog. A
+		// full spill target bounces the arrival home uncounted, as the
+		// engine retries the original DSCS queue.
 		idx := dscsIdx
 		if cfg.AdaptiveBalance {
-			if to, ok := mc.BalanceTarget(dscsIdx, onlyCPU); ok {
+			if to, ok := mc.BalanceTarget(dscsIdx, onlyCPU); ok && !mc.Pool(to).QueueFull() {
 				idx = to
 			}
 		}

@@ -142,19 +142,48 @@ type Autoscaler struct {
 	// sums deterministically. Both stay nil in the other modes.
 	benches map[string]*benchObs
 	order   []*benchObs
-	surge   metrics.Latch // wait-p95 vs. cold-start hysteresis
+	// readMu serializes the readers' state — the surge latch and each
+	// stream's memoized quantile — so observers never wait on a read.
+	readMu sync.Mutex
+	surge  metrics.Latch // wait-p95 vs. cold-start hysteresis
 }
 
 // benchObs is what the predictive floor knows about one benchmark. last
-// and arrived are guarded by the autoscaler's mutex. The digests are
-// created on their first record — a pool can see completions it stole
-// without arrivals, and arrivals it never completed — and published
-// atomically, because PredictedDemand reads them without the mutex.
+// and arrived are guarded by the autoscaler's mutex.
 type benchObs struct {
 	last    time.Duration // last arrival instant
 	arrived bool          // last anchors the gap stream; the record is in order
-	gaps    atomic.Pointer[metrics.Digest]
-	svc     atomic.Pointer[metrics.Digest]
+	gaps    stream
+	svc     stream
+}
+
+// stream is one of a benchmark's observation streams. Its digest is
+// created on the first record — a pool can see completions it stole
+// without arrivals, and arrivals it never completed — and published
+// atomically, because readers take no a.mu. version counts finished
+// records and forgets, bumped once the digest holds the value; q and warm
+// are the readers' quantile as of version seen (guarded by readMu), so a
+// read re-derives only the streams observed since the last one.
+type stream struct {
+	d       atomic.Pointer[metrics.Digest]
+	version atomic.Uint64
+	seen    uint64
+	q       time.Duration
+	warm    bool
+}
+
+// quantile reads the stream's p-quantile, ok once its digest holds warmup
+// records. Callers hold a.readMu.
+func (s *stream) quantile(p float64, warmup int) (q time.Duration, ok bool) {
+	if v := s.version.Load(); v != s.seen {
+		s.seen = v
+		d := s.d.Load()
+		s.warm = d != nil && d.Count() >= int64(warmup)
+		if s.warm {
+			s.q = d.Quantile(p)
+		}
+	}
+	return s.q, s.warm
 }
 
 // New builds an autoscaler for one pool.
@@ -179,13 +208,13 @@ func (a *Autoscaler) ReadsWait() bool {
 	return a.cfg.Mode == ModePredictive && a.cfg.ColdStart > 0
 }
 
-// digestOf returns the digest p holds, creating it on first use. Callers
+// digestOf returns the digest s holds, creating it on first use. Callers
 // hold a.mu, which serializes creation.
-func (a *Autoscaler) digestOf(p *atomic.Pointer[metrics.Digest]) *metrics.Digest {
-	d := p.Load()
+func (a *Autoscaler) digestOf(s *stream) *metrics.Digest {
+	d := s.d.Load()
 	if d == nil {
 		d = metrics.NewDigest(a.cfg.Window)
-		p.Store(d)
+		s.d.Store(d)
 	}
 	return d
 }
@@ -225,6 +254,7 @@ func (a *Autoscaler) ObserveArrival(bench string, now time.Duration) {
 	a.mu.Unlock()
 	if gaps != nil {
 		gaps.Record(now - prev)
+		r.gaps.version.Add(1)
 	}
 }
 
@@ -236,9 +266,27 @@ func (a *Autoscaler) ObserveService(bench string, d time.Duration) {
 		return
 	}
 	a.mu.Lock()
-	svc := a.digestOf(&a.record(bench).svc)
+	r := a.record(bench)
+	svc := a.digestOf(&r.svc)
 	a.mu.Unlock()
 	svc.Record(d)
+	r.svc.version.Add(1)
+}
+
+// ForgetService drops bench's service record: a redeploy changed what the
+// benchmark runs, so the old chain's service times must not price the
+// floor. PredictedDemand skips bench until Warmup new completions arrive;
+// its arrival record stands, since the rate did not change.
+func (a *Autoscaler) ForgetService(bench string) {
+	if a.benches == nil {
+		return
+	}
+	a.mu.Lock()
+	if r := a.benches[bench]; r != nil {
+		r.svc.d.Store(nil)
+		r.svc.version.Add(1)
+	}
+	a.mu.Unlock()
 }
 
 // Desired returns the warm capacity target at now, clamped to
@@ -251,17 +299,14 @@ func (a *Autoscaler) Desired(now time.Duration, busy, queued int, waitP95 time.D
 	case ModeFixed:
 		target = a.cfg.Max
 	case ModePredictive:
-		if d := a.PredictedDemand(); d > target {
+		a.readMu.Lock()
+		if d := a.predictedDemandLocked(); d > target {
 			target = d
 		}
-		if a.ReadsWait() {
-			a.mu.Lock()
-			surge := a.surge.Above(waitP95, a.cfg.ColdStart/2)
-			a.mu.Unlock()
-			if surge {
-				target = a.cfg.Max
-			}
+		if a.ReadsWait() && a.surge.Above(waitP95, a.cfg.ColdStart/2) {
+			target = a.cfg.Max
 		}
+		a.readMu.Unlock()
 	}
 	if target < a.cfg.Min {
 		target = a.cfg.Min
@@ -276,24 +321,28 @@ func (a *Autoscaler) Desired(now time.Duration, busy, queued int, waitP95 time.D
 // benchmark, the near-peak arrival rate (the inverse of a low quantile
 // of its inter-arrival gaps) times its observed p50 service time, summed
 // and padded with Headroom. Benchmarks below warmup contribute nothing —
-// the reactive baseline carries them until their digests fill.
+// the reactive baseline carries them until their digests fill. Only the
+// benchmarks observed since the last read are re-derived.
 func (a *Autoscaler) PredictedDemand() int {
+	a.readMu.Lock()
+	defer a.readMu.Unlock()
+	return a.predictedDemandLocked()
+}
+
+// predictedDemandLocked is PredictedDemand; callers hold a.readMu.
+func (a *Autoscaler) predictedDemandLocked() int {
 	a.mu.Lock()
 	order := a.order
 	a.mu.Unlock()
 	demand := 0.0
 	for _, r := range order {
-		gd, sd := r.gaps.Load(), r.svc.Load()
-		if gd == nil || sd == nil || gd.Count() < int64(a.cfg.Warmup) || sd.Count() < int64(a.cfg.Warmup) {
+		gap, gapOK := r.gaps.quantile(GapQuantile, a.cfg.Warmup)
+		p50, svcOK := r.svc.quantile(0.5, a.cfg.Warmup)
+		if !gapOK || !svcOK || p50 <= 0 {
 			continue
 		}
-		gap := gd.Quantile(GapQuantile)
 		if gap < time.Microsecond {
 			gap = time.Microsecond // coincident arrivals: cap the implied rate
-		}
-		p50 := sd.Quantile(0.5)
-		if p50 <= 0 {
-			continue
 		}
 		demand += Headroom * float64(p50) / float64(gap)
 	}
@@ -302,7 +351,7 @@ func (a *Autoscaler) PredictedDemand() int {
 
 // SurgeFlips counts surge-latch toggles — the no-flapping tests pin it.
 func (a *Autoscaler) SurgeFlips() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.readMu.Lock()
+	defer a.readMu.Unlock()
 	return a.surge.Flips()
 }

@@ -224,10 +224,10 @@ func TestPredictiveDigestsAreLazy(t *testing.T) {
 	a.ObserveService("stolen", time.Millisecond)
 	a.ObserveArrival("unserved", 0)
 	a.ObserveArrival("unserved", time.Millisecond)
-	if r := a.benches["stolen"]; r == nil || r.gaps.Load() != nil || r.svc.Load() == nil || r.arrived {
+	if r := a.benches["stolen"]; r == nil || r.gaps.d.Load() != nil || r.svc.d.Load() == nil || r.arrived {
 		t.Errorf("completion-only record %+v: want a service digest and nothing else", r)
 	}
-	if r := a.benches["unserved"]; r == nil || r.gaps.Load() == nil || r.svc.Load() != nil {
+	if r := a.benches["unserved"]; r == nil || r.gaps.d.Load() == nil || r.svc.d.Load() != nil {
 		t.Errorf("arrival-only record %+v: want a gap digest and nothing else", r)
 	}
 	if len(a.order) != 1 || a.PredictedDemand() != 0 {

@@ -57,6 +57,9 @@ type PoolCore struct {
 	// submitters read asc without the pool lock.
 	lc  *Lifecycle
 	asc *scale.Autoscaler
+	// decidedAt stamps the last autoscale decision, the start of
+	// Rescale's rate limit (AttachElastic starts it).
+	decidedAt time.Duration
 	// dead marks a browned-out pool. The queue is the durable half (it
 	// keeps admitting and holding work, like a safekeeper's log); the
 	// workers are the ephemeral half — dispatch is gated off and in-flight
@@ -125,7 +128,7 @@ func (c *PoolCore) AttachElastic(cfg scale.Config, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c.lc, c.asc = lc, asc
+	c.lc, c.asc, c.decidedAt = lc, asc, now
 	c.total = lc.advance(now, 0)
 	c.free = c.total
 	return nil
@@ -142,13 +145,16 @@ func (c *PoolCore) Autoscaler() *scale.Autoscaler { return c.asc }
 // warming slots come ready, lingering slots suspend — and resizes the
 // pool to the resulting warm capacity, preserving busy workers. It
 // reports whether capacity changed (the caller re-drives dispatch and
-// refreshes gauges when it did). A fixed pool is a no-op. Callers drive
-// it at every scheduling event on the same clock they pass Dispatch.
+// refreshes gauges when it did). A fixed pool is a no-op. Rescale runs
+// it at every scheduling event; alone it serves the transitions that
+// must not decide (a fault, a drain, a run's closing tally).
 func (c *PoolCore) AdvanceLifecycle(now time.Duration) bool {
-	if c.lc == nil {
-		return false
-	}
-	warm := c.lc.advance(now, c.Busy())
+	return c.lc != nil && c.resize(c.lc.advance(now, c.Busy()))
+}
+
+// resize moves the pool to warm capacity, preserving busy workers, and
+// reports whether it changed.
+func (c *PoolCore) resize(warm int) bool {
 	if warm == c.total {
 		return false
 	}
@@ -157,43 +163,44 @@ func (c *PoolCore) AdvanceLifecycle(now time.Duration) bool {
 	return true
 }
 
-// Starved reports an elastic pool with backlog and no free capacity: the
-// one state where deferring a scale decision costs latency for certain,
-// so both drivers let it bypass their decision rate limit.
-func (c *PoolCore) Starved() bool {
+// scaleDecideInterval rate-limits autoscale decisions per pool, on
+// whichever clock drives the core: the digest quantile reads behind a
+// decision are not per-event work. A starved pool bypasses the limit —
+// that is the one state where waiting a millisecond to scale costs
+// latency for certain.
+const scaleDecideInterval = time.Millisecond
+
+// starved reports an elastic pool with backlog and no free capacity.
+func (c *PoolCore) starved() bool {
 	return c.asc != nil && c.QueueLen() > 0 && c.Busy() >= c.Workers()
 }
 
-// Rescale is the autoscale decision: the autoscaler's desired capacity at
-// now, from the pool's occupancy and its adopted queue-wait p95, goes to
-// the lifecycle when the target moved. It reports whether capacity
-// changed. A fixed pool ignores it. waitP95 reads the pool's warmed
-// wait-p95 (zero while unwarmed); it is called only when the autoscaler
-// reads waits (scale.Autoscaler.ReadsWait), so a mode without the surge
-// latch pays no quantile read. The caller owns the cadence — how often
-// to decide, and whether a closed or dead pool decides at all.
+// Rescale drives the pool's capacity to now: it advances the lifecycle
+// (AdvanceLifecycle) and then, at most once per scaleDecideInterval since
+// the last decision or AttachElastic, asks the autoscaler for the desired
+// capacity from the pool's occupancy and adopted queue-wait p95 and hands
+// a moved target to the lifecycle. A starved pool decides at once; a dead
+// pool, or a frozen lifecycle (the engine's Close drain), never decides.
+// It reports whether capacity changed; a fixed pool ignores it. waitP95
+// reads the pool's warmed wait-p95 (zero while unwarmed); it is called
+// only when the autoscaler reads waits (scale.Autoscaler.ReadsWait), so a
+// mode without the surge latch pays no quantile read. Both drivers call
+// it at every scheduling event, on the clock they pass Dispatch.
 func (c *PoolCore) Rescale(now time.Duration, waitP95 func() time.Duration) bool {
-	if c.asc == nil {
-		return false
+	changed := c.AdvanceLifecycle(now)
+	if c.lc == nil || c.dead || c.lc.frozen || (now-c.decidedAt < scaleDecideInterval && !c.starved()) {
+		return changed
 	}
+	c.decidedAt = now
 	var wait time.Duration
 	if c.asc.ReadsWait() {
 		wait = waitP95()
 	}
 	desired := c.asc.Desired(now, c.Busy(), c.QueueLen(), wait)
 	if desired == c.lc.Desired() {
-		return false
+		return changed
 	}
-	return c.scaleTo(desired, now)
-}
-
-// scaleTo forwards a new desired capacity to the attached lifecycle at
-// now and applies any immediate resize (zero cold start, or a shrink
-// whose linger already expired).
-func (c *PoolCore) scaleTo(desired int, now time.Duration) bool {
-	c.lc.advance(now, c.Busy())
-	c.lc.SetDesired(desired, now)
-	return c.AdvanceLifecycle(now)
+	return c.resize(c.lc.retarget(desired, now)) || changed
 }
 
 // Fail browns the pool out at now: dispatch (and hedging, and stealing

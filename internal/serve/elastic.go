@@ -1,6 +1,8 @@
-// elastic.go drives each pool's clock-free Lifecycle: autoscale decisions,
-// capacity gauges, and the pool's one wake timer, which the lifecycle's
-// next self-transition and a forming batch both arm.
+// elastic.go drives each pool's clock-free Lifecycle on wall time: it
+// hands PoolCore.Rescale — the lifecycle advance and the rate-limited
+// autoscale decision the sims run too — the engine's clock, publishes the
+// capacity gauges, and arms the pool's one wake timer, which the
+// lifecycle's next self-transition and a forming batch both arm.
 
 package serve
 
@@ -8,30 +10,19 @@ import (
 	"time"
 )
 
-// scaleDecideInterval rate-limits autoscale decisions per pool: the
-// digest quantile reads behind PoolCore.Rescale are not per-dispatch work.
-// A starved pool (PoolCore.Starved) bypasses the limit — that is the one
-// state where waiting a millisecond to scale costs latency for certain.
-const scaleDecideInterval = time.Millisecond
-
-// advanceElasticLocked drives a pool's lifecycle to the present: warming
-// slots come ready, expired lingers suspend, and (rate-limited) the pool
-// rescales. A closed or dead pool does not rescale. It refreshes the
+// advanceElasticLocked drives a pool's capacity to the present
+// (PoolCore.Rescale: warming slots come ready, expired lingers suspend,
+// and the core's gate decides whether to rescale). It refreshes the
 // worker gauges and the free-slot mirror and re-arms the wake timer.
 // Callers hold p.mu; a fixed pool is a no-op.
 func (e *Engine) advanceElasticLocked(p *pool) {
 	if p.core.Lifecycle() == nil {
 		return
 	}
-	now := e.now()
-	p.core.AdvanceLifecycle(now)
-	if !p.closed && p.core.Healthy() && (p.core.Starved() || now-p.scaleAt >= scaleDecideInterval) {
-		p.scaleAt = now
-		p.core.Rescale(now, func() time.Duration {
-			w, _ := e.bal.WarmedWait(p.idx)
-			return w
-		})
-	}
+	p.core.Rescale(e.now(), func() time.Duration {
+		w, _ := e.bal.WarmedWait(p.idx)
+		return w
+	})
 	e.syncView(p)
 	e.syncWorkersLocked(p)
 }

@@ -266,11 +266,9 @@ type pool struct {
 	// wake is the pool's one timer, armed at the earlier of the
 	// lifecycle's next self-transition and a forming group's due instant
 	// (wakeAtLocked). wakeAt is the armed instant (engine-clock basis, -1
-	// when nothing is armed); scaleAt stamps the last autoscale decision
-	// for its rate limit. All are guarded by p.mu.
-	wake    *time.Timer
-	wakeAt  time.Duration
-	scaleAt time.Duration
+	// when nothing is armed). Both are guarded by p.mu.
+	wake   *time.Timer
+	wakeAt time.Duration
 	// coldStartsPub tracks how many lifecycle cold starts have been
 	// published to the counters (guarded by p.mu).
 	coldStartsPub int

@@ -338,3 +338,51 @@ func TestElasticSpareWorkersParkUnderBalance(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestForgetEstimateForgetsPrewarmService: a redeploy (ForgetEstimate)
+// drops the predictive floor's service record for the slug, so the
+// floor stops pricing it with the old chain's service times and comes
+// back only once Warmup completions of the new one arrive. Its arrival
+// record stands: the redeploy did not change the rate.
+func TestForgetEstimateForgetsPrewarmService(t *testing.T) {
+	const warmup = 4
+	eng, err := NewEngine(testRunners(t), Options{
+		Elastic:  &scale.Config{Mode: scale.ModePredictive, Min: 1, Max: 4, Warmup: warmup, Window: 16},
+		MaxBatch: 1,
+		Execute: func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+			time.Sleep(2 * time.Millisecond)
+			return faas.Result{Breakdown: faas.Breakdown{Compute: time.Millisecond}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const platform = "Baseline (CPU)"
+	bench := workload.BySlug("asset-damage")
+	asc := eng.pools[platform].core.Autoscaler()
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := eng.Submit(platform, bench, faas.Options{Quantile: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit(warmup + 1)
+	if got := asc.PredictedDemand(); got != 1 {
+		t.Fatalf("warm demand = %d, want 1 (1ms of service every 2ms or more)", got)
+	}
+	eng.ForgetEstimate(bench.Slug)
+	if got := asc.PredictedDemand(); got != 0 {
+		t.Fatalf("demand after ForgetEstimate = %d, want 0: the old chain's service times still price the floor", got)
+	}
+	submit(warmup - 1)
+	if got := asc.PredictedDemand(); got != 0 {
+		t.Fatalf("demand after %d new completions = %d, want 0 below warmup", warmup-1, got)
+	}
+	submit(1)
+	if got := asc.PredictedDemand(); got != 1 {
+		t.Fatalf("demand after %d new completions = %d, want the floor back at 1", warmup, got)
+	}
+}

@@ -127,14 +127,19 @@ func (e *Engine) ServiceEstimate(b *workload.Benchmark) (cpu, dscs time.Duration
 }
 
 // ForgetEstimate drops the memoized static pricing, the live latency
-// digests, and the published latency gauges for a slug. The gateway calls
-// it on redeploy: a changed chain must not keep the old chain's pricing
-// (the memoized estimate would otherwise survive forever), its stale
-// latency history, or old quantiles on /metrics.
+// digests, the published latency gauges and every pool autoscaler's
+// service record for a slug. The gateway calls it on redeploy: a changed
+// chain must not keep the old chain's pricing (the memoized estimate
+// would otherwise survive forever), its stale latency history, old
+// quantiles on /metrics, or a pre-warm floor priced with its service
+// times.
 func (e *Engine) ForgetEstimate(slug string) {
 	e.estimates.Delete(slug)
 	e.obs.Forget(slug)
-	for name := range e.pools {
+	for name, p := range e.pools {
+		if a := p.core.Autoscaler(); a != nil {
+			a.ForgetService(slug)
+		}
 		// Drop the cached handles first: a completion racing this sees
 		// either the old series (about to be unset) or re-resolves fresh
 		// cells — never a handle writing to an unset series forever.

@@ -58,7 +58,8 @@ type Lifecycle struct {
 	suspends   int
 	// idleCost integrates (warm - busy) dt: the worker-time the pool
 	// kept warm but unused — the cost axis the elastic goldens compare.
-	idleCost float64 // worker-seconds
+	// Integer slot-nanoseconds: exact, and no float work per advance.
+	idleCost time.Duration
 	// frozen disables suspension: the engine's Close drain must not
 	// park capacity while queues still hold work.
 	frozen bool
@@ -114,9 +115,7 @@ func (lc *Lifecycle) Suspends() int { return lc.suspends }
 
 // IdleCost reports the integral of (warm - busy) over time: warm
 // worker-time bought but not used.
-func (lc *Lifecycle) IdleCost() time.Duration {
-	return time.Duration(lc.idleCost * float64(time.Second))
-}
+func (lc *Lifecycle) IdleCost() time.Duration { return lc.idleCost }
 
 // SetDesired moves the autoscaler target to n (clamped to [Min, Max]) at
 // now. Growth starts warming slots, each ready at now+ColdStart (ready
@@ -126,6 +125,13 @@ func (lc *Lifecycle) IdleCost() time.Duration {
 // capacity, which changes immediately only when ColdStart is zero.
 func (lc *Lifecycle) SetDesired(n int, now time.Duration) int {
 	lc.advance(now, lc.busy)
+	return lc.retarget(n, now)
+}
+
+// retarget is SetDesired on a machine already advanced to now: the
+// autoscale decision (PoolCore.Rescale) advances once before it decides,
+// so the move itself needs only the one advance under the new target.
+func (lc *Lifecycle) retarget(n int, now time.Duration) int {
 	if n < lc.cfg.Min {
 		n = lc.cfg.Min
 	}
@@ -259,7 +265,7 @@ func (lc *Lifecycle) accrueTo(at time.Duration, busy int) {
 		return
 	}
 	if idle := lc.warm - busy; idle > 0 {
-		lc.idleCost += float64(idle) * (at - lc.lastAt).Seconds()
+		lc.idleCost += time.Duration(idle) * (at - lc.lastAt)
 	}
 	lc.lastAt = at
 }

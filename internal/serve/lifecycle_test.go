@@ -215,7 +215,7 @@ func TestLifecycleZeroColdStart(t *testing.T) {
 
 // TestElasticPoolPropertyHarness model-checks PoolCore with elastic
 // capacity attached under randomized schedules that mix scheduling ops
-// with suspend/resume traffic (scaleTo raises and drops, long clock
+// with suspend/resume traffic (retarget raises and drops, long clock
 // advances that expire lingers and finish warmings). After every step:
 // queue/worker conservation, slot conservation inside the lifecycle, the
 // pool's worker count tracking warm capacity exactly, and the aging bound
@@ -285,7 +285,9 @@ func TestElasticPoolPropertyHarness(t *testing.T) {
 				now += time.Duration(op.a%200) * time.Millisecond
 				core.AdvanceLifecycle(now)
 			case 5: // autoscaler decision: raise or drop desired capacity
-				core.scaleTo(op.a%10, now) // clamped into [Min, Max]
+				// Rescale's move, ungated: the lifecycle was advanced to
+				// now above. The target is clamped into [Min, Max].
+				core.resize(lc.retarget(op.a%10, now))
 			case 6: // drive the lifecycle alone (a timer tick)
 				core.AdvanceLifecycle(now)
 			}
@@ -389,14 +391,14 @@ func TestPoolCoreRescale(t *testing.T) {
 	if _, ok := core.Dispatch(0); !ok {
 		t.Fatal("dispatch failed")
 	}
-	if !core.Starved() {
+	if !core.starved() {
 		t.Fatal("one busy slot with two queued tasks must be starved")
 	}
 	// Zero cold start: the raise to busy+queued = 3 promotes in place.
 	if !core.Rescale(time.Millisecond, noWait) || core.Workers() != 3 {
 		t.Fatalf("rescale left %d workers, want 3", core.Workers())
 	}
-	if core.Starved() || core.Rescale(2*time.Millisecond, noWait) {
+	if core.starved() || core.Rescale(2*time.Millisecond, noWait) {
 		t.Error("a pool at its target must neither starve nor rescale")
 	}
 
@@ -409,7 +411,7 @@ func TestPoolCoreRescale(t *testing.T) {
 	fixed.Submit(sched.HybridTask{ID: 3, Payload: "a"})
 	fixed.Dispatch(0)
 	fixed.Dispatch(0)
-	if fixed.Starved() || fixed.Rescale(time.Millisecond, noWait) {
+	if fixed.starved() || fixed.Rescale(time.Millisecond, noWait) {
 		t.Error("a pool without elastic capacity starved or rescaled")
 	}
 
@@ -425,6 +427,81 @@ func TestPoolCoreRescale(t *testing.T) {
 	if reads != 1 || pred.Lifecycle().Desired() != 4 {
 		t.Errorf("predictive rescale read the wait %d times and desired %d, want 1 read and the Max surge 4",
 			reads, pred.Lifecycle().Desired())
+	}
+}
+
+// TestPoolCoreRescaleGate pins the one autoscale gate both drivers share:
+// Rescale decides at most once per scaleDecideInterval per pool, counted
+// from AttachElastic; a starved pool decides at once, for itself only; a
+// dead pool and a frozen lifecycle never decide. The pools are reactive
+// with no cold start, so a decision moves desired to busy+queued at once.
+func TestPoolCoreRescaleGate(t *testing.T) {
+	const ms = time.Millisecond
+	type call struct {
+		at     time.Duration
+		submit int // tasks queued just before the call
+		want   int // lifecycle desired after it
+	}
+	for _, tc := range []struct {
+		name   string
+		attach time.Duration
+		prep   func(c *PoolCore) // at attach
+		calls  []call
+	}{
+		{name: "second decision inside the interval is skipped", calls: []call{
+			{at: ms, submit: 2, want: 2},
+			{at: ms + 500*time.Microsecond, submit: 2, want: 2},
+			{at: 2 * ms, want: 4},
+		}},
+		{name: "first decision an interval after attach", attach: 10 * ms, calls: []call{
+			{at: 10*ms + 999*time.Microsecond, submit: 2, want: 1},
+			{at: 11 * ms, want: 2},
+		}},
+		{name: "starved pool decides inside the interval", prep: func(c *PoolCore) {
+			c.Submit(sched.HybridTask{ID: 100, Payload: "a"})
+			c.Submit(sched.HybridTask{ID: 101, Payload: "a"})
+			c.Dispatch(0) // the one warm slot is busy with one queued behind it
+		}, calls: []call{
+			{at: 500 * time.Microsecond, want: 2},
+		}},
+		{name: "non-starved sibling waits out the interval", prep: func(c *PoolCore) {
+			c.Submit(sched.HybridTask{ID: 100, Payload: "a"})
+		}, calls: []call{
+			{at: 500 * time.Microsecond, submit: 1, want: 1},
+			{at: ms, want: 2},
+		}},
+		{name: "dead pool does not rescale", prep: func(c *PoolCore) { c.Fail(0) }, calls: []call{
+			{at: ms, submit: 3, want: 1},
+			{at: 5 * ms, want: 1},
+		}},
+		{name: "frozen lifecycle does not rescale", prep: func(c *PoolCore) { c.Lifecycle().Freeze(0) }, calls: []call{
+			{at: ms, submit: 3, want: 1},
+			{at: 5 * ms, want: 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			core, err := NewPoolCore(8, 16, sched.ClassCPU, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.AttachElastic(scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 8}, tc.attach); err != nil {
+				t.Fatal(err)
+			}
+			if tc.prep != nil {
+				tc.prep(core)
+			}
+			id := 0
+			for _, c := range tc.calls {
+				for i := 0; i < c.submit; i++ {
+					core.Submit(sched.HybridTask{ID: id, Arrived: c.at, Payload: "a"})
+					id++
+				}
+				core.Rescale(c.at, func() time.Duration { return 0 })
+				if got := core.Lifecycle().Desired(); got != c.want {
+					t.Fatalf("at %v: desired %d, want %d", c.at, got, c.want)
+				}
+			}
+		})
 	}
 }
 

@@ -246,40 +246,6 @@ func (m *MultiCore) Steal(from, to, max int) []sched.HybridTask {
 	return moved
 }
 
-// AdvanceLifecycles drives every attached pool lifecycle to now (see
-// PoolCore.AdvanceLifecycle) and reports whether any pool's capacity
-// changed — the sims re-drive dispatch when it did. Pools without a
-// lifecycle are untouched, so a fixed MultiCore behaves bit-identically.
-// Capacity changes move total/free in lockstep, which the balance
-// machinery sees immediately (hasFree reads free).
-func (m *MultiCore) AdvanceLifecycles(now time.Duration) bool {
-	changed := false
-	for _, p := range m.pools {
-		if p.AdvanceLifecycle(now) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// NextLifecycleEvent reports the earliest pending lifecycle event across
-// the pool set — the instant a sim should schedule its next lifecycle
-// drive at.
-func (m *MultiCore) NextLifecycleEvent() (time.Duration, bool) {
-	var at time.Duration
-	ok := false
-	for _, p := range m.pools {
-		lc := p.Lifecycle()
-		if lc == nil {
-			continue
-		}
-		if evt, has := lc.NextEvent(); has && (!ok || evt < at) {
-			at, ok = evt, true
-		}
-	}
-	return at, ok
-}
-
 // QueueLen totals queue occupancy across pools, a shared backlog counted
 // once (on the pool that owns it).
 func (m *MultiCore) QueueLen() int {
