@@ -146,8 +146,8 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	}
 	// The rack is a one-pool MultiCore: dispatch and coalesce flow through
 	// the N-pool core so every served request's queue delay — arrival to
-	// dispatch — lands in the same wait digests the engine and the hybrid
-	// sim record.
+	// dispatch — lands in the same per-pool wait windows the hybrid sim
+	// records, read by the same balancer as the engine's.
 	d, err := newDriver(rack{
 		pools: []serve.PoolSpec{{
 			Name: simPlatform, Class: sched.ClassCPU,
@@ -232,10 +232,10 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	if former != nil {
 		st.Formed = former.Formed()
 	}
-	if dg := mc.WaitDigest(0); dg != nil {
-		st.WaitP50 = dg.Quantile(0.50)
-		st.WaitP95 = dg.Quantile(0.95)
-		st.WaitP99 = dg.Quantile(0.99)
+	if w := mc.WaitWindow(0); w != nil {
+		st.WaitP50 = w.Quantile(0.50)
+		st.WaitP95 = w.Quantile(0.95)
+		st.WaitP99 = w.Quantile(0.99)
 	}
 	st.ColdStarts, st.Suspends, st.IdleCost = d.coldStarts, d.suspends, d.idleCost
 	st.Faults = mc.Faults()

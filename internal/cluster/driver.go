@@ -39,7 +39,7 @@ type rack struct {
 	// order is the dispatch preference: a pump fills the pools' free
 	// workers in this order.
 	order []int
-	// estimateWindow and estimateWarmup tune the per-pool wait digests.
+	// estimateWindow and estimateWarmup tune the per-pool wait windows.
 	estimateWindow, estimateWarmup int
 	// elastic makes every staffed pool's capacity elastic
 	// (serve.PoolCore.AttachElastic); per pool, Max is the worker count and

@@ -11,20 +11,23 @@ import (
 	"dscs/internal/workload"
 )
 
+// mixedCosts are mixedService's CPU costs, built once: the replay
+// benchmarks call the service model per request.
+var mixedCosts = map[string]time.Duration{
+	"credit-risk":    60 * time.Millisecond,
+	"asset-damage":   240 * time.Millisecond,
+	"ppe-detection":  520 * time.Millisecond,
+	"chatbot":        300 * time.Millisecond,
+	"translation":    410 * time.Millisecond,
+	"clinical":       260 * time.Millisecond,
+	"moderation":     210 * time.Millisecond,
+	"remote-sensing": 400 * time.Millisecond,
+}
+
 // mixedService gives benchmarks widely different CPU costs and a uniform
 // 5x DSCS advantage — the regime where placement policy matters.
 func mixedService(slug string) (cpu, dscs time.Duration, accel int) {
-	costs := map[string]time.Duration{
-		"credit-risk":    60 * time.Millisecond,
-		"asset-damage":   240 * time.Millisecond,
-		"ppe-detection":  520 * time.Millisecond,
-		"chatbot":        300 * time.Millisecond,
-		"translation":    410 * time.Millisecond,
-		"clinical":       260 * time.Millisecond,
-		"moderation":     210 * time.Millisecond,
-		"remote-sensing": 400 * time.Millisecond,
-	}
-	cpu = costs[slug]
+	cpu = mixedCosts[slug]
 	if cpu == 0 {
 		cpu = 200 * time.Millisecond
 	}

@@ -1,20 +1,22 @@
 // digest.go is the latency observatory's data structure: an online
 // quantile digest safe for concurrent Record from serving-engine worker
-// goroutines. A Digest is a fixed-size ring of the most recent
-// observations with a sorted view of it, so its windowed quantiles react
-// to drift; every adaptive decision reads them — the wait-keyed balance
-// (one digest per pool), the Adopt latch and Blend that service-estimate
-// pricing uses, and the serve_latency_* and serve_queue_delay_* gauges on
-// /metrics. The Observatory keys Digests per {benchmark, platform}, so the
-// scheduler's live pricing and the telemetry both see per-pool service
-// behavior rather than one blurred aggregate.
+// goroutines. A Digest is the concurrent shell — per-P staging shards and
+// a mutex — around one Window (window.go), the sliding-window order
+// statistic whose windowed quantiles react to drift. The serving engine's
+// adaptive decisions read Digests — the wait-keyed balance (one per pool),
+// the Adopt latch and Blend that service-estimate pricing uses, and the
+// serve_latency_* and serve_queue_delay_* gauges on /metrics. The
+// Observatory keys Digests per {benchmark, platform}, so the scheduler's
+// live pricing and the telemetry both see per-pool service behavior rather
+// than one blurred aggregate. A single-threaded owner (the simulations'
+// per-pool wait windows) holds a Window instead and pays for none of the
+// concurrency.
 
 package metrics
 
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +57,8 @@ const (
 // the read-time merge folds entries in sequence order, so a deterministic
 // (single-goroutine) Record stream folds exactly as the pre-sharding
 // digest ingested it — quantiles and adoption flips stay bit-identical —
-// no matter which shard each observation landed on.
+// no matter which shard each observation landed on. A Window's own
+// staging run leaves seq zero: its append order is its sequence.
 type stageEntry struct {
 	seq uint64
 	v   time.Duration
@@ -64,9 +67,17 @@ type stageEntry struct {
 // digestShard is one staging ring. Writers touch only their shard's lock,
 // which with per-P shard selection is effectively uncontended.
 type digestShard struct {
-	mu  sync.Mutex
-	n   int
-	buf [stageCap]stageEntry
+	mu sync.Mutex
+	// active is set whenever n > 0, so a fold that reads it clear skips
+	// the shard without its lock. Written under mu: a writer that finds it
+	// clear sets it, and a fold clears it only on finding the shard empty
+	// — a shard in steady use keeps it set and its writers never store,
+	// while a shard nobody writes to costs a fold one lock, then none. It
+	// sits beside mu, on the line the shard's writers already own, not at
+	// the end of buf beside the next shard's lock.
+	active atomic.Bool
+	n      int
+	buf    [stageCap]stageEntry
 }
 
 // Digest is a sliding window of the last window observations, plus the
@@ -74,47 +85,24 @@ type digestShard struct {
 // for reads that follow writes (the balance decision reads a pool's wait
 // digest on every submission, right after a dispatch recorded into it):
 // Record appends to a per-P staging shard (no allocation, no shared lock),
-// and the merged state — the window ring and its order-statistic view — is
-// folded forward under the digest lock when a shard fills or a reader
-// finds something staged.
-//
-// Who pays what: while reads keep arriving, the fold keeps the sorted view
-// in step with the ring, one staged run at a time (foldFullLocked) — two
-// binary searches bound the span the run's evicted and new values touch,
-// and that span is rewritten twice: once to drop the evicted values, once
-// to merge in the newcomers (O(log W + k²) compares for a run of k plus at
-// most 2W words moved per fold, not per observation). Once a whole window
-// of observations has folded with no read in between, nobody is looking:
-// folds then write only the ring and mark the view stale, and the next
-// read re-sorts the ring into the view's buffer (O(W log W), no
-// allocation) — paid only after at least W unread observations whose
-// incremental folds it replaces, so a digest read less than once a window
-// (a gauge under heavy traffic, a run's final quantile) stops paying per
-// fold, and one read after every write pays what it always did. A windowed read is then the digest mutex and an
-// index; with nothing staged it touches no shard lock at all
-// (folded == total).
+// and the window — the ring and its order-statistic view, with the costs
+// Window documents — is folded forward under the digest lock when a shard
+// fills or a reader finds something staged. A windowed read is then the
+// digest mutex and an index; with nothing staged it touches no shard lock
+// at all (folded == total), and a fold skips without a lock every shard
+// no writer has staged into since a fold last found it empty.
 type Digest struct {
-	mu   sync.Mutex
-	ring []time.Duration // eviction order (circular)
-	next int
-	// sorted holds the ring's multiset in ascending order — the
-	// order-statistic view quantiles index — whenever stale is false.
-	sorted []time.Duration
-	// unread counts the observations folded since the last read; once it
-	// reaches a full window, folds stop maintaining sorted and set stale,
-	// and the next read (view) rebuilds it from the ring.
-	unread int
-	stale  bool
+	mu sync.Mutex
+	// w is the ring and its sorted view, guarded by mu. Its folded count
+	// trails total by exactly what is staged or about to be (Record bumps
+	// total before it stages), so folded == total means every shard is
+	// empty. It stages nothing of its own: the shards are its staging.
+	w Window
 
 	// total counts every Record ever made (staged included) — warmup
 	// thresholds read it without touching any lock. It doubles as the
 	// sequence source for the staging merge order.
 	total atomic.Int64
-	// folded counts the observations folded into ring and sorted, under
-	// mu. It trails total by exactly what is staged or about to be (Record
-	// bumps total before it stages), so folded == total means every shard
-	// is empty.
-	folded int64
 	// shards are the staging rings; staged is the fold's merge scratch, one
 	// slot per staging slot, owned by mu. It lives here and not in the
 	// fold's frame so that a goroutine's first read fits the stack it
@@ -129,10 +117,7 @@ type Digest struct {
 
 // NewDigest returns an empty digest over a window of the given size
 // (DefaultWindow when non-positive).
-func NewDigest(window int) *Digest {
-	if window <= 0 {
-		window = DefaultWindow
-	}
+func NewDigest(size int) *Digest {
 	shards := runtime.GOMAXPROCS(0)
 	if shards > maxStageShards {
 		shards = maxStageShards
@@ -141,8 +126,7 @@ func NewDigest(window int) *Digest {
 		shards = 1
 	}
 	return &Digest{
-		ring:   make([]time.Duration, 0, window),
-		sorted: make([]time.Duration, 0, window),
+		w:      makeWindow(size),
 		shards: make([]digestShard, shards),
 		staged: make([]stageEntry, shards*stageCap),
 	}
@@ -164,6 +148,9 @@ func (d *Digest) Record(v time.Duration) {
 	for {
 		s.mu.Lock()
 		if s.n < stageCap {
+			if !s.active.Load() {
+				s.active.Store(true)
+			}
 			s.buf[s.n] = stageEntry{seq: seq, v: v}
 			s.n++
 			full := s.n == stageCap
@@ -202,6 +189,9 @@ func (d *Digest) RecordBatch(vs []time.Duration) {
 	i := 0
 	for i < len(vs) {
 		s.mu.Lock()
+		if !s.active.Load() {
+			s.active.Store(true)
+		}
 		for i < len(vs) && s.n < stageCap {
 			v := vs[i]
 			if v < 0 {
@@ -222,17 +212,26 @@ func (d *Digest) RecordBatch(vs []time.Duration) {
 	}
 }
 
-// foldStagedLocked drains every staging shard and folds the entries into
-// the merged window in sequence order. With nothing staged it returns
-// without touching a shard lock. Callers hold d.mu.
+// foldStagedLocked drains every staging shard that holds entries and
+// folds them into the window in sequence order. A shard whose active flag
+// reads clear is skipped without its lock — a writer that has not staged
+// its entry yet is one the fold would have missed had it locked the shard
+// first — and with nothing staged at all the fold touches no shard.
+// Callers hold d.mu.
 func (d *Digest) foldStagedLocked() {
-	if d.folded == d.total.Load() {
+	if d.w.folded == d.total.Load() {
 		return
 	}
 	n := 0
 	for i := range d.shards {
 		s := &d.shards[i]
+		if !s.active.Load() {
+			continue
+		}
 		s.mu.Lock()
+		if s.n == 0 {
+			s.active.Store(false)
+		}
 		n += copy(d.staged[n:], s.buf[:s.n])
 		s.n = 0
 		s.mu.Unlock()
@@ -246,173 +245,14 @@ func (d *Digest) foldStagedLocked() {
 			staged[j], staged[j-1] = staged[j-1], staged[j]
 		}
 	}
-	// The first window observations ever recorded fill the ring one at a
-	// time.
-	for len(staged) > 0 && len(d.ring) < cap(d.ring) {
-		d.fillLocked(staged[0].v)
-		staged = staged[1:]
-	}
-	// A run longer than the window would write some slots twice. Its
-	// excess is gone before the fold ends — the last window of the run
-	// overwrites every slot — so it only advances the eviction cursor.
-	if excess := len(staged) - len(d.ring); excess > 0 {
-		d.next = (d.next + excess) % len(d.ring)
-		staged = staged[excess:]
-	}
-	if len(staged) > 0 {
-		if d.stale || d.unread >= len(d.ring) {
-			// A full window folded unread: stop maintaining the view until
-			// a reader asks for it.
-			d.stale = true
-			d.writeRingLocked(staged)
-		} else {
-			d.foldFullLocked(staged)
-		}
-	}
-	d.unread += n
-	d.folded += int64(n)
+	d.w.fold(staged)
 }
 
-// writeRingLocked overwrites the full ring's oldest slots with a run, in
-// sequence order, leaving the (stale) sorted view alone. Callers hold d.mu.
-func (d *Digest) writeRingLocked(run []stageEntry) {
-	for i := range run {
-		d.ring[d.next] = run[i].v
-		if d.next++; d.next == len(d.ring) {
-			d.next = 0
-		}
-	}
-}
-
-// viewLocked is every read's entry: it folds anything staged, rebuilds a
-// stale view from the ring in place — the window's multiset never changed,
-// so the rebuilt view is the one incremental folds would have kept — and
-// returns the sorted window. Callers hold d.mu.
+// viewLocked is every read's entry: it folds anything staged and returns
+// the window's sorted view (Window.view). Callers hold d.mu.
 func (d *Digest) viewLocked() []time.Duration {
 	d.foldStagedLocked()
-	d.unread = 0
-	if d.stale {
-		d.sorted = append(d.sorted[:0], d.ring...)
-		slices.Sort(d.sorted)
-		d.stale = false
-	}
-	return d.sorted
-}
-
-// foldFullLocked folds a run of at most one window of observations, in
-// sequence order, into the full window in one pass: the run overwrites the
-// ring's oldest slots, and the sorted view gives up the evicted multiset
-// and merges in the newcomers — the multiset a full re-sort of the ring
-// would produce, so every quantile is bit-identical to it. A value that is
-// both evicted and new cancels out; what is left costs two binary searches
-// and one copy per value, and nothing above the largest value moved is
-// touched. The fold keeps the evicted values in the run's own seq column
-// (the order is fixed once the ring is written), so it needs no scratch of
-// its own. Callers hold d.mu.
-func (d *Digest) foldFullLocked(run []stageEntry) {
-	for i := range run {
-		e := &run[i]
-		old := d.ring[d.next]
-		d.ring[d.next] = e.v
-		if d.next++; d.next == len(d.ring) {
-			d.next = 0
-		}
-		e.seq = uint64(old) // observations are never negative
-	}
-	// Sort each column on its own: v holds the newcomers, seq the evicted.
-	for i := 1; i < len(run); i++ {
-		for j := i; j > 0 && run[j].v < run[j-1].v; j-- {
-			run[j].v, run[j-1].v = run[j-1].v, run[j].v
-		}
-		for j := i; j > 0 && run[j].seq < run[j-1].seq; j-- {
-			run[j].seq, run[j-1].seq = run[j-1].seq, run[j].seq
-		}
-	}
-	run = run[:cancelEqual(run)]
-	if len(run) == 0 {
-		return
-	}
-	evicted := func(i int) time.Duration { return time.Duration(run[i].seq) }
-	sorted := d.sorted
-	k := len(run)
-	// Drop the evicted values front to back, one copy per gap between
-	// them...
-	first, _ := slices.BinarySearch(sorted, evicted(0))
-	r, w := first, first
-	for i := 1; i < k; i++ {
-		p, _ := slices.BinarySearch(sorted[r+1:], evicted(i))
-		p += r + 1
-		w += copy(sorted[w:], sorted[r+1:p])
-		r = p
-	}
-	// ...up to hi: nothing at or above it moves, being past every value
-	// that leaves or arrives...
-	hi := r + 1
-	if last := run[k-1].v; last == math.MaxInt64 {
-		hi = len(sorted)
-	} else if last > evicted(k-1) {
-		p, _ := slices.BinarySearch(sorted[hi:], last+1)
-		hi += p
-	}
-	w += copy(sorted[w:], sorted[r+1:hi])
-	// ...then merge the newcomers in from the back, one copy per gap. A
-	// newcomer no smaller than the first evicted value lands at or after
-	// its position.
-	end, kept := hi, w
-	for j := k - 1; j >= 0; j-- {
-		v, p := run[j].v, kept
-		if p > 0 && sorted[p-1] > v {
-			from := 0
-			if v >= evicted(0) {
-				from = first
-			}
-			p, _ = slices.BinarySearch(sorted[from:kept], v)
-			p += from
-		}
-		end -= copy(sorted[end-(kept-p):end], sorted[p:kept]) + 1
-		sorted[end] = v
-		kept = p
-	}
-}
-
-// cancelEqual removes the values a sorted run both evicts (seq column)
-// and brings in (v column) — they leave the window's multiset as it was —
-// and reports how many of each remain, compacted to the front of their
-// columns in order.
-func cancelEqual(run []stageEntry) int {
-	a, b, ke, kn := 0, 0, 0, 0
-	for a < len(run) && b < len(run) {
-		switch ev, nv := run[a].seq, uint64(run[b].v); {
-		case ev == nv:
-			a++
-			b++
-		case ev < nv:
-			run[ke].seq = ev
-			ke++
-			a++
-		default:
-			run[kn].v = run[b].v
-			kn++
-			b++
-		}
-	}
-	for ; a < len(run); a++ {
-		run[ke].seq = run[a].seq
-		ke++
-	}
-	for ; b < len(run); b++ {
-		run[kn].v = run[b].v
-		kn++
-	}
-	return ke // == kn: as many values stay as leave
-}
-
-// fillLocked appends v to a ring that is not full yet and inserts it into
-// the sorted view.
-func (d *Digest) fillLocked(v time.Duration) {
-	d.ring = append(d.ring, v)
-	i, _ := slices.BinarySearch(d.sorted, v)
-	d.sorted = slices.Insert(d.sorted, i, v)
+	return d.w.view()
 }
 
 // Count reports the total observations ever recorded (not capped at the
@@ -570,7 +410,7 @@ func (d *Digest) Blend(static time.Duration, warmup int64) time.Duration {
 	defer d.mu.Unlock()
 	sorted := d.viewLocked()
 	n := d.total.Load()
-	if w := int64(cap(d.ring)); n > w {
+	if w := int64(cap(d.w.ring)); n > w {
 		n = w
 	}
 	if n == 0 || warmup <= 0 {

@@ -222,14 +222,14 @@ func checkWindow(t *testing.T, d *Digest) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.stale && d.unread < len(d.ring) {
-		t.Fatalf("view went stale after %d unread observations, under the window's %d", d.unread, len(d.ring))
+	if d.w.stale && d.w.unread < len(d.w.ring) {
+		t.Fatalf("view went stale after %d unread observations, under the window's %d", d.w.unread, len(d.w.ring))
 	}
-	if want := slices.Sorted(slices.Values(d.ring)); !d.stale && !slices.Equal(d.sorted, want) {
-		t.Fatalf("maintained window is not the sorted ring:\n got %v\nwant %v", d.sorted, want)
+	if want := slices.Sorted(slices.Values(d.w.ring)); !d.w.stale && !slices.Equal(d.w.sorted, want) {
+		t.Fatalf("maintained window is not the sorted ring:\n got %v\nwant %v", d.w.sorted, want)
 	}
-	if total := d.total.Load(); d.folded > total {
-		t.Fatalf("folded %d observations of %d recorded", d.folded, total)
+	if total := d.total.Load(); d.w.folded > total {
+		t.Fatalf("folded %d observations of %d recorded", d.w.folded, total)
 	}
 }
 
@@ -287,16 +287,16 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 			}
 			checkWindow(t, d)
 			checkWindow(t, bare)
-			if read && (d.folded != d.Count() || bare.folded != bare.Count()) {
+			if read && (d.w.folded != d.Count() || bare.w.folded != bare.Count()) {
 				t.Fatalf("seed %d op %d: a read left %d of %d observations unfolded (bare window: %d of %d)",
-					seed, i, d.Count()-d.folded, d.Count(), bare.Count()-bare.folded, bare.Count())
+					seed, i, d.Count()-d.w.folded, d.Count(), bare.Count()-bare.w.folded, bare.Count())
 			}
-			if read && (d.stale || bare.stale) {
+			if read && (d.w.stale || bare.w.stale) {
 				t.Fatalf("seed %d op %d: a read left the view stale", seed, i)
 			}
 			// Staging shards fill on their own schedule, so the two windows
 			// agree once a read has folded both.
-			if read && (!slices.Equal(d.sorted, bare.sorted) || !slices.Equal(d.ring, bare.ring)) {
+			if read && (!slices.Equal(d.w.sorted, bare.w.sorted) || !slices.Equal(d.w.ring, bare.w.ring)) {
 				t.Fatalf("seed %d op %d: the digest's window and its bare twin's diverged", seed, i)
 			}
 		}
@@ -357,8 +357,8 @@ func TestDigestConcurrentWindow(t *testing.T) {
 	reading.Wait()
 	d.Quantile(0.5)
 	checkWindow(t, d)
-	if want := int64(writers * rounds * perRound); d.Count() != want || d.folded != want {
-		t.Fatalf("after quiesce: folded %d, count %d, want %d", d.folded, d.Count(), want)
+	if want := int64(writers * rounds * perRound); d.Count() != want || d.w.folded != want {
+		t.Fatalf("after quiesce: folded %d, count %d, want %d", d.w.folded, d.Count(), want)
 	}
 }
 
@@ -414,15 +414,15 @@ func TestUnreadWindowRebuildsOnRead(t *testing.T) {
 					eager.Quantile(0.5)
 				}
 				foldNow(lazy)
-				if !lazy.stale || eager.stale {
+				if !lazy.w.stale || eager.w.stale {
 					t.Fatalf("window %d %s round %d: lazy stale %v, eager stale %v after %d unread observations",
-						window, rk.name, round, lazy.stale, eager.stale, lazy.unread)
+						window, rk.name, round, lazy.w.stale, eager.w.stale, lazy.w.unread)
 				}
 				got, want := rk.read(lazy), rk.read(eager)
 				if !slices.Equal(got, want) {
 					t.Fatalf("window %d %s round %d: read %v after the rebuild, eager twin %v", window, rk.name, round, got, want)
 				}
-				if !slices.Equal(lazy.sorted, eager.sorted) || !slices.Equal(lazy.ring, eager.ring) || lazy.stale {
+				if !slices.Equal(lazy.w.sorted, eager.w.sorted) || !slices.Equal(lazy.w.ring, eager.w.ring) || lazy.w.stale {
 					t.Fatalf("window %d %s round %d: the rebuilt window differs from the eager twin's", window, rk.name, round)
 				}
 			}
@@ -435,7 +435,7 @@ func TestUnreadWindowRebuildsOnRead(t *testing.T) {
 			for i := 0; i < unreadStretch(window); i++ {
 				d.Record(time.Duration(next() % 1e9))
 			}
-			if foldNow(d); !d.stale {
+			if foldNow(d); !d.w.stale {
 				t.Fatal("the view stayed current through two unread windows")
 			}
 			d.Quantile(0.5)

@@ -8,14 +8,17 @@
 //
 // The online half is the observatory the scheduler closes its loops with:
 //
-//   - Digest is a concurrent quantile digest over a fixed-window ring
-//     whose sorted view gives windowed quantiles that react to drift.
-//     An observation costs O(log window) compares and one bounded copy
-//     when it is folded in; a quantile read is a mutex and an index, and
-//     never sorts. The balancer holds one per pool for queue delays
-//     (adaptive spillover/steal, serve_queue_delay_* gauges). Digest and
-//     Sample share one interpolation rule, so the two agree on identical
-//     inputs.
+//   - Window is a fixed-window ring whose sorted view gives windowed
+//     quantiles that react to drift, for a single owner. An observation
+//     costs O(log window) compares and one bounded copy when it is folded
+//     in; a quantile read is an index, and never sorts. The simulations'
+//     MultiCore holds one per pool for queue delays.
+//   - Digest is the concurrent shell around one Window: per-P staging
+//     shards and a mutex, so a read is a mutex and an index. The serving
+//     engine holds one per pool for queue delays (adaptive
+//     spillover/steal, serve_queue_delay_* gauges) and one per
+//     {benchmark, platform} for service latency. Window, Digest and Sample
+//     share one interpolation rule, so they agree on identical inputs.
 //   - Digest.Adopt is the static-vs-live switching decision: below a
 //     warmup count the prior holds; once warmed, the live quantile is
 //     adopted when it diverges beyond AdoptEnterRatio (1.5x, either

@@ -37,9 +37,10 @@ func (r *slideRef) slide(v time.Duration) {
 // TestFoldMatchesSlide is the batch fold's differential: seeded
 // interleavings of Record, RecordBatch, runs staged across every shard at
 // once (so one fold can hold up to maxStageShards*stageCap observations)
-// and reads go through a digest and the per-observation reference, and
-// after every read the ring, its cursor and the sorted view must equal the
-// reference's exactly. Windows run from 1 — every fold's run is longer
+// and reads go through a digest, a single-owner Window twin (which stages
+// in its own run) and the per-observation reference, and after every read
+// each one's ring, cursor and sorted view must equal the reference's
+// exactly, and the twin must have counted every observation. Windows run from 1 — every fold's run is longer
 // than the window, so slots would be written twice — past the staging
 // capacity to the default. Values are duplicate-heavy with a wide-range
 // minority and the extremes, so runs cancel, tie and straddle each other.
@@ -63,13 +64,18 @@ func TestFoldMatchesSlide(t *testing.T) {
 			d.shards = make([]digestShard, maxStageShards)
 			d.staged = make([]stageEntry, maxStageShards*stageCap)
 			ref := slideRef{window: window}
+			twin := NewWindow(window)
+			slide := func(v time.Duration) {
+				ref.slide(v)
+				twin.Record(v)
+			}
 			batch := make([]time.Duration, 0, 3*stageCap)
 			for op := 0; op < 4000; op++ {
 				switch next() % 6 {
 				case 0:
 					v := value()
 					d.Record(v)
-					ref.slide(v)
+					slide(v)
 				case 1:
 					batch = batch[:next()%uint64(cap(batch)+1)]
 					for i := range batch {
@@ -77,7 +83,7 @@ func TestFoldMatchesSlide(t *testing.T) {
 					}
 					d.RecordBatch(batch)
 					for _, v := range batch {
-						ref.slide(v)
+						slide(v)
 					}
 				case 2, 3:
 					// Stage straight into random shards without folding, as
@@ -88,10 +94,8 @@ func TestFoldMatchesSlide(t *testing.T) {
 							continue
 						}
 						v := value()
-						seq := uint64(d.total.Add(1))
-						s.buf[s.n] = stageEntry{seq: seq, v: max(v, 0)}
-						s.n++
-						ref.slide(v)
+						stageRaw(s, stageEntry{seq: uint64(d.total.Add(1)), v: max(v, 0)})
+						slide(v)
 					}
 				default:
 					q := float64(next()%101) / 100
@@ -99,14 +103,31 @@ func TestFoldMatchesSlide(t *testing.T) {
 					if got := d.Quantile(q); got != want {
 						t.Fatalf("window %d seed %d op %d: Quantile(%v) = %v, slide reference %v", window, seed, op, q, got, want)
 					}
-					if !slices.Equal(d.sorted, ref.sorted) || !slices.Equal(d.ring, ref.ring) || d.next != ref.next {
+					if !slices.Equal(d.w.sorted, ref.sorted) || !slices.Equal(d.w.ring, ref.ring) || d.w.next != ref.next {
 						t.Fatalf("window %d seed %d op %d: fold diverged from the per-observation slide\nsorted %v\nwant   %v\nring %v next %d\nwant %v next %d",
-							window, seed, op, d.sorted, ref.sorted, d.ring, d.next, ref.ring, ref.next)
+							window, seed, op, d.w.sorted, ref.sorted, d.w.ring, d.w.next, ref.ring, ref.next)
+					}
+					if got := twin.Quantile(q); got != want || twin.Count() != d.Count() {
+						t.Fatalf("window %d seed %d op %d: Window twin Quantile(%v) = %v (count %d), slide reference %v (count %d)",
+							window, seed, op, q, got, twin.Count(), want, d.Count())
+					}
+					if !slices.Equal(twin.sorted, ref.sorted) || !slices.Equal(twin.ring, ref.ring) || twin.next != ref.next {
+						t.Fatalf("window %d seed %d op %d: Window twin diverged from the per-observation slide", window, seed, op)
 					}
 				}
 			}
 		}
 	}
+}
+
+// stageRaw stages e on a shard that is not full, as a writer does, without
+// folding.
+func stageRaw(s *digestShard, e stageEntry) {
+	s.mu.Lock()
+	s.buf[s.n] = e
+	s.n++
+	s.active.Store(true)
+	s.mu.Unlock()
 }
 
 // TestFoldAllocations pins the fold at no allocation with the widest
@@ -125,12 +146,11 @@ func TestFoldAllocations(t *testing.T) {
 		for i := range d.shards {
 			s := &d.shards[i]
 			for s.n < stageCap {
-				s.buf[s.n] = stageEntry{seq: uint64(d.total.Add(1)), v: time.Duration(next() % 1e9)}
-				s.n++
+				stageRaw(s, stageEntry{seq: uint64(d.total.Add(1)), v: time.Duration(next() % 1e9)})
 			}
 		}
 	}
-	for len(d.ring) < cap(d.ring) {
+	for len(d.w.ring) < cap(d.w.ring) {
 		stageAll()
 		d.Quantile(0.5)
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -128,6 +129,25 @@ func FuzzSamplePercentile(f *testing.F) {
 	f.Add(seq(many...), 0.95)
 	f.Add(seq(many...), math.NaN())
 	f.Add(seq(many...), 1.0)
+	// Above selectCutoff, where the selection samples for its pivots: the
+	// shapes that stress a sample — spread, constant, presorted either
+	// way, and two values whose boundary sits at the rank read.
+	const big = 2 * selectCutoff
+	shapes := map[string]func(i int) int64{
+		"random":    func(int) int64 { return int64(next() % 1e9) },
+		"equal":     func(int) int64 { return 42 },
+		"ascending": func(i int) int64 { return int64(i) },
+		"reversed":  func(i int) int64 { return int64(big - i) },
+		"two-value": func(int) int64 { return int64(next()%2) * 1e6 },
+	}
+	for _, name := range slices.Sorted(maps.Keys(shapes)) {
+		vs := make([]int64, big)
+		for i := range vs {
+			vs[i] = shapes[name](i)
+		}
+		f.Add(seq(vs...), 0.5)
+		f.Add(seq(vs...), 0.99)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, p float64) {
 		vs := make([]time.Duration, len(data)/8)
 		for i := range vs {
@@ -146,4 +166,45 @@ func FuzzSamplePercentile(f *testing.F) {
 			t.Fatalf("n=%d: Min/Max after Percentile = %v/%v, want %v/%v", len(vs), s.Min(), s.Max(), ref[0], ref[len(ref)-1])
 		}
 	})
+}
+
+// TestSelectSortFallback spends the selection's partition budget early —
+// none, one, two or three partitions before the window left is sorted —
+// on both sides of selectCutoff and over the shapes that stress the
+// pivots, and holds every rank's placement to the sorted reference:
+// vs[k] is the sorted value, nothing before it larger, nothing after it
+// smaller.
+func TestSelectSortFallback(t *testing.T) {
+	next := lcg(37)
+	shapes := map[string]func(i, n int) time.Duration{
+		"random":    func(int, int) time.Duration { return time.Duration(next() % 1e9) },
+		"dups":      func(int, int) time.Duration { return time.Duration(next() % 3) },
+		"ascending": func(i, _ int) time.Duration { return time.Duration(i) },
+		"reversed":  func(i, n int) time.Duration { return time.Duration(n - i) },
+		"organpipe": func(i, n int) time.Duration { return time.Duration(min(i, n-i)) },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{2, 65, selectCutoff, selectCutoff + 1, 5000} {
+			orig := make([]time.Duration, n)
+			for i := range orig {
+				orig[i] = shape(i, n)
+			}
+			ref := slices.Sorted(slices.Values(orig))
+			for budget := 0; budget <= 3; budget++ {
+				for _, k := range []int{0, n / 3, n / 2, n * 99 / 100, n - 1} {
+					vs := slices.Clone(orig)
+					selectBudget(vs, k, budget)
+					if vs[k] != ref[k] {
+						t.Fatalf("%s n=%d budget %d: rank %d holds %v, sorted %v", name, n, budget, k, vs[k], ref[k])
+					}
+					if m := slices.Max(vs[:k+1]); m != vs[k] {
+						t.Fatalf("%s n=%d budget %d: %v before rank %d's %v", name, n, budget, m, k, vs[k])
+					}
+					if m := slices.Min(vs[k:]); m != vs[k] {
+						t.Fatalf("%s n=%d budget %d: %v after rank %d's %v", name, n, budget, m, k, vs[k])
+					}
+				}
+			}
+		}
+	}
 }

@@ -13,10 +13,12 @@ import (
 	"time"
 )
 
-// Sample accumulates latency observations. Safe for concurrent use: the
-// serving engine's worker goroutines Add while reporting reads percentiles
-// (sortValues mutates the backing slice, so unsynchronized mixed calls
-// were a data race).
+// Sample accumulates latency observations — the simulations' per-run
+// latency and makespan samples and the experiments' summaries. Safe for
+// concurrent use: a Sample is handed out in run statistics, and its reads
+// reorder the backing slice (Percentile selects in place, Min, Max and CDF
+// sort it), so a read racing an Add or another read without the lock
+// would be a data race.
 type Sample struct {
 	mu     sync.Mutex
 	values []time.Duration
@@ -112,48 +114,117 @@ func quantileSelect(vs []time.Duration, p float64) time.Duration {
 	return vs[lo] + time.Duration(frac*float64(slices.Min(vs[lo+1:])-vs[lo]))
 }
 
+// selectCutoff is the window size above which selectRank samples for its
+// pivots (Floyd–Rivest); smaller windows partition around a median of
+// three.
+const selectCutoff = 600
+
 // selectRank reorders vs so that vs[k] holds the value a sort would put
-// there, with nothing larger before it and nothing smaller after it:
-// quickselect with a median-of-three pivot and a three-way partition, so
-// runs of equal values (the common case for simulated latencies) finish
-// in one pass. After 2·log2(n) partitions whatever window is left is
-// sorted instead: a few values on ordinary input, and on input that
-// defeats the pivot choice, a bound on the worst case at a sort's.
+// there, with nothing larger before it and nothing smaller after it. A
+// window above selectCutoff is cut down by Floyd–Rivest: two pivots
+// selected from an evenly spread sample bracket rank k, and one partition
+// pass leaves only the values between them (a few percent of the window).
+// Smaller windows run quickselect with a median-of-three pivot. Every
+// partition is three-way, so runs of equal values (the common case for
+// simulated latencies) finish in one pass. After 2·log2(n) partitions
+// whatever window is left is sorted instead: a few values on ordinary
+// input, and on input that defeats the pivot choice, a bound on the worst
+// case at a sort's.
 func selectRank(vs []time.Duration, k int) {
+	selectBudget(vs, k, 2*bits.Len(uint(len(vs))))
+}
+
+// selectBudget is selectRank with the number of partitions it may make
+// before it sorts the window left.
+func selectBudget(vs []time.Duration, k, budget int) {
 	lo, hi := 0, len(vs) // the window holding rank k
-	for budget := 2 * bits.Len(uint(len(vs))); hi-lo > 1; budget-- {
+	for ; hi-lo > 1; budget-- {
 		if budget == 0 {
 			slices.Sort(vs[lo:hi])
 			return
 		}
-		w := vs[lo:hi]
-		a, b, c := w[0], w[len(w)/2], w[len(w)-1]
-		pivot := max(min(a, b), min(max(a, b), c))
-		// Dutch national flag: w[:lt] < pivot, w[lt:i] == pivot,
-		// w[gt:] > pivot.
-		lt, i, gt := 0, 0, len(w)
-		for i < gt {
-			switch v := w[i]; {
-			case v < pivot:
-				w[lt], w[i] = v, w[lt]
-				lt++
-				i++
-			case v > pivot:
-				gt--
-				w[gt], w[i] = v, w[gt]
-			default:
-				i++
-			}
+		w, r := vs[lo:hi], k-lo
+		var l, h int
+		if len(w) > selectCutoff {
+			l, h = bracketRank(w, r)
+		} else {
+			a, b, c := w[0], w[len(w)/2], w[len(w)-1]
+			pivot := max(min(a, b), min(max(a, b), c))
+			l, h = narrow(w, r, pivot, pivot)
 		}
-		switch r := k - lo; {
-		case r < lt:
-			hi = lo + lt
-		case r >= gt:
-			lo += gt
+		if l == h {
+			return // rank k is in place
+		}
+		lo, hi = lo+l, lo+h
+	}
+}
+
+// bracketRank is one Floyd–Rivest step over w for rank r: it moves a
+// sample of about n^(2/3)/2 values, spread evenly over w, to w's front,
+// selects from it the two values whose sample ranks sit a few standard
+// deviations either side of r's, and partitions w around them. It returns
+// the part of w still holding rank r, or an empty range once rank r is in
+// place.
+func bracketRank(w []time.Duration, r int) (l, h int) {
+	n := len(w)
+	ln := math.Log(float64(n))
+	s := int(0.5 * math.Exp(2*ln/3))
+	gap := int(math.Sqrt(ln*float64(s)) / 2)
+	for j := 0; j < s; j++ {
+		i := j * n / s
+		w[j], w[i] = w[i], w[j]
+	}
+	sample := w[:s]
+	ks := r * s / n
+	kl, kh := max(ks-gap, 0), min(ks+gap, s-1)
+	selectRank(sample, kh)
+	selectRank(sample[:kh+1], kl)
+	return narrow(w, r, sample[kl], sample[kh])
+}
+
+// narrow partitions w around pivots a <= b and returns the part of w that
+// still holds rank r: the values below a or above b, or — when rank r
+// falls among the values in [a, b] — those strictly between the pivots.
+// The range is empty when rank r lands on a pivot's value, which the
+// partition has then put in place.
+func narrow(w []time.Duration, r int, a, b time.Duration) (l, h int) {
+	lt, gt := partition3(w, a, b)
+	switch {
+	case r < lt:
+		return 0, lt
+	case r >= gt:
+		return gt, len(w)
+	case a == b:
+		return 0, 0
+	}
+	// Split the middle into its values equal to a, those strictly
+	// between, and those equal to b (a < b, so neither bound wraps).
+	el, eh := partition3(w[lt:gt], a+1, b-1)
+	if m := r - lt; m < el || m >= eh {
+		return 0, 0
+	}
+	return lt + el, lt + eh
+}
+
+// partition3 reorders w into the values below a, then those in [a, b],
+// then those above b (Dutch national flag), and returns where the middle
+// starts and ends.
+func partition3(w []time.Duration, a, b time.Duration) (lt, gt int) {
+	lt, i, gt := 0, 0, len(w)
+	for i < gt {
+		switch v := w[i]; {
+		case v < a:
+			w[lt], w[i] = v, w[lt]
+			lt++
+			i++
+		case v > b:
+			gt--
+			w[gt], w[i] = v, w[gt]
 		default:
-			return // rank k is the pivot, in place
+			i++
 		}
 	}
+	return lt, gt
 }
 
 // Mean returns the arithmetic mean of the observations.

@@ -3,14 +3,15 @@
 // balancer, and neither prices a peer, arms a latch or ranks a donor itself.
 //
 // The signal is queue delay: every dispatch records the served task's wait —
-// arrival to dispatch — into the window digest of the pool that served it,
-// held in a dense per-pool slot (a record or a read is an index and an
-// atomic load, with no key to hash). Work moves away from a pool once its
-// wait-p95 has diverged above what it would wait on a peer, past the
-// metrics hysteresis bands (after the warm-up count, enter at
-// AdoptEnterRatio, release within AdoptExitRatio) over one metrics.Latch
-// per directed pool pair, so the decision flips once per genuine imbalance
-// instead of flapping around the boundary.
+// arrival to dispatch — into the window of the pool that served it. The
+// owner keeps those windows and the balancer reads them through poolView,
+// as it reads depth and health: MultiCore holds a single-owner
+// metrics.Window per pool, the Engine a concurrent metrics.Digest. Work
+// moves away from a pool once its wait-p95 has diverged above what it
+// would wait on a peer, past the metrics hysteresis bands (after the
+// warm-up count, enter at AdoptEnterRatio, release within AdoptExitRatio)
+// over one metrics.Latch per directed pool pair, so the decision flips
+// once per genuine imbalance instead of flapping around the boundary.
 //
 // Pools are numbered by their owner, fixed at construction, and every tie
 // goes to the lowest index: among equally priced spill targets, equally
@@ -20,16 +21,17 @@
 //
 // The balancer owns no clock and no goroutine, and reads pools only through
 // poolView, never with its own mutex held. Both owners answer the view from
-// state they already keep — MultiCore from its single-threaded cores, the
-// Engine from lock-free mirrors written under each pool's lock — so no
-// decision waits on a pool mutex.
+// state they already keep — MultiCore from its single-threaded cores and
+// wait windows, the Engine from lock-free mirrors written under each pool's
+// lock and from its pools' wait digests — so no decision waits on a pool
+// mutex.
 //
 // A decision reads each pool's price at most once: BalanceTarget ranks its
 // peers by PricedWait, stops at the first that prices at zero (nothing can
 // undercut it, and ties go to the lowest index) and hands the winner's
 // price to the latch; StealDonor prices the thief for the first donor that
 // needs it and reuses that for the rest — at most one free-worker read and
-// one digest read per pool per decision, never a second look at a pool
+// one wait-window read per pool per decision, never a second look at a pool
 // already priced.
 
 package serve
@@ -48,26 +50,26 @@ const WaitQuantile = 0.95
 
 // poolView is what the balance decision may know about pool i: whether it
 // is dispatching (not browned out), its backlog of admitted work no worker
-// has picked up, and whether a warm worker is unoccupied.
+// has picked up, whether a warm worker is unoccupied, and its queue-delay
+// window — how many waits it holds (recorded since the pool's first
+// dispatch, or since its last death) and their windowed q-quantile (0 with
+// none), both read from one snapshot of the window. A stolen task charges
+// its wait to the thief, not the queue it first landed on.
 type poolView interface {
 	healthy(i int) bool
 	depth(i int) int
 	hasFree(i int) bool
+	wait(i int, q float64) (count int64, v time.Duration)
 }
 
 // balancer holds the balance state of one fixed pool set.
 type balancer struct {
-	view poolView
-	// waits holds pool i's queue-delay window at index i, nil until the
-	// pool's first dispatch and again after its death: a stolen task
-	// charges its wait to the thief, not the queue it first landed on.
-	// window sizes the windows created from here on.
-	waits  []atomic.Pointer[metrics.Digest]
-	window int
+	view   poolView
+	n      int
 	warmup int64
 	// gates holds pool i's warmed wait-p95 (nanoseconds; 0 while unwarmed)
 	// as of its last publishWakeGate — what an owner gating wakeups on the
-	// latch's arming precondition reads instead of the digest. Only the
+	// latch's arming precondition reads instead of the window. Only the
 	// Engine publishes it; invalidate and tune clear it.
 	gates []atomic.Int64
 	// latches holds one adoption latch per directed (from, to) pair at
@@ -78,100 +80,60 @@ type balancer struct {
 	latches []metrics.Latch
 }
 
-// init sizes the balancer for n pools. Non-positive window and warmup take
-// the metrics defaults.
-func (b *balancer) init(view poolView, n, window, warmup int) {
-	b.view = view
-	b.waits = make([]atomic.Pointer[metrics.Digest], n)
+// init sizes the balancer for n pools. A non-positive warmup takes the
+// metrics default.
+func (b *balancer) init(view poolView, n, warmup int) {
+	b.view, b.n = view, n
 	b.gates = make([]atomic.Int64, n)
-	b.tune(window, warmup)
+	b.tune(warmup)
 }
 
-// tune drops every wait window and releases every latch, dropping history;
-// windows created afterwards use the new size. It must run before traffic.
-func (b *balancer) tune(window, warmup int) {
-	if window <= 0 {
-		window = metrics.DefaultWindow
-	}
+// tune sets the warm-up count and releases every latch and wake gate. It
+// must run before traffic; the owner drops its wait windows alongside.
+func (b *balancer) tune(warmup int) {
 	if warmup <= 0 {
 		warmup = metrics.DefaultWarmup
 	}
-	b.window, b.warmup = window, int64(warmup)
-	for i := range b.waits {
-		b.waits[i].Store(nil)
+	b.warmup = int64(warmup)
+	for i := range b.gates {
 		b.gates[i].Store(0)
 	}
 	b.mu.Lock()
-	b.latches = make([]metrics.Latch, len(b.waits)*len(b.waits))
+	b.latches = make([]metrics.Latch, b.n*b.n)
 	b.mu.Unlock()
 }
 
-// digest returns pool i's wait window, creating it on first use.
-func (b *balancer) digest(i int) *metrics.Digest {
-	for {
-		if dg := b.waits[i].Load(); dg != nil {
-			return dg
-		}
-		b.waits[i].CompareAndSwap(nil, metrics.NewDigest(b.window))
-	}
-}
-
-// record charges one served task's queue delay to pool i.
-func (b *balancer) record(i int, wait time.Duration) {
-	b.digest(i).Record(wait)
-}
-
-// recordBatch charges one dispatched batch's queue delays to pool i and
-// returns the window (nil only for an empty batch on a fresh pool).
-func (b *balancer) recordBatch(i int, waits []time.Duration) *metrics.Digest {
-	if len(waits) == 0 {
-		return b.waits[i].Load()
-	}
-	dg := b.digest(i)
-	dg.RecordBatch(waits)
-	return dg
-}
-
-// invalidate forgets what pool i's history armed, at its death: its wait
-// window (a dead pool's recorded waits price a world that no longer
-// exists), the wake gate published from it and, without counting a flip,
-// every latch touching it — so decisions re-derive from live evidence.
+// invalidate forgets what pool i's history armed, at its death, once the
+// owner has dropped its wait window (a dead pool's recorded waits price a
+// world that no longer exists): the wake gate published from it and,
+// without counting a flip, every latch touching it — so decisions
+// re-derive from live evidence.
 func (b *balancer) invalidate(i int) {
-	b.waits[i].Store(nil)
 	b.gates[i].Store(0)
-	n := len(b.waits)
 	b.mu.Lock()
-	for j := 0; j < n; j++ {
-		b.latches[i*n+j].Reset()
-		b.latches[j*n+i].Reset()
+	for j := 0; j < b.n; j++ {
+		b.latches[i*b.n+j].Reset()
+		b.latches[j*b.n+i].Reset()
 	}
 	b.mu.Unlock()
-}
-
-// WaitDigest exposes pool i's queue-delay window (nil until its first
-// dispatch, and again from its death until its next one).
-func (b *balancer) WaitDigest(i int) *metrics.Digest {
-	return b.waits[i].Load()
 }
 
 // WaitQuantileOf reads pool i's windowed queue-delay quantile (0 until the
 // pool has dispatched).
 func (b *balancer) WaitQuantileOf(i int, q float64) time.Duration {
-	if dg := b.WaitDigest(i); dg != nil {
-		return dg.Quantile(q)
-	}
-	return 0
+	_, v := b.view.wait(i, q)
+	return v
 }
 
-// WarmedWait reads pool i's wait-p95 once its digest holds the warm-up
+// WarmedWait reads pool i's wait-p95 once its window holds the warm-up
 // count; below it nothing about the pool's waits is evidence yet — for the
 // latch, and for the autoscalers' surge signal.
 func (b *balancer) WarmedWait(i int) (time.Duration, bool) {
-	dg := b.WaitDigest(i)
-	if dg == nil || dg.Count() < b.warmup {
+	n, v := b.view.wait(i, WaitQuantile)
+	if n < b.warmup {
 		return 0, false
 	}
-	return dg.Quantile(WaitQuantile), true
+	return v, true
 }
 
 // publishWakeGate stores pool i's warmed wait-p95 (0 while unwarmed) for
@@ -202,19 +164,19 @@ func (b *balancer) Idle(i int) bool {
 
 // PricedWait prices what moved work would wait on pool i right now: its
 // recorded wait-p95 — except that an idle pool serves new work
-// immediately, so it prices at zero whatever its digest holds. Without
-// that a thief's digest poisons the gap signal: stolen tasks charge their
+// immediately, so it prices at zero whatever its window holds. Without
+// that a thief's window poisons the gap signal: stolen tasks charge their
 // whole arrival→dispatch wait to the pool that served them (the
 // attribution the observability wants), so one rescue inflates the
 // rescuer's p95 to the donor's level and the latch never re-enters while
 // the backlog regrows.
 //
 // A dead pool's empty backlog and freed workers look exactly like
-// idleness, so Idle checks health first and the pool prices at its digest
-// — which invalidate forgot, so selection must also skip dead pools
+// idleness, so Idle checks health first and the pool prices at its window
+// — which its owner forgot at the death, so selection must also skip dead pools
 // (BalanceTarget does; Overloaded refuses dead peers outright). A
 // suspended (zero-warm) elastic pool has no free worker and prices at its
-// digest too. The workflow placer ranks fallback pools with this same
+// window too. The workflow placer ranks fallback pools with this same
 // signal, so "least-priced wait" means one thing everywhere.
 func (b *balancer) PricedWait(i int) time.Duration {
 	if b.Idle(i) {
@@ -236,7 +198,7 @@ func (b *balancer) PricedWait(i int) time.Duration {
 // the answer is always no: work must not route into a grave. Out of a dead
 // donor it is yes the moment it holds a backlog: its orphaned and requeued
 // work has no workers coming back for it, so it escapes without latch,
-// warm-up or digest evidence.
+// warm-up or wait evidence.
 func (b *balancer) Overloaded(from, to int) bool {
 	var peer price
 	return b.overloaded(from, to, &peer)
@@ -268,14 +230,14 @@ func (b *balancer) overloaded(from, to int, peer *price) bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.latches[from*len(b.waits)+to].Above(donorWait, peer.wait)
+	return b.latches[from*b.n+to].Above(donorWait, peer.wait)
 }
 
 // BalanceTarget picks the pool a submission aimed at from should go to
 // instead: the one spill and reroute decision on both clocks. A dead from
 // reroutes to its shallowest healthy eligible peer (shallowest). A live one
 // spills to the eligible healthy peer with the lowest priced wait (the
-// pricing the Overloaded gate applies — by raw digest p95 a
+// pricing the Overloaded gate applies — by raw window p95 a
 // rescue-contaminated idle pool would sort last and never be selected), but
 // only when from's gap over that peer has latched; the scan ends at the
 // first peer priced at zero. A spill routes around a backlog, so a live
@@ -291,7 +253,7 @@ func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) 
 	}
 	best, found := 0, false
 	var bestWait time.Duration
-	for i := range b.waits {
+	for i := 0; i < b.n; i++ {
 		if i == from || (eligible != nil && !eligible(i)) || !b.view.healthy(i) {
 			continue
 		}
@@ -315,7 +277,7 @@ func (b *balancer) BalanceTarget(from int, eligible func(int) bool) (int, bool) 
 // or rescue, so the reroute needs no backlog, warm-up or latch.
 func (b *balancer) shallowest(from int, eligible func(int) bool) (int, bool) {
 	best, bestDepth, found := 0, 0, false
-	for i := range b.waits {
+	for i := 0; i < b.n; i++ {
 		if i == from || (eligible != nil && !eligible(i)) || !b.view.healthy(i) {
 			continue
 		}
@@ -337,7 +299,7 @@ func (b *balancer) StealDonor(to int, eligible func(int) bool) (int, bool) {
 	}
 	donor, deepest, found := 0, 0, false
 	var thief price
-	for i := range b.waits {
+	for i := 0; i < b.n; i++ {
 		if i == to || (eligible != nil && !eligible(i)) {
 			continue
 		}

@@ -4,13 +4,17 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"dscs/internal/metrics"
 )
 
 // stubView is a poolView over plain slices, counting the free-worker reads.
+// Its wait windows are made on the first record, over 8 observations.
 type stubView struct {
 	dead      []bool
 	depths    []int
 	busy      []bool
+	waits     [3]*metrics.Window
 	freeReads int
 }
 
@@ -18,11 +22,26 @@ func (v *stubView) healthy(i int) bool { return !v.dead[i] }
 func (v *stubView) depth(i int) int    { return v.depths[i] }
 func (v *stubView) hasFree(i int) bool { v.freeReads++; return !v.busy[i] }
 
+func (v *stubView) wait(i int, q float64) (int64, time.Duration) {
+	if w := v.waits[i]; w != nil {
+		return w.Count(), w.Quantile(q)
+	}
+	return 0, 0
+}
+
+// record charges one wait to pool i.
+func (v *stubView) record(i int, wait time.Duration) {
+	if v.waits[i] == nil {
+		v.waits[i] = metrics.NewWindow(8)
+	}
+	v.waits[i].Record(wait)
+}
+
 // flips counts the directed pair's latch toggles.
 func (b *balancer) flips(from, to int) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.latches[from*len(b.waits)+to].Flips()
+	return b.latches[from*b.n+to].Flips()
 }
 
 // TestBalancerDecisions covers the corners of the shared decision that no
@@ -126,10 +145,10 @@ func TestBalancerDecisions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			view := tc.view
 			var b balancer
-			b.init(&view, 3, 8, warmup)
+			b.init(&view, 3, warmup)
 			for i, ws := range tc.waits {
 				for _, w := range ws {
-					b.record(i, w)
+					view.record(i, w)
 				}
 			}
 			target, ok := b.BalanceTarget(0, tc.only)
@@ -150,23 +169,24 @@ func TestBalancerDecisions(t *testing.T) {
 	}
 }
 
-// TestBalancerInvalidate pins what a pool's death forgets: its digest, the
-// wake gate published from it, and every latch touching it, released
-// without counting a flip.
+// TestBalancerInvalidate pins what a pool's death forgets once its owner
+// drops the pool's wait window: the wake gate published from it, and every
+// latch touching it, released without counting a flip.
 func TestBalancerInvalidate(t *testing.T) {
 	view := stubView{dead: make([]bool, 2), depths: []int{4, 0}, busy: make([]bool, 2)}
 	var b balancer
-	b.init(&view, 2, 8, 1)
-	b.record(0, time.Second)
+	b.init(&view, 2, 1)
+	view.record(0, time.Second)
 	if b.publishWakeGate(0); b.WakeGate(0) != time.Second {
 		t.Fatalf("published wake gate %v, want the warmed wait-p95 1s", b.WakeGate(0))
 	}
 	if !b.Overloaded(0, 1) || b.flips(0, 1) != 1 {
 		t.Fatalf("warmed wait beside an idle peer must latch once (flips %d)", b.flips(0, 1))
 	}
+	view.waits[0] = nil
 	b.invalidate(0)
-	if b.WaitDigest(0) != nil || b.WakeGate(0) != 0 {
-		t.Fatalf("the dead pool's digest (%v) or wake gate (%v) survived", b.WaitDigest(0), b.WakeGate(0))
+	if b.WakeGate(0) != 0 {
+		t.Fatalf("the dead pool's wake gate (%v) survived", b.WakeGate(0))
 	}
 	if b.Overloaded(0, 1) || b.flips(0, 1) != 1 {
 		t.Fatalf("a forgotten pool still reads overloaded, or its release counted a flip (flips %d)", b.flips(0, 1))
@@ -204,10 +224,10 @@ func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 				free:     make([]int, 3),
 			}
 			var b balancer
-			b.init(&view, 3, 8, 2)
+			b.init(&view, 3, 2)
 			for i, w := range []time.Duration{time.Second, time.Millisecond, time.Minute} {
-				b.record(i, w)
-				b.record(i, w)
+				view.record(i, w)
+				view.record(i, w)
 			}
 			if got, ok := b.BalanceTarget(0, nil); !ok || got != tc.target {
 				t.Fatalf("target %d (%v), want %d", got, ok, tc.target)
@@ -231,7 +251,7 @@ func TestBalanceTargetPricesEachPoolOnce(t *testing.T) {
 			free:     make([]int, 3),
 		}
 		var b balancer
-		b.init(&view, 3, 8, 2)
+		b.init(&view, 3, 2)
 		if got, ok := b.BalanceTarget(0, nil); !ok || got != 2 {
 			t.Fatalf("target %d (%v), want 2", got, ok)
 		}

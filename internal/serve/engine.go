@@ -295,6 +295,12 @@ type pool struct {
 	// handle, whose Inc is a no-op.
 	cSpillTo   map[string]sched.CounterHandle
 	cStealFrom map[string]sched.CounterHandle
+	// wait is the pool's queue-delay window: every dispatch records each
+	// served request's arrival→dispatch wait into it (recordWaits), always
+	// — it backs the serve_queue_delay_* gauges — and the balancer reads it
+	// through the engine's pool view. Nil until the pool's first dispatch
+	// and again from its death until its next one.
+	wait atomic.Pointer[metrics.Digest]
 	// delayPublish is the engine time (nanos) from which the next
 	// serve_queue_delay_* gauge refresh may run — the publish rate limit
 	// (publishDue). The digests themselves stay exact; only how often their
@@ -325,11 +331,9 @@ type Engine struct {
 	dscsPools []*pool
 	// spillTo is the configured Options.SpilloverTo pool (nil: none named).
 	spillTo *pool
-	// bal owns the per-pool queue-delay windows — every dispatch records
-	// each served request's arrival→dispatch wait against the pool that
-	// served it, always (it backs the serve_queue_delay_* gauges) — and the
-	// spill/steal decisions Options.AdaptiveBalance keys on it. The engine
-	// is its pool view (healthy, depth, hasFree).
+	// bal makes the spill/steal decisions Options.AdaptiveBalance keys on
+	// the pools' queue-delay windows (pool.wait). The engine is its pool
+	// view (healthy, depth, hasFree, and the wait windows).
 	bal balancer
 	// drives arbitrates DSCS-class executions over the physical drives.
 	drives *driveSet
@@ -482,7 +486,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			p.gWarming.Set(float64(lc.Warming()))
 		}
 	}
-	e.bal.init(e, len(names), opt.EstimateWindow, opt.EstimateWarmup)
+	e.bal.init(e, len(names), opt.EstimateWarmup)
 	if opt.AdaptiveBalance {
 		if opt.SpilloverTo != "" {
 			t, ok := e.pools[opt.SpilloverTo]
@@ -655,10 +659,20 @@ func (e *Engine) poolDepth(p *pool) int { return p.ingress.pending() }
 // healthy, depth and hasFree are the balancer's view of pool i: three
 // lock-free mirrors, each written under p.mu alongside the core transition
 // it reflects (deadBit, the ingress depth, the free-slot bit), so no
-// balance decision waits on a pool mutex it is routing around.
+// balance decision waits on a pool mutex it is routing around. wait reads
+// the pool's wait digest, which takes no pool lock either: it loads the
+// digest once, so a read racing the pool's death takes both its count and
+// its quantile from the forgotten digest or both from none.
 func (e *Engine) healthy(i int) bool { return e.poolHealthy(e.order[i]) }
 func (e *Engine) depth(i int) int    { return e.poolDepth(e.order[i]) }
 func (e *Engine) hasFree(i int) bool { return e.order[i].free.Load() }
+
+func (e *Engine) wait(i int, q float64) (int64, time.Duration) {
+	if dg := e.order[i].wait.Load(); dg != nil {
+		return dg.Count(), dg.Quantile(q)
+	}
+	return 0, 0
+}
 
 // poolHealthy reads a pool's health bit for the spill/steal/hedge scans
 // and the balancer's view. It reads the lock-free mirror: rebalancing

@@ -60,7 +60,7 @@ func testRunnersTwoCPU(t testing.TB) map[string]*faas.Runner {
 // takes it, nil when nothing spills.
 func armedSpill(t *testing.T, eng *Engine) func() *pool {
 	dscs := eng.pools["DSCS-Serverless"]
-	eng.bal.record(dscs.idx, 50*time.Millisecond)
+	dscs.chargeWaits(eng.opt.EstimateWindow, []time.Duration{50 * time.Millisecond})
 	dscs.ingress.syncQueued(1)
 	t.Cleanup(func() { dscs.ingress.syncQueued(0) })
 	return func() *pool {
@@ -105,11 +105,17 @@ func TestDeadPoolNotSpillTarget(t *testing.T) {
 	if err := eng.FailPool("DSCS-Serverless"); err != nil {
 		t.Fatal(err)
 	}
+	if dg := eng.WaitDigest("DSCS-Serverless"); dg != nil {
+		t.Fatalf("the dead DSCS pool kept its wait digest (%d waits)", dg.Count())
+	}
 	if got := spill(); got != standby {
 		t.Fatalf("reroute from a dead DSCS pool with Baseline dead = %v, want Standby (CPU)", got)
 	}
 	if err := eng.RecoverPool("DSCS-Serverless"); err != nil {
 		t.Fatal(err)
+	}
+	if dg := eng.WaitDigest("DSCS-Serverless"); dg != nil {
+		t.Fatalf("recovery restored the DSCS pool's forgotten wait digest (%d waits)", dg.Count())
 	}
 	spill = armedSpill(t, eng) // the DSCS pool's death forgot its waits
 	// The wait-gap trigger must never route onto a dead peer either.

@@ -206,7 +206,7 @@ func (e *Engine) recordWaits(p *pool, bs *batchState, dispatched time.Duration) 
 	for i := range bs.tasks {
 		bs.waits = append(bs.waits, dispatched-bs.tasks[i].Arrived)
 	}
-	dg := e.bal.recordBatch(p.idx, bs.waits)
+	dg := p.chargeWaits(e.opt.EstimateWindow, bs.waits)
 	if e.opt.AdaptiveBalance {
 		// The peer-wake gate reads the warmed wait-p95 as of this
 		// dispatch, so admits never read the digest to decide a wakeup.
@@ -236,7 +236,23 @@ func (e *Engine) WaitDigest(platform string) *metrics.Digest {
 	if !ok {
 		return nil
 	}
-	return e.bal.WaitDigest(p.idx)
+	return p.wait.Load()
+}
+
+// chargeWaits charges one dispatched batch's queue delays to the pool's
+// wait digest, made over window observations on first use, and returns the
+// digest (nil only for an empty batch on a fresh pool).
+func (p *pool) chargeWaits(window int, waits []time.Duration) *metrics.Digest {
+	if len(waits) == 0 {
+		return p.wait.Load()
+	}
+	for {
+		if dg := p.wait.Load(); dg != nil {
+			dg.RecordBatch(waits)
+			return dg
+		}
+		p.wait.CompareAndSwap(nil, metrics.NewDigest(window))
+	}
 }
 
 // observedService blends one class's static service prior toward the

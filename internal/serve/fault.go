@@ -47,6 +47,7 @@ func (e *Engine) FailPool(platformName string) error {
 	}
 	p.mu.Unlock()
 	e.cFaults.Inc(1)
+	p.wait.Store(nil)
 	e.bal.invalidate(p.idx)
 	// Wake everything: the dead pool's own workers must observe the death
 	// (and park), and peers have a backlog to rescue.

@@ -3,7 +3,9 @@
 // (PoolSpec.Backlog, the classic one-queue-two-classes layout) — with
 // submit-time spillover and drain-time stealing between any pair. The
 // wait-keyed balance decisions are the embedded balancer's (balancer.go);
-// this file feeds it each dispatch's queue delay and answers its pool view.
+// this file keeps each pool's queue-delay window — a single-owner
+// metrics.Window, fed each dispatch's wait — and answers the balancer's pool
+// view.
 // Like the rest of the scheduling core it owns no goroutines and no clock —
 // the discrete-event simulations drive it from virtual time.
 
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"dscs/internal/metrics"
 	"dscs/internal/sched"
 )
 
@@ -20,7 +23,7 @@ import (
 // pool may exist purely as a backlog another class drains), but at least
 // one worker must exist across the core.
 type PoolSpec struct {
-	// Name labels the pool (the platform label on wait digests and
+	// Name labels the pool (the platform label on wait statistics and
 	// telemetry). Must be unique within the core.
 	Name string
 	// Class is the pool's instance class; policies and service estimates
@@ -43,11 +46,16 @@ type PoolSpec struct {
 // rebalance with the same wait-keyed logic as a CPU/DSCS pair. Not safe for concurrent use on its own; callers
 // serialize access (the simulations are single-threaded).
 type MultiCore struct {
-	// balancer prices, latches and ranks; each successful dispatch (and
-	// coalesce) records the served task's arrival→dispatch wait into it.
+	// balancer prices, latches and ranks, reading waits through the view.
 	balancer
 	pools []*PoolCore
 	specs []PoolSpec
+	// waits holds pool i's queue-delay window: each successful dispatch
+	// (and coalesce) records the served task's arrival→dispatch wait into
+	// it. Nil until the pool's first dispatch and again after its death;
+	// window sizes the windows made from here on.
+	waits  []*metrics.Window
+	window int
 	// submitted counts admissions at the core level exactly once, however
 	// many times a task later moves between pools (spill, then steal): the
 	// per-pool counters transfer on a steal, this one never does.
@@ -58,7 +66,7 @@ type MultiCore struct {
 	faults, requeued int
 }
 
-// NewMultiCore builds the N-pool core. Wait digests use the default
+// NewMultiCore builds the N-pool core. Wait windows use the default
 // window/warmup; SetWaitTuning retunes them before traffic.
 func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 	if len(specs) == 0 {
@@ -99,19 +107,45 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("serve: multi-pool core has no workers")
 	}
-	m.balancer.init(m, len(specs), 0, 0)
+	m.waits = make([]*metrics.Window, len(specs))
+	m.balancer.init(m, len(specs), 0)
 	return m, nil
 }
 
-// healthy, depth and hasFree are the balancer's view of pool i.
+// healthy, depth, hasFree and wait are the balancer's view of pool i.
 func (m *MultiCore) healthy(i int) bool { return m.pools[i].Healthy() }
 func (m *MultiCore) depth(i int) int    { return m.pools[i].QueueLen() }
 func (m *MultiCore) hasFree(i int) bool { return m.pools[i].free > 0 }
 
-// SetWaitTuning retunes the wait digests' window and warmup (defaults
+func (m *MultiCore) wait(i int, q float64) (int64, time.Duration) {
+	if w := m.waits[i]; w != nil {
+		return w.Count(), w.Quantile(q)
+	}
+	return 0, 0
+}
+
+// record charges one served task's queue delay to pool i.
+func (m *MultiCore) record(i int, wait time.Duration) {
+	w := m.waits[i]
+	if w == nil {
+		w = metrics.NewWindow(m.window)
+		m.waits[i] = w
+	}
+	w.Record(wait)
+}
+
+// WaitWindow exposes pool i's queue-delay window (nil until its first
+// dispatch, and again from its death until its next one).
+func (m *MultiCore) WaitWindow(i int) *metrics.Window { return m.waits[i] }
+
+// SetWaitTuning retunes the wait windows' size and warmup (defaults
 // metrics.DefaultWindow/DefaultWarmup when non-positive). It must be called
 // before any dispatch: retuning drops every wait window, and history with it.
-func (m *MultiCore) SetWaitTuning(window, warmup int) { m.tune(window, warmup) }
+func (m *MultiCore) SetWaitTuning(window, warmup int) {
+	m.window = window
+	clear(m.waits)
+	m.tune(warmup)
+}
 
 // Pools reports the pool count.
 func (m *MultiCore) Pools() int { return len(m.pools) }
@@ -195,7 +229,7 @@ func (m *MultiCore) Coalesce(i int, now time.Duration, max int, match func(sched
 func (m *MultiCore) Complete(i, n int) { m.pools[i].Complete(n) }
 
 // FailPool browns pool i out at now (see PoolCore.Fail) and invalidates
-// the balance state its history armed: the pool's wait digest is dropped
+// the balance state its history armed: the pool's wait window is dropped
 // — a dead pool's recorded waits price a world that no longer exists —
 // and every hysteresis latch involving it is released without counting a
 // flip, so spill/steal decisions re-derive from live evidence instead of
@@ -207,11 +241,12 @@ func (m *MultiCore) FailPool(i int, now time.Duration) {
 	}
 	p.Fail(now)
 	m.faults++
+	m.waits[i] = nil
 	m.invalidate(i)
 }
 
 // RecoverPool ends pool i's brown-out at now (see PoolCore.Recover). The
-// wait digest stays forgotten: the recovered pool re-warms its balance
+// wait window stays forgotten: the recovered pool re-warms its balance
 // evidence from scratch.
 func (m *MultiCore) RecoverPool(i int, now time.Duration) {
 	m.pools[i].Recover(now)

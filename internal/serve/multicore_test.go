@@ -119,17 +119,51 @@ func TestMultiCoreWaitChargedToServingPool(t *testing.T) {
 	if !ok || task.ID != 1 {
 		t.Fatalf("dispatch = %+v ok=%v, want task 1", task, ok)
 	}
-	if dg := mc.WaitDigest(2); dg != nil {
-		t.Errorf("donor pool recorded a wait for work it never served (count %d)", dg.Count())
+	if w := mc.WaitWindow(2); w != nil {
+		t.Errorf("donor pool recorded a wait for work it never served (count %d)", w.Count())
 	}
-	dg := mc.WaitDigest(0)
-	if dg == nil {
+	w := mc.WaitWindow(0)
+	if w == nil {
 		t.Fatal("serving pool recorded no wait")
 	}
-	if got := dg.Quantile(0.95); got != 10*time.Millisecond {
+	if got := w.Quantile(0.95); got != 10*time.Millisecond {
 		t.Errorf("serving pool wait p95 = %v, want 10ms (arrival instant must survive the steal)", got)
 	}
 	mc.Complete(0, 1)
+	if err := mc.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMultiCoreFailPoolForgetsWaits: a pool's death drops its wait window
+// — a dead pool's recorded waits price a world that no longer exists — so
+// its balance evidence reads unwarmed, and recovery re-warms it from
+// scratch rather than restoring the grave's history.
+func TestMultiCoreFailPoolForgetsWaits(t *testing.T) {
+	mc := threePools(t, 8)
+	mc.SetWaitTuning(16, 1)
+
+	if !mc.SubmitTo(0, multiTask(1, 0)) {
+		t.Fatal("submit dropped")
+	}
+	if _, ok := mc.Dispatch(0, 10*time.Millisecond); !ok {
+		t.Fatal("dispatch failed")
+	}
+	mc.Complete(0, 1)
+	if w, ok := mc.WarmedWait(0); !ok || w != 10*time.Millisecond {
+		t.Fatalf("warmed wait = %v ok=%v, want 10ms", w, ok)
+	}
+	mc.FailPool(0, 20*time.Millisecond)
+	if w := mc.WaitWindow(0); w != nil {
+		t.Fatalf("the dead pool kept its wait window (%d waits)", w.Count())
+	}
+	if w, ok := mc.WarmedWait(0); ok || w != 0 {
+		t.Errorf("the dead pool's wait reads %v ok=%v, want unwarmed", w, ok)
+	}
+	mc.RecoverPool(0, 30*time.Millisecond)
+	if w := mc.WaitWindow(0); w != nil {
+		t.Errorf("recovery restored the forgotten wait window (%d waits)", w.Count())
+	}
 	if err := mc.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +197,8 @@ func TestMultiCoreWaitSurvivesBatchForming(t *testing.T) {
 	if ok, _, wakeOK := mc.DispatchFormed(0, 5*time.Millisecond, &task); ok || !wakeOK {
 		t.Fatalf("former released a batch early (ok=%v wakeOK=%v)", ok, wakeOK)
 	}
-	if dg := mc.WaitDigest(0); dg != nil {
-		t.Fatalf("held dispatch recorded a wait (count %d)", dg.Count())
+	if w := mc.WaitWindow(0); w != nil {
+		t.Fatalf("held dispatch recorded a wait (count %d)", w.Count())
 	}
 	// Past the linger deadline the group releases; the lead's wait spans
 	// the whole hold, and the coalesced member's does too.
@@ -176,11 +210,11 @@ func TestMultiCoreWaitSurvivesBatchForming(t *testing.T) {
 	if len(taken) != 1 {
 		t.Fatalf("coalesced %d, want 1", len(taken))
 	}
-	dg := mc.WaitDigest(0)
-	if dg == nil || dg.Count() != 2 {
-		t.Fatalf("wait digest count = %v, want 2", dg)
+	w := mc.WaitWindow(0)
+	if w == nil || w.Count() != 2 {
+		t.Fatalf("wait window count = %v, want 2", w)
 	}
-	if min, max := dg.Quantile(0), dg.Quantile(1); min != 48*time.Millisecond || max != 50*time.Millisecond {
+	if min, max := w.Quantile(0), w.Quantile(1); min != 48*time.Millisecond || max != 50*time.Millisecond {
 		t.Errorf("recorded waits span [%v, %v], want [48ms, 50ms]", min, max)
 	}
 	mc.Complete(0, 2)
