@@ -78,8 +78,7 @@ type Pass struct {
 	// consults it so allowed findings never surface.
 	Dirs *Directives
 
-	diags      []Diagnostic
-	suppressed int
+	diags []Diagnostic
 }
 
 // Reportf records a finding at pos unless a //dscslint:allow directive
@@ -87,7 +86,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.Dirs != nil && p.Dirs.Allowed(p.Analyzer.Name, position) {
-		p.suppressed++
 		return
 	}
 	p.diags = append(p.diags, Diagnostic{
@@ -96,9 +94,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
-
-// Suppressed counts findings swallowed by allow directives.
-func (p *Pass) Suppressed() int { return p.suppressed }
 
 // Callee resolves the object a call statically invokes: a *types.Func
 // for ordinary function and method calls, nil for calls through

@@ -45,10 +45,3 @@ func CompileCached(g *model.Graph, batch int, cfg dsa.Config, opts Options) (*is
 	})
 	return f.prog, f.err
 }
-
-// CacheSize reports how many compiled programs are resident (telemetry).
-func CacheSize() int {
-	n := 0
-	programCache.Range(func(_, _ interface{}) bool { n++; return true })
-	return n
-}

@@ -87,11 +87,6 @@ type KeepWarmPolicy struct {
 	TTL time.Duration
 }
 
-// DefaultKeepWarm mirrors common provider policies (minutes of residency).
-func DefaultKeepWarm() KeepWarmPolicy {
-	return KeepWarmPolicy{TTL: 10 * time.Minute}
-}
-
 // WarmState tracks per-function warmth on one node.
 type WarmState struct {
 	policy KeepWarmPolicy

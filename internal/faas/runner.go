@@ -16,7 +16,6 @@ package faas
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -607,9 +606,4 @@ func (r *Runner) DriveFor(b *workload.Benchmark, batch int) (*csd.Drive, bool) {
 		return nil, false
 	}
 	return node.CSD, true
-}
-
-// Describe summarizes a runner for diagnostics.
-func (r *Runner) Describe() string {
-	return fmt.Sprintf("runner(platform=%s, stack=%v)", r.Platform.Name(), r.Stack.PerFunction())
 }

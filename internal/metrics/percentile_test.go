@@ -208,3 +208,62 @@ func TestSelectSortFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectEndBoundsNextRank holds selectRank's reported end to its
+// contract: rank k+1 is the minimum of vs[k+1:end] and nothing from end on
+// is smaller, so the interpolation's second read need not scan the whole
+// tail.
+func TestSelectEndBoundsNextRank(t *testing.T) {
+	// Median-of-three narrows rank 1 of these six to the window [0,4),
+	// then [0,2), then {1} alone: the final window ends at rank k+1, so
+	// the end reported is the one before it, and the p-quantile between
+	// ranks 1 and 2 must read rank 2 from there.
+	orig := []time.Duration{90, 40, 20, 40, 10, 80}
+	for i := range orig {
+		orig[i] *= time.Millisecond
+	}
+	if end := selectRank(slices.Clone(orig), 1); end != 4 {
+		t.Errorf("selectRank(%v, 1) end = %d, want 4", orig, end)
+	}
+	s := NewSample(len(orig))
+	for _, v := range orig {
+		s.Add(v)
+	}
+	const p = 0.3 // rank 1.5 of 6: frac > 0
+	if got, want := s.Percentile(p), quantileSorted(slices.Sorted(slices.Values(orig)), p); got != want {
+		t.Errorf("Percentile(%v) = %v, want %v", p, got, want)
+	}
+
+	next := lcg(41)
+	shapes := map[string]func(i, n int) time.Duration{
+		"random":    func(int, int) time.Duration { return time.Duration(next() % 1e9) },
+		"dups":      func(int, int) time.Duration { return time.Duration(next() % 3) },
+		"ascending": func(i, _ int) time.Duration { return time.Duration(i) },
+		"reversed":  func(i, n int) time.Duration { return time.Duration(n - i) },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{2, 6, 65, selectCutoff + 1, 5000} {
+			orig := make([]time.Duration, n)
+			for i := range orig {
+				orig[i] = shape(i, n)
+			}
+			ref := slices.Sorted(slices.Values(orig))
+			for _, k := range []int{0, 1, n / 3, n / 2, n * 99 / 100, n - 2} {
+				if k > n-2 {
+					continue // no rank k+1 to bound
+				}
+				vs := slices.Clone(orig)
+				end := selectRank(vs, k)
+				if end <= k+1 || end > n {
+					t.Fatalf("%s n=%d k=%d: end %d outside (k+1, n]", name, n, k, end)
+				}
+				if m := slices.Min(vs[k+1 : end]); m != ref[k+1] {
+					t.Fatalf("%s n=%d k=%d: min of vs[k+1:%d] = %v, rank k+1 is %v", name, n, k, end, m, ref[k+1])
+				}
+				if end < n && slices.Min(vs[end:]) < ref[k+1] {
+					t.Fatalf("%s n=%d k=%d: %v past end %d, below rank k+1's %v", name, n, k, slices.Min(vs[end:]), end, ref[k+1])
+				}
+			}
+		}
+	}
+}

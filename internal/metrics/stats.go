@@ -101,17 +101,18 @@ func quantileSorted(vs []time.Duration, p float64) time.Duration {
 
 // quantileSelect is quantileSorted over unordered vs, without sorting:
 // selectRank brings rank lo into place with everything after it no
-// smaller, so rank lo+1 is the minimum of that tail. It reorders vs.
+// smaller, so rank lo+1 is the minimum of that tail up to the end
+// selectRank reports. It reorders vs.
 func quantileSelect(vs []time.Duration, p float64) time.Duration {
 	if len(vs) == 0 {
 		return 0
 	}
 	lo, frac := quantileRank(len(vs), p)
-	selectRank(vs, lo)
+	end := selectRank(vs, lo)
 	if frac == 0 {
 		return vs[lo]
 	}
-	return vs[lo] + time.Duration(frac*float64(slices.Min(vs[lo+1:])-vs[lo]))
+	return vs[lo] + time.Duration(frac*float64(slices.Min(vs[lo+1:end])-vs[lo]))
 }
 
 // selectCutoff is the window size above which selectRank samples for its
@@ -129,19 +130,22 @@ const selectCutoff = 600
 // simulated latencies) finish in one pass. After 2·log2(n) partitions
 // whatever window is left is sorted instead: a few values on ordinary
 // input, and on input that defeats the pivot choice, a bound on the worst
-// case at a sort's.
-func selectRank(vs []time.Duration, k int) {
-	selectBudget(vs, k, 2*bits.Len(uint(len(vs))))
+// case at a sort's. It returns the end of the last window that reached
+// past rank k: a window holds exactly the ranks it spans, so rank k+1 is
+// in vs[k+1:end] and nothing from end on is smaller.
+func selectRank(vs []time.Duration, k int) (end int) {
+	return selectBudget(vs, k, 2*bits.Len(uint(len(vs))))
 }
 
 // selectBudget is selectRank with the number of partitions it may make
 // before it sorts the window left.
-func selectBudget(vs []time.Duration, k, budget int) {
+func selectBudget(vs []time.Duration, k, budget int) (end int) {
 	lo, hi := 0, len(vs) // the window holding rank k
+	end = hi
 	for ; hi-lo > 1; budget-- {
 		if budget == 0 {
 			slices.Sort(vs[lo:hi])
-			return
+			return end
 		}
 		w, r := vs[lo:hi], k-lo
 		var l, h int
@@ -153,10 +157,14 @@ func selectBudget(vs []time.Duration, k, budget int) {
 			l, h = narrow(w, r, pivot, pivot)
 		}
 		if l == h {
-			return // rank k is in place
+			return end // rank k is in place
 		}
 		lo, hi = lo+l, lo+h
+		if hi > k+1 {
+			end = hi
+		}
 	}
+	return end
 }
 
 // bracketRank is one Floyd–Rivest step over w for rank r: it moves a

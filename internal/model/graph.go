@@ -337,21 +337,6 @@ func (g *Graph) Conv(name string, outC, k, stride, pad int, act ActKind) *Layer 
 	return g.add(l)
 }
 
-// ConvHW adds a convolution with a rectangular kernel and per-axis padding.
-func (g *Graph) ConvHW(name string, outC, kh, kw, stride, padH, padW int, act ActKind) *Layer {
-	l := &Layer{
-		Name: name, Kind: Conv2D,
-		InH: g.curH, InW: g.curW, InC: g.curC,
-		OutC: outC, KH: kh, KW: kw, Stride: stride,
-		FusedAct: act, HasBias: true,
-	}
-	l.OutH = convOut(g.curH, kh, stride, padH)
-	l.OutW = convOut(g.curW, kw, stride, padW)
-	g.curH, g.curW, g.curC = l.OutH, l.OutW, outC
-	g.curFeatures = int64(g.curH) * int64(g.curW) * int64(g.curC)
-	return g.add(l)
-}
-
 // ConvBranch adds a convolution that reads an explicit input shape and does
 // not advance the builder's tracked shape. It models a parallel branch
 // (e.g. a residual downsample or an inception tower stage).
@@ -444,18 +429,6 @@ func (g *Graph) Dense(name string, outFeatures int, act ActKind) *Layer {
 	}
 	g.curFeatures = int64(outFeatures)
 	g.curH, g.curW, g.curC = 0, 0, 0
-	return g.add(l)
-}
-
-// DenseFrom adds a fully connected layer with explicit input features,
-// for graphs with non-linear topologies the tracker cannot follow.
-func (g *Graph) DenseFrom(name string, inFeatures, outFeatures int, act ActKind) *Layer {
-	l := &Layer{
-		Name: name, Kind: Dense,
-		InFeatures: inFeatures, OutFeatures: outFeatures,
-		FusedAct: act, HasBias: true,
-	}
-	g.curFeatures = int64(outFeatures)
 	return g.add(l)
 }
 

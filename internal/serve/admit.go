@@ -153,6 +153,22 @@ func (e *Engine) drainLocked(p *pool) {
 	e.syncView(p)
 }
 
+// takeWake claims the pool's one wakeup in flight while a worker is
+// parked; a true result obliges the caller to Signal (fenced, unless it
+// holds p.mu). admit and the worker's hand-on claim it. No wakeup is lost
+// to a submitter that finds it taken: the token is set only by a caller
+// about to Signal and cleared by every worker returning from cond.Wait and
+// by every parking worker before its staged re-check, so the losing
+// submitter's entry, staged before its failed claim, precedes the clear,
+// and the clearing worker's re-check or next drainLocked sees it. Some
+// worker does clear it: the Signal lands on a waiting worker (the fence or
+// p.mu puts one there unless another wakeup freed it first), and a worker
+// not waiting clears it at its next park. The load before the CAS keeps a
+// burst's losers off the line.
+func (p *pool) takeWake() bool {
+	return p.parked.Load() > 0 && !p.waking.Load() && p.waking.CompareAndSwap(false, true)
+}
+
 // admit submits the task (carrying its request in Ref) to one pool's
 // queue: ErrClosed after shutdown, ErrQueueFull at the admission bound.
 // bounceIfFull marks a spill attempt: a full target then reports
@@ -168,8 +184,9 @@ func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFul
 	if bounceIfFull {
 		// Spill attempts take the locked path: the bounce contract needs a
 		// synchronous answer from the real queue (a late ingress reject
-		// would lose the fallback to the original pool), and spills are off
-		// the common path by construction.
+		// would lose the fallback to the original pool). Spills are common
+		// under balance — a burst spills most of a DSCS backlog — but
+		// staging them on the target's ingress instead measured flat.
 		return e.admitDirect(p, task, req)
 	}
 	if err := p.ingress.offer(metrics.ShardIndex(len(p.ingress.shards)),
@@ -177,14 +194,12 @@ func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFul
 		return err
 	}
 	// Only reach for the pool lock when a worker is parked and needs the
-	// backlog handed over. Active workers drain the shards at the top of
-	// their loop, so the common case — workers busy, submitters streaming —
-	// is a shard append plus two atomics, no pool-lock traffic at all.
-	// The parked/staged handshake is store-buffer safe: offer bumped
-	// staged before this load, the parking worker bumps parked before
-	// re-checking staged, and Go atomics are sequentially consistent, so
-	// at least one side sees the other.
-	if p.parked.Load() > 0 {
+	// backlog handed over, and then only as the pool's one wakeup in
+	// flight: a burst sends one submitter at a time through the fence, not
+	// all of them. Active workers drain the shards at the top of their
+	// loop, so with workers busy a submission is a shard append plus two
+	// atomics, no pool-lock traffic at all.
+	if p.takeWake() {
 		if p.mu.TryLock() {
 			e.drainLocked(p)
 			p.mu.Unlock()
@@ -255,7 +270,7 @@ func (e *Engine) wakePeers(p *pool, depth int) {
 	if !dead && e.bal.WakeGate(p.idx) <= 0 {
 		return
 	}
-	for _, d := range e.pools {
+	for _, d := range e.order {
 		if d == p {
 			continue
 		}

@@ -249,13 +249,14 @@ type pool struct {
 	// batches is the free list newBatch takes from and putBatch returns
 	// to, under p.mu.
 	batches []*batchState
-	// parked counts workers blocked in cond.Wait. Submitters that fail the
-	// opportunistic drain read it to decide whether a wakeup fence is
-	// needed: the parked increment and the staged check are both
-	// sequentially consistent atomics, so either the parking worker sees
-	// the staged entry or the submitter sees the parked worker — an entry
-	// can never strand against a sleeping pool.
+	// parked counts workers in (or entering) cond.Wait. The parked
+	// increment and the staged check are sequentially consistent atomics,
+	// so either the parking worker sees a staged entry or its submitter
+	// sees the parked worker. waking is the pool's one wakeup in flight:
+	// of the submitters that see parked > 0, only the one that claims it
+	// (takeWake) fences and signals.
 	parked atomic.Int32
+	waking atomic.Bool
 
 	// deadBit mirrors core.dead for lock-free readers: the submit path's
 	// rescue wakeup and the spill/steal scans check health without taking

@@ -150,3 +150,139 @@ func TestQuiesceTimesOutThenDrains(t *testing.T) {
 		t.Errorf("Quiesce returned %v after the release, want within 50ms", lag)
 	}
 }
+
+// TestWakeTokenNoLostWakeup soaks the one-wakeup-in-flight protocol:
+// rounds of submitters released together onto parked workers, where all
+// but one claimant per token only stage their entry. A stranded entry
+// shows as a Submit that never returns. Once the engine is quiet every
+// worker must be parked again with the token cleared — a token left set
+// would silence every later burst's wakeup.
+func TestWakeTokenNoLostWakeup(t *testing.T) {
+	const (
+		rounds   = 200
+		burst    = 64
+		deadline = 10 * time.Second
+	)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("Workers=%d", workers), func(t *testing.T) {
+			eng, err := NewEngine(testRunners(t), Options{
+				Workers: workers,
+				Execute: func(*faas.Runner, *workload.Benchmark, faas.Options) (faas.Result, error) {
+					return faas.Result{}, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			bench := workload.BySlug("asset-damage")
+			platforms := []string{"DSCS-Serverless", "Baseline (CPU)"}
+			for round := 0; round < rounds; round++ {
+				release := make(chan struct{})
+				// Errors go to a channel, not t: a stranded submitter
+				// returns only after the test has failed and closed the
+				// engine.
+				errs := make(chan error, burst)
+				var wg sync.WaitGroup
+				for i := 0; i < burst; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-release
+						if _, err := eng.Submit(platforms[i%2], bench, faas.Options{Quantile: 0.5}); err != nil {
+							errs <- err
+						}
+					}()
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				close(release)
+				select {
+				case <-done:
+				case <-time.After(deadline):
+					t.Fatalf("round %d: submitters still blocked after %v (in flight %d): a wakeup was lost", round, deadline, eng.InFlight())
+				}
+				select {
+				case err := <-errs:
+					t.Fatalf("round %d: %v", round, err)
+				default:
+				}
+			}
+			if !eng.Quiesce(deadline) {
+				t.Fatalf("Quiesce timed out with %d in flight", eng.InFlight())
+			}
+			if err := eng.Conservation(); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range eng.order {
+				// A token claimed by the last submitter is cleared by the
+				// worker its Signal wakes, which may still be on its way
+				// back to cond.Wait.
+				waitFor(t, fmt.Sprintf("pool %s to rest with its token cleared and all %d workers parked", p.name, workers),
+					func() bool { return !p.waking.Load() && int(p.parked.Load()) == workers })
+			}
+		})
+	}
+}
+
+// TestWakeTokenHandOn pins the worker's hand-on: a backlog staged while
+// one token is in flight (every other submitter skips its Signal) wakes
+// one worker, and that worker, leaving queued work and a free slot behind
+// its dispatch, wakes the next — so a second execution starts while the
+// first is still held, with no further submission to signal it.
+func TestWakeTokenHandOn(t *testing.T) {
+	const backlog = 8
+	started := make(chan struct{}, backlog)
+	release := make(chan struct{})
+	eng, err := NewEngine(testRunners(t), Options{
+		Workers:  2,
+		MaxBatch: 1,
+		Execute: func(*faas.Runner, *workload.Benchmark, faas.Options) (faas.Result, error) {
+			started <- struct{}{}
+			<-release
+			return faas.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close, which waits for the executions
+	// A CPU pool: two DSCS executions of one benchmark would also queue
+	// on the drive holding its input.
+	p := eng.pools["Baseline (CPU)"]
+	waitFor(t, "both workers to park", func() bool { return p.parked.Load() == 2 })
+	// Holding the pool lock stalls the first claimant in its wakeup fence,
+	// token held, while the rest of the backlog stages behind it.
+	p.mu.Lock()
+	var unlock sync.Once
+	defer unlock.Do(p.mu.Unlock) // before Close, which needs the lock
+	var submitters sync.WaitGroup
+	for i := 0; i < backlog; i++ {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			if err := eng.SubmitAsync("Baseline (CPU)", workload.BySlug("asset-damage"), faas.Options{Quantile: 0.5}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, "the backlog to stage", func() bool { return p.ingress.staged.Load() == backlog })
+	if !p.waking.Load() {
+		t.Fatal("backlog staged with no wakeup in flight")
+	}
+	unlock.Do(p.mu.Unlock)
+	submitters.Wait()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 executions started while the first was held: the wake was not handed on", i)
+		}
+	}
+	unblock()
+	if !eng.Quiesce(5 * time.Second) {
+		t.Fatalf("Quiesce timed out with %d in flight", eng.InFlight())
+	}
+}

@@ -239,17 +239,20 @@ func (e *Engine) worker(p *pool) {
 			}
 			// Park. The parked count is incremented before the staged
 			// re-check: a submitter that just staged an entry either sees
-			// parked > 0 (and fences a Signal through the mutex) or this
+			// parked > 0 (and its token claimant fences a Signal) or this
 			// load sees its entry — the Dekker pairing that makes the
-			// lock-free offer path wakeup-safe. A dead peer's backlog pairs
-			// the same way with wakePeers; a goroutine with no free slot
-			// could not rescue it.
+			// lock-free offer path wakeup-safe. The wake token clears
+			// before the re-check and on every return from Wait (takeWake).
+			// A dead peer's backlog pairs the same way with wakePeers; a
+			// goroutine with no free slot could not rescue it.
 			p.parked.Add(1)
+			p.waking.Store(false)
 			if p.ingress.staged.Load() > 0 || (free && e.rescueWaiting(p)) {
 				p.parked.Add(-1)
 				continue
 			}
 			p.cond.Wait()
+			p.waking.Store(false)
 			p.parked.Add(-1)
 			continue
 		}
@@ -261,6 +264,12 @@ func (e *Engine) worker(p *pool) {
 		// dispatch the same way.)
 		dispatched := e.now()
 		e.syncView(p)
+		if p.core.QueueLen() > 0 && p.core.Busy() < p.core.Workers() && p.takeWake() {
+			// Hand the wake on: a parked sibling could run the backlog now,
+			// and its submitters may all have skipped their Signal. Under
+			// p.mu every parked worker is in cond.Wait: no fence needed.
+			p.cond.Signal()
+		}
 		p.mu.Unlock()
 
 		e.recordWaits(p, bs, dispatched)
