@@ -1,7 +1,7 @@
-// bench_test.go is the benchmark harness: one testing.B target per table
-// and figure of the paper's evaluation (each iteration regenerates the
-// experiment and reports its headline numbers as custom metrics), plus the
-// ablation benches for the design choices ARCHITECTURE.md calls out.
+// bench_test.go holds the ablation benches for the design choices
+// ARCHITECTURE.md calls out, micro-benchmarks of the core machinery, and
+// the serving-core benches. The paper's tables and figures are
+// regenerated by `go run ./cmd/dscsbench -run all`, not here.
 //
 // Run everything with:
 //
@@ -41,99 +41,6 @@ func sharedEnv(b *testing.B) *dscs.Environment {
 		b.Fatal(benchErr)
 	}
 	return benchEnv
-}
-
-// runExperiment benchmarks one experiment and surfaces named findings.
-func runExperiment(b *testing.B, id string, metricNames ...string) {
-	env := sharedEnv(b)
-	var last *dscs.ExperimentResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := dscs.RunExperiment(id, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	for _, name := range metricNames {
-		b.ReportMetric(last.Value(name), metricUnit(name))
-	}
-}
-
-// metricUnit sanitizes a finding name into a ReportMetric-legal unit
-// (no whitespace).
-func metricUnit(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch r {
-		case ' ', '\t', '(', ')':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-func BenchmarkTable1Benchmarks(b *testing.B) {
-	runExperiment(b, "table1", "benchmarks")
-}
-
-func BenchmarkTable2Platforms(b *testing.B) {
-	runExperiment(b, "table2", "platforms")
-}
-
-func BenchmarkFig3ReadLatencyCDF(b *testing.B) {
-	runExperiment(b, "fig3", "mean_p99_over_p50")
-}
-
-func BenchmarkFig4RuntimeBreakdown(b *testing.B) {
-	runExperiment(b, "fig4", "mean_comm_frac", "amdahl_compute_cap")
-}
-
-func BenchmarkFig7PowerPerfPareto(b *testing.B) {
-	runExperiment(b, "fig7", "configs_explored", "optimal_dim")
-}
-
-func BenchmarkFig8AreaPerfPareto(b *testing.B) {
-	runExperiment(b, "fig8", "frontier_points")
-}
-
-func BenchmarkFig9Speedup(b *testing.B) {
-	runExperiment(b, "fig9", "geomean/DSCS-Serverless", "dscs_over_gpu")
-}
-
-func BenchmarkFig10Breakdown(b *testing.B) {
-	runExperiment(b, "fig10", "remote_frac/Baseline (CPU)/asset-damage")
-}
-
-func BenchmarkFig11Energy(b *testing.B) {
-	runExperiment(b, "fig11", "geomean/DSCS-Serverless", "dsa_compute_energy_ratio")
-}
-
-func BenchmarkFig12CostEfficiency(b *testing.B) {
-	runExperiment(b, "fig12", "cost_eff/DSCS-Serverless", "cost_eff/NS-FPGA (SmartSSD)")
-}
-
-func BenchmarkFig13AtScale(b *testing.B) {
-	runExperiment(b, "fig13", "wallclock_improvement", "baseline_peak_queue")
-}
-
-func BenchmarkFig14BatchSize(b *testing.B) {
-	runExperiment(b, "fig14", "geomean/batch1", "geomean/batch64")
-}
-
-func BenchmarkFig15TailLatency(b *testing.B) {
-	runExperiment(b, "fig15", "speedup/p50", "speedup/p99")
-}
-
-func BenchmarkFig16AcceleratedFunctions(b *testing.B) {
-	runExperiment(b, "fig16", "speedup/extra0", "speedup/extra3")
-}
-
-func BenchmarkFig17ColdStart(b *testing.B) {
-	runExperiment(b, "fig17", "speedup/warm", "speedup/cold")
 }
 
 // --- Ablation benches (design choices from ARCHITECTURE.md) ---
@@ -366,44 +273,6 @@ func BenchmarkObjectStoreGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Extension benches (paper future-work features) ---
-
-// BenchmarkExtScheduling regenerates the Section 5.3 scheduling-policy study.
-func BenchmarkExtScheduling(b *testing.B) {
-	runExperiment(b, "ext-sched", "criticality_gain", "dag_gain")
-}
-
-// BenchmarkExtMemcache regenerates the keep-warm memory-manager study.
-func BenchmarkExtMemcache(b *testing.B) {
-	runExperiment(b, "ext-memcache", "hit_rate", "p2p_vs_registry")
-}
-
-// BenchmarkExtScatter regenerates the multi-CSD scatter/gather study.
-func BenchmarkExtScatter(b *testing.B) {
-	runExperiment(b, "ext-scatter", "gain/ppe-detection")
-}
-
-// BenchmarkExtFailover regenerates the drive-failure/fail-over study.
-// It runs on a private environment: it damages and repairs the cluster.
-func BenchmarkExtFailover(b *testing.B) {
-	env, err := dscs.NewEnvironment(777)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last *dscs.ExperimentResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := dscs.RunExperiment("ext-failover", env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	b.ReportMetric(last.Value("fallback_penalty"), "fallback_penalty")
-	b.ReportMetric(last.Value("repaired_mb"), "repaired_mb")
 }
 
 // BenchmarkServeConcurrent contrasts the two serving disciplines under

@@ -2,16 +2,18 @@
 // the internal/analysis suite — clockcheck (clock injection), rngcheck
 // (split-stream RNG determinism), lockcheck (no blocking under a pool
 // lock), hotpathcheck (no per-op label/map allocation on annotated hot
-// paths) — and runs it over the module the way `go vet` would, exiting
-// nonzero when any invariant is violated. CI runs it beside staticcheck;
-// see ARCHITECTURE.md's "Enforced invariants" table for what each
-// analyzer guards and which runtime harness backs it up.
+// paths), deadcheck (no declaration without a reader outside its own
+// package's tests) — and runs it over the module the way `go vet` would,
+// exiting nonzero when any invariant is violated. CI runs it beside
+// staticcheck; see ARCHITECTURE.md's "Enforced invariants" table for
+// what each analyzer guards and which runtime harness backs it up.
 //
 // Usage:
 //
 //	dscslint [-github] [-list] [packages]
 //
-// Packages default to ./... relative to the current directory. -github
+// Packages default to ./... relative to the current directory; deadcheck
+// judges them by the readers of the whole module whatever they are. -github
 // re-renders findings as GitHub Actions workflow commands so they land
 // as annotations on the PR diff (auto-enabled under GITHUB_ACTIONS).
 package main
@@ -23,6 +25,7 @@ import (
 
 	"dscs/internal/analysis"
 	"dscs/internal/analysis/clockcheck"
+	"dscs/internal/analysis/deadcheck"
 	"dscs/internal/analysis/hotpathcheck"
 	"dscs/internal/analysis/lockcheck"
 	"dscs/internal/analysis/rngcheck"
@@ -33,6 +36,7 @@ var suite = []*analysis.Analyzer{
 	rngcheck.Analyzer,
 	lockcheck.Analyzer,
 	hotpathcheck.Analyzer,
+	deadcheck.Analyzer,
 }
 
 func main() {

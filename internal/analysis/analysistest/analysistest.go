@@ -37,22 +37,25 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads testdata/src/<fixture> relative to the caller's package
-// directory, applies the analyzer, and enforces the // want contract.
-// Malformed //dscslint directives surface as findings of the "dscslint"
-// checker, so directive-parser fixtures use the same mechanism.
-func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
+// Run loads the packages matching the patterns (default ./...) under
+// testdata/src/<fixture>, relative to the caller's package directory,
+// applies the analyzer, and enforces the // want contract over every
+// loaded package. A fixture is one package, or a module of its own when
+// it holds a go.mod. Malformed //dscslint directives surface as findings
+// of the "dscslint" checker, so directive-parser fixtures use the same
+// mechanism.
+func Run(t *testing.T, a *analysis.Analyzer, fixture string, patterns ...string) {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := analysis.LoadDir(dir)
+	pkgs, err := analysis.Load(filepath.Join("testdata", "src", fixture), patterns...)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture %s does not type-check: %v", fixture, terr)
+	var expectations []*expectation
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("fixture %s does not type-check: %v", fixture, terr)
+		}
+		expectations = append(expectations, collectWants(t, pkg)...)
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -62,8 +65,7 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	// analyzer's Packages prefixes; drop the scope so the analyzer runs.
 	scopeFree := *a
 	scopeFree.Packages = nil
-	diags := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{&scopeFree})
-	expectations := collectWants(t, pkg)
+	diags := analysis.Run(pkgs, []*analysis.Analyzer{&scopeFree})
 
 	for _, d := range diags {
 		if !claim(expectations, d) {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // A Package is one loaded, type-checked analysis target.
@@ -32,16 +33,21 @@ type Package struct {
 
 // listEntry is the subset of `go list -json` output the loader reads.
 type listEntry struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	CgoFiles   []string
-	Standard   bool
-	DepOnly    bool
-	ImportMap  map[string]string
-	Error      *struct{ Err string }
+	ImportPath  string
+	Dir         string
+	Export      string
+	GoFiles     []string
+	CgoFiles    []string
+	TestGoFiles []string
+	Standard    bool
+	DepOnly     bool
+	ForTest     string
+	ImportMap   map[string]string
+	Error       *struct{ Err string }
 }
+
+// listFields is the -json field list matching listEntry.
+const listFields = "-json=ImportPath,Dir,Export,GoFiles,CgoFiles,TestGoFiles,Standard,DepOnly,ForTest,ImportMap,Error"
 
 // Load type-checks the packages matching the go list patterns, rooted at
 // dir (a directory inside the module). Dependencies resolve through the
@@ -50,50 +56,49 @@ type listEntry struct {
 // files are loaded — the invariants the analyzers enforce guard
 // production code paths.
 func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, false, patterns)
+}
+
+// LoadWithTests is Load with the test files: each package comes back with
+// its _test.go files of the same package added, and each external test
+// package comes back as "<path>_test", type-checked against the test
+// build of its dependencies (so it sees export_test.go). Callers tell test
+// files apart by their _test.go suffix.
+func LoadWithTests(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, true, patterns)
+}
+
+func load(dir string, tests bool, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,DepOnly,ImportMap,Error"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	args := []string{"-deps", "-export", listFields}
+	if tests {
+		args = append(args, "-test")
+	}
+	entries, err := goList(dir, append(args, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, err
 	}
-	index := map[string]*listEntry{}
-	var targets []*listEntry
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		e := new(listEntry)
-		if err := dec.Decode(e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
-		}
-		index[e.ImportPath] = e
-		if !e.DepOnly && !e.Standard {
-			targets = append(targets, e)
-		}
-	}
-
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		e, ok := index[path]
-		if !ok || e.Export == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(e.Export)
-	})
-
+	index := indexEntries(entries)
+	shared := exportImporter(fset, index, nil)
 	var pkgs []*Package
-	for _, t := range targets {
-		if t.Error != nil && len(t.GoFiles) == 0 {
-			return nil, fmt.Errorf("analysis: %s: %s", t.ImportPath, t.Error.Err)
+	for _, t := range entries {
+		path, names, imp := t.ImportPath, t.GoFiles, shared
+		switch {
+		case t.DepOnly || t.Standard:
+			continue
+		case t.ForTest == "" && !strings.HasSuffix(path, ".test"):
+			if tests {
+				names = append(names[:len(names):len(names)], t.TestGoFiles...)
+			}
+		case strings.HasPrefix(path, t.ForTest+"_test ["):
+			path, imp = t.ForTest+"_test", exportImporter(fset, index, t.ImportMap)
+		default:
+			continue
 		}
-		p, err := check(fset, imp, t, index)
+		p, err := checkEntry(fset, imp, t, path, names)
 		if err != nil {
 			return nil, err
 		}
@@ -102,92 +107,58 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir type-checks the single package rooted at dir from its .go
-// files directly, without consulting go list for the package itself —
-// the analysistest harness uses it for fixture packages under testdata,
-// which the go tool refuses to enumerate. Imports still resolve through
-// export data; the importing package must sit inside a module so `go
-// list` can price its (stdlib) imports.
-func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// goList runs `go list -e` in dir and decodes its JSON stream.
+func goList(dir string, args ...string) ([]*listEntry, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: go list %v: %v\n%s", args, err, stderr.String())
 	}
-	t := &listEntry{ImportPath: filepath.Base(dir), Dir: dir}
+	var entries []*listEntry
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		e := new(listEntry)
+		if err := dec.Decode(e); err == io.EOF {
+			return entries, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
+		}
+		entries = append(entries, e)
+	}
+}
+
+func indexEntries(entries []*listEntry) map[string]*listEntry {
+	index := make(map[string]*listEntry, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			t.GoFiles = append(t.GoFiles, e.Name())
+		index[e.ImportPath] = e
+	}
+	return index
+}
+
+// exportImporter resolves imports through the export data go list
+// reported, mapping each path through importMap first: an external test
+// imports the test variants of its dependencies this way, and the
+// ImportMap of an unvendored module's ordinary package is empty.
+func exportImporter(fset *token.FileSet, index map[string]*listEntry, importMap map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
 		}
-	}
-	if len(t.GoFiles) == 0 {
-		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
-	}
-	// Parse first so the fixture's imports are known, then ask go list
-	// for their export data in one shot.
-	fset := token.NewFileSet()
-	files, parseErr := parseAll(fset, t)
-	if parseErr != nil {
-		return nil, parseErr
-	}
-	var imports []string
-	seen := map[string]bool{}
-	for _, f := range files {
-		for _, is := range f.Imports {
-			path := importPathOf(is)
-			if path != "" && !seen[path] {
-				seen[path] = true
-				imports = append(imports, path)
-			}
-		}
-	}
-	index := map[string]*listEntry{}
-	if len(imports) > 0 {
-		args := append([]string{"list", "-e", "-deps", "-export",
-			"-json=ImportPath,Export,Standard,Error"}, imports...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("analysis: go list %v: %v\n%s", imports, err, stderr.String())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			e := new(listEntry)
-			if err := dec.Decode(e); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			index[e.ImportPath] = e
-		}
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		e, ok := index[path]
 		if !ok || e.Export == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(e.Export)
 	})
-	return checkParsed(fset, imp, t, files)
 }
 
-func importPathOf(is *ast.ImportSpec) string {
-	if is.Path == nil {
-		return ""
-	}
-	s := is.Path.Value
-	if len(s) >= 2 {
-		return s[1 : len(s)-1]
-	}
-	return ""
-}
-
-func parseAll(fset *token.FileSet, t *listEntry) ([]*ast.File, error) {
+func parseAll(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, name := range t.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil,
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %v", err)
@@ -197,32 +168,26 @@ func parseAll(fset *token.FileSet, t *listEntry) ([]*ast.File, error) {
 	return files, nil
 }
 
-func check(fset *token.FileSet, imp types.Importer, t *listEntry, index map[string]*listEntry) (*Package, error) {
+// checkEntry parses and type-checks the named files of one go list entry
+// as the package path.
+func checkEntry(fset *token.FileSet, imp types.Importer, t *listEntry, path string, names []string) (*Package, error) {
+	if t.Error != nil && len(names) == 0 {
+		return nil, fmt.Errorf("analysis: %s: %s", t.ImportPath, t.Error.Err)
+	}
 	if len(t.CgoFiles) > 0 {
 		return nil, fmt.Errorf("analysis: %s uses cgo, which the loader does not support", t.ImportPath)
 	}
-	files, err := parseAll(fset, t)
+	files, err := parseAll(fset, t.Dir, names)
 	if err != nil {
 		return nil, err
 	}
-	// ImportMap is empty for an unvendored module, but honor it if set.
-	if len(t.ImportMap) > 0 {
-		base := imp
-		imp = importerFunc(func(path string) (*types.Package, error) {
-			if mapped, ok := t.ImportMap[path]; ok {
-				path = mapped
-			}
-			return base.Import(path)
-		})
-		_ = index
-	}
-	return checkParsed(fset, imp, t, files)
+	return checkParsed(fset, imp, path, t.Dir, files), nil
 }
 
-func checkParsed(fset *token.FileSet, imp types.Importer, t *listEntry, files []*ast.File) (*Package, error) {
+func checkParsed(fset *token.FileSet, imp types.Importer, path, dir string, files []*ast.File) *Package {
 	p := &Package{
-		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
+		ImportPath: path,
+		Dir:        dir,
 		Fset:       fset,
 		Files:      files,
 		Info: &types.Info{
@@ -237,11 +202,6 @@ func checkParsed(fset *token.FileSet, imp types.Importer, t *listEntry, files []
 		Importer: imp,
 		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
-	pkg, _ := conf.Check(t.ImportPath, fset, files, p.Info)
-	p.Types = pkg
-	return p, nil
+	p.Types, _ = conf.Check(path, fset, files, p.Info)
+	return p
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -6,16 +6,16 @@ import (
 	"strings"
 )
 
+// CanonicalAnalyzers names the full suite for directive validation, so
+// an allow directive naming a real analyzer parses even when a single
+// analyzer runs in isolation (as the analysistest harness does).
+var CanonicalAnalyzers = []string{"clockcheck", "rngcheck", "lockcheck", "hotpathcheck", "deadcheck"}
+
 // Run applies every in-scope analyzer to every package and returns the
 // combined findings, sorted by position. Malformed //dscslint
 // directives are findings too (attributed to the "dscslint" checker):
 // a directive that fails to parse must fail the build, not silently
 // stop suppressing.
-// CanonicalAnalyzers names the full suite for directive validation, so
-// an allow directive naming a real analyzer parses even when a single
-// analyzer runs in isolation (as the analysistest harness does).
-var CanonicalAnalyzers = []string{"clockcheck", "rngcheck", "lockcheck", "hotpathcheck"}
-
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	names := append([]string(nil), CanonicalAnalyzers...)
 	have := make(map[string]bool, len(names))

@@ -19,10 +19,14 @@ package directives
 //dscslint:ignore clockcheck not a verb // want `unknown dscslint directive "ignore"`
 
 // Well-formed directives parse without findings: a scoped allow with a
-// reason, and a hotpath root annotation.
+// reason, an allow naming a suite analyzer other than the one running
+// (the canonical list, not the running set, decides), and a hotpath root
+// annotation.
 func ok() {
 	//dscslint:allow clockcheck reviewed wall read for fixture purposes
 	_ = 0
+	//dscslint:allow deadcheck fixture: the parser must know every analyzer of the suite
+	_ = 1
 }
 
 //dscslint:hotpath

@@ -252,20 +252,3 @@ func TestTileChoiceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCompiledProgramSurvivesContainerPackaging(t *testing.T) {
-	// Section 5.1: the compiler output ships inside the function container;
-	// the serialized program must execute identically after the round trip.
-	cfg := dsa.PaperOptimal()
-	for _, g := range []*model.Graph{model.ResNet50(), model.GPT2Generative()} {
-		p := compileOrDie(t, g, 1, cfg)
-		back, err := isa.Unmarshal(isa.Marshal(p))
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		if back.MACs() != p.MACs() || back.DRAMBytes() != p.DRAMBytes() ||
-			len(back.Instrs) != len(p.Instrs) {
-			t.Errorf("%s: program changed across packaging", g.Name)
-		}
-	}
-}

@@ -147,13 +147,6 @@ func (d *Drive) Release() {
 	d.busy = false
 }
 
-// ResidentWeights reports which function's weights are warm in DSA DRAM.
-func (d *Drive) ResidentWeights() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.residentWeights
-}
-
 // ExecResult breaks down one in-storage function execution.
 type ExecResult struct {
 	Driver   time.Duration // syscalls + enqueue + interrupt

@@ -192,15 +192,6 @@ func (m *MemoryManager) evictLRU() (time.Duration, units.Energy, error) {
 	return lat, energy, nil
 }
 
-// Resident reports whether a function is warm in DSA DRAM.
-func (m *MemoryManager) Resident(name string) bool {
-	_, ok := m.resident[name]
-	return ok
-}
-
-// Used reports the occupied DRAM.
-func (m *MemoryManager) Used() units.Bytes { return m.used }
-
 // Stats reports hit/load/eviction counters.
 func (m *MemoryManager) Stats() (hits, flashLoads, registryLoads, evictions int) {
 	return m.hits, m.flashLoads, m.registryLoads, m.evictions

@@ -152,9 +152,6 @@ func New(cfg Config) (*Simulator, error) {
 	}, nil
 }
 
-// Config returns the simulated design point.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // KeepPerLayer enables per-instruction stats collection.
 func (s *Simulator) KeepPerLayer(on bool) { s.keepPerLayer = on }
 

@@ -113,16 +113,12 @@ func SuiteModels() []*model.Graph {
 	}
 }
 
-// Evaluate scores one configuration across the models: throughput is the
+// evaluate scores one configuration across the models: throughput is the
 // harmonic composition (requests per second of the average latency), power
-// is energy over busy time at 45 nm.
-func Evaluate(cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
-	return evaluate(new(isa.Program), cfg, models, node, budget)
-}
-
-// evaluate is Evaluate compiling every model into prog, whose storage the
-// next call reuses: Explore's workers each keep one program for the whole
-// sweep instead of allocating one per (configuration, model).
+// is energy over busy time at the given node. Every model compiles into
+// prog, whose storage the next call reuses: Explore's workers each keep one
+// program for the whole sweep instead of allocating one per
+// (configuration, model).
 func evaluate(prog *isa.Program, cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
 	if len(models) == 0 {
 		return Point{}, fmt.Errorf("dse: no models to evaluate %v on", cfg)

@@ -73,38 +73,3 @@ func (m ColdStartModel) Pull(img Image) time.Duration {
 func (m ColdStartModel) StageWeights(img Image) time.Duration {
 	return m.WeightLoadBW.TransferTime(img.Weights)
 }
-
-// Cold returns the full cold-start cost of an image on a host-memory
-// platform.
-func (m ColdStartModel) Cold(img Image) time.Duration {
-	return m.Pull(img) + m.StageWeights(img)
-}
-
-// KeepWarmPolicy retains function state after an invocation: containers on
-// the node, weights in the DSA's DRAM (Section 5.3).
-type KeepWarmPolicy struct {
-	// TTL is how long a function stays warm after its last invocation.
-	TTL time.Duration
-}
-
-// WarmState tracks per-function warmth on one node.
-type WarmState struct {
-	policy KeepWarmPolicy
-	last   map[string]time.Duration // function -> last-used virtual time
-}
-
-// NewWarmState returns an empty warm tracker.
-func NewWarmState(policy KeepWarmPolicy) *WarmState {
-	return &WarmState{policy: policy, last: make(map[string]time.Duration)}
-}
-
-// Warm reports whether the function is warm at virtual time now, and
-// records the invocation.
-func (w *WarmState) Warm(fn string, now time.Duration) bool {
-	lastUsed, seen := w.last[fn]
-	w.last[fn] = now
-	return seen && now-lastUsed <= w.policy.TTL
-}
-
-// Evict removes a function's warm state.
-func (w *WarmState) Evict(fn string) { delete(w.last, fn) }

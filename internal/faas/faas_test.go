@@ -164,24 +164,6 @@ func TestColdStartModel(t *testing.T) {
 	}
 }
 
-func TestKeepWarmPolicy(t *testing.T) {
-	w := NewWarmState(KeepWarmPolicy{TTL: time.Minute})
-	if w.Warm("f", 0) {
-		t.Error("first use is cold")
-	}
-	if !w.Warm("f", 30*time.Second) {
-		t.Error("within TTL should be warm")
-	}
-	if w.Warm("f", 30*time.Second+2*time.Minute) {
-		t.Error("past TTL should be cold again")
-	}
-	w.Warm("g", 0)
-	w.Evict("g")
-	if w.Warm("g", time.Millisecond) {
-		t.Error("evicted function must be cold")
-	}
-}
-
 func TestBreakdownArithmetic(t *testing.T) {
 	a := Breakdown{Stack: 1, RemoteRead: 2, Compute: 3, Notify: 4}
 	b := Breakdown{Stack: 10, RemoteWrite: 20, DeviceIO: 5, Driver: 6, ColdStart: 7}

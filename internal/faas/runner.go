@@ -89,18 +89,6 @@ func (b Breakdown) Total() time.Duration {
 		b.DeviceIO + b.Driver + b.ColdStart + b.Notify
 }
 
-// Add accumulates another breakdown.
-func (b *Breakdown) Add(o Breakdown) {
-	b.Stack += o.Stack
-	b.RemoteRead += o.RemoteRead
-	b.RemoteWrite += o.RemoteWrite
-	b.Compute += o.Compute
-	b.DeviceIO += o.DeviceIO
-	b.Driver += o.Driver
-	b.ColdStart += o.ColdStart
-	b.Notify += o.Notify
-}
-
 // Result is one invocation's outcome.
 type Result struct {
 	Breakdown     Breakdown

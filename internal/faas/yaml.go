@@ -195,27 +195,3 @@ func unquote(s string) string {
 	}
 	return s
 }
-
-// writeYAML serializes a mapping back out (deterministic key order).
-func writeYAML(sb *strings.Builder, v *YAMLValue, indent int) {
-	pad := strings.Repeat("  ", indent)
-	for _, k := range v.Keys {
-		c := v.Map[k]
-		switch {
-		case c.IsMap():
-			fmt.Fprintf(sb, "%s%s:\n", pad, k)
-			writeYAML(sb, c, indent+1)
-		case c.List != nil:
-			fmt.Fprintf(sb, "%s%s: [%s]\n", pad, k, strings.Join(c.List, ", "))
-		default:
-			fmt.Fprintf(sb, "%s%s: %s\n", pad, k, c.Scalar)
-		}
-	}
-}
-
-// MarshalYAML renders a parsed tree back to text.
-func MarshalYAML(v *YAMLValue) string {
-	var sb strings.Builder
-	writeYAML(&sb, v, 0)
-	return sb.String()
-}

@@ -65,13 +65,6 @@ type Gateway struct {
 	invocationsByPlatform map[string]sched.CounterHandle
 }
 
-// New builds a gateway over the given runners with default serving-engine
-// options. accelRunner serves applications whose chains carry acceleration
-// hints; plainRunner the rest.
-func New(runners map[string]*faas.Runner, accelRunner, plainRunner string) (*Gateway, error) {
-	return NewWithOptions(runners, accelRunner, plainRunner, serve.Options{})
-}
-
 // NewWithOptions builds a gateway whose serving engine uses the given
 // worker-pool, admission, policy, and batching options. The engine shares
 // the gateway's telemetry registry, so /metrics surfaces queue depth,

@@ -370,7 +370,7 @@ func TestQueueDelayGaugesOnGateway(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(map[string]*faas.Runner{}, "a", "b"); err == nil {
+	if _, err := NewWithOptions(map[string]*faas.Runner{}, "a", "b", serve.Options{}); err == nil {
 		t.Error("missing runners must fail")
 	}
 }

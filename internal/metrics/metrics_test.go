@@ -182,41 +182,13 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestSeriesBucketed(t *testing.T) {
+func TestSeriesMaxValue(t *testing.T) {
 	s := &Series{Name: "load"}
 	for i := 0; i < 100; i++ {
 		s.Add(time.Duration(i)*time.Second, float64(i))
 	}
-	b := s.Bucketed(10 * time.Second)
-	if len(b.Points) != 10 {
-		t.Fatalf("bucketed to %d points, want 10", len(b.Points))
-	}
-	// First bucket averages 0..9 = 4.5.
-	if b.Points[0].Value != 4.5 {
-		t.Errorf("first bucket = %v, want 4.5", b.Points[0].Value)
-	}
 	if s.MaxValue() != 99 {
 		t.Errorf("max = %v", s.MaxValue())
-	}
-	if s.MeanValue() != 49.5 {
-		t.Errorf("mean = %v", s.MeanValue())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10*time.Millisecond, 100)
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if h.Total != 100 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	if f := h.FracBelow(50 * time.Millisecond); f != 0.5 {
-		t.Errorf("FracBelow(50ms) = %v, want 0.5", f)
-	}
-	h.Observe(24 * time.Hour) // beyond the cap
-	if h.Overmax != 1 {
-		t.Errorf("overflow count = %d", h.Overmax)
 	}
 }
 
@@ -300,11 +272,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, separator, two rows
 		t.Errorf("table has %d lines, want 5:\n%s", len(lines), out)
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	if s := FormatDuration(1500 * time.Microsecond); s != "1.500ms" {
-		t.Errorf("FormatDuration = %q", s)
 	}
 }

@@ -84,15 +84,6 @@ func solveLinear(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// PolyEval evaluates a polynomial with coefficients lowest-order first.
-func PolyEval(coeffs []float64, x float64) float64 {
-	var y float64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		y = y*x + coeffs[i]
-	}
-	return y
-}
-
 // PolyString renders the polynomial in the paper's figure-caption style,
 // e.g. "P(c) = 9.0e-08c^3 - 9.0e-05c^2 + 3.3e-02c - 2.2".
 func PolyString(name string, coeffs []float64) string {

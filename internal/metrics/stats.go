@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -249,28 +248,6 @@ func (s *Sample) Mean() time.Duration {
 	return time.Duration(sum / float64(len(s.values)))
 }
 
-// Min returns the smallest observation.
-func (s *Sample) Min() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sortValues()
-	return s.values[0]
-}
-
-// Max returns the largest observation.
-func (s *Sample) Max() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sortValues()
-	return s.values[len(s.values)-1]
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	Value time.Duration
@@ -357,94 +334,4 @@ func (s *Series) MaxValue() float64 {
 		}
 	}
 	return m
-}
-
-// MeanValue returns the average value of the series (0 when empty).
-func (s *Series) MeanValue() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.Value
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Bucketed down-samples the series into fixed-width time buckets by
-// averaging, which is how the at-scale figures are rendered.
-func (s *Series) Bucketed(width time.Duration) *Series {
-	if width <= 0 || len(s.Points) == 0 {
-		return s
-	}
-	out := &Series{Name: s.Name}
-	var bucketStart time.Duration
-	var sum float64
-	var n int
-	flush := func() {
-		if n > 0 {
-			out.Add(bucketStart, sum/float64(n))
-		}
-		sum, n = 0, 0
-	}
-	for _, p := range s.Points {
-		for p.At >= bucketStart+width {
-			flush()
-			bucketStart += width
-		}
-		sum += p.Value
-		n++
-	}
-	flush()
-	return out
-}
-
-// Histogram counts observations in fixed-width buckets.
-type Histogram struct {
-	Width   time.Duration
-	Counts  map[int]int
-	Total   int
-	Overmax int
-	MaxBkt  int
-}
-
-// NewHistogram returns a histogram with the given bucket width and a cap of
-// maxBuckets; observations beyond the cap land in an overflow count.
-func NewHistogram(width time.Duration, maxBuckets int) *Histogram {
-	return &Histogram{Width: width, Counts: make(map[int]int), MaxBkt: maxBuckets}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(d time.Duration) {
-	h.Total++
-	if h.Width <= 0 {
-		return
-	}
-	b := int(d / h.Width)
-	if h.MaxBkt > 0 && b >= h.MaxBkt {
-		h.Overmax++
-		return
-	}
-	h.Counts[b]++
-}
-
-// FracBelow reports the fraction of observations below d.
-func (h *Histogram) FracBelow(d time.Duration) float64 {
-	if h.Total == 0 || h.Width <= 0 {
-		return 0
-	}
-	limit := int(d / h.Width)
-	n := 0
-	for b, c := range h.Counts {
-		if b < limit {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.Total)
-}
-
-// FormatDuration renders a duration in ms with three decimals, the unit used
-// in the paper's latency figures.
-func FormatDuration(d time.Duration) string {
-	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
 }

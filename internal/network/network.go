@@ -133,17 +133,3 @@ func (pr Priced) Latency(payload units.Bytes) time.Duration {
 func (f Fabric) RequestLatency(payload units.Bytes, rng *sim.RNG) time.Duration {
 	return f.atZ(rng.NormFloat64()).Latency(payload)
 }
-
-// Scaled returns the fabric with the stochastic component's median scaled
-// by k, used by the tail-latency sensitivity sweeps.
-func (f Fabric) Scaled(k float64) Fabric {
-	out := f
-	out.FirstByte.Median = time.Duration(float64(f.FirstByte.Median) * k)
-	return out
-}
-
-// TransferEnergyPerByte is the NIC+switch energy per byte moved. The paper
-// omits network power (not measurable on AWS); we keep the constant so the
-// energy accounting explicitly charges zero by default but the model is
-// ready for non-zero values.
-const TransferEnergyPerByte units.Energy = 0

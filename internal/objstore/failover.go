@@ -187,16 +187,3 @@ func (s *Store) pickRepairTarget(obj *Object, holders map[string]bool) *Node {
 	}
 	return fallback
 }
-
-// HealthyNodes counts nodes currently serving.
-func (s *Store) HealthyNodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := 0
-	for _, n := range s.nodes {
-		if n.healthy() {
-			c++
-		}
-	}
-	return c
-}

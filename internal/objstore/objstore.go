@@ -183,12 +183,6 @@ func New(cfg Config, nodes []*Node, rng *sim.RNG) (*Store, error) {
 // Nodes returns the storage nodes.
 func (s *Store) Nodes() []*Node { return s.nodes }
 
-// Node returns a node by ID.
-func (s *Store) Node(id string) (*Node, bool) {
-	n, ok := s.byID[id]
-	return n, ok
-}
-
 // hashKey maps a key to a stable placement seed: 64-bit FNV-1a over the
 // bytes of "<key>#<salt>", salt in decimal. Placement and replica choice
 // hang off this value, so the byte sequence is fixed; it is hashed in place
@@ -375,12 +369,6 @@ func (s *Store) overwrite(obj *Object, q float64, rng *sim.RNG) (time.Duration, 
 	return total, energy, nil
 }
 
-// Put stores an object with sampled network latency.
-func (s *Store) Put(key string, size units.Bytes, acceleratable bool) (time.Duration, error) {
-	lat, _, err := s.PutAt(key, size, acceleratable, -1)
-	return lat, err
-}
-
 // GetAt reads an object back to a remote client, returning latency and
 // device energy; a positive q selects the network quantile (else sampled).
 //
@@ -407,15 +395,6 @@ func (s *Store) GetAt(key string, q float64) (time.Duration, units.Energy, error
 	return total, energy, nil
 }
 
-// Get reads an object with sampled network latency.
-func (s *Store) Get(key string) (time.Duration, error) {
-	lat, _, err := s.GetAt(key, -1)
-	return lat, err
-}
-
-// Config returns the store configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 // Lookup returns the stored object metadata.
 func (s *Store) Lookup(key string) (*Object, bool) {
 	s.mu.Lock()
@@ -424,18 +403,11 @@ func (s *Store) Lookup(key string) (*Object, bool) {
 	return obj, ok
 }
 
-// DSCSReplica returns the DSCS-capable node and drive offset holding the
-// object, for in-storage execution. Every chunk must reside on the same
-// DSCS drive (the placement rule pins acceleratable keys); objects spread
-// across drives fall back to conventional execution per Section 5.2,
-// reported as ok=false.
-func (s *Store) DSCSReplica(key string) (node *Node, offset int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dscsReplica(key)
-}
-
-// dscsReplica is DSCSReplica without the lock; callers hold s.mu.
+// dscsReplica returns the DSCS-capable node and drive offset holding the
+// object, for in-storage execution; callers hold s.mu. Every chunk must
+// reside on the same DSCS drive (the placement rule pins acceleratable
+// keys); objects spread across drives fall back to conventional execution
+// per Section 5.2, reported as ok=false.
 func (s *Store) dscsReplica(key string) (node *Node, offset int64, ok bool) {
 	obj, exists := s.objects[key]
 	if !exists || len(obj.Chunks) == 0 {
@@ -464,12 +436,4 @@ func (s *Store) dscsReplica(key string) (node *Node, offset int64, ok bool) {
 		}
 	}
 	return target, firstOffset, true
-}
-
-// Delete removes an object's metadata (space reclamation is the FTL's
-// concern and modeled there).
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.objects, key)
 }

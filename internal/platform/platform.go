@@ -244,7 +244,6 @@ func (d *DSAPlatform) Infer(g *model.Graph, batch int) (time.Duration, units.Ene
 }
 
 var gen3x16 = pcie.Gen3x16()
-var gen3x4 = pcie.Gen3x4()
 
 // BaselineCPU returns the paper's baseline: the c5.4xlarge slice of an
 // Intel Xeon Platinum 8275CL (16 vCPUs) running containerized inference.

@@ -210,17 +210,12 @@ func (q *HybridQueue) removeAt(i int, dst *HybridTask) {
 	q.tasks = append(q.tasks[:at], q.tasks[at+1:]...)
 }
 
-// TakeWhere removes and returns up to max queued tasks matching the
-// predicate, preserving arrival order. The serving engine uses it to
-// coalesce same-benchmark invocations into one batched execution. Once max
-// matches are taken the remainder is kept wholesale — one memmove instead
-// of a per-task scan.
-func (q *HybridQueue) TakeWhere(max int, match func(HybridTask) bool) []HybridTask {
-	return q.TakeWhereInto(nil, max, match)
-}
-
-// TakeWhereInto is TakeWhere appending into dst — the batching hot path
-// hands a reused scratch buffer here so coalescing never allocates.
+// TakeWhereInto removes up to max queued tasks matching the predicate,
+// preserving arrival order, and appends them to dst. The serving engine
+// uses it to coalesce same-benchmark invocations into one batched
+// execution, handing a reused scratch buffer so coalescing never
+// allocates. Once max matches are taken the remainder is kept wholesale —
+// one memmove instead of a per-task scan.
 //
 //dscslint:hotpath
 func (q *HybridQueue) TakeWhereInto(dst []HybridTask, max int, match func(HybridTask) bool) []HybridTask {
@@ -342,12 +337,6 @@ func (FCFSPolicy) Select(q *HybridQueue, _ InstanceClass, _ time.Duration) (int,
 	return 0, q.Len() > 0
 }
 
-// Pick removes and returns the selected task (PickInto by value).
-func (p FCFSPolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (t HybridTask, ok bool) {
-	ok = PickInto(p, q, class, now, &t)
-	return t, ok
-}
-
 // CriticalityPolicy sends the longest-running work (by CPU-time
 // expectation) to DSCS instances and the shortest to CPUs, with an
 // arrival-age bound (AgingMultiple) so neither extreme starves.
@@ -423,10 +412,4 @@ func (DAGAwarePolicy) Select(q *HybridQueue, class InstanceClass, now time.Durat
 		}
 	}
 	return best, true
-}
-
-// Pick removes and returns the selected task (PickInto by value).
-func (p DAGAwarePolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (t HybridTask, ok bool) {
-	ok = PickInto(p, q, class, now, &t)
-	return t, ok
 }

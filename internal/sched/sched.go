@@ -120,14 +120,6 @@ func (h CounterHandle) Inc(delta float64) {
 	}
 }
 
-// Value reads the counter.
-func (h CounterHandle) Value() float64 {
-	if h.c == nil {
-		return 0
-	}
-	return h.c.load()
-}
-
 // CounterHandle resolves (or registers) a counter once; the returned
 // handle updates it without further map lookups.
 func (t *Telemetry) CounterHandle(name string) CounterHandle {
@@ -151,14 +143,6 @@ func (h GaugeHandle) SetDuration(d time.Duration) {
 	if h.c != nil {
 		h.c.set(float64(d) / float64(time.Millisecond))
 	}
-}
-
-// Value reads the gauge.
-func (h GaugeHandle) Value() float64 {
-	if h.c == nil {
-		return 0
-	}
-	return h.c.load()
 }
 
 // GaugeHandle resolves (or registers) a gauge once; the returned handle

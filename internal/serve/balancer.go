@@ -174,7 +174,7 @@ func (b *balancer) Idle(i int) bool {
 // A dead pool's empty backlog and freed workers look exactly like
 // idleness, so Idle checks health first and the pool prices at its window
 // — which its owner forgot at the death, so selection must also skip dead pools
-// (BalanceTarget does; Overloaded refuses dead peers outright). A
+// (BalanceTarget does; overloaded refuses dead peers outright). A
 // suspended (zero-warm) elastic pool has no free worker and prices at its
 // window too. The workflow placer ranks fallback pools with this same
 // signal, so "least-priced wait" means one thing everywhere.
@@ -185,7 +185,14 @@ func (b *balancer) PricedWait(i int) time.Duration {
 	return b.WaitQuantileOf(i, WaitQuantile)
 }
 
-// Overloaded is the adaptive-balance trigger: whether pool from's wait-p95
+// price is one pool's PricedWait within one decision: read on first use,
+// reused after, so a loop over donors or peers prices a pool once.
+type price struct {
+	wait  time.Duration
+	known bool
+}
+
+// overloaded is the adaptive-balance trigger: whether pool from's wait-p95
 // has diverged above pool to's priced wait past the pair's latch. Below
 // warm-up nothing moves, and only upward divergence ever arms the latch
 // (metrics.Latch.Above). A peer priced at zero (idle, or never waited)
@@ -199,21 +206,10 @@ func (b *balancer) PricedWait(i int) time.Duration {
 // donor it is yes the moment it holds a backlog: its orphaned and requeued
 // work has no workers coming back for it, so it escapes without latch,
 // warm-up or wait evidence.
-func (b *balancer) Overloaded(from, to int) bool {
-	var peer price
-	return b.overloaded(from, to, &peer)
-}
-
-// price is one pool's PricedWait within one decision: read on first use,
-// reused after, so a loop over donors or peers prices a pool once.
-type price struct {
-	wait  time.Duration
-	known bool
-}
-
-// overloaded is Overloaded over a peer price the caller may already hold.
-// The peer is priced only after the donor proves warmed, so an unwarmed
-// donor never costs the peer's free-worker read.
+//
+// peer is a price the caller may already hold. The peer is priced only
+// after the donor proves warmed, so an unwarmed donor never costs the
+// peer's free-worker read.
 func (b *balancer) overloaded(from, to int, peer *price) bool {
 	if !b.view.healthy(to) {
 		return false
@@ -237,7 +233,7 @@ func (b *balancer) overloaded(from, to int, peer *price) bool {
 // instead: the one spill and reroute decision on both clocks. A dead from
 // reroutes to its shallowest healthy eligible peer (shallowest). A live one
 // spills to the eligible healthy peer with the lowest priced wait (the
-// pricing the Overloaded gate applies — by raw window p95 a
+// pricing the overloaded gate applies — by raw window p95 a
 // rescue-contaminated idle pool would sort last and never be selected), but
 // only when from's gap over that peer has latched; the scan ends at the
 // first peer priced at zero. A spill routes around a backlog, so a live
@@ -291,7 +287,7 @@ func (b *balancer) shallowest(from int, eligible func(int) bool) (int, bool) {
 // StealDonor picks the pool an idle thief should pull queued work from:
 // the eligible peer with the deepest backlog whose gap over the thief has
 // latched. A nil eligible accepts every other pool. A dead thief never
-// steals; a dead donor with a backlog always qualifies (Overloaded's
+// steals; a dead donor with a backlog always qualifies (overloaded's
 // dead-donor fast path) — stealing is how its orphans get rescued.
 func (b *balancer) StealDonor(to int, eligible func(int) bool) (int, bool) {
 	if !b.view.healthy(to) {

@@ -66,9 +66,8 @@ type PoolCore struct {
 	// work is expected back via Requeue. Capacity accounting (total/free)
 	// is untouched so recovery resumes at the pre-fault size.
 	dead bool
-	// faults counts Fail transitions; requeued counts tasks returned to
-	// the queue by Requeue.
-	faults, requeued int
+	// faults counts Fail transitions.
+	faults int
 	// overRequeued counts Requeue calls that arrived with every worker
 	// already free — a caller bug (double-requeue of one execution) that
 	// Conservation surfaces instead of clamping away, mirroring
@@ -100,9 +99,6 @@ func NewPoolCore(workers, queueDepth int, class sched.InstanceClass, policy sche
 		free: workers, total: workers,
 	}, nil
 }
-
-// Policy returns the pool's scheduling policy.
-func (c *PoolCore) Policy() sched.Policy { return c.policy }
 
 // AttachElastic makes the pool's capacity elastic under cfg: it builds
 // the pool's lifecycle and autoscaler — the one construction the live
@@ -241,9 +237,6 @@ func (c *PoolCore) Healthy() bool { return !c.dead }
 // Faults counts Fail transitions.
 func (c *PoolCore) Faults() int { return c.faults }
 
-// Requeued counts tasks returned to the queue by Requeue.
-func (c *PoolCore) Requeued() int { return c.requeued }
-
 // Requeue returns one execution's in-flight tasks to the queue — the
 // at-most-once completion path for work orphaned by a killed worker. The
 // execution's worker is freed (guarded exactly like Complete: a second
@@ -264,7 +257,6 @@ func (c *PoolCore) Requeue(tasks []sched.HybridTask) {
 		c.overRequeued++
 	}
 	c.running -= len(tasks)
-	c.requeued += len(tasks)
 	c.queue.RestoreAll(tasks)
 }
 
@@ -428,10 +420,6 @@ func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
 	return moved
 }
 
-// StolenIn and StolenOut count tasks moved by the rebalancing pull path.
-func (c *PoolCore) StolenIn() int  { return c.stolenIn }
-func (c *PoolCore) StolenOut() int { return c.stolenOut }
-
 // Coalesce removes up to max additional queued tasks matching the
 // predicate and assigns them to the worker that just dispatched — the
 // request-batching step. It must follow a successful Dispatch. The
@@ -482,9 +470,6 @@ func (c *PoolCore) Running() int { return c.running }
 
 // Completed reports retired tasks.
 func (c *PoolCore) Completed() int { return c.completed }
-
-// OverCompleted counts Complete calls that found every worker already free.
-func (c *PoolCore) OverCompleted() int { return c.overCompleted }
 
 // Conservation checks the bookkeeping invariant: every admitted task is
 // queued, executing, completed, or requeued-then-owed-a-completion —

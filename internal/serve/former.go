@@ -193,8 +193,5 @@ func (f *BatchFormer) Shed(payload string, batch int) {
 // without counting it as formed.
 func (f *BatchFormer) Drop(payload string) { delete(f.groups, payload) }
 
-// Forming reports open group count (diagnostics).
-func (f *BatchFormer) Forming() int { return len(f.groups) }
-
 // Formed counts batches released through Close.
 func (f *BatchFormer) Formed() int { return f.formed }

@@ -27,7 +27,6 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
 	"dscs/internal/scale"
@@ -98,10 +97,6 @@ func (lc *Lifecycle) Warming() int { return len(lc.warming) }
 // Cold reports slots that are neither warm nor warming (cold or
 // suspended — indistinguishable once parked).
 func (lc *Lifecycle) Cold() int { return lc.cfg.Max - lc.warm - len(lc.warming) }
-
-// Lingering reports warm slots currently idle with an armed suspend
-// deadline.
-func (lc *Lifecycle) Lingering() int { return len(lc.idle) }
 
 // Desired reports the autoscaler's current target.
 func (lc *Lifecycle) Desired() int { return lc.desired }
@@ -201,9 +196,6 @@ func (lc *Lifecycle) Unquench(now time.Duration) {
 	lc.quenched = false
 	lc.SetDesired(lc.desired, now)
 }
-
-// Quenched reports whether the machine is pinned by a brown-out.
-func (lc *Lifecycle) Quenched() bool { return lc.quenched }
 
 // NextEvent returns the earliest instant the state machine changes on
 // its own — a warming slot coming ready or a lingering slot's suspend
@@ -306,24 +298,4 @@ func (lc *Lifecycle) reconcileIdle(now time.Duration, busy int) {
 	for len(lc.idle) < want {
 		lc.idle = append(lc.idle, now+lc.cfg.IdleLinger)
 	}
-}
-
-// checkInvariants verifies slot conservation; the property harness calls
-// it after every operation.
-func (lc *Lifecycle) checkInvariants() error {
-	if lc.warm < 0 || len(lc.warming) < 0 || lc.Cold() < 0 {
-		return fmt.Errorf("serve: lifecycle slot counts negative (warm=%d warming=%d cold=%d)",
-			lc.warm, len(lc.warming), lc.Cold())
-	}
-	if lc.warm+len(lc.warming)+lc.Cold() != lc.cfg.Max {
-		return fmt.Errorf("serve: lifecycle slots not conserved (warm=%d warming=%d cold=%d max=%d)",
-			lc.warm, len(lc.warming), lc.Cold(), lc.cfg.Max)
-	}
-	if len(lc.idle) > lc.warm {
-		return fmt.Errorf("serve: %d lingering slots exceed %d warm", len(lc.idle), lc.warm)
-	}
-	if lc.desired < lc.cfg.Min || lc.desired > lc.cfg.Max {
-		return fmt.Errorf("serve: desired %d outside [%d, %d]", lc.desired, lc.cfg.Min, lc.cfg.Max)
-	}
-	return nil
 }

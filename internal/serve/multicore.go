@@ -153,9 +153,6 @@ func (m *MultiCore) Pools() int { return len(m.pools) }
 // Pool exposes one member pool.
 func (m *MultiCore) Pool(i int) *PoolCore { return m.pools[i] }
 
-// Spec returns one pool's descriptor.
-func (m *MultiCore) Spec(i int) PoolSpec { return m.specs[i] }
-
 // Index resolves a pool name to its index (-1 when unknown).
 func (m *MultiCore) Index(name string) int {
 	for i, s := range m.specs {

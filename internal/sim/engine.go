@@ -140,9 +140,6 @@ func (e *Engine) Arrivals(n int, at func(int) time.Duration, fn func(int)) {
 	e.seq += uint64(n)
 }
 
-// Stop halts the run loop after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Run processes events until the queue drains or Stop is called.
 // It returns the final virtual time.
 func (e *Engine) Run() time.Duration {
@@ -156,31 +153,6 @@ func (e *Engine) Run() time.Duration {
 	}
 	return e.now
 }
-
-// RunUntil processes events with timestamps <= deadline. Events beyond the
-// deadline stay queued; the clock is left at the deadline (or the final event
-// time if the queue drained earlier).
-func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
-	e.stopped = false
-	for !e.stopped {
-		at, fromStream, ok := e.head()
-		if !ok {
-			break
-		}
-		if at > deadline {
-			e.now = deadline
-			return e.now
-		}
-		e.fire(fromStream)
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Pending reports how many events remain queued, arrivals included.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.arr.at) - e.arr.next }
 
 // head reports the earliest pending instant and whether the arrival stream
 // (rather than the heap) holds it; ok is false when nothing is pending.

@@ -84,15 +84,6 @@ func (d LogNormal) Sample(r *RNG) time.Duration {
 	return time.Duration(float64(d.Median) * math.Exp(d.Sigma*z))
 }
 
-// Quantile returns the latency at percentile p in [0, 1].
-func (d LogNormal) Quantile(p float64) time.Duration {
-	if d.Median <= 0 {
-		return 0
-	}
-	z := NormQuantile(p)
-	return time.Duration(float64(d.Median) * math.Exp(d.Sigma*z))
-}
-
 // NormQuantile is the inverse standard normal CDF (Acklam's rational
 // approximation, accurate to ~1e-9 over (0,1)).
 func NormQuantile(p float64) float64 {

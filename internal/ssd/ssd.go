@@ -90,9 +90,6 @@ func New(cfg Config) (*Drive, error) {
 	return &Drive{cfg: cfg, array: arr}, nil
 }
 
-// Config returns the drive configuration.
-func (d *Drive) Config() Config { return d.cfg }
-
 // pages returns the page count spanning n bytes.
 func (d *Drive) pages(n units.Bytes) int64 {
 	ps := d.cfg.Geometry.PageSize

@@ -25,7 +25,6 @@ const (
 
 	KiB Bytes = 1024
 	MiB Bytes = 1024 * KiB
-	GiB Bytes = 1024 * MiB
 )
 
 // String renders the size with a human-friendly unit.
@@ -48,14 +47,9 @@ type Bandwidth float64
 
 // Common bandwidth units.
 const (
-	BytePerSec Bandwidth = 1
-	KBps       Bandwidth = 1e3
-	MBps       Bandwidth = 1e6
-	GBps       Bandwidth = 1e9
+	MBps Bandwidth = 1e6
+	GBps Bandwidth = 1e9
 )
-
-// Gbps converts a link rate quoted in gigabits per second.
-func Gbps(g float64) Bandwidth { return Bandwidth(g * 1e9 / 8) }
 
 // TransferTime returns how long moving n bytes takes at bandwidth bw.
 // A non-positive bandwidth yields zero to keep degenerate configs safe.
@@ -83,10 +77,8 @@ type Energy float64
 
 // Energy units.
 const (
-	Joule      Energy = 1
 	MilliJoule Energy = 1e-3
 	MicroJoule Energy = 1e-6
-	NanoJoule  Energy = 1e-9
 	PicoJoule  Energy = 1e-12
 )
 
@@ -133,7 +125,6 @@ type Frequency float64
 
 // Frequency units.
 const (
-	Hz  Frequency = 1
 	MHz Frequency = 1e6
 	GHz Frequency = 1e9
 )
@@ -154,15 +145,6 @@ func CyclesToDuration(cycles uint64, f Frequency) time.Duration {
 	}
 	sec := float64(cycles) / float64(f)
 	return time.Duration(math.Round(sec * float64(time.Second)))
-}
-
-// DurationToCycles converts wall time into cycles at frequency f, rounding
-// to the nearest cycle.
-func DurationToCycles(d time.Duration, f Frequency) uint64 {
-	if f <= 0 || d <= 0 {
-		return 0
-	}
-	return uint64(math.Round(d.Seconds() * float64(f)))
 }
 
 // Dollars is a cost in US dollars.

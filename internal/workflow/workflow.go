@@ -133,9 +133,6 @@ func (r *Run) ID() int { return r.id }
 // Spec returns the workflow's graph spec.
 func (r *Run) Spec() *trace.WorkflowSpec { return r.spec }
 
-// Arrived returns the workflow's admission time.
-func (r *Run) Arrived() time.Duration { return r.arrived }
-
 // Len returns the stage count.
 func (r *Run) Len() int { return len(r.spec.Stages) }
 
