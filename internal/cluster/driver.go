@@ -1,7 +1,7 @@
-// driver.go is the one event pump behind Run, both RunHybrid layouts and
-// RunWorkflows. The four differ in topology — which pools exist, where an
-// arrival lands, what an execution costs and what its completion settles —
-// and keep only that. The clock, the seeded stream, the serve.MultiCore,
+// driver.go is the one event pump behind Run, RunHybrid and RunWorkflows.
+// The three differ in topology — which pools exist, where an arrival
+// lands, what an execution costs and what its completion settles — and
+// keep only that. The clock, the seeded stream, the serve.MultiCore,
 // formers, lifecycles and autoscalers, the fault script with its
 // cancel/requeue ledger, hedging, the dispatch loop, the sampler and the
 // closing conservation check live here once.
@@ -39,6 +39,10 @@ type rack struct {
 	// order is the dispatch preference: a pump fills the pools' free
 	// workers in this order.
 	order []int
+	// drainFrom, when set, names per pool the peer whose backlog the pool's
+	// free workers serve once their own yields nothing
+	// (serve.MultiCore.DispatchFrom); -1 drains no peer.
+	drainFrom []int
 	// estimateWindow and estimateWarmup tune the per-pool wait windows.
 	estimateWindow, estimateWarmup int
 	// elastic makes every staffed pool's capacity elastic
@@ -298,18 +302,22 @@ func (d *driver) pump() {
 }
 
 // dispatch starts one execution on pool i if it has a free worker and
-// releasable work. A former releases only due batches (without one
+// releasable work, its own or, when its own yields nothing, the backlog of
+// the peer it drains. A former releases only due batches (without one
 // DispatchFormed is Dispatch); when nothing is due yet an event is armed at
 // the earliest due instant — the live engine's timed worker wait.
 func (d *driver) dispatch(i int) bool {
 	now := d.engine.Now()
 	lead := &d.lead
 	ok, wake, wakeOK := d.mc.DispatchFormed(i, now, lead)
+	if wakeOK && wake != d.lastWake[i] {
+		d.lastWake[i] = wake
+		d.engine.At(wake, d.pumpFire)
+	}
+	if !ok && d.drainFrom != nil && d.drainFrom[i] >= 0 {
+		ok = d.mc.DispatchFrom(i, d.drainFrom[i], now, lead)
+	}
 	if !ok {
-		if wakeOK && wake != d.lastWake[i] {
-			d.lastWake[i] = wake
-			d.engine.At(wake, d.pumpFire)
-		}
 		return false
 	}
 	d.dispatched[i]++

@@ -1,8 +1,7 @@
 // hybrid.go replays traces against a heterogeneous pool (CPU + DSCS
 // instances) under a pluggable scheduling policy — the evaluation harness
-// for the paper's Section 5.3 scheduling future-work. Both layouts — the
-// classic shared queue and the split per-pool backlogs with N CPU pools —
-// are topologies on the shared driver.
+// for the paper's Section 5.3 scheduling future-work. One topology on the
+// shared driver: a DSCS pool and N CPU pools, each owning its backlog.
 package cluster
 
 import (
@@ -35,11 +34,13 @@ type HybridConfig struct {
 	Jitter float64
 	// SampleEvery sets the telemetry sampling period.
 	SampleEvery time.Duration
-	// SplitQueues gives each pool its own backlog (serve.MultiCore), the
-	// shape of a deployment where requests target the accelerated tier:
-	// arrivals land on the DSCS backlog and the CPU side only sees work
-	// through spillover or stealing. The default shared queue (false)
-	// reproduces the classic runs bit for bit.
+	// SplitQueues keeps the CPU side off the DSCS backlog, the shape of a
+	// deployment where requests target the accelerated tier (and of the
+	// live engine): arrivals land on the DSCS backlog and the CPU side only
+	// sees work through spillover or stealing. The default (false) lets a
+	// CPU worker whose own backlog is empty pick from the DSCS backlog with
+	// its own policy (serve.MultiCore.DispatchFrom), so neither class idles
+	// while work waits.
 	SplitQueues bool
 	// CPUPools splits the CPU instances across this many same-class pools
 	// (split layout; default 1). With several pools the rebalancing is
@@ -110,32 +111,30 @@ type HybridStats struct {
 	Dropped   int
 	// OnDSCS counts requests served by DSCS instances.
 	OnDSCS int
-	// Stolen counts tasks rebalanced between pool backlogs (split layout).
+	// Stolen counts tasks rebalanced between pool backlogs.
 	Stolen int
 	// Spilled counts arrivals rerouted to a CPU backlog at submit time.
 	Spilled int
 	// WithinSLO counts completions whose wall-clock latency fit the SLO
 	// budget (0 when HybridConfig.SLO is unset).
 	WithinSLO int
-	// Served counts completions per pool (split layout; keys "dscs" and
-	// "cpu", or "cpu0".."cpuN-1" with several CPU pools).
+	// Served counts completions per pool (keys "dscs" and "cpu", or
+	// "cpu0".."cpuN-1" with several CPU pools).
 	Served map[string]int
 	// WaitP95 is each pool's windowed queue-delay p95 at the end of the
-	// run (split layout) — the signal adaptive balance keys on.
+	// run — the signal adaptive balance keys on.
 	WaitP95 map[string]time.Duration
 	// ColdStarts, Suspends, and IdleCost sum the lifecycle tallies over
-	// every pool (split layout with Elastic set): warming transitions
-	// paid, slots suspended, and the warm-but-idle capacity integral.
+	// every pool (with Elastic set): warming transitions paid, slots
+	// suspended, and the warm-but-idle capacity integral.
 	ColdStarts int
 	Suspends   int
 	IdleCost   time.Duration
 	// Faults counts pool brown-outs applied; Requeued counts in-flight
-	// tasks returned to their queue by a brown-out (split layout with
-	// Faults).
+	// tasks returned to their queue by a brown-out (with Faults).
 	Faults, Requeued int
 	// HedgesFired counts duplicate dispatches launched; HedgesWon counts
-	// the duplicates that finished before their primary (split layout with
-	// HedgeFactor).
+	// the duplicates that finished before their primary (with HedgeFactor).
 	HedgesFired, HedgesWon int
 	// Stranded counts tasks still queued when the run ends — nonzero only
 	// when a fault script leaves a pool dead at the horizon with no rescue
@@ -143,38 +142,8 @@ type HybridStats struct {
 	Stranded int
 }
 
-// observeLatency folds one completion's wall-clock latency into the sample
-// and the SLO tally.
-func (st *HybridStats) observeLatency(lat, slo time.Duration) {
-	st.Latency.Add(lat)
-	if slo > 0 && lat <= slo {
-		st.WithinSLO++
-	}
-}
-
-// RunHybrid replays the trace under the configured policy.
-func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
-	if cfg.CPUInstances+cfg.DSCSInstances <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
-		return nil, fmt.Errorf("cluster: incomplete hybrid config")
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
-	if err := serve.CheckHedgeFactor(cfg.HedgeFactor); err != nil {
-		return nil, err
-	}
-	if cfg.SplitQueues {
-		return runSplitHybrid(tr, cfg, seed)
-	}
-	if cfg.CPUPools > 1 || cfg.AdaptiveBalance || cfg.Elastic != nil || len(cfg.Faults) > 0 || cfg.HedgeFactor != 0 {
-		return nil, fmt.Errorf("cluster: CPUPools, AdaptiveBalance, Elastic, Faults and HedgeFactor need SplitQueues")
-	}
-	return runSharedHybrid(tr, cfg, seed)
-}
-
-// hybridPricing is the arrival-pricing state shared by both layouts: the
-// static or drifted belief, optionally blended toward observed per-class
-// latency digests.
+// hybridPricing is the arrival-pricing state: the static or drifted
+// belief, optionally blended toward observed per-class latency digests.
 type hybridPricing struct {
 	estimate HybridServiceModel
 	obs      *metrics.Observatory
@@ -236,69 +205,29 @@ func (p *hybridPricing) observe(payload string, class sched.InstanceClass, elaps
 	}
 }
 
-func newHybridStats(tr *trace.Trace, cfg HybridConfig) *HybridStats {
-	policyName := "fcfs"
-	if cfg.Policy != nil {
-		policyName = cfg.Policy.Name()
+// RunHybrid replays the trace under the configured policy over one DSCS
+// pool and CPUPools same-class CPU pools, each with its own backlog.
+// Arrivals target the DSCS backlog. Under AdaptiveBalance the pools
+// rebalance by submit-time spillover and drain-time stealing, keyed by the
+// adopted wait-p95 gap between pools; without SplitQueues the CPU pool's
+// free workers serve the DSCS backlog once their own is empty.
+func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
+	if cfg.CPUInstances+cfg.DSCSInstances <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
+		return nil, fmt.Errorf("cluster: incomplete hybrid config")
 	}
-	return &HybridStats{
-		Policy:  policyName,
-		Queue:   metrics.Series{Name: "queued"},
-		Latency: metrics.NewSample(len(tr.Requests)),
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = 5 * time.Second
 	}
-}
-
-// runSharedHybrid is the classic layout: one queue, owned by the DSCS pool
-// and drained by the CPU pool too (serve.PoolSpec.Backlog), so neither
-// class idles while work waits and there is nothing to rebalance. The pump
-// fills DSCS workers first (they serve faster), then CPU.
-func runSharedHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
-	const dscs, cpu = 0, 1
-	specs := []serve.PoolSpec{
-		{Name: sched.ClassDSCS.String(), Class: sched.ClassDSCS, Workers: cfg.DSCSInstances,
-			QueueDepth: cfg.QueueDepth, Policy: cfg.Policy},
-		{Name: sched.ClassCPU.String(), Class: sched.ClassCPU, Workers: cfg.CPUInstances,
-			Policy: cfg.Policy, Backlog: sched.ClassDSCS.String()},
-	}
-	d, err := newDriver(rack{
-		pools: specs, order: []int{dscs, cpu},
-		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
-	}, seed)
-	if err != nil {
+	if err := serve.CheckHedgeFactor(cfg.HedgeFactor); err != nil {
 		return nil, err
 	}
-	st := newHybridStats(tr, cfg)
-	pricing := newHybridPricing(cfg)
-	d.service = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask) time.Duration {
-		return pricing.service(cfg, d.rng, lead, specs[pool].Class)
+	if !cfg.SplitQueues && (cfg.CPUPools > 1 || cfg.AdaptiveBalance || cfg.Elastic != nil || len(cfg.Faults) > 0 || cfg.HedgeFactor != 0) {
+		return nil, fmt.Errorf("cluster: CPUPools, AdaptiveBalance, Elastic, Faults and HedgeFactor need SplitQueues")
 	}
-	d.settle = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
-		pricing.observe(lead.Payload, specs[pool].Class, elapsed)
-		st.Completed++
-		st.observeLatency(d.now()-lead.Arrived, cfg.SLO)
-	}
-	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(d.mc.QueueLen())) }
-	d.arrive = func(i int) { d.submit(dscs, pricing.task(tr.Requests[i], d.now())) }
-	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {
-		return nil, err
-	}
-	st.OnDSCS = d.dispatched[dscs]
-	st.Dropped = d.mc.Dropped()
-	return st, finishHybrid(tr, st)
-}
-
-// runSplitHybrid is the per-pool-backlog topology: one DSCS pool plus
-// CPUPools same-class CPU pools. Under AdaptiveBalance they rebalance by
-// submit-time spillover and drain-time stealing, keyed by the adopted
-// wait-p95 gap between pools; without it they stay isolated.
-func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, error) {
-	cpuPools := cfg.CPUPools
-	if cpuPools <= 0 {
-		cpuPools = 1
-	}
+	cpuPools := max(cfg.CPUPools, 1)
 	specs := make([]serve.PoolSpec, 0, cpuPools+1)
 	// Dispatch drains the DSCS backlog first (it serves faster), then the
-	// CPU pools in order — the shared-queue topology's preference too.
+	// CPU pools in order.
 	order := []int{cpuPools}
 	for i := 0; i < cpuPools; i++ {
 		// CPU instances split as evenly as the count allows, remainder to
@@ -322,18 +251,31 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 		Name: sched.ClassDSCS.String(), Class: sched.ClassDSCS,
 		Workers: cfg.DSCSInstances, QueueDepth: cfg.QueueDepth, Policy: cfg.Policy,
 	})
-	d, err := newDriver(rack{
+	r := rack{
 		pools: specs, order: order,
 		estimateWindow: cfg.EstimateWindow, estimateWarmup: cfg.EstimateWarmup,
 		elastic: cfg.Elastic, faults: cfg.Faults,
 		sampleEvery: cfg.SampleEvery, horizon: tr.Duration + 2*time.Minute,
-	}, seed)
+	}
+	if !cfg.SplitQueues {
+		// The one CPU pool (index 0) serves the DSCS backlog once its own
+		// is empty; the DSCS pool drains no peer.
+		r.drainFrom = []int{dscsIdx, -1}
+	}
+	d, err := newDriver(r, seed)
 	if err != nil {
 		return nil, err
 	}
 	mc := d.mc
-	st := newHybridStats(tr, cfg)
-	st.Served = make(map[string]int)
+	st := &HybridStats{
+		Policy:  "fcfs",
+		Queue:   metrics.Series{Name: "queued"},
+		Latency: metrics.NewSample(len(tr.Requests)),
+	}
+	if cfg.Policy != nil {
+		st.Policy = cfg.Policy.Name()
+	}
+	served := make([]int, len(specs))
 	pricing := newHybridPricing(cfg)
 
 	d.service = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask) time.Duration {
@@ -342,8 +284,12 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	d.settle = func(pool int, lead *sched.HybridTask, _ []sched.HybridTask, elapsed time.Duration) {
 		pricing.observe(lead.Payload, specs[pool].Class, elapsed)
 		st.Completed++
-		st.Served[specs[pool].Name]++
-		st.observeLatency(d.now()-lead.Arrived, cfg.SLO)
+		served[pool]++
+		lat := d.now() - lead.Arrived
+		st.Latency.Add(lat)
+		if cfg.SLO > 0 && lat <= cfg.SLO {
+			st.WithinSLO++
+		}
 	}
 	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(mc.QueueLen())) }
 	if cfg.HedgeFactor >= 1 {
@@ -417,22 +363,20 @@ func runSplitHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStat
 	st.Requeued = mc.Requeued()
 	st.HedgesWon = d.hedgesWon
 	st.Stranded = mc.QueueLen()
+	st.Served = make(map[string]int, mc.Pools())
 	st.WaitP95 = make(map[string]time.Duration, mc.Pools())
 	for i := 0; i < mc.Pools(); i++ {
+		st.Served[specs[i].Name] = served[i]
 		st.WaitP95[specs[i].Name] = mc.WaitQuantileOf(i, serve.WaitQuantile)
 		st.HedgesFired += mc.Pool(i).Hedges()
 	}
 	st.ColdStarts, st.Suspends, st.IdleCost = d.coldStarts, d.suspends, d.idleCost
-	return st, finishHybrid(tr, st)
-}
-
-// finishHybrid asserts the run lost nothing: every arrival completed, was
-// dropped at a queue bound, or — only when a fault script left a pool dead
-// at the horizon — is still queued and counted stranded.
-func finishHybrid(tr *trace.Trace, st *HybridStats) error {
+	// The run lost nothing: every arrival completed, was dropped at a queue
+	// bound, or (only when a fault script left a pool dead at the horizon)
+	// is still queued and counted stranded.
 	if st.Completed+st.Dropped+st.Stranded != len(tr.Requests) {
-		return fmt.Errorf("cluster: hybrid lost requests: %d completed + %d dropped + %d stranded != %d arrived",
+		return nil, fmt.Errorf("cluster: hybrid lost requests: %d completed + %d dropped + %d stranded != %d arrived",
 			st.Completed, st.Dropped, st.Stranded, len(tr.Requests))
 	}
-	return nil
+	return st, nil
 }

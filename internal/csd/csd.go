@@ -84,8 +84,8 @@ func (c Config) Validate() error {
 }
 
 // Drive is one DSCS-Drive instance. Safe for concurrent use: the embedded
-// SSD serializes its own command path, and the drive-level occupancy and
-// keep-warm state sit behind one lock.
+// SSD serializes its own command path, and the drive-level occupancy sits
+// behind one lock.
 type Drive struct {
 	cfg Config
 	ssd *ssd.Drive
@@ -93,9 +93,6 @@ type Drive struct {
 
 	mu   sync.Mutex
 	busy bool
-	// residentWeights tracks which function's weights are loaded in the
-	// DSA's DRAM (the keep-warm state of Section 5.3).
-	residentWeights string
 }
 
 // New builds and validates a drive.
@@ -165,14 +162,12 @@ func (r ExecResult) Total() time.Duration {
 
 // LoadWeights stages a function's weights (or container image contents)
 // from flash into DSA DRAM over the P2P path, returning the latency and
-// energy. This is the cold-start path; see faas for the keep-warm policy.
-func (d *Drive) LoadWeights(fn string, bytes units.Bytes, offset int64) (time.Duration, units.Energy) {
+// energy. This is the cold-start path; see faas for the keep-warm policy
+// and MemoryManager for what stays resident.
+func (d *Drive) LoadWeights(bytes units.Bytes, offset int64) (time.Duration, units.Energy) {
 	readLat, readEnergy := d.ssd.InternalRead(offset, bytes)
 	dma := pcie.DMAEngine{Link: d.cfg.P2P}
 	xferLat, xferEnergy := dma.Transfer(bytes)
-	d.mu.Lock()
-	d.residentWeights = fn
-	d.mu.Unlock()
 	return d.cfg.DriverSyscall + readLat + xferLat, readEnergy + xferEnergy
 }
 
@@ -182,9 +177,6 @@ func (d *Drive) EvictWeights(bytes units.Bytes, offset int64) (time.Duration, un
 	dma := pcie.DMAEngine{Link: d.cfg.P2P}
 	xferLat, xferEnergy := dma.Transfer(bytes)
 	writeLat, writeEnergy := d.ssd.InternalWrite(offset, bytes)
-	d.mu.Lock()
-	d.residentWeights = ""
-	d.mu.Unlock()
 	return xferLat + writeLat, xferEnergy + writeEnergy
 }
 

@@ -115,12 +115,9 @@ func TestWeightResidency(t *testing.T) {
 	d := newDrive(t)
 	weights := units.Bytes(25 * units.MB)
 	d.SSD().HostWrite(1<<30, weights)
-	lat, energy := d.LoadWeights("resnet-50", weights, 1<<30)
+	lat, energy := d.LoadWeights(weights, 1<<30)
 	if lat <= 0 || energy <= 0 {
 		t.Fatalf("load weights lat=%v energy=%v", lat, energy)
-	}
-	if d.ResidentWeights() != "resnet-50" {
-		t.Errorf("resident = %q", d.ResidentWeights())
 	}
 	// 25 MB over internal flash + P2P: few tens of ms at worst.
 	if lat > 40*time.Millisecond {
@@ -129,9 +126,6 @@ func TestWeightResidency(t *testing.T) {
 	eLat, eEnergy := d.EvictWeights(weights, 1<<30)
 	if eLat <= 0 || eEnergy <= 0 {
 		t.Fatal("evict must cost something")
-	}
-	if d.ResidentWeights() != "" {
-		t.Error("eviction must clear residency")
 	}
 }
 

@@ -137,7 +137,7 @@ func (m *MemoryManager) Ensure(img FunctionImage) (time.Duration, units.Energy, 
 	if off, known := m.backing[img.Name]; known {
 		// P2P reload from the flash backing copy: the Section 5.3 fast
 		// path, replacing a network fetch with a device-local transfer.
-		ldLat, ldEnergy := m.drive.LoadWeights(img.Name, img.Bytes, off)
+		ldLat, ldEnergy := m.drive.LoadWeights(img.Bytes, off)
 		lat += ldLat
 		energy += ldEnergy
 		m.flashLoads++
@@ -148,7 +148,7 @@ func (m *MemoryManager) Ensure(img FunctionImage) (time.Duration, units.Energy, 
 		// the critical path (energy charged, latency hidden).
 		lat += m.registryPull(img.Bytes)
 		off := m.alloc(img.Bytes)
-		stage, stageEnergy := m.drive.LoadWeights(img.Name, img.Bytes, off)
+		stage, stageEnergy := m.drive.LoadWeights(img.Bytes, off)
 		_, persistEnergy := m.drive.SSD().InternalWrite(off, img.Bytes)
 		lat += stage
 		energy += stageEnergy + persistEnergy

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -46,6 +47,42 @@ func TestExtScheduling(t *testing.T) {
 	}
 	if res.Value("mean_ms/fcfs") <= 0 {
 		t.Error("degenerate FCFS latency")
+	}
+}
+
+// TestExtSchedulingGolden pins ext-sched's seeded outcome: each policy's
+// mean latency to the last printed digit and how many requests the DSCS
+// pool served. The gains above survive a changed pick; these do not, so a
+// cluster refactor that moves one dispatch decision shows here.
+func TestExtSchedulingGolden(t *testing.T) {
+	env, err := NewEnvironment(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ExtScheduling(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		policy string
+		mean   string
+		onDSCS string
+	}{
+		{"fcfs", "26988.213845", "28525"},
+		{"criticality", "23157.505964", "28150"},
+		{"dag-aware", "22534.323025", "28026"},
+	}
+	if len(res.Table.Rows) != len(want) {
+		t.Fatalf("%d table rows, want %d", len(res.Table.Rows), len(want))
+	}
+	for i, w := range want {
+		if got := fmt.Sprintf("%.6f", res.Value("mean_ms/"+w.policy)); got != w.mean {
+			t.Errorf("mean_ms/%s = %s, want %s", w.policy, got, w.mean)
+		}
+		row := res.Table.Rows[i]
+		if row[0] != w.policy || row[len(row)-1] != w.onDSCS {
+			t.Errorf("row %d = %v, want policy %s served on DSCS %s", i, row, w.policy, w.onDSCS)
+		}
 	}
 }
 

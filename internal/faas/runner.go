@@ -316,7 +316,7 @@ func (r *Runner) coldStart(res *Result, b *workload.Benchmark, onDrive *csd.Driv
 	cold := r.Cold.Pull(prepImg) + r.Cold.Pull(modelImg)
 	if onDrive != nil {
 		// DSCS stages the weights into the DSA's DRAM over P2P.
-		lat, energy := onDrive.LoadWeights(b.Slug, modelImg.Weights, weightRegionOffset)
+		lat, energy := onDrive.LoadWeights(modelImg.Weights, weightRegionOffset)
 		cold += lat
 		res.Energy += energy
 	} else {

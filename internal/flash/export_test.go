@@ -22,11 +22,20 @@ func (a *Array) ppa(lpn int64) (PPA, bool) {
 	}, true
 }
 
-// MappedPages reports how many logical pages are live.
-func (a *Array) MappedPages() int64 { return a.mapped }
+// MappedPages reports how many logical pages are live: the extents' total
+// length.
+func (a *Array) MappedPages() int64 {
+	var n int64
+	for _, e := range a.ext {
+		n += e.n
+	}
+	return n
+}
 
-// InvalidatedPages reports pages made stale by overwrites.
-func (a *Array) InvalidatedPages() int64 { return a.invalidated }
+// InvalidatedPages reports pages made stale by overwrites. Write is the
+// only mutator and every page it programs is live or stale, so that is
+// every page ever programmed less the live ones.
+func (a *Array) InvalidatedPages() int64 { return a.next - a.MappedPages() }
 
 // WearSpread returns max/min die program counts (1.0 is perfectly even);
 // returns 1 when nothing has been written.

@@ -134,9 +134,6 @@ type Array struct {
 	// number (append-only allocation; steady-state GC cost is folded into
 	// ProgramLatency). See the package comment for what derives from it.
 	next int64
-	// mapped counts live logical pages, invalidated pages made stale by
-	// overwrites.
-	mapped, invalidated int64
 
 	// perDie is Read's per-operation page tally, kept on the array so an
 	// operation allocates nothing.
@@ -195,13 +192,9 @@ func (a *Array) Write(lpnStart, pages int64) (time.Duration, units.Energy) {
 	// ext[i:j] are the extents the write covers, wholly or in part.
 	i := a.search(lpnStart)
 	j := i
-	var live int64
-	for ; j < len(a.ext) && a.ext[j].lpn < end; j++ {
-		e := a.ext[j]
-		live += min(e.end(), end) - max(e.lpn, lpnStart)
+	for j < len(a.ext) && a.ext[j].lpn < end {
+		j++
 	}
-	a.invalidated += live
-	a.mapped += pages - live
 	fresh := extent{lpn: lpnStart, n: pages, g: a.next}
 	a.next += pages
 

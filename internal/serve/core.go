@@ -35,15 +35,9 @@ type PoolCore struct {
 	// already free — a caller bug (double-complete) that would otherwise
 	// cancel out of the conservation sum and hide silently.
 	overCompleted int
-	// sharedQueue marks a core whose queue more than one pool drains
-	// (PoolSpec.Backlog); its per-core Conservation skips the submission
-	// balance, which only holds across the sharers (MultiCore.Conservation).
-	sharedQueue bool
 	// former, when attached, gates DispatchFormed: the queue-level batch
 	// former that groups arrivals ahead of dispatch.
 	former *BatchFormer
-	// stolenIn/stolenOut count tasks moved by the rebalancing pull path.
-	stolenIn, stolenOut int
 	// scratch is the reused extraction buffer behind Coalesce,
 	// DispatchFormed's due-group pull and StealFrom, so the batching and
 	// rebalancing hot paths never allocate. Serialized by whatever
@@ -397,7 +391,7 @@ func (c *PoolCore) takeDue(now time.Duration, t *sched.HybridTask) bool {
 //
 //dscslint:hotpath
 func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
-	if donor == nil || donor == c || donor.queue == c.queue || c.dead {
+	if donor == nil || donor == c || c.dead {
 		// A dead thief must not import work into a grave; a dead donor is
 		// fine — stealing from it is how its backlog gets rescued.
 		return nil
@@ -414,10 +408,30 @@ func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
 		}
 	}
 	donor.submitted -= len(moved)
-	donor.stolenOut += len(moved)
 	c.submitted += len(moved)
-	c.stolenIn += len(moved)
 	return moved
+}
+
+// DispatchFrom hands the task c's policy picks from donor's queue, ranked
+// for c's class at now, to one of c's free workers: a pool with spare
+// workers serves a peer's backlog without owning it. The submission ledger
+// moves as on a steal (the donor no longer counts the task, c does, and a
+// donor-side batch former sheds it). A dead c dispatches nothing; a dead
+// donor is fine. *t is meaningful only when it reports true.
+//
+//dscslint:hotpath
+func (c *PoolCore) DispatchFrom(donor *PoolCore, now time.Duration, t *sched.HybridTask) bool {
+	if donor == nil || donor == c || c.free == 0 || c.dead || !sched.PickInto(c.policy, donor.queue, c.class, now, t) {
+		return false
+	}
+	if donor.former != nil {
+		donor.former.Shed(t.Payload, 1)
+	}
+	donor.submitted--
+	c.submitted++
+	c.free--
+	c.running++
+	return true
 }
 
 // Coalesce removes up to max additional queued tasks matching the
@@ -493,9 +507,6 @@ func (c *PoolCore) Conservation() error {
 	}
 	if c.free > c.total {
 		return fmt.Errorf("serve: conservation violated: %d workers free of %d total", c.free, c.total)
-	}
-	if c.sharedQueue {
-		return nil // the submission balance is checked by the MultiCore
 	}
 	accounted := c.queue.Len() + c.running + c.completed
 	if c.submitted != accounted {

@@ -5,14 +5,13 @@
 //
 // The package splits along the clock boundary:
 //
-//   - The state machines (PoolCore; MultiCore, N pools with their own
-//     backlogs or, by PoolSpec.Backlog, several classes draining one) own no
-//     goroutines and no clocks. Callers inject `now` into every dispatch —
-//     wall time on the live engine, virtual time in internal/cluster's one
-//     sim driver — and
-//     drive admission (Submit), policy-ordered dispatch (Dispatch /
-//     DispatchFormed), request coalescing (Coalesce), rebalancing
-//     (StealFrom / Steal), and retirement (Complete) as plain calls.
+//   - The state machines (PoolCore; MultiCore, N pools each owning its
+//     backlog) own no goroutines and no clocks. Callers inject `now` into
+//     every dispatch — wall time on the live engine, virtual time in
+//     internal/cluster's one sim driver — and drive admission (Submit),
+//     policy-ordered dispatch (Dispatch / DispatchFormed, and DispatchFrom
+//     across pools), request coalescing (Coalesce), rebalancing (StealFrom
+//     / Steal), and retirement (Complete) as plain calls.
 //   - The Engine is the goroutine half: one worker pool per platform over
 //     a PoolCore each, bounded-queue admission control (ErrQueueFull maps
 //     to HTTP 429 at the gateway), run-to-completion execution against the

@@ -2,10 +2,6 @@ package serve
 
 import "fmt"
 
-// StolenIn and StolenOut count tasks moved by the rebalancing pull path.
-func (c *PoolCore) StolenIn() int  { return c.stolenIn }
-func (c *PoolCore) StolenOut() int { return c.stolenOut }
-
 // OverCompleted counts Complete calls that found every worker already free.
 func (c *PoolCore) OverCompleted() int { return c.overCompleted }
 

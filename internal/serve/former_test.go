@@ -240,9 +240,6 @@ func TestPoolCoreStealFrom(t *testing.T) {
 	if donor.QueueLen() != 2 || thief.QueueLen() != 4 {
 		t.Fatalf("queues after steal: donor %d thief %d", donor.QueueLen(), thief.QueueLen())
 	}
-	if donor.StolenOut() != 4 || thief.StolenIn() != 4 {
-		t.Fatalf("steal counters: out=%d in=%d", donor.StolenOut(), thief.StolenIn())
-	}
 
 	// Accounting moved with the tasks: both sides stay conserved after
 	// serving what they hold.
@@ -264,7 +261,7 @@ func TestPoolCoreStealFrom(t *testing.T) {
 		t.Fatalf("completions: thief %d donor %d", thief.Completed(), donor.Completed())
 	}
 
-	// Self-steals and shared-queue steals are no-ops.
+	// Self-steals are no-ops.
 	if got := thief.StealFrom(thief, 4); got != nil {
 		t.Fatal("self-steal must be a no-op")
 	}

@@ -1,7 +1,6 @@
 // multicore.go is the N-pool core with per-pool backlogs: every pool owns
-// its backlog and workers (a PoolCore) — or drains an earlier pool's backlog
-// (PoolSpec.Backlog, the classic one-queue-two-classes layout) — with
-// submit-time spillover and drain-time stealing between any pair. The
+// its backlog and workers (a PoolCore), with submit-time spillover,
+// drain-time stealing and cross-pool dispatch between any pair. The
 // wait-keyed balance decisions are the embedded balancer's (balancer.go);
 // this file keeps each pool's queue-delay window — a single-owner
 // metrics.Window, fed each dispatch's wait — and answers the balancer's pool
@@ -20,8 +19,8 @@ import (
 )
 
 // PoolSpec describes one MultiCore member pool. Zero workers is allowed (a
-// pool may exist purely as a backlog another class drains), but at least
-// one worker must exist across the core.
+// pool may exist purely as a backlog its peers steal or dispatch from), but
+// at least one worker must exist across the core.
 type PoolSpec struct {
 	// Name labels the pool (the platform label on wait statistics and
 	// telemetry). Must be unique within the core.
@@ -33,11 +32,6 @@ type PoolSpec struct {
 	Workers, QueueDepth int
 	// Policy selects queued work for free workers (nil = FCFS).
 	Policy sched.Policy
-	// Backlog names an earlier pool whose queue this pool's workers drain
-	// instead of owning one (QueueDepth is then unused): every class sees
-	// every queued task, so neither idles while work waits. Empty gives the
-	// pool its own backlog.
-	Backlog string
 }
 
 // MultiCore is the N-pool scheduling state machine: per-pool backlogs and
@@ -86,23 +80,11 @@ func NewMultiCore(specs []PoolSpec) (*MultiCore, error) {
 		if policy == nil {
 			policy = sched.FCFSPolicy{}
 		}
-		p := &PoolCore{policy: policy, class: s.Class, free: s.Workers, total: s.Workers}
-		if s.Backlog == "" {
-			q, err := sched.NewHybridQueue(s.QueueDepth)
-			if err != nil {
-				return nil, err
-			}
-			p.queue = q
-		} else {
-			// An earlier pool that owns its queue: no chains, no cycles.
-			owner := m.Index(s.Backlog)
-			if owner < 0 || owner >= i || m.specs[owner].Backlog != "" {
-				return nil, fmt.Errorf("serve: pool %q drains backlog %q, which is not an earlier pool with its own queue", s.Name, s.Backlog)
-			}
-			p.queue = m.pools[owner].queue
-			p.sharedQueue, m.pools[owner].sharedQueue = true, true
+		q, err := sched.NewHybridQueue(s.QueueDepth)
+		if err != nil {
+			return nil, err
 		}
-		m.pools = append(m.pools, p)
+		m.pools = append(m.pools, &PoolCore{queue: q, policy: policy, class: s.Class, free: s.Workers, total: s.Workers})
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("serve: multi-pool core has no workers")
@@ -264,6 +246,20 @@ func (m *MultiCore) Requeue(i int, tasks []sched.HybridTask) {
 func (m *MultiCore) Faults() int   { return m.faults }
 func (m *MultiCore) Requeued() int { return m.requeued }
 
+// DispatchFrom hands the task pool to's policy picks from pool from's queue
+// to one of to's free workers (see PoolCore.DispatchFrom: the submission
+// ledger moves as on a steal) and records its queue delay against to, the
+// pool that served it.
+//
+//dscslint:hotpath
+func (m *MultiCore) DispatchFrom(to, from int, now time.Duration, t *sched.HybridTask) bool {
+	if !m.pools[to].DispatchFrom(m.pools[from], now, t) {
+		return false
+	}
+	m.record(to, now-t.Arrived)
+	return true
+}
+
 // Steal moves up to max of pool from's oldest queued tasks onto pool to's
 // backlog (see PoolCore.StealFrom: arrival instants and submission
 // accounting move with the tasks, capped at the thief's queue room).
@@ -278,26 +274,20 @@ func (m *MultiCore) Steal(from, to, max int) []sched.HybridTask {
 	return moved
 }
 
-// QueueLen totals queue occupancy across pools, a shared backlog counted
-// once (on the pool that owns it).
+// QueueLen totals queue occupancy across pools.
 func (m *MultiCore) QueueLen() int {
 	n := 0
-	for i, p := range m.pools {
-		if m.specs[i].Backlog == "" {
-			n += p.QueueLen()
-		}
+	for _, p := range m.pools {
+		n += p.QueueLen()
 	}
 	return n
 }
 
-// Dropped totals admission rejections across pools, a shared backlog
-// counted once.
+// Dropped totals admission rejections across pools.
 func (m *MultiCore) Dropped() int {
 	n := 0
-	for i, p := range m.pools {
-		if m.specs[i].Backlog == "" {
-			n += p.Dropped()
-		}
+	for _, p := range m.pools {
+		n += p.Dropped()
 	}
 	return n
 }

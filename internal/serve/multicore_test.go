@@ -411,13 +411,14 @@ func TestMultiCorePairwiseLatchIndependence(t *testing.T) {
 	}
 }
 
-// TestMultiCorePropertyHarness extends the PR 3 model-checking harness to
-// an N=3 pool set (two same-class CPU pools plus a DSCS pool) with steals
-// in every direction — including the wait-keyed StealDonor path — mixed
-// into the schedule. After every step: conservation across the pool set,
-// per-pool worker bounds, no task dispatched twice even after multiple
-// moves, and the sched.AgingMultiple starvation bound on whichever pool
-// served the dispatch.
+// TestMultiCorePropertyHarness extends the PoolCore model-checking harness
+// to an N=3 pool set (two same-class CPU pools plus a DSCS pool) with
+// steals and cross-pool dispatches in every direction — including the
+// wait-keyed StealDonor path — mixed into the schedule. After every step:
+// conservation across the pool set, per-pool worker bounds, no task
+// dispatched twice even after multiple moves, and the sched.AgingMultiple
+// starvation bound on whichever pool served the dispatch, judged on the
+// queue it served from.
 func TestMultiCorePropertyHarness(t *testing.T) {
 	const pools = 3
 	classes := []sched.InstanceClass{sched.ClassCPU, sched.ClassCPU, sched.ClassDSCS}
@@ -506,6 +507,24 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 						}
 					}
 				}
+			case 7: // cross-pool dispatch in a random direction
+				from, to := op.a%pools, op.b%pools
+				head, hadHead := mc.Pool(from).queue.Head()
+				var got sched.HybridTask
+				if !mc.DispatchFrom(to, from, now, &got) {
+					break
+				}
+				if from == to {
+					return fmt.Errorf("pool %d dispatched from itself", to)
+				}
+				if dispatched[got.ID] {
+					return fmt.Errorf("task %d dispatched twice", got.ID)
+				}
+				dispatched[got.ID] = true
+				if err := agedPassedOver(head, hadHead, got, classes[to], now); err != nil {
+					return err
+				}
+				execs[to] = append(execs[to], 1)
 			}
 			if err := mc.Conservation(); err != nil {
 				return err
@@ -522,17 +541,18 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 4000, 7, run)
+	checkSequences(t, 4000, 8, run)
 }
 
 // TestMultiCoreChaosPropertyHarness is the failure-model extension of the
 // harness above: the same N=3 pool set with randomized kill/recover
-// interleavings mixed into the schedule. A kill requeues every open
-// execution of the dying pool (the in-flight work its workers were
-// holding), so the harness checks the at-most-once accounting the requeue
-// path promises: Conservation across the pool set, per-pool worker bounds,
-// no task dispatched twice within one life, and the aged-head starvation
-// bound — after every single step, dead pools included.
+// interleavings mixed into steals and cross-pool dispatches. A kill
+// requeues every open execution of the dying pool (the in-flight work its
+// workers were holding), so the harness checks the at-most-once accounting
+// the requeue path promises: Conservation across the pool set, per-pool
+// worker bounds, no task dispatched twice within one life, no dispatch or
+// steal into a dead pool, and the aged-head starvation bound — after every
+// single step, dead pools included.
 func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 	const pools = 3
 	classes := []sched.InstanceClass{sched.ClassCPU, sched.ClassCPU, sched.ClassDSCS}
@@ -638,6 +658,27 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 			case 7: // recover a pool
 				pool := op.a % pools
 				mc.RecoverPool(pool, now)
+			case 8: // cross-pool dispatch in a random direction (dead donors are fair game)
+				from, to := op.a%pools, op.b%pools
+				head, hadHead := mc.Pool(from).queue.Head()
+				var got sched.HybridTask
+				if !mc.DispatchFrom(to, from, now, &got) {
+					break
+				}
+				if !mc.Healthy(to) {
+					return fmt.Errorf("dead pool %d dispatched task %d from pool %d", to, got.ID, from)
+				}
+				if from == to {
+					return fmt.Errorf("pool %d dispatched from itself", to)
+				}
+				if dispatched[got.ID] {
+					return fmt.Errorf("task %d dispatched twice", got.ID)
+				}
+				dispatched[got.ID] = true
+				if err := agedPassedOver(head, hadHead, got, classes[to], now); err != nil {
+					return err
+				}
+				execs[to] = append(execs[to], []sched.HybridTask{got})
 			}
 			if err := mc.Conservation(); err != nil {
 				return err
@@ -654,7 +695,7 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 4000, 8, run)
+	checkSequences(t, 4000, 9, run)
 }
 
 // raceDetector is set by race_test.go under -race.

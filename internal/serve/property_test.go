@@ -1,7 +1,7 @@
 // property_test.go is the scheduling core's model-checking harness: it
 // drives randomized Submit/Dispatch/Coalesce/Steal/Complete sequences
-// against PoolCore, plain and former-gated (MultiCore's harnesses, split
-// and shared-queue, are in multicore_test.go and sharedqueue_test.go), and
+// against PoolCore, plain and former-gated (MultiCore's harnesses, with
+// cross-pool dispatch, are in multicore_test.go and sharedqueue_test.go), and
 // after every single step asserts the invariants future refactors must
 // preserve — Conservation, worker counts inside [0, Workers], no task
 // dispatched twice, and the sched.AgingMultiple starvation bound (an aged

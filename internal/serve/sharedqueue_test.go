@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,26 +17,31 @@ func hybridTask(id int, cpuMS int, accel int) sched.HybridTask {
 	}
 }
 
-// The classic layout as a MultiCore: the DSCS pool owns the one queue and
-// the CPU pool drains it too.
+// The shared-backlog layout as a MultiCore: arrivals land on the DSCS
+// pool's backlog, and the CPU pool's free workers serve it through
+// DispatchFrom once their own queue is empty.
 const sharedDSCS, sharedCPU = 0, 1
 
 func sharedQueueCore(cpuWorkers, dscsWorkers, queueDepth int, policy sched.Policy) (*MultiCore, error) {
 	return NewMultiCore([]PoolSpec{
 		{Name: "dscs", Class: sched.ClassDSCS, Workers: dscsWorkers, QueueDepth: queueDepth, Policy: policy},
-		{Name: "cpu", Class: sched.ClassCPU, Workers: cpuWorkers, Policy: policy, Backlog: "dscs"},
+		{Name: "cpu", Class: sched.ClassCPU, Workers: cpuWorkers, QueueDepth: queueDepth, Policy: policy},
 	})
 }
 
-// dispatchShared prefers DSCS capacity (it serves faster), as the cluster
-// driver's dispatch order does.
+// dispatchShared prefers DSCS capacity (it serves faster), then lets the
+// CPU pool serve its own queue and then the DSCS backlog, as the cluster
+// driver's dispatch does.
 func dispatchShared(m *MultiCore, now time.Duration) (sched.HybridTask, int, bool) {
-	for _, pool := range []int{sharedDSCS, sharedCPU} {
-		if t, ok := m.Dispatch(pool, now); ok {
-			return t, pool, true
-		}
+	if t, ok := m.Dispatch(sharedDSCS, now); ok {
+		return t, sharedDSCS, true
 	}
-	return sched.HybridTask{}, sharedCPU, false
+	if t, ok := m.Dispatch(sharedCPU, now); ok {
+		return t, sharedCPU, true
+	}
+	var t sched.HybridTask
+	ok := m.DispatchFrom(sharedCPU, sharedDSCS, now, &t)
+	return t, sharedCPU, ok
 }
 
 func TestSharedQueueFCFSOrder(t *testing.T) {
@@ -107,9 +111,19 @@ func TestSharedQueueBound(t *testing.T) {
 	if h.SubmitTo(sharedDSCS, hybridTask(9, 10, 1)) {
 		t.Fatal("queue bound ignored")
 	}
-	// Both pools see the one queue; the core counts it once.
+	// The CPU pool's own queue stays empty: the core's totals are the
+	// backlog's, and the CPU pool drains it whole.
 	if h.Dropped() != 1 || h.QueueLen() != 2 {
 		t.Fatalf("dropped = %d, queued = %d, want 1 and 2", h.Dropped(), h.QueueLen())
+	}
+	for i := 0; i < 2; i++ {
+		if _, pool, ok := dispatchShared(h, 0); !ok || pool != sharedCPU {
+			t.Fatalf("dispatch %d: pool=%d ok=%v, want the CPU pool", i, pool, ok)
+		}
+		h.Complete(sharedCPU, 1)
+	}
+	if err := h.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -145,24 +159,12 @@ func TestSharedQueueValidation(t *testing.T) {
 	if _, err := sharedQueueCore(1, 1, 0, nil); err == nil {
 		t.Error("zero queue depth must fail")
 	}
-	own := func(name string) PoolSpec { return PoolSpec{Name: name, Workers: 1, QueueDepth: 4} }
-	drains := func(name, backlog string) PoolSpec { return PoolSpec{Name: name, Workers: 1, Backlog: backlog} }
-	for name, specs := range map[string][]PoolSpec{
-		"unknown name": {own("a"), drains("b", "nope")},
-		"later pool":   {drains("a", "b"), own("b")},
-		"self":         {own("a"), drains("b", "b")},
-		"chain":        {own("a"), drains("b", "a"), drains("c", "b")},
-	} {
-		if _, err := NewMultiCore(specs); err == nil || !strings.Contains(err.Error(), "backlog") {
-			t.Errorf("%s: Backlog accepted (err = %v)", name, err)
-		}
-	}
 }
 
-// TestSharedQueueConservationAcrossSharers submits on the owner and
-// dispatches on the sharer: neither pool's own ledger balances (the owner
-// admitted a task it never ran, the sharer ran one it never admitted), the
-// core's sum does.
+// TestSharedQueueConservationAcrossSharers submits on the DSCS pool and
+// dispatches on the CPU pool: the submission ledger moves with the task,
+// so each pool's own ledger balances as well as the core's sum, and a
+// dead CPU pool serves nothing from the backlog.
 func TestSharedQueueConservationAcrossSharers(t *testing.T) {
 	h, err := sharedQueueCore(1, 0, 4, nil)
 	if err != nil {
@@ -170,8 +172,14 @@ func TestSharedQueueConservationAcrossSharers(t *testing.T) {
 	}
 	h.SubmitTo(sharedDSCS, hybridTask(0, 10, 1))
 	h.SubmitTo(sharedDSCS, hybridTask(1, 10, 1))
-	if got, ok := h.Dispatch(sharedCPU, 0); !ok || got.ID != 0 {
-		t.Fatalf("sharer dispatch: id=%d ok=%v", got.ID, ok)
+	var got sched.HybridTask
+	if ok := h.DispatchFrom(sharedCPU, sharedDSCS, 0, &got); !ok || got.ID != 0 {
+		t.Fatalf("cross-pool dispatch: id=%d ok=%v", got.ID, ok)
+	}
+	for i := 0; i < h.Pools(); i++ {
+		if err := h.Pool(i).Conservation(); err != nil {
+			t.Fatalf("pool %d mid-flight: %v", i, err)
+		}
 	}
 	if err := h.Conservation(); err != nil {
 		t.Fatalf("mid-flight: %v", err)
@@ -184,9 +192,39 @@ func TestSharedQueueConservationAcrossSharers(t *testing.T) {
 		t.Fatalf("queued=%d completed=%d (cpu %d), want 1, 1 (1)",
 			h.QueueLen(), h.Completed(), h.Pool(sharedCPU).Completed())
 	}
-	// Sharers have no backlog of their own to steal.
-	if moved := h.Steal(sharedDSCS, sharedCPU, 1); len(moved) != 0 {
-		t.Fatalf("steal across one queue moved %d", len(moved))
+	if w := h.WaitWindow(sharedCPU); w == nil || w.Count() != 1 || h.WaitWindow(sharedDSCS) != nil {
+		t.Fatal("the wait must be charged to the serving pool")
+	}
+	h.FailPool(sharedCPU, 0)
+	if h.DispatchFrom(sharedCPU, sharedDSCS, 0, &got) {
+		t.Fatal("a dead pool served the backlog")
+	}
+	if h.DispatchFrom(sharedCPU, sharedCPU, 0, &got) {
+		t.Fatal("a pool dispatched from itself")
+	}
+}
+
+// TestDispatchFromShedsDonorFormer: a task served across pools leaves the
+// donor's forming group, as a stolen one does.
+func TestDispatchFromShedsDonorFormer(t *testing.T) {
+	h, err := sharedQueueCore(1, 1, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewBatchFormer(4, time.Second, 0, sched.ClassDSCS)
+	h.Pool(sharedDSCS).AttachFormer(f)
+	task := hybridTask(0, 10, 1)
+	h.SubmitTo(sharedDSCS, task)
+	f.Observe(task, 1)
+	var got sched.HybridTask
+	if !h.DispatchFrom(sharedCPU, sharedDSCS, 0, &got) {
+		t.Fatal("cross-pool dispatch failed")
+	}
+	if f.Forming() != 0 {
+		t.Fatalf("donor former still forms %d groups", f.Forming())
+	}
+	if err := h.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 
