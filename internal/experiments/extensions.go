@@ -23,10 +23,15 @@ import (
 // scarce heterogeneous pool, criticality-aware and DAG-aware placement
 // beat the deployed FCFS policy.
 //
-// Its three policy replays stay serial, unlike Fig13's and ExtBatchFormer's:
-// they price tasks from one shared rng (service below), so each replay's
-// draws depend on how many the previous one took, and running them side
-// by side would change the findings.
+// The three policy replays price tasks from one shared rng, one CPU and
+// one DSCS draw per arrival, and each replay takes its draws where the
+// previous one stopped. They still run side by side, because a RunHybrid
+// replay with no Estimate, AdaptiveEstimates or hedging calls its Service
+// model exactly once per arrival, in trace order. So the FCFS and
+// criticality prices are drawn into tables up front, in the order a
+// serial run would draw them, and the DAG-aware replay prices inline from
+// rng, which by then no other replay touches. A replay that breaks the
+// call contract fails the experiment (priceTable.check).
 func ExtScheduling(env *Environment) (*Result, error) {
 	// Expected service times per class come from the calibrated runners.
 	baseService, err := env.serviceModel(env.Platforms[0].Name())
@@ -38,8 +43,8 @@ func ExtScheduling(env *Environment) (*Result, error) {
 		return nil, err
 	}
 	rng := env.RNG.Split()
-	service := func(slug string) (cpu, dscs time.Duration, accel int) {
-		return baseService(slug, rng), dscsService(slug, rng), 2
+	price := func(slug string) (cpu, dscs time.Duration) {
+		return baseService(slug, rng), dscsService(slug, rng)
 	}
 
 	cfg := trace.BurstyConfig{
@@ -51,20 +56,45 @@ func ExtScheduling(env *Environment) (*Result, error) {
 		return nil, err
 	}
 
-	t := metrics.NewTable("Extension: scheduling policies over a 28 CPU + 6 DSCS pool",
-		"Policy", "Mean latency (ms)", "p99 (ms)", "Served on DSCS")
-	values := map[string]float64{}
-	for _, policy := range []sched.Policy{
-		sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{},
-	} {
+	const accel = 2
+	policies := [3]sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}}
+	tables := [2]*priceTable{drawPrices(tr, price), drawPrices(tr, price)}
+	var stats [3]*cluster.HybridStats
+	err = fanOut(len(policies), func(slot int) error {
+		// The DAG-aware replay, the longest, takes the first slot.
+		i := (slot + len(policies) - 1) % len(policies)
+		service := func(slug string) (cpu, dscs time.Duration, accelFuncs int) {
+			cpu, dscs = price(slug)
+			return cpu, dscs, accel
+		}
+		if i < len(tables) {
+			service = tables[i].model(accel)
+		}
 		st, err := cluster.RunHybrid(tr, cluster.HybridConfig{
 			CPUInstances: 28, DSCSInstances: 6, QueueDepth: 100000,
-			Policy: policy, Jitter: 0.15,
+			Policy: policies[i], Jitter: 0.15,
 			Service: service,
 		}, env.Seed+7)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		if i < len(tables) {
+			if err := tables[i].check(); err != nil {
+				return fmt.Errorf("ext-sched %s replay: %w", policies[i].Name(), err)
+			}
+		}
+		stats[i] = st
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	t := metrics.NewTable("Extension: scheduling policies over a 28 CPU + 6 DSCS pool",
+		"Policy", "Mean latency (ms)", "p99 (ms)", "Served on DSCS")
+	values := map[string]float64{}
+	for i, policy := range policies {
+		st := stats[i]
 		mean := float64(st.Latency.Mean()) / float64(time.Millisecond)
 		t.AddRow(policy.Name(), mean,
 			float64(st.Latency.Percentile(0.99))/float64(time.Millisecond),
@@ -77,6 +107,67 @@ func ExtScheduling(env *Environment) (*Result, error) {
 		ID: "ext-sched", Title: "Scheduling-policy future work (Section 5.3)",
 		Table: t, Values: values,
 	}, nil
+}
+
+// priceTable is one replay's pre-drawn pricing: a CPU and a DSCS price for
+// every arrival of a trace, in trace order. Served through model, it holds
+// the replay to the contract the table relies on and records the first
+// break for check to report, so a broken replay fails instead of running
+// on mis-priced tasks.
+type priceTable struct {
+	reqs   []trace.Request
+	prices []hybridPrice
+	next   int // the arrival the next call prices
+	err    error
+}
+
+type hybridPrice struct{ cpu, dscs time.Duration }
+
+// drawPrices calls price once per arrival of tr, in trace order.
+func drawPrices(tr *trace.Trace, price func(slug string) (cpu, dscs time.Duration)) *priceTable {
+	p := &priceTable{reqs: tr.Requests, prices: make([]hybridPrice, len(tr.Requests))}
+	for i, req := range tr.Requests {
+		p.prices[i].cpu, p.prices[i].dscs = price(req.Benchmark)
+	}
+	return p
+}
+
+// model serves the table as a HybridServiceModel: call k returns arrival
+// k's prices and accel acceleratable functions. A call for a slug other
+// than arrival k's, or past the last arrival, prices zero and breaks the
+// table.
+func (p *priceTable) model(accel int) cluster.HybridServiceModel {
+	return func(slug string) (cpu, dscs time.Duration, accelFuncs int) {
+		k := p.next
+		p.next++
+		switch {
+		case k >= len(p.prices):
+			p.fail(fmt.Errorf("experiments: priced %q past the last of %d arrivals", slug, len(p.prices)))
+		case slug != p.reqs[k].Benchmark:
+			p.fail(fmt.Errorf("experiments: arrival %d is %q, priced as %q", k, p.reqs[k].Benchmark, slug))
+		default:
+			return p.prices[k].cpu, p.prices[k].dscs, accel
+		}
+		return 0, 0, accel
+	}
+}
+
+func (p *priceTable) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// check reports the first call that broke the table, or, if none did, a
+// replay that stopped before pricing every arrival.
+func (p *priceTable) check() error {
+	if p.err != nil {
+		return p.err
+	}
+	if p.next != len(p.prices) {
+		return fmt.Errorf("experiments: priced %d of %d arrivals", p.next, len(p.prices))
+	}
+	return nil
 }
 
 // ExtBatchFormer evaluates the global SLO-aware batch former in the

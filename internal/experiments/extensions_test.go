@@ -3,8 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"dscs/internal/cluster"
+	"dscs/internal/trace"
 )
 
 // Extension experiments intentionally damage and repair their cluster
@@ -83,6 +88,81 @@ func TestExtSchedulingGolden(t *testing.T) {
 		if row[0] != w.policy || row[len(row)-1] != w.onDSCS {
 			t.Errorf("row %d = %v, want policy %s served on DSCS %s", i, row, w.policy, w.onDSCS)
 		}
+	}
+}
+
+// TestPriceTableFailsClosed pins the call contract ext-sched's pre-drawn
+// prices rely on: a replay must price each arrival once, in trace order.
+// Each way of breaking it is reported by check, and the served prices are
+// the drawn ones while it holds.
+func TestPriceTableFailsClosed(t *testing.T) {
+	tr := &trace.Trace{Requests: []trace.Request{
+		{ID: 0, Benchmark: "a"}, {ID: 1, Benchmark: "b"}, {ID: 2, Benchmark: "a"},
+	}}
+	draws := 0
+	price := func(slug string) (cpu, dscs time.Duration) {
+		draws++
+		return time.Duration(draws), time.Duration(-draws)
+	}
+	cases := []struct {
+		name  string
+		calls []string
+		want  string // substring of check's error; "" wants none
+	}{
+		{"in order", []string{"a", "b", "a"}, ""},
+		{"wrong slug", []string{"a", "a", "a"}, `arrival 1 is "b", priced as "a"`},
+		{"stops short", []string{"a", "b"}, "priced 2 of 3 arrivals"},
+		{"past the end", []string{"a", "b", "a", "a"}, "past the last of 3 arrivals"},
+	}
+	for _, c := range cases {
+		draws = 0
+		table := drawPrices(tr, price)
+		model := table.model(2)
+		for k, slug := range c.calls {
+			cpu, dscs, accel := model(slug)
+			if c.want == "" && (cpu != time.Duration(k+1) || dscs != -time.Duration(k+1) || accel != 2) {
+				t.Errorf("%s: call %d = (%v, %v, %d), want draw %d", c.name, k, cpu, dscs, accel, k+1)
+			}
+		}
+		err := table.check()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: check = %v, want nil", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: check = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestPriceTableCatchesAdaptiveEstimates drives a table through RunHybrid
+// with AdaptiveEstimates, which evaluates the Service model again at
+// dispatch: the replay breaks the call contract and check must say so.
+func TestPriceTableCatchesAdaptiveEstimates(t *testing.T) {
+	tr := &trace.Trace{Duration: time.Second}
+	for i := 0; i < 20; i++ {
+		slug := []string{"a", "b"}[i%2]
+		tr.Requests = append(tr.Requests, trace.Request{ID: i, At: time.Duration(i) * time.Millisecond, Benchmark: slug})
+	}
+	flat := func(string) (cpu, dscs time.Duration) { return 4 * time.Millisecond, time.Millisecond }
+	table := drawPrices(tr, flat)
+	cfg := cluster.HybridConfig{
+		CPUInstances: 2, DSCSInstances: 1, QueueDepth: 100,
+		Service: table.model(2),
+	}
+	if _, err := cluster.RunHybrid(tr, cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := table.check(); err != nil {
+		t.Fatalf("plain replay broke the table: %v", err)
+	}
+
+	table = drawPrices(tr, flat)
+	cfg.Service, cfg.AdaptiveEstimates = table.model(2), true
+	if _, err := cluster.RunHybrid(tr, cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := table.check(); err == nil {
+		t.Error("check = nil after a replay that priced at dispatch too")
 	}
 }
 

@@ -16,7 +16,7 @@ func TestConcurrentReplaysMatchSerial(t *testing.T) {
 		t.Skip("two Fig 13 passes")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, id := range []string{"fig13", "ext-batchform"} {
+	for _, id := range []string{"fig13", "ext-batchform", "ext-sched"} {
 		spec, ok := ByID(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)

@@ -13,20 +13,31 @@ import (
 
 // serviceModel builds a per-benchmark service-time sampler for a platform:
 // the median end-to-end invocation latency with a lognormal jitter
-// (sigma 0.2) around it.
+// (sigma 0.2) around it. An unknown slug has a zero median and samples 0.
+//
+// The medians are kept by suite index and a sample scans the suite's slugs:
+// the suite is eight benchmarks, and the scan is cheaper than hashing the
+// slug on every one of a replay's hundreds of thousands of samples.
 func (e *Environment) serviceModel(platformName string) (cluster.ServiceModel, error) {
 	runner := e.Runners[platformName]
-	medians := make(map[string]time.Duration, len(e.Suite))
-	for _, b := range e.Suite {
+	slugs := make([]string, len(e.Suite))
+	medians := make([]time.Duration, len(e.Suite))
+	for i, b := range e.Suite {
 		res, err := runner.Invoke(b, faas.Options{Quantile: 0.5})
 		if err != nil {
 			return nil, err
 		}
-		medians[b.Slug] = res.Total()
+		slugs[i], medians[i] = b.Slug, res.Total()
 	}
 	return func(slug string, rng *sim.RNG) time.Duration {
-		d := sim.LogNormal{Median: medians[slug], Sigma: 0.2}
-		return d.Sample(rng)
+		var median time.Duration
+		for i, s := range slugs {
+			if s == slug {
+				median = medians[i]
+				break
+			}
+		}
+		return sim.LogNormal{Median: median, Sigma: 0.2}.Sample(rng)
 	}, nil
 }
 

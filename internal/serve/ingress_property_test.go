@@ -200,7 +200,7 @@ func TestShardedIngressPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 3000, 6, run)
+	checkSequences(t, 3000, []string{"offer", "drain", "drain-dispatch", "complete", "advance", "steal"}, run)
 }
 
 // drainFlush drains the ingress without the order check — used before a

@@ -307,7 +307,7 @@ func TestElasticPoolPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 4000, 7, run)
+	checkSequences(t, 4000, []string{"submit", "dispatch", "coalesce", "complete", "advance", "scale", "tick"}, run)
 	t.Logf("%d cold starts, %d suspends across the sequences", coldStarts, suspends)
 	if coldStarts == 0 || suspends == 0 {
 		t.Errorf("the ops never exercised the lifecycle: %d cold starts, %d suspends", coldStarts, suspends)

@@ -541,7 +541,9 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 4000, 8, run)
+	checkSequences(t, 4000, []string{
+		"submit", "dispatch", "coalesce", "complete", "advance", "steal", "steal-by-wait", "dispatch-from",
+	}, run)
 }
 
 // TestMultiCoreChaosPropertyHarness is the failure-model extension of the
@@ -695,7 +697,9 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 4000, 9, run)
+	checkSequences(t, 4000, []string{
+		"submit", "dispatch", "coalesce", "complete", "advance", "steal", "kill", "recover", "dispatch-from",
+	}, run)
 }
 
 // raceDetector is set by race_test.go under -race.

@@ -13,6 +13,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,15 +24,26 @@ import (
 // propSeed anchors every randomized sequence; change it only on purpose.
 const propSeed = 0x5eed
 
-// propOp is one step of a random schedule.
+// propOp is one step of a random schedule: kind indexes the harness's own
+// op names, and a and b are its arguments.
 type propOp struct {
 	kind int
 	a, b int
 }
 
-func (o propOp) String() string {
-	names := []string{"submit", "dispatch", "coalesce", "complete", "advance", "steal"}
-	return fmt.Sprintf("%s(%d,%d)", names[o.kind%len(names)], o.a, o.b)
+// formatOps renders a trace with the harness's op names, so a dump reads
+// the way the harness's switch does.
+func formatOps(ops []propOp, names []string) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i, o := range ops {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s(%d,%d)", names[o.kind], o.a, o.b)
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // genOps draws one op sequence from the given stream.
@@ -65,16 +77,17 @@ func shrink(ops []propOp, run func([]propOp) error) ([]propOp, error) {
 }
 
 // checkSequences runs count seeded sequences through run, shrinking and
-// dumping the first failure.
-func checkSequences(t *testing.T, count, kinds int, run func([]propOp) error) {
+// dumping the first failure. names are the harness's ops, by kind: the
+// sequences draw len(names) kinds.
+func checkSequences(t *testing.T, count int, names []string, run func([]propOp) error) {
 	t.Helper()
 	for i := 0; i < count; i++ {
 		rng := rand.New(rand.NewSource(propSeed + int64(i)))
-		ops := genOps(rng, kinds)
+		ops := genOps(rng, len(names))
 		if err := run(ops); err != nil {
 			minimal, merr := shrink(ops, run)
-			t.Fatalf("sequence %d (seed %#x) violated an invariant: %v\nminimal trace (%d ops): %v",
-				i, propSeed+int64(i), merr, len(minimal), minimal)
+			t.Fatalf("sequence %d (seed %#x) violated an invariant: %v\nminimal trace (%d ops): %s",
+				i, propSeed+int64(i), merr, len(minimal), formatOps(minimal, names))
 		}
 	}
 }
@@ -181,7 +194,7 @@ func TestPoolCorePropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 4000, 5, run)
+	checkSequences(t, 4000, []string{"submit", "dispatch", "coalesce", "complete", "advance"}, run)
 }
 
 // TestFormerPropertyHarness model-checks the former-gated pool: the same
@@ -261,7 +274,7 @@ func TestFormerPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 3000, 5, run)
+	checkSequences(t, 3000, []string{"submit", "dispatch-formed", "coalesce", "complete", "advance"}, run)
 }
 
 // TestAdaptiveFormerPropertyHarness model-checks the former-gated pool
@@ -354,7 +367,7 @@ func TestAdaptiveFormerPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 3000, 5, run)
+	checkSequences(t, 3000, []string{"submit", "dispatch-formed", "complete", "advance", "observe"}, run)
 }
 
 // TestShrinkerFindsMinimalTrace pins the harness's own machinery: a
@@ -382,6 +395,7 @@ func TestShrinkerFindsMinimalTrace(t *testing.T) {
 		t.Fatal("shrinker lost the failure")
 	}
 	if len(minimal) != 3 {
-		t.Fatalf("minimal trace has %d ops, want 3: %v", len(minimal), minimal)
+		t.Fatalf("minimal trace has %d ops, want 3: %s", len(minimal),
+			formatOps(minimal, []string{"submit", "dispatch", "op2", "op3", "op4"}))
 	}
 }

@@ -70,9 +70,12 @@ func wfPropStore(t testing.TB, drives int) *objstore.Store {
 	return store
 }
 
-// workflowPropertyRun executes one op sequence against fresh state; the
-// caller's kinds argument to checkSequences selects whether chaos ops
-// (kind 5) appear in the schedule.
+// wfPropOps names workflowPropertyRun's ops by kind. A caller passing all
+// of them to checkSequences mixes chaos ops (kind 5) into the schedule;
+// wfPropOps[:5] leaves them out.
+var wfPropOps = []string{"admit", "dispatch", "complete", "advance", "steal", "chaos"}
+
+// workflowPropertyRun executes one op sequence against fresh state.
 func workflowPropertyRun(t *testing.T, specs []*trace.WorkflowSpec) func([]propOp) error {
 	return func(ops []propOp) error {
 		const pools = 3
@@ -281,12 +284,12 @@ func wfPropSpecs(t *testing.T) []*trace.WorkflowSpec {
 // TestWorkflowPropertyHarness model-checks randomized DAG submission over
 // the three-drive pool set with locality placement live.
 func TestWorkflowPropertyHarness(t *testing.T) {
-	checkSequences(t, 60, 5, workflowPropertyRun(t, wfPropSpecs(t)))
+	checkSequences(t, 60, wfPropOps[:5], workflowPropertyRun(t, wfPropSpecs(t)))
 }
 
 // TestWorkflowChaosPropertyHarness mixes pool/drive kills and recoveries
 // into the same schedules: the ledgers must balance through requeues,
 // dead-home fallback placement, and end-of-sequence close-out.
 func TestWorkflowChaosPropertyHarness(t *testing.T) {
-	checkSequences(t, 60, 6, workflowPropertyRun(t, wfPropSpecs(t)))
+	checkSequences(t, 60, wfPropOps, workflowPropertyRun(t, wfPropSpecs(t)))
 }
