@@ -65,6 +65,15 @@ func runQueueOps(data []byte) error {
 			return fmt.Errorf("%s: dropped count went backwards (%d -> %d)", op, lastDropped, q.Dropped())
 		}
 		lastDropped = q.Dropped()
+		// A task that left the queue must not stay reachable from a slot
+		// outside the live window: every such slot is the zero task.
+		slots := q.tasks[:cap(q.tasks)]
+		for i := range slots {
+			if (i < q.head || i >= len(q.tasks)) && slots[i] != (HybridTask{}) {
+				return fmt.Errorf("%s: slot %d outside the live window [%d, %d) still holds task %d",
+					op, i, q.head, len(q.tasks), slots[i].ID)
+			}
+		}
 		for i, tk := range q.live() {
 			model, ok := present[tk.ID]
 			if !ok {

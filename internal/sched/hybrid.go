@@ -116,8 +116,15 @@ func agedHead(q *HybridQueue, class InstanceClass, now time.Duration) bool {
 // backlog compacts once the dead prefix is as long as the live window.
 // That keeps head removal amortized O(1) where the previous slide was O(n)
 // per dispatch — at depth 4096 the slide was the single largest cost on
-// the serve hot path, dwarfing the scheduler itself — while the backing
-// array stays bounded at about twice the peak backlog, whatever the depth.
+// the serve hot path, dwarfing the scheduler itself. Storage grows only
+// through grow: a full backing array whose live window fits in half of it
+// slides the window down instead of growing, and otherwise doubles,
+// copying only the live window. So the backing array stays under four
+// times the peak backlog, whatever the depth and however far the head has
+// advanced, and reaching a peak of P > 8 tasks replaces it at most
+// ⌈log2(P/8)⌉+1 times after its first allocation. Every slot outside the
+// live window is the zero task, so a task that left the queue is not kept
+// reachable through its Payload or Ref.
 type HybridQueue struct {
 	tasks   []HybridTask // live window is tasks[head:]
 	head    int
@@ -145,8 +152,36 @@ func (q *HybridQueue) Submit(t HybridTask) bool {
 		q.dropped++
 		return false
 	}
+	if len(q.tasks) == cap(q.tasks) {
+		q.grow()
+	}
 	q.tasks = append(q.tasks, t)
 	return true
+}
+
+// minQueueCap is the backing array's first allocation.
+const minQueueCap = 8
+
+// grow makes room for one more task at the tail of a full backing array
+// without disturbing the live window's order; it may move the window (and
+// head) down. A live window that fits in half of the array slides to the
+// front, clearing the vacated tail; otherwise the array is replaced by one
+// twice as large holding only the live window. Both are paid for by the
+// half array of submissions or removals that filled it, so appends stay
+// amortized O(1), and neither copies the dead prefix.
+func (q *HybridQueue) grow() {
+	live := q.Len()
+	if q.head > 0 && live <= cap(q.tasks)/2 {
+		n := copy(q.tasks, q.tasks[q.head:])
+		clear(q.tasks[n:])
+		q.tasks = q.tasks[:n]
+		q.head = 0
+		return
+	}
+	tasks := make([]HybridTask, live, max(2*cap(q.tasks), minQueueCap))
+	copy(tasks, q.tasks[q.head:])
+	q.tasks = tasks
+	q.head = 0
 }
 
 // Len is the queue occupancy.
@@ -186,8 +221,11 @@ func (q *HybridQueue) Head() (HybridTask, bool) {
 // built the prefix, and keying on the window rather than the bound keeps a
 // deep queue with a short backlog from growing toward its bound.
 func (q *HybridQueue) compact() {
-	if q.head >= q.Len() {
-		n := copy(q.tasks, q.tasks[q.head:])
+	if n := q.Len(); q.head >= n {
+		if n > 0 { // an emptied queue has nothing to move or clear
+			copy(q.tasks, q.tasks[q.head:])
+			clear(q.tasks[q.head:]) // the moved tasks' old slots; head >= n
+		}
 		q.tasks = q.tasks[:n]
 		q.head = 0
 	}
@@ -207,7 +245,10 @@ func (q *HybridQueue) removeAt(i int, dst *HybridTask) {
 	}
 	at := q.head + i
 	*dst = q.tasks[at]
-	q.tasks = append(q.tasks[:at], q.tasks[at+1:]...)
+	last := len(q.tasks) - 1
+	copy(q.tasks[at:], q.tasks[at+1:])
+	q.tasks[last] = HybridTask{}
+	q.tasks = q.tasks[:last]
 }
 
 // TakeWhereInto removes up to max queued tasks matching the predicate,
@@ -251,6 +292,7 @@ func (q *HybridQueue) TakeWhereInto(dst []HybridTask, max int, match func(Hybrid
 	if i < len(liveView) {
 		kept = append(kept, liveView[i:]...)
 	}
+	clear(liveView[len(kept):]) // the slid tasks' old slots
 	q.tasks = q.tasks[:q.head+len(kept)]
 	return taken
 }
@@ -304,7 +346,10 @@ func (q *HybridQueue) Restore(t HybridTask) {
 		q.tasks[q.head] = t
 		return
 	}
-	at := q.head + i
+	if len(q.tasks) == cap(q.tasks) {
+		q.grow()
+	}
+	at := q.head + i // grow may have moved the window
 	q.tasks = append(q.tasks, HybridTask{})
 	copy(q.tasks[at+1:], q.tasks[at:])
 	q.tasks[at] = t

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -267,4 +268,67 @@ func TestHybridQueueCapacityTracksBacklog(t *testing.T) {
 		t.Fatalf("backing array peaked at %d slots for a backlog of at most %d (depth %d)", peak, backlog, depth)
 	}
 	t.Logf("peak capacity %d for a backlog of %d", peak, backlog)
+}
+
+// TestHybridQueueCapacityTracksBacklogWaves pins the storage bound while
+// the backlog grows: in each wave arrivals outpace FCFS picks four to
+// three, so the backlog climbs into the thousands while the head keeps
+// advancing, and then the queue drains. The backing array must stay within
+// four times the peak backlog (past its first minQueueCap slots) and be
+// replaced at most ⌈log2(peak/8)⌉+1 times over all the waves (10 for this
+// run's peak of 4003). Growing by append, 1.25x over the dead prefix as
+// well as the live window, replaced it 17 times.
+func TestHybridQueueCapacityTracksBacklogWaves(t *testing.T) {
+	const (
+		depth = 100_000
+		waves = 4
+		crest = 4000
+	)
+	q, err := NewHybridQueue(depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, want, peak, regrowths := 0, 0, 0, 0
+	lastCap := 0
+	observe := func() {
+		if c := cap(q.tasks); c != lastCap {
+			if lastCap > 0 {
+				regrowths++
+			}
+			lastCap = c
+		}
+		peak = max(peak, q.Len())
+		if c := cap(q.tasks); c > max(4*peak, minQueueCap) {
+			t.Fatalf("backing array of %d slots for a peak backlog of %d (live %d, head %d)", c, peak, q.Len(), q.head)
+		}
+	}
+	pick := func() {
+		var got HybridTask
+		if !PickInto(FCFSPolicy{}, q, ClassCPU, 0, &got) || got.ID != want {
+			t.Fatalf("picked %d, want %d", got.ID, want)
+		}
+		want++
+		observe()
+	}
+	for w := 0; w < waves; w++ {
+		for q.Len() < crest {
+			for i := 0; i < 4; i++ {
+				if !q.Submit(HybridTask{ID: next, Arrived: time.Duration(next)}) {
+					t.Fatalf("task %d dropped below the bound", next)
+				}
+				next++
+				observe()
+			}
+			for i := 0; i < 3; i++ {
+				pick()
+			}
+		}
+		for q.Len() > 0 {
+			pick()
+		}
+	}
+	if limit := int(math.Ceil(math.Log2(float64(peak)/8))) + 1; regrowths > limit {
+		t.Fatalf("backing array replaced %d times for a peak backlog of %d, want at most %d", regrowths, peak, limit)
+	}
+	t.Logf("peak backlog %d, capacity %d, %d regrowths", peak, cap(q.tasks), regrowths)
 }

@@ -39,12 +39,20 @@ type ServiceEstimator func(payload string, static time.Duration) time.Duration
 // BatchFormer tracks the forming groups of one pool's queue. Not safe for
 // concurrent use on its own; like PoolCore it is driven under the owner's
 // lock (engine) or from a single-threaded simulation.
+//
+// The groups live by value in one slice, at most one per payload and in no
+// particular order: a lookup scans the payloads and a close moves the last
+// group into the freed slot. A pool has a handful of open groups (one per
+// benchmark it serves), DuePayload and NextDue visit every one of them on
+// each call anyway, and the slice keeps its capacity across batches, so
+// opening a group allocates nothing once the former has seen its widest
+// mix of payloads.
 type BatchFormer struct {
 	target   int
 	linger   time.Duration
 	slo      time.Duration
 	class    sched.InstanceClass
-	groups   map[string]*FormingGroup
+	groups   []FormingGroup
 	formed   int
 	estimate ServiceEstimator
 }
@@ -58,10 +66,26 @@ func NewBatchFormer(target int, linger, slo time.Duration, class sched.InstanceC
 	if target < 1 {
 		target = 1
 	}
-	return &BatchFormer{
-		target: target, linger: linger, slo: slo, class: class,
-		groups: make(map[string]*FormingGroup),
+	return &BatchFormer{target: target, linger: linger, slo: slo, class: class}
+}
+
+// find returns the index of the payload's open group, or -1.
+func (f *BatchFormer) find(payload string) int {
+	for i := range f.groups {
+		if f.groups[i].Payload == payload {
+			return i
+		}
 	}
+	return -1
+}
+
+// remove closes group i by moving the last group into its slot; the
+// vacated tail slot is cleared so it does not pin the payload string.
+func (f *BatchFormer) remove(i int) {
+	last := len(f.groups) - 1
+	f.groups[i] = f.groups[last]
+	f.groups[last] = FormingGroup{}
+	f.groups = f.groups[:last]
 }
 
 // SetEstimator attaches a live service estimator: memberDue prices
@@ -102,17 +126,18 @@ func (f *BatchFormer) Observe(t sched.HybridTask, batch int) time.Duration {
 	if batch < 1 {
 		batch = 1
 	}
-	g := f.groups[t.Payload]
-	if g == nil {
-		g = &FormingGroup{Payload: t.Payload, Oldest: t.Arrived, Due: f.memberDue(t)}
-		f.groups[t.Payload] = g
-	} else {
+	var g *FormingGroup
+	if i := f.find(t.Payload); i >= 0 {
+		g = &f.groups[i]
 		if t.Arrived < g.Oldest {
 			g.Oldest = t.Arrived
 		}
 		if due := f.memberDue(t); due < g.Due {
 			g.Due = due
 		}
+	} else {
+		f.groups = append(f.groups, FormingGroup{Payload: t.Payload, Oldest: t.Arrived, Due: f.memberDue(t)})
+		g = &f.groups[len(f.groups)-1]
 	}
 	g.Size += batch
 	return g.Due
@@ -124,10 +149,11 @@ func (f *BatchFormer) Observe(t sched.HybridTask, batch int) time.Duration {
 // former was attached) is always ready — the former must never hold what
 // it did not see arrive.
 func (f *BatchFormer) Ready(payload string, now time.Duration) bool {
-	g := f.groups[payload]
-	if g == nil {
+	i := f.find(payload)
+	if i < 0 {
 		return true
 	}
+	g := &f.groups[i]
 	return g.Size >= f.target || now >= g.Due
 }
 
@@ -135,17 +161,17 @@ func (f *BatchFormer) Ready(payload string, now time.Duration) bool {
 // (deterministically the one with the earliest due instant, ties broken by
 // payload name), and false when nothing is due.
 func (f *BatchFormer) DuePayload(now time.Duration) (string, bool) {
-	found := false
 	var best *FormingGroup
-	for _, g := range f.groups {
+	for i := range f.groups {
+		g := &f.groups[i]
 		if g.Size < f.target && now < g.Due {
 			continue
 		}
-		if !found || g.Due < best.Due || (g.Due == best.Due && g.Payload < best.Payload) {
-			best, found = g, true
+		if best == nil || g.Due < best.Due || (g.Due == best.Due && g.Payload < best.Payload) {
+			best = g
 		}
 	}
-	if !found {
+	if best == nil {
 		return "", false
 	}
 	return best.Payload, true
@@ -156,42 +182,44 @@ func (f *BatchFormer) DuePayload(now time.Duration) (string, bool) {
 func (f *BatchFormer) NextDue() (time.Duration, bool) {
 	found := false
 	var min time.Duration
-	for _, g := range f.groups {
-		if !found || g.Due < min {
-			min, found = g.Due, true
+	for i := range f.groups {
+		if due := f.groups[i].Due; !found || due < min {
+			min, found = due, true
 		}
 	}
 	return min, found
 }
 
 // Close removes the payload's group when its batch dispatches and counts
-// the formed batch. It returns the closed group (nil when none existed).
-func (f *BatchFormer) Close(payload string) *FormingGroup {
-	g := f.groups[payload]
-	if g != nil {
-		delete(f.groups, payload)
+// the formed batch; a payload with no open group is left uncounted.
+func (f *BatchFormer) Close(payload string) {
+	if i := f.find(payload); i >= 0 {
+		f.remove(i)
 		f.formed++
 	}
-	return g
 }
 
 // Shed removes batch from the payload's forming group when queued work
 // leaves the pool by another door (a steal pulled it away); an emptied
 // group is dropped without counting as formed.
 func (f *BatchFormer) Shed(payload string, batch int) {
-	g := f.groups[payload]
-	if g == nil {
+	i := f.find(payload)
+	if i < 0 {
 		return
 	}
-	g.Size -= batch
-	if g.Size <= 0 {
-		delete(f.groups, payload)
+	f.groups[i].Size -= batch
+	if f.groups[i].Size <= 0 {
+		f.remove(i)
 	}
 }
 
 // Drop discards a payload's group entirely (no queued members remain)
 // without counting it as formed.
-func (f *BatchFormer) Drop(payload string) { delete(f.groups, payload) }
+func (f *BatchFormer) Drop(payload string) {
+	if i := f.find(payload); i >= 0 {
+		f.remove(i)
+	}
+}
 
 // Formed counts batches released through Close.
 func (f *BatchFormer) Formed() int { return f.formed }

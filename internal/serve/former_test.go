@@ -266,3 +266,87 @@ func TestPoolCoreStealFrom(t *testing.T) {
 		t.Fatal("self-steal must be a no-op")
 	}
 }
+
+// formedPayloads are the benchmarks one formed round mixes.
+var formedPayloads = [...]string{"a", "b", "c", "d"}
+
+// newFormedPool is a one-worker FCFS pool with a former releasing at a
+// target of two.
+func newFormedPool(tb testing.TB) *PoolCore {
+	tb.Helper()
+	core, err := NewPoolCore(1, 64, sched.ClassCPU, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	core.AttachFormer(NewBatchFormer(2, time.Second, 0, sched.ClassCPU))
+	return core
+}
+
+// formedRound submits two arrivals per payload at now, observing each on
+// the pool's former, then drains the pool through DispatchFormed: every
+// group opens, reaches its target, and releases a batch whose worker takes
+// the other member through Coalesce and completes. It returns the number
+// of batches dispatched.
+func formedRound(core *PoolCore, id *int, now time.Duration) int {
+	for range 2 {
+		for _, p := range formedPayloads {
+			*id++
+			if tk := arrival(*id, now, p, 10); core.Submit(tk) {
+				core.Former().Observe(tk, 1)
+			}
+		}
+	}
+	batches := 0
+	for {
+		t, ok, _, _ := core.DispatchFormed(now)
+		if !ok {
+			return batches
+		}
+		taken := core.Coalesce(1, func(x sched.HybridTask) bool { return x.Payload == t.Payload })
+		core.Complete(1 + len(taken))
+		batches++
+	}
+}
+
+// TestDispatchFormedAllocatesNothing pins the former-gated dispatch path
+// at zero allocations once the pool is warm: the former keeps its groups
+// by value, so opening a group for each payload costs no heap object.
+func TestDispatchFormedAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	core := newFormedPool(t)
+	id := 0
+	now := time.Duration(0)
+	formedRound(core, &id, now) // warm the queue, the scratch and the group slice
+	allocs := testing.AllocsPerRun(100, func() {
+		now += time.Millisecond
+		if got := formedRound(core, &id, now); got != len(formedPayloads) {
+			t.Fatalf("dispatched %d batches, want %d", got, len(formedPayloads))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a formed round of %d groups allocated %.2f times, want 0", len(formedPayloads), allocs)
+	}
+	if f := core.Former(); f.Forming() != 0 || f.Formed() != id/2 {
+		t.Fatalf("former left %d groups open and formed %d batches, want 0 and %d", f.Forming(), f.Formed(), id/2)
+	}
+	if err := core.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkDispatchFormed times one formed round: eight arrivals over four
+// payloads observed, then four batches formed, coalesced and completed.
+func BenchmarkDispatchFormed(b *testing.B) {
+	core := newFormedPool(b)
+	id := 0
+	formedRound(core, &id, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if got := formedRound(core, &id, time.Duration(i)); got != len(formedPayloads) {
+			b.Fatalf("dispatched %d batches, want %d", got, len(formedPayloads))
+		}
+	}
+}

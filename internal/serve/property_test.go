@@ -313,9 +313,11 @@ func TestAdaptiveFormerPropertyHarness(t *testing.T) {
 				nextID++
 				if core.Submit(tk) {
 					former.Observe(tk, 1)
-					if g := former.groups[tk.Payload]; g != nil && g.Due < g.Oldest {
-						return fmt.Errorf("group %q due %v precedes its oldest arrival %v",
-							tk.Payload, g.Due, g.Oldest)
+					if i := former.find(tk.Payload); i >= 0 {
+						if g := former.groups[i]; g.Due < g.Oldest {
+							return fmt.Errorf("group %q due %v precedes its oldest arrival %v",
+								tk.Payload, g.Due, g.Oldest)
+						}
 					}
 				}
 			case 1: // formed dispatch
