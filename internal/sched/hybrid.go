@@ -118,11 +118,11 @@ func agedHead(q *HybridQueue, class InstanceClass, now time.Duration) bool {
 // per dispatch — at depth 4096 the slide was the single largest cost on
 // the serve hot path, dwarfing the scheduler itself. Storage grows only
 // through grow: a full backing array whose live window fits in half of it
-// slides the window down instead of growing, and otherwise doubles,
-// copying only the live window. So the backing array stays under four
+// slides the window down instead of growing, and otherwise grows by half,
+// copying only the live window. So the backing array stays under three
 // times the peak backlog, whatever the depth and however far the head has
 // advanced, and reaching a peak of P > 8 tasks replaces it at most
-// ⌈log2(P/8)⌉+1 times after its first allocation. Every slot outside the
+// ⌈log1.5(P/4)⌉ times after its first allocation. Every slot outside the
 // live window is the zero task, so a task that left the queue is not kept
 // reachable through its Payload or Ref.
 type HybridQueue struct {
@@ -166,9 +166,19 @@ const minQueueCap = 8
 // without disturbing the live window's order; it may move the window (and
 // head) down. A live window that fits in half of the array slides to the
 // front, clearing the vacated tail; otherwise the array is replaced by one
-// twice as large holding only the live window. Both are paid for by the
-// half array of submissions or removals that filled it, so appends stay
-// amortized O(1), and neither copies the dead prefix.
+// half again as large holding only the live window. Both are paid for by
+// the submissions or removals that filled it (at least a third of the
+// array), so appends stay amortized O(1), and neither copies the dead
+// prefix.
+//
+// The factor is one and a half, not two, because what a queue allocates
+// over a run is a step function of its peak backlog: the sum of the arrays
+// it passed through. Doubling from minQueueCap would put those steps at
+// the same powers of two for every run, each one doubling the sum, so two
+// seeded replays whose peaks straddle one would allocate twice as much as
+// each other. Growing by half makes each step half again instead. Growing by a
+// quarter would smooth the steps further, but its arrays sum to five
+// times the final one where growing by half sums to three.
 func (q *HybridQueue) grow() {
 	live := q.Len()
 	if q.head > 0 && live <= cap(q.tasks)/2 {
@@ -178,7 +188,8 @@ func (q *HybridQueue) grow() {
 		q.head = 0
 		return
 	}
-	tasks := make([]HybridTask, live, max(2*cap(q.tasks), minQueueCap))
+	c := cap(q.tasks)
+	tasks := make([]HybridTask, live, max(c+c/2+1, minQueueCap))
 	copy(tasks, q.tasks[q.head:])
 	q.tasks = tasks
 	q.head = 0

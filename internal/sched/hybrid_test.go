@@ -273,11 +273,11 @@ func TestHybridQueueCapacityTracksBacklog(t *testing.T) {
 // TestHybridQueueCapacityTracksBacklogWaves pins the storage bound while
 // the backlog grows: in each wave arrivals outpace FCFS picks four to
 // three, so the backlog climbs into the thousands while the head keeps
-// advancing, and then the queue drains. The backing array must stay within
-// four times the peak backlog (past its first minQueueCap slots) and be
-// replaced at most ⌈log2(peak/8)⌉+1 times over all the waves (10 for this
+// advancing, and then the queue drains. The backing array must stay under
+// three times the peak backlog (past its first minQueueCap slots) and be
+// replaced at most ⌈log1.5(peak/4)⌉ times over all the waves (18 for this
 // run's peak of 4003). Growing by append, 1.25x over the dead prefix as
-// well as the live window, replaced it 17 times.
+// well as the live window, broke the capacity bound at a peak of 42.
 func TestHybridQueueCapacityTracksBacklogWaves(t *testing.T) {
 	const (
 		depth = 100_000
@@ -298,7 +298,7 @@ func TestHybridQueueCapacityTracksBacklogWaves(t *testing.T) {
 			lastCap = c
 		}
 		peak = max(peak, q.Len())
-		if c := cap(q.tasks); c > max(4*peak, minQueueCap) {
+		if c := cap(q.tasks); c > minQueueCap && c >= 3*peak {
 			t.Fatalf("backing array of %d slots for a peak backlog of %d (live %d, head %d)", c, peak, q.Len(), q.head)
 		}
 	}
@@ -327,7 +327,7 @@ func TestHybridQueueCapacityTracksBacklogWaves(t *testing.T) {
 			pick()
 		}
 	}
-	if limit := int(math.Ceil(math.Log2(float64(peak)/8))) + 1; regrowths > limit {
+	if limit := int(math.Ceil(math.Log(float64(peak)/4) / math.Log(1.5))); regrowths > limit {
 		t.Fatalf("backing array replaced %d times for a peak backlog of %d, want at most %d", regrowths, peak, limit)
 	}
 	t.Logf("peak backlog %d, capacity %d, %d regrowths", peak, cap(q.tasks), regrowths)
