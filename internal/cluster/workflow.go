@@ -276,7 +276,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 				}
 				continue
 			}
-			fetch, _, err := store.GetWithFailover(key, 0.5)
+			fetch, _, err := store.GetAt(key, 0.5)
 			if err != nil {
 				// No healthy replica anywhere: the stage can never
 				// assemble its input, so it strands (and cascades).

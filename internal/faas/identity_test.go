@@ -24,30 +24,61 @@ var updateIdentity = flag.Bool("update-identity", false, "rewrite the testdata/i
 // at a table boundary — fails here rather than three layers up in a
 // simulation golden.
 func TestInvokeIdentityGolden(t *testing.T) {
-	checkIdentityGolden(t, "testdata/identity.golden", identityTable(t, 0))
+	checkIdentityGolden(t, "testdata/identity.golden", identityTable(t, identityRun{quantiles: []float64{0}}))
 }
 
 // TestInvokeIdentityGoldenQuantile is the same table on the analytic path
 // the live engine, the gateway and Figs 9–17 take: every network component
 // priced at quantile 0.5, then, on the same store, at 0.99.
 func TestInvokeIdentityGoldenQuantile(t *testing.T) {
-	checkIdentityGolden(t, "testdata/identity_quantile.golden", identityTable(t, 0.5, 0.99))
+	checkIdentityGolden(t, "testdata/identity_quantile.golden", identityTable(t, identityRun{quantiles: []float64{0.5, 0.99}}))
+}
+
+// TestInvokeIdentityGoldenFaulted is the table with DSCS drive dscs-0 down
+// from the start, warm, at batch 1 and 2, sampled and then at quantile 0.5.
+// An input whose DSCS replica lives on the dead drive sends every
+// in-storage platform to the remote-storage body, and every read whose
+// hashed replica is there fails over to a live one.
+func TestInvokeIdentityGoldenFaulted(t *testing.T) {
+	checkIdentityGolden(t, "testdata/identity_faulted.golden", identityTable(t, identityRun{
+		down: "dscs-0", batches: []int{1, 2}, warmOnly: true, quantiles: []float64{0, 0.5},
+	}))
+}
+
+// identityRun shapes one identity table.
+type identityRun struct {
+	down      string // node failed before the first invocation, if any
+	batches   []int  // batch sizes; nil means 1, 2 and 8
+	warmOnly  bool   // leave out the cold invocations
+	quantiles []float64
 }
 
 // identityTable runs the table once per quantile, in order, on one fresh
 // store and returns one line per Result. Lines carry a quantile prefix only
 // when the quantile is positive, so the sampled table reads as it always
 // has.
-func identityTable(t *testing.T, quantiles ...float64) string {
+func identityTable(t *testing.T, run identityRun) string {
 	t.Helper()
 	store := testStore(t)
+	if run.down != "" {
+		if err := store.FailNode(run.down); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches, colds := run.batches, []bool{false, true}
+	if batches == nil {
+		batches = []int{1, 2, 8}
+	}
+	if run.warmOnly {
+		colds = colds[:1]
+	}
 	var runners []*Runner
 	for _, p := range platform.All() {
 		runners = append(runners, NewRunner(store, p))
 	}
 	energy := func(e units.Energy) string { return strconv.FormatFloat(float64(e), 'g', -1, 64) }
 	var sb strings.Builder
-	for _, q := range quantiles {
+	for _, q := range run.quantiles {
 		prefix := ""
 		if q > 0 {
 			prefix = "q" + strconv.FormatFloat(q, 'g', -1, 64) + " "
@@ -55,8 +86,8 @@ func identityTable(t *testing.T, quantiles ...float64) string {
 		for round := 0; round < 2; round++ {
 			for _, b := range workload.Suite() {
 				for _, r := range runners {
-					for _, batch := range []int{1, 2, 8} {
-						for _, cold := range []bool{false, true} {
+					for _, batch := range batches {
+						for _, cold := range colds {
 							res, err := r.Invoke(b, Options{Batch: batch, Cold: cold, Quantile: q})
 							if err != nil {
 								t.Fatalf("%s on %s batch %d cold %v q %v: %v", b.Slug, r.Platform.Name(), batch, cold, q, err)

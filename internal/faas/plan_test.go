@@ -14,8 +14,9 @@ var raceDetector bool
 
 // TestWarmInvokeAllocations pins the warm request path: once a benchmark's
 // plan is resolved and its objects placed, an invocation derives nothing and
-// allocates nothing, on the DSCS path and on the CPU baseline's alike, at
-// batch 1 and at the batch sizes the plan holds keys for.
+// allocates nothing, on the DSCS, CPU and near-storage paths and on the
+// near-storage fallback alike, at batch 1 and at the batch sizes the plan
+// holds keys for.
 func TestWarmInvokeAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates")
@@ -25,14 +26,23 @@ func TestWarmInvokeAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		p    platform.Compute
+		down bool // fail the input's DSCS-Drive after the first invocation
 	}{
-		{"dscs", platform.DSCS()},
-		{"cpu", platform.BaselineCPU()},
-		{"ns-arm", platform.NSARM()},
+		{"dscs", platform.DSCS(), false},
+		{"cpu", platform.BaselineCPU(), false},
+		{"ns-arm", platform.NSARM(), false},
+		{"ns-arm-fallback", platform.NSARM(), true},
 	} {
-		r := NewRunner(testStore(t), tc.p)
+		store := testStore(t)
+		r := NewRunner(store, tc.p)
 		if _, err := r.Invoke(b, opt); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.down {
+			failInputDrive(t, store, b)
+			if _, err := r.Invoke(b, opt); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := r.Invoke(b, opt); err != nil {

@@ -2,16 +2,23 @@
 // a chosen platform and returns the end-to-end latency breakdown and system
 // energy — the machinery behind Figures 4, 9, 10, 11, 14, 15, 16, and 17.
 //
-// Three execution paths exist, mirroring the paper:
+// Every invocation is one chain: f1 (preprocessing), f2 (inference) and
+// its Figure 16 duplicates, then f3 (notification). The paper's execution
+// models differ only in where f1/f2 run and how their data moves:
 //
-//   - Traditional (CPU, GPU, FPGA with remote storage): every function runs
-//     on a compute node and moves data through the object store.
-//   - Conventional near-storage (NS-ARM, NS-Mobile-GPU, NS-FPGA): f1/f2 run
-//     inside the storage node with device-internal reads.
-//   - DSCS-Serverless: f1/f2 run on the DSCS-Drive's DSA via the driver's
-//     P2P path; chained accelerated functions keep intermediates on-drive.
+//   - Remote storage (CPU, GPU, FPGA): f1/f2 run on a compute node and move
+//     their data through the object store by key (invokeChain).
+//   - Conventional near-storage (NS-ARM, NS-Mobile-GPU, NS-FPGA): the same
+//     body, but f1/f2 run on the storage node holding the input and move
+//     their data through its drive by offset.
+//   - DSCS-Serverless: f1/f2 run back to back on the DSCS-Drive's DSA via
+//     the driver's P2P path, intermediates kept on the drive (invokeDSCS;
+//     InvokeScattered spreads the chain over several drives).
 //
-// Function 3 (notification) always runs on a compute node (Section 6.1).
+// An in-storage platform whose input no healthy DSCS-Drive holds whole
+// falls back to the remote-storage body (Section 5.2). Function 3 always
+// runs on a compute node (Section 6.1), in notify, which every path ends
+// with.
 package faas
 
 import (
@@ -211,24 +218,34 @@ func (r *Runner) Invoke(b *workload.Benchmark, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	p, err := r.planFor(b)
+	p, inputKey, node, offset, err := r.place(b, opt.batch())
 	if err != nil {
 		return Result{}, err
 	}
-	batch := opt.batch()
-	inputKey := p.stageKey(stageInput, batch)
-	if err := r.ensureInput(inputKey, b.InputBytes*units.Bytes(batch)); err != nil {
-		return Result{}, err
+	if node != nil && r.Platform.Class() == platform.InStorageDSA {
+		return r.invokeDSCS(p, opt, node.CSD, offset)
 	}
+	return r.invokeChain(p, opt, inputKey, node, offset)
+}
 
-	switch r.Platform.Class() {
-	case platform.InStorageDSA:
-		return r.invokeDSCS(p, opt, inputKey)
-	case platform.NearStorage:
-		return r.invokeNearStorage(p, opt, inputKey)
-	default:
-		return r.invokeTraditional(p, opt, inputKey)
+// place resolves b's plan and places its input for the batch, as request
+// arrival would. On an in-storage platform it also returns the healthy
+// DSCS-Drive node holding the whole input, and the input's offset there.
+// node is nil on a remote-storage platform, and when no such node exists
+// (the input is chunked across drives, no DSCS node exists, or its drive is
+// down): f1/f2 then run on a compute node.
+func (r *Runner) place(b *workload.Benchmark, batch int) (p *plan, inputKey string, node *objstore.Node, offset int64, err error) {
+	if p, err = r.planFor(b); err != nil {
+		return nil, "", nil, 0, err
 	}
+	inputKey = p.stageKey(stageInput, batch)
+	if err = r.ensureInput(inputKey, b.InputBytes*units.Bytes(batch)); err != nil {
+		return nil, "", nil, 0, err
+	}
+	if r.Platform.Class() != platform.Traditional {
+		node, offset, _ = r.Store.DSCSReplicaHealthy(inputKey)
+	}
+	return p, inputKey, node, offset, nil
 }
 
 // stackCost charges one function's framework overhead.
@@ -249,17 +266,6 @@ func (r *Runner) remoteRead(res *Result, key string, q float64) error {
 		return err
 	}
 	res.Breakdown.RemoteRead += lat
-	res.Energy += devEnergy + r.Energy.HostWait.Times(lat)
-	return nil
-}
-
-// remoteWrite charges an object-store write from a compute node.
-func (r *Runner) remoteWrite(res *Result, key string, size units.Bytes, q float64) error {
-	lat, devEnergy, err := r.Store.PutAt(key, size, true, q)
-	if err != nil {
-		return err
-	}
-	res.Breakdown.RemoteWrite += lat
 	res.Energy += devEnergy + r.Energy.HostWait.Times(lat)
 	return nil
 }
@@ -326,9 +332,22 @@ func (r *Runner) coldStart(res *Result, b *workload.Benchmark, onDrive *csd.Driv
 	res.Energy += r.Energy.HostWait.Times(cold)
 }
 
-// notify charges Function 3: a small formatting computation on a compute
-// node and the egress push to the notification endpoint.
-func (r *Runner) notify(res *Result, b *workload.Benchmark, q float64) {
+// notify runs Function 3 on a compute node: read the output from the
+// store, format it, and push it to the notification endpoint. When f1/f2
+// left the output on a drive, publish first publishes it to the store
+// (metadata only: the bytes are already on the drive, so it is not
+// charged).
+func (r *Runner) notify(res *Result, p *plan, batch int, publish bool, q float64) error {
+	outKey := p.stageKey(stageOutput, batch)
+	if publish {
+		if _, _, err := r.Store.PutAt(outKey, p.bench.OutputBytes*units.Bytes(batch), true, 0.5); err != nil {
+			return err
+		}
+	}
+	r.stackCost(res, false)
+	if err := r.remoteRead(res, outKey, q); err != nil {
+		return err
+	}
 	const format = time.Millisecond
 	res.Breakdown.Compute += format
 	res.Energy += r.Energy.HostActive.Times(format)
@@ -341,76 +360,76 @@ func (r *Runner) notify(res *Result, b *workload.Benchmark, q float64) {
 		pr = &priced
 		r.egress.Store(pr)
 	}
-	lat := pr.Latency(b.NotifyBytes)
+	lat := pr.Latency(p.bench.NotifyBytes)
 	res.Breakdown.Notify += lat
 	res.Energy += r.Energy.HostWait.Times(lat)
+	return nil
 }
 
-// invokeTraditional is the remote-storage path (CPU, GPU, FPGA).
-func (r *Runner) invokeTraditional(p *plan, opt Options, inputKey string) (Result, error) {
+// invokeChain runs f1, then f2 and its duplicates, one function at a time,
+// then f3. Each function reads its input, copies it to the device,
+// computes, copies the result back and writes it. With node nil the data
+// moves through the store by key, from a compute node (remote storage).
+// With node set it moves through node's drive by offset, on the storage
+// node (conventional near-storage), and f3 publishes the output.
+func (r *Runner) invokeChain(p *plan, opt Options, inputKey string, node *objstore.Node, offset int64) (Result, error) {
 	var res Result
 	b := p.bench
 	batch := opt.batch()
 	q := opt.Quantile
-	interKey := p.stageKey(stageIntermediate, batch)
-	outKey := p.stageKey(stageOutput, batch)
-	interBytes := b.IntermediateBytes * units.Bytes(batch)
-	outBytes := b.OutputBytes * units.Bytes(batch)
+	interKey, outKey := p.stageKey(stageIntermediate, batch), p.stageKey(stageOutput, batch)
+	n := units.Bytes(batch)
+	inBytes, interBytes, outBytes := b.InputBytes*n, b.IntermediateBytes*n, b.OutputBytes*n
 
 	if opt.Cold {
 		r.coldStart(&res, b, nil)
 	}
-
-	// f1: preprocess.
-	r.stackCost(&res, false)
-	if err := r.remoteRead(&res, inputKey, q); err != nil {
-		return res, err
-	}
-	r.deviceCopy(&res, b.InputBytes*units.Bytes(batch))
-	if err := r.compute(&res, b.Preproc, batch); err != nil {
-		return res, err
-	}
-	r.deviceCopy(&res, interBytes)
-	if err := r.remoteWrite(&res, interKey, interBytes, q); err != nil {
-		return res, err
-	}
-
-	// f2: inference (+ the Figure 16 duplicates).
-	for i := 0; i <= opt.ExtraAccelFuncs; i++ {
-		r.stackCost(&res, false)
-		if err := r.remoteRead(&res, interKey, q); err != nil {
+	last := 1 + opt.ExtraAccelFuncs
+	for i := 0; i <= last; i++ {
+		// f1 turns the input into the intermediate; each f2 reads the
+		// intermediate, a duplicate writes it back for the next, and the
+		// last writes the output.
+		g, readKey, readOffset, readBytes, result := b.Model, interKey, scratchRegionOffset, interBytes, outBytes
+		if i == 0 {
+			g, readKey, readOffset, readBytes, result = b.Preproc, inputKey, offset, inBytes, interBytes
+		}
+		writeKey, writeBytes := interKey, interBytes
+		if i == last {
+			writeKey, writeBytes = outKey, outBytes
+		}
+		r.stackCost(&res, node != nil)
+		if err := r.move(&res, node, readKey, readOffset, readBytes, false, q); err != nil {
 			return res, err
 		}
-		r.deviceCopy(&res, interBytes)
-		if err := r.compute(&res, b.Model, batch); err != nil {
+		r.deviceCopy(&res, readBytes)
+		if err := r.compute(&res, g, batch); err != nil {
 			return res, err
 		}
-		r.deviceCopy(&res, outBytes)
-		key := outKey
-		if i < opt.ExtraAccelFuncs {
-			key = interKey // chained duplicate feeds the next stage
-			if err := r.remoteWrite(&res, key, interBytes, q); err != nil {
-				return res, err
-			}
-			continue
-		}
-		if err := r.remoteWrite(&res, key, outBytes, q); err != nil {
+		r.deviceCopy(&res, result)
+		if err := r.move(&res, node, writeKey, scratchRegionOffset, writeBytes, true, q); err != nil {
 			return res, err
 		}
 	}
-
-	// f3: notification.
-	r.stackCost(&res, false)
-	if err := r.remoteRead(&res, outKey, q); err != nil {
-		return res, err
-	}
-	r.notify(&res, b, q)
-	return res, nil
+	err := r.notify(&res, p, batch, node != nil, q)
+	return res, err
 }
 
-// localIO charges a storage-node-internal device read or write for the
-// near-storage platforms.
-func (r *Runner) localIO(res *Result, node *objstore.Node, offset int64, bytes units.Bytes, write bool) {
+// move charges one f1/f2 read or write: through the store by key from a
+// compute node, or, with node set, through node's drive by offset on the
+// storage node.
+func (r *Runner) move(res *Result, node *objstore.Node, key string, offset int64, bytes units.Bytes, write bool, q float64) error {
+	if node == nil {
+		if !write {
+			return r.remoteRead(res, key, q)
+		}
+		lat, devEnergy, err := r.Store.PutAt(key, bytes, true, q)
+		if err != nil {
+			return err
+		}
+		res.Breakdown.RemoteWrite += lat
+		res.Energy += devEnergy + r.Energy.HostWait.Times(lat)
+		return nil
+	}
 	var lat time.Duration
 	var energy units.Energy
 	if write {
@@ -420,66 +439,7 @@ func (r *Runner) localIO(res *Result, node *objstore.Node, offset int64, bytes u
 	}
 	res.Breakdown.DeviceIO += lat
 	res.Energy += energy + r.Energy.StorageNodeShare.Times(lat)
-}
-
-// invokeNearStorage is the conventional in-storage path (NS-ARM,
-// NS-Mobile-GPU, NS-FPGA): f1/f2 run on the storage node holding the data.
-func (r *Runner) invokeNearStorage(p *plan, opt Options, inputKey string) (Result, error) {
-	var res Result
-	b := p.bench
-	batch := opt.batch()
-	q := opt.Quantile
-	interBytes := b.IntermediateBytes * units.Bytes(batch)
-	outBytes := b.OutputBytes * units.Bytes(batch)
-	outKey := p.stageKey(stageOutput, batch)
-
-	node, offset, ok := r.Store.DSCSReplicaHealthy(inputKey)
-	if !ok {
-		// Chunked across drives, no capable node, or the drive is down:
-		// fall back to conventional execution (5.2).
-		return r.invokeTraditional(p, opt, inputKey)
-	}
-
-	if opt.Cold {
-		r.coldStart(&res, b, nil)
-	}
-
-	// f1 on the storage node.
-	r.stackCost(&res, true)
-	r.localIO(&res, node, offset, b.InputBytes*units.Bytes(batch), false)
-	r.deviceCopy(&res, b.InputBytes*units.Bytes(batch))
-	if err := r.compute(&res, b.Preproc, batch); err != nil {
-		return res, err
-	}
-	r.deviceCopy(&res, interBytes)
-	r.localIO(&res, node, scratchRegionOffset, interBytes, true)
-
-	// f2 (+ duplicates) on the storage node.
-	for i := 0; i <= opt.ExtraAccelFuncs; i++ {
-		r.stackCost(&res, true)
-		r.localIO(&res, node, scratchRegionOffset, interBytes, false)
-		r.deviceCopy(&res, interBytes)
-		if err := r.compute(&res, b.Model, batch); err != nil {
-			return res, err
-		}
-		r.deviceCopy(&res, outBytes)
-		if i < opt.ExtraAccelFuncs {
-			r.localIO(&res, node, scratchRegionOffset, interBytes, true)
-			continue
-		}
-		r.localIO(&res, node, scratchRegionOffset, outBytes, true)
-	}
-	if _, _, err := r.Store.PutAt(outKey, outBytes, true, 0.5); err != nil {
-		return res, err
-	}
-
-	// f3 from a compute node, as always.
-	r.stackCost(&res, false)
-	if err := r.remoteRead(&res, outKey, q); err != nil {
-		return res, err
-	}
-	r.notify(&res, b, q)
-	return res, nil
+	return nil
 }
 
 // Drive-local scratch regions (logical byte offsets) used for intermediates
@@ -492,77 +452,51 @@ const (
 // invokeDSCS is the paper's path: f1/f2 execute on the DSCS-Drive's DSA,
 // chained intermediates never leave the device (Section 5.3), and only f3
 // touches the network.
-func (r *Runner) invokeDSCS(p *plan, opt Options, inputKey string) (Result, error) {
+func (r *Runner) invokeDSCS(p *plan, opt Options, drive *csd.Drive, offset int64) (Result, error) {
 	var res Result
-	b := p.bench
 	batch := opt.batch()
-	q := opt.Quantile
-	outKey := p.stageKey(stageOutput, batch)
-	inBytes := b.InputBytes * units.Bytes(batch)
-	outBytes := b.OutputBytes * units.Bytes(batch)
-
-	node, offset, ok := r.Store.DSCSReplicaHealthy(inputKey)
-	if !ok || node.CSD == nil {
-		return r.invokeTraditional(p, opt, inputKey)
-	}
-	drive := node.CSD
-
 	if opt.Cold {
-		r.coldStart(&res, b, drive)
+		r.coldStart(&res, p.bench, drive)
 	}
-
-	// Framework overhead: every chained function is still scheduled and
-	// routed by the serverless stack, on the storage node.
-	accelFuncs := p.accelFuncs + opt.ExtraAccelFuncs
-	for i := 0; i < accelFuncs; i++ {
-		r.stackCost(&res, true)
-	}
-
-	// Evaluate the on-DSA computation: f1 (VPU preprocessing), f2, and any
-	// duplicated accelerated functions; intermediates stay in DSA DRAM.
-	var compute time.Duration
-	var computeEnergy units.Energy
-	for _, g := range chainGraphs(b, opt.ExtraAccelFuncs) {
-		lat, energy, err := r.Platform.Infer(g, batch)
-		if err != nil {
-			return res, err
-		}
-		compute += lat
-		computeEnergy += energy
+	compute, computeEnergy, err := r.accelChain(&res, p, opt, batch)
+	if err != nil {
+		return res, err
 	}
 	res.ComputeEnergy += computeEnergy
 
 	// The drive-side path: driver, P2P staging, compute, P2P write-back.
-	exec := drive.RunStaged(compute, computeEnergy, offset, inBytes, outBytes)
+	n := units.Bytes(batch)
+	exec := drive.RunStaged(compute, computeEnergy, offset, p.bench.InputBytes*n, p.bench.OutputBytes*n)
 	res.Breakdown.Driver += exec.Driver
 	res.Breakdown.DeviceIO += exec.P2PRead + exec.P2PWrite
 	res.Breakdown.Compute += exec.Compute
 	res.Energy += exec.Energy
 	res.Energy += r.Energy.StorageNodeShare.Times(exec.Driver)
-
-	// Publish the output for f3 (metadata only; bytes are already on the
-	// drive via the P2P write-back).
-	if _, _, err := r.Store.PutAt(outKey, outBytes, true, 0.5); err != nil {
-		return res, err
-	}
-
-	// f3 from a compute node.
-	r.stackCost(&res, false)
-	if err := r.remoteRead(&res, outKey, q); err != nil {
-		return res, err
-	}
-	r.notify(&res, b, q)
-	return res, nil
+	err = r.notify(&res, p, batch, true, opt.Quantile)
+	return res, err
 }
 
-// chainGraphs returns the accelerated computation chain: preprocessing,
-// inference, and the Figure 16 duplicates of f2.
-func chainGraphs(b *workload.Benchmark, extras int) []*model.Graph {
-	graphs := []*model.Graph{b.Preproc, b.Model}
-	for i := 0; i < extras; i++ {
-		graphs = append(graphs, b.Model)
+// accelChain charges the serverless stack for every function of the
+// accelerated chain, each still scheduled and routed, on the storage node.
+// It returns the chain's on-DSA time and energy at batch: f1 on the VPU, f2
+// and its duplicates, intermediates kept in DSA DRAM.
+func (r *Runner) accelChain(res *Result, p *plan, opt Options, batch int) (lat time.Duration, energy units.Energy, err error) {
+	for i := 0; i < p.accelFuncs+opt.ExtraAccelFuncs; i++ {
+		r.stackCost(res, true)
 	}
-	return graphs
+	for i := 0; i < 2+opt.ExtraAccelFuncs; i++ {
+		g := p.bench.Model
+		if i == 0 {
+			g = p.bench.Preproc
+		}
+		l, e, err := r.Platform.Infer(g, batch)
+		if err != nil {
+			return 0, 0, err
+		}
+		lat += l
+		energy += e
+	}
+	return lat, energy, nil
 }
 
 // DriveFor reports the DSCS-Drive an invocation of b at the given batch
@@ -578,19 +512,8 @@ func (r *Runner) DriveFor(b *workload.Benchmark, batch int) (*csd.Drive, bool) {
 	if r.Platform.Class() != platform.InStorageDSA {
 		return nil, false
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	p, err := r.planFor(b)
-	if err != nil {
-		return nil, false
-	}
-	inputKey := p.stageKey(stageInput, batch)
-	if err := r.ensureInput(inputKey, b.InputBytes*units.Bytes(batch)); err != nil {
-		return nil, false
-	}
-	node, _, ok := r.Store.DSCSReplicaHealthy(inputKey)
-	if !ok || node.CSD == nil {
+	_, _, node, _, err := r.place(b, max(batch, 1))
+	if err != nil || node == nil {
 		return nil, false
 	}
 	return node.CSD, true

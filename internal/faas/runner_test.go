@@ -347,26 +347,99 @@ func TestWarmLoopExtentsSettle(t *testing.T) {
 	t.Logf("extents per drive: %v; chunk replicas per drive: %v", settled, replicas)
 }
 
+// TestRemoteReadsFailOver fails the node holding the hashed replica of a
+// CPU runner's intermediate, the replica its f2 reads. The next warm
+// invocation must read a live replica instead, never the dead drive, and
+// pay the store's retry penalty for the dead one. A read by the store
+// itself finds the node: it is the one whose read counter moves.
+func TestRemoteReadsFailOver(t *testing.T) {
+	store := testStore(t)
+	r := NewRunner(store, platform.BaselineCPU())
+	b := workload.AssetDamage()
+	opt := Options{Quantile: 0.5}
+	healthy, err := r.Invoke(b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func(n *objstore.Node) int64 {
+		c, _, _, _ := n.Drive().Counters()
+		return c
+	}
+	before := make([]int64, len(store.Nodes()))
+	for i, n := range store.Nodes() {
+		before[i] = reads(n)
+	}
+	if _, _, err := store.GetAt(formatStageKey(b.Slug, stageIntermediate, 1), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	var dead *objstore.Node
+	for i, n := range store.Nodes() {
+		if reads(n) != before[i] {
+			dead = n
+		}
+	}
+	if err := store.FailNode(dead.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadReads := reads(dead)
+	res, err := r.Invoke(b, opt)
+	if err != nil {
+		t.Fatalf("invocation with a dead replica holder: %v", err)
+	}
+	if reads(dead) != deadReads {
+		t.Errorf("the invocation read the dead node %s", dead.ID)
+	}
+	// The live replica's drive reads a few microseconds faster or slower
+	// than the dead one did; the retry is 2 ms.
+	if got := res.Breakdown.RemoteRead - healthy.Breakdown.RemoteRead; got < 1900*time.Microsecond || got > 2100*time.Microsecond {
+		t.Errorf("remote reads rose %v with a dead replica holder, want the 2ms retry give or take 100µs", got)
+	}
+}
+
 var benchResult Result
+
+// failInputDrive fails the DSCS-Drive that holds b's batch-1 input, so an
+// in-storage runner takes the remote-storage body for it.
+func failInputDrive(tb testing.TB, store *objstore.Store, b *workload.Benchmark) {
+	tb.Helper()
+	node, _, ok := store.DSCSReplicaHealthy(formatStageKey(b.Slug, stageInput, 1))
+	if !ok {
+		tb.Fatalf("%s: no DSCS-Drive holds the input", b.Slug)
+	}
+	if err := store.FailNode(node.ID); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 // BenchmarkInvokeWarm is the host cost of one warm invocation at quantile
 // 0.5 on each execution path: in-storage (DSCS), traditional (CPU, remote
-// storage) and conventional near-storage (NS-ARM). Each allocates nothing.
+// storage), conventional near-storage (NS-ARM), and NS-ARM with the drive
+// holding the input down, which falls back to the remote-storage body with
+// failover reads. Each allocates nothing.
 func BenchmarkInvokeWarm(b *testing.B) {
 	bench := workload.AssetDamage()
 	opt := Options{Quantile: 0.5}
 	for _, tc := range []struct {
 		name string
 		p    platform.Compute
+		down bool // fail the input's DSCS-Drive after the first invocation
 	}{
-		{"DSCS", platform.DSCS()},
-		{"CPU", platform.BaselineCPU()},
-		{"NS-ARM", platform.NSARM()},
+		{"DSCS", platform.DSCS(), false},
+		{"CPU", platform.BaselineCPU(), false},
+		{"NS-ARM", platform.NSARM(), false},
+		{"NS-ARM-fallback", platform.NSARM(), true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			r := NewRunner(testStore(b), tc.p)
+			store := testStore(b)
+			r := NewRunner(store, tc.p)
 			if _, err := r.Invoke(bench, opt); err != nil {
 				b.Fatal(err)
+			}
+			if tc.down {
+				failInputDrive(b, store, bench)
+				if _, err := r.Invoke(bench, opt); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			for b.Loop() {

@@ -39,7 +39,6 @@ func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) 
 		return Result{}, err
 	}
 	var res Result
-	q := opt.Quantile
 
 	// Partition the request: each partition is its own object, placed by
 	// the store's DSCS-aware rule (arrival is out of band, not charged) and
@@ -75,26 +74,16 @@ func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) 
 		drives[d].offsets = append(drives[d].offsets, offset)
 	}
 
-	// Framework overhead: the chain is scheduled once, plus a per-partition
-	// coordination cost at the scheduler.
-	for i := 0; i < p.accelFuncs; i++ {
-		r.stackCost(&res, true)
+	// The chain is scheduled once, as on one drive, and priced at the
+	// partition's batch; the scheduler adds a per-partition coordination
+	// cost.
+	partCompute, partComputeEnergy, err := r.accelChain(&res, p, opt, partBatch)
+	if err != nil {
+		return res, err
 	}
 	coord := time.Duration(parts) * time.Millisecond
 	res.Breakdown.Stack += coord
 	res.Energy += r.Energy.StorageNodeShare.Times(coord)
-
-	// Per-partition on-DSA computation.
-	var partCompute time.Duration
-	var partComputeEnergy units.Energy
-	for _, g := range chainGraphs(b, opt.ExtraAccelFuncs) {
-		lat, energy, err := r.Platform.Infer(g, partBatch)
-		if err != nil {
-			return res, err
-		}
-		partCompute += lat
-		partComputeEnergy += energy
-	}
 
 	// Each drive serializes its partitions; drives run in parallel, so the
 	// device phase is the slowest drive's sum.
@@ -121,15 +110,6 @@ func (r *Runner) InvokeScattered(b *workload.Benchmark, opt Options, parts int) 
 
 	// Gather: publish the combined output under the batch's own key, as
 	// Invoke does, then f3 as usual.
-	outKey := p.stageKey(stageOutput, batch)
-	totalOut := b.OutputBytes * units.Bytes(batch)
-	if _, _, err := r.Store.PutAt(outKey, totalOut, true, 0.5); err != nil {
-		return res, err
-	}
-	r.stackCost(&res, false)
-	if err := r.remoteRead(&res, outKey, q); err != nil {
-		return res, err
-	}
-	r.notify(&res, b, q)
-	return res, nil
+	err = r.notify(&res, p, batch, true, opt.Quantile)
+	return res, err
 }

@@ -3,6 +3,7 @@ package faas
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dscs/internal/platform"
 	"dscs/internal/trace"
@@ -165,5 +166,24 @@ func TestScatterFanInStrandedByFaultScript(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no healthy DSCS replica") {
 		t.Fatalf("error %q does not name the stranded partition", err)
+	}
+}
+
+// TestScatterChargesDuplicateStacks pins the Figure 16 duplicates' stack
+// cost on the scattered path, as on the single-drive one: one more
+// accelerated function is one more Stack.PerFunction().
+func TestScatterChargesDuplicateStacks(t *testing.T) {
+	r := NewRunner(testStore(t), platform.DSCS())
+	b := workload.Clinical()
+	var stack [2]time.Duration
+	for extra := range stack {
+		res, err := r.InvokeScattered(b, Options{Quantile: 0.5, Batch: 8, ExtraAccelFuncs: extra}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack[extra] = res.Breakdown.Stack
+	}
+	if got, want := stack[1]-stack[0], r.Stack.PerFunction(); got != want {
+		t.Errorf("one duplicate raised the stack cost by %v, want %v", got, want)
 	}
 }

@@ -1,12 +1,12 @@
 // failover.go implements the fault-tolerance side of the store (the paper's
 // Section 5.2/5.3: replication for reliability, Kubernetes-style fail-over
-// when nodes disappear): node health state, replica fail-over on reads, and
-// re-replication accounting after a failure.
+// when nodes disappear): node health state, the healthy-replica lookup for
+// in-storage execution, and re-replication accounting after a failure. Reads
+// fail over inside GetAt (objstore.go).
 package objstore
 
 import (
 	"fmt"
-	"time"
 
 	"dscs/internal/units"
 )
@@ -47,46 +47,6 @@ func (s *Store) RecoverNode(id string) error {
 
 // healthy reports whether the node serves traffic.
 func (n *Node) healthy() bool { return n.health == Healthy }
-
-// GetWithFailover reads an object, skipping failed replicas: the client
-// retries the next replica after a timeout-scale penalty per dead node.
-// It fails only when every replica of some chunk is down.
-func (s *Store) GetWithFailover(key string, q float64) (time.Duration, units.Energy, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obj, ok := s.objects[key]
-	if !ok {
-		return 0, 0, fmt.Errorf("objstore: no such key %q", key)
-	}
-	rng := s.stream(q)
-	const retryPenalty = 2 * time.Millisecond // health-probe + retry cost
-	var total time.Duration
-	var energy units.Energy
-	for _, chunk := range obj.Chunks {
-		served := false
-		start := int(hashKey(key, chunk.Index) % uint64(len(chunk.Replicas)))
-		for attempt := 0; attempt < len(chunk.Replicas); attempt++ {
-			rep := chunk.Replicas[(start+attempt)%len(chunk.Replicas)]
-			n := s.byID[rep.NodeID]
-			if !n.healthy() {
-				total += retryPenalty
-				continue
-			}
-			devLat, devEnergy := n.hostRead(rep.Offset, chunk.Size)
-			energy += devEnergy
-			total += requestPathCost(s.cfg, chunk.Size) +
-				s.fabricLatency(chunk.Size, q, rng) + devLat
-			served = true
-			break
-		}
-		if !served {
-			return total, energy, fmt.Errorf(
-				"objstore: all %d replicas of %q chunk %d are down",
-				len(chunk.Replicas), key, chunk.Index)
-		}
-	}
-	return total, energy, nil
-}
 
 // DSCSReplicaHealthy is DSCSReplica restricted to healthy nodes: when the
 // DSCS drive holding the data is down, in-storage execution is impossible

@@ -15,7 +15,7 @@ func TestFailoverRead(t *testing.T) {
 	primary := obj.Chunks[0].Replicas[0].NodeID
 
 	// Healthy read works.
-	healthyLat, _, err := s.GetWithFailover("k", 0.5)
+	healthyLat, _, err := s.GetAt("k", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestFailoverRead(t *testing.T) {
 	if err := s.FailNode(primary); err != nil {
 		t.Fatal(err)
 	}
-	lat, _, err := s.GetWithFailover("k", 0.5)
+	lat, _, err := s.GetAt("k", 0.5)
 	if err != nil {
 		t.Fatalf("read must fail over: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestFailoverRead(t *testing.T) {
 	for _, rep := range obj.Chunks[0].Replicas {
 		s.FailNode(rep.NodeID)
 	}
-	if _, _, err := s.GetWithFailover("k", 0.5); err == nil {
+	if _, _, err := s.GetAt("k", 0.5); err == nil {
 		t.Fatal("read with all replicas down must fail")
 	}
 
@@ -47,7 +47,7 @@ func TestFailoverRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.GetWithFailover("k", 0.5); err != nil {
+	if _, _, err := s.GetAt("k", 0.5); err != nil {
 		t.Fatalf("read after recovery: %v", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestDSCSFailoverToConventional(t *testing.T) {
 		t.Fatal("dead DSCS node still offered")
 	}
 	// ...but the data is still readable from the surviving replicas.
-	if _, _, err := s.GetWithFailover("accel", 0.5); err != nil {
+	if _, _, err := s.GetAt("accel", 0.5); err != nil {
 		t.Fatalf("conventional fallback read failed: %v", err)
 	}
 }
@@ -220,5 +220,53 @@ func TestRepairOverFailRecoverSequences(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGetAtFailsOver pins GetAt as the failover read. With the node that
+// holds a chunk's hashed replica down, GetAt charges retryPenalty for it,
+// reads the next replica in rotation and never touches the dead drive;
+// with every replica of the chunk down it errors. The store is all plain
+// drives with one identical write each, so the surviving replica reads in
+// exactly the time the dead one did and the penalty shows exactly.
+func TestGetAtFailsOver(t *testing.T) {
+	s := testStore(t, 4, 0)
+	if _, err := s.Put("k", 4*units.MB, false); err != nil {
+		t.Fatal(err)
+	}
+	healthy, _, err := s.GetAt("k", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, _ := s.Lookup("k")
+	reps := obj.Chunks[0].Replicas
+	start := int(hashKey("k", 0) % uint64(len(reps)))
+	hashed, next := s.byID[reps[start].NodeID], s.byID[reps[(start+1)%len(reps)].NodeID]
+	if err := s.FailNode(hashed.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadReads, _, _, _ := hashed.Drive().Counters()
+	nextReads, _, _, _ := next.Drive().Counters()
+	lat, _, err := s.GetAt("k", 0.5)
+	if err != nil {
+		t.Fatalf("read must fail over: %v", err)
+	}
+	if r, _, _, _ := hashed.Drive().Counters(); r != deadReads {
+		t.Errorf("GetAt read the dead node %s", hashed.ID)
+	}
+	if r, _, _, _ := next.Drive().Counters(); r != nextReads+1 {
+		t.Errorf("GetAt did not read the next replica %s", next.ID)
+	}
+	if want := healthy + retryPenalty; lat != want {
+		t.Errorf("failover read took %v, want %v (healthy %v + retry %v)", lat, want, healthy, retryPenalty)
+	}
+
+	for _, rep := range reps {
+		if err := s.FailNode(rep.NodeID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.GetAt("k", 0.5); err == nil {
+		t.Fatal("read with every replica down must fail")
 	}
 }

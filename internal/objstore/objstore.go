@@ -253,11 +253,6 @@ func (s *Store) placement(key string, chunk int, acceleratable bool) []*Node {
 	return picked
 }
 
-// requestPathCost is the RPC software cost of one storage request.
-func requestPathCost(cfg Config, payload units.Bytes) time.Duration {
-	return rpc.RequestPath(cfg.Codec, cfg.Stack, payload)
-}
-
 // stream derives an independent per-operation RNG stream. Callers must hold
 // s.mu; the returned stream is then private to the operation, so sampling
 // never races even when many invocations overlap.
@@ -369,8 +364,15 @@ func (s *Store) overwrite(obj *Object, q float64, rng *sim.RNG) (time.Duration, 
 	return total, energy, nil
 }
 
+// retryPenalty is what a read pays for each dead replica it tries before a
+// live one: the health probe and the client's retry.
+const retryPenalty = 2 * time.Millisecond
+
 // GetAt reads an object back to a remote client, returning latency and
 // device energy; a positive q selects the network quantile (else sampled).
+// Each chunk is read from its hashed replica, or, while that node is down,
+// from the next live one in rotation, at retryPenalty per dead replica
+// tried. It fails only when every replica of some chunk is down.
 //
 //dscslint:hotpath
 func (s *Store) GetAt(key string, q float64) (time.Duration, units.Energy, error) {
@@ -378,21 +380,53 @@ func (s *Store) GetAt(key string, q float64) (time.Duration, units.Energy, error
 	defer s.mu.Unlock()
 	obj, ok := s.objects[key]
 	if !ok {
-		//dscslint:allow hotpathcheck cold branch: caller error
-		return 0, 0, fmt.Errorf("objstore: no such key %q", key)
+		return 0, 0, &readError{key: key, chunk: -1}
 	}
 	rng := s.stream(q)
 	var total time.Duration
 	var energy units.Energy
 	for _, chunk := range obj.Chunks {
-		rep := chunk.Replicas[int(hashKey(key, chunk.Index)%uint64(len(chunk.Replicas)))]
-		n := s.byID[rep.NodeID]
-		devLat, devEnergy := n.hostRead(rep.Offset, chunk.Size)
-		energy += devEnergy
-		total += rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, chunk.Size) +
-			s.fabricLatency(chunk.Size, q, rng) + devLat
+		n := len(chunk.Replicas)
+		start := int(hashKey(key, chunk.Index) % uint64(n))
+		tried := 0
+		for ; tried < n; tried++ {
+			rep := chunk.Replicas[(start+tried)%n]
+			node := s.byID[rep.NodeID]
+			if node.healthy() {
+				devLat, devEnergy := node.hostRead(rep.Offset, chunk.Size)
+				energy += devEnergy
+				total += rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, chunk.Size) +
+					s.fabricLatency(chunk.Size, q, rng) + devLat
+				break
+			}
+			total += retryPenalty
+		}
+		if tried == n {
+			return total, energy, &readError{key: key, chunk: chunk.Index, replicas: n}
+		}
 	}
 	return total, energy, nil
+}
+
+// GetWithFailover is GetAt: every read fails over. Both names stay only
+// because the benchmark harness (benchmark/probes.go) probes both.
+func (s *Store) GetWithFailover(key string, q float64) (time.Duration, units.Energy, error) {
+	return s.GetAt(key, q)
+}
+
+// readError is a failed read: a missing key (chunk -1), or a chunk whose
+// every replica is down. It formats only when printed, so the read path
+// builds no message.
+type readError struct {
+	key             string
+	chunk, replicas int
+}
+
+func (e *readError) Error() string {
+	if e.chunk < 0 {
+		return fmt.Sprintf("objstore: no such key %q", e.key)
+	}
+	return fmt.Sprintf("objstore: all %d replicas of %q chunk %d are down", e.replicas, e.key, e.chunk)
 }
 
 // Lookup returns the stored object metadata.

@@ -255,7 +255,7 @@ func (d *wfDriver) stage(i int) {
 			localBytes += size
 			continue
 		}
-		fd, _, err := d.store.GetWithFailover(k, d.opt.Quantile)
+		fd, _, err := d.store.GetAt(k, d.opt.Quantile)
 		if err != nil {
 			d.settle(i, pl.name, local, fmt.Errorf("input %s unreadable: %w", k, err), true)
 			d.wg.Done()

@@ -144,7 +144,7 @@ func TestSubmitWorkflowWaitsForFetch(t *testing.T) {
 		t.Fatalf("want one remote stage that read over the fabric: %+v", res)
 	}
 	// The analytic quantile path prices the same read identically.
-	fetch, _, err := eng.workflowStore().GetWithFailover(workflow.InputKey(res.ID, "a"), 0.5)
+	fetch, _, err := eng.workflowStore().GetAt(workflow.InputKey(res.ID, "a"), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
