@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -87,5 +88,51 @@ func TestReplayAllocationsDoNotScale(t *testing.T) {
 			t.Errorf("%s: %d more requests cost %.0f more allocations (%.3f per request), want a constant",
 				tc.name, extra, grew, grew/float64(extra))
 		}
+	}
+}
+
+// TestReplayBytesDoNotScale pins what a replay's memory grows with: the
+// requests in flight, not the trace. The engine reads the arrival instants
+// in place, so a request the trace adds costs only its 8 B latency record
+// and the amortised growth of the series and the heap — not a copy of its
+// instant.
+func TestReplayBytesDoNotScale(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	evs, err := trace.ParseFaultScript("20s:pool-down:sim;25s:pool-up:sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Instances: 8, QueueDepth: 4000, Service: flatService(80 * time.Millisecond),
+		SampleEvery: time.Second, MaxBatch: 4, Faults: evs,
+	}
+	trN, tr2N := replayTraces(t, trace.BurstyConfig{
+		BaseRate: 60, BurstRate: 90, BurstEvery: 30 * time.Second, BurstLength: 5 * time.Second,
+	}, 4*time.Minute)
+	bytes := func(tr *trace.Trace) uint64 {
+		// The least of three replays: a collection that lands inside one
+		// adds its own bookkeeping.
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := Run(tr, cfg, 11); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	extra := len(tr2N.Requests) - len(trN.Requests)
+	perReq := float64(bytes(tr2N)-bytes(trN)) / float64(extra)
+	t.Logf("%d more requests, %.2f more bytes each", extra, perReq)
+	const record, slack = 8, 4
+	if perReq > record+slack {
+		t.Errorf("a replay allocates %.2f B per extra request, want at most the %d B latency record + %d B",
+			perReq, record, slack)
 	}
 }

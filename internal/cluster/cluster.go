@@ -173,9 +173,8 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		}
 	}
 	st := &Stats{
-		Queue:         metrics.Series{Name: "queued"},
-		Latency:       metrics.Series{Name: "latency_ms"},
-		LatencySample: metrics.NewSample(len(tr.Requests)),
+		Queue:   metrics.Series{Name: "queued"},
+		Latency: metrics.Series{Name: "latency_ms"},
 	}
 
 	// Latency accumulator per sampling bucket.
@@ -187,7 +186,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 		if cfg.BatchSLO > 0 && lat <= cfg.BatchSLO {
 			st.WithinSLO++
 		}
-		st.LatencySample.Add(lat)
+		d.record = append(d.record, lat)
 		bucketSum += lat
 		bucketN++
 	}
@@ -206,7 +205,8 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 			complete(&rest[i])
 		}
 	}
-	d.sample = func(at time.Duration) {
+	d.sample = func(int) {
+		at := d.now()
 		st.Queue.Add(at, float64(mc.QueueLen()))
 		if bucketN > 0 {
 			st.Latency.Add(at, float64(bucketSum.Milliseconds())/float64(bucketN))
@@ -228,6 +228,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {
 		return nil, err
 	}
+	st.LatencySample = metrics.SampleOf(d.record)
 	st.Dropped = mc.Dropped()
 	if former != nil {
 		st.Formed = former.Formed()

@@ -3,14 +3,16 @@
 // lands, what an execution costs and what its completion settles — and
 // keep only that. The clock, the seeded stream, the serve.MultiCore,
 // formers, lifecycles and autoscalers, the fault script with its
-// cancel/requeue ledger, hedging, the dispatch loop, the sampler and the
-// closing conservation check live here once.
+// cancel/requeue ledger, hedging, the dispatch loop, the sampler's ticks,
+// the completion record and the closing conservation check live here once.
 //
 // Same-instant events run in scheduling order (sim.Engine), so the order
-// in which this file schedules is behaviour: faults, then arrivals (one
-// sim.Engine.Arrivals stream, which takes its sequence numbers at the call),
-// then the sampler; per execution the hedge timer before the completion;
-// service times sampled at dispatch.
+// in which this file schedules is behaviour. Everything known before the
+// run is a sim.Engine.Stream, read in place, which takes its sequence
+// numbers at the call: the fault script, then the arrivals, then the
+// sampler's ticks. The heap holds only what events arm: per execution the
+// hedge timer before the completion, leases, former and lifecycle wakes;
+// service times are sampled at dispatch.
 //
 // Every execution is a record from the driver's free list, so a replay
 // allocates nothing per execution. A record's callbacks — completion, hedge
@@ -106,7 +108,9 @@ type driver struct {
 	// hedge won). It must not retain lead or rest past the call: they are
 	// the execution record's.
 	settle func(pool int, lead *sched.HybridTask, rest []sched.HybridTask, service time.Duration)
-	sample func(at time.Duration)
+	// sample is the sampler's tick i, which fires at i·sampleEvery; it is
+	// the tick stream's callback itself.
+	sample func(tick int)
 	// rebalance moves queued work between pools once no pool can dispatch
 	// and reports how many tasks moved.
 	rebalance func() int
@@ -135,6 +139,11 @@ type driver struct {
 	track      bool
 	inflight   []*execution
 	live, peak int
+
+	// record is the topology's per-completion value (a latency, a
+	// makespan) in completion order, sized by run to the arrival count; the
+	// topology adopts it with metrics.SampleOf once the replay is over.
+	record []time.Duration
 
 	dispatched []int // executions started, per pool
 	hedgesWon  int
@@ -219,6 +228,7 @@ func (d *driver) submit(pool int, t sched.HybridTask) bool {
 
 // run replays arrivals 0..arrivals-1, drains the clock, closes the
 // lifecycle tallies at the horizon and checks the core's ledger.
+// arrivalAt must be pure: the engine reads it in place (sim.Engine.Stream).
 func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 	for _, ev := range d.faults {
 		// A drive is the storage node fronting a DSCS pool, where modelled.
@@ -228,18 +238,18 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 		}
 	}
 	d.track = len(d.faults) > 0 || d.patience != nil
-	for _, ev := range d.faults {
-		ev := ev
-		d.engine.At(ev.At, func() { d.applyFault(ev) })
+	d.record = make([]time.Duration, 0, arrivals)
+	if len(d.faults) > 0 {
+		d.engine.Stream(len(d.faults), func(i int) time.Duration { return d.faults[i].At },
+			func(i int) { d.applyFault(d.faults[i]) })
 	}
-	d.engine.Arrivals(arrivals, arrivalAt, func(i int) {
+	d.engine.Stream(arrivals, arrivalAt, func(i int) {
 		d.arrive(i)
 		d.pump()
 	})
-	// A tick fires at the instant it was armed for.
-	tick := func() { d.sample(d.engine.Now()) }
-	for t := time.Duration(0); t <= d.horizon; t += d.sampleEvery {
-		d.engine.At(t, tick)
+	if d.horizon >= 0 {
+		d.engine.Stream(int(d.horizon/d.sampleEvery)+1,
+			func(i int) time.Duration { return time.Duration(i) * d.sampleEvery }, d.sample)
 	}
 	d.engine.Run()
 	for i := 0; i < d.mc.Pools(); i++ {

@@ -47,7 +47,7 @@ func TestInflightStaysBounded(t *testing.T) {
 			t.Fatalf("settle %d: %d executions tracked, at most %d ever ran at once", settled, len(d.inflight), peak)
 		}
 	}
-	d.sample = func(time.Duration) {}
+	d.sample = func(int) {}
 	d.patience = func(int, *sched.HybridTask) time.Duration { return 90 * time.Millisecond }
 	d.arrive = func(i int) {
 		d.submit(i%2, sched.HybridTask{ID: i, Arrived: d.now(), Payload: tr.Requests[i].Benchmark})

@@ -231,7 +231,7 @@ func TestElasticDeadPoolHoldsDesired(t *testing.T) {
 	d.service = func(int, *sched.HybridTask, []sched.HybridTask) time.Duration { return 50 * time.Millisecond }
 	d.settle = func(int, *sched.HybridTask, []sched.HybridTask, time.Duration) {}
 	var down []int
-	d.sample = func(time.Duration) {
+	d.sample = func(int) {
 		if !d.mc.Healthy(0) {
 			down = append(down, lc.Desired())
 		}

@@ -268,9 +268,8 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 	}
 	mc := d.mc
 	st := &HybridStats{
-		Policy:  "fcfs",
-		Queue:   metrics.Series{Name: "queued"},
-		Latency: metrics.NewSample(len(tr.Requests)),
+		Policy: "fcfs",
+		Queue:  metrics.Series{Name: "queued"},
 	}
 	if cfg.Policy != nil {
 		st.Policy = cfg.Policy.Name()
@@ -286,12 +285,12 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 		st.Completed++
 		served[pool]++
 		lat := d.now() - lead.Arrived
-		st.Latency.Add(lat)
+		d.record = append(d.record, lat)
 		if cfg.SLO > 0 && lat <= cfg.SLO {
 			st.WithinSLO++
 		}
 	}
-	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(mc.QueueLen())) }
+	d.sample = func(int) { st.Queue.Add(d.now(), float64(mc.QueueLen())) }
 	if cfg.HedgeFactor >= 1 {
 		// An execution's patience is HedgeFactor x the adopted service-p95
 		// for the benchmark on the serving class — the static belief until
@@ -356,6 +355,7 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 	if err := d.run(len(tr.Requests), func(i int) time.Duration { return tr.Requests[i].At }); err != nil {
 		return nil, err
 	}
+	st.Latency = metrics.SampleOf(d.record)
 	st.OnDSCS = d.dispatched[dscsIdx]
 	st.Dropped = mc.Dropped()
 	st.Stolen = mc.Stolen()

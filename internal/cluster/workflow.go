@@ -211,10 +211,9 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	blind := &workflow.RoundRobin{Pools: pools, Healthy: mc.Healthy}
 
 	st := &WorkflowStats{
-		Workflows:      len(wtr.Workflows),
-		Stages:         wtr.Stages(),
-		MakespanSample: metrics.NewSample(len(wtr.Workflows)),
-		Queue:          metrics.Series{Name: "queued_stages"},
+		Workflows: len(wtr.Workflows),
+		Stages:    wtr.Stages(),
+		Queue:     metrics.Series{Name: "queued_stages"},
 	}
 
 	noteSettled := func(ws *wfState) {
@@ -228,7 +227,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		}
 		st.WorkflowsSucceeded++
 		if ms, ok := ws.run.Makespan(); ok {
-			st.MakespanSample.Add(ms)
+			d.record = append(d.record, ms)
 			if cfg.MakespanSLO > 0 && ms <= cfg.MakespanSLO {
 				st.WithinSLO++
 			}
@@ -360,7 +359,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			written(&rest[i])
 		}
 	}
-	d.sample = func(at time.Duration) { st.Queue.Add(at, float64(mc.QueueLen())) }
+	d.sample = func(int) { st.Queue.Add(d.now(), float64(mc.QueueLen())) }
 	// A drive event reshapes the replica map under the locality placer's
 	// feet; pool events are the driver's, and the two are orthogonal.
 	d.driveFault = func(ev trace.FaultEvent) {
@@ -442,6 +441,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			st.Formed += f.Formed()
 		}
 	}
+	st.MakespanSample = metrics.SampleOf(d.record)
 	st.MakespanP50 = st.MakespanSample.Percentile(0.50)
 	st.MakespanP95 = st.MakespanSample.Percentile(0.95)
 	return st, nil

@@ -29,6 +29,14 @@ func NewSample(n int) *Sample {
 	return &Sample{values: make([]time.Duration, 0, n)}
 }
 
+// SampleOf returns a sample of values, in their order, without copying:
+// the sample adopts the slice, and the caller must not touch it after the
+// call. A producer with one owner records into a plain slice this way and
+// pays no lock per observation.
+func SampleOf(values []time.Duration) *Sample {
+	return &Sample{values: values}
+}
+
 // Add records one observation.
 func (s *Sample) Add(d time.Duration) {
 	s.mu.Lock()

@@ -9,13 +9,15 @@
 //
 // The queue has two parts. Timers scheduled with At and After are values
 // (instant, sequence, callback) in a 4-ary min-heap; scheduling one
-// allocates nothing once the heap has grown. A trace's arrivals are handed
-// over once with Arrivals: the engine snapshots their instants, sorts an
-// index only if they are out of order, and merges the stream's head with
-// the heap's top. The stream takes its block of sequence numbers when Arrivals
-// is called, so an arrival ties with timers exactly as if it had been
-// scheduled with At at that moment, and the heap only ever holds the
-// timers in flight, not the whole trace.
+// allocates nothing once the heap has grown. A sequence of instants known
+// before the run — a trace's arrivals, a fault script, a sampler's ticks —
+// is handed over once with Stream, and the engine reads it in place: it
+// keeps only each stream's head instant, and a permutation of the indices
+// when the instants are out of order. The head of every pending stream is
+// merged with the heap's top. A stream takes its block of sequence numbers
+// when Stream is called, so its events tie with timers exactly as if they
+// had been scheduled with At at that moment, and the heap only ever holds
+// the timers that events arm.
 package sim
 
 import (
@@ -37,32 +39,45 @@ func (a *event) before(b *event) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// stream is the pending arrival stream. at holds arrival i's clamped
-// instant at index i, and arrival i holds sequence number base+1+i. The
-// next arrival to run is index next, or order[next] when the instants were
-// out of order (order is nil when they were not).
+// stream is one pending Stream call. Event i runs at at(i) clamped to
+// floor, the Now of the call, and holds sequence number base+1+i. next
+// counts the events already run; the run order is the index order, or
+// order when the instants are out of order (order is nil when they are
+// not). i and head are the next event's index and clamped instant.
 type stream struct {
-	at    []time.Duration
-	order []int
-	next  int
-	base  uint64
-	fn    func(int)
+	at      func(int) time.Duration
+	fn      func(int)
+	order   []int
+	n, next int
+	i       int
+	head    time.Duration
+	floor   time.Duration
+	base    uint64
 }
 
-// peek returns the index of the next arrival to run.
-func (s *stream) peek() int {
-	if s.order == nil {
-		return s.next
+// load caches the head of the stream at position next, which must be < n.
+func (s *stream) load() {
+	s.i = s.next
+	if s.order != nil {
+		s.i = s.order[s.next]
 	}
-	return s.order[s.next]
+	s.head = max(s.at(s.i), s.floor)
 }
+
+// seq is the head event's sequence number.
+func (s *stream) seq() uint64 { return s.base + 1 + uint64(s.i) }
+
+// maxStreams is how many streams an engine reads in place at once; a
+// stream handed over while that many are pending becomes timers.
+const maxStreams = 4
 
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now     time.Duration
 	heap    []event
-	arr     stream
+	streams [maxStreams]stream
+	nstream int // streams[:nstream] are pending
 	seq     uint64
 	stopped bool
 }
@@ -93,33 +108,37 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Arrivals schedules fn(i) at instant at(i) for every i in [0, n) and
-// runs them exactly as the loop
+// Stream schedules fn(i) at instant at(i) for every i in [0, n) and runs
+// them exactly as the loop
 //
 //	for i := 0; i < n; i++ { e.At(at(i), func() { fn(i) }) }
 //
-// would at this moment: at is called once per index, in order, before
-// Arrivals returns, instants before Now clamp to Now, and the arrivals take
-// the next n sequence numbers, so same-instant ties with timers scheduled
-// before and after the call resolve as they would for At. Instants already
-// in order cost one allocation and one pass whatever n is; out-of-order
-// instants take a second allocation for the run order and a sort. An
-// engine holds one stream at a time: calling Arrivals while arrivals of an
-// earlier call are still pending panics.
-func (e *Engine) Arrivals(n int, at func(int) time.Duration, fn func(int)) {
-	if e.arr.next < len(e.arr.at) {
-		panic("sim: Arrivals called while an earlier stream is pending")
-	}
+// would at this moment: instants before the Now of the call clamp to it,
+// and the stream takes the next n sequence numbers, so same-instant ties
+// with timers and streams scheduled before and after the call resolve as
+// they would for At. The engine reads at in place, at the call and again
+// while the stream runs, so at must be pure: it may be called any number
+// of times for any index, and must return the same instant each time.
+// Instants in order allocate nothing whatever n is; out-of-order instants
+// allocate the run order once and sort it by (clamped instant, index). Up
+// to maxStreams streams are read in place at once; a stream handed over
+// while that many are pending is scheduled as the At loop above.
+func (e *Engine) Stream(n int, at func(int) time.Duration, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	times := make([]time.Duration, n)
-	sorted := true
-	for i := range times {
-		times[i] = max(at(i), e.now)
-		if i > 0 && times[i] < times[i-1] {
-			sorted = false
+	if e.nstream == maxStreams {
+		for i := 0; i < n; i++ {
+			e.At(at(i), func() { fn(i) })
 		}
+		return
+	}
+	floor := e.now
+	sorted := true
+	for i, prev := 1, max(at(0), floor); i < n && sorted; i++ {
+		t := max(at(i), floor)
+		sorted = t >= prev
+		prev = t
 	}
 	var order []int
 	if !sorted {
@@ -130,13 +149,16 @@ func (e *Engine) Arrivals(n int, at func(int) time.Duration, fn func(int)) {
 			order[i] = i
 		}
 		slices.SortFunc(order, func(a, b int) int {
-			if c := cmp.Compare(times[a], times[b]); c != 0 {
+			if c := cmp.Compare(max(at(a), floor), max(at(b), floor)); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
 		})
 	}
-	e.arr = stream{at: times, order: order, base: e.seq, fn: fn}
+	s := &e.streams[e.nstream]
+	e.nstream++
+	*s = stream{at: at, fn: fn, order: order, n: n, floor: floor, base: e.seq}
+	s.load()
 	e.seq += uint64(n)
 }
 
@@ -145,52 +167,53 @@ func (e *Engine) Arrivals(n int, at func(int) time.Duration, fn func(int)) {
 func (e *Engine) Run() time.Duration {
 	e.stopped = false
 	for !e.stopped {
-		_, fromStream, ok := e.head()
+		_, from, ok := e.head()
 		if !ok {
 			break
 		}
-		e.fire(fromStream)
+		e.fire(from)
 	}
 	return e.now
 }
 
-// head reports the earliest pending instant and whether the arrival stream
-// (rather than the heap) holds it; ok is false when nothing is pending.
-func (e *Engine) head() (at time.Duration, fromStream, ok bool) {
-	s := &e.arr
-	if s.next < len(s.at) {
-		i := s.peek()
-		at := s.at[i]
-		if len(e.heap) == 0 {
-			return at, true, true
-		}
-		top := &e.heap[0]
-		if at < top.at || at == top.at && s.base+1+uint64(i) < top.seq {
-			return at, true, true
-		}
-		return top.at, false, true
+// head reports the earliest pending instant and where it is: the index of
+// the stream whose head it is, or -1 for the heap's top. ok is false when
+// nothing is pending.
+func (e *Engine) head() (at time.Duration, from int, ok bool) {
+	from = -1
+	var seq uint64
+	if len(e.heap) > 0 {
+		at, seq, ok = e.heap[0].at, e.heap[0].seq, true
 	}
-	if len(e.heap) == 0 {
-		return 0, false, false
+	for k := range e.streams[:e.nstream] {
+		s := &e.streams[k]
+		if !ok || s.head < at || s.head == at && s.seq() < seq {
+			at, seq, from, ok = s.head, s.seq(), k, true
+		}
 	}
-	return e.heap[0].at, false, true
+	return at, from, ok
 }
 
-// fire advances the clock to the head event and runs it.
-func (e *Engine) fire(fromStream bool) {
-	if !fromStream {
+// fire advances the clock to the head event, from the heap (from < 0) or
+// stream from, and runs it.
+func (e *Engine) fire(from int) {
+	if from < 0 {
 		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 		return
 	}
-	s := &e.arr
-	i := s.peek()
-	e.now = s.at[i]
-	fn := s.fn
-	s.next++
-	if s.next == len(s.at) {
-		*s = stream{} // drained: release the instants
+	s := &e.streams[from]
+	e.now = s.head
+	i, fn := s.i, s.fn
+	if s.next++; s.next < s.n {
+		s.load()
+	} else {
+		// Drained: the last pending stream takes its slot, and the slot
+		// it leaves drops the callbacks for the collector.
+		e.nstream--
+		*s = e.streams[e.nstream]
+		e.streams[e.nstream] = stream{}
 	}
 	fn(i)
 }

@@ -23,7 +23,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	e.stopped = false
 	for !e.stopped {
-		at, fromStream, ok := e.head()
+		at, from, ok := e.head()
 		if !ok {
 			break
 		}
@@ -31,7 +31,7 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 			e.now = deadline
 			return e.now
 		}
-		e.fire(fromStream)
+		e.fire(from)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -39,5 +39,11 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	return e.now
 }
 
-// Pending reports how many events remain queued, arrivals included.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.arr.at) - e.arr.next }
+// Pending reports how many events remain queued, the streams' included.
+func (e *Engine) Pending() int {
+	n := len(e.heap)
+	for _, s := range e.streams[:e.nstream] {
+		n += s.n - s.next
+	}
+	return n
+}
