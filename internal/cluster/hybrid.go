@@ -215,9 +215,6 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 	if cfg.CPUInstances+cfg.DSCSInstances <= 0 || cfg.QueueDepth <= 0 || cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: incomplete hybrid config")
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
 	if err := serve.CheckHedgeFactor(cfg.HedgeFactor); err != nil {
 		return nil, err
 	}

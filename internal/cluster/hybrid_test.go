@@ -151,3 +151,49 @@ func TestHybridDeterminism(t *testing.T) {
 		t.Error("hybrid runs must be deterministic per seed")
 	}
 }
+
+// TestHybridServiceCallOrder pins the pricing contract that lets
+// replays of one trace share prices: an unpriced replay calls Service
+// exactly once per arrival, in trace order, so a stateful model (one
+// that draws from its own RNG stream) prices arrival k with its k-th
+// draw whatever the policy. With AdaptiveEstimates the model is evaluated
+// again at dispatch, and the calls no longer line up with arrivals.
+func TestHybridServiceCallOrder(t *testing.T) {
+	tr := &trace.Trace{Duration: time.Second}
+	for i := 0; i < 20; i++ {
+		slug := []string{"chatbot", "credit-risk", "translation"}[i%3]
+		tr.Requests = append(tr.Requests, trace.Request{ID: i, At: time.Duration(i) * time.Millisecond, Benchmark: slug})
+	}
+	var calls []string
+	cfg := HybridConfig{
+		CPUInstances: 2, DSCSInstances: 1, QueueDepth: 100,
+		Service: func(slug string) (cpu, dscs time.Duration, accel int) {
+			calls = append(calls, slug)
+			return mixedService(slug)
+		},
+	}
+	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}} {
+		calls = calls[:0]
+		cfg.Policy = p
+		if _, err := RunHybrid(tr, cfg, 1); err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) != len(tr.Requests) {
+			t.Fatalf("%s: %d Service calls for %d arrivals", p.Name(), len(calls), len(tr.Requests))
+		}
+		for k, req := range tr.Requests {
+			if calls[k] != req.Benchmark {
+				t.Errorf("%s: call %d priced %q, arrival %d is %q", p.Name(), k, calls[k], k, req.Benchmark)
+			}
+		}
+	}
+
+	calls = calls[:0]
+	cfg.AdaptiveEstimates = true
+	if _, err := RunHybrid(tr, cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) <= len(tr.Requests) {
+		t.Errorf("AdaptiveEstimates: %d Service calls for %d arrivals, want more (re-evaluated at dispatch)", len(calls), len(tr.Requests))
+	}
+}

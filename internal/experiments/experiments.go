@@ -91,11 +91,9 @@ func ByID(id string) (Spec, bool) {
 // the lowest-index error. It is how an experiment runs its independent
 // replays side by side: each fn(i) writes only its own index of the
 // caller's result slices and shares nothing mutable with another index
-// (any RNG stream it draws from is one no other index uses: seeded or
-// split for it before the call, or, as for ExtScheduling's last replay,
-// a shared stream the other indexes' draws were taken from beforehand),
-// so the rows and values built from those slices afterwards are the same
-// at any width.
+// (any RNG stream it draws from is one no other index uses, seeded or
+// split for it before the call or inside it), so the rows and values built
+// from those slices afterwards are the same at any width.
 func fanOut(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup

@@ -10,6 +10,7 @@ import (
 	"dscs/internal/faas"
 	"dscs/internal/metrics"
 	"dscs/internal/sched"
+	"dscs/internal/sim"
 	"dscs/internal/trace"
 	"dscs/internal/units"
 )
@@ -23,15 +24,12 @@ import (
 // scarce heterogeneous pool, criticality-aware and DAG-aware placement
 // beat the deployed FCFS policy.
 //
-// The three policy replays price tasks from one shared rng, one CPU and
-// one DSCS draw per arrival, and each replay takes its draws where the
-// previous one stopped. They still run side by side, because a RunHybrid
-// replay with no Estimate, AdaptiveEstimates or hedging calls its Service
-// model exactly once per arrival, in trace order. So the FCFS and
-// criticality prices are drawn into tables up front, in the order a
-// serial run would draw them, and the DAG-aware replay prices inline from
-// rng, which by then no other replay touches. A replay that breaks the
-// call contract fails the experiment (priceTable.check).
+// The three policy replays share nothing and run side by side. Each prices
+// tasks from its own copy of one seeded stream, one CPU and one DSCS draw
+// per arrival. A RunHybrid replay with no Estimate, AdaptiveEstimates or
+// hedging calls its Service model exactly once per arrival, in trace
+// order, so every policy sees the same prices for the same arrival: the
+// comparison runs on common random numbers.
 func ExtScheduling(env *Environment) (*Result, error) {
 	// Expected service times per class come from the calibrated runners.
 	baseService, err := env.serviceModel(env.Platforms[0].Name())
@@ -42,10 +40,7 @@ func ExtScheduling(env *Environment) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := env.RNG.Split()
-	price := func(slug string) (cpu, dscs time.Duration) {
-		return baseService(slug, rng), dscsService(slug, rng)
-	}
+	priceSeed := env.RNG.Split().Uint64()
 
 	cfg := trace.BurstyConfig{
 		Duration: 5 * time.Minute, BaseRate: 170, BurstRate: 260,
@@ -58,33 +53,18 @@ func ExtScheduling(env *Environment) (*Result, error) {
 
 	const accel = 2
 	policies := [3]sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}}
-	tables := [2]*priceTable{drawPrices(tr, price), drawPrices(tr, price)}
 	var stats [3]*cluster.HybridStats
-	err = fanOut(len(policies), func(slot int) error {
-		// The DAG-aware replay, the longest, takes the first slot.
-		i := (slot + len(policies) - 1) % len(policies)
-		service := func(slug string) (cpu, dscs time.Duration, accelFuncs int) {
-			cpu, dscs = price(slug)
-			return cpu, dscs, accel
-		}
-		if i < len(tables) {
-			service = tables[i].model(accel)
-		}
+	err = fanOut(len(policies), func(i int) error {
+		rng := sim.NewRNG(priceSeed)
 		st, err := cluster.RunHybrid(tr, cluster.HybridConfig{
 			CPUInstances: 28, DSCSInstances: 6, QueueDepth: 100000,
 			Policy: policies[i], Jitter: 0.15,
-			Service: service,
+			Service: func(slug string) (cpu, dscs time.Duration, accelFuncs int) {
+				return baseService(slug, rng), dscsService(slug, rng), accel
+			},
 		}, env.Seed+7)
-		if err != nil {
-			return err
-		}
-		if i < len(tables) {
-			if err := tables[i].check(); err != nil {
-				return fmt.Errorf("ext-sched %s replay: %w", policies[i].Name(), err)
-			}
-		}
 		stats[i] = st
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -107,67 +87,6 @@ func ExtScheduling(env *Environment) (*Result, error) {
 		ID: "ext-sched", Title: "Scheduling-policy future work (Section 5.3)",
 		Table: t, Values: values,
 	}, nil
-}
-
-// priceTable is one replay's pre-drawn pricing: a CPU and a DSCS price for
-// every arrival of a trace, in trace order. Served through model, it holds
-// the replay to the contract the table relies on and records the first
-// break for check to report, so a broken replay fails instead of running
-// on mis-priced tasks.
-type priceTable struct {
-	reqs   []trace.Request
-	prices []hybridPrice
-	next   int // the arrival the next call prices
-	err    error
-}
-
-type hybridPrice struct{ cpu, dscs time.Duration }
-
-// drawPrices calls price once per arrival of tr, in trace order.
-func drawPrices(tr *trace.Trace, price func(slug string) (cpu, dscs time.Duration)) *priceTable {
-	p := &priceTable{reqs: tr.Requests, prices: make([]hybridPrice, len(tr.Requests))}
-	for i, req := range tr.Requests {
-		p.prices[i].cpu, p.prices[i].dscs = price(req.Benchmark)
-	}
-	return p
-}
-
-// model serves the table as a HybridServiceModel: call k returns arrival
-// k's prices and accel acceleratable functions. A call for a slug other
-// than arrival k's, or past the last arrival, prices zero and breaks the
-// table.
-func (p *priceTable) model(accel int) cluster.HybridServiceModel {
-	return func(slug string) (cpu, dscs time.Duration, accelFuncs int) {
-		k := p.next
-		p.next++
-		switch {
-		case k >= len(p.prices):
-			p.fail(fmt.Errorf("experiments: priced %q past the last of %d arrivals", slug, len(p.prices)))
-		case slug != p.reqs[k].Benchmark:
-			p.fail(fmt.Errorf("experiments: arrival %d is %q, priced as %q", k, p.reqs[k].Benchmark, slug))
-		default:
-			return p.prices[k].cpu, p.prices[k].dscs, accel
-		}
-		return 0, 0, accel
-	}
-}
-
-func (p *priceTable) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-// check reports the first call that broke the table, or, if none did, a
-// replay that stopped before pricing every arrival.
-func (p *priceTable) check() error {
-	if p.err != nil {
-		return p.err
-	}
-	if p.next != len(p.prices) {
-		return fmt.Errorf("experiments: priced %d of %d arrivals", p.next, len(p.prices))
-	}
-	return nil
 }
 
 // ExtBatchFormer evaluates the global SLO-aware batch former in the
@@ -199,27 +118,17 @@ func ExtBatchFormer(env *Environment) (*Result, error) {
 		MaxBatch: 8, BatchLinger: 400 * time.Millisecond,
 	}
 	modes := []struct {
-		name   string
-		mutate func(*cluster.Config)
+		name, key string
+		mutate    func(*cluster.Config)
 	}{
-		{"no batching", func(c *cluster.Config) { c.MaxBatch = 1; c.BatchLinger = 0 }},
-		{"global former", func(c *cluster.Config) {}},
-		{"global former + SLO", func(c *cluster.Config) { c.BatchSLO = 150 * time.Millisecond }},
+		{"no batching", "none", func(c *cluster.Config) { c.MaxBatch = 1; c.BatchLinger = 0 }},
+		{"global former", "former", func(c *cluster.Config) {}},
+		{"global former + SLO", "former_slo", func(c *cluster.Config) { c.BatchSLO = 150 * time.Millisecond }},
 	}
 
 	t := metrics.NewTable("Extension: global batch former under the Fig 14 regime (6 instances, bursty trace)",
 		"Mode", "Executions", "Req/execution", "Mean latency (ms)", "p99 (ms)", "Dropped")
 	values := map[string]float64{}
-	key := func(name string) string {
-		switch name {
-		case "no batching":
-			return "none"
-		case "global former":
-			return "former"
-		default:
-			return "former_slo"
-		}
-	}
 	// Each mode replays the trace on its own seeded driver, so the three
 	// replays run side by side; the rows are built in mode order after.
 	stats := make([]*cluster.Stats, len(modes))
@@ -244,12 +153,11 @@ func ExtBatchFormer(env *Environment) (*Result, error) {
 		st := stats[i]
 		perExec := float64(st.Completed) / float64(st.Batches)
 		t.AddRow(m.name, st.Batches, perExec, meanMS[i], p99MS[i], st.Dropped)
-		k := key(m.name)
-		values["executions/"+k] = float64(st.Batches)
-		values["per_exec/"+k] = perExec
-		values["mean_ms/"+k] = meanMS[i]
-		values["p99_ms/"+k] = p99MS[i]
-		values["formed/"+k] = float64(st.Formed)
+		values["executions/"+m.key] = float64(st.Batches)
+		values["per_exec/"+m.key] = perExec
+		values["mean_ms/"+m.key] = meanMS[i]
+		values["p99_ms/"+m.key] = p99MS[i]
+		values["formed/"+m.key] = float64(st.Formed)
 	}
 	// Batching is what makes this load servable at all, and the SLO cap
 	// trades amortization for tail latency.

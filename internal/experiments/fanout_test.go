@@ -9,20 +9,22 @@ import (
 )
 
 // TestConcurrentReplaysMatchSerial evaluates the experiments whose replays
-// fan out, each from a fresh same-seed environment, first on one
-// goroutine and then on two: the findings and series must be identical.
+// fan out, each from a fresh same-seed environment, on one goroutine and
+// then on two and four: the findings and series must be identical. At four
+// every replay of a three-way fan-out runs at once.
 func TestConcurrentReplaysMatchSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two Fig 13 passes")
+		t.Skip("three Fig 13 passes")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	widths := []int{1, 2, 4}
 	for _, id := range []string{"fig13", "ext-batchform", "ext-sched"} {
 		spec, ok := ByID(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)
 		}
-		var got [2]*Result
-		for i, procs := range []int{1, 2} {
+		got := make([]*Result, len(widths))
+		for i, procs := range widths {
 			runtime.GOMAXPROCS(procs)
 			env, err := NewEnvironment(7)
 			if err != nil {
@@ -32,14 +34,17 @@ func TestConcurrentReplaysMatchSerial(t *testing.T) {
 				t.Fatalf("%s at GOMAXPROCS %d: %v", id, procs, err)
 			}
 		}
-		if !reflect.DeepEqual(got[0].Values, got[1].Values) {
-			t.Errorf("%s: values differ between GOMAXPROCS 1 and 2:\n%v\n%v", id, got[0].Values, got[1].Values)
-		}
-		if !reflect.DeepEqual(got[0].Series, got[1].Series) {
-			t.Errorf("%s: series differ between GOMAXPROCS 1 and 2", id)
-		}
-		if got[0].Table.String() != got[1].Table.String() {
-			t.Errorf("%s: tables differ between GOMAXPROCS 1 and 2:\n%s\n%s", id, got[0].Table, got[1].Table)
+		for i, procs := range widths[1:] {
+			serial, wide := got[0], got[i+1]
+			if !reflect.DeepEqual(serial.Values, wide.Values) {
+				t.Errorf("%s: values differ between GOMAXPROCS 1 and %d:\n%v\n%v", id, procs, serial.Values, wide.Values)
+			}
+			if !reflect.DeepEqual(serial.Series, wide.Series) {
+				t.Errorf("%s: series differ between GOMAXPROCS 1 and %d", id, procs)
+			}
+			if serial.Table.String() != wide.Table.String() {
+				t.Errorf("%s: tables differ between GOMAXPROCS 1 and %d:\n%s\n%s", id, procs, serial.Table, wide.Table)
+			}
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 // dscsSpeedup invokes one benchmark on the baseline and DSCS with the same
 // options and returns the ratio.
-func (e *Environment) dscsSpeedup(slug string, opt faas.Options) (float64, error) {
-	b := suiteBySlug(e, slug)
+func (e *Environment) dscsSpeedup(b *workload.Benchmark, opt faas.Options) (float64, error) {
 	base, err := e.Baseline().Invoke(b, opt)
 	if err != nil {
 		return 0, err
@@ -37,7 +36,7 @@ func (e *Environment) geomeanAcrossSuite(opt faas.Options) (float64, map[string]
 	per := make(map[string]float64, len(e.Suite))
 	var ratios []float64
 	for _, b := range e.Suite {
-		s, err := e.dscsSpeedup(b.Slug, opt)
+		s, err := e.dscsSpeedup(b, opt)
 		if err != nil {
 			return 0, nil, err
 		}
