@@ -92,10 +92,12 @@ func NewEnvironment(seed uint64) (*Environment, error) {
 	return experiments.NewEnvironment(seed)
 }
 
-// Suite returns the eight Table 1 benchmarks.
+// Suite returns the eight Table 1 benchmarks. They are the process-wide
+// catalogue's, shared with every caller, and must not be mutated.
 func Suite() []*Benchmark { return workload.Suite() }
 
-// BenchmarkBySlug returns one benchmark by its machine name, or nil.
+// BenchmarkBySlug returns one benchmark by its machine name, or nil: the
+// catalogue's shared object, which must not be mutated.
 func BenchmarkBySlug(slug string) *Benchmark { return workload.BySlug(slug) }
 
 // Models returns the zoo behind the suite, keyed by architecture name.

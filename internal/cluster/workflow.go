@@ -234,14 +234,11 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		}
 	}
 
-	// benches holds each slug's benchmark, built once per replay by the
-	// admission loop below, which also rejects unknown slugs.
-	benches := make(map[string]*workload.Benchmark)
 	nextTaskID := 0
 	submitStage := func(ws *wfState, idx int) {
 		now := d.now()
 		stage := ws.run.Stage(idx)
-		ref := &wfStageRef{ws: ws, idx: idx, bench: benches[stage.Benchmark]}
+		ref := &wfStageRef{ws: ws, idx: idx, bench: workload.BySlug(stage.Benchmark)}
 		inputs := ws.run.InputKeys(idx)
 		// Place by the dominant input: the biggest object is the one worth
 		// staying next to. Fan-in side inputs are billed individually below.
@@ -382,12 +379,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 			return nil, err
 		}
 		for _, st := range w.Spec.Stages {
-			b, ok := benches[st.Benchmark]
-			if !ok {
-				b = workload.BySlug(st.Benchmark)
-				benches[st.Benchmark] = b
-			}
-			if b == nil {
+			if workload.BySlug(st.Benchmark) == nil {
 				return nil, fmt.Errorf("cluster: workflow %d stage %q runs unknown benchmark %q",
 					w.ID, st.ID, st.Benchmark)
 			}
@@ -397,7 +389,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	d.arrive = func(i int) {
 		ws := states[i]
 		for _, i := range ws.run.Spec().Roots() {
-			b := benches[ws.run.Stage(i).Benchmark]
+			b := workload.BySlug(ws.run.Stage(i).Benchmark)
 			if _, _, err := store.PutAt(workflow.InputKey(ws.run.ID(), ws.run.Stage(i).ID),
 				b.InputBytes, true, 0.5); err != nil && admitErr == nil {
 				admitErr = err

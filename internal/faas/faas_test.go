@@ -1,6 +1,9 @@
 package faas
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -180,5 +183,45 @@ func TestStackModel(t *testing.T) {
 	}
 	if s.PerFunction() < 5*time.Millisecond || s.PerFunction() > 30*time.Millisecond {
 		t.Errorf("stack overhead %v outside plausible band", s.PerFunction())
+	}
+}
+
+// TestDeploymentYAMLGolden pins the rendered deployment of every suite
+// benchmark to the text committed under testdata/deployment: operators and
+// the benchmark harness post this text, so a template change must not move a
+// byte of it.
+func TestDeploymentYAMLGolden(t *testing.T) {
+	for _, b := range workload.Suite() {
+		want, err := os.ReadFile(filepath.Join("testdata", "deployment", b.Slug+".yaml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DeploymentYAML(b); got != string(want) {
+			t.Errorf("%s: DeploymentYAML\n%s\nwant\n%s", b.Slug, got, want)
+		}
+	}
+}
+
+// TestAppForMatchesParsedYAML: AppFor builds, without parsing, exactly the
+// Application the rendered deployment parses to.
+func TestAppForMatchesParsedYAML(t *testing.T) {
+	for _, b := range workload.Suite() {
+		parsed, err := ParseApplication(DeploymentYAML(b))
+		if err != nil {
+			t.Fatalf("%s: %v", b.Slug, err)
+		}
+		built, err := AppFor(b)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Slug, err)
+		}
+		if !reflect.DeepEqual(built, parsed) {
+			t.Errorf("%s: AppFor = %+v, the parsed YAML gives %+v", b.Slug, built, parsed)
+		}
+		if got := len(built.AcceleratedPrefix()); got != defaultAccelFuncs {
+			t.Errorf("%s: accelerated prefix %d, the template's %d", b.Slug, got, defaultAccelFuncs)
+		}
+	}
+	if _, err := AppFor(&workload.Benchmark{}); err == nil {
+		t.Error("a benchmark with no slug must not yield a valid application")
 	}
 }

@@ -1,11 +1,17 @@
-// plan.go resolves a deployed benchmark once per runner: everything an
-// invocation used to re-derive from the deployment YAML or rebuild by string
-// formatting on every call is computed on the first call and restored from
-// the runner's plan table on every later one.
+// plan.go resolves a deployed benchmark once per runner: the accelerated
+// prefix length and the stage keys an invocation would otherwise re-derive
+// are computed on the first call for a benchmark object and restored from
+// the runner's plan table on every later one. The miss itself is cheap: the
+// prefix length is a constant of the default chain template (spec.go), and
+// the keys are spelled into one buffer. Suite benchmarks come from the
+// process-wide workload catalogue, one object per slug, so a runner derives
+// each slug's plan once however many environments, deployments or workflow
+// stages look the slug up.
 package faas
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"dscs/internal/workload"
 )
@@ -52,21 +58,61 @@ func (p *plan) stageKey(s stage, batch int) string {
 	if batch <= plannedBatches {
 		return p.keys[max(batch, 1)-1][s]
 	}
-	//dscslint:allow hotpathcheck only a batch past plannedBatches formats its key, amortised over that batch's members; the table stays fixed-size whatever batch sizes callers choose
 	return formatStageKey(p.bench.Slug, s, batch)
 }
 
-// formatStageKey spells a stage key. Placement hashes these strings, so the
-// spelling must not move.
-func formatStageKey(slug string, s stage, batch int) string {
-	if batch <= 1 {
-		return slug + "/" + stageNames[s]
+// appendStageKey spells a stage key onto sb: "<slug>/<stage>", with
+// "@b<batch>" past batch 1. Placement hashes these strings, so the spelling
+// must not move.
+func appendStageKey(sb *strings.Builder, slug string, s stage, batch int) {
+	sb.WriteString(slug)
+	sb.WriteByte('/')
+	sb.WriteString(stageNames[s])
+	if batch > 1 {
+		var digits [20]byte // len("-9223372036854775808")
+		sb.WriteString("@b")
+		sb.Write(strconv.AppendInt(digits[:0], int64(batch), 10))
 	}
-	return fmt.Sprintf("%s/%s@b%d", slug, stageNames[s], batch)
+}
+
+// stageKeyCap bounds the length of a slug's stage key whose batch has at
+// most the given number of digits: the slug, "/", the longest stage name,
+// "@b" and the digits.
+func stageKeyCap(slug string, digits int) int {
+	return len(slug) + len("/intermediate@b") + digits
+}
+
+// formatStageKey spells one stage key, for a batch the plan does not table.
+func formatStageKey(slug string, s stage, batch int) string {
+	var sb strings.Builder
+	sb.Grow(stageKeyCap(slug, len("-9223372036854775808")))
+	appendStageKey(&sb, slug, s, batch)
+	return sb.String()
+}
+
+// fillKeys spells the tabled stage keys into one buffer that becomes one
+// string; each key is a substring of it.
+func (p *plan) fillKeys(slug string) {
+	var sb strings.Builder
+	sb.Grow(len(p.keys) * len(stageNames) * stageKeyCap(slug, len(strconv.Itoa(plannedBatches))))
+	var ends [plannedBatches][len(stageNames)]int
+	for i := range p.keys {
+		for s := range stageNames {
+			appendStageKey(&sb, slug, stage(s), i+1)
+			ends[i][s] = sb.Len()
+		}
+	}
+	all, start := sb.String(), 0
+	for i := range p.keys {
+		for s := range p.keys[i] {
+			p.keys[i][s], start = all[start:ends[i][s]], ends[i][s]
+		}
+	}
 }
 
 // planFor returns b's plan, deriving it on the first call for this object.
-// Concurrent misses derive the same value twice and the last one stays.
+// Concurrent misses derive the same value twice and the last one stays. The
+// miss parses nothing, so the error is always nil.
 func (r *Runner) planFor(b *workload.Benchmark) (*plan, error) {
 	r.mu.Lock()
 	p := r.plans[b.Slug]
@@ -74,18 +120,8 @@ func (r *Runner) planFor(b *workload.Benchmark) (*plan, error) {
 	if p != nil && p.bench == b {
 		return p, nil
 	}
-	//dscslint:allow hotpathcheck the miss runs once per deployed benchmark object
-	app, err := AppFor(b)
-	if err != nil {
-		return nil, err
-	}
-	p = &plan{bench: b, accelFuncs: len(app.AcceleratedPrefix())}
-	for i := range p.keys {
-		for s := range p.keys[i] {
-			//dscslint:allow hotpathcheck the miss runs once per deployed benchmark object
-			p.keys[i][s] = formatStageKey(b.Slug, stage(s), i+1)
-		}
-	}
+	p = &plan{bench: b, accelFuncs: defaultAccelFuncs}
+	p.fillKeys(b.Slug)
 	r.mu.Lock()
 	r.plans[b.Slug] = p
 	r.mu.Unlock()

@@ -151,6 +151,47 @@ func TestPlanKeysMatchStageFormat(t *testing.T) {
 	}
 }
 
+// TestPlanMissAllocations pins a plan miss at the plan and its one key
+// buffer: the accelerated prefix is the template's constant and the 24 tabled
+// keys are substrings of one string.
+func TestPlanMissAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := NewRunner(testStore(t), platform.DSCS())
+	a, b := workload.Translation(), workload.Translation()
+	next := a
+	got := testing.AllocsPerRun(200, func() {
+		// Alternating two objects under one slug misses every time.
+		if _, err := r.planFor(next); err != nil {
+			t.Fatal(err)
+		}
+		if next == a {
+			next = b
+		} else {
+			next = a
+		}
+	})
+	if got > 2 {
+		t.Errorf("a plan miss allocates %v times, want <= 2", got)
+	}
+}
+
+// BenchmarkPlanMiss times deriving a plan, as a fresh runner, a redeploy or
+// a new benchmark object pays once per slug.
+func BenchmarkPlanMiss(b *testing.B) {
+	r := NewRunner(testStore(b), platform.DSCS())
+	objs := [2]*workload.Benchmark{workload.Translation(), workload.Translation()}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := r.planFor(objs[i&1]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
 // TestScatterConcurrentWithInvoke runs InvokeScattered and Invoke of one
 // benchmark on one runner at once; under -race it fails if either touches
 // the runner's ledgers outside the lock.

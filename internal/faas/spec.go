@@ -118,35 +118,73 @@ func ParseApplication(src string) (*Application, error) {
 	return app, nil
 }
 
+// defaultChain is the deployment every Table 1 benchmark gets: the
+// three-function chain with the DSA hints on f1 and f2. DeploymentYAML
+// renders it as text and AppFor builds the Application straight from it, so
+// the two agree by construction and no caller needs to parse the text back.
+var defaultChain = [...]struct {
+	name     string
+	image    string // "{slug}" stands for the benchmark's slug
+	domain   string // set exactly on the accelerated functions
+	timeoutS int
+	memoryMB int
+}{
+	{"preprocess", "dscs/{slug}-prep:1.0", "ml", 30, 512},
+	{"inference", "dscs/{slug}-model:1.0", "ml", 60, 2048},
+	{"notify", "dscs/notify:1.0", "", 15, 128},
+}
+
+// defaultAccelFuncs is the length of defaultChain's accelerated prefix: the
+// functions the DSCS path schedules on the drive for every suite benchmark.
+var defaultAccelFuncs = func() int {
+	n := 0
+	for n < len(defaultChain) && defaultChain[n].domain != "" {
+		n++
+	}
+	return n
+}()
+
 // DeploymentYAML renders the deployment file for a Table 1 benchmark: the
 // three-function chain with the DSA hints on f1 and f2.
 func DeploymentYAML(b *workload.Benchmark) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "name: %s\n", b.Slug)
-	fmt.Fprintf(&sb, "storage: s3://dscs-%s\n", b.Slug)
-	sb.WriteString("functions:\n")
-	fmt.Fprintf(&sb, "  preprocess:\n")
-	fmt.Fprintf(&sb, "    image: dscs/%s-prep:1.0\n", b.Slug)
-	fmt.Fprintf(&sb, "    accelerated: true\n")
-	fmt.Fprintf(&sb, "    domain: ml\n")
-	fmt.Fprintf(&sb, "    timeout: 30s\n")
-	fmt.Fprintf(&sb, "    memory_mb: 512\n")
-	fmt.Fprintf(&sb, "  inference:\n")
-	fmt.Fprintf(&sb, "    image: dscs/%s-model:1.0\n", b.Slug)
-	fmt.Fprintf(&sb, "    accelerated: true\n")
-	fmt.Fprintf(&sb, "    domain: ml\n")
-	fmt.Fprintf(&sb, "    timeout: 60s\n")
-	fmt.Fprintf(&sb, "    memory_mb: 2048\n")
-	fmt.Fprintf(&sb, "  notify:\n")
-	fmt.Fprintf(&sb, "    image: dscs/notify:1.0\n")
-	fmt.Fprintf(&sb, "    accelerated: false\n")
-	fmt.Fprintf(&sb, "    timeout: 15s\n")
-	fmt.Fprintf(&sb, "    memory_mb: 128\n")
-	sb.WriteString("chain: [preprocess, inference, notify]\n")
+	fmt.Fprintf(&sb, "name: %s\nstorage: s3://dscs-%s\nfunctions:\n", b.Slug, b.Slug)
+	chain := make([]string, len(defaultChain))
+	for i, f := range defaultChain {
+		fmt.Fprintf(&sb, "  %s:\n    image: %s\n    accelerated: %t\n",
+			f.name, strings.ReplaceAll(f.image, "{slug}", b.Slug), f.domain != "")
+		if f.domain != "" {
+			fmt.Fprintf(&sb, "    domain: %s\n", f.domain)
+		}
+		fmt.Fprintf(&sb, "    timeout: %ds\n    memory_mb: %d\n", f.timeoutS, f.memoryMB)
+		chain[i] = f.name
+	}
+	fmt.Fprintf(&sb, "chain: [%s]\n", strings.Join(chain, ", "))
 	return sb.String()
 }
 
-// AppFor parses the default deployment for a benchmark.
+// AppFor returns the default deployment for a benchmark: the Application
+// ParseApplication would read from DeploymentYAML(b).
 func AppFor(b *workload.Benchmark) (*Application, error) {
-	return ParseApplication(DeploymentYAML(b))
+	app := &Application{
+		Name:      b.Slug,
+		Storage:   "s3://dscs-" + b.Slug,
+		Functions: make(map[string]*FunctionSpec, len(defaultChain)),
+		Chain:     make([]string, len(defaultChain)),
+	}
+	for i, f := range defaultChain {
+		app.Functions[f.name] = &FunctionSpec{
+			Name:        f.name,
+			Image:       strings.ReplaceAll(f.image, "{slug}", b.Slug),
+			Accelerated: f.domain != "",
+			Domain:      f.domain,
+			Timeout:     time.Duration(f.timeoutS) * time.Second,
+			Memory:      units.Bytes(f.memoryMB) * units.MB,
+		}
+		app.Chain[i] = f.name
+	}
+	if err := app.Validate(); err != nil {
+		return nil, err
+	}
+	return app, nil
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dscs/internal/faas"
+	"dscs/internal/trace"
 	"dscs/internal/workload"
 )
 
@@ -191,6 +194,26 @@ type rewindBody struct{ bytes.Reader }
 
 func (*rewindBody) Close() error { return nil }
 
+// warmInvoker returns a function serving one POST /function/<slug> through
+// h with a reused request, body and writer, so counting its allocations
+// counts the handler's own.
+func warmInvoker(t testing.TB, h http.Handler, slug string) func() {
+	payload := []byte(`{"quantile":0.5}`)
+	body := &rewindBody{}
+	req := httptest.NewRequest(http.MethodPost, "/function/"+slug, nil)
+	req.Body = body
+	w := &reusableWriter{header: http.Header{}}
+	return func() {
+		body.Reset(payload)
+		w.body.Reset()
+		w.status = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d: %s", w.status, w.body.String())
+		}
+	}
+}
+
 // TestWarmInvokeHandlerAllocations pins the handler's share of a warm POST
 // /function/<slug>: body scan, submit, execution and the rendered response
 // allocate nothing, so the three left are the ServeMux match.
@@ -201,25 +224,64 @@ func TestWarmInvokeHandlerAllocations(t *testing.T) {
 	g := testGateway(t)
 	h := g.Handler()
 	deployDirect(t, h, "asset-damage")
-
-	payload := []byte(`{"quantile":0.5}`)
-	body := &rewindBody{}
-	req := httptest.NewRequest(http.MethodPost, "/function/asset-damage", nil)
-	req.Body = body
-	w := &reusableWriter{header: http.Header{}}
-	serve := func() {
-		body.Reset(payload)
-		w.body.Reset()
-		w.status = http.StatusOK
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d: %s", w.status, w.body.String())
-		}
-	}
+	serve := warmInvoker(t, h, "asset-damage")
 	serve()
 	got := testing.AllocsPerRun(200, serve)
 	t.Logf("warm invoke: %v allocations per request", got)
 	if got > 3 {
 		t.Errorf("warm invoke allocates %v times per request, want <= 3", got)
+	}
+}
+
+// mallocs counts the heap allocations of one call of f, at GOMAXPROCS 1 as
+// testing.AllocsPerRun counts them, but without a warm-up call: what is
+// measured here is the first call after something else ran.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestWorkflowKeepsDeployedPlan: a workflow stage runs the benchmark object
+// the gateway deployed, the workload catalogue's, so the runner's plan for
+// the slug survives the workflow and the next warm invoke allocates what a
+// warm invoke always does. A stage that built its own benchmark object
+// rebuilt the model graphs and evicted the deployment's plan: the workflow
+// allocated 664 times and the invoke after it 231. Each count is the least
+// of five rounds, so a straggling engine goroutine that allocates inside one
+// window does not fail the test; an evicted plan shows in every round.
+func TestWorkflowKeepsDeployedPlan(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := testGateway(t)
+	h := g.Handler()
+	deployDirect(t, h, "chatbot")
+	serve := warmInvoker(t, h, "chatbot")
+	serve()
+	serve()
+	spec, err := trace.ParseWorkflowSpec("0s:only=chatbot:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workflow, next := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for round := 0; round < 5; round++ {
+		workflow = min(workflow, mallocs(func() {
+			res, err := g.Engine().SubmitWorkflow(spec, faas.Options{Quantile: 0.5})
+			if err != nil || !res.Succeeded {
+				t.Fatalf("workflow %+v: %v", res, err)
+			}
+		}))
+		next = min(next, mallocs(serve))
+	}
+	t.Logf("one-stage workflow: %d allocations; the invoke after it: %d", workflow, next)
+	if next > 3 {
+		t.Errorf("the warm invoke after a workflow allocates %d times, want <= 3: the workflow evicted the deployment's plan", next)
+	}
+	if workflow > 150 {
+		t.Errorf("a one-stage workflow allocates %d times, want <= 150", workflow)
 	}
 }

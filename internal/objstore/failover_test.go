@@ -240,7 +240,7 @@ func TestGetAtFailsOver(t *testing.T) {
 	}
 	obj, _ := s.Lookup("k")
 	reps := obj.Chunks[0].Replicas
-	start := int(hashKey("k", 0) % uint64(len(reps)))
+	start := int(hashKey("k", "", 0) % uint64(len(reps)))
 	hashed, next := s.byID[reps[start].NodeID], s.byID[reps[(start+1)%len(reps)].NodeID]
 	if err := s.FailNode(hashed.ID); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ package objstore
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -147,6 +146,9 @@ type Store struct {
 	// priced is the fabric at the last analytic quantile asked for: the
 	// store prices the fabric once per quantile, not once per request.
 	priced network.Priced
+	// picked and scores are placement's scratch, cfg.Replicas long.
+	picked []*Node
+	scores []uint64
 }
 
 // New assembles a store over the given nodes.
@@ -177,6 +179,8 @@ func New(cfg Config, nodes []*Node, rng *sim.RNG) (*Store, error) {
 		byID:    byID,
 		objects: make(map[string]*Object),
 		rng:     rng,
+		picked:  make([]*Node, 0, cfg.Replicas),
+		scores:  make([]uint64, 0, cfg.Replicas),
 	}, nil
 }
 
@@ -184,16 +188,22 @@ func New(cfg Config, nodes []*Node, rng *sim.RNG) (*Store, error) {
 func (s *Store) Nodes() []*Node { return s.nodes }
 
 // hashKey maps a key to a stable placement seed: 64-bit FNV-1a over the
-// bytes of "<key>#<salt>", salt in decimal. Placement and replica choice
-// hang off this value, so the byte sequence is fixed; it is hashed in place
-// because every GetAt calls it once per chunk.
+// bytes of "<key><id>#<salt>", salt in decimal. Placement scores a node by
+// the key followed by the node's ID, and a read picks its replica by the key
+// alone (id ""). Placement and replica choice hang off this value, so the
+// byte sequence is fixed; it is hashed in place, the key and the ID
+// streamed one after the other, because every GetAt calls it once per chunk
+// and every placement once per node.
 //
 //dscslint:hotpath
-func hashKey(key string, salt int) uint64 {
+func hashKey(key, id string, salt int) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * prime64
+	}
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * prime64
 	}
 	h = (h ^ '#') * prime64
 	var buf [20]byte // len("-9223372036854775808")
@@ -213,7 +223,7 @@ func (s *Store) dscsNodeFor(key string) *Node {
 		if n.Kind != DSCSDrive {
 			continue
 		}
-		if score := hashKey(key+n.ID, 0); best == nil || score > bestScore {
+		if score := hashKey(key, n.ID, 0); best == nil || score > bestScore {
 			best, bestScore = n, score
 		}
 	}
@@ -221,21 +231,29 @@ func (s *Store) dscsNodeFor(key string) *Node {
 }
 
 // placement returns the replica node set for a chunk: rendezvous hashing
-// over all nodes, then — for acceleratable objects — the key's DSCS node
-// swapped into the set (the Section 5.2 replica-mapping rule).
+// over all nodes, the cfg.Replicas highest scores in descending order (ties
+// in node order), then — for acceleratable objects — the key's DSCS node
+// swapped into the set (the Section 5.2 replica-mapping rule). The set is
+// the store's scratch, valid until the next placement; callers hold s.mu.
 func (s *Store) placement(key string, chunk int, acceleratable bool) []*Node {
-	type scored struct {
-		n     *Node
-		score uint64
-	}
-	all := make([]scored, len(s.nodes))
-	for i, n := range s.nodes {
-		all[i] = scored{n, hashKey(key+n.ID, chunk)}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].score > all[j].score })
-	picked := make([]*Node, 0, s.cfg.Replicas)
-	for _, sc := range all[:s.cfg.Replicas] {
-		picked = append(picked, sc.n)
+	picked, scores := s.picked[:0], s.scores[:0]
+	for _, n := range s.nodes {
+		score := hashKey(key, n.ID, chunk)
+		// Insert behind every equal or higher score, so equal scores keep
+		// node order; a full set drops its lowest.
+		j := len(picked)
+		for j > 0 && scores[j-1] < score {
+			j--
+		}
+		if j == s.cfg.Replicas {
+			continue
+		}
+		if len(picked) < s.cfg.Replicas {
+			picked, scores = append(picked, nil), append(scores, 0)
+		}
+		copy(picked[j+1:], picked[j:])
+		copy(scores[j+1:], scores[j:])
+		picked[j], scores[j] = n, score
 	}
 	if !acceleratable {
 		return picked
@@ -305,7 +323,10 @@ func (s *Store) PutAt(key string, size units.Bytes, acceleratable bool, q float6
 	if old, ok := s.objects[key]; ok && old.Size == size && old.Acceleratable == acceleratable {
 		return s.overwrite(old, q, rng)
 	}
-	obj := &Object{Key: key, Size: size, Acceleratable: acceleratable}
+	// A new object allocates its metadata and nothing else: the Object, its
+	// Chunks, and each chunk's Replicas, each at its final size.
+	chunks := (size + s.cfg.ChunkSize - 1) / s.cfg.ChunkSize
+	obj := &Object{Key: key, Size: size, Acceleratable: acceleratable, Chunks: make([]Chunk, 0, chunks)}
 	var total time.Duration
 	var energy units.Energy
 	for idx, remaining := 0, size; remaining > 0; idx++ {
@@ -314,9 +335,8 @@ func (s *Store) PutAt(key string, size units.Bytes, acceleratable bool, q float6
 			cs = remaining
 		}
 		remaining -= cs
-		//dscslint:allow hotpathcheck placement runs once per new object; an existing one took the overwrite branch
 		nodes := s.placement(key, idx, acceleratable)
-		chunk := Chunk{Index: idx, Size: cs}
+		chunk := Chunk{Index: idx, Size: cs, Replicas: make([]Replica, 0, len(nodes))}
 		path, fab := rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, cs), s.chunkFabric(cs, q)
 		var slowest time.Duration
 		for _, n := range nodes {
@@ -387,7 +407,7 @@ func (s *Store) GetAt(key string, q float64) (time.Duration, units.Energy, error
 	var energy units.Energy
 	for _, chunk := range obj.Chunks {
 		n := len(chunk.Replicas)
-		start := int(hashKey(key, chunk.Index) % uint64(n))
+		start := int(hashKey(key, "", chunk.Index) % uint64(n))
 		tried := 0
 		for ; tried < n; tried++ {
 			rep := chunk.Replicas[(start+tried)%n]

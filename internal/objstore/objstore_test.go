@@ -238,7 +238,7 @@ func TestHashKeyMatchesFprintfSpelling(t *testing.T) {
 	salts := []int{0, 1, 2, 9, 10, 63, 1 << 20, -1, -10, math.MaxInt64, math.MinInt64}
 	for _, key := range keys {
 		for _, salt := range salts {
-			if got, want := hashKey(key, salt), fprintfHashKey(key, salt); got != want {
+			if got, want := hashKey(key, "", salt), fprintfHashKey(key, salt); got != want {
 				t.Errorf("hashKey(%q, %d) = %#x, the Fprintf spelling gives %#x", key, salt, got, want)
 			}
 		}

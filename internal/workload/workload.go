@@ -5,6 +5,8 @@
 package workload
 
 import (
+	"sync"
+
 	"dscs/internal/model"
 	"dscs/internal/units"
 )
@@ -42,7 +44,7 @@ func prepGraph(name string, rawElems, tensorElems int64) *model.Graph {
 // constructors lists the suite in the paper's Table 1 order, each entry
 // under the slug its constructor assigns, so BySlug builds the one
 // benchmark asked for instead of all eight model graphs.
-var constructors = []struct {
+var constructors = [...]struct {
 	slug  string
 	build func() *Benchmark
 }{
@@ -56,20 +58,41 @@ var constructors = []struct {
 	{"remote-sensing", RemoteSensing},
 }
 
-// Suite returns the eight benchmarks in the paper's Table 1 order.
+// catalogue holds the process's one copy of each suite benchmark, built on
+// first request: a benchmark is immutable, so every environment, runner and
+// workflow can read the same object, and a runner's plan for it (keyed by
+// the object) survives every later lookup of the slug.
+var catalogue [len(constructors)]struct {
+	once sync.Once
+	b    *Benchmark
+}
+
+// shared returns the catalogue's benchmark for constructors[i].
+func shared(i int) *Benchmark {
+	e := &catalogue[i]
+	e.once.Do(func() { e.b = constructors[i].build() })
+	return e.b
+}
+
+// Suite returns the eight benchmarks in the paper's Table 1 order. The
+// slice is the caller's; the benchmarks are the process-wide catalogue's,
+// shared with every other caller, and must not be mutated: copy one, or
+// call its constructor, to get a private benchmark.
 func Suite() []*Benchmark {
 	suite := make([]*Benchmark, len(constructors))
-	for i, c := range constructors {
-		suite[i] = c.build()
+	for i := range constructors {
+		suite[i] = shared(i)
 	}
 	return suite
 }
 
-// BySlug returns the named benchmark, or nil.
+// BySlug returns the named benchmark, or nil. Like Suite's, the benchmark
+// is the shared catalogue's and must not be mutated; every call for a slug
+// returns the same object.
 func BySlug(slug string) *Benchmark {
-	for _, c := range constructors {
+	for i, c := range constructors {
 		if c.slug == slug {
-			return c.build()
+			return shared(i)
 		}
 	}
 	return nil

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"reflect"
+	"sync"
 	"testing"
 
 	"dscs/internal/units"
@@ -36,28 +36,68 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
-// TestBySlug pins the slug table against the constructors: BySlug builds
-// only the named benchmark, and what it builds must equal the Suite entry
-// field for field (graphs included).
+// TestBySlug pins the slug table against the constructors and the
+// catalogue: each table slug is the one its constructor assigns, and BySlug
+// returns the very object Suite lists under it.
 func TestBySlug(t *testing.T) {
 	suite := Suite()
 	if len(suite) != len(constructors) {
 		t.Fatalf("suite has %d entries, table %d", len(suite), len(constructors))
 	}
 	for i, want := range suite {
-		if constructors[i].slug != want.Slug {
-			t.Errorf("table slug %q builds benchmark %q", constructors[i].slug, want.Slug)
+		if built := constructors[i].build(); constructors[i].slug != built.Slug || built.Slug != want.Slug {
+			t.Errorf("table slug %q builds benchmark %q, catalogue holds %q", constructors[i].slug, built.Slug, want.Slug)
 		}
-		got := BySlug(want.Slug)
-		if got == nil {
-			t.Fatalf("BySlug(%q) = nil", want.Slug)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("BySlug(%q) differs from its Suite entry:\n got %+v\nwant %+v", want.Slug, got, want)
+		if got := BySlug(want.Slug); got != want {
+			t.Errorf("BySlug(%q) = %p, not the Suite entry %p", want.Slug, got, want)
 		}
 	}
 	if BySlug("nope") != nil {
 		t.Error("unknown slug should return nil")
+	}
+}
+
+// TestCatalogueFirstUseConcurrent empties the catalogue and rebuilds it
+// under concurrent first calls: every caller must see one object per slug
+// (run it under -race too). No test in this package keeps a catalogue object
+// across tests, so starting over is safe here.
+func TestCatalogueFirstUseConcurrent(t *testing.T) {
+	catalogue = [len(constructors)]struct {
+		once sync.Once
+		b    *Benchmark
+	}{}
+	const callers = 8
+	var wg sync.WaitGroup
+	got := make([][]*Benchmark, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			if c%2 == 0 {
+				got[c] = Suite()
+				return
+			}
+			for _, e := range constructors {
+				got[c] = append(got[c], BySlug(e.slug))
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c := 1; c < callers; c++ {
+		for i := range got[0] {
+			if got[c][i] != got[0][i] {
+				t.Fatalf("caller %d got a different %q object", c, got[0][i].Slug)
+			}
+		}
+	}
+}
+
+// TestBySlugAllocatesNothing: once built, a catalogue lookup is a table
+// scan; workflow stages and the rack sim call it per stage.
+func TestBySlugAllocatesNothing(t *testing.T) {
+	BySlug("remote-sensing")
+	if got := testing.AllocsPerRun(100, func() { BySlug("remote-sensing") }); got != 0 {
+		t.Errorf("BySlug allocates %v times on a built entry, want 0", got)
 	}
 }
 
