@@ -136,3 +136,38 @@ func TestReplayBytesDoNotScale(t *testing.T) {
 			perReq, record, slack)
 	}
 }
+
+// TestReplayRecordAllocations pins what one execution record costs a rack
+// replay without hedging: the record and its bound completion, with no
+// hedge timer or lender lease bound for a driver that never arms them. Two
+// replays of the same n requests differ only in how many records they
+// make: a burst at one instant runs all n at once on n instances, while
+// arrivals spaced beyond the service time reuse a single record.
+func TestReplayRecordAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 512
+	cfg := Config{Instances: n, QueueDepth: n, Service: flatService(80 * time.Millisecond), SampleEvery: time.Hour}
+	burst := &trace.Trace{Duration: n * time.Second}
+	spaced := &trace.Trace{Duration: n * time.Second}
+	for i := range n {
+		burst.Requests = append(burst.Requests, trace.Request{ID: i, Benchmark: "chatbot"})
+		spaced.Requests = append(spaced.Requests, trace.Request{ID: i, At: time.Duration(i) * time.Second, Benchmark: "chatbot"})
+	}
+	allocs := func(tr *trace.Trace) float64 {
+		var err error
+		a := testing.AllocsPerRun(3, func() { _, err = Run(tr, cfg, 5) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	perRecord := (allocs(burst) - allocs(spaced)) / (n - 1)
+	t.Logf("%.3f allocations per extra record", perRecord)
+	// The event heap and the free list grow geometrically with the
+	// records in flight: a few allocations in all, not one per record.
+	if perRecord < 2 || perRecord > 2.1 {
+		t.Errorf("a record costs %.3f allocations, want 2 (the record and its completion)", perRecord)
+	}
+}

@@ -15,13 +15,14 @@
 // service times are sampled at dispatch.
 //
 // Every execution is a record from the driver's free list, so a replay
-// allocates nothing per execution. A record's callbacks — completion, hedge
-// timer, lender lease — are bound once, when the record is made, and the
-// record counts what can still reach it: its pending completion, a pending
-// hedge timer or lease, and its inflight slot. It returns to the free list
-// only when the last of these lets go, so an event that fires late (the
-// completion of a cancelled execution, the lease of a hedge that lost)
-// never finds the record serving another execution.
+// allocates nothing per execution. A record's callbacks are bound once,
+// when the record is made: its completion always, its hedge timer and
+// lender lease only when the topology hedges. The record counts what can
+// still reach it: its pending completion, a pending hedge timer or lease,
+// and its inflight slot. It returns to the free list only when the last of
+// these lets go, so an event that fires late (the completion of a
+// cancelled execution, the lease of a hedge that lost) never finds the
+// record serving another execution.
 package cluster
 
 import (
@@ -86,7 +87,8 @@ type execution struct {
 	lender, lenderFaults int
 	leased               time.Duration
 	// fire, hedgeFire and leaseFire are complete, hedgeDue and leaseDone,
-	// bound once when the record is made.
+	// bound once when the record is made; the last two stay nil unless the
+	// driver has patience.
 	fire, hedgeFire, leaseFire func()
 }
 
@@ -372,8 +374,9 @@ func (d *driver) execute(pool int, lead *sched.HybridTask, rest []sched.HybridTa
 	d.engine.After(service, ex.fire)
 }
 
-// take hands out a free execution record, making one — callbacks bound —
-// when none is free.
+// take hands out a free execution record, making one when none is free. A
+// new record binds its completion, and its hedge timer and lender lease
+// only when the topology hedges: without patience neither is ever armed.
 func (d *driver) take() *execution {
 	if n := len(d.free); n > 0 {
 		ex := d.free[n-1]
@@ -381,7 +384,10 @@ func (d *driver) take() *execution {
 		return ex
 	}
 	ex := &execution{d: d}
-	ex.fire, ex.hedgeFire, ex.leaseFire = ex.complete, ex.hedgeDue, ex.leaseDone
+	ex.fire = ex.complete
+	if d.patience != nil {
+		ex.hedgeFire, ex.leaseFire = ex.hedgeDue, ex.leaseDone
+	}
 	return ex
 }
 

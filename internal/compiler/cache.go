@@ -7,7 +7,7 @@
 package compiler
 
 import (
-	"fmt"
+	"math"
 	"sync"
 
 	"dscs/internal/dsa"
@@ -15,11 +15,17 @@ import (
 	"dscs/internal/model"
 )
 
-// cacheKey fingerprints one compilation. dsa.Config and Options are flat
-// value types, so %+v is a faithful fingerprint; the graph is identified by
-// name plus shape invariants in case two graphs share a name.
-func cacheKey(g *model.Graph, batch int, cfg dsa.Config, opts Options) string {
-	return fmt.Sprintf("%s/%d/%d/%d|%+v|%+v", g.Name, len(g.Layers), g.FLOPs(), batch, cfg, opts)
+// cacheKey identifies one compilation. dsa.Config and Options are flat
+// comparable values and key as themselves; the graph is identified by name
+// plus shape invariants in case two graphs share a name. A hit builds the
+// key on the stack and allocates nothing.
+type cacheKey struct {
+	name   string
+	layers int
+	flops  int64
+	batch  int
+	cfg    dsa.Config
+	opts   Options
 }
 
 // flight is one cache slot: the once gates the single compilation, after
@@ -31,15 +37,29 @@ type flight struct {
 }
 
 // programCache is the process-wide compiled-program cache.
-var programCache sync.Map // cacheKey -> *flight
+var programCache = struct {
+	mu      sync.Mutex
+	flights map[cacheKey]*flight
+}{flights: make(map[cacheKey]*flight)}
 
 // CompileCached is Compile behind the program cache: the first caller for a
 // (model, batch, config, options) tuple compiles; concurrent and later
 // callers share the result. The returned program is shared — callers must
 // treat it as immutable (the simulator does).
 func CompileCached(g *model.Graph, batch int, cfg dsa.Config, opts Options) (*isa.Program, error) {
-	v, _ := programCache.LoadOrStore(cacheKey(g, batch, cfg, opts), &flight{})
-	f := v.(*flight)
+	if math.IsNaN(float64(cfg.Freq)) {
+		// A NaN clock never equals itself, so its key could never be found
+		// again: compile it uncached rather than grow the map on every call.
+		return Compile(g, batch, cfg, opts)
+	}
+	key := cacheKey{name: g.Name, layers: len(g.Layers), flops: g.FLOPs(), batch: batch, cfg: cfg, opts: opts}
+	programCache.mu.Lock()
+	f, ok := programCache.flights[key]
+	if !ok {
+		f = new(flight)
+		programCache.flights[key] = f
+	}
+	programCache.mu.Unlock()
 	f.once.Do(func() {
 		f.prog, f.err = Compile(g, batch, cfg, opts)
 	})

@@ -12,6 +12,7 @@ package dsa
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"dscs/internal/isa"
@@ -49,9 +50,17 @@ func (c Config) TotalBuf() units.Bytes { return c.InputBuf + c.WeightBuf + c.Out
 func (c Config) PEs() int { return c.Rows * c.Cols }
 
 // String summarizes the design point the way the paper labels them
-// (e.g. "Dim128-4MB-DDR5").
+// (e.g. "Dim128-4.19MB-DDR5").
 func (c Config) String() string {
-	return fmt.Sprintf("Dim%d-%v-%v", c.Rows, c.TotalBuf(), c.DRAM)
+	var buf [48]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends String's rendering of c to dst.
+func (c Config) Append(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "Dim"...), int64(c.Rows), 10)
+	dst = c.TotalBuf().Append(append(dst, '-'))
+	return append(append(dst, '-'), c.DRAM.String()...)
 }
 
 // Validate rejects degenerate configurations.
@@ -143,13 +152,22 @@ type Simulator struct {
 
 // New returns a simulator for the design point.
 func New(cfg Config) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(Simulator)
+	if err := s.Configure(cfg); err != nil {
 		return nil, err
 	}
-	return &Simulator{
-		cfg:         cfg,
-		bytesPerCyc: float64(cfg.DRAM.Bandwidth()) / float64(cfg.Freq),
-	}, nil
+	return s, nil
+}
+
+// Configure points s at another design point, keeping its KeepPerLayer
+// setting: a sweep over many configurations reuses one simulator instead of
+// allocating one per configuration. On error s is unchanged.
+func (s *Simulator) Configure(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	s.cfg, s.bytesPerCyc = cfg, float64(cfg.DRAM.Bandwidth())/float64(cfg.Freq)
+	return nil
 }
 
 // KeepPerLayer enables per-instruction stats collection.

@@ -9,7 +9,7 @@ package dse
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"dscs/internal/compiler"
@@ -38,10 +38,9 @@ type Point struct {
 	Feasible bool
 }
 
-// Label renders the paper's design-point naming (e.g. "Dim128-4MB").
-func (p Point) Label() string {
-	return fmt.Sprintf("Dim%d-%v-%v", p.Config.Rows, p.Config.TotalBuf(), p.Config.DRAM)
-}
+// Label renders the paper's design-point naming (e.g. "Dim128-4.19MB-DDR5"),
+// the configuration's dsa.Config.String.
+func (p Point) Label() string { return p.Config.String() }
 
 // Space describes the search space.
 type Space struct {
@@ -116,15 +115,14 @@ func SuiteModels() []*model.Graph {
 // evaluate scores one configuration across the models: throughput is the
 // harmonic composition (requests per second of the average latency), power
 // is energy over busy time at the given node. Every model compiles into
-// prog, whose storage the next call reuses: Explore's workers each keep one
-// program for the whole sweep instead of allocating one per
-// (configuration, model).
-func evaluate(prog *isa.Program, cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
+// prog, whose storage the next call reuses, and runs on sim, reconfigured
+// for cfg: Explore's workers each keep one program and one simulator for the
+// whole sweep instead of allocating them per configuration and model.
+func evaluate(prog *isa.Program, sim *dsa.Simulator, cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
 	if len(models) == 0 {
 		return Point{}, fmt.Errorf("dse: no models to evaluate %v on", cfg)
 	}
-	sim, err := dsa.New(cfg)
-	if err != nil {
+	if err := sim.Configure(cfg); err != nil {
 		return Point{}, err
 	}
 	var totalLatency float64
@@ -169,8 +167,9 @@ func Explore(s Space, node power.TechNode) ([]Point, error) {
 		go func() {
 			defer wg.Done()
 			var prog isa.Program
+			var sim dsa.Simulator
 			for i := range work {
-				points[i], errs[i] = evaluate(&prog, configs[i], models, node, s.Budget)
+				points[i], errs[i] = evaluate(&prog, &sim, configs[i], models, node, s.Budget)
 			}
 		}()
 	}
@@ -189,45 +188,66 @@ func Explore(s Space, node power.TechNode) ([]Point, error) {
 
 // ParetoPower returns the power-performance frontier: points where no other
 // point has both higher throughput and lower power.
-func ParetoPower(points []Point) []Point {
-	return pareto(points, func(p Point) (x, y float64) {
-		return p.Throughput, float64(p.DynPower)
-	})
-}
+func ParetoPower(points []Point) []Point { return pareto(points, PowerAxes) }
 
 // ParetoArea returns the area-performance frontier.
-func ParetoArea(points []Point) []Point {
-	return pareto(points, func(p Point) (x, y float64) {
-		return p.Throughput, float64(p.Area)
-	})
-}
+func ParetoArea(points []Point) []Point { return pareto(points, AreaAxes) }
 
 // pareto extracts the maximal-x / minimal-y frontier, sorted by x.
 func pareto(points []Point, axes func(Point) (float64, float64)) []Point {
-	sorted := make([]Point, len(points))
-	copy(sorted, points)
-	sort.Slice(sorted, func(i, j int) bool {
-		xi, yi := axes(sorted[i])
-		xj, yj := axes(sorted[j])
-		if xi != xj {
-			return xi > xj
-		}
-		return yi < yj
-	})
-	var out []Point
-	best := -1.0
-	for _, p := range sorted {
-		_, y := axes(p)
-		if best < 0 || y < best {
-			out = append(out, p)
-			best = y
-		}
+	kept := frontier(points, axes)
+	if len(kept) == 0 {
+		return nil
 	}
-	// Return in ascending throughput order like the figures.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	out := make([]Point, len(kept))
+	for k, r := range kept {
+		out[k] = points[r.i]
 	}
 	return out
+}
+
+// ranked is point i's place on a frontier's axes.
+type ranked struct {
+	x, y float64
+	i    int
+}
+
+// before orders a frontier's candidates: x descending, ties by y ascending.
+func (r ranked) before(q ranked) bool {
+	if r.x != q.x {
+		return r.x > q.x
+	}
+	return r.y < q.y
+}
+
+// frontier returns the frontier's points in ascending x. It orders the
+// points by before and keeps each one whose y undercuts every point ahead
+// of it; the sort moves small ranked entries, not the points.
+func frontier(points []Point, axes func(Point) (float64, float64)) []ranked {
+	order := make([]ranked, len(points))
+	for i, p := range points {
+		x, y := axes(p)
+		order[i] = ranked{x: x, y: y, i: i}
+	}
+	slices.SortFunc(order, func(a, b ranked) int {
+		switch {
+		case a.before(b):
+			return -1
+		case b.before(a):
+			return 1
+		}
+		return 0
+	})
+	kept := order[:0]
+	best := -1.0
+	for _, r := range order {
+		if best < 0 || r.y < best {
+			kept = append(kept, r)
+			best = r.y
+		}
+	}
+	slices.Reverse(kept)
+	return kept
 }
 
 // FitCubic fits the frontier's y = f(throughput) cubic, as annotated in
@@ -254,19 +274,24 @@ func AreaAxes(p Point) (float64, float64) { return p.Throughput, float64(p.Area)
 // throughput design that is feasible within the power budget AND lies on
 // both the power-performance and area-performance Pareto frontiers. The
 // paper's answer is the 128x128 array with 4 MB of buffers on DDR5.
+//
+// A point's identity is its Config: a point lies on a frontier when the
+// frontier holds a point with an equal Config, so every copy of a design
+// shares its membership.
 func Optimal(points []Point) (Point, bool) {
-	onPower := map[string]bool{}
-	for _, p := range ParetoPower(points) {
-		onPower[p.Label()] = true
-	}
-	onArea := map[string]bool{}
-	for _, p := range ParetoArea(points) {
-		onArea[p.Label()] = true
+	onPower := frontier(points, PowerAxes)
+	onArea := frontier(points, AreaAxes)
+	// The designs on both frontiers, kept in onPower's storage.
+	onBoth := onPower[:0]
+	for _, r := range onPower {
+		if holds(points, onArea, points[r.i].Config) {
+			onBoth = append(onBoth, r)
+		}
 	}
 	var best Point
 	found := false
 	for _, p := range points {
-		if !p.Feasible || !onPower[p.Label()] || !onArea[p.Label()] {
+		if !p.Feasible || !holds(points, onBoth, p.Config) {
 			continue
 		}
 		if !found || p.Throughput > best.Throughput ||
@@ -290,4 +315,14 @@ func Optimal(points []Point) (Point, bool) {
 		}
 	}
 	return best, found
+}
+
+// holds reports whether the frontier includes a point with Config cfg.
+func holds(points []Point, frontier []ranked, cfg dsa.Config) bool {
+	for _, r := range frontier {
+		if points[r.i].Config == cfg {
+			return true
+		}
+	}
+	return false
 }

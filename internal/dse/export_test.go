@@ -8,7 +8,7 @@ import (
 	"dscs/internal/units"
 )
 
-// Evaluate is evaluate with a fresh program.
+// Evaluate is evaluate with a fresh program and simulator.
 func Evaluate(cfg dsa.Config, models []*model.Graph, node power.TechNode, budget units.Power) (Point, error) {
-	return evaluate(new(isa.Program), cfg, models, node, budget)
+	return evaluate(new(isa.Program), new(dsa.Simulator), cfg, models, node, budget)
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"dscs/internal/csd"
-	"dscs/internal/dse"
 	"dscs/internal/faas"
 	"dscs/internal/objstore"
 	"dscs/internal/platform"
@@ -27,9 +26,9 @@ type Environment struct {
 	Runners   map[string]*faas.Runner
 	Suite     []*workload.Benchmark
 
-	// dsePoints caches the (expensive) design-space exploration shared by
-	// Figures 7 and 8.
-	dsePoints []dse.Point
+	// sweep caches the (expensive) design-space exploration shared by
+	// Figures 7 and 8, with what both derive from it.
+	sweep *exploration
 	// suiteRes caches the per-platform suite invocations shared by
 	// Figures 9-12.
 	suiteRes map[string]map[string]faas.Result

@@ -10,6 +10,7 @@ package units
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -29,17 +30,30 @@ const (
 
 // String renders the size with a human-friendly unit.
 func (b Bytes) String() string {
+	var buf [24]byte
+	return string(b.Append(buf[:0]))
+}
+
+// Append appends String's rendering of b to dst: two decimals of the
+// largest decimal unit b reaches, or whole bytes below a kilobyte. Labels
+// built from sizes (dsa.Config.String) append it without a string of
+// their own.
+func (b Bytes) Append(dst []byte) []byte {
+	var unit Bytes
+	var suffix string
 	switch {
 	case b >= TB:
-		return fmt.Sprintf("%.2fTB", float64(b)/float64(TB))
+		unit, suffix = TB, "TB"
 	case b >= GB:
-		return fmt.Sprintf("%.2fGB", float64(b)/float64(GB))
+		unit, suffix = GB, "GB"
 	case b >= MB:
-		return fmt.Sprintf("%.2fMB", float64(b)/float64(MB))
+		unit, suffix = MB, "MB"
 	case b >= KB:
-		return fmt.Sprintf("%.2fKB", float64(b)/float64(KB))
+		unit, suffix = KB, "KB"
+	default:
+		return append(strconv.AppendInt(dst, int64(b), 10), 'B')
 	}
-	return fmt.Sprintf("%dB", int64(b))
+	return append(strconv.AppendFloat(dst, float64(b)/float64(unit), 'f', 2, 64), suffix...)
 }
 
 // Bandwidth is a transfer rate in bytes per second.

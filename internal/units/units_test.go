@@ -1,6 +1,8 @@
 package units
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -21,6 +23,51 @@ func TestBytesString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("Bytes(%d).String() = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// refBytesString is Bytes.String as fmt rendered it.
+func refBytesString(b Bytes) string {
+	switch {
+	case b >= TB:
+		return fmt.Sprintf("%.2fTB", float64(b)/float64(TB))
+	case b >= GB:
+		return fmt.Sprintf("%.2fGB", float64(b)/float64(GB))
+	case b >= MB:
+		return fmt.Sprintf("%.2fMB", float64(b)/float64(MB))
+	case b >= KB:
+		return fmt.Sprintf("%.2fKB", float64(b)/float64(KB))
+	}
+	return fmt.Sprintf("%dB", int64(b))
+}
+
+// TestBytesStringMatchesFormatReference pins the strconv rendering to the
+// fmt one it replaces: at each unit's edges, at rounding half-points, and
+// on arbitrary sizes; Append must add the same bytes after a prefix.
+func TestBytesStringMatchesFormatReference(t *testing.T) {
+	check := func(b Bytes) bool {
+		want := refBytesString(b)
+		return b.String() == want && string(b.Append([]byte("x="))) == "x="+want
+	}
+	for _, b := range []Bytes{
+		0, 1, 999, 1023, KB, 2675, 5005, MB - 1, 4 * MiB, 1500 * MB, 2 * TB,
+		-1, -KB, math.MaxInt64, math.MinInt64,
+	} {
+		if !check(b) {
+			t.Errorf("Bytes(%d): String() = %q, want %q", int64(b), b.String(), refBytesString(b))
+		}
+	}
+	if err := quick.Check(func(n int64) bool { return check(Bytes(n)) }, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBytesAppendAllocations pins that appending to a buffer with room
+// allocates nothing.
+func TestBytesAppendAllocations(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = (1500 * MB).Append(buf[:0]) }); n != 0 {
+		t.Errorf("Bytes.Append allocates %.0f times, want 0", n)
 	}
 }
 
