@@ -100,14 +100,16 @@ func Suite() []*Benchmark { return workload.Suite() }
 // catalogue's shared object, which must not be mutated.
 func BenchmarkBySlug(slug string) *Benchmark { return workload.BySlug(slug) }
 
-// Models returns the zoo behind the suite, keyed by architecture name.
+// Models returns the zoo behind the suite: the inference model of each
+// Suite benchmark, in the same order. The slice is the caller's; the
+// graphs are the shared catalogue's and must not be mutated.
 func Models() []*Model {
-	return []*Model{
-		model.LogisticRegressionCredit(4096), model.ResNet50(),
-		model.SSDMobileNetPPE(), model.BERTBaseChatbot(),
-		model.MarianTranslation(), model.InceptionV3Clinical(),
-		model.ResNet18Moderation(), model.ViTRemoteSensing(),
+	suite := workload.Suite()
+	models := make([]*Model, len(suite))
+	for i, b := range suite {
+		models[i] = b.Model
 	}
+	return models
 }
 
 // Platforms returns the Table 2 lineup.

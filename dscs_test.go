@@ -60,6 +60,25 @@ func TestPublicToolchain(t *testing.T) {
 	}
 }
 
+// TestModelsAreTheSuiteModels pins Models to the catalogue: the model of
+// each Suite benchmark, the same shared graph, in Table 1 order.
+func TestModelsAreTheSuiteModels(t *testing.T) {
+	want := []string{"logistic-regression", "resnet-50", "ssd-mobilenet-ppe", "bert-base",
+		"marian-translation", "inception-v3", "resnet-18", "vit-b16"}
+	models, suite := dscs.Models(), dscs.Suite()
+	if len(models) != len(suite) || len(models) != len(want) {
+		t.Fatalf("%d models for %d benchmarks, want %d", len(models), len(suite), len(want))
+	}
+	for i, m := range models {
+		if m != suite[i].Model {
+			t.Errorf("model %d (%s) is not %s's shared graph", i, m.Name, suite[i].Slug)
+		}
+		if m.Name != want[i] {
+			t.Errorf("model %d is %q, want %s", i, m.Name, want[i])
+		}
+	}
+}
+
 func TestPublicExperimentRegistry(t *testing.T) {
 	if len(dscs.Experiments()) != 21 {
 		t.Fatalf("registry size %d, want 21", len(dscs.Experiments()))

@@ -152,8 +152,8 @@ func TestReplayRecordAllocations(t *testing.T) {
 	burst := &trace.Trace{Duration: n * time.Second}
 	spaced := &trace.Trace{Duration: n * time.Second}
 	for i := range n {
-		burst.Requests = append(burst.Requests, trace.Request{ID: i, Benchmark: "chatbot"})
-		spaced.Requests = append(spaced.Requests, trace.Request{ID: i, At: time.Duration(i) * time.Second, Benchmark: "chatbot"})
+		burst.Requests = append(burst.Requests, trace.Request{Benchmark: "chatbot"})
+		spaced.Requests = append(spaced.Requests, trace.Request{At: time.Duration(i) * time.Second, Benchmark: "chatbot"})
 	}
 	allocs := func(tr *trace.Trace) float64 {
 		var err error

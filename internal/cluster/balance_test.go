@@ -185,7 +185,7 @@ func TestSpillIntoFullTargetGoesHome(t *testing.T) {
 	tr := &trace.Trace{Duration: 2 * time.Second}
 	for i := 0; i < 8; i++ {
 		tr.Requests = append(tr.Requests, trace.Request{
-			ID: i, At: 100*time.Millisecond + time.Duration(i)*10*time.Millisecond, Benchmark: "credit-risk",
+			At: 100*time.Millisecond + time.Duration(i)*10*time.Millisecond, Benchmark: "credit-risk",
 		})
 	}
 	faults, err := trace.ParseFaultScript("50ms:pool-down:dscs;1s:pool-up:dscs")

@@ -216,7 +216,7 @@ func Run(tr *trace.Trace, cfg Config, seed uint64) (*Stats, error) {
 
 	d.arrive = func(i int) {
 		req := tr.Requests[i]
-		task := sched.HybridTask{ID: req.ID, Arrived: d.now(), Payload: req.Benchmark}
+		task := sched.HybridTask{ID: i, Arrived: d.now(), Payload: req.Benchmark}
 		if cfg.StaticEstimate != nil {
 			// The rack's single simulated pool is CPU-class, so the
 			// CPU estimate is the one the former's slack pricing reads.

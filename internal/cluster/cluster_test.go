@@ -19,9 +19,9 @@ func TestLingerBatchesFromVirtualClock(t *testing.T) {
 	tr := &trace.Trace{
 		Duration: 10 * time.Second,
 		Requests: []trace.Request{
-			{ID: 1, At: 0, Benchmark: "chatbot"},
-			{ID: 2, At: time.Second, Benchmark: "chatbot"},
-			{ID: 3, At: 90 * time.Second, Benchmark: "moderation"}, // different benchmark, long after
+			{At: 0, Benchmark: "chatbot"},
+			{At: time.Second, Benchmark: "chatbot"},
+			{At: 90 * time.Second, Benchmark: "moderation"}, // different benchmark, long after
 		},
 	}
 	cfg := Config{
@@ -69,8 +69,8 @@ func TestLingerBatchesFromVirtualClock(t *testing.T) {
 	pair := &trace.Trace{
 		Duration: 10 * time.Second,
 		Requests: []trace.Request{
-			{ID: 1, At: 0, Benchmark: "chatbot"},
-			{ID: 2, At: time.Second, Benchmark: "chatbot"},
+			{At: 0, Benchmark: "chatbot"},
+			{At: time.Second, Benchmark: "chatbot"},
 		},
 	}
 	cfg.MaxBatch, cfg.BatchLinger = 2, 2*time.Second

@@ -169,8 +169,9 @@ func newHybridPricing(cfg HybridConfig) *hybridPricing {
 	return p
 }
 
-// task prices one arrival at now with the scheduler's belief.
-func (p *hybridPricing) task(req trace.Request, now time.Duration) sched.HybridTask {
+// task prices arrival id (its index in the trace) at now with the
+// scheduler's belief.
+func (p *hybridPricing) task(id int, req trace.Request, now time.Duration) sched.HybridTask {
 	cpu, dscs, accel := p.estimate(req.Benchmark)
 	if p.obs != nil {
 		// The policies' pricing blends the belief toward the observed
@@ -179,7 +180,7 @@ func (p *hybridPricing) task(req trace.Request, now time.Duration) sched.HybridT
 		dscs = p.obs.Blend(req.Benchmark, sched.ClassDSCS.String(), dscs)
 	}
 	return sched.HybridTask{
-		ID: req.ID, Arrived: now, Payload: req.Benchmark,
+		ID: id, Arrived: now, Payload: req.Benchmark,
 		CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
 	}
 }
@@ -332,7 +333,7 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 
 	onlyCPU := func(i int) bool { return i != dscsIdx }
 	d.arrive = func(i int) {
-		task := pricing.task(tr.Requests[i], d.now())
+		task := pricing.task(i, tr.Requests[i], d.now())
 		// Arrivals target the accelerated backlog; under balance the one
 		// submit-time decision the live engine's enqueue takes
 		// (serve.MultiCore.BalanceTarget) moves them to a CPU backlog. A

@@ -162,7 +162,7 @@ func TestHybridServiceCallOrder(t *testing.T) {
 	tr := &trace.Trace{Duration: time.Second}
 	for i := 0; i < 20; i++ {
 		slug := []string{"chatbot", "credit-risk", "translation"}[i%3]
-		tr.Requests = append(tr.Requests, trace.Request{ID: i, At: time.Duration(i) * time.Millisecond, Benchmark: slug})
+		tr.Requests = append(tr.Requests, trace.Request{At: time.Duration(i) * time.Millisecond, Benchmark: slug})
 	}
 	var calls []string
 	cfg := HybridConfig{

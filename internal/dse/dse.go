@@ -99,8 +99,13 @@ func (s Space) Enumerate() []dsa.Config {
 }
 
 // SuiteModels returns the evaluation models used to score design points.
-// The DSE scores at batch 1, the serverless operating point.
-func SuiteModels() []*model.Graph {
+// The DSE scores at batch 1, the serverless operating point. The slice is
+// the caller's; the graphs are built once per process, shared with every
+// other caller, and must not be mutated.
+func SuiteModels() []*model.Graph { return slices.Clone(suiteModels()) }
+
+// suiteModels builds the evaluation graphs on first use.
+var suiteModels = sync.OnceValue(func() []*model.Graph {
 	return []*model.Graph{
 		model.LogisticRegressionCredit(4096),
 		model.ResNet50(),
@@ -110,7 +115,7 @@ func SuiteModels() []*model.Graph {
 		model.ResNet18Moderation(),
 		model.ViTRemoteSensing(),
 	}
-}
+})
 
 // evaluate scores one configuration across the models: throughput is the
 // harmonic composition (requests per second of the average latency), power

@@ -1,11 +1,11 @@
 // digest.go is the latency observatory's data structure: an online
 // quantile digest safe for concurrent Record from serving-engine worker
-// goroutines. A Digest is the concurrent shell — per-P staging shards and
-// a mutex — around one Window (window.go), the sliding-window order
-// statistic whose windowed quantiles react to drift. The serving engine's
-// adaptive decisions read Digests — the wait-keyed balance (one per pool),
-// the Adopt latch and Blend that service-estimate pricing uses, and the
-// serve_latency_* and serve_queue_delay_* gauges on /metrics. The
+// goroutines. A Digest is the concurrent shell — a mutex — around one
+// Window (window.go), the sliding-window order statistic whose windowed
+// quantiles react to drift. The serving engine's adaptive decisions read
+// Digests — the wait-keyed balance (one per pool), the Adopt latch and
+// Blend that service-estimate pricing uses, and the serve_latency_* and
+// serve_queue_delay_* gauges on /metrics. The
 // Observatory keys Digests per {benchmark, platform}, so the scheduler's
 // live pricing and the telemetry both see per-pool service behavior rather
 // than one blurred aggregate. A single-threaded owner (the simulations'
@@ -16,7 +16,6 @@ package metrics
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,73 +41,22 @@ const (
 	AdoptExitRatio  = 1.2
 )
 
-// Staging geometry: Record stages observations in per-shard fixed rings
-// (contention-free for writers) that fold into the merged window only when
-// a shard fills or a reader finds something staged.
-const (
-	// stageCap is one staging shard's capacity, in observations.
-	stageCap = 16
-	// maxStageShards bounds the per-digest shard count (shards default to
-	// GOMAXPROCS, capped here so a digest's footprint stays small).
-	maxStageShards = 8
-)
-
-// stageEntry is one staged observation with its global sequence number:
-// the read-time merge folds entries in sequence order, so a deterministic
-// (single-goroutine) Record stream folds exactly as the pre-sharding
-// digest ingested it — quantiles and adoption flips stay bit-identical —
-// no matter which shard each observation landed on. A Window's own
-// staging run leaves seq zero: its append order is its sequence.
-type stageEntry struct {
-	seq uint64
-	v   time.Duration
-}
-
-// digestShard is one staging ring. Writers touch only their shard's lock,
-// which with per-P shard selection is effectively uncontended.
-type digestShard struct {
-	mu sync.Mutex
-	// active is set whenever n > 0, so a fold that reads it clear skips
-	// the shard without its lock. Written under mu: a writer that finds it
-	// clear sets it, and a fold clears it only on finding the shard empty
-	// — a shard in steady use keeps it set and its writers never store,
-	// while a shard nobody writes to costs a fold one lock, then none. It
-	// sits beside mu, on the line the shard's writers already own, not at
-	// the end of buf beside the next shard's lock.
-	active atomic.Bool
-	n      int
-	buf    [stageCap]stageEntry
-}
-
 // Digest is a sliding window of the last window observations, plus the
-// static-vs-live Adopt latch and Blend. Safe for concurrent use, and built
-// for reads that follow writes (the balance decision reads a pool's wait
-// digest on every submission, right after a dispatch recorded into it):
-// Record appends to a per-P staging shard (no allocation, no shared lock),
-// and the window — the ring and its order-statistic view, with the costs
-// Window documents — is folded forward under the digest lock when a shard
-// fills or a reader finds something staged. A windowed read is then the
-// digest mutex and an index; with nothing staged it touches no shard lock
-// at all (folded == total), and a fold skips without a lock every shard
-// no writer has staged into since a fold last found it empty.
+// static-vs-live Adopt latch and Blend. Safe for concurrent use: a mutex
+// around one Window, which stages observations in its own run and folds
+// them forward when the run fills or a read finds it non-empty (with the
+// costs Window documents). A write is the lock and an append; a windowed
+// read is the lock, a fold of at most one run, and an index. Only the
+// observation count is read without the lock.
 type Digest struct {
 	mu sync.Mutex
-	// w is the ring and its sorted view, guarded by mu. Its folded count
-	// trails total by exactly what is staged or about to be (Record bumps
-	// total before it stages), so folded == total means every shard is
-	// empty. It stages nothing of its own: the shards are its staging.
+	// w is the ring, its sorted view and its staging run, guarded by mu.
 	w Window
 
-	// total counts every Record ever made (staged included) — warmup
-	// thresholds read it without touching any lock. It doubles as the
-	// sequence source for the staging merge order.
+	// total counts every Record ever made — warmup thresholds read it
+	// without touching the lock. Record bumps it before it stages, so it
+	// never trails the window's own count.
 	total atomic.Int64
-	// shards are the staging rings; staged is the fold's merge scratch, one
-	// slot per staging slot, owned by mu. It lives here and not in the
-	// fold's frame so that a goroutine's first read fits the stack it
-	// started with.
-	shards []digestShard
-	staged []stageEntry
 
 	// live is the adoption latch (see Adopt); flips counts its toggles.
 	live  bool
@@ -118,141 +66,39 @@ type Digest struct {
 // NewDigest returns an empty digest over a window of the given size
 // (DefaultWindow when non-positive).
 func NewDigest(size int) *Digest {
-	shards := runtime.GOMAXPROCS(0)
-	if shards > maxStageShards {
-		shards = maxStageShards
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return &Digest{
-		w:      makeWindow(size),
-		shards: make([]digestShard, shards),
-		staged: make([]stageEntry, shards*stageCap),
-	}
+	return &Digest{w: makeWindow(size)}
 }
 
-// Record stages one observation: an atomic sequence fetch plus an
-// uncontended shard append — no allocation, no shared lock. Negative
-// durations (a clock anomaly upstream) clamp to zero so no quantile can
-// ever go negative. When the caller's shard fills, Record folds the
-// staged backlog forward (amortized: once per stageCap observations).
+// Record stages one observation under the digest lock — no allocation.
+// Negative durations (a clock anomaly upstream) clamp to zero so no
+// quantile can ever go negative. When the staged run fills, Record folds
+// it forward (amortized: once per stageCap observations).
 //
 //dscslint:hotpath
 func (d *Digest) Record(v time.Duration) {
-	if v < 0 {
-		v = 0
-	}
-	seq := uint64(d.total.Add(1))
-	s := &d.shards[ShardIndex(len(d.shards))]
-	for {
-		s.mu.Lock()
-		if s.n < stageCap {
-			if !s.active.Load() {
-				s.active.Store(true)
-			}
-			s.buf[s.n] = stageEntry{seq: seq, v: v}
-			s.n++
-			full := s.n == stageCap
-			s.mu.Unlock()
-			if full {
-				d.mu.Lock()
-				d.foldStagedLocked()
-				d.mu.Unlock()
-			}
-			return
-		}
-		// The shard filled and its folder hasn't drained it yet (the fold
-		// happens outside the shard lock). Fold it forward ourselves and
-		// retry — the fold empties every shard, so this makes progress.
-		s.mu.Unlock()
-		d.mu.Lock()
-		d.foldStagedLocked()
-		d.mu.Unlock()
-	}
+	d.total.Add(1)
+	d.mu.Lock()
+	d.w.Record(v)
+	d.mu.Unlock()
 }
 
 // RecordBatch stages a run of observations exactly as consecutive Record
-// calls would — same values, same order, same sequence numbers — but pays
-// the sequence fetch, shard selection, and shard lock once per run instead
-// of once per value. The serving engine records one dispatched batch's
-// queue delays through this. Folds fire on the same shard-full edges as
-// the one-at-a-time path.
+// calls would — same values, same order — but takes the lock once per run
+// instead of once per value. The serving engine records one dispatched
+// batch's queue delays through this. Folds fire on the same run-full edges
+// as the one-at-a-time path.
 //
 //dscslint:hotpath
 func (d *Digest) RecordBatch(vs []time.Duration) {
 	if len(vs) == 0 {
 		return
 	}
-	seq := uint64(d.total.Add(int64(len(vs)))) - uint64(len(vs)) + 1
-	s := &d.shards[ShardIndex(len(d.shards))]
-	i := 0
-	for i < len(vs) {
-		s.mu.Lock()
-		if !s.active.Load() {
-			s.active.Store(true)
-		}
-		for i < len(vs) && s.n < stageCap {
-			v := vs[i]
-			if v < 0 {
-				v = 0
-			}
-			s.buf[s.n] = stageEntry{seq: seq, v: v}
-			s.n++
-			seq++
-			i++
-		}
-		full := s.n == stageCap
-		s.mu.Unlock()
-		if full {
-			d.mu.Lock()
-			d.foldStagedLocked()
-			d.mu.Unlock()
-		}
+	d.total.Add(int64(len(vs)))
+	d.mu.Lock()
+	for _, v := range vs {
+		d.w.Record(v)
 	}
-}
-
-// foldStagedLocked drains every staging shard that holds entries and
-// folds them into the window in sequence order. A shard whose active flag
-// reads clear is skipped without its lock — a writer that has not staged
-// its entry yet is one the fold would have missed had it locked the shard
-// first — and with nothing staged at all the fold touches no shard.
-// Callers hold d.mu.
-func (d *Digest) foldStagedLocked() {
-	if d.w.folded == d.total.Load() {
-		return
-	}
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		if !s.active.Load() {
-			continue
-		}
-		s.mu.Lock()
-		if s.n == 0 {
-			s.active.Store(false)
-		}
-		n += copy(d.staged[n:], s.buf[:s.n])
-		s.n = 0
-		s.mu.Unlock()
-	}
-	staged := d.staged[:n]
-	// Insertion sort by sequence: single-writer streams arrive already
-	// ordered (one pass), and the concurrent case is at most a few
-	// stage-rings' worth of nearly sorted entries.
-	for i := 1; i < len(staged); i++ {
-		for j := i; j > 0 && staged[j].seq < staged[j-1].seq; j-- {
-			staged[j], staged[j-1] = staged[j-1], staged[j]
-		}
-	}
-	d.w.fold(staged)
-}
-
-// viewLocked is every read's entry: it folds anything staged and returns
-// the window's sorted view (Window.view). Callers hold d.mu.
-func (d *Digest) viewLocked() []time.Duration {
-	d.foldStagedLocked()
-	return d.w.view()
+	d.mu.Unlock()
 }
 
 // Count reports the total observations ever recorded (not capped at the
@@ -267,22 +113,22 @@ func (d *Digest) Count() int64 {
 // Sample.Percentile. Never negative, never NaN; 0 only when nothing was
 // recorded. The read folds any staged observations
 // forward first (and rebuilds a stale view); with none staged it is the
-// digest mutex and an index.
+// digest lock and an index.
 func (d *Digest) Quantile(p float64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return quantileSorted(d.viewLocked(), p)
+	return quantileSorted(d.w.view(), p)
 }
 
 // QuantilesInto fills out[i] with the ps[i]-quantile over the sliding
-// window under a single staged-merge fold — value-identical to calling
+// window under a single lock and fold — value-identical to calling
 // Quantile once per p, minus the repeated lock/fold round-trips. The
 // per-batch gauge refresh on the serving hot path reads through this.
 // out and ps must have equal length.
 func (d *Digest) QuantilesInto(ps []float64, out []time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sorted := d.viewLocked()
+	sorted := d.w.view()
 	for i, p := range ps {
 		out[i] = quantileSorted(sorted, p)
 	}
@@ -328,7 +174,7 @@ func adoptStep(latched bool, live, static time.Duration) (est time.Duration, ado
 func (d *Digest) Adopt(static time.Duration, q float64, warmup int64) (time.Duration, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	live := quantileSorted(d.viewLocked(), q)
+	live := quantileSorted(d.w.view(), q)
 	if d.total.Load() < warmup || live <= 0 {
 		return static, false
 	}
@@ -408,7 +254,7 @@ func (d *Digest) Flips() int64 {
 func (d *Digest) Blend(static time.Duration, warmup int64) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sorted := d.viewLocked()
+	sorted := d.w.view()
 	n := d.total.Load()
 	if w := int64(cap(d.w.ring)); n > w {
 		n = w

@@ -32,6 +32,21 @@ func BenchmarkDigestRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkDigestRecordParallel is the write-heavy stretch with every
+// writer at once (run it at -cpu 1,2): one digest lock shared by
+// GOMAXPROCS writers and no reader.
+func BenchmarkDigestRecordParallel(b *testing.B) {
+	d, _ := warmBenchDigest()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		v := time.Duration(0)
+		for pb.Next() {
+			v = (v + 7919) % time.Second
+			d.Record(v)
+		}
+	})
+}
+
 // BenchmarkDigestRecordUnread is the read-rarely pattern (a gauge, a
 // run's final quantile): each op records two windows with no read between
 // them — the folds stop maintaining the sorted view after the first — and

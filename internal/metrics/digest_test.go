@@ -294,8 +294,7 @@ func TestWindowMatchesSortedRing(t *testing.T) {
 			if read && (d.w.stale || bare.w.stale) {
 				t.Fatalf("seed %d op %d: a read left the view stale", seed, i)
 			}
-			// Staging shards fill on their own schedule, so the two windows
-			// agree once a read has folded both.
+			// A read folds both runs, so the two windows agree after it.
 			if read && (!slices.Equal(d.w.sorted, bare.w.sorted) || !slices.Equal(d.w.ring, bare.w.ring)) {
 				t.Fatalf("seed %d op %d: the digest's window and its bare twin's diverged", seed, i)
 			}
@@ -405,8 +404,7 @@ func TestUnreadWindowRebuildsOnRead(t *testing.T) {
 			}
 			lazy, eager := NewDigest(window), NewDigest(window)
 			for round := 0; round < 3; round++ {
-				// Past a window of folds, and then past one more fold
-				// whichever shards the writes landed on.
+				// Past a window of folds, and then past one more fold.
 				for i := 0; i < unreadStretch(window); i++ {
 					v := value()
 					lazy.Record(v)
@@ -446,17 +444,17 @@ func TestUnreadWindowRebuildsOnRead(t *testing.T) {
 }
 
 // unreadStretch is an unread run of several windows, long enough to leave
-// the view stale on any shard count: folds come at least every
-// maxStageShards*(stageCap-1)+1 records, so past window+that much a window
-// has folded unread, and the fold after it writes only the ring.
+// the view stale: folds come every stageCap records, so past
+// window+stageCap a window has folded unread, and the fold after it writes
+// only the ring.
 func unreadStretch(window int) int {
-	return 3*window + 2*maxStageShards*stageCap
+	return 3*window + 2*stageCap
 }
 
 // foldNow folds whatever is staged without reading the view.
 func foldNow(d *Digest) {
 	d.mu.Lock()
-	d.foldStagedLocked()
+	d.w.flush()
 	d.mu.Unlock()
 }
 

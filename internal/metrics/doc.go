@@ -13,8 +13,9 @@
 //     costs O(log window) compares and one bounded copy when it is folded
 //     in; a quantile read is an index, and never sorts. The simulations'
 //     MultiCore holds one per pool for queue delays.
-//   - Digest is the concurrent shell around one Window: per-P staging
-//     shards and a mutex, so a read is a mutex and an index. The serving
+//   - Digest is the concurrent shell around one Window: a mutex, with the
+//     Window's own staging run behind it, so a write is the lock and an
+//     append and a read is the lock and an index. The serving
 //     engine holds one per pool for queue delays (adaptive
 //     spillover/steal, serve_queue_delay_* gauges) and one per
 //     {benchmark, platform} for service latency. Window, Digest and Sample

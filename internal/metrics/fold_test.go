@@ -35,14 +35,13 @@ func (r *slideRef) slide(v time.Duration) {
 }
 
 // TestFoldMatchesSlide is the batch fold's differential: seeded
-// interleavings of Record, RecordBatch, runs staged across every shard at
-// once (so one fold can hold up to maxStageShards*stageCap observations)
-// and reads go through a digest, a single-owner Window twin (which stages
-// in its own run) and the per-observation reference, and after every read
-// each one's ring, cursor and sorted view must equal the reference's
-// exactly, and the twin must have counted every observation. Windows run from 1 — every fold's run is longer
-// than the window, so slots would be written twice — past the staging
-// capacity to the default. Values are duplicate-heavy with a wide-range
+// interleavings of Record, RecordBatch, unread stretches of Records that
+// cross several fold edges, and reads go through a digest, a single-owner
+// Window twin and the per-observation reference, and after every read each
+// one's ring, cursor and sorted view must equal the reference's exactly,
+// and the twin must have counted every observation. Windows run from 1 —
+// every fold's run is longer than the window, so slots would be written
+// twice — past the staging capacity to the default. Values are duplicate-heavy with a wide-range
 // minority and the extremes, so runs cancel, tie and straddle each other.
 func TestFoldMatchesSlide(t *testing.T) {
 	for _, window := range []int{1, 2, 3, 5, 16, 17, 64, 200, DefaultWindow} {
@@ -60,9 +59,6 @@ func TestFoldMatchesSlide(t *testing.T) {
 				return time.Duration(next()%6) * time.Millisecond
 			}
 			d := NewDigest(window)
-			// Stage across the largest shard set, whatever GOMAXPROCS is.
-			d.shards = make([]digestShard, maxStageShards)
-			d.staged = make([]stageEntry, maxStageShards*stageCap)
 			ref := slideRef{window: window}
 			twin := NewWindow(window)
 			slide := func(v time.Duration) {
@@ -86,15 +82,11 @@ func TestFoldMatchesSlide(t *testing.T) {
 						slide(v)
 					}
 				case 2, 3:
-					// Stage straight into random shards without folding, as
-					// concurrent writers on different Ps leave them.
-					for n := next() % (maxStageShards * stageCap / 2); n > 0; n-- {
-						s := &d.shards[next()%maxStageShards]
-						if s.n == stageCap {
-							continue
-						}
+					// An unread stretch: several runs fold with no read
+					// between them.
+					for n := next() % (4 * stageCap); n > 0; n-- {
 						v := value()
-						stageRaw(s, stageEntry{seq: uint64(d.total.Add(1)), v: max(v, 0)})
+						d.Record(v)
 						slide(v)
 					}
 				default:
@@ -120,47 +112,36 @@ func TestFoldMatchesSlide(t *testing.T) {
 	}
 }
 
-// stageRaw stages e on a shard that is not full, as a writer does, without
-// folding.
-func stageRaw(s *digestShard, e stageEntry) {
-	s.mu.Lock()
-	s.buf[s.n] = e
-	s.n++
-	s.active.Store(true)
-	s.mu.Unlock()
-}
+// digestSink keeps a new digest on the heap, as its owners keep it.
+var digestSink *Digest
 
 // TestFoldAllocations pins the fold at no allocation with the widest
-// staged run — every shard full, a full window folding 128 observations
-// at once, on the staging scratch — and NewDigest at its five: the digest,
-// ring, sorted view, shards and staging scratch.
+// staged run — a full run folding into a full window — and NewDigest at
+// its four: the digest, ring, sorted view and staging run.
 func TestFoldAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	d := NewDigest(0)
-	d.shards = make([]digestShard, maxStageShards)
-	d.staged = make([]stageEntry, maxStageShards*stageCap)
 	next := lcg(9)
-	stageAll := func() {
-		for i := range d.shards {
-			s := &d.shards[i]
-			for s.n < stageCap {
-				stageRaw(s, stageEntry{seq: uint64(d.total.Add(1)), v: time.Duration(next() % 1e9)})
-			}
+	stageRun := func() {
+		for i := 0; i < stageCap-1; i++ {
+			d.Record(time.Duration(next() % 1e9))
 		}
+		if got := len(d.w.pending); got != stageCap-1 {
+			t.Fatalf("%d observations staged, want %d", got, stageCap-1)
+		}
+		// The run's last observation folds all of it.
+		d.Record(time.Duration(next() % 1e9))
+		d.Quantile(0.5)
 	}
 	for len(d.w.ring) < cap(d.w.ring) {
-		stageAll()
-		d.Quantile(0.5)
+		stageRun()
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		stageAll()
-		d.Quantile(0.5)
-	}); got != 0 {
-		t.Errorf("a full-window fold of %d observations allocates %v times, want 0", maxStageShards*stageCap, got)
+	if got := testing.AllocsPerRun(200, stageRun); got != 0 {
+		t.Errorf("a full-window fold of %d observations allocates %v times, want 0", stageCap, got)
 	}
-	if got := testing.AllocsPerRun(200, func() { NewDigest(0) }); got != 5 {
-		t.Errorf("NewDigest allocates %v times, want 5", got)
+	if got := testing.AllocsPerRun(200, func() { digestSink = NewDigest(0) }); got != 4 {
+		t.Errorf("NewDigest allocates %v times, want 4", got)
 	}
 }

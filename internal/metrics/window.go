@@ -3,8 +3,7 @@
 // of it, so windowed quantiles react to drift. Window is its single-owner
 // form — the simulations' per-pool wait windows, read and written by one
 // event pump — and Digest (digest.go) is the concurrent shell around
-// exactly one of them: staging shards and a mutex in front of the same
-// fold.
+// exactly one of them: a mutex in front of the same staging run and fold.
 
 package metrics
 
@@ -13,6 +12,16 @@ import (
 	"slices"
 	"time"
 )
+
+// stageCap is a window's staging run, in observations.
+const stageCap = 16
+
+// stageEntry is one staged observation. old is foldFull's scratch column:
+// the fold keeps the values the run evicts there, sorted on their own.
+type stageEntry struct {
+	v   time.Duration
+	old uint64
+}
 
 // Window is a sliding window of the last size observations with an
 // order-statistic view, for a single owner: no lock, no atomic. Not safe
@@ -47,8 +56,6 @@ type Window struct {
 	// folded counts the observations folded into ring and sorted.
 	folded int64
 	// pending is Record's staged run, folded when it fills or on a read.
-	// A Digest's window stages in the digest's shards instead and leaves
-	// it nil.
 	pending []stageEntry
 }
 
@@ -56,18 +63,18 @@ type Window struct {
 // when non-positive).
 func NewWindow(size int) *Window {
 	w := makeWindow(size)
-	w.pending = make([]stageEntry, 0, stageCap)
 	return &w
 }
 
-// makeWindow returns an empty window with no staging run of its own.
+// makeWindow returns an empty window by value, for a Digest to embed.
 func makeWindow(size int) Window {
 	if size <= 0 {
 		size = DefaultWindow
 	}
 	return Window{
-		ring:   make([]time.Duration, 0, size),
-		sorted: make([]time.Duration, 0, size),
+		ring:    make([]time.Duration, 0, size),
+		sorted:  make([]time.Duration, 0, size),
+		pending: make([]stageEntry, 0, stageCap),
 	}
 }
 
@@ -122,8 +129,8 @@ func (w *Window) view() []time.Duration {
 	return w.sorted
 }
 
-// fold brings a run of observations, in sequence order, into the window.
-// The run's seq column is scratch from here on (see foldFull).
+// fold brings a run of observations, in arrival order, into the window.
+// The run's old column is scratch from here on (see foldFull).
 func (w *Window) fold(staged []stageEntry) {
 	n := len(staged)
 	// The first window observations ever recorded fill the ring one at a
@@ -154,7 +161,7 @@ func (w *Window) fold(staged []stageEntry) {
 }
 
 // writeRing overwrites the full ring's oldest slots with a run, in
-// sequence order, leaving the (stale) sorted view alone.
+// arrival order, leaving the (stale) sorted view alone.
 func (w *Window) writeRing(run []stageEntry) {
 	for i := range run {
 		w.ring[w.next] = run[i].v
@@ -164,14 +171,14 @@ func (w *Window) writeRing(run []stageEntry) {
 	}
 }
 
-// foldFull folds a run of at most one window of observations, in sequence
+// foldFull folds a run of at most one window of observations, in arrival
 // order, into the full window in one pass: the run overwrites the ring's
 // oldest slots, and the sorted view gives up the evicted multiset and
 // merges in the newcomers — the multiset a full re-sort of the ring would
 // produce, so every quantile is bit-identical to it. A value that is both
 // evicted and new cancels out; what is left costs two binary searches and
 // one copy per value, and nothing above the largest value moved is
-// touched. The fold keeps the evicted values in the run's own seq column
+// touched. The fold keeps the evicted values in the run's own old column
 // (the order is fixed once the ring is written), so it needs no scratch of
 // its own.
 func (w *Window) foldFull(run []stageEntry) {
@@ -182,22 +189,22 @@ func (w *Window) foldFull(run []stageEntry) {
 		if w.next++; w.next == len(w.ring) {
 			w.next = 0
 		}
-		e.seq = uint64(old) // observations are never negative
+		e.old = uint64(old) // observations are never negative
 	}
-	// Sort each column on its own: v holds the newcomers, seq the evicted.
+	// Sort each column on its own: v holds the newcomers, old the evicted.
 	for i := 1; i < len(run); i++ {
 		for j := i; j > 0 && run[j].v < run[j-1].v; j-- {
 			run[j].v, run[j-1].v = run[j-1].v, run[j].v
 		}
-		for j := i; j > 0 && run[j].seq < run[j-1].seq; j-- {
-			run[j].seq, run[j-1].seq = run[j-1].seq, run[j].seq
+		for j := i; j > 0 && run[j].old < run[j-1].old; j-- {
+			run[j].old, run[j-1].old = run[j-1].old, run[j].old
 		}
 	}
 	run = run[:cancelEqual(run)]
 	if len(run) == 0 {
 		return
 	}
-	evicted := func(i int) time.Duration { return time.Duration(run[i].seq) }
+	evicted := func(i int) time.Duration { return time.Duration(run[i].old) }
 	sorted := w.sorted
 	k := len(run)
 	// Drop the evicted values front to back, one copy per gap between
@@ -240,19 +247,19 @@ func (w *Window) foldFull(run []stageEntry) {
 	}
 }
 
-// cancelEqual removes the values a sorted run both evicts (seq column)
+// cancelEqual removes the values a sorted run both evicts (old column)
 // and brings in (v column) — they leave the window's multiset as it was —
 // and reports how many of each remain, compacted to the front of their
 // columns in order.
 func cancelEqual(run []stageEntry) int {
 	a, b, ke, kn := 0, 0, 0, 0
 	for a < len(run) && b < len(run) {
-		switch ev, nv := run[a].seq, uint64(run[b].v); {
+		switch ev, nv := run[a].old, uint64(run[b].v); {
 		case ev == nv:
 			a++
 			b++
 		case ev < nv:
-			run[ke].seq = ev
+			run[ke].old = ev
 			ke++
 			a++
 		default:
@@ -262,7 +269,7 @@ func cancelEqual(run []stageEntry) int {
 		}
 	}
 	for ; a < len(run); a++ {
-		run[ke].seq = run[a].seq
+		run[ke].old = run[a].old
 		ke++
 	}
 	for ; b < len(run); b++ {

@@ -44,7 +44,7 @@ func warmBenchWindow() (*Window, func() time.Duration) {
 }
 
 // BenchmarkWindowRecord is BenchmarkDigestRecord for the single-owner
-// window: the same fold, with no lock, atomic or shard in front of it.
+// window: the same fold, with no lock or atomic in front of it.
 func BenchmarkWindowRecord(b *testing.B) {
 	w, value := warmBenchWindow()
 	b.ReportAllocs()

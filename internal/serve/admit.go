@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dscs/internal/faas"
-	"dscs/internal/metrics"
 	"dscs/internal/sched"
 	"dscs/internal/workload"
 )
@@ -38,48 +37,43 @@ type request struct {
 	done  chan outcome
 }
 
-// requestShard is one of the engine's request free lists. It recycles
-// request structs (and their reply channels — cap-1, drained by exactly one
+// requestList is the engine's request free list. It recycles request
+// structs (and their reply channels — cap-1, drained by exactly one
 // receiver) across submissions, so the steady-state submit path allocates
-// nothing per call. The lists are the engine's own rather than a sync.Pool
+// nothing per call. The list is the engine's own rather than a sync.Pool
 // because every GC empties a sync.Pool, and the smaller the live heap the
 // more often the GC runs: each refill would be a fresh request and channel.
-type requestShard struct {
+type requestList struct {
 	mu   sync.Mutex
 	free []*request
 }
 
-// getRequest takes a request from the caller's shard (metrics.ShardIndex,
-// the ingress's per-P pick), else from the first sibling shard holding
-// one, and allocates only when every shard is empty — so the engine holds
-// at most as many requests as were ever in flight at once.
+// getRequest takes a request from the free list and allocates only when
+// it is empty — so the engine holds at most as many requests as were ever
+// in flight at once.
 //
 //dscslint:hotpath
 func (e *Engine) getRequest() *request {
-	shards := e.requests
-	first := metrics.ShardIndex(len(shards))
-	for i := range shards {
-		s := &shards[(first+i)%len(shards)]
-		s.mu.Lock()
-		if n := len(s.free); n > 0 {
-			r := s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-			s.mu.Unlock()
-			return r
-		}
-		s.mu.Unlock()
+	l := &e.requests
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		r := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return r
 	}
+	l.mu.Unlock()
 	return &request{done: make(chan outcome, 1)}
 }
 
-// putRequest returns a delivered request to the caller's shard.
+// putRequest returns a delivered request to the free list.
 func (e *Engine) putRequest(r *request) {
 	r.bench, r.opt, r.fire = nil, faas.Options{}, false
-	s := &e.requests[metrics.ShardIndex(len(e.requests))]
-	s.mu.Lock()
-	s.free = append(s.free, r)
-	s.mu.Unlock()
+	l := &e.requests
+	l.mu.Lock()
+	l.free = append(l.free, r)
+	l.mu.Unlock()
 }
 
 // syncView refreshes what lock-free readers know of a pool's core: the
@@ -189,7 +183,7 @@ func (e *Engine) admit(p *pool, task sched.HybridTask, req *request, bounceIfFul
 		// staging them on the target's ingress instead measured flat.
 		return e.admitDirect(p, task, req)
 	}
-	if err := p.ingress.offer(metrics.ShardIndex(len(p.ingress.shards)),
+	if err := p.ingress.offer(shardIndex(len(p.ingress.shards)),
 		ingressEntry{task: task, req: req}); err != nil {
 		return err
 	}
@@ -337,12 +331,21 @@ func (e *Engine) Submit(platformName string, b *workload.Benchmark, opt faas.Opt
 }
 
 // SubmitAsync enqueues one invocation fire-and-forget: it returns as soon
-// as admission control accepts (ErrQueueFull / ErrClosed reject
-// synchronously, exactly like Submit) and the execution's outcome is
+// as admission control accepts (ErrClosed, and ErrQueueFull at the
+// admission bound, reject synchronously) and the execution's outcome is
 // dropped on completion. Quiesce waits for the in-flight count to drain.
 // This is the throughput spelling of the submit path — callers measuring
 // or driving sustained load pay the admission cost only, not a reply
 // channel round-trip per request.
+//
+// Unlike Submit, a nil return is not a promise to execute. The bound is
+// checked against lock-free counts, so concurrent offers can race past it,
+// and a steal can fill the core before the staged entry drains; the drain
+// then refuses the entry (drainLocked). Submit's caller receives that
+// ErrQueueFull; SubmitAsync's caller already has nil, so the refusal shows
+// only in Dropped and serve_dropped_total, and the request leaves the
+// in-flight count, so Quiesce still returns. An exact bound would need the
+// pool lock on every offer, which the ingress exists to avoid.
 //
 //dscslint:hotpath
 func (e *Engine) SubmitAsync(platformName string, b *workload.Benchmark, opt faas.Options) error {

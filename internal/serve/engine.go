@@ -360,8 +360,8 @@ type Engine struct {
 	quiescers atomic.Int32
 	drainMu   sync.Mutex
 	drained   *sync.Cond
-	// requests are the request free lists, one shard per P (admit.go).
-	requests []requestShard
+	// requests is the request free list (admit.go).
+	requests requestList
 	// latGauges caches the per-{benchmark, platform} latency gauge handles
 	// resolved by observe (invalidated by ForgetEstimate, which Unsets the
 	// underlying series).
@@ -423,7 +423,6 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 		start: wallEpoch(),
 	}
 	e.drained = sync.NewCond(&e.drainMu)
-	e.requests = make([]requestShard, runtime.GOMAXPROCS(0))
 	e.wfMakespans = metrics.NewDigest(opt.EstimateWindow)
 	names := make([]string, 0, len(runners))
 	for name := range runners {

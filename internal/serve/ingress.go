@@ -22,6 +22,32 @@ import (
 	"dscs/internal/sched"
 )
 
+// shardTokens hands out small shard-id tokens without runtime internals.
+// Pool Get/Put hits the per-P private slot on the fast path, so goroutines
+// running on the same P keep reusing the same token — per-P shard affinity
+// with zero allocation at steady state — while a cold or stolen slot just
+// mints the next id round-robin.
+var (
+	shardSeq    atomic.Uint64
+	shardTokens = sync.Pool{New: func() any {
+		id := int(shardSeq.Add(1) - 1)
+		return &id
+	}}
+)
+
+// shardIndex returns a shard index in [0, n) biased to the calling P.
+// Correctness never depends on the affinity: any shard works, affinity
+// only keeps the shard locks uncontended.
+func shardIndex(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	tok := shardTokens.Get().(*int)
+	id := *tok
+	shardTokens.Put(tok)
+	return id % n
+}
+
 // ingressEntry is one staged submission: the scheduling task plus the
 // pending request it resolves to (nil in core-level harnesses).
 type ingressEntry struct {

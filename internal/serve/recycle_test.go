@@ -11,9 +11,9 @@ import (
 // gcRecycleBound is the most heap allocations a cycle of 1,000 warm
 // closed-loop submits plus one forced GC may cost. Engine-owned free lists
 // keep requests and batches through a GC, so what is left is the submit
-// path's own steady-state rate and metrics.ShardIndex's token pool, which a
-// GC empties: about one token per P a submitter or worker runs on. On a
-// 2-vCPU host that measures 0.0–0.1, 2.6–2.8 and 2.5–4.2 per cycle at 1, 2
+// path's own steady-state rate and the ingress's shard-token pool
+// (shardIndex), which a GC empties: about one token per P a submitter runs
+// on. On a 2-vCPU host that measures 0.0–0.1, 2.6–2.8 and 2.5–4.2 per cycle at 1, 2
 // and 4 Ps; with requests and batches in sync.Pools, which every GC empties
 // too, it measured 4.1, 9.1–9.8 and 13–15.
 func gcRecycleBound() float64 { return 1 + 1.5*float64(runtime.GOMAXPROCS(0)) }

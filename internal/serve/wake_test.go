@@ -286,3 +286,76 @@ func TestWakeTokenHandOn(t *testing.T) {
 		t.Fatalf("Quiesce timed out with %d in flight", eng.InFlight())
 	}
 }
+
+// TestSubmitAsyncLateRefusal pins what SubmitAsync's nil means when the
+// ingress bound reads a stale queued mirror: the staged entry is accepted,
+// the drain finds the core full and refuses it, and the refusal is counted
+// in Dropped and serve_dropped_total while the request leaves the
+// in-flight count, so the engine still conserves its work and Quiesce
+// still returns.
+func TestSubmitAsyncLateRefusal(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 4)
+	eng, err := NewEngine(testRunners(t), Options{
+		Workers: 1, QueueDepth: 2,
+		Execute: func(*faas.Runner, *workload.Benchmark, faas.Options) (faas.Result, error) {
+			started <- struct{}{}
+			<-release
+			return faas.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const platform = "DSCS-Serverless"
+	bench := workload.BySlug("asset-damage")
+	submit := func() {
+		t.Helper()
+		if err := eng.SubmitAsync(platform, bench, faas.Options{Quantile: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := eng.pools[platform]
+	drain := func() {
+		p.mu.Lock()
+		eng.drainLocked(p)
+		p.mu.Unlock()
+	}
+	// One request occupies the only worker; two more fill the queue.
+	submit()
+	<-started
+	submit()
+	submit()
+	drain()
+	if got := p.core.QueueLen(); got != 2 {
+		t.Fatalf("queue holds %d, want 2", got)
+	}
+	// A mirror that has not caught up with the core, as concurrent offers
+	// or a steal leave it, lets one more offer past the bound.
+	p.ingress.queued.Store(0)
+	submit()
+	drain()
+	if got := eng.Dropped(); got != 1 {
+		t.Errorf("Dropped = %d after the late refusal, want 1", got)
+	}
+	if got := eng.Telemetry().Counter("serve_dropped_total"); got != 1 {
+		t.Errorf("serve_dropped_total = %v, want 1", got)
+	}
+	if got := eng.InFlight(); got != 3 {
+		t.Errorf("InFlight = %d, want 3: the refused request must leave it", got)
+	}
+	if err := eng.Conservation(); err != nil {
+		t.Error(err)
+	}
+	close(release)
+	if !eng.Quiesce(5 * time.Second) {
+		t.Fatalf("Quiesce timed out with %d in flight", eng.InFlight())
+	}
+	if got := eng.Telemetry().Counter("serve_completed_total"); got != 3 {
+		t.Errorf("serve_completed_total = %v, want 3", got)
+	}
+	if err := eng.Conservation(); err != nil {
+		t.Error(err)
+	}
+}

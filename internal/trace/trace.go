@@ -14,9 +14,8 @@ import (
 	"dscs/internal/workload"
 )
 
-// Request is one arrival.
+// Request is one arrival. Its identity is its index in Trace.Requests.
 type Request struct {
-	ID        int
 	At        time.Duration
 	Benchmark string // workload slug
 }
@@ -178,7 +177,6 @@ func generate(duration time.Duration, peak float64, rateAt func(time.Duration) f
 	tr := &Trace{Duration: duration, Requests: make([]Request, 0, expectedArrivals(duration, rateAt))}
 	meanGap := time.Duration(float64(time.Second) / peak)
 	t := time.Duration(0)
-	id := 0
 	for {
 		t += rng.Exp(meanGap)
 		if t >= duration {
@@ -189,8 +187,7 @@ func generate(duration time.Duration, peak float64, rateAt func(time.Duration) f
 			continue
 		}
 		b := suite[rng.Intn(len(suite))]
-		tr.Requests = append(tr.Requests, Request{ID: id, At: t, Benchmark: b.Slug})
-		id++
+		tr.Requests = append(tr.Requests, Request{At: t, Benchmark: b.Slug})
 	}
 	return tr, nil
 }
