@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dscs"
@@ -36,13 +37,23 @@ func main() {
 		return
 	}
 
-	env, err := dscs.NewEnvironment(*seed)
+	if err := run(os.Stdout, *runID, *seed, *series); err != nil {
+		fmt.Fprintln(os.Stderr, "dscsbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run writes experiment runID ("all" for every experiment, in catalogue
+// order) from one fresh environment at seed to w, each result followed by
+// its time series points when series is set.
+func run(w io.Writer, runID string, seed uint64, series bool) error {
+	env, err := dscs.NewEnvironment(seed)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	ids := []string{*runID}
-	if *runID == "all" {
+	ids := []string{runID}
+	if runID == "all" {
 		ids = ids[:0]
 		for _, s := range dscs.Experiments() {
 			ids = append(ids, s.ID)
@@ -51,21 +62,17 @@ func main() {
 	for _, id := range ids {
 		res, err := dscs.RunExperiment(id, env)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println(res.String())
-		if *series {
+		fmt.Fprintln(w, res.String())
+		if series {
 			for _, s := range res.Series {
-				fmt.Printf("series %s (%d points)\n", s.Name, len(s.Points))
+				fmt.Fprintf(w, "series %s (%d points)\n", s.Name, len(s.Points))
 				for _, p := range s.Points {
-					fmt.Printf("  %10.3fs  %.3f\n", p.At.Seconds(), p.Value)
+					fmt.Fprintf(w, "  %10.3fs  %.3f\n", p.At.Seconds(), p.Value)
 				}
 			}
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dscsbench:", err)
-	os.Exit(1)
+	return nil
 }

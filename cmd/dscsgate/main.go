@@ -12,8 +12,8 @@
 //
 // Pass -deploy-all to pre-deploy the whole benchmark suite. The serving
 // engine is tuned with -workers (pool size per platform), -policy (fcfs,
-// criticality, dag-aware), -queue-depth (admission bound; a full queue
-// returns HTTP 429), -max-batch (same-benchmark request coalescing),
+// criticality), -queue-depth (admission bound; a full queue returns HTTP
+// 429), -max-batch (same-benchmark request coalescing),
 // -batch-linger (arms queue-level batch forming ahead of dispatch: queued
 // work may wait this long for its batch to fill toward -max-batch, and the
 // hold counts as queue delay; watch serve_batch_formed_total), -batch-slo

@@ -101,6 +101,30 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 	}
 }
 
+// TestRemovedPolicyRefusesToStart: -policy reaches the engine through the
+// gateway's options, as main passes it, and a name the engine does not
+// serve — here the retired DAG-aware policy — must stop the gateway from
+// being built, naming the policies it does serve, rather than fall back
+// to a default.
+func TestRemovedPolicyRefusesToStart(t *testing.T) {
+	env, err := dscs.NewEnvironment(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dag-aware", "dag"} {
+		gw, err := gateway.NewWithOptions(env.Runners, "DSCS-Serverless", "Baseline (CPU)",
+			serve.Options{Workers: 1, PolicyName: name})
+		if err == nil {
+			gw.Close()
+			t.Errorf("-policy %s: gateway built", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "fcfs, criticality") {
+			t.Errorf("-policy %s: error %q does not name fcfs, criticality", name, err)
+		}
+	}
+}
+
 // TestServerTimeouts: the server bounds both a slow client's headers and an
 // idle keep-alive connection, so neither holds a connection forever.
 func TestServerTimeouts(t *testing.T) {

@@ -79,6 +79,14 @@ func TestModelsAreTheSuiteModels(t *testing.T) {
 	}
 }
 
+// TestSchedulingPolicies pins the public policy list: the paper's
+// deployed FCFS and the criticality-aware refinement, in that order.
+func TestSchedulingPolicies(t *testing.T) {
+	if got := strings.Join(dscs.SchedulingPolicies(), " "); got != "fcfs criticality" {
+		t.Errorf("SchedulingPolicies() = [%s], want [fcfs criticality]", got)
+	}
+}
+
 func TestPublicExperimentRegistry(t *testing.T) {
 	if len(dscs.Experiments()) != 21 {
 		t.Fatalf("registry size %d, want 21", len(dscs.Experiments()))

@@ -17,8 +17,10 @@ import (
 )
 
 // HybridServiceModel returns the expected service times of a benchmark on
-// each instance class plus its acceleratable-function count. When a run
-// prices tasks with a separate belief (HybridConfig.Estimate or
+// each instance class plus its acceleratable-function count. No policy
+// reads the count (every deployed chain has the same accelerated prefix);
+// the result stays only while the benchmark harness's models return it.
+// When a run prices tasks with a separate belief (HybridConfig.Estimate or
 // AdaptiveEstimates), the Service model is evaluated again at dispatch to
 // obtain the true execution time, so it must be a pure function of the
 // slug in those regimes.
@@ -172,7 +174,7 @@ func newHybridPricing(cfg HybridConfig) *hybridPricing {
 // task prices arrival id (its index in the trace) at now with the
 // scheduler's belief.
 func (p *hybridPricing) task(id int, req trace.Request, now time.Duration) sched.HybridTask {
-	cpu, dscs, accel := p.estimate(req.Benchmark)
+	cpu, dscs, _ := p.estimate(req.Benchmark)
 	if p.obs != nil {
 		// The policies' pricing blends the belief toward the observed
 		// per-class p50 — cold benchmarks keep the prior.
@@ -181,7 +183,7 @@ func (p *hybridPricing) task(id int, req trace.Request, now time.Duration) sched
 	}
 	return sched.HybridTask{
 		ID: id, Arrived: now, Payload: req.Benchmark,
-		CPUService: cpu, DSCSService: dscs, AccelFuncs: accel,
+		CPUService: cpu, DSCSService: dscs,
 	}
 }
 

@@ -62,7 +62,7 @@ func runPolicy(t *testing.T, tr *trace.Trace, p sched.Policy) *HybridStats {
 
 func TestPoliciesCompleteEverything(t *testing.T) {
 	tr := hybridTrace(t)
-	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}} {
+	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}} {
 		st := runPolicy(t, tr, p)
 		if st.Completed != len(tr.Requests) || st.Dropped != 0 {
 			t.Errorf("%s: completed %d/%d dropped %d",
@@ -125,10 +125,9 @@ func TestHybridPoolCoreEquivalence(t *testing.T) {
 	}{
 		"fcfs":        {33819, 0, 17591, 2882.010275},
 		"criticality": {33819, 0, 14249, 2636.806996},
-		"dag-aware":   {33819, 0, 14249, 2636.806996},
 	}
 	tr := hybridTrace(t)
-	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}} {
+	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}} {
 		st := runPolicy(t, tr, p)
 		want := golden[p.Name()]
 		if st.Completed != want.completed || st.Dropped != want.dropped || st.OnDSCS != want.onDSCS {
@@ -145,8 +144,8 @@ func TestHybridPoolCoreEquivalence(t *testing.T) {
 
 func TestHybridDeterminism(t *testing.T) {
 	tr := hybridTrace(t)
-	a := runPolicy(t, tr, sched.DAGAwarePolicy{})
-	b := runPolicy(t, tr, sched.DAGAwarePolicy{})
+	a := runPolicy(t, tr, sched.CriticalityPolicy{})
+	b := runPolicy(t, tr, sched.CriticalityPolicy{})
 	if a.Latency.Mean() != b.Latency.Mean() || a.OnDSCS != b.OnDSCS {
 		t.Error("hybrid runs must be deterministic per seed")
 	}
@@ -172,7 +171,7 @@ func TestHybridServiceCallOrder(t *testing.T) {
 			return mixedService(slug)
 		},
 	}
-	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}} {
+	for _, p := range []sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}} {
 		calls = calls[:0]
 		cfg.Policy = p
 		if _, err := RunHybrid(tr, cfg, 1); err != nil {

@@ -163,14 +163,14 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		specs = append(specs, serve.PoolSpec{
 			Name: fmt.Sprintf("drive%d", i), Class: sched.ClassDSCS,
 			Workers: cfg.WorkersPerDrive, QueueDepth: cfg.QueueDepth,
-			Policy: sched.DAGAwarePolicy{},
+			Policy: sched.CriticalityPolicy{},
 		})
 	}
 	if cfg.CPUInstances > 0 {
 		specs = append(specs, serve.PoolSpec{
 			Name: cpuPool, Class: sched.ClassCPU,
 			Workers: cfg.CPUInstances, QueueDepth: cfg.QueueDepth,
-			Policy: sched.DAGAwarePolicy{},
+			Policy: sched.CriticalityPolicy{},
 		})
 	}
 	pools := len(specs)
@@ -291,11 +291,11 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 		} else {
 			st.RemoteStages++
 		}
-		cpu, dscs, accel := cfg.Service(stage.Benchmark)
+		cpu, dscs, _ := cfg.Service(stage.Benchmark)
 		task := sched.HybridTask{
 			ID: nextTaskID, Arrived: ws.run.UnlockedAt(idx),
 			Payload: stage.Benchmark, CPUService: cpu, DSCSService: dscs,
-			AccelFuncs: accel, Ref: ref,
+			Ref: ref,
 		}
 		nextTaskID++
 		if !d.submit(pool, task) {

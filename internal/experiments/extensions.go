@@ -21,10 +21,10 @@ import (
 // Section 5.2's parallel execution across multiple CSDs.
 
 // ExtScheduling evaluates the Section 5.3 scheduling hypothesis: over a
-// scarce heterogeneous pool, criticality-aware and DAG-aware placement
-// beat the deployed FCFS policy.
+// scarce heterogeneous pool, criticality-aware placement beats the
+// deployed FCFS policy.
 //
-// The three policy replays share nothing and run side by side. Each prices
+// The two policy replays share nothing and run side by side. Each prices
 // tasks from its own copy of one seeded stream, one CPU and one DSCS draw
 // per arrival. A RunHybrid replay with no Estimate, AdaptiveEstimates or
 // hedging calls its Service model exactly once per arrival, in trace
@@ -51,16 +51,15 @@ func ExtScheduling(env *Environment) (*Result, error) {
 		return nil, err
 	}
 
-	const accel = 2
-	policies := [3]sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}, sched.DAGAwarePolicy{}}
-	var stats [3]*cluster.HybridStats
+	policies := [2]sched.Policy{sched.FCFSPolicy{}, sched.CriticalityPolicy{}}
+	var stats [2]*cluster.HybridStats
 	err = fanOut(len(policies), func(i int) error {
 		rng := sim.NewRNG(priceSeed)
 		st, err := cluster.RunHybrid(tr, cluster.HybridConfig{
 			CPUInstances: 28, DSCSInstances: 6, QueueDepth: 100000,
 			Policy: policies[i], Jitter: 0.15,
 			Service: func(slug string) (cpu, dscs time.Duration, accelFuncs int) {
-				return baseService(slug, rng), dscsService(slug, rng), accel
+				return baseService(slug, rng), dscsService(slug, rng), 0
 			},
 		}, env.Seed+7)
 		stats[i] = st
@@ -82,7 +81,6 @@ func ExtScheduling(env *Environment) (*Result, error) {
 		values["mean_ms/"+policy.Name()] = mean
 	}
 	values["criticality_gain"] = values["mean_ms/fcfs"] / values["mean_ms/criticality"]
-	values["dag_gain"] = values["mean_ms/fcfs"] / values["mean_ms/dag-aware"]
 	return &Result{
 		ID: "ext-sched", Title: "Scheduling-policy future work (Section 5.3)",
 		Table: t, Values: values,

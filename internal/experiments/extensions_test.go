@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -38,13 +37,10 @@ func runExt(t *testing.T, id string) *Result {
 
 func TestExtScheduling(t *testing.T) {
 	res := runExt(t, "ext-sched")
-	// The Section 5.3 hypothesis holds: both refinements beat FCFS under
-	// contention.
+	// The Section 5.3 hypothesis holds: the criticality refinement beats
+	// FCFS under contention.
 	if res.Value("criticality_gain") <= 1.0 {
 		t.Errorf("criticality gain = %.3f, want >1", res.Value("criticality_gain"))
-	}
-	if res.Value("dag_gain") <= 0.95 {
-		t.Errorf("dag-aware gain = %.3f, want ~>=1", res.Value("dag_gain"))
 	}
 	if res.Value("mean_ms/fcfs") <= 0 {
 		t.Error("degenerate FCFS latency")
@@ -55,11 +51,6 @@ func TestExtScheduling(t *testing.T) {
 // mean latency to the last printed digit and how many requests the DSCS
 // pool served. The gains above survive a changed pick; these do not, so a
 // cluster refactor that moves one dispatch decision shows here.
-//
-// The criticality and DAG-aware rows are equal. Every policy sees the
-// same prices, and every task has a uniform accelerated prefix of 2, so
-// DAG-aware's acceleratable-function count ties on every pair and its
-// tie-break, CPU service, ranks exactly as criticality does.
 func TestExtSchedulingGolden(t *testing.T) {
 	env, err := NewEnvironment(1)
 	if err != nil {
@@ -76,7 +67,6 @@ func TestExtSchedulingGolden(t *testing.T) {
 	}{
 		{"fcfs", "27392.365378", "28577"},
 		{"criticality", "23116.597216", "28100"},
-		{"dag-aware", "23116.597216", "28100"},
 	}
 	if len(res.Table.Rows) != len(want) {
 		t.Fatalf("%d table rows, want %d", len(res.Table.Rows), len(want))
@@ -90,9 +80,41 @@ func TestExtSchedulingGolden(t *testing.T) {
 			t.Errorf("row %d = %v, want policy %s served on DSCS %s", i, row, w.policy, w.onDSCS)
 		}
 	}
-	if crit, dag := res.Table.Rows[1][1:], res.Table.Rows[2][1:]; !reflect.DeepEqual(crit, dag) {
-		t.Errorf("criticality row %v and DAG-aware row %v differ", crit, dag)
+}
+
+// TestExtSchedulingCriticalityGainAcrossSeeds holds the Section 5.3 claim
+// to more than one seed: on a fresh environment at each of seeds 1–5,
+// criticality-aware placement must beat FCFS's mean latency. One seed's
+// gain could be a lucky trace; five independent traces and price streams
+// all favouring it are the claim. The mean and spread are logged for the
+// record.
+func TestExtSchedulingCriticalityGainAcrossSeeds(t *testing.T) {
+	var gains []float64
+	for seed := uint64(1); seed <= 5; seed++ {
+		env, err := NewEnvironment(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExtScheduling(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Value("criticality_gain")
+		if !(g > 1) {
+			t.Errorf("seed %d: criticality gain = %.3f, want > 1", seed, g)
+		}
+		gains = append(gains, g)
 	}
+	var mean, ss float64
+	for _, g := range gains {
+		mean += g
+	}
+	mean /= float64(len(gains))
+	for _, g := range gains {
+		ss += (g - mean) * (g - mean)
+	}
+	t.Logf("criticality gain over seeds 1-5: %.3f, mean %.3f, sd %.3f",
+		gains, mean, math.Sqrt(ss/float64(len(gains)-1)))
 }
 
 func TestExtBatchFormer(t *testing.T) {

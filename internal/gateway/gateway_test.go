@@ -405,13 +405,13 @@ func TestRedeployDropsStalePricing(t *testing.T) {
 	deployApp(t, srv, "chatbot")
 
 	e := g.Engine()
-	cpuOld, _, _ := e.ServiceEstimate(workload.BySlug("chatbot")) // memoized under the slug
+	cpuOld, _ := e.ServiceEstimate(workload.BySlug("chatbot")) // memoized under the slug
 
 	// The chain changed: the same slug now fronts a much heavier model.
 	// Pre-fix, the slug-keyed cache returned cpuOld here.
 	changed := *workload.BySlug("chatbot")
 	changed.Model = workload.BySlug("remote-sensing").Model
-	cpuNew, _, _ := e.ServiceEstimate(&changed)
+	cpuNew, _ := e.ServiceEstimate(&changed)
 	if cpuNew == cpuOld {
 		t.Fatalf("changed chain kept the stale pricing %v (pre-fix behavior)", cpuNew)
 	}

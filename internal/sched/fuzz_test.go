@@ -10,8 +10,8 @@ import (
 // checks the HybridQueue's structural invariants after every step: no task
 // is lost or duplicated, the queue stays sorted by (Arrived, ID) so the
 // head is always the oldest task, the admission bound only ever drops (it
-// never truncates admitted work), and the estimate-ordered policies never
-// pass over a head that has aged beyond the sched.AgingMultiple starvation
+// never truncates admitted work), and the estimate-ordered policy never
+// passes over a head that has aged beyond the sched.AgingMultiple starvation
 // bound. Each byte is one op; its high bits parameterize the op.
 func FuzzHybridQueueOps(f *testing.F) {
 	f.Add([]byte{})
@@ -36,7 +36,7 @@ func runQueueOps(data []byte) error {
 	if err != nil {
 		return err
 	}
-	policies := []Policy{FCFSPolicy{}, CriticalityPolicy{}, DAGAwarePolicy{}}
+	policies := []Policy{FCFSPolicy{}, CriticalityPolicy{}}
 
 	present := make(map[int]HybridTask) // queued tasks by ID
 	var removed []HybridTask            // picked/taken tasks eligible for Restore
@@ -50,7 +50,6 @@ func runQueueOps(data []byte) error {
 			Arrived:     now,
 			Payload:     string(rune('a' + int(b)%3)),
 			CPUService:  time.Duration(1+int(b)%7) * 10 * time.Millisecond,
-			AccelFuncs:  int(b) % 5,
 			DSCSService: time.Duration(1+int(b)%7) * 2 * time.Millisecond,
 		}
 		nextID++

@@ -5,12 +5,10 @@
 //   - FCFS: the paper's deployed policy, class-blind.
 //   - Criticality-aware: long-running functions go to DSCS instances, where
 //     acceleration buys the most; short functions stay on CPUs.
-//   - DAG-aware: applications with more acceleratable functions in their
-//     chain get DSCS priority.
 //
 // The at-scale simulation (internal/cluster) replays traces against each
-// policy; the paper hypothesizes and our reproduction confirms that both
-// refinements beat plain FCFS when DSCS capacity is scarce.
+// policy; the paper hypothesizes and our reproduction confirms that the
+// criticality refinement beats plain FCFS when DSCS capacity is scarce.
 
 package sched
 
@@ -46,6 +44,10 @@ type HybridTask struct {
 	// CPUService and DSCSService are the expected service times per class.
 	CPUService, DSCSService time.Duration
 	// AccelFuncs counts acceleratable functions in the application's DAG.
+	// No policy reads it: every application the system deploys has the
+	// same accelerated prefix, so a count-first order ranks exactly as
+	// CriticalityPolicy. It stays only while the benchmark harness names
+	// it.
 	AccelFuncs int
 
 	// Ref is an opaque caller attachment that rides the task through
@@ -93,13 +95,12 @@ func PickInto(p Policy, q *HybridQueue, class InstanceClass, now time.Duration, 
 	return ok
 }
 
-// AgingMultiple bounds starvation under the estimate-ordered policies: once
+// AgingMultiple bounds starvation under the estimate-ordered policy: once
 // the oldest queued task has waited longer than AgingMultiple times its own
 // expected service time on the picking class, it is scheduled next
 // regardless of the policy's preference. Without this bound the ClassCPU
-// side of CriticalityPolicy/DAGAwarePolicy degenerates to pure
-// shortest-job-first, and a steady stream of short requests starves a long
-// one forever.
+// side of CriticalityPolicy degenerates to pure shortest-job-first, and a
+// steady stream of short requests starves a long one forever.
 const AgingMultiple = 8
 
 // agedHead reports whether the oldest queued task has waited past the
@@ -431,41 +432,4 @@ func (CriticalityPolicy) Select(q *HybridQueue, class InstanceClass, now time.Du
 func (p CriticalityPolicy) Pick(q *HybridQueue, class InstanceClass, now time.Duration) (t HybridTask, ok bool) {
 	ok = PickInto(p, q, class, now, &t)
 	return t, ok
-}
-
-// DAGAwarePolicy prioritizes applications with many acceleratable
-// functions for DSCS instances (they amortize the in-storage chain best),
-// with the same arrival-age bound as CriticalityPolicy.
-type DAGAwarePolicy struct{}
-
-// Name implements Policy.
-func (DAGAwarePolicy) Name() string { return "dag-aware" }
-
-// Select implements Policy.
-//
-//dscslint:hotpath
-func (DAGAwarePolicy) Select(q *HybridQueue, class InstanceClass, now time.Duration) (int, bool) {
-	if q.Len() == 0 {
-		return 0, false
-	}
-	if agedHead(q, class, now) {
-		return 0, true
-	}
-	liveView := q.live()
-	best := 0
-	for i := 1; i < len(liveView); i++ {
-		ti, tb := &liveView[i], &liveView[best]
-		if class == ClassDSCS {
-			if ti.AccelFuncs > tb.AccelFuncs ||
-				(ti.AccelFuncs == tb.AccelFuncs && ti.CPUService > tb.CPUService) {
-				best = i
-			}
-		} else {
-			if ti.AccelFuncs < tb.AccelFuncs ||
-				(ti.AccelFuncs == tb.AccelFuncs && ti.CPUService < tb.CPUService) {
-				best = i
-			}
-		}
-	}
-	return best, true
 }

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-func task(id int, cpuMS int, accel int) HybridTask {
+func task(id int, cpuMS int) HybridTask {
 	return HybridTask{
 		ID: id, Payload: "t",
 		CPUService:  time.Duration(cpuMS) * time.Millisecond,
 		DSCSService: time.Duration(cpuMS) * time.Millisecond / 4,
-		AccelFuncs:  accel,
 	}
 }
 
@@ -29,7 +28,7 @@ func TestFCFSPickOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSubmit(t, q, task(0, 100, 2), task(1, 10, 1), task(2, 500, 3))
+	mustSubmit(t, q, task(0, 100), task(1, 10), task(2, 500))
 	for want := 0; want < 3; want++ {
 		got, ok := FCFSPolicy{}.Pick(q, ClassDSCS, 0)
 		if !ok || got.ID != want {
@@ -43,7 +42,7 @@ func TestFCFSPickOrder(t *testing.T) {
 
 func TestCriticalityRouting(t *testing.T) {
 	q, _ := NewHybridQueue(10)
-	mustSubmit(t, q, task(0, 10, 2), task(1, 500, 2), task(2, 50, 2))
+	mustSubmit(t, q, task(0, 10), task(1, 500), task(2, 50))
 	// DSCS takes the longest-running task...
 	got, _ := CriticalityPolicy{}.Pick(q, ClassDSCS, 0)
 	if got.ID != 1 {
@@ -56,29 +55,15 @@ func TestCriticalityRouting(t *testing.T) {
 	}
 }
 
-func TestDAGAwareRouting(t *testing.T) {
-	q, _ := NewHybridQueue(10)
-	mustSubmit(t, q, task(0, 100, 1), task(1, 100, 4), task(2, 100, 2))
-	got, _ := DAGAwarePolicy{}.Pick(q, ClassDSCS, 0)
-	if got.ID != 1 {
-		t.Fatalf("DSCS should take the deepest chain, got id=%d", got.ID)
-	}
-	got, _ = DAGAwarePolicy{}.Pick(q, ClassCPU, 0)
-	if got.ID != 0 {
-		t.Fatalf("CPU should take the shallowest chain, got id=%d", got.ID)
-	}
-}
-
 // TestCPUAgingPreventsStarvation is the regression test for the policy
 // starvation bug: on a single-class CPU pool (the live engine's layout),
-// CriticalityPolicy and DAGAwarePolicy degenerate to pure
-// shortest-job-first, so a steady stream of short requests starves a long
-// one forever. With the arrival-age bound, the long task must be picked
+// CriticalityPolicy degenerates to pure shortest-job-first, so a steady
+// stream of short requests starves a long one forever. With the arrival-age bound, the long task must be picked
 // once its wait exceeds AgingMultiple times its own service estimate.
 // Against the pre-fix policies (no agedHead call in Pick) the long task is
 // never selected and this test fails.
 func TestCPUAgingPreventsStarvation(t *testing.T) {
-	for _, p := range []Policy{CriticalityPolicy{}, DAGAwarePolicy{}} {
+	for _, p := range []Policy{CriticalityPolicy{}} {
 		t.Run(p.Name(), func(t *testing.T) {
 			q, err := NewHybridQueue(1000)
 			if err != nil {
@@ -87,7 +72,6 @@ func TestCPUAgingPreventsStarvation(t *testing.T) {
 			long := HybridTask{
 				ID: 0, Arrived: 0, Payload: "long",
 				CPUService: time.Second, DSCSService: 250 * time.Millisecond,
-				AccelFuncs: 4,
 			}
 			mustSubmit(t, q, long)
 			bound := time.Duration(AgingMultiple) * long.CPUService
@@ -100,7 +84,6 @@ func TestCPUAgingPreventsStarvation(t *testing.T) {
 				mustSubmit(t, q, HybridTask{
 					ID: i, Arrived: now, Payload: "short",
 					CPUService: 10 * time.Millisecond, DSCSService: 3 * time.Millisecond,
-					AccelFuncs: 1,
 				})
 				var got HybridTask
 				ok := PickInto(p, q, ClassCPU, now, &got)
@@ -127,14 +110,13 @@ func TestCPUAgingPreventsStarvation(t *testing.T) {
 }
 
 // TestDSCSAgingPreventsStarvation is the mirrored case: on the DSCS class
-// the estimate-ordered policies prefer the longest task, so short requests
+// the estimate-ordered policy prefers the longest task, so short requests
 // can starve; the same age bound rescues them.
 func TestDSCSAgingPreventsStarvation(t *testing.T) {
 	q, _ := NewHybridQueue(1000)
 	short := HybridTask{
 		ID: 0, Arrived: 0, Payload: "short",
 		CPUService: 40 * time.Millisecond, DSCSService: 10 * time.Millisecond,
-		AccelFuncs: 1,
 	}
 	mustSubmit(t, q, short)
 	picked := false
@@ -143,7 +125,6 @@ func TestDSCSAgingPreventsStarvation(t *testing.T) {
 		mustSubmit(t, q, HybridTask{
 			ID: i, Arrived: now, Payload: "long",
 			CPUService: time.Second, DSCSService: 250 * time.Millisecond,
-			AccelFuncs: 4,
 		})
 		got, ok := CriticalityPolicy{}.Pick(q, ClassDSCS, now)
 		if !ok {
@@ -165,7 +146,7 @@ func TestAgingUsesClassEstimate(t *testing.T) {
 	tk := HybridTask{ID: 0, CPUService: time.Second, DSCSService: time.Millisecond}
 	now := 10 * AgingMultiple * time.Millisecond // >> 8*DSCS, << 8*CPU
 	q, _ := NewHybridQueue(4)
-	mustSubmit(t, q, tk, task(1, 2000, 1))
+	mustSubmit(t, q, tk, task(1, 2000))
 	if got, _ := (CriticalityPolicy{}).Pick(q, ClassDSCS, now); got.ID != 0 {
 		t.Errorf("DSCS class should age out the head, got id=%d", got.ID)
 	}
@@ -179,11 +160,11 @@ func TestAgingUsesClassEstimate(t *testing.T) {
 func TestHybridQueueBound(t *testing.T) {
 	q, _ := NewHybridQueue(2)
 	for i := 0; i < 2; i++ {
-		if !q.Submit(task(i, 10, 1)) {
+		if !q.Submit(task(i, 10)) {
 			t.Fatalf("submit %d should fit", i)
 		}
 	}
-	if q.Submit(task(9, 10, 1)) {
+	if q.Submit(task(9, 10)) {
 		t.Fatal("queue bound ignored")
 	}
 	if q.Dropped() != 1 {
@@ -195,7 +176,7 @@ func TestHybridQueueBound(t *testing.T) {
 }
 
 func TestTaskServicePerClass(t *testing.T) {
-	tk := task(0, 100, 2)
+	tk := task(0, 100)
 	if tk.Service(ClassCPU) != 100*time.Millisecond || tk.Service(ClassDSCS) != 25*time.Millisecond {
 		t.Errorf("Service() = %v/%v", tk.Service(ClassCPU), tk.Service(ClassDSCS))
 	}
@@ -203,7 +184,7 @@ func TestTaskServicePerClass(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range []Policy{FCFSPolicy{}, CriticalityPolicy{}, DAGAwarePolicy{}} {
+	for _, p := range []Policy{FCFSPolicy{}, CriticalityPolicy{}} {
 		if p.Name() == "" || names[p.Name()] {
 			t.Errorf("bad policy name %q", p.Name())
 		}

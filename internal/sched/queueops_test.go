@@ -13,14 +13,14 @@ func TestHeadAndRoom(t *testing.T) {
 	if q.Room() != 3 {
 		t.Fatalf("room = %d, want 3", q.Room())
 	}
-	mustSubmit(t, q, task(0, 10, 1), task(1, 20, 1))
+	mustSubmit(t, q, task(0, 10), task(1, 20))
 	if h, ok := q.Head(); !ok || h.ID != 0 {
 		t.Fatalf("head = %+v ok=%v, want task 0", h, ok)
 	}
 	if q.Room() != 1 {
 		t.Fatalf("room = %d, want 1", q.Room())
 	}
-	mustSubmit(t, q, task(2, 30, 1))
+	mustSubmit(t, q, task(2, 30))
 	if q.Room() != 0 {
 		t.Fatalf("room = %d at the bound, want 0", q.Room())
 	}

@@ -26,12 +26,12 @@ func TestForgetEstimateDropsStalePricing(t *testing.T) {
 	defer e.Close()
 
 	original := workload.BySlug("chatbot")
-	cpuOld, _, _ := e.ServiceEstimate(original)
+	cpuOld, _ := e.ServiceEstimate(original)
 	if cpuOld <= 0 {
 		t.Fatalf("degenerate original estimate %v", cpuOld)
 	}
 	// The same object is memoized.
-	if again, _, _ := e.ServiceEstimate(original); again != cpuOld {
+	if again, _ := e.ServiceEstimate(original); again != cpuOld {
 		t.Fatalf("same-object estimate not memoized: %v vs %v", again, cpuOld)
 	}
 
@@ -43,7 +43,7 @@ func TestForgetEstimateDropsStalePricing(t *testing.T) {
 	if changed.Model.FLOPs() == original.Model.FLOPs() {
 		t.Fatal("test fixture models must differ in FLOPs")
 	}
-	cpuFresh, _, _ := e.ServiceEstimate(&changed)
+	cpuFresh, _ := e.ServiceEstimate(&changed)
 	if cpuFresh == cpuOld {
 		t.Fatalf("changed chain kept the stale pricing %v (pre-fix behavior)", cpuFresh)
 	}
@@ -53,16 +53,16 @@ func TestForgetEstimateDropsStalePricing(t *testing.T) {
 
 	// An old-chain request racing the redeploy may re-memoize old pricing
 	// momentarily; the next new-chain request must still win it back.
-	if back, _, _ := e.ServiceEstimate(original); back != cpuOld {
+	if back, _ := e.ServiceEstimate(original); back != cpuOld {
 		t.Fatalf("old-object estimate changed: %v", back)
 	}
-	if again, _, _ := e.ServiceEstimate(&changed); again != cpuFresh {
+	if again, _ := e.ServiceEstimate(&changed); again != cpuFresh {
 		t.Fatalf("new chain lost to a racing old-chain re-memoization: %v vs %v", again, cpuFresh)
 	}
 
 	// ForgetEstimate drops the memoized slug state entirely.
 	e.ForgetEstimate("chatbot")
-	if after, _, _ := e.ServiceEstimate(&changed); after != cpuFresh {
+	if after, _ := e.ServiceEstimate(&changed); after != cpuFresh {
 		t.Fatalf("re-derived estimate after ForgetEstimate = %v, want %v", after, cpuFresh)
 	}
 }
@@ -174,7 +174,7 @@ func TestAdaptiveBlendsPolicyPricing(t *testing.T) {
 	}
 	defer e.Close()
 	b := workload.BySlug("chatbot")
-	static, _, _ := e.ServiceEstimate(b)
+	static, _ := e.ServiceEstimate(b)
 
 	if got := e.observedService(b.Slug, sched.ClassDSCS, static); got != static {
 		t.Fatalf("cold benchmark must keep the prior: %v vs %v", got, static)

@@ -417,7 +417,7 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 	cpuSvc, dscsSvc := est.cpu, est.dscs
 	if e.opt.AdaptiveEstimates {
 		// Policy pricing blends the static prior toward the observed p50
-		// of each class's best-observed pool, so SJF/criticality/DAG picks
+		// of each class's best-observed pool, so SJF/criticality picks
 		// order work by real service times instead of the offline model.
 		// Completions publish the blends (observe); until the first
 		// publish the prior stands.
@@ -432,7 +432,6 @@ func (e *Engine) enqueue(platformName string, b *workload.Benchmark, opt faas.Op
 		Payload:     b.Slug,
 		CPUService:  cpuSvc,
 		DSCSService: dscsSvc,
-		AccelFuncs:  est.accelFuncs,
 		Ref:         req,
 	}
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +75,8 @@ type Options struct {
 	// negative is an error).
 	QueueDepth int
 	// PolicyName selects queued work for free workers by policy name
-	// ("fcfs", "criticality", "dag-aware"; see PolicyByName). Empty is
-	// FCFS, the paper's deployed policy.
+	// ("fcfs", "criticality"; see PolicyByName). Empty is FCFS, the
+	// paper's deployed policy.
 	PolicyName string
 	// MaxBatch caps same-benchmark request coalescing per execution
 	// (0 means DefaultMaxBatch; 1 disables batching; negative is an error).
@@ -205,14 +206,12 @@ func PolicyByName(name string) (sched.Policy, error) {
 		return sched.FCFSPolicy{}, nil
 	case "criticality":
 		return sched.CriticalityPolicy{}, nil
-	case "dag-aware", "dag":
-		return sched.DAGAwarePolicy{}, nil
 	}
-	return nil, fmt.Errorf("serve: unknown policy %q (try fcfs, criticality, dag-aware)", name)
+	return nil, fmt.Errorf("serve: unknown policy %q (try %s)", name, strings.Join(PolicyNames(), ", "))
 }
 
 // PolicyNames lists the accepted PolicyByName inputs.
-func PolicyNames() []string { return []string{"fcfs", "criticality", "dag-aware"} }
+func PolicyNames() []string { return []string{"fcfs", "criticality"} }
 
 // Invocation is one served request with its engine-side telemetry.
 type Invocation struct {

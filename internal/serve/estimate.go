@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dscs/internal/faas"
 	"dscs/internal/metrics"
 	"dscs/internal/sched"
 	"dscs/internal/workload"
@@ -53,9 +52,8 @@ type latHandles struct {
 // old chain's estimate (nor let a racing in-flight request of the old
 // chain re-memoize stale pricing after the redeploy's ForgetEstimate ran).
 type serviceEstimate struct {
-	bench      *workload.Benchmark
-	cpu, dscs  time.Duration
-	accelFuncs int
+	bench     *workload.Benchmark
+	cpu, dscs time.Duration
 	// observed holds observedService's CPU and DSCS blends (nanoseconds;
 	// 0 until the first publish), refreshed by completions at the gauge
 	// publish cadence (observe) so a submission prices with two atomic
@@ -87,12 +85,10 @@ func (e *Engine) publishObserved(est *serviceEstimate) {
 // estimate returns a benchmark's memoized pricing entry for the scheduling
 // policies: expected service time on the CPU baseline and on the
 // in-storage DSA (effective-throughput rooflines; only the relative order
-// matters to the policies), the acceleratable-function count of its chain
-// for DAG-aware scheduling, and the observed blends completions publish.
-// Deriving an estimate walks the model graphs and rebuilds the application
-// chain — pure per-benchmark work memoized in the engine's cache (per
-// engine, not per process: another engine, or a test redefining a slug,
-// must not read this run's pricing).
+// matters to the policies), and the observed blends completions publish.
+// Deriving an estimate walks the model graphs — pure per-benchmark work
+// memoized in the engine's cache (per engine, not per process: another
+// engine, or a test redefining a slug, must not read this run's pricing).
 func (e *Engine) estimate(b *workload.Benchmark) *serviceEstimate {
 	if v, ok := e.estimates.Load(b.Slug); ok {
 		// A hit only counts for the same Benchmark object: a different
@@ -112,18 +108,15 @@ func (e *Engine) estimate(b *workload.Benchmark) *serviceEstimate {
 		cpu:   time.Duration(flops / cpuFLOPS * float64(time.Second)),
 		dscs:  time.Duration(flops / dscsFLOPS * float64(time.Second)),
 	}
-	if app, err := faas.AppFor(b); err == nil {
-		est.accelFuncs = len(app.AcceleratedPrefix())
-	}
 	e.estimates.Store(b.Slug, est)
 	return est
 }
 
 // ServiceEstimate exposes the engine's (memoized) static pricing for a
 // benchmark — diagnostics and the redeploy regression tests.
-func (e *Engine) ServiceEstimate(b *workload.Benchmark) (cpu, dscs time.Duration, accelFuncs int) {
+func (e *Engine) ServiceEstimate(b *workload.Benchmark) (cpu, dscs time.Duration) {
 	est := e.estimate(b)
-	return est.cpu, est.dscs, est.accelFuncs
+	return est.cpu, est.dscs
 }
 
 // ForgetEstimate drops the memoized static pricing, the live latency

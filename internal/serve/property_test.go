@@ -100,7 +100,6 @@ func propTask(id int, now time.Duration, arg int) sched.HybridTask {
 		Payload:     string(rune('a' + arg%3)),
 		CPUService:  time.Duration(1+arg%9) * 10 * time.Millisecond,
 		DSCSService: time.Duration(1+arg%9) * 2 * time.Millisecond,
-		AccelFuncs:  arg % 4,
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 	"dscs/internal/sched"
 )
 
-func hybridTask(id int, cpuMS int, accel int) sched.HybridTask {
+func hybridTask(id int, cpuMS int) sched.HybridTask {
 	return sched.HybridTask{
 		ID: id, Payload: "t",
 		CPUService:  time.Duration(cpuMS) * time.Millisecond,
 		DSCSService: time.Duration(cpuMS) * time.Millisecond / 4,
-		AccelFuncs:  accel,
 	}
 }
 
@@ -50,7 +49,7 @@ func TestSharedQueueFCFSOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		h.SubmitTo(sharedDSCS, hybridTask(i, 100, 2))
+		h.SubmitTo(sharedDSCS, hybridTask(i, 100))
 	}
 	// DSCS is preferred and FCFS hands it the head of line.
 	got, pool, ok := dispatchShared(h, 0)
@@ -71,9 +70,9 @@ func TestSharedQueueFCFSOrder(t *testing.T) {
 
 func TestSharedQueueCriticalityRouting(t *testing.T) {
 	h, _ := sharedQueueCore(1, 1, 10, sched.CriticalityPolicy{})
-	h.SubmitTo(sharedDSCS, hybridTask(0, 10, 2))  // short
-	h.SubmitTo(sharedDSCS, hybridTask(1, 500, 2)) // long
-	h.SubmitTo(sharedDSCS, hybridTask(2, 50, 2))  // medium
+	h.SubmitTo(sharedDSCS, hybridTask(0, 10))  // short
+	h.SubmitTo(sharedDSCS, hybridTask(1, 500)) // long
+	h.SubmitTo(sharedDSCS, hybridTask(2, 50))  // medium
 	// DSCS takes the longest-running task...
 	got, pool, _ := dispatchShared(h, 0)
 	if got.ID != 1 || pool != sharedDSCS {
@@ -86,29 +85,14 @@ func TestSharedQueueCriticalityRouting(t *testing.T) {
 	}
 }
 
-func TestSharedQueueDAGAwareRouting(t *testing.T) {
-	h, _ := sharedQueueCore(1, 1, 10, sched.DAGAwarePolicy{})
-	h.SubmitTo(sharedDSCS, hybridTask(0, 100, 1))
-	h.SubmitTo(sharedDSCS, hybridTask(1, 100, 4)) // deep accelerated chain
-	h.SubmitTo(sharedDSCS, hybridTask(2, 100, 2))
-	got, pool, _ := dispatchShared(h, 0)
-	if got.ID != 1 || pool != sharedDSCS {
-		t.Fatalf("DSCS should take the deepest chain, got id=%d", got.ID)
-	}
-	got, _, _ = dispatchShared(h, 0)
-	if got.ID != 0 {
-		t.Fatalf("CPU should take the shallowest chain, got id=%d", got.ID)
-	}
-}
-
 func TestSharedQueueBound(t *testing.T) {
 	h, _ := sharedQueueCore(1, 0, 2, sched.FCFSPolicy{})
 	for i := 0; i < 2; i++ {
-		if !h.SubmitTo(sharedDSCS, hybridTask(i, 10, 1)) {
+		if !h.SubmitTo(sharedDSCS, hybridTask(i, 10)) {
 			t.Fatalf("submit %d should fit", i)
 		}
 	}
-	if h.SubmitTo(sharedDSCS, hybridTask(9, 10, 1)) {
+	if h.SubmitTo(sharedDSCS, hybridTask(9, 10)) {
 		t.Fatal("queue bound ignored")
 	}
 	// The CPU pool's own queue stays empty: the core's totals are the
@@ -130,7 +114,7 @@ func TestSharedQueueBound(t *testing.T) {
 func TestSharedQueueCompleteReleases(t *testing.T) {
 	h, _ := sharedQueueCore(2, 1, 10, sched.FCFSPolicy{})
 	for i := 0; i < 5; i++ {
-		h.SubmitTo(sharedDSCS, hybridTask(i, 10, 1))
+		h.SubmitTo(sharedDSCS, hybridTask(i, 10))
 	}
 	pools := map[int]int{}
 	for {
@@ -170,8 +154,8 @@ func TestSharedQueueConservationAcrossSharers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SubmitTo(sharedDSCS, hybridTask(0, 10, 1))
-	h.SubmitTo(sharedDSCS, hybridTask(1, 10, 1))
+	h.SubmitTo(sharedDSCS, hybridTask(0, 10))
+	h.SubmitTo(sharedDSCS, hybridTask(1, 10))
 	var got sched.HybridTask
 	if ok := h.DispatchFrom(sharedCPU, sharedDSCS, 0, &got); !ok || got.ID != 0 {
 		t.Fatalf("cross-pool dispatch: id=%d ok=%v", got.ID, ok)
@@ -213,7 +197,7 @@ func TestDispatchFromShedsDonorFormer(t *testing.T) {
 	}
 	f := NewBatchFormer(4, time.Second, 0, sched.ClassDSCS)
 	h.Pool(sharedDSCS).AttachFormer(f)
-	task := hybridTask(0, 10, 1)
+	task := hybridTask(0, 10)
 	h.SubmitTo(sharedDSCS, task)
 	f.Observe(task, 1)
 	var got sched.HybridTask
@@ -236,7 +220,7 @@ func TestSharedQueueConservationProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
-				h.SubmitTo(sharedDSCS, hybridTask(id, int(op)+1, int(op)%4))
+				h.SubmitTo(sharedDSCS, hybridTask(id, int(op)+1))
 				id++
 			case 1:
 				if _, pool, ok := dispatchShared(h, 0); ok {
@@ -289,7 +273,7 @@ func TestPoolCoreOverComplete(t *testing.T) {
 
 func TestSharedQueueOverComplete(t *testing.T) {
 	h, _ := sharedQueueCore(1, 1, 10, sched.FCFSPolicy{})
-	h.SubmitTo(sharedDSCS, hybridTask(0, 10, 1))
+	h.SubmitTo(sharedDSCS, hybridTask(0, 10))
 	if _, _, ok := dispatchShared(h, 0); !ok {
 		t.Fatal("dispatch failed")
 	}

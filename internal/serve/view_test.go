@@ -198,7 +198,7 @@ func TestSubmissionPricingReadsThePublishedBlend(t *testing.T) {
 	defer eng.Close()
 	const home = "DSCS-Serverless"
 	b := workload.BySlug("chatbot")
-	cpuStatic, dscsStatic, _ := eng.ServiceEstimate(b)
+	cpuStatic, dscsStatic := eng.ServiceEstimate(b)
 	submit := func() {
 		t.Helper()
 		if _, err := eng.Submit(home, b, faas.Options{Quantile: 0.5}); err != nil {

@@ -141,7 +141,7 @@ func workflowPropertyRun(t *testing.T, specs []*trace.WorkflowSpec) func([]propO
 			task := sched.HybridTask{
 				ID: nextTask, Arrived: r.UnlockedAt(idx), Payload: "x",
 				CPUService: 40 * time.Millisecond, DSCSService: 8 * time.Millisecond,
-				AccelFuncs: 1, Ref: wfPropRef{run: r, idx: idx},
+				Ref: wfPropRef{run: r, idx: idx},
 			}
 			nextTask++
 			if !mc.SubmitTo(pl.Pool, task) {
