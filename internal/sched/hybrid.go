@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -210,6 +211,11 @@ func (q *HybridQueue) Room() int {
 		return q.depth - n
 	}
 	return 0
+}
+
+// Any reports whether some queued task matches the predicate.
+func (q *HybridQueue) Any(match func(HybridTask) bool) bool {
+	return slices.ContainsFunc(q.live(), match)
 }
 
 // Dropped counts rejected tasks.

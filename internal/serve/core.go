@@ -10,6 +10,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dscs/internal/scale"
@@ -73,6 +74,8 @@ type PoolCore struct {
 	// the request, so Conservation sums are unaffected. overHedged counts
 	// HedgeDone calls with no hedge outstanding.
 	hedging, hedges, overHedged int
+	// blocked lists the payloads dispatch passes over until Unblock.
+	blocked []string
 }
 
 // NewPoolCore builds a pool of the given worker count and admission bound.
@@ -291,6 +294,24 @@ func (c *PoolCore) AttachFormer(f *BatchFormer) { c.former = f }
 // Former returns the attached batch former (nil when none).
 func (c *PoolCore) Former() *BatchFormer { return c.former }
 
+// Block holds every queued task of payload back from dispatch until the
+// next Unblock; the tasks stay queued and keep their arrival order.
+func (c *PoolCore) Block(payload string) { c.blocked = append(c.blocked, payload) }
+
+// Unblock lifts every Block and reports whether there was one.
+func (c *PoolCore) Unblock() bool {
+	had := len(c.blocked) > 0
+	c.blocked = c.blocked[:0]
+	return had
+}
+
+// Dispatchable reports whether some queued task is not blocked. A worker
+// parks on a queue that is not dispatchable.
+func (c *PoolCore) Dispatchable() bool {
+	return c.QueueLen() > 0 && (len(c.blocked) == 0 ||
+		c.queue.Any(func(x sched.HybridTask) bool { return !slices.Contains(c.blocked, x.Payload) }))
+}
+
 // Submit admits a task; it reports false (drop) at the queue bound.
 //
 //dscslint:hotpath
@@ -336,20 +357,34 @@ func (c *PoolCore) DispatchFormed(now time.Duration) (t sched.HybridTask, ok boo
 // queue slot, however many layers hand it on — and *t is meaningful only
 // when ok. formed gates the pick by an attached former (DispatchFormed);
 // without one, or with formed false, the policy's pick dispatches as is.
+// A blocked pick is restored and the oldest task free to leave now goes
+// instead; nothing dispatches when every queued payload is blocked.
 //
 //dscslint:hotpath
 func (c *PoolCore) dispatch(now time.Duration, t *sched.HybridTask, formed bool) (ok bool, wake time.Duration, wakeOK bool) {
 	if c.free == 0 || c.dead || !sched.PickInto(c.policy, c.queue, c.class, now, t) {
 		return false, 0, false
 	}
-	if f := c.former; formed && f != nil {
-		if !f.Ready(t.Payload, now) {
-			c.queue.Restore(*t)
-			if !c.takeDue(now, t) {
-				wake, wakeOK = f.NextDue()
-				return false, wake, wakeOK
-			}
+	f := c.former
+	if !formed {
+		f = nil
+	}
+	if blocked := slices.Contains(c.blocked, t.Payload); blocked || (f != nil && !f.Ready(t.Payload, now)) {
+		c.queue.Restore(*t)
+		took := f != nil && c.takeDue(now, t)
+		if !took && blocked {
+			took = c.take(t, func(x sched.HybridTask) bool {
+				return !slices.Contains(c.blocked, x.Payload) && (f == nil || f.Ready(x.Payload, now))
+			})
 		}
+		if !took {
+			if f != nil {
+				wake, wakeOK = f.NextDue(c.blocked)
+			}
+			return false, wake, wakeOK
+		}
+	}
+	if f != nil {
 		f.Close(t.Payload)
 	}
 	c.free--
@@ -358,24 +393,33 @@ func (c *PoolCore) dispatch(now time.Duration, t *sched.HybridTask, formed bool)
 }
 
 // takeDue serves a group that is due at now when the policy's preference
-// is still forming: the due group's oldest queued member moves into *t. A
-// group whose members all left the queue by another door is stale — it is
-// dropped and the next due group tried. It reports false when no group is
-// due.
+// may not leave: the oldest queued member of the earliest due group whose
+// payload is not blocked moves into *t. A group whose members all left the
+// queue by another door is stale — it is dropped and the next due group
+// tried. It reports false when no such group is due.
 func (c *PoolCore) takeDue(now time.Duration, t *sched.HybridTask) bool {
 	for {
-		payload, due := c.former.DuePayload(now)
+		payload, due := c.former.DuePayload(now, c.blocked)
 		if !due {
 			return false
 		}
-		taken := c.queue.TakeWhereInto(c.scratch[:0], 1, func(x sched.HybridTask) bool { return x.Payload == payload })
-		c.scratch = taken
-		if len(taken) > 0 {
-			*t = taken[0]
+		if c.take(t, func(x sched.HybridTask) bool { return x.Payload == payload }) {
 			return true
 		}
 		c.former.Drop(payload) // stale group: no queued member left
 	}
+}
+
+// take moves the oldest queued task matching match into *t, reporting
+// whether there was one.
+func (c *PoolCore) take(t *sched.HybridTask, match func(sched.HybridTask) bool) bool {
+	taken := c.queue.TakeWhereInto(c.scratch[:0], 1, match)
+	c.scratch = taken
+	if len(taken) == 0 {
+		return false
+	}
+	*t = taken[0]
+	return true
 }
 
 // StealFrom moves up to max of donor's oldest queued tasks onto c's queue

@@ -13,8 +13,8 @@
 // timer — each pool's wake timer, quiesce deadlines — come from clock.go.
 //
 // This file holds the options, the pool and Engine types, construction,
-// the accessors and Close; admit.go, worker.go, elastic.go, estimate.go,
-// drives.go and fault.go hold the rest by concern.
+// the accessors and Close; admit.go, worker.go, elastic.go, estimate.go
+// and fault.go hold the rest by concern.
 
 package serve
 
@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dscs/internal/csd"
 	"dscs/internal/faas"
 	"dscs/internal/metrics"
 	"dscs/internal/objstore"
@@ -60,7 +61,8 @@ const DefaultMaxBatch = 8
 // Options tune the engine.
 type Options struct {
 	// Workers is the pool size per platform (0 means 4; negative is an
-	// error). With Elastic set it is ignored.
+	// error); with Elastic set it is ignored. A DSCS pool's workers share
+	// its drives: at most one batch per drive executes at a time.
 	Workers int
 	// Elastic arms the elastic worker lifecycle: each pool's warm capacity
 	// floats between Elastic.Min and Elastic.Max, paying Elastic.ColdStart
@@ -335,8 +337,9 @@ type Engine struct {
 	// the pools' queue-delay windows (pool.wait). The engine is its pool
 	// view (healthy, depth, hasFree, and the wait windows).
 	bal balancer
-	// drives arbitrates DSCS-class executions over the physical drives.
-	drives *driveSet
+	// drives are the DSCS-Drives behind the DSCS pools' stores; a DSCS
+	// batch holds its drive while it runs.
+	drives map[*csd.Drive]*drive
 	// estimates memoizes service estimates per benchmark slug. It lives
 	// on the engine — a package-level cache would leak one run's pricing
 	// into another engine's policies (or a test's redefined slug).
@@ -386,9 +389,6 @@ type Engine struct {
 	// faultTimers are the armed Options.Faults injections; Close stops them
 	// so a scripted fault never fires into a drained engine.
 	faultTimers []*time.Timer
-	// Per-drive occupancy handles, indexed like drives.ids.
-	driveBusy []sched.GaugeHandle
-	driveAcq  []sched.CounterHandle
 	// Workflow driver state (workflow.go): the admitted-workflow counter
 	// behind object-key namespacing, the stages-in-flight gauge backing,
 	// and the end-to-end makespan digest behind serve_workflow_makespan_*.
@@ -533,10 +533,14 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			p.core.AttachFormer(f)
 		}
 	}
-	e.drives = newDriveSet(dscsStores)
-	for _, id := range e.drives.ids {
-		e.driveBusy = append(e.driveBusy, e.tel.GaugeHandle("serve_drive_busy{drive="+id+"}"))
-		e.driveAcq = append(e.driveAcq, e.tel.CounterHandle("serve_drive_acquired_total{drive="+id+"}"))
+	e.drives = make(map[*csd.Drive]*drive)
+	for _, store := range dscsStores {
+		for _, n := range store.Nodes() {
+			if n.CSD != nil && e.drives[n.CSD] == nil {
+				e.drives[n.CSD] = &drive{busy: e.tel.GaugeHandle("serve_drive_busy{drive=" + n.ID + "}"),
+					acq: e.tel.CounterHandle("serve_drive_acquired_total{drive=" + n.ID + "}")}
+			}
+		}
 	}
 	// Resolving a handle registers its series, so every engine-wide
 	// counter — the armed-feature ones included — shows on /metrics at 0
@@ -579,6 +583,12 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 			afterFunc(ev.At, func() { e.applyFault(ev) }))
 	}
 	return e, nil
+}
+
+// drive is one DSCS-Drive's occupancy telemetry.
+type drive struct {
+	busy sched.GaugeHandle
+	acq  sched.CounterHandle
 }
 
 // classFor maps a platform to its scheduling class: the in-storage DSA pool
@@ -694,6 +704,7 @@ func (e *Engine) Close() {
 		for _, p := range e.pools {
 			p.mu.Lock()
 			p.closed = true
+			p.core.Unblock() // a draining pool's batches skip a busy drive
 			if p.wake != nil {
 				p.wake.Stop()
 			}
@@ -726,9 +737,6 @@ func (e *Engine) Close() {
 				e.deliver(flushed[i].req, outcome{err: ErrClosed})
 			}
 		}
-		// Unblock workers waiting for a physical drive; their in-flight
-		// executions finish unarbitrated.
-		e.drives.close()
 		e.wg.Wait()
 		// Workers exit only with empty queues, and every queued task carries
 		// its request in Ref — once the queues are drained, no request can

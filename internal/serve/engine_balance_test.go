@@ -44,29 +44,29 @@ func TestEngineQueueDelayGaugesLive(t *testing.T) {
 
 // TestEngineAdaptiveBalanceRebalances is the deterministic wait-keyed
 // rebalancing scenario, TestEngineStealRebalances with the backlog
-// submitted at once: every drive is held so the single DSCS worker stalls
-// mid-execution, its first dispatch warms the wait digest (warmup 1), and
-// queued work behind it must then migrate to the idle CPU pool purely on
-// the adopted wait-p95 gap — the CPU pool has never waited, so any warmed
-// DSCS wait latches the gap. Whether a given request moves by drain-time
+// submitted at once: the DSCS execution is gated so the single DSCS
+// worker stalls mid-execution, its first dispatch warms the wait digest
+// (warmup 1), and queued work behind it must then migrate to the idle CPU
+// pool purely on the adopted wait-p95 gap — the CPU pool has never waited,
+// so any warmed DSCS wait latches the gap. Whether a given request moves by drain-time
 // steal or submit-time spill depends on which the scheduler reaches first;
 // the test asserts the rebalance happened and the books stayed straight.
 func TestEngineAdaptiveBalanceRebalances(t *testing.T) {
+	gate := newDSCSGate()
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 1, QueueDepth: 64, MaxBatch: 2,
-		AdaptiveBalance: true, EstimateWarmup: 1,
+		AdaptiveBalance: true, EstimateWarmup: 1, Execute: gate.execute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	defer gate.open()
 	bench := workload.BySlug("asset-damage")
 	tel := eng.Telemetry()
 	rebalanced := func() float64 {
 		return tel.Counter("serve_steal_total") + tel.Counter("serve_spillover_total")
 	}
-
-	held := holdDrives(t, eng)
 
 	var wg sync.WaitGroup
 	results := make(chan Invocation, 2)
@@ -84,7 +84,7 @@ func TestEngineAdaptiveBalanceRebalances(t *testing.T) {
 			}
 		}()
 	}
-	// Stage: one request dispatched (stalled on the drives), then two more
+	// Stage: one request dispatched (stalled in its execution), then two more
 	// behind it. The stall means the DSCS pool records exactly one wait —
 	// enough, at warmup 1, to latch the gap against the never-waited CPU
 	// pool and move queued work over without any depth threshold.
@@ -94,7 +94,7 @@ func TestEngineAdaptiveBalanceRebalances(t *testing.T) {
 	submitDSCS(true)
 	waitFor(t, "wait-keyed rebalance", func() bool { return rebalanced() >= 1 })
 
-	releaseDrives(eng, held)
+	gate.open()
 	onCPU := 0
 	for i := 0; i < 2; i++ {
 		select {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dscs/internal/faas"
+	"dscs/internal/platform"
 	"dscs/internal/sched"
 	"dscs/internal/workload"
 )
@@ -33,28 +34,25 @@ func dscsBusy(eng *Engine) int {
 	return p.core.Busy()
 }
 
-// holdDrives acquires every physical DSCS drive, so a DSCS worker that
-// dispatches then stalls in drive acquisition and everything queued behind
-// it stays queued. It returns the held indices for releaseDrives.
-func holdDrives(t *testing.T, eng *Engine) []int {
-	t.Helper()
-	var held []int
-	for _, d := range eng.drives.drives {
-		idx, _ := eng.drives.acquireDrive(d)
-		if idx < 0 {
-			t.Fatal("could not hold a drive")
-		}
-		held = append(held, idx)
-	}
-	return held
+// dscsGate is an Options.Execute that stalls every DSCS-class execution
+// until open, so a DSCS worker that dispatches stays busy mid-execution
+// and everything queued behind it stays queued. CPU-class executions run.
+type dscsGate struct {
+	ch   chan struct{}
+	once sync.Once
 }
 
-// releaseDrives frees the drives holdDrives took.
-func releaseDrives(eng *Engine, held []int) {
-	for _, idx := range held {
-		eng.drives.release(idx)
+func newDSCSGate() *dscsGate { return &dscsGate{ch: make(chan struct{})} }
+
+func (g *dscsGate) execute(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+	if r.Platform.Class() == platform.InStorageDSA {
+		<-g.ch
 	}
+	return r.Invoke(b, opt)
 }
+
+// open releases every stalled and future execution; it is idempotent.
+func (g *dscsGate) open() { g.once.Do(func() { close(g.ch) }) }
 
 func TestSpilloverValidation(t *testing.T) {
 	if _, err := NewEngine(testRunners(t), Options{AdaptiveBalance: true, SpilloverTo: "TPU"}); err == nil {
@@ -333,53 +331,90 @@ func TestEngineRejectsNegativeSizes(t *testing.T) {
 }
 
 // TestEngineDriveOccupancy checks that DSCS executions acquire the
-// physical drives: with more workers than drives and a burst of requests,
-// the acquisition counters must account for every execution and contention
-// must be visible.
+// physical drives, read from the store: a batch whose drive is busy goes
+// back to the queue and is counted as contention once, the acquisition
+// counters account for every execution, no drive stays busy after the
+// drain, and CPU-class executions acquire nothing.
 func TestEngineDriveOccupancy(t *testing.T) {
-	eng, err := NewEngine(testRunners(t), Options{Workers: 4, QueueDepth: 64, MaxBatch: 1})
+	runners := testRunners(t)
+	gate := newDSCSGate()
+	eng, err := NewEngine(runners, Options{Workers: 4, QueueDepth: 64, MaxBatch: 1, Execute: gate.execute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if len(eng.drives.ids) != 2 {
-		t.Fatalf("test store should expose 2 DSCS drives, got %v", eng.drives.ids)
+	defer gate.open()
+	var ids []string
+	for _, n := range runners["DSCS-Serverless"].Store.Nodes() {
+		if n.CSD != nil {
+			ids = append(ids, n.ID)
+		}
+	}
+	if len(ids) != 2 {
+		t.Fatalf("test store should expose 2 DSCS drives, got %v", ids)
+	}
+	tel := eng.Telemetry()
+	acquired := func() float64 {
+		var sum float64
+		for _, id := range ids {
+			sum += tel.Counter("serve_drive_acquired_total{drive=" + id + "}")
+		}
+		return sum
+	}
+	contended := func() float64 { return tel.Counter("serve_drive_contention_total") }
+
+	bench := workload.BySlug("moderation")
+	var wg sync.WaitGroup
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	// One execution holds the drive; a second batch for it goes back to
+	// the queue once and stays there, its worker slot free, until the
+	// drive frees.
+	submit(1)
+	waitFor(t, "first execution on its drive", func() bool { return acquired() == 1 })
+	submit(1)
+	waitFor(t, "second batch returned to the queue", func() bool { return contended() == 1 })
+	if busy, queued := dscsBusy(eng), eng.QueueLen("DSCS-Serverless"); busy != 1 || queued != 1 {
+		t.Errorf("with the drive busy: %d busy workers and %d queued, want 1 and 1", busy, queued)
+	}
+	gate.open()
+	wg.Wait()
+	if got := contended(); got != 1 {
+		t.Errorf("contention = %g, want 1: the blocked batch retried before its drive freed", got)
 	}
 
 	const n = 24
-	bench := workload.BySlug("moderation")
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := eng.Submit("DSCS-Serverless", bench, faas.Options{Quantile: 0.5}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
+	submit(n)
 	wg.Wait()
-	tel := eng.Telemetry()
-	var acquired float64
-	for _, id := range eng.drives.ids {
-		acquired += tel.Counter("serve_drive_acquired_total{drive=" + id + "}")
+	if got, want := acquired(), tel.Counter("serve_batches_total"); got != want || got != n+2 {
+		t.Errorf("drive acquisitions %g, executions %g, want both %d", got, want, n+2)
+	}
+	for _, id := range ids {
 		if busy := tel.Gauge("serve_drive_busy{drive=" + id + "}"); busy != 0 {
 			t.Errorf("drive %s still marked busy after drain", id)
 		}
 	}
-	if int(acquired) != n {
-		t.Errorf("drive acquisitions %g != %d executions", acquired, n)
+	for _, n := range runners["DSCS-Serverless"].Store.Nodes() {
+		if n.CSD != nil && n.CSD.Busy() {
+			t.Errorf("drive %s still held after drain", n.ID)
+		}
 	}
 	// CPU-class pools must not touch the drives.
+	before := acquired()
 	if _, err := eng.Submit("Baseline (CPU)", bench, faas.Options{Quantile: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	var after float64
-	for _, id := range eng.drives.ids {
-		after += tel.Counter("serve_drive_acquired_total{drive=" + id + "}")
-	}
-	if after != acquired {
-		t.Errorf("CPU execution acquired a DSCS drive (%g -> %g)", acquired, after)
+	if after := acquired(); after != before {
+		t.Errorf("CPU execution acquired a DSCS drive (%g -> %g)", before, after)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"dscs/internal/workload"
 )
 
-// TestEngineStealRebalances pins the pull path deterministically: every
-// physical drive is held, so the single DSCS worker stalls mid-execution,
+// TestEngineStealRebalances pins the pull path deterministically: the DSCS
+// execution is gated, so the single DSCS worker stalls mid-execution,
 // and its first dispatch warms the wait digest (warmup 1). Each later
 // submission meets an empty DSCS queue at submit time, so it cannot spill;
 // it queues behind the stalled worker, and the idle CPU worker must pull
@@ -19,16 +19,17 @@ import (
 // pool as their platform, the steal counters account for the moves, and
 // the queue-depth gauges follow the extraction.
 func TestEngineStealRebalances(t *testing.T) {
+	gate := newDSCSGate()
 	eng, err := NewEngine(testRunners(t), Options{
 		Workers: 1, QueueDepth: 64, MaxBatch: 2,
-		AdaptiveBalance: true, EstimateWarmup: 1,
+		AdaptiveBalance: true, EstimateWarmup: 1, Execute: gate.execute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	defer gate.open()
 	bench := workload.BySlug("asset-damage")
-	held := holdDrives(t, eng)
 
 	var wg sync.WaitGroup
 	stolen := make(chan Invocation, 2)
@@ -44,7 +45,7 @@ func TestEngineStealRebalances(t *testing.T) {
 			stolen <- inv
 		}()
 	}
-	// Stage: one request dispatched (stalled on the drives) whose recorded
+	// Stage: one request dispatched (stalled in its execution) whose recorded
 	// wait warms the DSCS digest, then two more, one at a time.
 	submitDSCS()
 	waitFor(t, "first request dispatched", func() bool { return dscsBusy(eng) == 1 })
@@ -82,7 +83,7 @@ func TestEngineStealRebalances(t *testing.T) {
 		t.Errorf("thief depth gauge = %g after serving, want 0", got)
 	}
 
-	releaseDrives(eng, held)
+	gate.open()
 	<-stolen
 	wg.Wait()
 	if err := eng.Conservation(); err != nil {
@@ -99,16 +100,17 @@ func TestEngineStealRebalances(t *testing.T) {
 // the backlog waits for the single stalled DSCS worker.
 func TestEngineStealDominatesNoSteal(t *testing.T) {
 	serveBacklog := func(balance bool) (completedEarly float64) {
+		gate := newDSCSGate()
 		eng, err := NewEngine(testRunners(t), Options{
 			Workers: 1, QueueDepth: 64, MaxBatch: 4,
-			AdaptiveBalance: balance, EstimateWarmup: 1,
+			AdaptiveBalance: balance, EstimateWarmup: 1, Execute: gate.execute,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
+		defer gate.open()
 		bench := workload.BySlug("asset-damage")
-		held := holdDrives(t, eng)
 		var wg sync.WaitGroup
 		submit := func() {
 			wg.Add(1)
@@ -140,7 +142,7 @@ func TestEngineStealDominatesNoSteal(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		completedEarly = eng.Telemetry().Counter("serve_completed_total")
-		releaseDrives(eng, held)
+		gate.open()
 		wg.Wait()
 		if err := eng.Conservation(); err != nil {
 			t.Fatal(err)
@@ -151,7 +153,7 @@ func TestEngineStealDominatesNoSteal(t *testing.T) {
 	withSteal := serveBacklog(true)
 	withoutSteal := serveBacklog(false)
 	if withoutSteal != 0 {
-		t.Errorf("isolated run completed %g requests with every drive held, want 0", withoutSteal)
+		t.Errorf("isolated run completed %g requests with the DSCS execution stalled, want 0", withoutSteal)
 	}
 	if withSteal <= withoutSteal {
 		t.Errorf("balanced completions (%g) must strictly dominate isolated (%g)", withSteal, withoutSteal)

@@ -97,32 +97,46 @@ func (e *Engine) PoolHealthy(platformName string) bool {
 // FailDrive marks a storage node down in every store that knows it: reads
 // fail over to surviving replicas, and DSCS executions whose input lived
 // there fall back to conventional execution inside the runner.
-func (e *Engine) FailDrive(id string) error {
+func (e *Engine) FailDrive(id string) error { return e.setDrive(id, true) }
+
+// RecoverDrive marks a storage node healthy again.
+func (e *Engine) RecoverDrive(id string) error { return e.setDrive(id, false) }
+
+// setDrive fails or recovers a storage node in every store that knows it
+// and unblocks the DSCS pools: a batch held back behind the drive may now
+// resolve to another replica, to the fallback, or to the recovered drive.
+func (e *Engine) setDrive(id string, fail bool) error {
 	found := false
 	for _, s := range e.stores() {
-		if err := s.FailNode(id); err == nil {
-			found = true
+		set := s.RecoverNode
+		if fail {
+			set = s.FailNode
 		}
+		found = set(id) == nil || found
 	}
 	if !found {
 		return fmt.Errorf("serve: unknown drive %q", id)
 	}
-	e.cFaults.Inc(1)
+	if fail {
+		e.cFaults.Inc(1)
+	}
+	e.unblockDrives(nil)
 	return nil
 }
 
-// RecoverDrive marks a storage node healthy again.
-func (e *Engine) RecoverDrive(id string) error {
-	found := false
-	for _, s := range e.stores() {
-		if err := s.RecoverNode(id); err == nil {
-			found = true
+// unblockDrives lifts the drive blocks of every DSCS pool but skip, waking
+// one worker where it lifted any (under p.mu: no fence needed).
+func (e *Engine) unblockDrives(skip *pool) {
+	for _, p := range e.dscsPools {
+		if p == skip {
+			continue
 		}
+		p.mu.Lock()
+		if p.core.Unblock() {
+			p.cond.Signal()
+		}
+		p.mu.Unlock()
 	}
-	if !found {
-		return fmt.Errorf("serve: unknown drive %q", id)
-	}
-	return nil
 }
 
 // stores lists the distinct object stores behind the pools' runners.

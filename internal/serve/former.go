@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"slices"
 	"time"
 
 	"dscs/internal/sched"
@@ -157,14 +158,14 @@ func (f *BatchFormer) Ready(payload string, now time.Duration) bool {
 	return g.Size >= f.target || now >= g.Due
 }
 
-// DuePayload returns some payload whose group must dispatch at now
-// (deterministically the one with the earliest due instant, ties broken by
-// payload name), and false when nothing is due.
-func (f *BatchFormer) DuePayload(now time.Duration) (string, bool) {
+// DuePayload returns some payload outside skip whose group must dispatch at
+// now (deterministically the one with the earliest due instant, ties
+// broken by payload name), and false when nothing is due.
+func (f *BatchFormer) DuePayload(now time.Duration, skip []string) (string, bool) {
 	var best *FormingGroup
 	for i := range f.groups {
 		g := &f.groups[i]
-		if g.Size < f.target && now < g.Due {
+		if (g.Size < f.target && now < g.Due) || slices.Contains(skip, g.Payload) {
 			continue
 		}
 		if best == nil || g.Due < best.Due || (g.Due == best.Due && g.Payload < best.Payload) {
@@ -177,13 +178,13 @@ func (f *BatchFormer) DuePayload(now time.Duration) (string, bool) {
 	return best.Payload, true
 }
 
-// NextDue returns the earliest due instant across open groups, and false
-// when nothing is forming.
-func (f *BatchFormer) NextDue() (time.Duration, bool) {
+// NextDue returns the earliest due instant across the open groups of
+// payloads outside skip, and false when none is forming.
+func (f *BatchFormer) NextDue(skip []string) (time.Duration, bool) {
 	found := false
 	var min time.Duration
 	for i := range f.groups {
-		if due := f.groups[i].Due; !found || due < min {
+		if due := f.groups[i].Due; (!found || due < min) && !slices.Contains(skip, f.groups[i].Payload) {
 			min, found = due, true
 		}
 	}
@@ -198,6 +199,11 @@ func (f *BatchFormer) Close(payload string) {
 		f.formed++
 	}
 }
+
+// Reopen takes back the count of a Close whose batch went back to the
+// queue before it ran: its tasks are Observed again, and the group counts
+// as formed when it next dispatches.
+func (f *BatchFormer) Reopen() { f.formed-- }
 
 // Shed removes batch from the payload's forming group when queued work
 // leaves the pool by another door (a steal pulled it away); an emptied

@@ -64,7 +64,7 @@ func TestBatchFormerTightestMemberWins(t *testing.T) {
 	if !f.Ready("a", 100*time.Millisecond) {
 		t.Fatal("oldest member's linger bounds the whole group")
 	}
-	if wake, ok := f.NextDue(); !ok || wake != 100*time.Millisecond {
+	if wake, ok := f.NextDue(nil); !ok || wake != 100*time.Millisecond {
 		t.Fatalf("NextDue = %v ok=%v, want 100ms", wake, ok)
 	}
 	// Shed and Drop bookkeeping.
@@ -76,7 +76,7 @@ func TestBatchFormerTightestMemberWins(t *testing.T) {
 	if f.Forming() != 0 {
 		t.Fatal("fully shed group must vanish")
 	}
-	if _, ok := f.NextDue(); ok {
+	if _, ok := f.NextDue(nil); ok {
 		t.Fatal("no groups, no due instant")
 	}
 }

@@ -414,11 +414,12 @@ func TestMultiCorePairwiseLatchIndependence(t *testing.T) {
 // TestMultiCorePropertyHarness extends the PoolCore model-checking harness
 // to an N=3 pool set (two same-class CPU pools plus a DSCS pool) with
 // steals and cross-pool dispatches in every direction — including the
-// wait-keyed StealDonor path — mixed into the schedule. After every step:
-// conservation across the pool set, per-pool worker bounds, no task
-// dispatched twice even after multiple moves, and the sched.AgingMultiple
-// starvation bound on whichever pool served the dispatch, judged on the
-// queue it served from.
+// wait-keyed StealDonor path — and payload blocks on any pool mixed into
+// the schedule. After every step: conservation across the pool set,
+// per-pool worker bounds, no task dispatched twice even after multiple
+// moves, the blocking contract on every Dispatch (blockModel.check), and
+// the sched.AgingMultiple starvation bound on whichever pool served the
+// dispatch, judged on the queue it served from.
 func TestMultiCorePropertyHarness(t *testing.T) {
 	const pools = 3
 	classes := []sched.InstanceClass{sched.ClassCPU, sched.ClassCPU, sched.ClassDSCS}
@@ -436,6 +437,7 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 		nextID := 0
 		dispatched := map[int]bool{}
 		execs := make([][]int, pools)
+		blocked := []blockModel{{}, {}, {}}
 		for _, op := range ops {
 			now += time.Duration(1+op.b%8) * time.Millisecond
 			switch op.kind {
@@ -449,7 +451,11 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 			case 1: // dispatch from a random pool
 				pool := op.a % pools
 				head, hadHead := mc.Pool(pool).queue.Head()
+				want := blocked[pool].canDispatch(mc.Pool(pool))
 				got, ok := mc.Dispatch(pool, now)
+				if err := blocked[pool].check(want, got, ok, false); err != nil {
+					return err
+				}
 				if !ok {
 					break
 				}
@@ -457,7 +463,7 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 					return fmt.Errorf("task %d dispatched twice", got.ID)
 				}
 				dispatched[got.ID] = true
-				if err := agedPassedOver(head, hadHead, got, classes[pool], now); err != nil {
+				if err := agedPassedOver(head, hadHead && !blocked[pool][head.Payload], got, classes[pool], now); err != nil {
 					return err
 				}
 				if w := now - got.Arrived; w < 0 {
@@ -525,6 +531,9 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 					return err
 				}
 				execs[to] = append(execs[to], 1)
+			case 8, 9: // block a payload on a random pool, or unblock it
+				pool := op.b % pools
+				blocked[pool].apply(mc.Pool(pool), op.kind == 8, op.a)
 			}
 			if err := mc.Conservation(); err != nil {
 				return err
@@ -543,6 +552,7 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 	}
 	checkSequences(t, 4000, []string{
 		"submit", "dispatch", "coalesce", "complete", "advance", "steal", "steal-by-wait", "dispatch-from",
+		"block", "unblock",
 	}, run)
 }
 
@@ -574,6 +584,7 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 		// Open executions carry their task slices: a kill must hand the
 		// exact in-flight tasks back to the queue, one worker per exec.
 		execs := make([][][]sched.HybridTask, pools)
+		blocked := []blockModel{{}, {}, {}}
 		for _, op := range ops {
 			now += time.Duration(1+op.b%8) * time.Millisecond
 			switch op.kind {
@@ -587,12 +598,13 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 			case 1: // dispatch from a random pool (a no-op on a dead one)
 				pool := op.a % pools
 				head, hadHead := mc.Pool(pool).queue.Head()
+				want := blocked[pool].canDispatch(mc.Pool(pool))
 				got, ok := mc.Dispatch(pool, now)
+				if err := blocked[pool].check(want, got, ok, false); err != nil {
+					return err
+				}
 				if !ok {
-					if !mc.Healthy(pool) && mc.Pool(pool).QueueLen() > 0 {
-						break // a dead pool must refuse, backlog or not
-					}
-					break
+					break // a dead pool must refuse, backlog or not
 				}
 				if !mc.Healthy(pool) {
 					return fmt.Errorf("dead pool %d dispatched task %d", pool, got.ID)
@@ -601,7 +613,7 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 					return fmt.Errorf("task %d dispatched twice", got.ID)
 				}
 				dispatched[got.ID] = true
-				if err := agedPassedOver(head, hadHead, got, classes[pool], now); err != nil {
+				if err := agedPassedOver(head, hadHead && !blocked[pool][head.Payload], got, classes[pool], now); err != nil {
 					return err
 				}
 				execs[pool] = append(execs[pool], []sched.HybridTask{got})
@@ -681,6 +693,9 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 					return err
 				}
 				execs[to] = append(execs[to], []sched.HybridTask{got})
+			case 9, 10: // block a payload on a random pool, or unblock it
+				pool := op.b % pools
+				blocked[pool].apply(mc.Pool(pool), op.kind == 9, op.a)
 			}
 			if err := mc.Conservation(); err != nil {
 				return err
@@ -699,6 +714,7 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 	}
 	checkSequences(t, 4000, []string{
 		"submit", "dispatch", "coalesce", "complete", "advance", "steal", "kill", "recover", "dispatch-from",
+		"block", "unblock",
 	}, run)
 }
 

@@ -1,11 +1,12 @@
 // property_test.go is the scheduling core's model-checking harness: it
-// drives randomized Submit/Dispatch/Coalesce/Steal/Complete sequences
-// against PoolCore, plain and former-gated (MultiCore's harnesses, with
+// drives randomized Submit/Dispatch/Coalesce/Steal/Complete/Block
+// sequences against PoolCore, plain and former-gated (MultiCore's harnesses, with
 // cross-pool dispatch, are in multicore_test.go and sharedqueue_test.go), and
 // after every single step asserts the invariants future refactors must
 // preserve — Conservation, worker counts inside [0, Workers], no task
-// dispatched twice, and the sched.AgingMultiple starvation bound (an aged
-// queue head is never passed over by a dispatch that could serve it).
+// dispatched twice, no blocked payload dispatched, and the
+// sched.AgingMultiple starvation bound (an aged queue head is never passed
+// over by a dispatch that could serve it).
 // Sequences are seeded and a failure is shrunk greedily to a minimal op
 // trace before being dumped, so a red run prints a replayable recipe.
 package serve
@@ -118,6 +119,52 @@ func agedPassedOver(head sched.HybridTask, hadHead bool, got sched.HybridTask,
 	return nil
 }
 
+// blockModel is a harness's own record of the payloads it blocked on one
+// core, kept apart from the core's so the assertions do not read back the
+// state under test.
+type blockModel map[string]bool
+
+// apply runs a harness's block op (a payload drawn from arg) or, when
+// block is false, its unblock op on c.
+func (m blockModel) apply(c *PoolCore, block bool, arg int) {
+	if !block {
+		clear(m)
+		c.Unblock()
+		return
+	}
+	payload := string(rune('a' + arg%3))
+	m[payload] = true
+	c.Block(payload)
+}
+
+// canDispatch is what a dispatch on c must do by the blocking contract:
+// run a task exactly when a slot is free, the pool is alive and some
+// queued payload is not blocked.
+func (m blockModel) canDispatch(c *PoolCore) bool {
+	return c.Busy() < c.Workers() && c.Healthy() && m.runnable(c)
+}
+
+// runnable reports whether c queues a task the model has not blocked.
+func (m blockModel) runnable(c *PoolCore) bool {
+	return c.queue.Any(func(x sched.HybridTask) bool { return !m[x.Payload] })
+}
+
+// check asserts one dispatch against the blocking contract: a blocked
+// payload never leaves, and the dispatch reports nothing exactly when
+// want (canDispatch, read before it) is false — or, through the former's
+// door, when held: a forming group holds the work back.
+func (m blockModel) check(want bool, got sched.HybridTask, ok, held bool) error {
+	switch {
+	case ok && m[got.Payload]:
+		return fmt.Errorf("blocked payload %q dispatched (task %d)", got.Payload, got.ID)
+	case ok && !want:
+		return fmt.Errorf("task %d dispatched with no free slot, a dead pool or every queued payload blocked", got.ID)
+	case !ok && want && !held:
+		return fmt.Errorf("dispatch reported nothing with a free slot and an unblocked task queued")
+	}
+	return nil
+}
+
 // poolInvariants are the step assertions shared by the PoolCore harnesses.
 func poolInvariants(c *PoolCore) error {
 	if err := c.Conservation(); err != nil {
@@ -143,6 +190,7 @@ func TestPoolCorePropertyHarness(t *testing.T) {
 		now := time.Duration(0)
 		nextID := 0
 		dispatched := map[int]bool{}
+		blocked := blockModel{}
 		var execs []int // open executions' request counts
 		for _, op := range ops {
 			now += time.Duration(1+op.b%8) * time.Millisecond
@@ -152,7 +200,11 @@ func TestPoolCorePropertyHarness(t *testing.T) {
 				nextID++
 			case 1: // dispatch
 				head, hadHead := core.queue.Head()
+				want := blocked.canDispatch(core)
 				got, ok := core.Dispatch(now)
+				if err := blocked.check(want, got, ok, false); err != nil {
+					return err
+				}
 				if !ok {
 					break
 				}
@@ -160,7 +212,7 @@ func TestPoolCorePropertyHarness(t *testing.T) {
 					return fmt.Errorf("task %d dispatched twice", got.ID)
 				}
 				dispatched[got.ID] = true
-				if err := agedPassedOver(head, hadHead, got, sched.ClassCPU, now); err != nil {
+				if err := agedPassedOver(head, hadHead && !blocked[head.Payload], got, sched.ClassCPU, now); err != nil {
 					return err
 				}
 				execs = append(execs, 1)
@@ -186,14 +238,19 @@ func TestPoolCorePropertyHarness(t *testing.T) {
 				execs = append(execs[:i], execs[i+1:]...)
 			case 4: // advance the clock a long way (ages the head)
 				now += time.Duration(op.a%2000) * time.Millisecond
+			case 5, 6: // block a payload, or unblock them all
+				blocked.apply(core, op.kind == 5, op.a)
 			}
 			if err := poolInvariants(core); err != nil {
 				return err
 			}
+			if core.Dispatchable() != blocked.runnable(core) {
+				return fmt.Errorf("Dispatchable = %v, but the model says %v", core.Dispatchable(), blocked.runnable(core))
+			}
 		}
 		return nil
 	}
-	checkSequences(t, 4000, []string{"submit", "dispatch", "coalesce", "complete", "advance"}, run)
+	checkSequences(t, 4000, []string{"submit", "dispatch", "coalesce", "complete", "advance", "block", "unblock"}, run)
 }
 
 // TestFormerPropertyHarness model-checks the former-gated pool: the same
@@ -210,6 +267,7 @@ func TestFormerPropertyHarness(t *testing.T) {
 		now := time.Duration(0)
 		nextID := 0
 		dispatched := map[int]bool{}
+		blocked := blockModel{}
 		var execs []int
 		for _, op := range ops {
 			now += time.Duration(1+op.b%8) * time.Millisecond
@@ -223,7 +281,11 @@ func TestFormerPropertyHarness(t *testing.T) {
 			case 1: // formed dispatch
 				head, hadHead := core.queue.Head()
 				before := core.QueueLen()
+				want := blocked.canDispatch(core)
 				got, ok, wake, wakeOK := core.DispatchFormed(now)
+				if err := blocked.check(want, got, ok, wakeOK); err != nil {
+					return err
+				}
 				if !ok {
 					if core.QueueLen() != before {
 						return fmt.Errorf("held dispatch changed the queue (%d -> %d)", before, core.QueueLen())
@@ -237,7 +299,7 @@ func TestFormerPropertyHarness(t *testing.T) {
 					return fmt.Errorf("task %d dispatched twice", got.ID)
 				}
 				dispatched[got.ID] = true
-				if hadHead && former.Ready(head.Payload, now) {
+				if hadHead && former.Ready(head.Payload, now) && !blocked[head.Payload] {
 					if err := agedPassedOver(head, hadHead, got, sched.ClassCPU, now); err != nil {
 						return err
 					}
@@ -266,6 +328,8 @@ func TestFormerPropertyHarness(t *testing.T) {
 				execs = append(execs[:i], execs[i+1:]...)
 			case 4: // advance
 				now += time.Duration(op.a%500) * time.Millisecond
+			case 5, 6: // block a payload, or unblock them all
+				blocked.apply(core, op.kind == 5, op.a)
 			}
 			if err := poolInvariants(core); err != nil {
 				return err
@@ -273,7 +337,7 @@ func TestFormerPropertyHarness(t *testing.T) {
 		}
 		return nil
 	}
-	checkSequences(t, 3000, []string{"submit", "dispatch-formed", "coalesce", "complete", "advance"}, run)
+	checkSequences(t, 3000, []string{"submit", "dispatch-formed", "coalesce", "complete", "advance", "block", "unblock"}, run)
 }
 
 // TestAdaptiveFormerPropertyHarness model-checks the former-gated pool

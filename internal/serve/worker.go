@@ -99,6 +99,23 @@ func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
 	return bs
 }
 
+// requeueLocked returns a dispatched batch that did not run to p's queue
+// and its forming group, which counts as formed (formed: this dispatch
+// closed one) only when it next dispatches. Callers hold p.mu.
+func (e *Engine) requeueLocked(p *pool, bs *batchState, formed bool) {
+	p.core.Requeue(bs.tasks)
+	if f := p.core.Former(); f != nil {
+		for _, t := range bs.tasks {
+			f.Observe(t, reqBatch(t.Ref.(*request).opt))
+		}
+		if formed {
+			f.Reopen()
+		}
+	}
+	e.syncView(p)
+	p.putBatch(bs)
+}
+
 // stealInto pulls queued work from a donor pool into p — the drain-time
 // half of rebalancing, complementing submit-time spillover. The donor is
 // the deepest pool of any class (same-class platforms rebalance too) whose
@@ -185,11 +202,8 @@ func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok
 		return task, ok, 0, false, false
 	}
 	before := f.Formed()
-	task, ok, wake, wakeOK := p.core.DispatchFormed(now)
-	if ok || !wakeOK {
-		return task, ok, 0, false, ok && f.Formed() > before
-	}
-	return sched.HybridTask{}, false, wake, true, false
+	task, ok, wake, waitOK = p.core.DispatchFormed(now)
+	return task, ok, wake, waitOK, ok && f.Formed() > before
 }
 
 // worker is one pool goroutine: dispatch via the shared core, coalesce a
@@ -233,7 +247,7 @@ func (e *Engine) worker(p *pool) {
 				// Re-check before parking: stealInto dropped p.mu, so a
 				// submission may have signaled into the gap and its wakeup
 				// would otherwise be lost.
-				if stole > 0 || p.core.QueueLen() > 0 || p.closed {
+				if stole > 0 || p.core.Dispatchable() || p.closed {
 					continue
 				}
 			}
@@ -258,13 +272,12 @@ func (e *Engine) worker(p *pool) {
 		}
 		bs := e.newBatch(p, task)
 		// Queue delay ends at this dispatch. Under BatchLinger it includes
-		// the former's hold: the request sat queued while its group formed.
-		// Waiting for a physical drive further down is execution
-		// contention, not queueing. (The simulation records at core
-		// dispatch the same way.)
+		// the former's hold: the request sat queued while its group formed;
+		// a DSCS request's includes the wait for its drive. (The simulation
+		// records at core dispatch the same way.)
 		dispatched := e.now()
 		e.syncView(p)
-		if p.core.QueueLen() > 0 && p.core.Busy() < p.core.Workers() && p.takeWake() {
+		if p.core.Busy() < p.core.Workers() && p.core.Dispatchable() && p.takeWake() {
 			// Hand the wake on: a parked sibling could run the backlog now,
 			// and its submitters may all have skipped their Signal. Under
 			// p.mu every parked worker is in cond.Wait: no fence needed.
@@ -272,6 +285,32 @@ func (e *Engine) worker(p *pool) {
 		}
 		p.mu.Unlock()
 
+		// A DSCS batch runs on the drive holding its input, one batch per
+		// drive at a time (run-to-completion, Section 5.3). A busy drive
+		// holds the batch back in this queue, its payload blocked until a
+		// drive frees, so the wait is queue delay. The retry under p.mu
+		// keeps a release from falling between the failed Acquire and the
+		// Block. A batch with no healthy DSCS replica runs conventionally,
+		// off the drives, as does a draining pool's whose drive is busy.
+		d, _ := p.runner.DriveFor(bs.lead.bench, bs.batch)
+		dr := e.drives[d]
+		if dr != nil && !d.Acquire() {
+			p.mu.Lock()
+			if !d.Acquire() {
+				dr = nil
+				if !p.closed {
+					p.core.Block(bs.payload)
+					e.requeueLocked(p, bs, formed)
+					e.cDriveWait.Inc(1)
+					continue
+				}
+			}
+			p.mu.Unlock()
+		}
+		if dr != nil {
+			dr.busy.Set(1)
+			dr.acq.Inc(1)
+		}
 		e.recordWaits(p, bs, dispatched)
 		if e.opt.AdaptiveBalance {
 			// This dispatch just updated the pool's wait digest — the
@@ -282,60 +321,34 @@ func (e *Engine) worker(p *pool) {
 			e.wakePeers(p, p.ingress.pending())
 		}
 
-		// DSCS-class executions occupy the physical drive holding their
-		// input replica for the duration (run-to-completion, Section 5.3);
-		// conventional I/O against a held drive pays the arbitration
-		// penalty, and waiting here is drive contention. A request whose
-		// input has no healthy DSCS replica falls back to conventional
-		// execution inside the runner and occupies no drive.
-		lead := bs.lead
-		drive := -1
-		if p.class == sched.ClassDSCS {
-			if d, ok := p.runner.DriveFor(lead.bench, bs.batch); ok {
-				var waited bool
-				drive, waited = e.drives.acquireDrive(d)
-				if waited {
-					e.cDriveWait.Inc(1)
-				}
-				if drive >= 0 {
-					e.driveBusy[drive].Set(1)
-					e.driveAcq[drive].Inc(1)
-				}
-			}
-		}
-
-		opt := lead.opt
+		opt := bs.lead.opt
 		opt.Batch = bs.batch
-		res, err := e.execHedged(p, lead.bench, opt, bs.payload)
+		res, err := e.execHedged(p, bs.lead.bench, opt, bs.payload)
 
-		if drive >= 0 {
-			e.driveBusy[drive].Set(0)
-			e.drives.release(drive)
+		if dr != nil {
+			dr.busy.Set(0)
+			d.Release()
+			e.unblockDrives(p) // a peer DSCS pool may wait on this drive
 		}
-
 		p.mu.Lock()
+		if dr != nil {
+			p.core.Unblock() // this worker loops next: no wakeup needed
+		}
 		if !p.core.Healthy() && !p.closed {
 			// The pool died while this batch was executing. The execution's
 			// result is void — a killed worker delivers nothing — but the
 			// requests are still owed exactly one delivery each, so the
 			// batch's tasks return to the queue (in arrival order, ahead of
 			// younger work) and stay in-flight until a surviving pool steals
-			// them or this one recovers. Requeue frees the one worker slot
-			// this batch held; the submission ledger never moves, so
-			// Conservation still accounts each request exactly once.
-			p.core.Requeue(bs.tasks)
-			if f := p.core.Former(); f != nil {
-				for _, t := range bs.tasks {
-					f.Observe(t, reqBatch(t.Ref.(*request).opt))
-				}
-			}
-			e.syncView(p)
+			// them or this one recovers. Conservation still accounts each
+			// request exactly once.
+			n := len(bs.tasks)
+			e.requeueLocked(p, bs, formed)
 			p.mu.Unlock()
-			e.cRequeues.Inc(float64(len(bs.tasks)))
+			e.cRequeues.Inc(float64(n))
 			// The requeued backlog is rescue work: wake peers to steal it.
-			e.wakePeers(p, len(bs.tasks))
+			e.wakePeers(p, n)
 			p.mu.Lock()
-			p.putBatch(bs)
 			continue
 		}
 		p.core.Complete(len(bs.tasks))
