@@ -89,6 +89,39 @@ func TestReplayAllocationsDoNotScale(t *testing.T) {
 				tc.name, extra, grew, grew/float64(extra))
 		}
 	}
+
+	// The workflow rack: the same arrivals and benchmarks at fan-out 4 and
+	// 16, so the wider trace differs only in its shard stages. A stage
+	// costs its output object; the graph, the Refs and the reused write
+	// records cost nothing per stage.
+	wide := [2]*trace.WorkflowTrace{}
+	for i, fanOut := range []int{4, 16} {
+		if wide[i], err = trace.GenerateWorkflows(trace.WorkflowConfig{
+			Duration: 2 * time.Minute, Rate: 0.8, ETLShare: 0.5, FanOut: fanOut,
+		}, workload.Suite(), sim.NewRNG(17)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := workflowGoldenConfig(true)
+	cfg.Jitter = 0.15
+	allocs := func(wtr *trace.WorkflowTrace) float64 {
+		var err error
+		n := testing.AllocsPerRun(1, func() { _, err = RunWorkflows(wtr, cfg, 1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	extra := wide[1].Stages() - wide[0].Stages()
+	perStage := (allocs(wide[1]) - allocs(wide[0])) / float64(extra)
+	t.Logf("workflow: %d more stages, %.2f more allocations each", extra, perStage)
+	// 1.11 measured; the map and heap growth amortised over the extra
+	// stages is the rest.
+	const stageBound = 1.5
+	if perStage > stageBound {
+		t.Errorf("workflow: a stage costs %.2f allocations, want at most %.1f (its output object)",
+			perStage, stageBound)
+	}
 }
 
 // TestReplayBytesDoNotScale pins what a replay's memory grows with: the

@@ -130,19 +130,29 @@ func workflowStore(drives int, seed uint64) (*objstore.Store, error) {
 	return objstore.New(objstore.Default(), nodes, sim.NewRNG(seed))
 }
 
-// wfState wraps one workflow's graph state with its replay bookkeeping.
+// wfState wraps one workflow's graph state with its replay bookkeeping:
+// refs[i] is stage i's task Ref.
 type wfState struct {
 	run     *workflow.Run
+	refs    []wfStageRef
 	counted bool
 }
 
 // wfStageRef rides each stage task's Ref: which run and stage the task is,
-// and the I/O bill priced at submission.
+// its benchmark (resolved once, at admission), and the I/O bill priced at
+// submission.
 type wfStageRef struct {
 	ws    *wfState
 	idx   int
 	bench *workload.Benchmark
 	fetch time.Duration // summed remote-input fetch time
+}
+
+// wfWrite is one stage's output write in flight: fire, bound once when the
+// record is made, lands it.
+type wfWrite struct {
+	ref  *wfStageRef
+	fire func()
 }
 
 // RunWorkflows replays the workflow trace and returns the stats. The
@@ -238,7 +248,7 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	submitStage := func(ws *wfState, idx int) {
 		now := d.now()
 		stage := ws.run.Stage(idx)
-		ref := &wfStageRef{ws: ws, idx: idx, bench: workload.BySlug(stage.Benchmark)}
+		ref := &ws.refs[idx]
 		inputs := ws.run.InputKeys(idx)
 		// Place by the dominant input: the biggest object is the one worth
 		// staying next to. Fan-in side inputs are billed individually below.
@@ -335,19 +345,31 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	// map now says where its dependents belong (the q=0.5 write draws no
 	// RNG) — and once that lands, completes the stage and feeds the unlock
 	// path. A refused write (an empty output) takes no time: PutAt reports
-	// zero latency with every error.
+	// zero latency with every error. A landed write's record goes back to
+	// free, so the records grow to the writes in flight, not the stages.
+	var free []*wfWrite
 	written := func(t *sched.HybridTask) {
 		ref := t.Ref.(*wfStageRef)
 		putD, _, _ := store.PutAt(ref.ws.run.OutputKey(ref.idx),
 			ref.bench.IntermediateBytes, true, 0.5)
-		d.at(d.now()+putD, func() {
-			st.StagesCompleted++
-			for _, j := range ref.ws.run.Complete(ref.idx, d.now()) {
-				unlock(ref.ws, j)
+		var w *wfWrite
+		if n := len(free); n > 0 {
+			w, free = free[n-1], free[:n-1]
+		} else {
+			w = &wfWrite{}
+			w.fire = func() {
+				ref := w.ref
+				w.ref, free = nil, append(free, w)
+				st.StagesCompleted++
+				for _, j := range ref.ws.run.Complete(ref.idx, d.now()) {
+					unlock(ref.ws, j)
+				}
+				noteSettled(ref.ws)
+				d.pump()
 			}
-			noteSettled(ref.ws)
-			d.pump()
-		})
+		}
+		w.ref = ref
+		d.at(d.now()+putD, w.fire)
 	}
 	d.settle = func(_ int, lead *sched.HybridTask, rest []sched.HybridTask, _ time.Duration) {
 		st.Batches++
@@ -370,28 +392,32 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	}
 
 	// Admit the trace: each arrival seeds its root input objects (the
-	// caller's upload, out of band) and unlocks the roots.
-	states := make([]*wfState, 0, len(wtr.Workflows))
+	// caller's upload, out of band) and unlocks the roots. Every stage's
+	// task Ref is carved from one slice for the whole trace.
+	states := make([]wfState, len(wtr.Workflows))
+	refs := make([]wfStageRef, st.Stages)
 	var admitErr error
-	for _, w := range wtr.Workflows {
+	for k, w := range wtr.Workflows {
+		ws := &states[k]
 		run, err := workflow.NewRun(w.ID, w.At, w.Spec)
 		if err != nil {
 			return nil, err
 		}
-		for _, st := range w.Spec.Stages {
-			if workload.BySlug(st.Benchmark) == nil {
+		ws.run, ws.refs, refs = run, refs[:run.Len():run.Len()], refs[run.Len():]
+		for i, stage := range w.Spec.Stages {
+			b := workload.BySlug(stage.Benchmark)
+			if b == nil {
 				return nil, fmt.Errorf("cluster: workflow %d stage %q runs unknown benchmark %q",
-					w.ID, st.ID, st.Benchmark)
+					w.ID, stage.ID, stage.Benchmark)
 			}
+			ws.refs[i] = wfStageRef{ws: ws, idx: i, bench: b}
 		}
-		states = append(states, &wfState{run: run})
 	}
 	d.arrive = func(i int) {
-		ws := states[i]
-		for _, i := range ws.run.Spec().Roots() {
-			b := workload.BySlug(ws.run.Stage(i).Benchmark)
-			if _, _, err := store.PutAt(workflow.InputKey(ws.run.ID(), ws.run.Stage(i).ID),
-				b.InputBytes, true, 0.5); err != nil && admitErr == nil {
+		ws := &states[i]
+		for _, i := range ws.run.Roots() {
+			if _, _, err := store.PutAt(ws.run.InputKeys(i)[0],
+				ws.refs[i].bench.InputBytes, true, 0.5); err != nil && admitErr == nil {
 				admitErr = err
 			}
 		}
@@ -412,7 +438,8 @@ func RunWorkflows(wtr *trace.WorkflowTrace, cfg WorkflowSimConfig, seed uint64) 
 	// must balance — per workflow and across the pool set (the driver
 	// checked the latter).
 	now := d.now()
-	for _, ws := range states {
+	for i := range states {
+		ws := &states[i]
 		st.StagesStranded += ws.run.StrandRemaining(now)
 		noteSettled(ws)
 		if err := ws.run.Conservation(); err != nil {

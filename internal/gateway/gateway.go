@@ -481,7 +481,7 @@ func (g *Gateway) systemWorkflows(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := g.engine.SubmitWorkflow(spec, opt)
 	if err != nil {
-		if strings.Contains(err.Error(), "unknown benchmark") {
+		if errors.Is(err, serve.ErrUnknownBenchmark) {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		}

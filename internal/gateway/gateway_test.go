@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"dscs/internal/serve"
 	"dscs/internal/sim"
 	"dscs/internal/ssd"
+	"dscs/internal/trace"
 	"dscs/internal/workload"
 )
 
@@ -608,6 +610,62 @@ func TestSystemWorkflows(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET allowed: %d", resp.StatusCode)
+	}
+}
+
+// TestSystemWorkflowsSubmitErrors pins how POST /system/workflows maps the
+// engine's refusals: a stage naming a benchmark the suite lacks is the
+// client's mistake (422, matched by serve.ErrUnknownBenchmark, not by the
+// message), and any other refusal — here an engine whose runners have no
+// object store to move stage data through — is the server's (500, counted
+// in gateway_errors_total).
+func TestSystemWorkflowsSubmitErrors(t *testing.T) {
+	stub := func(r *faas.Runner, b *workload.Benchmark, opt faas.Options) (faas.Result, error) {
+		return faas.Result{}, nil
+	}
+	g := testGatewayWithOptions(t, 17, serve.Options{Workers: 1, QueueDepth: 8, Execute: stub})
+	if _, err := g.Engine().SubmitWorkflow(&trace.WorkflowSpec{Stages: []trace.WorkflowStage{
+		{ID: "a", Benchmark: "nonesuch"},
+	}}, faas.Options{}); !errors.Is(err, serve.ErrUnknownBenchmark) {
+		t.Fatalf("SubmitWorkflow error %v does not wrap ErrUnknownBenchmark", err)
+	}
+
+	storeless, err := NewWithOptions(map[string]*faas.Runner{
+		"DSCS-Serverless": faas.NewRunner(nil, platform.DSCS()),
+		"Baseline (CPU)":  faas.NewRunner(nil, platform.BaselineCPU()),
+	}, "DSCS-Serverless", "Baseline (CPU)", serve.Options{Workers: 1, QueueDepth: 8, Execute: stub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(storeless.Close)
+
+	for _, tc := range []struct {
+		name string
+		g    *Gateway
+		body string
+		want int
+	}{
+		{"unknown benchmark", g, "0s:a=nonesuch:", http.StatusUnprocessableEntity},
+		{"no object store", storeless, "0s:a=credit-risk:", http.StatusInternalServerError},
+	} {
+		srv := httptest.NewServer(tc.g.Handler())
+		resp, err := http.Post(srv.URL+"/system/workflows", "text/plain", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
+		}
+		wantErrs := 0.0
+		if tc.want == http.StatusInternalServerError {
+			wantErrs = 1
+		}
+		if errs := tc.g.Telemetry().Counter("gateway_errors_total"); errs != wantErrs {
+			t.Errorf("%s: gateway_errors_total = %v, want %v", tc.name, errs, wantErrs)
+		}
 	}
 }
 

@@ -82,7 +82,16 @@ type Chunk struct {
 	Replicas []Replica
 }
 
-// Object is a stored value.
+// inlineReplicas is the replica count an Object holds without a
+// separate allocation: Default's replication.
+const inlineReplicas = 3
+
+// Object is a stored value. The common object — one chunk, at most
+// inlineReplicas replicas — carries its chunk and replicas inline, so
+// storing it is one allocation; a larger one allocates them separately.
+// Chunks and Replicas may point into the Object itself, so an Object is
+// only ever handled by pointer: a copy would share the original's inline
+// storage.
 type Object struct {
 	Key    string
 	Size   units.Bytes
@@ -90,6 +99,9 @@ type Object struct {
 	// Acceleratable marks objects whose consumers are DSA functions; one
 	// replica is mapped to a DSCS-Drive at placement time.
 	Acceleratable bool
+
+	chunk    [1]Chunk
+	replicas [inlineReplicas]Replica
 }
 
 // Config parameterizes the store.
@@ -323,10 +335,16 @@ func (s *Store) PutAt(key string, size units.Bytes, acceleratable bool, q float6
 	if old, ok := s.objects[key]; ok && old.Size == size && old.Acceleratable == acceleratable {
 		return s.overwrite(old, q, rng)
 	}
-	// A new object allocates its metadata and nothing else: the Object, its
-	// Chunks, and each chunk's Replicas, each at its final size.
+	// A new object allocates its metadata and nothing else: the Object,
+	// and its Chunks and each chunk's Replicas, each at its final size,
+	// wherever the Object's inline storage is too small.
 	chunks := (size + s.cfg.ChunkSize - 1) / s.cfg.ChunkSize
-	obj := &Object{Key: key, Size: size, Acceleratable: acceleratable, Chunks: make([]Chunk, 0, chunks)}
+	obj := &Object{Key: key, Size: size, Acceleratable: acceleratable}
+	if chunks == 1 {
+		obj.Chunks = obj.chunk[:0]
+	} else {
+		obj.Chunks = make([]Chunk, 0, chunks)
+	}
 	var total time.Duration
 	var energy units.Energy
 	for idx, remaining := 0, size; remaining > 0; idx++ {
@@ -336,7 +354,12 @@ func (s *Store) PutAt(key string, size units.Bytes, acceleratable bool, q float6
 		}
 		remaining -= cs
 		nodes := s.placement(key, idx, acceleratable)
-		chunk := Chunk{Index: idx, Size: cs, Replicas: make([]Replica, 0, len(nodes))}
+		chunk := Chunk{Index: idx, Size: cs}
+		if idx == 0 && len(nodes) <= len(obj.replicas) {
+			chunk.Replicas = obj.replicas[:0:len(nodes)]
+		} else {
+			chunk.Replicas = make([]Replica, 0, len(nodes))
+		}
 		path, fab := rpc.RequestPath(s.cfg.Codec, s.cfg.Stack, cs), s.chunkFabric(cs, q)
 		var slowest time.Duration
 		for _, n := range nodes {

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -31,6 +32,10 @@ import (
 	"dscs/internal/workflow"
 	"dscs/internal/workload"
 )
+
+// ErrUnknownBenchmark is wrapped by the error SubmitWorkflow returns when a
+// stage names a benchmark the suite does not have.
+var ErrUnknownBenchmark = errors.New("unknown benchmark")
 
 // WorkflowStageOutcome reports how one stage settled: the pool that served
 // it (empty if it never dispatched), whether placement was local to the
@@ -101,7 +106,7 @@ func (e *Engine) SubmitWorkflow(spec *trace.WorkflowSpec, opt faas.Options) (Wor
 	benches := make([]*workload.Benchmark, len(spec.Stages))
 	for i, st := range spec.Stages {
 		if benches[i] = workload.BySlug(st.Benchmark); benches[i] == nil {
-			return WorkflowResult{}, fmt.Errorf("serve: workflow stage %q names unknown benchmark %q", st.ID, st.Benchmark)
+			return WorkflowResult{}, fmt.Errorf("serve: workflow stage %q names %w %q", st.ID, ErrUnknownBenchmark, st.Benchmark)
 		}
 	}
 	store := e.workflowStore()
@@ -130,8 +135,8 @@ func (e *Engine) SubmitWorkflow(spec *trace.WorkflowSpec, opt faas.Options) (Wor
 	// Seed each root's input object before anything unlocks: the harness
 	// invariant is that no stage dispatches before all its input objects
 	// exist in the store.
-	for _, i := range spec.Roots() {
-		if _, _, err := store.PutAt(workflow.InputKey(run.ID(), spec.Stages[i].ID),
+	for _, i := range run.Roots() {
+		if _, _, err := store.PutAt(run.InputKeys(i)[0],
 			benches[i].InputBytes, true, opt.Quantile); err != nil {
 			return WorkflowResult{}, fmt.Errorf("serve: seeding workflow input for stage %q: %w", spec.Stages[i].ID, err)
 		}

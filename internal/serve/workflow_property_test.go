@@ -161,9 +161,8 @@ func workflowPropertyRun(t *testing.T, specs []*trace.WorkflowSpec) func([]propO
 				}
 				nextWF++
 				runs = append(runs, r)
-				for _, i := range spec.Roots() {
-					if _, _, err := store.PutAt(workflow.InputKey(r.ID(), spec.Stages[i].ID),
-						1<<20, true, 0.5); err != nil {
+				for _, i := range r.Roots() {
+					if _, _, err := store.PutAt(r.InputKeys(i)[0], 1<<20, true, 0.5); err != nil {
 						return err
 					}
 				}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -144,7 +145,7 @@ func TestSubmitWorkflowWaitsForFetch(t *testing.T) {
 		t.Fatalf("want one remote stage that read over the fabric: %+v", res)
 	}
 	// The analytic quantile path prices the same read identically.
-	fetch, _, err := eng.workflowStore().GetAt(workflow.InputKey(res.ID, "a"), 0.5)
+	fetch, _, err := eng.workflowStore().GetAt(fmt.Sprintf("wf/%d/in/a", res.ID), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -37,10 +38,12 @@ type WorkflowSpec struct {
 }
 
 // stageIDRune reports whether r may appear in a stage ID: anything except
-// the separators the spelling reserves and whitespace.
+// the separators the spelling reserves, whitespace, and '/', which
+// separates the parts of a stage's object keys (workflow.Run): with it,
+// stage "in/x" would write its output over root "x"'s input object.
 func stageIDRune(r rune) bool {
 	switch r {
-	case ':', ';', ',', '=', '\n':
+	case ':', ';', ',', '=', '/', '\n':
 		return false
 	}
 	return !strings.ContainsRune(" \t\r", r)
@@ -123,77 +126,177 @@ func ParseWorkflowSpec(script string) (*WorkflowSpec, error) {
 // Validate checks the graph: at least one stage, unique stage IDs, every
 // dependency resolving to a declared stage exactly once, no
 // self-dependencies, and no cycles (Kahn's topological sort must consume
-// every stage).
+// every stage). It builds the graph and discards it.
 func (spec *WorkflowSpec) Validate() error {
+	_, err := spec.Graph()
+	return err
+}
+
+// WorkflowGraph is a spec's topology resolved to stage indices: each
+// stage's dependencies in declaration order, its dependents in ascending
+// stage order, and the roots in spec order. Both directions are stored
+// compressed — one flat edge array and per-stage offsets — and the whole
+// graph is one allocation, whatever the stage count.
+type WorkflowGraph struct {
+	// Stage i's dependencies are deps[depOff[i]:depOff[i+1]], its
+	// dependents outs[outOff[i]:outOff[i+1]].
+	deps, depOff []int
+	outs, outOff []int
+	roots        []int
+}
+
+// Deps returns stage i's dependency indices in declaration order.
+func (g *WorkflowGraph) Deps(i int) []int {
+	return g.deps[g.depOff[i]:g.depOff[i+1]:g.depOff[i+1]]
+}
+
+// Dependents returns the indices of the stages that depend on stage i, in
+// ascending order.
+func (g *WorkflowGraph) Dependents(i int) []int {
+	return g.outs[g.outOff[i]:g.outOff[i+1]:g.outOff[i+1]]
+}
+
+// Roots returns the indices of the stages with no dependencies, in spec
+// order.
+func (g *WorkflowGraph) Roots() []int { return g.roots }
+
+// Graph validates the spec and builds its topology in one pass: stage
+// checks in spec order, dependency IDs resolved through an ID-sorted index
+// of the stages (no map), the dependents laid out from the resolved
+// dependencies, and Kahn's sort run on the result. It reports the errors
+// Validate documents, the first in spec order.
+func (spec *WorkflowSpec) Graph() (WorkflowGraph, error) {
 	if spec == nil || len(spec.Stages) == 0 {
-		return fmt.Errorf("trace: empty workflow graph")
+		return WorkflowGraph{}, fmt.Errorf("trace: empty workflow graph")
 	}
-	idx := make(map[string]int, len(spec.Stages))
-	for i, st := range spec.Stages {
+	stages := spec.Stages
+	n, edges, roots := len(stages), 0, 0
+	for _, st := range stages {
+		edges += len(st.Deps)
+		if len(st.Deps) == 0 {
+			roots++
+		}
+	}
+	// One allocation: the graph's five regions, then two stage-count
+	// scratch regions the build reuses phase by phase.
+	buf := make([]int, 2*edges+2*(n+1)+roots+2*n)
+	carve := func(k int) []int {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	g := WorkflowGraph{
+		deps: carve(edges), depOff: carve(n + 1),
+		outs: carve(edges), outOff: carve(n + 1),
+		roots: carve(roots),
+	}
+	byID, mark := carve(n), carve(n)
+
+	// The ID index, ties in spec order: the first stage whose ID an
+	// earlier stage already took is the one a spec-order scan reports.
+	for i := range byID {
+		byID[i] = i
+	}
+	slices.SortFunc(byID, func(a, b int) int {
+		if c := strings.Compare(stages[a].ID, stages[b].ID); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	firstDup := n
+	for k := 1; k < n; k++ {
+		if i := byID[k]; stages[i].ID == stages[byID[k-1]].ID && i < firstDup {
+			firstDup = i
+		}
+	}
+	for i, st := range stages {
 		if !validStageID(st.ID) {
-			return fmt.Errorf("trace: invalid workflow stage id %q", st.ID)
+			return WorkflowGraph{}, fmt.Errorf("trace: invalid workflow stage id %q", st.ID)
 		}
 		if st.Benchmark == "" {
-			return fmt.Errorf("trace: workflow stage %q names no benchmark", st.ID)
+			return WorkflowGraph{}, fmt.Errorf("trace: workflow stage %q names no benchmark", st.ID)
 		}
 		if st.Offset < 0 {
-			return fmt.Errorf("trace: workflow stage %q has a negative offset", st.ID)
+			return WorkflowGraph{}, fmt.Errorf("trace: workflow stage %q has a negative offset", st.ID)
 		}
-		if _, dup := idx[st.ID]; dup {
-			return fmt.Errorf("trace: duplicate workflow stage id %q", st.ID)
+		if i == firstDup {
+			return WorkflowGraph{}, fmt.Errorf("trace: duplicate workflow stage id %q", st.ID)
 		}
-		idx[st.ID] = i
 	}
-	pending := make([]int, len(spec.Stages))
-	dependents := make([][]int, len(spec.Stages))
-	for i, st := range spec.Stages {
-		seen := make(map[string]bool, len(st.Deps))
+
+	// Resolve every dependency; mark[j] == i+1 once stage i has named j.
+	// outOff[j+1] counts j's dependents until the prefix sum below.
+	e, r := 0, 0
+	for i, st := range stages {
+		g.depOff[i] = e
+		if len(st.Deps) == 0 {
+			g.roots[r] = i
+			r++
+		}
 		for _, dep := range st.Deps {
-			j, ok := idx[dep]
+			k, ok := slices.BinarySearchFunc(byID, dep, func(j int, id string) int {
+				return strings.Compare(stages[j].ID, id)
+			})
 			if !ok {
-				return fmt.Errorf("trace: stage %q depends on undeclared stage %q", st.ID, dep)
+				return WorkflowGraph{}, fmt.Errorf("trace: stage %q depends on undeclared stage %q", st.ID, dep)
 			}
 			if dep == st.ID {
-				return fmt.Errorf("trace: stage %q depends on itself", st.ID)
+				return WorkflowGraph{}, fmt.Errorf("trace: stage %q depends on itself", st.ID)
 			}
-			if seen[dep] {
-				return fmt.Errorf("trace: stage %q declares dependency %q twice", st.ID, dep)
+			j := byID[k]
+			if mark[j] == i+1 {
+				return WorkflowGraph{}, fmt.Errorf("trace: stage %q declares dependency %q twice", st.ID, dep)
 			}
-			seen[dep] = true
-			pending[i]++
-			dependents[j] = append(dependents[j], i)
+			mark[j] = i + 1
+			g.deps[e] = j
+			e++
+			g.outOff[j+1]++
 		}
 	}
-	// Kahn's sort: if it cannot consume every stage, what remains is a
-	// cycle.
-	ready := make([]int, 0, len(spec.Stages))
-	for i, n := range pending {
-		if n == 0 {
-			ready = append(ready, i)
+	g.depOff[n] = e
+	for i := 0; i < n; i++ {
+		g.outOff[i+1] += g.outOff[i]
+	}
+	// Lay out the dependents: visiting stages in ascending order keeps
+	// each stage's dependents ascending. mark becomes the fill cursor.
+	copy(mark, g.outOff[:n])
+	for i := 0; i < n; i++ {
+		for _, j := range g.Deps(i) {
+			g.outs[mark[j]] = i
+			mark[j]++
 		}
 	}
+
+	// Kahn's sort: byID becomes the unmet-dependency counts and mark the
+	// ready stack. If the sort cannot consume every stage, what remains
+	// is a cycle.
+	pending, ready := byID, mark[:0]
+	for i := 0; i < n; i++ {
+		pending[i] = g.depOff[i+1] - g.depOff[i]
+	}
+	ready = append(ready, g.roots...)
 	consumed := 0
 	for len(ready) > 0 {
 		i := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		consumed++
-		for _, j := range dependents[i] {
+		for _, j := range g.Dependents(i) {
 			if pending[j]--; pending[j] == 0 {
 				ready = append(ready, j)
 			}
 		}
 	}
-	if consumed != len(spec.Stages) {
-		stuck := make([]string, 0, len(spec.Stages)-consumed)
-		for i, n := range pending {
-			if n > 0 {
-				stuck = append(stuck, spec.Stages[i].ID)
+	if consumed != n {
+		stuck := make([]string, 0, n-consumed)
+		for i, k := range pending {
+			if k > 0 {
+				stuck = append(stuck, stages[i].ID)
 			}
 		}
 		sort.Strings(stuck)
-		return fmt.Errorf("trace: workflow graph has a cycle through %s", strings.Join(stuck, ", "))
+		return WorkflowGraph{}, fmt.Errorf("trace: workflow graph has a cycle through %s", strings.Join(stuck, ", "))
 	}
-	return nil
+	return g, nil
 }
 
 // Roots returns the indices of stages with no dependencies, in spec order.

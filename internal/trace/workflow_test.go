@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +58,10 @@ func TestParseWorkflowSpecFindings(t *testing.T) {
 		{"duplicate dep", "0s:a=x:;0s:b=y:a,a", "twice"},
 		{"two-cycle", "0s:a=x:b;0s:b=y:a", "cycle"},
 		{"long cycle", "0s:a=x:c;0s:b=y:a;0s:c=z:b", "cycle"},
+		// '/' separates the parts of a stage's object keys: stage "in/x"
+		// would write its output over root "x"'s seeded input.
+		{"slash in id", "0s:x=credit-risk:;0s:in/x=nl-query:x", "invalid workflow stage id"},
+		{"slash in dep", "0s:x=credit-risk:;0s:y=nl-query:in/x", "invalid dependency id"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +74,84 @@ func TestParseWorkflowSpecFindings(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestValidateRejectsSlashInStageID covers specs built in code, which
+// reach the graph without the parser's checks.
+func TestValidateRejectsSlashInStageID(t *testing.T) {
+	spec := &WorkflowSpec{Stages: []WorkflowStage{
+		{ID: "x", Benchmark: "credit-risk"},
+		{ID: "in/x", Benchmark: "nl-query", Deps: []string{"x"}},
+	}}
+	err := spec.Validate()
+	if err == nil || err.Error() != `trace: invalid workflow stage id "in/x"` {
+		t.Fatalf("Validate = %v, want the invalid stage id error", err)
+	}
+}
+
+// TestWorkflowGraph pins the topology one Graph pass builds: dependencies
+// in declaration order, dependents in ascending stage order whatever order
+// the dependencies were declared in, roots in spec order.
+func TestWorkflowGraph(t *testing.T) {
+	spec, err := ParseWorkflowSpec("0s:d=z:c,b;0s:b=y:a;0s:a=x:;0s:c=y:a;0s:e=x:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := spec.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := func(what string, got []int, want ...int) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s = %v, want %v", what, got, want)
+		}
+	}
+	eq("Deps(d)", g.Deps(0), 3, 1)
+	eq("Deps(b)", g.Deps(1), 2)
+	eq("Deps(a)", g.Deps(2))
+	eq("Dependents(a)", g.Dependents(2), 1, 3)
+	eq("Dependents(b)", g.Dependents(1), 0)
+	eq("Dependents(c)", g.Dependents(3), 0)
+	eq("Dependents(d)", g.Dependents(0))
+	eq("Roots", g.Roots(), 2, 4)
+	// Every view is capped at its length: an append cannot reach the next
+	// stage's edges.
+	if deps := g.Deps(0); cap(deps) != len(deps) {
+		t.Errorf("Deps(d) has capacity %d beyond its %d edges", cap(deps), len(deps))
+	}
+	if out := g.Dependents(2); cap(out) != len(out) {
+		t.Errorf("Dependents(a) has capacity %d beyond its %d edges", cap(out), len(out))
+	}
+}
+
+// TestWorkflowGraphAllocations pins a graph at one allocation, whatever
+// its stage count.
+func TestWorkflowGraphAllocations(t *testing.T) {
+	for _, n := range []int{3, 64} {
+		spec := chain(n)
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := spec.Graph(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("a %d-stage chain's graph allocates %v times, want 1", n, got)
+		}
+	}
+}
+
+// chain returns an n-stage chain s0 → s1 → … in spec order.
+func chain(n int) *WorkflowSpec {
+	spec := &WorkflowSpec{}
+	for i := 0; i < n; i++ {
+		st := WorkflowStage{ID: fmt.Sprintf("s%d", i), Benchmark: "chatbot"}
+		if i > 0 {
+			st.Deps = []string{spec.Stages[i-1].ID}
+		}
+		spec.Stages = append(spec.Stages, st)
+	}
+	return spec
 }
 
 func TestWorkflowSpecRoots(t *testing.T) {
@@ -157,51 +241,4 @@ func TestGenerateWorkflowsRejectsDegenerate(t *testing.T) {
 	if _, err := GenerateWorkflows(good, nil, rng); err == nil {
 		t.Fatal("accepted an empty suite")
 	}
-}
-
-// FuzzWorkflowSpec drives the spec decoder: structurally broken graphs —
-// cycles, dangling or duplicate deps, duplicate stage IDs, the empty
-// graph — must surface as errors, never panics or silent accepts, and any
-// accepted spec must validate and round-trip through its formatted
-// spelling.
-func FuzzWorkflowSpec(f *testing.F) {
-	f.Add("0s:extract=credit-risk:;0s:shard0=nl-query:extract;0s:gather=credit-risk:shard0")
-	f.Add("0s:pre=a:\n5s:infer=b:pre\n0s:post=c:infer")
-	f.Add("0s:a=x:b;0s:b=y:a")
-	f.Add("0s:a=x:ghost")
-	f.Add("0s:a=x:;0s:a=y:")
-	f.Add("0s:a=x:a")
-	f.Add(";;\n ;")
-	f.Add("0s:a=x")
-	f.Fuzz(func(t *testing.T, script string) {
-		spec, err := ParseWorkflowSpec(script)
-		if err != nil {
-			return
-		}
-		// Whatever parses must be a runnable graph...
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("parsed spec fails validation: %v", err)
-		}
-		if len(spec.Stages) == 0 {
-			t.Fatal("empty graph accepted")
-		}
-		if len(spec.Roots()) == 0 {
-			t.Fatal("acyclic graph with no roots")
-		}
-		// ...and survive the Format/Parse round trip exactly.
-		again, err := ParseWorkflowSpec(FormatWorkflowSpec(spec))
-		if err != nil {
-			t.Fatalf("re-parse of formatted spec: %v", err)
-		}
-		if len(again.Stages) != len(spec.Stages) {
-			t.Fatalf("round trip lost stages: %d -> %d", len(spec.Stages), len(again.Stages))
-		}
-		for i := range spec.Stages {
-			a, b := spec.Stages[i], again.Stages[i]
-			if a.ID != b.ID || a.Benchmark != b.Benchmark || a.Offset != b.Offset ||
-				strings.Join(a.Deps, ",") != strings.Join(b.Deps, ",") {
-				t.Fatalf("round trip changed stage %d: %+v -> %+v", i, a, b)
-			}
-		}
-	})
 }

@@ -17,6 +17,8 @@ package workflow
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"dscs/internal/trace"
@@ -53,105 +55,152 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Run is one workflow's live graph state. It is not safe for concurrent
-// use; the live engine serializes access behind its own lock and the sims
-// are single-threaded.
+// open reports whether a stage in this state has yet to settle.
+func (s State) open() bool { return s == Blocked || s == Ready }
+
+// Run is one workflow's live graph state. It is built once per workflow
+// and runs without allocating: the topology comes from one
+// trace.WorkflowSpec.Graph pass, the per-stage state sits in one array,
+// every object key of the run is a substring of one string, and the input
+// keys lie back to back in one slice. Construction costs the same handful
+// of allocations whatever the stage count.
+//
+// It is not safe for concurrent use; the live engine serializes access
+// behind its own lock and the sims are single-threaded.
 type Run struct {
 	id      int
 	arrived time.Duration
 	spec    *trace.WorkflowSpec
+	graph   trace.WorkflowGraph
 
-	state      []State
-	pending    []int   // unmet dependency count per stage
-	dependents [][]int // stages waiting on this one
-	unlockedAt []time.Duration
-	settledAt  time.Duration
-
-	// Object keys are precomputed at construction so the unlock hot path
-	// never builds strings: outKeys[i] is stage i's output object,
-	// inKeys[i] its input objects (dependency outputs; roots read the
-	// workflow's seeded input object).
-	outKeys []string
-	inKeys  [][]string
+	stages []stage
+	// inKeys holds every stage's input object keys back to back:
+	// dependency outputs in declaration order, or a root's seeded input.
+	inKeys    []string
+	settledAt time.Duration
 
 	started                      bool
 	completed, dropped, stranded int
 
-	// unlocked is the reusable buffer Complete returns newly unlocked
-	// stage indices in; it is overwritten by the next Complete/Start.
-	unlocked []int
+	// unlocked is the reusable buffer Start and Complete return newly
+	// unlocked stage indices in; it is overwritten by the next call. work
+	// is the strand cascade's worklist. Each holds a stage at most once.
+	unlocked, work []int
+}
+
+// stage is one stage's per-run state.
+type stage struct {
+	state      State
+	unlockedAt time.Duration
+	out        string // output object key
+	pending    int32  // unmet dependency count
+	in, inEnd  int32  // span of the input keys in Run.inKeys
 }
 
 // NewRun validates the spec and builds the graph state for one workflow
-// admitted at arrived.
+// admitted at arrived. Keys are spelled wf/<id>/<stage> for a stage's
+// output and wf/<id>/in/<stage> for a root's seeded input; the store
+// places an object by hashing its key, so the spelling is part of
+// placement.
 func NewRun(id int, arrived time.Duration, spec *trace.WorkflowSpec) (*Run, error) {
-	if err := spec.Validate(); err != nil {
+	g, err := spec.Graph()
+	if err != nil {
 		return nil, err
 	}
-	n := len(spec.Stages)
+	n, roots := len(spec.Stages), g.Roots()
+	var num [20]byte // len("-9223372036854775808")
+	wid := strconv.AppendInt(num[:0], int64(id), 10)
+	prefix := len("wf/") + len(wid) + len("/")
+	size, inputs := 0, len(roots)
+	for i, st := range spec.Stages {
+		size += prefix + len(st.ID)
+		inputs += len(g.Deps(i))
+	}
+	for _, i := range roots {
+		size += prefix + len("in/") + len(spec.Stages[i].ID)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	key := func(in bool, stageID string) {
+		b.WriteString("wf/")
+		b.Write(wid)
+		b.WriteByte('/')
+		if in {
+			b.WriteString("in/")
+		}
+		b.WriteString(stageID)
+	}
+	for _, st := range spec.Stages {
+		key(false, st.ID)
+	}
+	for _, i := range roots {
+		key(true, spec.Stages[i].ID)
+	}
+	keys := b.String()
+
+	bufs := make([]int, 2*n)
 	r := &Run{
-		id: id, arrived: arrived, spec: spec,
-		state:      make([]State, n),
-		pending:    make([]int, n),
-		dependents: make([][]int, n),
-		unlockedAt: make([]time.Duration, n),
-		outKeys:    make([]string, n),
-		inKeys:     make([][]string, n),
-		unlocked:   make([]int, 0, n),
+		id: id, arrived: arrived, spec: spec, graph: g,
+		stages:   make([]stage, n),
+		inKeys:   make([]string, 0, inputs),
+		unlocked: bufs[:0:n],
+		work:     bufs[n:n],
 	}
-	idx := make(map[string]int, n)
+	at := 0
 	for i, st := range spec.Stages {
-		idx[st.ID] = i
-		r.outKeys[i] = fmt.Sprintf("wf/%d/%s", id, st.ID)
+		end := at + prefix + len(st.ID)
+		r.stages[i].out = keys[at:end]
+		at = end
 	}
-	for i, st := range spec.Stages {
-		if len(st.Deps) == 0 {
-			r.inKeys[i] = []string{InputKey(id, st.ID)}
-			continue
+	// The root inputs follow the outputs in the key string, in spec order.
+	for i := range r.stages {
+		s := &r.stages[i]
+		s.in = int32(len(r.inKeys))
+		if deps := g.Deps(i); len(deps) > 0 {
+			s.pending = int32(len(deps))
+			for _, j := range deps {
+				r.inKeys = append(r.inKeys, r.stages[j].out)
+			}
+		} else {
+			end := at + prefix + len("in/") + len(spec.Stages[i].ID)
+			r.inKeys = append(r.inKeys, keys[at:end])
+			at = end
 		}
-		r.pending[i] = len(st.Deps)
-		keys := make([]string, 0, len(st.Deps))
-		for _, dep := range st.Deps {
-			j := idx[dep]
-			r.dependents[j] = append(r.dependents[j], i)
-			keys = append(keys, r.outKeys[j])
-		}
-		r.inKeys[i] = keys
+		s.inEnd = int32(len(r.inKeys))
 	}
 	return r, nil
-}
-
-// InputKey names the seeded input object of a root stage: the object the
-// workflow's caller puts before the roots unlock.
-func InputKey(workflowID int, stageID string) string {
-	return fmt.Sprintf("wf/%d/in/%s", workflowID, stageID)
 }
 
 // ID returns the workflow's trace ID.
 func (r *Run) ID() int { return r.id }
 
-// Spec returns the workflow's graph spec.
-func (r *Run) Spec() *trace.WorkflowSpec { return r.spec }
-
 // Len returns the stage count.
-func (r *Run) Len() int { return len(r.spec.Stages) }
+func (r *Run) Len() int { return len(r.stages) }
 
 // Stage returns stage i's spec.
 func (r *Run) Stage(i int) trace.WorkflowStage { return r.spec.Stages[i] }
 
 // State returns stage i's lifecycle position.
-func (r *Run) State(i int) State { return r.state[i] }
+func (r *Run) State(i int) State { return r.stages[i].state }
 
 // OutputKey returns stage i's output object key.
-func (r *Run) OutputKey(i int) string { return r.outKeys[i] }
+func (r *Run) OutputKey(i int) string { return r.stages[i].out }
 
 // InputKeys returns stage i's input object keys: its dependencies' outputs,
-// or the seeded input object for a root. The slice is owned by the Run.
-func (r *Run) InputKeys(i int) []string { return r.inKeys[i] }
+// or the seeded input object for a root. The slice is owned by the Run and
+// capped at its length, so an append cannot write over the next stage's.
+func (r *Run) InputKeys(i int) []string {
+	s := &r.stages[i]
+	return r.inKeys[s.in:s.inEnd:s.inEnd]
+}
+
+// Roots returns the indices of the stages with no dependencies, in spec
+// order. The slice is owned by the Run.
+func (r *Run) Roots() []int { return r.graph.Roots() }
 
 // UnlockedAt returns when stage i unlocked — the instant its scheduler age
 // is measured from. Zero until the stage leaves Blocked.
-func (r *Run) UnlockedAt(i int) time.Duration { return r.unlockedAt[i] }
+func (r *Run) UnlockedAt(i int) time.Duration { return r.stages[i].unlockedAt }
 
 // unlockAt applies the stage's own offset floor: a stage may not start
 // before arrival+Offset even if its dependencies finish earlier.
@@ -170,12 +219,10 @@ func (r *Run) Start(now time.Duration) []int {
 	}
 	r.started = true
 	r.unlocked = r.unlocked[:0]
-	for i := range r.state {
-		if r.pending[i] == 0 {
-			r.state[i] = Ready
-			r.unlockedAt[i] = r.unlockAt(i, now)
-			r.unlocked = append(r.unlocked, i)
-		}
+	for _, i := range r.graph.Roots() {
+		r.stages[i].state = Ready
+		r.stages[i].unlockedAt = r.unlockAt(i, now)
+		r.unlocked = append(r.unlocked, i)
 	}
 	return r.unlocked
 }
@@ -188,17 +235,18 @@ func (r *Run) Start(now time.Duration) []int {
 //dscslint:hotpath
 func (r *Run) Complete(i int, now time.Duration) []int {
 	r.unlocked = r.unlocked[:0]
-	if r.state[i] != Ready {
+	if r.stages[i].state != Ready {
 		// Double completion (a hedge losing the race after a requeue, or a
 		// caller bug) must not unlock dependents twice.
 		return r.unlocked
 	}
-	r.state[i] = Done
+	r.stages[i].state = Done
 	r.completed++
-	for _, j := range r.dependents[i] {
-		if r.pending[j]--; r.pending[j] == 0 && r.state[j] == Blocked {
-			r.state[j] = Ready
-			r.unlockedAt[j] = r.unlockAt(j, now)
+	for _, j := range r.graph.Dependents(i) {
+		s := &r.stages[j]
+		if s.pending--; s.pending == 0 && s.state == Blocked {
+			s.state = Ready
+			s.unlockedAt = r.unlockAt(j, now)
 			r.unlocked = append(r.unlocked, j)
 		}
 	}
@@ -211,10 +259,10 @@ func (r *Run) Complete(i int, now time.Duration) []int {
 // never unlock its dependents, so they settle now rather than leak. It
 // returns the number of stages stranded by the cascade.
 func (r *Run) Drop(i int, now time.Duration) int {
-	if r.state[i] != Ready {
+	if r.stages[i].state != Ready {
 		return 0
 	}
-	r.state[i] = Dropped
+	r.stages[i].state = Dropped
 	r.dropped++
 	n := r.strandDownstream(i)
 	r.noteSettled(now)
@@ -225,31 +273,34 @@ func (r *Run) Drop(i int, now time.Duration) int {
 // or the run is being closed out) and cascades downstream. It accepts
 // Blocked and Ready stages and returns the total stranded including i.
 func (r *Run) Strand(i int, now time.Duration) int {
-	if r.state[i] != Ready && r.state[i] != Blocked {
+	if !r.stages[i].state.open() {
 		return 0
 	}
-	r.state[i] = Stranded
+	r.stages[i].state = Stranded
 	r.stranded++
 	n := 1 + r.strandDownstream(i)
 	r.noteSettled(now)
 	return n
 }
 
-// strandDownstream walks the dependent closure of a failed stage with an
-// iterative worklist, settling every still-open stage it reaches.
+// strandDownstream walks the dependent closure of a failed stage with the
+// Run's worklist, settling every still-open stage it reaches. A stage
+// settles as it is pushed, so none is pushed twice and the worklist never
+// outgrows the stage count.
 func (r *Run) strandDownstream(i int) int {
 	n := 0
-	work := append([]int(nil), r.dependents[i]...)
+	work := append(r.work[:0], i)
 	for len(work) > 0 {
 		j := work[len(work)-1]
 		work = work[:len(work)-1]
-		if r.state[j] != Blocked && r.state[j] != Ready {
-			continue
+		for _, k := range r.graph.Dependents(j) {
+			if r.stages[k].state.open() {
+				r.stages[k].state = Stranded
+				r.stranded++
+				n++
+				work = append(work, k)
+			}
 		}
-		r.state[j] = Stranded
-		r.stranded++
-		n++
-		work = append(work, r.dependents[j]...)
 	}
 	return n
 }
@@ -259,9 +310,9 @@ func (r *Run) strandDownstream(i int) int {
 // number stranded.
 func (r *Run) StrandRemaining(now time.Duration) int {
 	n := 0
-	for i := range r.state {
-		if r.state[i] == Blocked || r.state[i] == Ready {
-			r.state[i] = Stranded
+	for i := range r.stages {
+		if r.stages[i].state.open() {
+			r.stages[i].state = Stranded
 			r.stranded++
 			n++
 		}
@@ -281,11 +332,11 @@ func (r *Run) noteSettled(now time.Duration) {
 
 // Settled reports whether every stage has reached a terminal state.
 func (r *Run) Settled() bool {
-	return r.completed+r.dropped+r.stranded == len(r.state)
+	return r.completed+r.dropped+r.stranded == len(r.stages)
 }
 
 // Succeeded reports whether every stage completed.
-func (r *Run) Succeeded() bool { return r.completed == len(r.state) }
+func (r *Run) Succeeded() bool { return r.completed == len(r.stages) }
 
 // Completed, DroppedCount, and StrandedCount report the settled tallies.
 func (r *Run) Completed() int     { return r.completed }
@@ -306,8 +357,8 @@ func (r *Run) Makespan() (time.Duration, bool) {
 // completed, dropped, or stranded.
 func (r *Run) Conservation() error {
 	var done, dropped, stranded, open int
-	for _, s := range r.state {
-		switch s {
+	for i := range r.stages {
+		switch r.stages[i].state {
 		case Done:
 			done++
 		case Dropped:
@@ -322,9 +373,9 @@ func (r *Run) Conservation() error {
 		return fmt.Errorf("workflow %d: tallies diverge from states: %d/%d completed, %d/%d dropped, %d/%d stranded",
 			r.id, r.completed, done, r.dropped, dropped, r.stranded, stranded)
 	}
-	if r.completed+r.dropped+r.stranded+open != len(r.state) {
+	if r.completed+r.dropped+r.stranded+open != len(r.stages) {
 		return fmt.Errorf("workflow %d: %d completed + %d dropped + %d stranded + %d open != %d admitted",
-			r.id, r.completed, r.dropped, r.stranded, open, len(r.state))
+			r.id, r.completed, r.dropped, r.stranded, open, len(r.stages))
 	}
 	if r.Settled() && open != 0 {
 		return fmt.Errorf("workflow %d: settled with %d open stages", r.id, open)

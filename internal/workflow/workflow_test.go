@@ -156,7 +156,7 @@ func TestObjectKeys(t *testing.T) {
 	if got := r.OutputKey(0); got != "wf/42/a" {
 		t.Fatalf("output key %q", got)
 	}
-	if got := r.InputKeys(0); len(got) != 1 || got[0] != InputKey(42, "a") {
+	if got := r.InputKeys(0); len(got) != 1 || got[0] != "wf/42/in/a" {
 		t.Fatalf("root input keys %v", got)
 	}
 	// The join reads both branch outputs.
