@@ -18,10 +18,18 @@
 // when Stream is called, so its events tie with timers exactly as if they
 // had been scheduled with At at that moment, and the heap only ever holds
 // the timers that events arm.
+//
+// RNG draws its distributions from one splitmix64 state, and computes a
+// streak of back-to-back LogNormal draws ahead in a batch, bit for bit the
+// values drawing them one at a time gives. Neither an Engine nor an RNG is
+// safe for use from more than one goroutine. A copied RNG can share its
+// original's batch, which keeps both correct only on one goroutine; give
+// each component its own stream with Split.
 package sim
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -235,7 +243,9 @@ func (e *Engine) push(ev event) {
 }
 
 // pop removes and returns the heap's earliest event, sifting the last leaf
-// down from the root.
+// down from the root. Which child is earliest is data the branch predictor
+// cannot learn, so the child is chosen without a branch: a tournament of
+// pairs for a full group of four, a masked scan for a partial one.
 func (e *Engine) pop() event {
 	h := e.heap
 	top := h[0]
@@ -253,10 +263,15 @@ func (e *Engine) pop() event {
 		if c >= n {
 			break
 		}
-		m := c
-		for j, end := c+1, min(c+4, n); j < end; j++ {
-			if h[j].before(&h[m]) {
-				m = j
+		var m int
+		if c+3 < n {
+			a := pick(h, c, c+1)
+			b := pick(h, c+2, c+3)
+			m = pick(h, a, b)
+		} else {
+			m = c
+			for j := c + 1; j < n; j++ {
+				m = pick(h, m, j)
 			}
 		}
 		if !h[m].before(&last) {
@@ -267,4 +282,16 @@ func (e *Engine) pop() event {
 	}
 	h[i] = last
 	return top
+}
+
+// pick returns whichever of i and j holds the earlier event, by a mask and
+// not a branch. (at, seq) compares as one 128-bit unsigned number, at's
+// sign bit flipped so negative instants order first: j is earlier exactly
+// when subtracting i's key from j's borrows out of the high word. Sequence
+// numbers are distinct, so the two never tie.
+func pick(h []event, i, j int) int {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(h[j].seq, h[i].seq, 0)
+	_, borrow = bits.Sub64(uint64(h[j].at)^sign, uint64(h[i].at)^sign, borrow)
+	return i ^ (i^j)&-int(borrow)
 }

@@ -685,6 +685,54 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEngineTieOrderMatchesReference holds pop's branch-free compare to
+// refEngine where an (instant, sequence) compare can go wrong: thousands
+// of timers over a handful of instants, so almost every compare falls to
+// the sequence number, some armed from inside callbacks and some clamped
+// to the current instant; instants near 1<<62; and sequence numbers that
+// cross 1<<32 and 1<<63, so a borrow out of the low word or its top bit
+// decides the order.
+func TestEngineTieOrderMatchesReference(t *testing.T) {
+	instants := []time.Duration{0, 1, time.Millisecond, 1<<62 - 1, 1 << 62, 1<<62 + 1}
+	run := func(e scheduler) []fired {
+		var log []fired
+		ids := 0
+		var arm func(at time.Duration)
+		arm = func(at time.Duration) {
+			id := ids
+			ids++
+			e.At(at, func() {
+				log = append(log, fired{id, e.Now()})
+				if h := mix(uint64(id)); h%3 == 0 && ids < 6000 {
+					arm(instants[(h>>8)%uint64(len(instants))])
+				}
+			})
+		}
+		for i := 0; i < 4000; i++ {
+			arm(instants[mix(uint64(i)+7)%uint64(len(instants))])
+		}
+		e.Run()
+		return log
+	}
+	for _, seq0 := range []uint64{0, 1<<32 - 3000, 1<<63 - 3000} {
+		eng := NewEngine()
+		eng.startSeqAt(seq0)
+		got := run(eng)
+		want := run(&refEngine{seq: seq0})
+		if len(got) != len(want) {
+			t.Fatalf("sequence from %#x: %d callbacks fired, reference %d", seq0, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("sequence from %#x: callback %d fired %+v, reference %+v", seq0, i, got[i], want[i])
+			}
+		}
+		if seq0 != 0 && eng.seq>>32 == seq0>>32 {
+			t.Fatalf("sequence from %#x ended at %#x without crossing its word", seq0, eng.seq)
+		}
+	}
+}
+
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 3, 14, 0, 5, 0, 12, 0})
@@ -697,6 +745,16 @@ func FuzzEngineSchedule(f *testing.F) {
 	f.Add(seed)
 	// Six overlapping streams, two more than the engine reads in place.
 	f.Add([]byte{0, 9, 15, 200, 15, 201, 5, 2, 15, 202, 15, 203, 10, 20, 15, 204, 15, 100, 14, 0, 12, 0})
+	// Ties: timers at the current instant and 1 ms on, streams whose
+	// events all share one instant, and runs in between.
+	ties := []byte{}
+	for i := 0; i < 160; i++ {
+		ties = append(ties, byte(i%5), []byte{4, 5, 36}[i%3])
+		if i%16 == 15 {
+			ties = append(ties, 14, 0, 15, 42, 12, 0)
+		}
+	}
+	f.Add(ties)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<13 {
 			data = data[:1<<13]

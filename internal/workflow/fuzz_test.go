@@ -62,7 +62,8 @@ func decodeSpec(b *fuzzBytes) *trace.WorkflowSpec {
 // same error text from Validate and NewRun, and on every accepted spec the
 // same keys in the same order, then — through a random sequence of Start,
 // Complete, Drop, Strand and StrandRemaining — the same returns, unlock
-// order and instants, states, tallies and makespans after every call.
+// order and instants, states, tallies and makespans after every call, and
+// tallies that agree with the states (Conservation).
 func FuzzRunMatchesReference(f *testing.F) {
 	// A diamond a → {b, c} → d run to completion, and the same graph with
 	// a dropped branch.
@@ -136,6 +137,9 @@ func FuzzRunMatchesReference(f *testing.F) {
 			refMS, refOK := ref.Makespan()
 			if ms != refMS || ok != refOK {
 				t.Fatalf("after %s: makespan %v/%v, reference %v/%v", step, ms, ok, refMS, refOK)
+			}
+			if err := r.Conservation(); err != nil {
+				t.Fatalf("after %s: %v", step, err)
 			}
 		}
 		check("NewRun")

@@ -177,7 +177,7 @@ func (r *refRun) Start(now time.Duration) []int {
 	r.started = true
 	r.unlocked = r.unlocked[:0]
 	for i := range r.state {
-		if r.pending[i] == 0 {
+		if r.pending[i] == 0 && r.state[i] == Blocked {
 			r.state[i] = Ready
 			r.unlockedAt[i] = r.unlockAt(i, now)
 			r.unlocked = append(r.unlocked, i)

@@ -211,7 +211,8 @@ func (r *Run) unlockAt(i int, now time.Duration) time.Duration {
 	return now
 }
 
-// Start unlocks the root stages at now and returns their indices. The
+// Start unlocks the root stages still Blocked at now and returns their
+// indices; a root that Strand settled before Start stays settled. The
 // returned slice is reused by the next Start/Complete call.
 func (r *Run) Start(now time.Duration) []int {
 	if r.started {
@@ -220,6 +221,9 @@ func (r *Run) Start(now time.Duration) []int {
 	r.started = true
 	r.unlocked = r.unlocked[:0]
 	for _, i := range r.graph.Roots() {
+		if r.stages[i].state != Blocked {
+			continue
+		}
 		r.stages[i].state = Ready
 		r.stages[i].unlockedAt = r.unlockAt(i, now)
 		r.unlocked = append(r.unlocked, i)

@@ -227,3 +227,38 @@ func TestRoundRobinSkipsUnhealthy(t *testing.T) {
 		t.Fatalf("all-dead rotation placed on %d", got.Pool)
 	}
 }
+
+// TestStartSkipsSettledRoots pins Start against roots already settled: a
+// root stranded before Start (its pool died, or the run was closed out
+// before it began) stays stranded, Start readies only the roots still
+// Blocked, and the tallies keep agreeing with the states.
+func TestStartSkipsSettledRoots(t *testing.T) {
+	spec, err := trace.ParseWorkflowSpec("0s:a=x:;0s:b=x:;0s:c=y:a,b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRun(1, 0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Strand(0, 0); n != 2 {
+		t.Fatalf("stranding root a before Start stranded %d stages, want 2 (a and c)", n)
+	}
+	if got := r.Start(time.Second); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Start readied %v, want [1]: root a is already stranded", got)
+	}
+	if got := r.State(0); got != Stranded {
+		t.Fatalf("stranded root is %v after Start", got)
+	}
+	if err := r.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+	r.Complete(1, 2*time.Second)
+	if !r.Settled() || r.Completed() != 1 || r.StrandedCount() != 2 {
+		t.Fatalf("settled %v with %d completed, %d stranded; want true, 1, 2",
+			r.Settled(), r.Completed(), r.StrandedCount())
+	}
+	if err := r.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
