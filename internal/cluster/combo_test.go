@@ -48,6 +48,8 @@ func fingerprint(st any) string {
 //   - split RunHybrid with two CPU pools, adaptive balance, elastic
 //     capacity and a pool-down/up pair at once (the benchmark's sim-rack
 //     hybrid replay shape);
+//   - the same hybrid under the predictive autoscaler, the one mode whose
+//     decisions read arrivals and service times;
 //   - Run with the queue-level former under a brown-out (the requeued
 //     tasks re-Observe into the former so their groups re-form);
 //   - Run with elastic capacity under a brown-out;
@@ -55,11 +57,12 @@ func fingerprint(st any) string {
 //     under a mid-burst pool-down/up of the DSCS pool and of a CPU pool
 //     that lends hedge workers.
 //
-// The last recycles execution records while a hedge lease or a cancelled
-// completion is still outstanding, so it pins every Stats field
-// (fingerprint).
+// The predictive arm and the last pin every Stats field (fingerprint): the
+// first because an idle-cost or cold-start drift there is what an elastic
+// short cut would show, the last because it recycles execution records
+// while a hedge lease or a cancelled completion is still outstanding.
 //
-// All four are seeded and fully deterministic; the counts are pinned so
+// All five are seeded and fully deterministic; the counts are pinned so
 // a change to event ordering in any of those paths shows its hand.
 func TestRackComboGolden(t *testing.T) {
 	mustParse := func(s string) []trace.FaultEvent {
@@ -93,6 +96,34 @@ func TestRackComboGolden(t *testing.T) {
 		got := golden{st.Completed, st.Dropped, st.Stranded, st.WithinSLO, st.Requeued, st.ColdStarts, st.Stolen, st.Latency.Mean()}
 		if want := (golden{10150, 0, 0, 5616, 3, 70, 3705, 1387059252}); got != want {
 			t.Errorf("completed/dropped/stranded/withinSLO/requeued/coldStarts/stolen/mean = %+v, pinned %+v", got, want)
+		}
+	})
+
+	// The predictive autoscaler observes every arrival and service time, so
+	// its decisions can move while occupancy, backlog and target stand
+	// still: the one mode PoolCore.Rescale's short path must never take.
+	t.Run("hybrid/2cpu+predictive+adaptive+faults", func(t *testing.T) {
+		cfg := balanceConfig()
+		cfg.Jitter = 0.15
+		cfg.QueueDepth = 2000
+		cfg.CPUPools = 2
+		cfg.AdaptiveBalance = true
+		cfg.EstimateWarmup, cfg.EstimateWindow = 16, 128
+		cfg.Elastic = &scale.Config{
+			Mode: scale.ModePredictive, Min: 1, Max: 40,
+			ColdStart: 500 * time.Millisecond, IdleLinger: 10 * time.Second,
+		}
+		cfg.Faults = mustParse("40s:pool-down:dscs;70s:pool-up:dscs")
+		st, err := RunHybrid(onesidedTrace(t), cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const pinned = "Policy=fcfs Queue=49/f8475d10b9e33e86 Latency=10150/cc1461f87d10bb00 Completed=10150 Dropped=0 " +
+			"OnDSCS=3490 Stolen=4722 Spilled=3121 WithinSLO=7373 Served=map[cpu0:3270 cpu1:3393 dscs:3487] " +
+			"WaitP95=map[cpu0:88.274468ms cpu1:0s dscs:624.761µs] ColdStarts=28 Suspends=0 IdleCost=1h26m50.286970015s " +
+			"Faults=1 Requeued=3 HedgesFired=0 HedgesWon=0 Stranded=0"
+		if got := fingerprint(st); got != pinned {
+			t.Errorf("stats\n   got %s\npinned %s", got, pinned)
 		}
 	})
 

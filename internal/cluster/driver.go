@@ -214,10 +214,13 @@ func (d *driver) at(t time.Duration, fn func()) { d.engine.At(t, fn) }
 
 // submit admits a task onto a pool's backlog. The autoscaler sees offered
 // load (dropped arrivals still describe the demand to warm for); the
-// former observes what was admitted.
+// former observes what was admitted. Autoscalers exist only on an elastic
+// rack.
 func (d *driver) submit(pool int, t sched.HybridTask) bool {
-	if a := d.mc.Pool(pool).Autoscaler(); a != nil {
-		a.ObserveArrival(t.Payload, d.engine.Now())
+	if d.elastic != nil {
+		if a := d.mc.Pool(pool).Autoscaler(); a != nil {
+			a.ObserveArrival(t.Payload, d.engine.Now())
+		}
 	}
 	if !d.mc.SubmitTo(pool, t) {
 		return false
@@ -270,7 +273,9 @@ func (d *driver) run(arrivals int, arrivalAt func(i int) time.Duration) error {
 // the virtual clock: every elastic pool's serve.PoolCore.Rescale (the
 // lifecycle advance and the core's per-pool decision gate), then a wake
 // armed at the earliest lifecycle self-transition — the live engine's
-// lifecycle timer.
+// lifecycle timer. A pool the event left untouched costs its short path
+// (Rescale) and a cached read (serve.Lifecycle.NextEvent); a fixed rack
+// has no elastic pool and pays nothing.
 func (d *driver) advanceScale() {
 	if d.elastic == nil {
 		return
@@ -318,16 +323,35 @@ func (d *driver) pump() {
 // the peer it drains. A former releases only due batches (without one
 // DispatchFormed is Dispatch); when nothing is due yet an event is armed at
 // the earliest due instant — the live engine's timed worker wait.
+//
+// The core is asked only when it could say yes: a pool with no free
+// worker returns at once, and an empty backlog, its own or its drain
+// peer's, is not offered. That is exact: serve's dispatch refuses a pool
+// with no free worker and a queue no policy can select from (an empty
+// one) before it consults a former, so such a call arms no wake and
+// changes nothing, and DispatchFrom refuses the same thief and an empty
+// donor.
 func (d *driver) dispatch(i int) bool {
+	p := d.mc.Pool(i)
+	if p.Busy() >= p.Workers() {
+		return false
+	}
 	now := d.engine.Now()
 	lead := &d.lead
-	ok, wake, wakeOK := d.mc.DispatchFormed(i, now, lead)
-	if wakeOK && wake != d.lastWake[i] {
-		d.lastWake[i] = wake
-		d.engine.At(wake, d.pumpFire)
+	ok := false
+	if p.QueueLen() > 0 {
+		var wake time.Duration
+		var wakeOK bool
+		ok, wake, wakeOK = d.mc.DispatchFormed(i, now, lead)
+		if wakeOK && wake != d.lastWake[i] {
+			d.lastWake[i] = wake
+			d.engine.At(wake, d.pumpFire)
+		}
 	}
-	if !ok && d.drainFrom != nil && d.drainFrom[i] >= 0 {
-		ok = d.mc.DispatchFrom(i, d.drainFrom[i], now, lead)
+	if !ok && d.drainFrom != nil {
+		if from := d.drainFrom[i]; from >= 0 && d.mc.Pool(from).QueueLen() > 0 {
+			ok = d.mc.DispatchFrom(i, from, now, lead)
+		}
 	}
 	if !ok {
 		return false
@@ -423,8 +447,10 @@ func (ex *execution) complete() {
 	ex.done = true
 	d.live--
 	d.mc.Complete(ex.pool, 1+len(ex.rest))
-	if a := d.mc.Pool(ex.pool).Autoscaler(); a != nil {
-		a.ObserveService(ex.lead.Payload, ex.service)
+	if d.elastic != nil {
+		if a := d.mc.Pool(ex.pool).Autoscaler(); a != nil {
+			a.ObserveService(ex.lead.Payload, ex.service)
+		}
 	}
 	d.settle(ex.pool, &ex.lead, ex.rest, ex.service)
 	d.release(ex)

@@ -309,9 +309,10 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 	// steal is the pull half of rebalancing: a pool with free instances
 	// and an empty backlog drains the deepest peer whose adopted wait-p95
 	// gap over it has latched (serve.MultiCore.StealDonor), capped at its
-	// free capacity.
+	// free capacity. With every backlog empty it returns at once, which is
+	// exact: StealDonor prices no donor of depth 0, so no latch moves.
 	d.rebalance = func() int {
-		if !cfg.AdaptiveBalance {
+		if !cfg.AdaptiveBalance || mc.QueueLen() == 0 {
 			return 0
 		}
 		stole := 0

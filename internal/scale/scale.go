@@ -208,6 +208,12 @@ func (a *Autoscaler) ReadsWait() bool {
 	return a.cfg.Mode == ModePredictive && a.cfg.ColdStart > 0
 }
 
+// Memoryless reports whether Desired is a pure function of its busy and
+// queued arguments: a fixed or reactive autoscaler keeps no observations
+// and no latch, so the same occupancy and backlog always yield the same
+// target. Only the predictive mode remembers.
+func (a *Autoscaler) Memoryless() bool { return a.cfg.Mode != ModePredictive }
+
 // digestOf returns the digest s holds, creating it on first use. Callers
 // hold a.mu, which serializes creation.
 func (a *Autoscaler) digestOf(s *stream) *metrics.Digest {

@@ -55,6 +55,9 @@ type PoolCore struct {
 	// decidedAt stamps the last autoscale decision, the start of
 	// Rescale's rate limit (AttachElastic starts it).
 	decidedAt time.Duration
+	// decided is what the last evaluated decision read and chose; its
+	// queued is -1 until the first (AttachElastic).
+	decided decision
 	// dead marks a browned-out pool. The queue is the durable half (it
 	// keeps admitting and holding work, like a safekeeper's log); the
 	// workers are the ephemeral half — dispatch is gated off and in-flight
@@ -121,7 +124,7 @@ func (c *PoolCore) AttachElastic(cfg scale.Config, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c.lc, c.asc, c.decidedAt = lc, asc, now
+	c.lc, c.asc, c.decidedAt, c.decided = lc, asc, now, decision{queued: -1}
 	c.total = lc.advance(now, 0)
 	c.free = c.total
 	return nil
@@ -142,7 +145,7 @@ func (c *PoolCore) Autoscaler() *scale.Autoscaler { return c.asc }
 // it at every scheduling event; alone it serves the transitions that
 // must not decide (a fault, a drain, a run's closing tally).
 func (c *PoolCore) AdvanceLifecycle(now time.Duration) bool {
-	return c.lc != nil && c.resize(c.lc.advance(now, c.Busy()))
+	return c.lc != nil && c.resize(c.lc.step(now, c.Busy()))
 }
 
 // resize moves the pool to warm capacity, preserving busy workers, and
@@ -168,6 +171,10 @@ func (c *PoolCore) starved() bool {
 	return c.asc != nil && c.QueueLen() > 0 && c.Busy() >= c.Workers()
 }
 
+// decision is one evaluated autoscale decision: the occupancy and backlog
+// it read and the target it chose.
+type decision struct{ busy, queued, desired int }
+
 // Rescale drives the pool's capacity to now: it advances the lifecycle
 // (AdvanceLifecycle) and then, at most once per scaleDecideInterval since
 // the last decision or AttachElastic, asks the autoscaler for the desired
@@ -179,17 +186,32 @@ func (c *PoolCore) starved() bool {
 // only when the autoscaler reads waits (scale.Autoscaler.ReadsWait), so a
 // mode without the surge latch pays no quantile read. Both drivers call
 // it at every scheduling event, on the clock they pass Dispatch.
+//
+// An event that left a pool untouched costs it only the idle integral.
+// The advance coasts (Lifecycle.step: occupancy unchanged since the last
+// advance and no self-transition due), and a fixed or reactive pool whose
+// occupancy, backlog and lifecycle target equal those of its last
+// evaluated decision stamps the gate without asking the autoscaler again:
+// its Desired is a pure function of occupancy and backlog
+// (scale.Autoscaler.Memoryless), so it would choose the target the
+// lifecycle already holds, and the full path would change nothing else. A
+// predictive pool always asks, since its observations move its answer.
 func (c *PoolCore) Rescale(now time.Duration, waitP95 func() time.Duration) bool {
 	changed := c.AdvanceLifecycle(now)
 	if c.lc == nil || c.dead || c.lc.frozen || (now-c.decidedAt < scaleDecideInterval && !c.starved()) {
 		return changed
 	}
 	c.decidedAt = now
+	busy, queued := c.Busy(), c.QueueLen()
+	if c.decided == (decision{busy, queued, c.lc.Desired()}) && c.asc.Memoryless() {
+		return changed
+	}
 	var wait time.Duration
 	if c.asc.ReadsWait() {
 		wait = waitP95()
 	}
-	desired := c.asc.Desired(now, c.Busy(), c.QueueLen(), wait)
+	desired := c.asc.Desired(now, busy, queued, wait)
+	c.decided = decision{busy, queued, desired}
 	if desired == c.lc.Desired() {
 		return changed
 	}

@@ -1,6 +1,12 @@
 package serve
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
+
+// DecidedAt is the instant of the pool's last autoscale decision.
+func (c *PoolCore) DecidedAt() time.Duration { return c.decidedAt }
 
 // OverCompleted counts Complete calls that found every worker already free.
 func (c *PoolCore) OverCompleted() int { return c.overCompleted }

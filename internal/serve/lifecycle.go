@@ -68,6 +68,12 @@ type Lifecycle struct {
 	// guarantees capacity so a drain can finish): a dead pool must not
 	// have a pending cold-start timer resurrect capacity into it.
 	quenched bool
+	// next and nextOK hold nextEvent as of the last change: every method
+	// that moves a field nextEvent reads (newLifecycle, advance — which
+	// retarget and SetDesired end with —, Freeze and Quench) ends by
+	// refreshing them, so NextEvent is a read.
+	next   time.Duration
+	nextOK bool
 }
 
 // newLifecycle builds the state machine with initialWarm slots already
@@ -85,6 +91,7 @@ func newLifecycle(cfg scale.Config, initialWarm int, now time.Duration) (*Lifecy
 	}
 	lc := &Lifecycle{cfg: cfg, warm: initialWarm, desired: initialWarm, lastAt: now}
 	lc.reconcileIdle(now, 0)
+	lc.refresh()
 	return lc, nil
 }
 
@@ -172,6 +179,7 @@ func (lc *Lifecycle) Freeze(now time.Duration) {
 		lc.desired = lc.warm
 	}
 	lc.idle = lc.idle[:0]
+	lc.refresh()
 }
 
 // Quench pins the state machine while its pool is browned out: pending
@@ -185,6 +193,7 @@ func (lc *Lifecycle) Quench(now time.Duration) {
 	lc.quenched = true
 	lc.warming = lc.warming[:0]
 	lc.idle = lc.idle[:0]
+	lc.refresh()
 }
 
 // Unquench lifts the brown-out pin at now and re-warms toward the
@@ -205,7 +214,13 @@ func (lc *Lifecycle) Unquench(now time.Duration) {
 // The caller arms a timer (live engine) or schedules an event (sims)
 // at it; a deadline blocked by occupancy is re-armed by the advance
 // that reports the next completion.
-func (lc *Lifecycle) NextEvent() (time.Duration, bool) {
+func (lc *Lifecycle) NextEvent() (time.Duration, bool) { return lc.next, lc.nextOK }
+
+// refresh recomputes NextEvent's answer after a change.
+func (lc *Lifecycle) refresh() { lc.next, lc.nextOK = lc.nextEvent() }
+
+// nextEvent computes NextEvent from the machine's state.
+func (lc *Lifecycle) nextEvent() (time.Duration, bool) {
 	var at time.Duration
 	ok := false
 	if len(lc.warming) > 0 {
@@ -238,7 +253,7 @@ func (lc *Lifecycle) advance(now time.Duration, busy int) int {
 	wasBusy := lc.busy
 	lc.busy = busy
 	for {
-		evt, ok := lc.NextEvent()
+		evt, ok := lc.nextEvent()
 		if !ok || evt > now {
 			break
 		}
@@ -247,6 +262,21 @@ func (lc *Lifecycle) advance(now time.Duration, busy int) int {
 	}
 	lc.accrueTo(now, wasBusy)
 	lc.reconcileIdle(now, busy)
+	lc.refresh()
+	return lc.warm
+}
+
+// step is advance for a caller that drives the machine at every event
+// (PoolCore.AdvanceLifecycle). When busy is the occupancy the last
+// advance saw and no self-transition is due by now, advance would fire
+// nothing and its reconcile would find the idle ledger already matching
+// — every method that moves a slot, a deadline or the occupancy ends
+// reconciled — so step only accrues the integral.
+func (lc *Lifecycle) step(now time.Duration, busy int) int {
+	if busy != lc.busy || lc.nextOK && lc.next <= max(now, lc.lastAt) {
+		return lc.advance(now, busy)
+	}
+	lc.accrueTo(now, busy)
 	return lc.warm
 }
 
