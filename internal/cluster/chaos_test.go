@@ -199,6 +199,34 @@ func TestChaosRackRequeue(t *testing.T) {
 	}
 }
 
+// TestChaosRequeuedBatchFormsOnce: a formed batch that a pool-down sends
+// back to the queue counts as formed once, when it runs again — the
+// engine's rule for a held-back batch (serve.PoolCore.Requeue). Two
+// same-payload arrivals fill a batch of two on the one instance; the pool
+// dies and recovers mid-execution, and the batch re-dispatches whole.
+func TestChaosRequeuedBatchFormsOnce(t *testing.T) {
+	evs, err := trace.ParseFaultScript("50ms:pool-down:sim;60ms:pool-up:sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{Duration: time.Second, Requests: []trace.Request{
+		{At: 0, Benchmark: "chatbot"}, {At: time.Millisecond, Benchmark: "chatbot"},
+	}}
+	st, err := Run(tr, Config{
+		Instances: 1, QueueDepth: 10, Service: flatService(100 * time.Millisecond),
+		MaxBatch: 2, BatchLinger: 10 * time.Millisecond, Faults: evs,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requeued != 2 || st.Completed != 2 {
+		t.Fatalf("requeued %d and completed %d, want the batch of 2 requeued and then served", st.Requeued, st.Completed)
+	}
+	if st.Formed != 1 {
+		t.Errorf("Formed = %d, want 1: a requeued batch counts once, when it runs", st.Formed)
+	}
+}
+
 // TestChaosConfigValidation rejects the scripts and factors the sims
 // cannot honor: drive events (no storage nodes in these sims), unknown
 // pool names, sub-1 hedge factors, and fault/hedge use on layouts that

@@ -67,17 +67,17 @@ type rack struct {
 
 // execution is one dispatched batch's record. pool is the dispatch pool,
 // the accounting owner throughout; rest is the record's own copy of the
-// coalesced tasks; service is the sampled execution time. done marks a
-// completion already credited (by the primary or a winning hedge),
-// cancelled a pool-down requeue — the completion event still fires but
-// retires nothing.
+// coalesced tasks; service is the sampled execution time. formed marks a
+// dispatch that closed a forming group. done marks a completion already
+// credited (by the primary or a winning hedge), cancelled a pool-down
+// requeue — the completion event still fires but retires nothing.
 type execution struct {
-	d               *driver
-	lead            sched.HybridTask
-	rest            []sched.HybridTask
-	pool            int
-	service         time.Duration
-	done, cancelled bool
+	d                       *driver
+	lead                    sched.HybridTask
+	rest                    []sched.HybridTask
+	pool                    int
+	service                 time.Duration
+	formed, done, cancelled bool
 	// refs counts the pending completion, a pending hedge timer or lender
 	// lease, and the inflight slot; at zero the record is free.
 	refs int
@@ -338,11 +338,16 @@ func (d *driver) dispatch(i int) bool {
 	}
 	now := d.engine.Now()
 	lead := &d.lead
-	ok := false
+	ok, formed := false, false
 	if p.QueueLen() > 0 {
 		var wake time.Duration
 		var wakeOK bool
+		f, before := d.formers[i], 0
+		if f != nil {
+			before = f.Formed()
+		}
 		ok, wake, wakeOK = d.mc.DispatchFormed(i, now, lead)
+		formed = ok && f != nil && f.Formed() > before
 		if wakeOK && wake != d.lastWake[i] {
 			d.lastWake[i] = wake
 			d.engine.At(wake, d.pumpFire)
@@ -365,16 +370,16 @@ func (d *driver) dispatch(i int) bool {
 			func(t sched.HybridTask) bool { return t.Payload == payload })...)
 		rest = d.rest
 	}
-	d.execute(i, lead, rest)
+	d.execute(i, lead, rest, formed)
 	return true
 }
 
 // execute retires a gathered batch after one service time: the lead's
 // sample prices the whole coalesced execution, as on the live engine.
-func (d *driver) execute(pool int, lead *sched.HybridTask, rest []sched.HybridTask) {
+func (d *driver) execute(pool int, lead *sched.HybridTask, rest []sched.HybridTask, formed bool) {
 	service := d.service(pool, lead, rest)
 	ex := d.take()
-	ex.lead, ex.rest, ex.pool, ex.service = *lead, append(ex.rest, rest...), pool, service
+	ex.lead, ex.rest, ex.pool, ex.service, ex.formed = *lead, append(ex.rest, rest...), pool, service, formed
 	ex.refs = 1
 	if d.live++; d.live > d.peak {
 		d.peak = d.live
@@ -503,10 +508,9 @@ func (ex *execution) leaseDone() {
 
 // applyFault drives the scripted schedule. A pool-down cancels the pool's
 // in-flight executions (a hedge it lent a worker to notices by the pool's
-// fault count): each Requeue frees the worker its dispatch occupied and
-// returns its tasks by arrival order — at-most-once, the submission ledger
-// never moves — and a former re-observes them at submit weight so their
-// groups re-form. A pool-up resumes dispatch over the preserved backlog.
+// fault count) and returns each one's batch through Requeue, the engine's
+// rule for an orphaned batch (serve.PoolCore.Requeue). A pool-up resumes
+// dispatch over the preserved backlog.
 func (d *driver) applyFault(ev trace.FaultEvent) {
 	if !ev.Kind.Pool() {
 		d.driveFault(ev)
@@ -533,13 +537,7 @@ func (d *driver) applyFault(ev trace.FaultEvent) {
 		default:
 			ex.cancelled = true
 			d.live--
-			tasks := append([]sched.HybridTask{ex.lead}, ex.rest...)
-			d.mc.Requeue(i, tasks)
-			if f := d.formers[i]; f != nil {
-				for _, t := range tasks {
-					f.Observe(t, 1)
-				}
-			}
+			d.mc.Requeue(i, append([]sched.HybridTask{ex.lead}, ex.rest...), ex.formed)
 			d.release(ex)
 		}
 	}

@@ -52,12 +52,13 @@ type HybridConfig struct {
 	// AdaptiveBalance arms rebalancing over split backlogs (split layout
 	// only): every dispatch records the served task's queue delay into
 	// per-pool digests, and work spills at submit time or is stolen at
-	// drain time once the donor pool's wait-p95 has diverged above the
-	// target's past the hysteresis latch, while arrivals aimed at a dead
-	// DSCS pool reroute to the shallowest healthy CPU pool — the
-	// serve.MultiCore decisions (BalanceTarget, StealDonor) the live engine
-	// runs behind -adaptive-balance, driven here from the virtual clock.
-	// Off, the pools stay isolated, as on the engine.
+	// drain time (by a healthy pool with an empty queue, one task per free
+	// worker: serve.PoolCore.StealBudget) once the donor pool's wait-p95
+	// has diverged above the target's past the hysteresis latch, while
+	// arrivals aimed at a dead DSCS pool reroute to the shallowest healthy
+	// CPU pool — the serve.MultiCore decisions (BalanceTarget, StealDonor)
+	// the live engine runs behind -adaptive-balance, driven here from the
+	// virtual clock. Off, the pools stay isolated, as on the engine.
 	AdaptiveBalance bool
 	// SLO is the per-request latency budget; completions within it count
 	// toward HybridStats.WithinSLO (0 disables the tally).
@@ -306,30 +307,23 @@ func RunHybrid(tr *trace.Trace, cfg HybridConfig, seed uint64) (*HybridStats, er
 		}
 	}
 
-	// steal is the pull half of rebalancing: a pool with free instances
-	// and an empty backlog drains the deepest peer whose adopted wait-p95
-	// gap over it has latched (serve.MultiCore.StealDonor), capped at its
-	// free capacity. With every backlog empty it returns at once, which is
-	// exact: StealDonor prices no donor of depth 0, so no latch moves.
+	// steal is the pull half of rebalancing: each pool with a
+	// serve.PoolCore.StealBudget (at this rack's maxBatch of 0, one task per
+	// free instance) drains the deepest peer whose adopted wait-p95 gap over
+	// it has latched (serve.MultiCore.StealDonor). With every backlog empty
+	// it returns at once, which is exact: StealDonor prices no donor of
+	// depth 0, so no latch moves.
 	d.rebalance = func() int {
 		if !cfg.AdaptiveBalance || mc.QueueLen() == 0 {
 			return 0
 		}
 		stole := 0
 		for to := 0; to < mc.Pools(); to++ {
-			thief := mc.Pool(to)
-			free := thief.Workers() - thief.Busy()
-			// A dead thief never steals: its requeued in-flight work freed
-			// workers that cannot dispatch, which would otherwise make the
-			// grave look like the hungriest pool in the set.
-			if free == 0 || thief.QueueLen() > 0 || !thief.Healthy() {
-				continue
+			if budget := mc.Pool(to).StealBudget(d.maxBatch); budget > 0 {
+				if from, ok := mc.StealDonor(to, nil); ok {
+					stole += len(mc.Steal(from, to, budget))
+				}
 			}
-			from, ok := mc.StealDonor(to, nil)
-			if !ok {
-				continue
-			}
-			stole += len(mc.Steal(from, to, min(free, mc.Pool(from).QueueLen())))
 		}
 		return stole
 	}

@@ -278,11 +278,12 @@ func (e *Engine) wakePeers(p *pool, depth int) {
 }
 
 // rescueWaiting reports whether a dead peer holds a backlog p's worker
-// could rescue. The worker checks it after counting itself parked, so a
-// rescue wakeup racing its park is either fenced into the wait by
-// wakePeers or seen here. Callers hold p.mu.
+// could rescue, behind the steal's own gate (StealBudget). The worker
+// checks it after counting itself parked, so a rescue wakeup racing its
+// park is either fenced into the wait by wakePeers or seen here. Callers
+// hold p.mu.
 func (e *Engine) rescueWaiting(p *pool) bool {
-	if !e.opt.AdaptiveBalance || !p.core.Healthy() {
+	if !e.opt.AdaptiveBalance || p.core.StealBudget(e.opt.MaxBatch) == 0 {
 		return false
 	}
 	for _, d := range e.order {

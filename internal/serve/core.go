@@ -257,16 +257,16 @@ func (c *PoolCore) Healthy() bool { return !c.dead }
 func (c *PoolCore) Faults() int { return c.faults }
 
 // Requeue returns one execution's in-flight tasks to the queue — the
-// at-most-once completion path for work orphaned by a killed worker. The
+// at-most-once completion path for a batch that did not run. The
 // execution's worker is freed (guarded exactly like Complete: a second
 // Requeue of the same execution is counted, not clamped) and the tasks
 // re-enter by (Arrived, ID), bypassing the admission bound — a fault must
 // never turn into a drop. The submission ledger is untouched: the tasks
-// were admitted once and are still owed exactly one completion.
-// A batch former attached to the pool is NOT re-observed here; callers
-// that form batches re-Observe the tasks themselves (weights differ by
-// caller).
-func (c *PoolCore) Requeue(tasks []sched.HybridTask) {
+// were admitted once and are still owed exactly one completion. An
+// attached former re-observes them, and formed (the dispatch closed a
+// forming group) reopens that group's count, so the batch counts as formed
+// once, when it next dispatches.
+func (c *PoolCore) Requeue(tasks []sched.HybridTask, formed bool) {
 	if len(tasks) == 0 {
 		return
 	}
@@ -277,6 +277,26 @@ func (c *PoolCore) Requeue(tasks []sched.HybridTask) {
 	}
 	c.running -= len(tasks)
 	c.queue.RestoreAll(tasks)
+	if c.former == nil {
+		return
+	}
+	for _, t := range tasks {
+		c.former.Observe(t, c.former.weight(t))
+	}
+	if formed {
+		c.former.Reopen()
+	}
+}
+
+// StealBudget is how many queued tasks the pool may steal now, the one
+// thief rule of both clocks: none unless it is healthy with an empty queue
+// (work held back for a busy drive or a forming batch is its own to run),
+// else one batch of max(maxBatch, 1) per free worker.
+func (c *PoolCore) StealBudget(maxBatch int) int {
+	if c.dead || c.QueueLen() > 0 {
+		return 0
+	}
+	return c.free * max(maxBatch, 1)
 }
 
 // Hedge borrows a free worker for a hedged duplicate dispatch. It fails
@@ -470,7 +490,7 @@ func (c *PoolCore) StealFrom(donor *PoolCore, max int) []sched.HybridTask {
 	for _, t := range moved {
 		c.queue.Restore(t)
 		if donor.former != nil {
-			donor.former.Shed(t.Payload, 1)
+			donor.former.Shed(t.Payload, donor.former.weight(t))
 		}
 	}
 	donor.submitted -= len(moved)
@@ -491,7 +511,7 @@ func (c *PoolCore) DispatchFrom(donor *PoolCore, now time.Duration, t *sched.Hyb
 		return false
 	}
 	if donor.former != nil {
-		donor.former.Shed(t.Payload, 1)
+		donor.former.Shed(t.Payload, donor.former.weight(*t))
 	}
 	donor.submitted--
 	c.submitted++

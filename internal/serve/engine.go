@@ -99,13 +99,15 @@ type Options struct {
 	// AdaptiveBalance arms queue rebalancing keyed on wait delay: every
 	// dispatch records the served request's queue delay (arrival to
 	// dispatch) into its pool's wait digest, and work rebalances — DSCS
-	// submissions spill to a CPU pool at submit time, an idle worker
-	// steals any peer pool's backlog (same class included) at drain time —
-	// once the donor's adopted wait-p95 has diverged above the target's
-	// past the hysteresis latch (the metrics.Digest.Adopt bands — enter at
-	// 1.5x, release within 1.2x, after EstimateWarmup dispatches — over one
-	// metrics.Latch per pool pair). A dead pool's backlog moves with no
-	// wait evidence at all. Off (the default), the pools stay isolated.
+	// submissions spill to a CPU pool at submit time, and a healthy pool
+	// with an empty queue takes one batch per free worker from any peer
+	// pool's backlog (same class included) at drain time
+	// (PoolCore.StealBudget) — once the donor's adopted wait-p95 has
+	// diverged above the target's past the hysteresis latch (the
+	// metrics.Digest.Adopt bands — enter at 1.5x, release within 1.2x,
+	// after EstimateWarmup dispatches — over one metrics.Latch per pool
+	// pair). A dead pool's backlog moves with no wait evidence at all. Off
+	// (the default), the pools stay isolated.
 	AdaptiveBalance bool
 	// SpilloverTo names the CPU-class pool spilled work lands on. Empty
 	// picks among every CPU-class pool per submission.
@@ -521,6 +523,7 @@ func NewEngine(runners map[string]*faas.Runner, opt Options) (*Engine, error) {
 	if opt.MaxBatch > 1 && opt.BatchLinger > 0 {
 		for _, p := range e.pools {
 			f := NewBatchFormer(opt.MaxBatch, opt.BatchLinger, opt.BatchSLO, p.class)
+			f.SetWeight(taskBatch)
 			if opt.AdaptiveEstimates {
 				// The former prices SLO slack with this pool's observed
 				// p95 once the digest warms up; the task's static

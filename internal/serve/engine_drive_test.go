@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dscs/internal/faas"
+	"dscs/internal/platform"
 	"dscs/internal/workload"
 )
 
@@ -278,5 +279,123 @@ func TestDriveReleaseUnblocksPeerPool(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("the peer pool's held batch did not run after the drive was released")
 		}
+	}
+}
+
+// heldDSCS stages the drive-blocked pool both tests below start from, on a
+// balanced engine with two workers per pool whose wait evidence warms only
+// after 16 dispatches, so nothing moves by latch while it stages. Both CPU
+// workers run an asset-damage request stalled until cpuGate opens. One
+// credit-risk request runs stalled on its drive until dscsGate opens, and a
+// second is held back in the DSCS queue for that drive: the DSCS pool has a
+// free worker and a queue holding only a blocked payload, and the CPU pool
+// no free worker to take the held request. submit sends one more request
+// in the background.
+func heldDSCS(t *testing.T) (eng *Engine, cpuGate, dscsGate *dscsGate, submit func(pool, slug string)) {
+	t.Helper()
+	cpuGate, dscsGate = newDSCSGate(), newDSCSGate()
+	eng, err := NewEngine(testRunners(t), Options{Workers: 2, QueueDepth: 64, MaxBatch: 1,
+		AdaptiveBalance: true, EstimateWarmup: 16,
+		Execute: func(r *faas.Runner, b *workload.Benchmark, o faas.Options) (faas.Result, error) {
+			if r.Platform.Class() != platform.InStorageDSA {
+				<-cpuGate.ch
+			}
+			return dscsGate.execute(r, b, o)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	t.Cleanup(dscsGate.open)
+	t.Cleanup(cpuGate.open)
+	submit = func(pool, slug string) {
+		go func() {
+			if _, err := eng.Submit(pool, workload.BySlug(slug), faas.Options{Quantile: 0.5}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	submit("Baseline (CPU)", "asset-damage")
+	submit("Baseline (CPU)", "asset-damage")
+	waitFor(t, "both CPU workers busy", func() bool { return poolBusy(eng, "Baseline (CPU)") == 2 })
+	submit("DSCS-Serverless", "credit-risk")
+	waitFor(t, "first credit-risk request on its drive", func() bool { return dscsBusy(eng) == 1 })
+	submit("DSCS-Serverless", "credit-risk")
+	waitFor(t, "second credit-risk request held back", func() bool {
+		return eng.Telemetry().Counter("serve_drive_contention_total") == 1
+	})
+	return eng, cpuGate, dscsGate, submit
+}
+
+// TestEngineDriveBlockedPoolDoesNotSteal: a DSCS pool whose queue holds
+// only payloads held back for their busy drive is no thief, even with a
+// free worker and a CPU backlog whose wait gap over it has latched
+// (PoolCore.StealBudget). The held requests are its own to run; a steal on
+// top of them is a request the pools may hand back and forth.
+func TestEngineDriveBlockedPoolDoesNotSteal(t *testing.T) {
+	eng, cpuGate, dscsGate, submit := heldDSCS(t)
+	tel := eng.Telemetry()
+	cpu := eng.pools["Baseline (CPU)"]
+	// The CPU pool's wait evidence, warm: its p95 dwarfs the DSCS pool's
+	// one near-zero wait, so the CPU-over-DSCS latch trips on the first
+	// look.
+	waits := make([]time.Duration, 16)
+	for i := range waits {
+		waits[i] = 50 * time.Millisecond
+	}
+	cpu.chargeWaits(eng.opt.EstimateWindow, waits)
+	submit("Baseline (CPU)", "asset-damage")
+	submit("Baseline (CPU)", "asset-damage")
+	waitFor(t, "CPU backlog queued", func() bool { return eng.poolDepth(cpu) == 2 })
+	// A third credit-risk request joins the held one; its admission wakes
+	// the DSCS pool's parked free worker, which re-decides with the CPU
+	// backlog latched.
+	submit("DSCS-Serverless", "credit-risk")
+	waitFor(t, "third credit-risk request queued", func() bool { return eng.poolDepth(eng.pools["DSCS-Serverless"]) == 2 })
+	time.Sleep(100 * time.Millisecond)
+	if got := tel.Counter("serve_steal_total{from=Baseline (CPU),to=DSCS-Serverless}"); got != 0 {
+		t.Errorf("the drive-blocked DSCS pool stole %g CPU requests, want 0", got)
+	}
+	cpuGate.open()
+	dscsGate.open()
+	waitFor(t, "every request served", func() bool { return tel.Counter("serve_completed_total") == 7 })
+	if err := eng.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineDriveBlockedRescueParks: the drive-blocked DSCS pool beside a
+// dead CPU pool holding a backlog parks instead of spinning on its rescue
+// re-check, because the steal and the re-check apply one budget. Once the
+// drive is released it runs its own requests and rescues the dead pool's
+// backlog: the requests it queued after the death and the two its
+// stalled executions hand back.
+func TestEngineDriveBlockedRescueParks(t *testing.T) {
+	eng, cpuGate, dscsGate, submit := heldDSCS(t)
+	tel := eng.Telemetry()
+	if err := eng.FailPool("Baseline (CPU)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		submit("Baseline (CPU)", "asset-damage")
+	}
+	cpuGate.open()
+	waitFor(t, "dead pool's backlog queued", func() bool {
+		return tel.Counter("serve_requeues_total") == 2 && eng.poolDepth(eng.pools["Baseline (CPU)"]) == 5
+	})
+	time.Sleep(20 * time.Millisecond)
+	dscsGate.open()
+	deadline := time.Now().Add(5 * time.Second)
+	for tel.Counter("serve_completed_total") < 7 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%g of 7 requests completed within 5 s of the drive's release", tel.Counter("serve_completed_total"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := tel.Counter("serve_steal_total{from=Baseline (CPU),to=DSCS-Serverless}"); got != 5 {
+		t.Errorf("rescue steal counter = %g, want the dead pool's 5", got)
+	}
+	if err := eng.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,8 +27,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // dscsBusy reports the DSCS pool's occupied workers.
-func dscsBusy(eng *Engine) int {
-	p := eng.pools["DSCS-Serverless"]
+func dscsBusy(eng *Engine) int { return poolBusy(eng, "DSCS-Serverless") }
+
+// poolBusy reports a pool's occupied workers, read under its lock.
+func poolBusy(eng *Engine, name string) int {
+	p := eng.pools[name]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.core.Busy()

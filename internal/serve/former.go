@@ -56,6 +56,8 @@ type BatchFormer struct {
 	groups   []FormingGroup
 	formed   int
 	estimate ServiceEstimator
+	// weight is a queued task's model batch (SetWeight).
+	weight func(sched.HybridTask) int
 }
 
 // NewBatchFormer builds a former releasing batches at target size, holding
@@ -67,8 +69,11 @@ func NewBatchFormer(target int, linger, slo time.Duration, class sched.InstanceC
 	if target < 1 {
 		target = 1
 	}
-	return &BatchFormer{target: target, linger: linger, slo: slo, class: class}
+	return &BatchFormer{target: target, linger: linger, slo: slo, class: class, weight: unitWeight}
 }
+
+// unitWeight weighs every task one: the sims' requests carry no model batch.
+func unitWeight(sched.HybridTask) int { return 1 }
 
 // find returns the index of the payload's open group, or -1.
 func (f *BatchFormer) find(payload string) int {
@@ -96,6 +101,11 @@ func (f *BatchFormer) remove(i int) {
 // favor of the static prior (the digest must never feed a zero or
 // degenerate estimate into slack arithmetic).
 func (f *BatchFormer) SetEstimator(est ServiceEstimator) { f.estimate = est }
+
+// SetWeight attaches the owner's model batch of a queued task: what the
+// pool's requeue re-observes and its steals shed (PoolCore.Requeue,
+// StealFrom, DispatchFrom). Unset, every task weighs one.
+func (f *BatchFormer) SetWeight(w func(sched.HybridTask) int) { f.weight = w }
 
 // memberDue is the latest instant a single member tolerates its group
 // staying open: its linger window, tightened by its deadline slack.

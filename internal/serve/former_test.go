@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"dscs/internal/scale"
 	"dscs/internal/sched"
 )
 
@@ -264,6 +266,113 @@ func TestPoolCoreStealFrom(t *testing.T) {
 	// Self-steals are no-ops.
 	if got := thief.StealFrom(thief, 4); got != nil {
 		t.Fatal("self-steal must be a no-op")
+	}
+}
+
+// TestPoolCoreStealBudget pins the one thief rule both clocks apply: a
+// healthy pool with an empty queue takes one batch per free worker, and
+// nothing else steals — not a dead pool, not one holding work it cannot
+// dispatch yet.
+func TestPoolCoreStealBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		setup    func(*PoolCore) error
+		maxBatch int
+		want     int
+	}{
+		{name: "idle, maxBatch 0 steals one per worker", maxBatch: 0, want: 2},
+		{name: "idle, maxBatch 1", maxBatch: 1, want: 2},
+		{name: "idle, maxBatch 8", maxBatch: 8, want: 16},
+		{name: "one worker busy", maxBatch: 8, want: 8, setup: func(c *PoolCore) error {
+			c.Submit(arrival(1, 0, "a", 10))
+			if _, ok := c.Dispatch(0); !ok {
+				return errors.New("dispatch refused")
+			}
+			return nil
+		}},
+		{name: "no free worker", maxBatch: 8, want: 0, setup: func(c *PoolCore) error {
+			for i := 0; i < 2; i++ {
+				c.Submit(arrival(i, 0, "a", 10))
+				if _, ok := c.Dispatch(0); !ok {
+					return errors.New("dispatch refused")
+				}
+			}
+			return nil
+		}},
+		{name: "dead", maxBatch: 8, want: 0, setup: func(c *PoolCore) error {
+			c.Fail(0)
+			return nil
+		}},
+		{name: "dispatchable queue", maxBatch: 8, want: 0, setup: func(c *PoolCore) error {
+			c.Submit(arrival(1, 0, "a", 10))
+			return nil
+		}},
+		{name: "only blocked payloads queued", maxBatch: 8, want: 0, setup: func(c *PoolCore) error {
+			c.Submit(arrival(1, 0, "a", 10))
+			c.Block("a")
+			if c.Dispatchable() {
+				return errors.New("a blocked queue reads dispatchable")
+			}
+			return nil
+		}},
+		{name: "elastic pool counts warm workers", maxBatch: 8, want: 8, setup: func(c *PoolCore) error {
+			return c.AttachElastic(scale.Config{Mode: scale.ModeReactive, Min: 1, Max: 2, ColdStart: time.Second}, 0)
+		}},
+	} {
+		c, err := NewPoolCore(2, 8, sched.ClassCPU, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.setup != nil {
+			if err := tc.setup(c); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if got := c.StealBudget(tc.maxBatch); got != tc.want {
+			t.Errorf("%s: StealBudget(%d) = %d, want %d", tc.name, tc.maxBatch, got, tc.want)
+		}
+	}
+}
+
+// TestPoolCoreFormerWeight: a pool's former counts each task at the
+// owner's model batch (BatchFormer.SetWeight) on every door the core
+// drives itself: a steal sheds it from the donor's forming group, and a
+// requeue re-observes it, reopening the group its dispatch closed.
+func TestPoolCoreFormerWeight(t *testing.T) {
+	newPool := func() (*PoolCore, *BatchFormer) {
+		c, err := NewPoolCore(1, 8, sched.ClassCPU, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewBatchFormer(4, time.Second, 0, sched.ClassCPU)
+		f.SetWeight(func(sched.HybridTask) int { return 2 })
+		c.AttachFormer(f)
+		return c, f
+	}
+	donor, f := newPool()
+	thief, _ := newPool()
+	donor.Submit(arrival(1, 0, "a", 10))
+	f.Observe(arrival(1, 0, "a", 10), 2)
+	if moved := thief.StealFrom(donor, 1); len(moved) != 1 || f.Forming() != 0 {
+		t.Fatalf("stole %d, donor former still forms %d groups; want 1 and 0", len(moved), f.Forming())
+	}
+
+	c, f := newPool()
+	for i := 0; i < 2; i++ {
+		c.Submit(arrival(i, 0, "a", 10))
+		f.Observe(arrival(i, 0, "a", 10), 2)
+	}
+	lead, ok, _, _ := c.DispatchFormed(0)
+	rest := c.Coalesce(1, func(sched.HybridTask) bool { return true })
+	if !ok || len(rest) != 1 || f.Formed() != 1 {
+		t.Fatalf("dispatch ok=%v coalesced %d formed %d, want a formed batch of 2", ok, len(rest), f.Formed())
+	}
+	c.Requeue(append([]sched.HybridTask{lead}, rest...), true)
+	if f.Formed() != 0 || !f.Ready("a", 0) {
+		t.Fatalf("after the requeue formed %d, ready %v; want 0 and a group of weight 4 ready", f.Formed(), f.Ready("a", 0))
+	}
+	if _, ok, _, _ := c.DispatchFormed(0); !ok || f.Formed() != 1 {
+		t.Fatalf("re-dispatch ok=%v formed %d, want the batch to count once", ok, f.Formed())
 	}
 }
 

@@ -235,9 +235,10 @@ func (m *MultiCore) RecoverPool(i int, now time.Duration) {
 func (m *MultiCore) Healthy(i int) bool { return m.pools[i].Healthy() }
 
 // Requeue returns one execution's in-flight tasks to pool i's queue (see
-// PoolCore.Requeue — at-most-once accounting, arrival order preserved).
-func (m *MultiCore) Requeue(i int, tasks []sched.HybridTask) {
-	m.pools[i].Requeue(tasks)
+// PoolCore.Requeue — at-most-once accounting, arrival order preserved, an
+// attached former re-observing the tasks).
+func (m *MultiCore) Requeue(i int, tasks []sched.HybridTask, formed bool) {
+	m.pools[i].Requeue(tasks, formed)
 	m.requeued += len(tasks)
 }
 

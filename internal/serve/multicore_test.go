@@ -503,10 +503,17 @@ func TestMultiCorePropertyHarness(t *testing.T) {
 						return fmt.Errorf("task %d stolen after dispatch", tk.ID)
 					}
 				}
-			case 6: // wait-keyed steal: whatever the latch picks must hold up
+			case 6: // wait-keyed steal sized by the shared thief rule: whatever the latch picks must hold up
 				to := op.b % pools
+				budget := mc.Pool(to).StealBudget(op.a % 4)
+				if budget == 0 {
+					break
+				}
 				if from, ok := mc.StealDonor(to, nil); ok {
-					moved := mc.Steal(from, to, 1+op.a%4)
+					moved := mc.Steal(from, to, budget)
+					if len(moved) > budget {
+						return fmt.Errorf("pool %d stole %d tasks on a budget of %d", to, len(moved), budget)
+					}
 					for _, tk := range moved {
 						if dispatched[tk.ID] {
 							return fmt.Errorf("task %d balance-stolen after dispatch", tk.ID)
@@ -661,7 +668,7 @@ func TestMultiCoreChaosPropertyHarness(t *testing.T) {
 				}
 				mc.FailPool(pool, now)
 				for _, tasks := range execs[pool] {
-					mc.Requeue(pool, tasks)
+					mc.Requeue(pool, tasks, false)
 					for _, tk := range tasks {
 						// Requeued work gets a second dispatch in its next
 						// life; the at-most-once check tracks per life.

@@ -106,8 +106,8 @@ func FuzzRescaleMatchesReference(f *testing.F) {
 					got.Autoscaler().ObserveService(ex.task.Payload, service)
 					ref.Autoscaler().ObserveService(ex.task.Payload, service)
 				} else {
-					got.Requeue([]sched.HybridTask{ex.task})
-					ref.Requeue([]sched.HybridTask{ex.task})
+					got.Requeue([]sched.HybridTask{ex.task}, false)
+					ref.Requeue([]sched.HybridTask{ex.task}, false)
 				}
 			case 4: // Hedge
 				if g, r := got.Hedge(), ref.Hedge(); g != r {

@@ -18,6 +18,9 @@ func reqBatch(o faas.Options) int {
 	return o.Batch
 }
 
+// taskBatch is the model batch of the request a queue task carries.
+func taskBatch(t sched.HybridTask) int { return reqBatch(t.Ref.(*request).opt) }
+
 // coalescable reports whether two requests may share one execution: same
 // cold-start behavior, same network quantile, same chain shape. The
 // benchmark match is checked against the queue task's payload.
@@ -100,18 +103,10 @@ func (e *Engine) newBatch(p *pool, task sched.HybridTask) *batchState {
 }
 
 // requeueLocked returns a dispatched batch that did not run to p's queue
-// and its forming group, which counts as formed (formed: this dispatch
-// closed one) only when it next dispatches. Callers hold p.mu.
+// and its forming group (PoolCore.Requeue; formed: this dispatch closed
+// one). Callers hold p.mu.
 func (e *Engine) requeueLocked(p *pool, bs *batchState, formed bool) {
-	p.core.Requeue(bs.tasks)
-	if f := p.core.Former(); f != nil {
-		for _, t := range bs.tasks {
-			f.Observe(t, reqBatch(t.Ref.(*request).opt))
-		}
-		if formed {
-			f.Reopen()
-		}
-	}
+	p.core.Requeue(bs.tasks, formed)
 	e.syncView(p)
 	p.putBatch(bs)
 }
@@ -120,18 +115,14 @@ func (e *Engine) requeueLocked(p *pool, bs *batchState, formed bool) {
 // half of rebalancing, complementing submit-time spillover. The donor is
 // the deepest pool of any class (same-class platforms rebalance too) whose
 // adopted wait-p95 gap over p has latched, or a dead pool with a backlog.
-// The caller holds p.mu; stealInto releases it and retakes both pool locks
-// in name order (the engine-wide lock order), so two pools stealing from
-// each other cannot deadlock. It returns how many requests moved; p.mu is
-// held again on return.
+// How much moves is p's PoolCore.StealBudget, which is also the gate on
+// calling it. The caller holds p.mu; stealInto releases it and retakes
+// both pool locks in name order (the engine-wide lock order), so two pools
+// stealing from each other cannot deadlock. It returns how many requests
+// moved; p.mu is held again on return.
 //
 //dscslint:hotpath
 func (e *Engine) stealInto(p *pool) int {
-	if !p.core.Healthy() {
-		// A dead thief cannot dispatch what it steals; rescued work would
-		// just be buried in a second dead queue.
-		return 0
-	}
 	p.mu.Unlock()
 	i, ok := e.bal.StealDonor(p.idx, nil)
 	if !ok {
@@ -150,23 +141,13 @@ func (e *Engine) stealInto(p *pool) int {
 	// into the core yet. Drain it (under both locks, safely ordered) so the
 	// steal sees the donor's full depth.
 	e.drainLocked(donor)
-	// Re-check under both locks: the backlog may have drained, or the
-	// engine may be closing, since the unlocked scan. (The latch itself is
-	// not re-checked — it just tripped, and hysteresis means a single
-	// completion cannot have released it.)
-	if !p.closed && !donor.closed && p.core.Healthy() && donor.core.QueueLen() > 0 {
-		tasks := p.core.StealFrom(donor.core, e.opt.MaxBatch)
-		for _, t := range tasks {
-			// The request rides the task's Ref across the move; only the
-			// donor's forming group needs fixing up.
-			r := t.Ref.(*request)
-			if f := donor.core.Former(); f != nil && reqBatch(r.opt) > 1 {
-				// StealFrom shed one unit per task; shed the rest of
-				// this request's model batch from the forming group.
-				f.Shed(t.Payload, reqBatch(r.opt)-1)
-			}
-		}
-		moved = len(tasks)
+	// Re-check under both locks: p may have died or taken work, the
+	// backlog may have drained, or the engine may be closing, since the
+	// unlocked scan. (The latch itself is not re-checked — it just tripped,
+	// and hysteresis means a single completion cannot have released it.)
+	budget := p.core.StealBudget(e.opt.MaxBatch)
+	if budget > 0 && !p.closed && !donor.closed && donor.core.QueueLen() > 0 {
+		moved = len(p.core.StealFrom(donor.core, budget))
 		if moved > 0 {
 			// Sibling workers of the thief pool may be parked; the stolen
 			// backlog is work for them too.
@@ -209,7 +190,7 @@ func (e *Engine) dispatch(p *pool, now time.Duration) (task sched.HybridTask, ok
 // worker is one pool goroutine: dispatch via the shared core, coalesce a
 // batch (under BatchLinger, waiting on the former's queue-level batch,
 // parked until an arrival or the pool's wake timer), stealing a peer's
-// backlog under AdaptiveBalance when its own queue is empty, execute
+// backlog under AdaptiveBalance on the pool's StealBudget, execute
 // run-to-completion, deliver outcomes.
 func (e *Engine) worker(p *pool) {
 	defer e.wg.Done()
@@ -221,28 +202,21 @@ func (e *Engine) worker(p *pool) {
 		task, ok, wake, waitOK, formed := e.dispatch(p, now)
 		if !ok {
 			// A batch is forming: park until it fills (the filling arrival
-			// signals) or comes due (the wake timer), with no steal or
-			// rescue check — the forming work is queued, so either would
-			// spin this loop.
-			free := !waitOK && p.core.Busy() < p.core.Workers()
+			// signals) or comes due (the wake timer).
 			if waitOK {
 				e.wakeAtLocked(p, wake)
 			} else if p.closed {
 				p.mu.Unlock()
 				return
 			}
-			// A dead pool's worker parks straight away: its dispatch can
-			// never succeed, stealing into it would bury rescued work, and
-			// re-checking its (undrainable) backlog would spin this loop
-			// without ever releasing p.mu — starving the very peers trying
-			// to lock the pool and rescue that backlog. FailPool/RecoverPool
-			// broadcast, so the park always wakes on a health transition.
-			// A goroutine with no free slot (elastic spare capacity while
-			// every warm slot is busy) parks too: it can run neither its
-			// own backlog nor stolen work, and looping on that backlog
-			// would spin. A completing worker loops on its own, and the
-			// wake timer broadcasts when slots come warm.
-			if e.opt.AdaptiveBalance && p.core.Healthy() && free {
+			// Only a pool with a StealBudget steals. A dead pool, one with
+			// anything queued (a forming batch, payloads held for a busy
+			// drive) and a goroutine with no free slot park at once: looping
+			// on a backlog they cannot run would spin, a dead pool's without
+			// releasing p.mu and so starving the peers that would rescue it.
+			// FailPool/RecoverPool and the wake timer broadcast, a drive
+			// release signals, and a completing worker loops on its own.
+			if e.opt.AdaptiveBalance && p.core.StealBudget(e.opt.MaxBatch) > 0 {
 				stole := e.stealInto(p)
 				// Re-check before parking: stealInto dropped p.mu, so a
 				// submission may have signaled into the gap and its wakeup
@@ -257,11 +231,10 @@ func (e *Engine) worker(p *pool) {
 			// load sees its entry — the Dekker pairing that makes the
 			// lock-free offer path wakeup-safe. The wake token clears
 			// before the re-check and on every return from Wait (takeWake).
-			// A dead peer's backlog pairs the same way with wakePeers; a
-			// goroutine with no free slot could not rescue it.
+			// A dead peer's backlog pairs the same way with wakePeers.
 			p.parked.Add(1)
 			p.waking.Store(false)
-			if p.ingress.staged.Load() > 0 || (free && e.rescueWaiting(p)) {
+			if p.ingress.staged.Load() > 0 || e.rescueWaiting(p) {
 				p.parked.Add(-1)
 				continue
 			}

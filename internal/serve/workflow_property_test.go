@@ -237,7 +237,7 @@ func workflowPropertyRun(t *testing.T, specs []*trace.WorkflowSpec) func([]propO
 					for _, tk := range execs[pool] {
 						delete(dispatched, tk.ID)
 					}
-					mc.Requeue(pool, execs[pool])
+					mc.Requeue(pool, execs[pool], false)
 					execs[pool] = nil
 				} else {
 					mc.RecoverPool(pool, now)
